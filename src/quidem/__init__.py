@@ -7,7 +7,6 @@ from .algebra import (
     PolarParts,
     act_left,
     act_right,
-    functional_norm,
     is_central,
     null_space_basis,
     polar_decompose,

@@ -62,12 +62,53 @@ class MultiMatrixAlgebra:
     def transpose_perm(self) -> np.ndarray:
         """Permutation with vec(x^T) = vec(x)[transpose_perm] (blockwise)."""
         perm = np.empty(self.dim, dtype=np.intp)
-        for k, n in enumerate(self.block_dims):
-            for i in range(n):
-                for j in range(n):
-                    perm[self.index(k, i, j)] = self.index(k, j, i)
+        for n, idx in self.size_classes:
+            perm[idx] = idx[:, np.arange(n * n).reshape(n, n).T.ravel()]
         perm.flags.writeable = False
         return perm
+
+    @cached_property
+    def size_classes(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """One (n, idx) per distinct block size n, where idx[m] lists the vec
+        indices of the m-th n×n block, row-major."""
+        out = []
+        for n in sorted(set(self.block_dims)):
+            starts = [off for off, m in zip(self.offsets, self.block_dims) if m == n]
+            idx = np.add.outer(np.array(starts, dtype=np.intp), np.arange(n * n))
+            idx.flags.writeable = False
+            out.append((n, idx))
+        return tuple(out)
+
+    def multiply(self, x, y) -> np.ndarray:
+        """Blockwise products of stacks of vecs, broadcast over leading axes."""
+        x, y = np.asarray(x), np.asarray(y)
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
+        for n, idx in self.size_classes:
+            if n == 1:
+                out[..., idx[:, 0]] = x[..., idx[:, 0]] * y[..., idx[:, 0]]
+                continue
+            xb = x[..., idx].reshape(x.shape[:-1] + (len(idx), n, n))
+            yb = y[..., idx].reshape(y.shape[:-1] + (len(idx), n, n))
+            out[..., idx] = (xb @ yb).reshape(out.shape[:-1] + idx.shape)
+        return out
+
+    def operator_norms(self, x) -> np.ndarray:
+        """Operator norm of each vec in a stack: the largest block singular
+        value, by abs on 1×1 blocks and one batched SVD per larger size."""
+        x = np.asarray(x)
+        out = np.zeros(x.shape[:-1])
+        for n, idx in self.size_classes:
+            if n == 1:
+                norms = np.abs(x[..., idx[:, 0]])
+            else:
+                blocks = x[..., idx].reshape(x.shape[:-1] + (len(idx), n, n))
+                norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+            out = np.maximum(out, norms.max(axis=-1))
+        return out
+
+    def adjoint(self, x) -> np.ndarray:
+        """Blockwise adjoints of a stack of vecs."""
+        return np.conj(np.asarray(x)[..., self.transpose_perm])
 
     def split(self, vec: np.ndarray) -> list[np.ndarray]:
         """Cut a vec of length dim into per-block (n, n) matrices."""
@@ -174,7 +215,7 @@ class AlgebraElement:
 
     @property
     def operator_norm(self) -> float:
-        return max(float(np.linalg.norm(b, 2)) for b in self.blocks)
+        return float(self.algebra.operator_norms(self.vec))
 
     @property
     def trace_norm(self) -> float:
@@ -390,9 +431,6 @@ class TensorSplit:
         density_vec = self.scatter(f.density.vec, g.density.vec)
         return Functional(self.algebra, self.algebra.from_vec(density_vec))
 
-    def covector(self, cf: np.ndarray, cg: np.ndarray) -> np.ndarray:
-        return self.scatter(cf, cg)
-
     @cached_property
     def flip(self) -> np.ndarray:
         """Index array with (flip of v)[pos(J,I)] = v[pos(I,J)] for A = B."""
@@ -432,31 +470,14 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> TensorSplit:
     return TensorSplit(left=a, right=b, algebra=prod, positions=pos)
 
 
-def functional_norm(omega: Functional) -> float:
-    """Dual norm of ω, equal to the trace norm of its density."""
-    return omega.norm
-
-
 def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
     """Matrix of x ↦ a·x on vec coordinates (blockwise kron(a_k, I))."""
-    alg = a.algebra
-    out = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
-    pos = 0
-    for block, n in zip(a.blocks, alg.block_dims):
-        out[pos: pos + n * n, pos: pos + n * n] = np.kron(block, np.eye(n))
-        pos += n * n
-    return out
+    return a.algebra.multiply(a.vec, np.eye(a.algebra.dim)).T
 
 
 def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
     """Matrix of x ↦ x·a on vec coordinates (blockwise kron(I, a_kᵀ))."""
-    alg = a.algebra
-    out = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
-    pos = 0
-    for block, n in zip(a.blocks, alg.block_dims):
-        out[pos: pos + n * n, pos: pos + n * n] = np.kron(np.eye(n), block.T)
-        pos += n * n
-    return out
+    return a.algebra.multiply(np.eye(a.algebra.dim), a.vec).T
 
 
 def norm_attainer(omega: Functional) -> AlgebraElement:

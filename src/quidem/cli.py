@@ -112,10 +112,6 @@ def _load_group(spec: str) -> FiniteQuantumGroup:
     raise ValueError(f"group source must be builtin:NAME or file:PATH, got {spec!r}")
 
 
-def _closure(table, gens):
-    return table.closure(gens)
-
-
 def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
     """Functional sources: counit | haar | point:g | index:k |
     subgroup-character:H:k | coset-indicator:H:g | density:[[re,im],...]
@@ -144,7 +140,7 @@ def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
         if G.kind != "function":
             raise ValueError("subgroup-character requires a function algebra")
         table = G.table
-        subgroup = _closure(table, [int(x) for x in parts[1].split(",") if x != ""])
+        subgroup = table.closure([int(x) for x in parts[1].split(",") if x != ""])
         sub_table, elems = table.subtable(subgroup)
         chars = characters(sub_table)
         k = int(parts[2])
@@ -158,7 +154,7 @@ def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
         if G.kind != "group":
             raise ValueError("coset-indicator requires a group algebra")
         table = G.table
-        subgroup = _closure(table, [int(x) for x in parts[1].split(",") if x != ""])
+        subgroup = table.closure([int(x) for x in parts[1].split(",") if x != ""])
         g = int(parts[2])
         values = np.zeros(table.order)
         for h in subgroup:
@@ -201,47 +197,45 @@ def cmd_enumerate(G: FiniteQuantumGroup, args, report: Report):
         return
     report.info["count"] = len(items)
     for k, item in enumerate(items):
-        ok = is_contractive_idempotent(G, item.functional, max(args.tol, 1e-9))
         rep = decompose(G, item.functional, max(args.tol, 1e-8))
-        report.add(
-            f"item[{k}] contractive idempotent",
-            ok,
-            (item.functional.norm - 1.0),
-            args.tol,
-            note=f"{item.label} haar={rep.haar}",
-        )
+        _add_contractive(report, G, item.functional, args, f"item[{k}] contractive idempotent",
+                         note=f"{item.label} haar={rep.haar}")
+
+
+def _idempotency_defect(G, omega) -> float:
+    return (convolve(G, omega, omega) - omega).norm
+
+
+def _add_contractive(report: Report, G, omega, args, name="contractive idempotent", note=None) -> bool:
+    """Row for ‖ω⋆ω − ω‖ ≤ tol and ‖ω‖ = 1, with the defect the larger of the
+    two deviations and the tolerance is_contractive_idempotent ran at."""
+    tol = max(args.tol, 1e-9)
+    ok = is_contractive_idempotent(G, omega, tol)
+    if note is None:
+        note = "" if ok else f"not a contractive idempotent (norm {omega.norm:.6f})"
+    defect = max(_idempotency_defect(G, omega), abs(omega.norm - 1.0))
+    report.add(name, ok, defect, tol, note=note)
+    return ok
 
 
 def _decompose_into(G, omega, args, report: Report):
     tol = max(args.tol, 1e-8)
-    if not is_contractive_idempotent(G, omega, max(args.tol, 1e-9)):
-        defect = (convolve(G, omega, omega) - omega).norm
-        report.add(
-            "contractive idempotent",
-            False,
-            defect,
-            args.tol,
-            note=f"not a contractive idempotent (norm {omega.norm:.6f})",
-        )
+    if not _add_contractive(report, G, omega, args):
         return None
     rep = decompose(G, omega, tol)
-    report.add("contractive idempotent", True, abs(omega.norm - 1.0), args.tol)
-    report.add("absolute values idempotent states", True, 0.0, args.tol)
+    abs_defect = max(_idempotency_defect(G, rep.abs_r), _idempotency_defect(G, rep.abs_l))
+    report.add("absolute values idempotent states", abs_defect <= tol, abs_defect, tol)
     report.add("reconstruction v.|w|_r", rep.roundtrip_r <= tol, rep.roundtrip_r, tol)
     report.add("reconstruction |w|_l.v", rep.roundtrip_l <= tol, rep.roundtrip_l, tol)
     report.add("group-like defect (right)", rep.defect_r <= tol, rep.defect_r, tol)
     report.add("group-like defect (left)", rep.defect_l <= tol, rep.defect_l, tol)
     report.info["haar"] = rep.haar
     if rep.haar:
-        report.add(
-            "haar: |w|_r = |w|_l",
-            True,
-            (rep.abs_r - rep.abs_l).norm,
-            tol,
-        )
+        gap = (rep.abs_r - rep.abs_l).norm
+        report.add("haar: |w|_r = |w|_l", gap <= tol, gap, tol)
         report.info["subgroup_block_dims"] = list(rep.subgroup.target.algebra.block_dims)
         report.info["character"] = [
-            [round(z.real, 12), round(z.imag, 12)] for z in rep.character.vec
+            [round(float(z.real), 12), round(float(z.imag), 12)] for z in rep.character.vec
         ]
     tro_rep_checks(G, omega, args, report)
     return rep
@@ -306,8 +300,7 @@ def cmd_explore(G: FiniteQuantumGroup, args, report: Report):
 def cmd_tro(G: FiniteQuantumGroup, args, report: Report):
     omega = _parse_functional(G, args.functional)
     tol = max(args.tol, 1e-8)
-    if not is_contractive_idempotent(G, omega, max(args.tol, 1e-9)):
-        report.add("contractive idempotent", False, omega.norm - 1.0, args.tol)
+    if not _add_contractive(report, G, omega, args):
         return
     X = image_subspace(left_conv_operator(G, omega))
     report.info["image_dim"] = X.dim

@@ -92,13 +92,20 @@ class GroupTable:
 
     @cached_property
     def subgroups(self) -> list[frozenset]:
-        """All subgroups, found by closing generator sets of size ≤ 3
-        (sufficient for groups of order < 16), sorted by (order, elements)."""
-        found = {frozenset({self.identity})}
-        elems = range(self.order)
-        for r in (1, 2, 3):
-            for gens in itertools.combinations(elems, r):
-                found.add(self.closure(gens))
+        """All subgroups, sorted by (order, elements).
+
+        Cyclic-extension lattice: every subgroup is generated by finitely
+        many elements, so it is reached from the trivial subgroup by joining
+        one cyclic subgroup at a time.  Each newly found subgroup is joined
+        with every cyclic subgroup until no join is new; the result is exact
+        for every finite group."""
+        cyclics = {self.closure([g]) for g in range(self.order)}
+        found = {frozenset({self.identity})} | cyclics
+        frontier = list(cyclics)
+        while frontier:
+            joins = {self.closure(h | c) for h in frontier for c in cyclics if not c <= h}
+            frontier = list(joins - found)
+            found |= joins
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def left_cosets(self, subgroup: frozenset) -> list[frozenset]:

@@ -75,14 +75,7 @@ class FiniteQuantumGroup:
     @cached_property
     def mult_tensor(self) -> np.ndarray:
         """mult_tensor[o, a, b] = vec(e_a · e_b)[o]."""
-        dim = self.dim
-        ms = np.zeros((dim, dim, dim))
-        alg = self.algebra
-        for k, n in enumerate(alg.block_dims):
-            for i in range(n):
-                for j in range(n):
-                    for l in range(n):
-                        ms[alg.index(k, i, l), alg.index(k, i, j), alg.index(k, j, l)] = 1.0
+        ms = _mult_tensor(self.algebra)
         ms.flags.writeable = False
         return ms
 
@@ -164,85 +157,62 @@ def _numerical_rank(mat: np.ndarray, rtol: float = 1e-8) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
+def _mult_tensor(algebra: MultiMatrixAlgebra) -> np.ndarray:
+    """ms[o, a, b] = vec(e_a · e_b)[o] over the matrix-unit basis."""
+    eye = np.eye(algebra.dim)
+    return algebra.multiply(eye[:, None, :], eye[None, :, :]).transpose(2, 0, 1)
+
+
 def verify_axioms(G: FiniteQuantumGroup, tol: float = 1e-9) -> AxiomReport:
     """Compute defect norms for every quantum-group axiom.
 
     Every defect is an operator norm (or a rank deficit, for the cancellation
-    laws) and should vanish for a genuine finite quantum group.
+    laws) and should vanish for a genuine finite quantum group.  Each norm is
+    the largest over a stack of basis images, taken by the blockwise kernel
+    of the algebra the images live in.
     """
     A, AA, ts = G.algebra, G.ts.algebra, G.ts
     dim = A.dim
-    basis = A.basis()
-    images = [AA.from_vec(G.comult[:, i]) for i in range(dim)]
+    images = G.comult.T                     # images[i] = vec Δ(e_i)
     star = A.transpose_perm
+    ident = np.eye(dim)
     defects: dict[str, float] = {}
 
-    one_tensor_one = ts.element(A.identity(), A.identity())
-    defects["comult_unital"] = (G.apply_comult(A.identity()) - one_tensor_one).operator_norm
+    def worst(alg, stack):
+        return float(alg.operator_norms(stack).max(initial=0.0))
 
-    hom = 0.0
-    for i in range(dim):
-        for j in range(dim):
-            prod_vec = (basis[i] * basis[j]).vec
-            lhs = AA.from_vec(G.comult @ prod_vec)
-            hom = max(hom, (lhs - images[i] * images[j]).operator_norm)
-    defects["comult_homomorphism"] = hom
-
-    star_def = 0.0
-    for i in range(dim):
-        star_vec = np.zeros(dim, dtype=np.complex128)
-        star_vec[star[i]] = 1.0  # vec(e_i*)
-        lhs = AA.from_vec(G.comult @ star_vec)
-        star_def = max(star_def, (lhs - images[i].adjoint()).operator_norm)
-    defects["comult_star"] = star_def
+    one = G.unit_vec
+    defects["comult_unital"] = worst(AA, G.comult @ one - ts.scatter(one, one))
+    # Δ(e_i e_j) − Δ(e_i)Δ(e_j) over all basis pairs
+    lhs = (G.comult @ G.mult_tensor.reshape(dim, dim * dim)).T.reshape(dim, dim, AA.dim)
+    defects["comult_homomorphism"] = worst(
+        AA, lhs - AA.multiply(images[:, None, :], images[None, :, :])
+    )
+    defects["comult_star"] = worst(AA, images[star] - AA.adjoint(images))
 
     # coassociativity, measured in the triple tensor algebra
     d3 = G.d3
-    left4 = np.einsum("ijm,mkc->ijkc", d3, d3)
-    right4 = np.einsum("jkm,imc->ijkc", d3, d3)
-    diff = left4 - right4
+    diff = np.einsum("ijm,mkc->cijk", d3, d3) - np.einsum("jkm,imc->cijk", d3, d3)
     t3 = tensor_algebra(AA, A)
     pos3 = t3.positions.reshape(AA.dim, dim)[G.pos_matrix, :]
-    coassoc = 0.0
-    for c in range(dim):
-        vec3 = np.zeros(t3.algebra.dim, dtype=np.complex128)
-        vec3[pos3] = diff[:, :, :, c]
-        coassoc = max(coassoc, t3.algebra.from_vec(vec3).operator_norm)
-    defects["coassociativity"] = coassoc
+    vec3 = np.zeros((dim, t3.algebra.dim), dtype=np.complex128)
+    vec3[:, pos3] = diff
+    defects["coassociativity"] = worst(t3.algebra, vec3)
 
     ce = G.counit.covector
-    left_counit = np.einsum("i,ijc->jc", ce, d3)
-    right_counit = np.einsum("j,ijc->ic", ce, d3)
-    ident = np.eye(dim)
-    defects["counit_left"] = max(
-        A.from_vec(left_counit[:, c] - ident[:, c]).operator_norm for c in range(dim)
-    )
-    defects["counit_right"] = max(
-        A.from_vec(right_counit[:, c] - ident[:, c]).operator_norm for c in range(dim)
-    )
+    defects["counit_left"] = worst(A, (G.left_matrix(ce) - ident).T)
+    defects["counit_right"] = worst(A, (G.right_matrix(ce) - ident).T)
 
     # antipode laws m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ
     ms = G.mult_tensor
     s_mat = G.antipode
-    lhs_left = np.einsum("ijc,ki,okj->oc", d3, s_mat, ms)
-    lhs_right = np.einsum("ijc,kj,oik->oc", d3, s_mat, ms)
-    rhs = np.einsum("c,o->oc", ce, G.unit_vec)
-    defects["antipode_left"] = max(
-        A.from_vec(lhs_left[:, c] - rhs[:, c]).operator_norm for c in range(dim)
-    )
-    defects["antipode_right"] = max(
-        A.from_vec(lhs_right[:, c] - rhs[:, c]).operator_norm for c in range(dim)
-    )
-    defects["antipode_involutive"] = max(
-        A.from_vec((s_mat @ s_mat - ident)[:, c]).operator_norm for c in range(dim)
-    )
+    rhs = np.einsum("c,o->co", ce, one)
+    defects["antipode_left"] = worst(A, np.einsum("ijc,ki,okj->co", d3, s_mat, ms) - rhs)
+    defects["antipode_right"] = worst(A, np.einsum("ijc,kj,oik->co", d3, s_mat, ms) - rhs)
+    defects["antipode_involutive"] = worst(A, (s_mat @ s_mat - ident).T)
     # S(a*) = S(a)* checked on the matrix-unit basis
-    star_mat = np.zeros((dim, dim))
-    star_mat[star, np.arange(dim)] = 1.0
-    anti_star = s_mat @ star_mat - star_mat @ np.conj(s_mat)
-    defects["antipode_star"] = max(
-        A.from_vec(anti_star[:, c]).operator_norm for c in range(dim)
-    )
+    star_mat = ident[:, star]
+    defects["antipode_star"] = worst(A, (s_mat @ star_mat - star_mat @ np.conj(s_mat)).T)
 
     # Haar: a state, invariant on both sides
     d_h = G.haar.density
@@ -253,45 +223,29 @@ def verify_axioms(G: FiniteQuantumGroup, tol: float = 1e-9) -> AxiomReport:
     defects["haar_positive"] = max(herm, max(0.0, -float(eig_min)))
     defects["haar_trace_one"] = abs(d_h.trace - 1.0)
     ch = G.haar.covector
-    left_h = np.einsum("i,ijc->jc", ch, d3)
-    right_h = np.einsum("j,ijc->ic", ch, d3)
-    defects["haar_left_invariant"] = max(
-        A.from_vec(left_h[:, c] - ch[c] * G.unit_vec).operator_norm for c in range(dim)
-    )
-    defects["haar_right_invariant"] = max(
-        A.from_vec(right_h[:, c] - ch[c] * G.unit_vec).operator_norm for c in range(dim)
-    )
+    defects["haar_left_invariant"] = worst(A, (G.left_matrix(ch) - np.outer(one, ch)).T)
+    defects["haar_right_invariant"] = worst(A, (G.right_matrix(ch) - np.outer(one, ch)).T)
 
     # quantum cancellation laws: span Δ(A)(A⊗1) = A⊗A = span Δ(A)(1⊗A)
-    one = A.identity()
-    rows_left = np.empty((dim * dim, AA.dim), dtype=np.complex128)
-    rows_right = np.empty((dim * dim, AA.dim), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(dim):
-            rows_left[i * dim + j] = (images[i] * ts.element(basis[j], one)).vec
-            rows_right[i * dim + j] = (images[i] * ts.element(one, basis[j])).vec
-    defects["cancellation_left"] = float(AA.dim - _numerical_rank(rows_left))
-    defects["cancellation_right"] = float(AA.dim - _numerical_rank(rows_right))
+    legs = ts.positions.reshape(dim, dim)
+    for name, side in (("cancellation_left", legs), ("cancellation_right", legs.T)):
+        factors = np.zeros((dim, AA.dim), dtype=np.complex128)
+        factors[:, side] = ident[:, :, None] * one   # e_j ⊗ 1, or 1 ⊗ e_j
+        rows = AA.multiply(images[:, None, :], factors[None, :, :]).reshape(dim * dim, AA.dim)
+        defects[name] = float(AA.dim - _numerical_rank(rows))
 
     return AxiomReport(defects=defects, tol=tol)
 
 
 def commutativity_defect(G: FiniteQuantumGroup) -> float:
     """Max operator norm of [e_i, e_j]; zero iff all blocks are 1×1."""
-    basis = G.algebra.basis()
-    return max(
-        (a * b - b * a).operator_norm for a in basis for b in basis
-    )
+    ms = G.mult_tensor
+    return float(G.algebra.operator_norms((ms - ms.transpose(0, 2, 1)).T).max())
 
 
 def cocommutativity_defect(G: FiniteQuantumGroup) -> float:
     """Max operator norm of (flip∘Δ − Δ)(e_c)."""
-    flip = G.ts.flip
-    AA = G.ts.algebra
-    return max(
-        AA.from_vec(G.comult[:, c][flip] - G.comult[:, c]).operator_norm
-        for c in range(G.dim)
-    )
+    return float(G.ts.algebra.operator_norms((G.comult[G.ts.flip] - G.comult).T).max())
 
 
 def solve_haar_state(
@@ -310,18 +264,25 @@ def solve_haar_state(
     rows_r = np.transpose(d3, (0, 2, 1)).reshape(dim * dim, dim) - np.einsum(
         "i,cj->icj", one, eye
     ).reshape(dim * dim, dim)
-    homogeneous = np.vstack([rows_l, rows_r])
+    cov = _solve_invariant(np.vstack([rows_l, rows_r]), one, tol, "Haar state")
+    return Functional.from_covector(algebra, cov)
+
+
+def _solve_invariant(homogeneous: np.ndarray, normal: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The unique x with homogeneous @ x = 0 and normal @ x = 1: the
+    homogeneous system must have a one-dimensional kernel (SVD rank test),
+    then the normalized system is solved by least squares."""
     svals = np.linalg.svd(homogeneous, compute_uv=False)
-    if np.sum(svals > 1e-8 * max(1.0, svals[0])) != dim - 1:
-        raise ValueError("invariant state is not unique; not a quantum group structure")
-    a = np.vstack([homogeneous, one[np.newaxis, :]])
+    if np.sum(svals > 1e-8 * max(1.0, svals[0])) != homogeneous.shape[1] - 1:
+        raise ValueError(f"{what} is not unique; not a quantum group structure")
+    a = np.vstack([homogeneous, normal[np.newaxis, :]])
     b = np.zeros(a.shape[0], dtype=np.complex128)
     b[-1] = 1.0
-    cov, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.abs(a @ cov - b).max())
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    residual = float(np.abs(a @ x - b).max())
     if residual > tol:
-        raise ValueError(f"Haar state solve failed (residual {residual:.2e})")
-    return Functional.from_covector(algebra, cov)
+        raise ValueError(f"{what} solve failed (residual {residual:.2e})")
+    return x
 
 
 def solve_antipode(
@@ -335,12 +296,7 @@ def solve_antipode(
     dim = algebra.dim
     ts = tensor_algebra(algebra, algebra)
     d3 = comult[ts.positions.reshape(dim, dim), :]
-    ms = np.zeros((dim, dim, dim))
-    for k, n in enumerate(algebra.block_dims):
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    ms[algebra.index(k, i, l), algebra.index(k, i, j), algebra.index(k, j, l)] = 1.0
+    ms = _mult_tensor(algebra)
     c1 = np.einsum("ijc,okj->coki", d3, ms).reshape(dim * dim, dim * dim)
     c2 = np.einsum("ijc,oik->cokj", d3, ms).reshape(dim * dim, dim * dim)
     rhs = np.einsum("c,o->co", counit.covector, algebra.identity().vec).reshape(dim * dim)
@@ -366,18 +322,7 @@ def _solve_dual_haar(G: FiniteQuantumGroup, tol: float = 1e-9) -> np.ndarray:
     rows_l = np.transpose(ms, (0, 2, 1)).reshape(dim * dim, dim) - np.einsum(
         "j,ik->ijk", ce, eye
     ).reshape(dim * dim, dim)
-    homogeneous = np.vstack([rows_r, rows_l])
-    svals = np.linalg.svd(homogeneous, compute_uv=False)
-    if np.sum(svals > 1e-8 * max(1.0, svals[0])) != dim - 1:
-        raise ValueError("dual Haar state is not unique")
-    a = np.vstack([homogeneous, ce[np.newaxis, :]])
-    b = np.zeros(a.shape[0], dtype=np.complex128)
-    b[-1] = 1.0
-    eta, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.abs(a @ eta - b).max())
-    if residual > tol:
-        raise ValueError(f"dual Haar solve failed (residual {residual:.2e})")
-    return eta
+    return _solve_invariant(np.vstack([rows_r, rows_l]), ce, tol, "dual Haar state")
 
 
 def _dual_regular_split(G: FiniteQuantumGroup, seed: int = 11):
@@ -430,10 +375,7 @@ def dual_pair(
     tsd = tensor_algebra(dual_alg, dual_alg)
     big = np.einsum("bjk,pj,qk->bpq", G.mult_tensor, phi, phi)
     comult_cols = np.empty((tsd.algebra.dim, dim), dtype=np.complex128)
-    for b in range(dim):
-        vec = np.empty(tsd.algebra.dim, dtype=np.complex128)
-        vec[tsd.positions] = big[b].ravel()
-        comult_cols[:, b] = vec
+    comult_cols[tsd.positions] = big.reshape(dim, -1).T
     phi_inv = np.linalg.inv(phi)
     comult_dual = comult_cols @ phi_inv
     counit_dual = Functional.from_covector(dual_alg, np.linalg.solve(phi.T, G.unit_vec))
@@ -505,7 +447,7 @@ class QuantumSubgroup:
     def intertwining_defect(self) -> float:
         """Max coefficient norm of ((π⊗π)Δ_G − Δ_H π) over basis columns."""
         g, h = self.parent, self.target
-        lhs = _project_tensor(g, h, self.projection, g.comult)
+        lhs = _project_tensor(g, h.algebra, self.projection, g.comult)
         rhs = h.comult @ self.projection
         return float(np.linalg.norm(lhs - rhs, ord=np.inf))
 
@@ -513,17 +455,12 @@ class QuantumSubgroup:
         return _numerical_rank(self.projection) == self.target.algebra.dim
 
 
-def _project_tensor(g: FiniteQuantumGroup, h: FiniteQuantumGroup, proj: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Apply π⊗π to each column of a (dim_G², n) matrix of A⊗A vecs."""
-    pos_g = g.pos_matrix
-    pos_h = h.pos_matrix
-    out = np.empty((h.dim * h.dim, cols.shape[1]), dtype=np.complex128)
-    for c in range(cols.shape[1]):
-        coeff = cols[:, c][pos_g]
-        reduced = proj @ coeff @ proj.T
-        vec = np.empty(h.dim * h.dim, dtype=np.complex128)
-        vec[pos_h] = reduced
-        out[:, c] = vec
+def _project_tensor(g: FiniteQuantumGroup, sub_alg: MultiMatrixAlgebra, proj: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Apply π⊗π to each column of a (dim_G², n) matrix of A⊗A vecs, giving
+    vecs of the tensor square of sub_alg."""
+    pos_h = tensor_algebra(sub_alg, sub_alg).positions.reshape(sub_alg.dim, sub_alg.dim)
+    out = np.empty((sub_alg.dim ** 2, cols.shape[1]), dtype=np.complex128)
+    out[pos_h] = np.einsum("ai,ijc,bj->abc", proj, cols[g.pos_matrix], proj)
     return out
 
 
@@ -556,7 +493,8 @@ def quotient_by_support(
         off = alg.offsets[k]
         proj[row: row + n * n, off: off + n * n] = np.eye(n * n)
         row += n * n
-    sub_comult_candidate = _project_tensor_build(G, sub_alg, proj)
+    # coordinate sections: π∘ι = id on the corner, so Δ_H = (π⊗π)Δι
+    sub_comult_candidate = _project_tensor(G, sub_alg, proj, G.comult @ proj.T)
     counit_sub = Functional.from_covector(sub_alg, proj @ G.counit.covector)
     antipode_sub = proj @ G.antipode @ proj.T
     if haar_state is not None:
@@ -589,18 +527,3 @@ def quotient_by_support(
         raise ValueError("corner compression is not surjective")
     return sub
 
-
-def _project_tensor_build(G: FiniteQuantumGroup, sub_alg: MultiMatrixAlgebra, proj: np.ndarray) -> np.ndarray:
-    """Δ_H with Δ_H(π(a)) = (π⊗π)Δ(a), built on the corner coordinates."""
-    ts_h = tensor_algebra(sub_alg, sub_alg)
-    pos_h = ts_h.positions.reshape(sub_alg.dim, sub_alg.dim)
-    pos_g = G.pos_matrix
-    out = np.empty((ts_h.algebra.dim, sub_alg.dim), dtype=np.complex128)
-    inject = proj.T  # coordinate sections: π∘ι = id on the corner
-    for c in range(sub_alg.dim):
-        coeff = (G.comult @ (inject[:, c]))[pos_g]
-        reduced = proj @ coeff @ proj.T
-        vec = np.empty(ts_h.algebra.dim, dtype=np.complex128)
-        vec[pos_h] = reduced
-        out[:, c] = vec
-    return out

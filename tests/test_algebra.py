@@ -299,3 +299,43 @@ def test_actions_match_definitions():
     x, y = alg.random_element(rng), alg.random_element(rng)
     assert act_left(x, omega)(y) == pytest.approx(omega(y * x), abs=1e-10)
     assert act_right(omega, x)(y) == pytest.approx(omega(x * y), abs=1e-10)
+
+
+def _random_stack(alg, rng, shape):
+    return rng.standard_normal(shape + (alg.dim,)) + 1j * rng.standard_normal(shape + (alg.dim,))
+
+
+def test_kernel_matches_per_block_loops():
+    rng = np.random.default_rng(7)
+    alg = MultiMatrixAlgebra((1, 3, 2, 1, 3, 4, 2))
+    x, y = _random_stack(alg, rng, (5, 3)), _random_stack(alg, rng, (5, 3))
+    norms = alg.operator_norms(x)
+    prods = alg.multiply(x, y)
+    adjoints = alg.adjoint(x)
+    for idx in np.ndindex(5, 3):
+        blocks_x, blocks_y = alg.split(x[idx]), alg.split(y[idx])
+        want = max(np.linalg.norm(b, 2) for b in blocks_x)
+        assert abs(norms[idx] - want) <= 1e-12 * want
+        want_prod = np.concatenate([(a @ b).ravel() for a, b in zip(blocks_x, blocks_y)])
+        assert np.abs(prods[idx] - want_prod).max() <= 1e-12
+        want_adj = np.concatenate([b.conj().T.ravel() for b in blocks_x])
+        assert np.array_equal(adjoints[idx], want_adj)
+    # broadcasting: one element against a stack
+    one_by_many = alg.multiply(x[0, 0], y[:, 0])
+    assert one_by_many.shape == (5, alg.dim)
+    for m in range(5):
+        assert np.array_equal(one_by_many[m], alg.multiply(x[0, 0], y[m, 0]))
+    # the element property goes through the same kernel
+    a = alg.from_vec(x[2, 1])
+    assert a.operator_norm == float(norms[2, 1])
+    assert alg.operator_norms(np.zeros((0, alg.dim))).shape == (0,)
+
+
+def test_transpose_perm_matches_index_loop():
+    for alg in ALGEBRAS:
+        perm = np.empty(alg.dim, dtype=np.intp)
+        for k, n in enumerate(alg.block_dims):
+            for i in range(n):
+                for j in range(n):
+                    perm[alg.index(k, i, j)] = alg.index(k, j, i)
+        assert np.array_equal(alg.transpose_perm, perm)

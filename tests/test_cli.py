@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quidem import builtin, convolve, polar_decompose
 from quidem.catalogue import to_document
 from quidem.cli import main
 
@@ -169,3 +170,50 @@ def test_reports_are_deterministic(capsys):
         return code, doc
 
     assert snapshot() == snapshot()
+
+
+def _rows(doc):
+    return {c["name"]: c for c in doc["checks"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--group", "builtin:czn:4", "--functional", "index:5"),
+    ("decompose", "--group", "builtin:cstar:dn:4", "--functional", "index:12"),
+    ("decompose", "--group", "builtin:czn:4", "--functional", "point:1"),
+    ("tro", "--group", "builtin:czn:4", "--functional", "point:1"),
+    ("enumerate", "--group", "builtin:czn:4"),
+])
+def test_rows_show_the_tolerance_they_were_checked_at(capsys, argv):
+    """A row with a defect and a tolerance passes exactly when the defect is
+    within that tolerance; --tol below the library floor shows the floor."""
+    code, out = run(capsys, *argv, "--tol", "1e-20", "--json")
+    doc = json.loads(out)
+    for row in doc["checks"]:
+        if row["defect"] is not None and row["tolerance"] is not None:
+            assert row["passed"] == (row["defect"] <= row["tolerance"]), row
+        if "contractive idempotent" in row["name"]:
+            assert row["tolerance"] == 1e-9, row
+    assert code == (0 if doc["passed"] else 1)
+
+
+def test_absolute_values_row_is_measured(capsys):
+    code, out = run(
+        capsys,
+        "decompose", "--group", "builtin:cstar:dn:4", "--functional", "index:12", "--json",
+    )
+    assert code == 0
+    row = _rows(json.loads(out))["absolute values idempotent states"]
+    G = builtin("cstar:dn:4")
+    from quidem.cli import _enumerate
+
+    parts = polar_decompose(_enumerate(G)[12].functional)
+    expected = max((convolve(G, s, s) - s).norm for s in (parts.abs_r, parts.abs_l))
+    assert row["defect"] == pytest.approx(expected, abs=1e-15)
+    assert row["tolerance"] == 1e-8 and row["passed"]
+
+
+def test_character_prints_plain_floats(capsys):
+    code, out = run(capsys, "decompose", "--group", "builtin:czn:4", "--functional", "haar")
+    assert code == 0
+    assert "np.float64" not in out
+    assert "character: [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]" in out

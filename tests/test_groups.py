@@ -43,6 +43,29 @@ def test_subgroup_counts():
     assert len(dihedral(4).subgroups) == 10
 
 
+def _elementary_abelian_2(rank):
+    n = 2 ** rank
+    return GroupTable(tuple(tuple(a ^ b for b in range(n)) for a in range(n)))
+
+
+def test_subgroup_lattice_counts():
+    # Z2^4 needs four generators: closing generator sets of size <= 3 misses
+    # the whole group
+    assert len(_elementary_abelian_2(3).subgroups) == 16
+    assert len(_elementary_abelian_2(4).subgroups) == 67
+    assert len(symmetric(3).subgroups) == 6
+    assert len(dihedral(4).subgroups) == 10
+    assert len(symmetric(4).subgroups) == 30
+
+
+def test_subgroups_sorted_and_closed():
+    table = _elementary_abelian_2(4)
+    subs = table.subgroups
+    assert subs == sorted(subs, key=lambda s: (len(s), sorted(s)))
+    assert subs[0] == frozenset({table.identity}) and subs[-1] == frozenset(range(16))
+    assert all(table.is_subgroup(h) for h in subs)
+
+
 def test_coset_partition():
     z4 = cyclic(4)
     h = z4.closure([2])

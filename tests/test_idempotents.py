@@ -6,6 +6,7 @@ import pytest
 
 from quidem import (
     Functional,
+    GroupTable,
     cesaro_limit,
     convolve,
     cyclic,
@@ -237,6 +238,13 @@ def test_function_enumeration_counts():
     for n, count in expected.items():
         G = function_algebra(cyclic(n))
         assert len(enumerate_function_algebra(G)) == count
+
+
+def test_function_enumeration_needs_four_generators():
+    # one item per subgroup H of Z2^4 and character of H:
+    # 1·1 + 15·2 + 35·4 + 15·8 + 1·16 = 307
+    z2_4 = GroupTable(tuple(tuple(a ^ b for b in range(16)) for a in range(16)))
+    assert len(enumerate_function_algebra(function_algebra(z2_4))) == 307
 
 
 def test_function_enumeration_s3(cs3):

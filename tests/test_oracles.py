@@ -1,0 +1,480 @@
+"""The batched defect checks against their loop forms.
+
+Each reference below is the earlier per-basis loop implementation of a
+check, kept as a test oracle.  The loops are copied as they were, except
+that they call the per-block helpers defined here (`_norm`, `_residual`,
+`_ref_*`) in place of library code that now goes through the blockwise
+kernel, so an oracle shares no arithmetic with what it checks.  Every defect
+must agree within 1e-12 and every pass/fail verdict must be identical,
+also on deliberately broken inputs.
+"""
+
+import numpy as np
+import pytest
+
+from quidem import (
+    Functional,
+    cesaro_limit,
+    cyclic,
+    dihedral,
+    function_algebra,
+    group_algebra,
+    kac_paljutkin,
+    left_conv_operator,
+    symmetric,
+)
+from quidem.algebra import polar_decompose, tensor_algebra
+from quidem.idempotents import enumerate_function_algebra, enumerate_group_algebra
+from quidem.qgroup import FiniteQuantumGroup, verify_axioms
+from quidem.tro import (
+    _choi_min_eigenvalue,
+    build_expectation,
+    check_tro_expectation,
+    expectation_checks,
+    image_subspace,
+    linking_algebra,
+    triple_product_identities,
+)
+
+AGREE = 1e-12
+TOL = 1e-8
+CP_FLOOR = -1e-9
+
+
+# ---------------------------------------------------------------------------
+# per-block primitives of the loop forms
+
+
+def _norm(x):
+    """Operator norm as one 2-norm per block."""
+    return max(float(np.linalg.norm(b, 2)) for b in x.blocks)
+
+
+def _residual(X, x):
+    v = x.vec
+    return float(np.linalg.norm(v - X.matrix @ (X.matrix.conj().T @ v)))
+
+
+def _ref_mult_tensor(alg):
+    dim = alg.dim
+    ms = np.zeros((dim, dim, dim))
+    for k, n in enumerate(alg.block_dims):
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    ms[alg.index(k, i, l), alg.index(k, i, j), alg.index(k, j, l)] = 1.0
+    return ms
+
+
+def _ref_numerical_rank(mat, rtol=1e-8):
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))
+
+
+def _ref_transpose_perm(alg):
+    perm = np.empty(alg.dim, dtype=np.intp)
+    for k, n in enumerate(alg.block_dims):
+        for i in range(n):
+            for j in range(n):
+                perm[alg.index(k, i, j)] = alg.index(k, j, i)
+    return perm
+
+
+def _ref_image_subspace(matrix, algebra):
+    u, s, _ = np.linalg.svd(matrix)
+    keep = int(np.sum(s > 1e-10 * s[0]))
+    return type(image_subspace(matrix, algebra))(algebra, u[:, :keep])
+
+
+def _ref_left_mult_matrix(a):
+    alg = a.algebra
+    out = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+    pos = 0
+    for block, n in zip(a.blocks, alg.block_dims):
+        out[pos: pos + n * n, pos: pos + n * n] = np.kron(block, np.eye(n))
+        pos += n * n
+    return out
+
+
+def _ref_right_mult_matrix(a):
+    alg = a.algebra
+    out = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+    pos = 0
+    for block, n in zip(a.blocks, alg.block_dims):
+        out[pos: pos + n * n, pos: pos + n * n] = np.kron(np.eye(n), block.T)
+        pos += n * n
+    return out
+
+
+def _ref_embedded_basis(link):
+    dim = link.tro.algebra.dim
+
+    def embed(i, j, x):
+        out = np.zeros(link.ambient.algebra.dim, dtype=np.complex128)
+        out[link.ambient.positions[(2 * i + j) * dim + np.arange(dim)]] = x.vec
+        return out
+
+    out = [embed(0, 0, x) for x in link.left.basis]
+    out += [embed(0, 1, x) for x in link.tro.basis]
+    out += [embed(1, 0, x.adjoint()) for x in link.tro.basis]
+    out += [embed(1, 1, x) for x in link.right.basis]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# loop forms
+
+
+def ref_verify_axioms(G):
+    A, AA, ts = G.algebra, G.ts.algebra, G.ts
+    dim = A.dim
+    basis = A.basis()
+    images = [AA.from_vec(G.comult[:, i]) for i in range(dim)]
+    star = _ref_transpose_perm(A)
+    defects = {}
+
+    one_tensor_one = ts.element(A.identity(), A.identity())
+    defects["comult_unital"] = _norm(G.apply_comult(A.identity()) - one_tensor_one)
+
+    hom = 0.0
+    for i in range(dim):
+        for j in range(dim):
+            prod_vec = (basis[i] * basis[j]).vec
+            lhs = AA.from_vec(G.comult @ prod_vec)
+            hom = max(hom, _norm(lhs - images[i] * images[j]))
+    defects["comult_homomorphism"] = hom
+
+    star_def = 0.0
+    for i in range(dim):
+        star_vec = np.zeros(dim, dtype=np.complex128)
+        star_vec[star[i]] = 1.0  # vec(e_i*)
+        lhs = AA.from_vec(G.comult @ star_vec)
+        star_def = max(star_def, _norm(lhs - images[i].adjoint()))
+    defects["comult_star"] = star_def
+
+    d3 = G.d3
+    left4 = np.einsum("ijm,mkc->ijkc", d3, d3)
+    right4 = np.einsum("jkm,imc->ijkc", d3, d3)
+    diff = left4 - right4
+    t3 = tensor_algebra(AA, A)
+    pos3 = t3.positions.reshape(AA.dim, dim)[G.pos_matrix, :]
+    coassoc = 0.0
+    for c in range(dim):
+        vec3 = np.zeros(t3.algebra.dim, dtype=np.complex128)
+        vec3[pos3] = diff[:, :, :, c]
+        coassoc = max(coassoc, _norm(t3.algebra.from_vec(vec3)))
+    defects["coassociativity"] = coassoc
+
+    ce = G.counit.covector
+    left_counit = np.einsum("i,ijc->jc", ce, d3)
+    right_counit = np.einsum("j,ijc->ic", ce, d3)
+    ident = np.eye(dim)
+    defects["counit_left"] = max(
+        _norm(A.from_vec(left_counit[:, c] - ident[:, c])) for c in range(dim)
+    )
+    defects["counit_right"] = max(
+        _norm(A.from_vec(right_counit[:, c] - ident[:, c])) for c in range(dim)
+    )
+
+    ms = _ref_mult_tensor(A)
+    s_mat = G.antipode
+    lhs_left = np.einsum("ijc,ki,okj->oc", d3, s_mat, ms)
+    lhs_right = np.einsum("ijc,kj,oik->oc", d3, s_mat, ms)
+    rhs = np.einsum("c,o->oc", ce, G.unit_vec)
+    defects["antipode_left"] = max(
+        _norm(A.from_vec(lhs_left[:, c] - rhs[:, c])) for c in range(dim)
+    )
+    defects["antipode_right"] = max(
+        _norm(A.from_vec(lhs_right[:, c] - rhs[:, c])) for c in range(dim)
+    )
+    defects["antipode_involutive"] = max(
+        _norm(A.from_vec((s_mat @ s_mat - ident)[:, c])) for c in range(dim)
+    )
+    star_mat = np.zeros((dim, dim))
+    star_mat[star, np.arange(dim)] = 1.0
+    anti_star = s_mat @ star_mat - star_mat @ np.conj(s_mat)
+    defects["antipode_star"] = max(
+        _norm(A.from_vec(anti_star[:, c])) for c in range(dim)
+    )
+
+    d_h = G.haar.density
+    herm = _norm(d_h - d_h.adjoint())
+    eig_min = min(
+        np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in d_h.blocks
+    )
+    defects["haar_positive"] = max(herm, max(0.0, -float(eig_min)))
+    defects["haar_trace_one"] = abs(d_h.trace - 1.0)
+    ch = G.haar.covector
+    left_h = np.einsum("i,ijc->jc", ch, d3)
+    right_h = np.einsum("j,ijc->ic", ch, d3)
+    defects["haar_left_invariant"] = max(
+        _norm(A.from_vec(left_h[:, c] - ch[c] * G.unit_vec)) for c in range(dim)
+    )
+    defects["haar_right_invariant"] = max(
+        _norm(A.from_vec(right_h[:, c] - ch[c] * G.unit_vec)) for c in range(dim)
+    )
+
+    one = A.identity()
+    rows_left = np.empty((dim * dim, AA.dim), dtype=np.complex128)
+    rows_right = np.empty((dim * dim, AA.dim), dtype=np.complex128)
+    for i in range(dim):
+        for j in range(dim):
+            rows_left[i * dim + j] = (images[i] * ts.element(basis[j], one)).vec
+            rows_right[i * dim + j] = (images[i] * ts.element(one, basis[j])).vec
+    defects["cancellation_left"] = float(AA.dim - _ref_numerical_rank(rows_left))
+    defects["cancellation_right"] = float(AA.dim - _ref_numerical_rank(rows_right))
+    return defects
+
+
+def ref_is_tro(X, tol):
+    basis = X.basis
+    for x in basis:
+        for y in basis:
+            ystar = y.adjoint()
+            for z in basis:
+                if _residual(X, x * ystar * z) > tol:
+                    return False
+    return True
+
+
+def ref_check_tro_expectation(G, omega, tol):
+    parts = polar_decompose(omega)
+    alg = G.algebra
+    lw = G.left_matrix(omega.covector)
+    lr = G.left_matrix(parts.abs_r.covector)
+    ll = G.left_matrix(parts.abs_l.covector)
+    basis = alg.basis()
+    p_img = [alg.from_vec(lw[:, i]) for i in range(G.dim)]
+    qr_img = [alg.from_vec(lr[:, i]) for i in range(G.dim)]
+    ql_img = [alg.from_vec(ll[:, i]) for i in range(G.dim)]
+
+    def lmap(mat, x):
+        return alg.from_vec(mat @ x.vec)
+
+    res = {"left_absorb": 0.0, "left_adjoint_absorb": 0.0, "right_absorb": 0.0, "right_adjoint_absorb": 0.0}
+    for i in range(G.dim):
+        pa = p_img[i]
+        pa_star = pa.adjoint()
+        for j in range(G.dim):
+            b = basis[j]
+            res["left_absorb"] = max(
+                res["left_absorb"], _norm(lmap(lw, pa * b) - pa * ql_img[j])
+            )
+            res["left_adjoint_absorb"] = max(
+                res["left_adjoint_absorb"], _norm(lmap(ll, pa_star * b) - pa_star * p_img[j])
+            )
+            res["right_absorb"] = max(
+                res["right_absorb"], _norm(lmap(lw, b * p_img[i]) - qr_img[j] * p_img[i])
+            )
+            res["right_adjoint_absorb"] = max(
+                res["right_adjoint_absorb"],
+                _norm(lmap(lr, b * pa_star) - p_img[j] * pa_star),
+            )
+
+    image = _ref_image_subspace(lw, alg)
+    xb = image.basis
+    exp_res = {"expect_right_pair": 0.0, "expect_middle": 0.0, "expect_left_pair": 0.0}
+    for a in basis:
+        pa = lmap(lw, a)
+        for x in xb:
+            xs = x.adjoint()
+            for y in xb:
+                exp_res["expect_right_pair"] = max(
+                    exp_res["expect_right_pair"],
+                    _norm(lmap(lw, a * xs * y) - pa * xs * y),
+                )
+                exp_res["expect_middle"] = max(
+                    exp_res["expect_middle"],
+                    _norm(lmap(lw, x * a.adjoint() * y) - x * pa.adjoint() * y),
+                )
+                exp_res["expect_left_pair"] = max(
+                    exp_res["expect_left_pair"],
+                    _norm(lmap(lw, x * xs * a) - x * xs * pa),
+                )
+    return res, exp_res, ref_is_tro(image, tol)
+
+
+def ref_triple_product_identities(G, omega):
+    alg = G.algebra
+    lw = G.left_matrix(omega.covector)
+    basis = alg.basis()
+    imgs = [alg.from_vec(lw[:, i]) for i in range(G.dim)]
+
+    def lmap(x):
+        return alg.from_vec(lw @ x.vec)
+
+    worst = {"first": 0.0, "second": 0.0, "third": 0.0}
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            pbs = imgs[j].adjoint()
+            for k, c in enumerate(basis):
+                direct = imgs[i] * pbs * imgs[k]
+                worst["first"] = max(worst["first"], _norm(lmap(imgs[i] * pbs * c) - direct))
+                worst["second"] = max(worst["second"], _norm(lmap(imgs[i] * b.adjoint() * imgs[k]) - direct))
+                worst["third"] = max(worst["third"], _norm(lmap(a * pbs * imgs[k]) - direct))
+    return worst
+
+
+def ref_multiplicative_defect(link, tol_rank=1e-10):
+    basis = _ref_embedded_basis(link)
+    stack = np.column_stack(basis)
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    span = type(link.tro)(link.ambient.algebra, u[:, : int(np.sum(s > tol_rank * s[0]))])
+    amb = link.ambient.algebra
+    elems = [amb.from_vec(v) for v in basis]
+    worst = max((_residual(span, e.adjoint()) for e in elems), default=0.0)
+    for eu in elems:
+        for ev in elems:
+            worst = max(worst, _residual(span, eu * ev))
+    return worst
+
+
+def ref_bimodule(E, B):
+    amb = B.ambient.algebra
+    mat = E.matrix
+    basis_b = _ref_embedded_basis(B)
+    elems_b = [amb.from_vec(v) for v in basis_b]
+    lmults = [_ref_left_mult_matrix(b) for b in elems_b]
+    rmults = [_ref_right_mult_matrix(b) for b in elems_b]
+    bimodule = 0.0
+    e_after_l = [mat @ lm for lm in lmults]
+    r_after_e = [rm @ mat for rm in rmults]
+    for i, lm in enumerate(lmults):
+        for j, rm in enumerate(rmults):
+            defect = np.linalg.norm(e_after_l[i] @ rm - lm @ r_after_e[j])
+            bimodule = max(bimodule, float(defect))
+    return bimodule
+
+
+def ref_choi_min_eigenvalue(E):
+    amb = E.ambient.algebra
+    sizes = amb.block_dims
+    n_total = sum(sizes)
+    mat = E.matrix
+    choi = np.zeros((n_total * n_total, n_total * n_total), dtype=np.complex128)
+    start = 0
+    for k, n in enumerate(sizes):
+        for p in range(n):
+            for q in range(n):
+                unit = np.zeros(amb.dim, dtype=np.complex128)
+                unit[amb.index(k, p, q)] = 1.0
+                image = amb.split(mat @ unit)
+                out = np.zeros((n_total, n_total), dtype=np.complex128)
+                pos = 0
+                for kk, nn in enumerate(sizes):
+                    out[pos: pos + nn, pos: pos + nn] = image[kk]
+                    pos += nn
+                row, col = start + p, start + q
+                choi[row * n_total:(row + 1) * n_total,
+                     col * n_total:(col + 1) * n_total] += out
+        start += n
+    herm_defect = float(np.linalg.norm(choi - choi.conj().T, 2)) / 2
+    eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+    return float(eigs.min()) - herm_defect
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _kp_non_haar_state(kp):
+    blocks = [np.zeros((n, n)) for n in kp.algebra.block_dims]
+    blocks[0] = np.eye(1) / 2
+    blocks[4] = np.diag([1.0, 0.0]) / 2
+    seed = Functional(kp.algebra, kp.algebra.element(blocks))
+    return cesaro_limit(kp, seed, tol=1e-9, max_iter=10_000).limit
+
+
+def _cases(name):
+    """(group, contractive idempotents) for each group of the comparison: all
+    of C(Z4); on C(S3) and C*(D4) one item per kind of subgroup, Haar and
+    non-Haar; on KP the counit, the Haar state and a non-Haar idempotent
+    state."""
+    if name == "C(Z4)":
+        G = function_algebra(cyclic(4))
+        return G, [item.functional for item in enumerate_function_algebra(G)]
+    if name == "C(S3)":
+        G = function_algebra(symmetric(3))
+        items = enumerate_function_algebra(G)   # {e}, Z2 sign, Z3, S3 sign
+        return G, [items[k].functional for k in (0, 1, 7, 10)]
+    if name == "C*(D4)":
+        G = group_algebra(dihedral(4))
+        items = enumerate_group_algebra(G)      # {e}, centre, reflection (non-Haar), Z4, D4
+        return G, [items[k].functional for k in (0, 8, 12, 28, 34)]
+    G = kac_paljutkin()
+    return G, [G.counit, G.haar, _kp_non_haar_state(G)]
+
+
+GROUPS = ["C(Z4)", "C(S3)", "C*(D4)", "KP"]
+
+
+@pytest.fixture(scope="module", params=GROUPS)
+def case(request):
+    return _cases(request.param)
+
+
+def _assert_agree(got: dict, want: dict, tol: float):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= AGREE, (key, got[key], want[key])
+        assert (got[key] <= tol) == (want[key] <= tol), key
+
+
+def _broken(G):
+    comult = G.comult.copy()
+    comult[:, 1] = 1.01 * comult[:, 1] + 1e-3 * comult[:, 0]
+    return FiniteQuantumGroup(
+        algebra=G.algebra, comult=comult, counit=G.counit, antipode=G.antipode, haar=G.haar,
+    )
+
+
+def test_verify_axioms_matches_loop_form(case):
+    G, _ = case
+    for H in (G, _broken(G)):
+        report = verify_axioms(H, 1e-9)
+        want = ref_verify_axioms(H)
+        _assert_agree(report.defects, want, 1e-9)
+        assert report.passed == all(v <= 1e-9 for v in want.values())
+    assert verify_axioms(G, 1e-9).passed
+    assert not verify_axioms(_broken(G), 1e-9).passed
+
+
+def test_tro_checks_match_loop_form(case):
+    G, idempotents = case
+    for omega in idempotents:
+        report = check_tro_expectation(G, omega, TOL)
+        res, exp_res, image_is_tro = ref_check_tro_expectation(G, omega, TOL)
+        _assert_agree(report.identity_residuals, res, TOL)
+        _assert_agree(report.expectation_residuals, exp_res, TOL)
+        assert report.image_is_tro == image_is_tro
+        _assert_agree(triple_product_identities(G, omega), ref_triple_product_identities(G, omega), TOL)
+
+
+def test_expectation_checks_match_loop_form(case):
+    G, idempotents = case
+    for omega in idempotents:
+        link = linking_algebra(image_subspace(left_conv_operator(G, omega)), TOL)
+        got = link.multiplicative_defect()
+        want = ref_multiplicative_defect(link)
+        assert abs(got - want) <= AGREE
+        assert (got <= TOL) == (want <= TOL)
+        # the expectation itself, then Schur maps whose off-diagonal entries
+        # are rescaled: no longer completely positive
+        for s01, s10 in ((1.0, 1.0), (1.3, 1.0), (1.0, 0.2), (1.3, 0.2)):
+            E = build_expectation(G, omega, TOL)
+            E.entries[0][1] = s01 * E.entries[0][1]
+            E.entries[1][0] = s10 * E.entries[1][0]
+            checks = expectation_checks(E, link)
+            bimodule = ref_bimodule(E, link)
+            assert abs(checks.bimodule - bimodule) <= AGREE
+            assert (checks.bimodule <= TOL) == (bimodule <= TOL)
+            choi = ref_choi_min_eigenvalue(E)
+            assert abs(_choi_min_eigenvalue(E) - choi) <= AGREE
+            assert abs(checks.choi_min_eigenvalue - choi) <= AGREE
+            assert (checks.choi_min_eigenvalue >= CP_FLOOR) == (choi >= CP_FLOOR)
+            if (s01, s10) == (1.0, 1.0):
+                assert choi >= CP_FLOOR
+            elif s01 * s10 != 1.0:
+                assert choi < CP_FLOOR
