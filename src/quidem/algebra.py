@@ -1,11 +1,13 @@
 """Finite-dimensional C*-algebras as direct sums of complex matrix blocks.
 
-Elements are tuples of dense complex matrices, one per block.  Linear
-functionals are stored through the unnormalized trace pairing against a
-density element, so that the dual norm is the plain trace norm and states
-are exactly the trace-one positive densities.  All scalars are double
-precision; every value is immutable after construction and may be shared
-freely between threads.
+An element is stored as one read-only vector of matrix-unit coordinates,
+its ``vec``; the per-block matrices are views into it.  Every per-block
+spectral step (norms, SVDs, eigenvalues) runs once per block size, over the
+stack of all blocks of that size.  Linear functionals are stored through
+the unnormalized trace pairing against a density element, so that the dual
+norm is the plain trace norm and states are exactly the trace-one positive
+densities.  All scalars are double precision; every value is immutable
+after construction and may be shared freely between threads.
 
 Basis convention: matrix units ordered block by block, row-major inside
 each block.  ``vec`` coordinates of elements, all structure maps, and
@@ -14,6 +16,7 @@ functional covectors use this ordering throughout the package.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -48,22 +51,25 @@ class MultiMatrixAlgebra:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, off = [], 0
-        for n in self.block_dims:
-            out.append(off)
-            off += n * n
-        return tuple(out)
+        return tuple(itertools.accumulate((n * n for n in self.block_dims[:-1]), initial=0))
 
     def index(self, block: int, row: int, col: int) -> int:
         """Vec index of the matrix unit e^(block)_{row,col}."""
         return self.offsets[block] + row * self.block_dims[block] + col
 
     @cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(block, row, col) of the matrix unit at every vec index."""
+        sizes = np.array(self.block_dims)
+        block = np.repeat(np.arange(len(sizes)), sizes ** 2)
+        local = np.arange(self.dim) - np.array(self.offsets)[block]
+        return block, local // sizes[block], local % sizes[block]
+
+    @cached_property
     def transpose_perm(self) -> np.ndarray:
         """Permutation with vec(x^T) = vec(x)[transpose_perm] (blockwise)."""
-        perm = np.empty(self.dim, dtype=np.intp)
-        for n, idx in self.size_classes:
-            perm[idx] = idx[:, np.arange(n * n).reshape(n, n).T.ravel()]
+        block, row, col = self.coordinates
+        perm = np.array(self.offsets)[block] + col * np.array(self.block_dims)[block] + row
         perm.flags.writeable = False
         return perm
 
@@ -79,32 +85,68 @@ class MultiMatrixAlgebra:
             out.append((n, idx))
         return tuple(out)
 
+    def blocks_by_size(self, x) -> list:
+        """One (n, idx, blocks) per size class: blocks[..., m, :, :] is the
+        m-th n×n block of each vec in the stack x."""
+        x = np.asarray(x)
+        return [(n, idx, x[..., idx].reshape(x.shape[:-1] + (len(idx), n, n)))
+                for n, idx in self.size_classes]
+
     def multiply(self, x, y) -> np.ndarray:
         """Blockwise products of stacks of vecs, broadcast over leading axes."""
         x, y = np.asarray(x), np.asarray(y)
         out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
-        for n, idx in self.size_classes:
-            if n == 1:
-                out[..., idx[:, 0]] = x[..., idx[:, 0]] * y[..., idx[:, 0]]
-                continue
-            xb = x[..., idx].reshape(x.shape[:-1] + (len(idx), n, n))
-            yb = y[..., idx].reshape(y.shape[:-1] + (len(idx), n, n))
-            out[..., idx] = (xb @ yb).reshape(out.shape[:-1] + idx.shape)
+        for (n, idx, xb), (_, _, yb) in zip(self.blocks_by_size(x), self.blocks_by_size(y)):
+            out[..., idx] = (xb * yb if n == 1 else xb @ yb).reshape(out.shape[:-1] + idx.shape)
         return out
 
+    def singular_values(self, x) -> list:
+        """Singular values of every block of each vec in a stack, descending,
+        as one (..., m, n) array per size class: abs on 1×1 blocks and one
+        batched SVD per larger size."""
+        return [np.abs(b[..., 0]) if n == 1 else np.linalg.svd(b, compute_uv=False)
+                for n, _, b in self.blocks_by_size(x)]
+
+    def block_norms(self, x) -> np.ndarray:
+        """Operator norm of every block of each vec in a stack, in block order."""
+        norms = np.concatenate([s[..., 0] for s in self.singular_values(x)], axis=-1)
+        # size_classes lists the blocks by size, then in block order
+        return norms[..., np.argsort(np.argsort(self.block_dims, kind="stable"))]
+
     def operator_norms(self, x) -> np.ndarray:
-        """Operator norm of each vec in a stack: the largest block singular
-        value, by abs on 1×1 blocks and one batched SVD per larger size."""
-        x = np.asarray(x)
-        out = np.zeros(x.shape[:-1])
-        for n, idx in self.size_classes:
+        """Operator norm of each vec in a stack: its largest block singular value."""
+        return np.max([s[..., 0].max(axis=-1) for s in self.singular_values(x)], axis=0)
+
+    def min_eigenvalues(self, x) -> np.ndarray:
+        """Least eigenvalue of the Hermitian part of each vec in a stack: the
+        real part on 1×1 blocks and one batched eigvalsh per larger size."""
+        return np.min([
+            (b[..., 0, 0].real if n == 1 else np.linalg.eigvalsh((b + _adjoints(b)) / 2)[..., 0]).min(axis=-1)
+            for n, _, b in self.blocks_by_size(x)
+        ], axis=0)
+
+    def svd(self, x) -> list:
+        """Blockwise SVD of a vec: one (idx, w, s, vh) per size class with
+        every block w·diag(s)·vh.  On 1×1 blocks s is the modulus, w the phase
+        (1 at zero) and vh = 1; larger sizes take one batched SVD each."""
+        out = []
+        for n, idx, b in self.blocks_by_size(x):
             if n == 1:
-                norms = np.abs(x[..., idx[:, 0]])
+                s = np.abs(b[..., 0])
+                phase = np.divide(b, s[..., None], out=np.ones_like(b), where=s[..., None] > 0)
+                out.append((idx, phase, s, np.ones_like(b)))
             else:
-                blocks = x[..., idx].reshape(x.shape[:-1] + (len(idx), n, n))
-                norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
-            out = np.maximum(out, norms.max(axis=-1))
+                out.append((idx, *np.linalg.svd(b)))
         return out
+
+    def eigh(self, x) -> list:
+        """Eigen-decomposition of the Hermitian part of every block of a vec:
+        one (idx, w, v) per size class, eigenvalues w ascending.  On 1×1
+        blocks w is the real part and v = 1; larger sizes take one batched
+        eigh each."""
+        return [(idx, b[..., 0].real, np.ones_like(b)) if n == 1
+                else (idx, *np.linalg.eigh((b + _adjoints(b)) / 2))
+                for n, idx, b in self.blocks_by_size(x)]
 
     def adjoint(self, x) -> np.ndarray:
         """Blockwise adjoints of a stack of vecs."""
@@ -121,10 +163,14 @@ class MultiMatrixAlgebra:
         ]
 
     def element(self, blocks) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(blocks))
+        blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
+        for b, n in zip(blocks, self.block_dims, strict=True):
+            if b.shape != (n, n):
+                raise ValueError(f"block of shape {b.shape} does not match dimension {n}")
+        return AlgebraElement(self, np.concatenate([b.ravel() for b in blocks]))
 
     def from_vec(self, vec: np.ndarray) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(self.split(vec)))
+        return AlgebraElement(self, vec)
 
     def zero(self) -> "AlgebraElement":
         return self.element(np.zeros((n, n)) for n in self.block_dims)
@@ -162,56 +208,59 @@ class MultiMatrixAlgebra:
         return Functional(self, self.element(b / total for b in blocks))
 
 
+def _adjoints(b: np.ndarray) -> np.ndarray:
+    """Conjugate transposes of a stack of square matrices."""
+    return np.conj(np.swapaxes(b, -1, -2))
+
+
 @dataclass(eq=False)
 class AlgebraElement:
-    """An element of a MultiMatrixAlgebra, one dense matrix per block."""
+    """An element of a MultiMatrixAlgebra, stored as its read-only vec."""
 
     algebra: MultiMatrixAlgebra
-    blocks: tuple
+    vec: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(_as_complex(b) for b in self.blocks)
-        for b, n in zip(blocks, self.algebra.block_dims, strict=True):
-            if b.shape != (n, n):
-                raise ValueError(f"block of shape {b.shape} does not match dimension {n}")
-        object.__setattr__(self, "blocks", blocks)
+        vec = _as_complex(self.vec)
+        if vec.shape != (self.algebra.dim,):
+            raise ValueError(f"expected vector of length {self.algebra.dim}, got {vec.shape}")
+        self.vec = vec
 
     @cached_property
-    def vec(self) -> np.ndarray:
-        out = np.concatenate([b.ravel() for b in self.blocks])
-        out.flags.writeable = False
-        return out
+    def blocks(self) -> tuple:
+        """The per-block (n, n) matrices, as read-only views of vec."""
+        return tuple(self.algebra.split(self.vec))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return AlgebraElement(self.algebra, self.vec + other.vec)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return AlgebraElement(self.algebra, self.vec - other.vec)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(-a for a in self.blocks))
+        return AlgebraElement(self.algebra, -self.vec)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            return AlgebraElement(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
-        return AlgebraElement(self.algebra, tuple(other * a for a in self.blocks))
+            return AlgebraElement(self.algebra, self.algebra.multiply(self.vec, other.vec))
+        return AlgebraElement(self.algebra, other * self.vec)
 
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(scalar * a for a in self.blocks))
+    __rmul__ = __mul__
 
     def _check(self, other: "AlgebraElement"):
         if self.algebra != other.algebra:
             raise ValueError("elements live in different algebras")
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(a.conj().T for a in self.blocks))
+        return AlgebraElement(self.algebra, self.algebra.adjoint(self.vec))
 
     @property
     def trace(self) -> complex:
-        return complex(sum(np.trace(b) for b in self.blocks))
+        return complex(sum(np.trace(b, axis1=-2, axis2=-1).sum()
+                           for _, _, b in self.algebra.blocks_by_size(self.vec)))
 
     @property
     def operator_norm(self) -> float:
@@ -219,7 +268,7 @@ class AlgebraElement:
 
     @property
     def trace_norm(self) -> float:
-        return float(sum(np.linalg.svd(b, compute_uv=False).sum() for b in self.blocks))
+        return float(sum(s.sum() for s in self.algebra.singular_values(self.vec)))
 
     def is_hermitian(self, tol: float = 1e-9) -> bool:
         return (self - self.adjoint()).operator_norm <= tol
@@ -235,9 +284,7 @@ class AlgebraElement:
         )
 
     def is_positive(self, tol: float = 1e-9) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        return all(np.linalg.eigvalsh((b + b.conj().T) / 2).min() >= -tol for b in self.blocks)
+        return self.is_hermitian(tol) and bool(self.algebra.min_eigenvalues(self.vec) >= -tol)
 
     def __repr__(self):
         return f"AlgebraElement(blocks={self.algebra.block_dims}, norm={self.operator_norm:.4g})"
@@ -275,8 +322,9 @@ class Functional:
     def __call__(self, x: AlgebraElement) -> complex:
         return complex(np.dot(self.covector, x.vec))
 
-    @property
+    @cached_property
     def norm(self) -> float:
+        """The dual norm ‖ω‖, the trace norm of the density; taken once."""
         return self.density.trace_norm
 
     def __add__(self, other: "Functional") -> "Functional":
@@ -328,78 +376,73 @@ class PolarParts:
 
 
 def polar_decompose(omega: Functional, cutoff: float = RANK_CUTOFF) -> PolarParts:
-    """Per-block polar decomposition of the density, d = u·|d|, via SVD with
-    a relative rank cutoff.  Raises on the zero functional."""
-    d_blocks = omega.density.blocks
-    all_svals = [np.linalg.svd(b, compute_uv=False) for b in d_blocks]
-    smax = max((s[0] if len(s) else 0.0) for s in all_svals)
+    """Per-block polar decomposition of the density, d = u·|d|, from one
+    blockwise SVD, keeping the singular values above cutoff times the largest
+    one across blocks.  Raises on the zero functional."""
+    alg = omega.algebra
+    factors = alg.svd(omega.density.vec)
+    smax = max(s.max() for _, _, s, _ in factors)
     if smax == 0.0:
         raise ValueError("polar decomposition of the zero functional")
-    threshold = cutoff * smax
-    u_blocks, p_blocks, q_blocks = [], [], []
-    for b in d_blocks:
-        w, s, vh = np.linalg.svd(b)
-        r = int(np.sum(s > threshold))
-        wr, sr, vhr = w[:, :r], s[:r], vh[:r, :]
-        u_blocks.append(wr @ vhr)
-        p_blocks.append(vhr.conj().T @ np.diag(sr) @ vhr)   # (d* d)^{1/2}
-        q_blocks.append(wr @ np.diag(sr) @ wr.conj().T)     # (d d*)^{1/2}
-    alg = omega.algebra
-    u = alg.element(u_blocks)
+    u, p, q = (np.empty(alg.dim, dtype=np.complex128) for _ in range(3))
+    for idx, w, s, vh in factors:
+        r = (s > cutoff * smax).sum(axis=-1).max()   # the largest rank in the size class
+        w, vh, kept = w[..., :r], vh[..., :r, :], np.where(s > cutoff * smax, s, 0.0)[..., None, :r]
+        u[idx] = ((w * (kept > 0)) @ vh).reshape(idx.shape)
+        p[idx] = ((_adjoints(vh) * kept) @ vh).reshape(idx.shape)    # (d* d)^{1/2}
+        q[idx] = ((w * kept) @ _adjoints(w)).reshape(idx.shape)      # (d d*)^{1/2}
     return PolarParts(
-        u=u,
-        abs_r=Functional(alg, alg.element(p_blocks)),
-        abs_l=Functional(alg, alg.element(q_blocks)),
+        u=alg.from_vec(u),
+        abs_r=Functional(alg, alg.from_vec(p)),
+        abs_l=Functional(alg, alg.from_vec(q)),
     )
+
+
+def _positive_spectrum(x: AlgebraElement, cutoff: float):
+    """Blockwise eigh of x and cutoff times its largest positive eigenvalue."""
+    factors = x.algebra.eigh(x.vec)
+    return factors, cutoff * max(0.0, max(w.max() for _, w, _ in factors))
 
 
 def support_projection(x: AlgebraElement, cutoff: float = RANK_CUTOFF) -> AlgebraElement:
     """Support projection of a positive element (range projection per block)."""
-    eigs = [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in x.blocks]
-    emax = max((e[-1] if len(e) else 0.0) for e in eigs)
-    threshold = cutoff * max(emax, 0.0)
-    blocks = []
-    for b in x.blocks:
-        w, v = np.linalg.eigh((b + b.conj().T) / 2)
-        keep = v[:, w > threshold]
-        blocks.append(keep @ keep.conj().T)
-    return x.algebra.element(blocks)
+    factors, threshold = _positive_spectrum(x, cutoff)
+    out = np.empty(x.algebra.dim, dtype=np.complex128)
+    for idx, w, v in factors:
+        out[idx] = ((v * (w > threshold)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
+    return x.algebra.from_vec(out)
 
 
 def null_space_basis(omega: Functional, cutoff: float = RANK_CUTOFF, tol: float = 1e-9) -> list[AlgebraElement]:
     """Basis of N_ω = {a : ω(a*a) = 0} = A(1 − s), s the support of the density.
 
     Requires ω positive.  The basis elements are e_i w* with w running over an
-    orthonormal basis of ker(s) in each block.
+    orthonormal basis of ker(s) in each block, block by block.
     """
     if not omega.is_positive(tol):
         raise ValueError("null space is defined for positive functionals only")
     alg = omega.algebra
-    eigs = [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in omega.density.blocks]
-    emax = max((e[-1] if len(e) else 0.0) for e in eigs)
-    threshold = cutoff * max(emax, 0.0)
-    basis = []
-    for k, b in enumerate(omega.density.blocks):
-        n = alg.block_dims[k]
-        w, v = np.linalg.eigh((b + b.conj().T) / 2)
-        kernel = v[:, w <= threshold]
-        for j in range(kernel.shape[1]):
-            col = kernel[:, j]
-            for i in range(n):
-                blocks = [np.zeros((m, m), dtype=np.complex128) for m in alg.block_dims]
-                blocks[k][i, :] = col.conj()
-                basis.append(alg.element(blocks))
-    return basis
+    factors, threshold = _positive_spectrum(omega.density, cutoff)
+    rows, starts = [], []
+    for idx, w, v in factors:
+        block, col = np.nonzero(w <= threshold)   # kernel vector v[block, :, col]
+        n = v.shape[-1]
+        # one element per kernel vector and row i, whose row i is the vector's conjugate
+        out = np.zeros((len(block), n, alg.dim), dtype=np.complex128)
+        out[np.arange(len(block))[:, None, None], np.arange(n)[:, None],
+            idx[block].reshape(-1, n, n)] = np.conj(v[block, :, col])[:, None, :]
+        rows.append(out.reshape(-1, alg.dim))
+        starts.append(np.repeat(idx[block, 0], n))
+    order = np.argsort(np.concatenate(starts), kind="stable")
+    return [alg.from_vec(row) for row in np.concatenate(rows)[order]]
 
 
 def is_central(p: AlgebraElement, tol: float = 1e-9) -> bool:
     """True iff the projection p is a sum of full block identities."""
     if not p.is_projection(tol):
         raise ValueError("is_central expects a projection")
-    for b, n in zip(p.blocks, p.algebra.block_dims):
-        if not (np.linalg.norm(b, 2) <= tol or np.linalg.norm(b - np.eye(n), 2) <= tol):
-            return False
-    return True
+    norms = p.algebra.block_norms([p.vec, p.vec - p.algebra.identity().vec])
+    return bool((norms <= tol).any(axis=0).all())
 
 
 @dataclass(eq=False)
@@ -436,11 +479,9 @@ class TensorSplit:
         """Index array with (flip of v)[pos(J,I)] = v[pos(I,J)] for A = B."""
         if self.left != self.right:
             raise ValueError("flip is only defined on square tensor products")
-        d = self.left.dim
+        pos = self.positions.reshape(self.left.dim, self.left.dim)
         out = np.empty(self.algebra.dim, dtype=np.intp)
-        for i in range(d):
-            for j in range(d):
-                out[self.positions[j * d + i]] = self.positions[i * d + j]
+        out[pos.T] = pos
         out.flags.writeable = False
         return out
 
@@ -449,23 +490,14 @@ class TensorSplit:
 def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> TensorSplit:
     """Tensor product algebra: one block of size n_i·m_j per block pair, in
     lexicographic pair order, with Kronecker-product coordinates."""
-    dims = []
-    for ni in a.block_dims:
-        for mj in b.block_dims:
-            dims.append(ni * mj)
+    dims = np.multiply.outer(a.block_dims, b.block_dims).ravel()
     prod = MultiMatrixAlgebra(tuple(dims))
-    pos = np.empty(a.dim * b.dim, dtype=np.intp)
-    nb = len(b.block_dims)
-    for bi, ni in enumerate(a.block_dims):
-        for bj, mj in enumerate(b.block_dims):
-            off = prod.offsets[bi * nb + bj]
-            for r in range(ni):
-                for t in range(ni):
-                    ia = a.index(bi, r, t)
-                    for s in range(mj):
-                        for u in range(mj):
-                            ib = b.index(bj, s, u)
-                            pos[ia * b.dim + ib] = off + (r * mj + s) * (ni * mj) + (t * mj + u)
+    (ka, ra, ca), (kb, rb, cb) = a.coordinates, b.coordinates
+    pair = np.add.outer(ka * len(b.block_dims), kb)
+    m = np.array(b.block_dims)[kb]
+    # e^i_rt ⊗ e^j_su is the unit at row r·m_j + s, column t·m_j + u of block (i, j)
+    pos = (np.array(prod.offsets)[pair] + dims[pair] * (np.multiply.outer(ra, m) + rb)
+           + np.multiply.outer(ca, m) + cb).ravel()
     pos.flags.writeable = False
     return TensorSplit(left=a, right=b, algebra=prod, positions=pos)
 
@@ -483,8 +515,8 @@ def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
 def norm_attainer(omega: Functional) -> AlgebraElement:
     """Unit-norm element x with ω(x) = ‖ω‖: x = V W* per block, from the
     singular value decomposition d = W Σ V* of the density."""
-    blocks = []
-    for b in omega.density.blocks:
-        w, s, vh = np.linalg.svd(b)
-        blocks.append((vh.conj().T @ w.conj().T))
-    return omega.algebra.element(blocks)
+    alg = omega.algebra
+    out = np.empty(alg.dim, dtype=np.complex128)
+    for idx, w, _, vh in alg.svd(omega.density.vec):
+        out[idx] = _adjoints(w @ vh).reshape(idx.shape)
+    return alg.from_vec(out)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,13 +29,10 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
     alg = MultiMatrixAlgebra((1,) * n)
     ts = tensor_algebra(alg, alg)
     comult = np.zeros((n * n, n))
-    for s in range(n):
-        for t in range(n):
-            comult[ts.positions[s * n + t], table.op(s, t)] = 1.0
+    comult[ts.positions, np.ravel(table.mult)] = 1.0
     counit = Functional.from_covector(alg, np.eye(n)[table.identity])
     antipode = np.zeros((n, n))
-    for g in range(n):
-        antipode[table.inverse[g], g] = 1.0
+    antipode[table.inverse, np.arange(n)] = 1.0
     haar = Functional.from_covector(alg, np.full(n, 1.0 / n))
     return FiniteQuantumGroup(
         algebra=alg,
@@ -55,17 +53,7 @@ def group_algebra(table: GroupTable, seed: int = 11) -> FiniteQuantumGroup:
     fn = function_algebra(table)
     gd, phi = dual_pair(fn, seed=seed)
     # abstract dual basis of C(G)* is δ_g, so column g of phi is vec(λ_g)
-    return FiniteQuantumGroup(
-        algebra=gd.algebra,
-        comult=gd.comult,
-        counit=gd.counit,
-        antipode=gd.antipode,
-        haar=gd.haar,
-        name=f"C*({_table_name(table)})",
-        kind="group",
-        table=table,
-        lambda_basis=phi,
-    )
+    return replace(gd, name=f"C*({_table_name(table)})", kind="group", table=table, lambda_basis=phi)
 
 
 def _table_name(table: GroupTable) -> str:
@@ -93,15 +81,12 @@ def kac_paljutkin(tol: float = 1e-12) -> FiniteQuantumGroup:
     is rejected unless every axiom holds to the requested tolerance."""
     alg = MultiMatrixAlgebra((1, 1, 1, 1, 2))
     ts = tensor_algebra(alg, alg)
-    zero2 = np.zeros((2, 2))
+    eye = np.eye(alg.dim)   # eye[g] is the vec of d_g
 
-    def element(diag, m):
-        blocks = [np.array([[diag[k]]], dtype=np.complex128) for k in range(4)]
-        blocks.append(np.array(m, dtype=np.complex128))
-        return alg.element(blocks)
+    def corner(m):
+        """Vec of the element that is m on the M₂ block and zero elsewhere."""
+        return np.concatenate([np.zeros(4), np.ravel(m)])
 
-    d = [element([1.0 if k == g else 0.0 for k in range(4)], zero2) for g in range(4)]
-    units = [[element([0.0] * 4, np.outer(np.eye(2)[k], np.eye(2)[l])) for l in range(2)] for k in range(2)]
     u = [
         np.eye(2),
         np.diag([1.0, -1.0]),
@@ -111,27 +96,18 @@ def kac_paljutkin(tol: float = 1e-12) -> FiniteQuantumGroup:
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     comult = np.zeros((ts.algebra.dim, alg.dim), dtype=np.complex128)
     for g in range(4):
-        col = np.zeros(ts.algebra.dim, dtype=np.complex128)
-        for h in range(4):
-            col += ts.element(d[h], d[h ^ g]).vec
+        comult[:, g] = sum(ts.scatter(eye[h], eye[h ^ g]) for h in range(4))
         vec = np.kron(u[g], np.eye(2)) @ bell
-        proj = np.outer(vec, vec.conj())
-        for k in range(2):
-            for s in range(2):
-                for l in range(2):
-                    for t in range(2):
-                        coeff = proj[2 * k + s, 2 * l + t]
-                        if coeff != 0.0:
-                            col += coeff * ts.element(units[k][l], units[s][t]).vec
-        comult[:, g] = col
+        # M₂⊗M₂ is the last block, with e_kl ⊗ e_st at row 2k+s, column 2l+t
+        comult[-16:, g] = np.outer(vec, vec.conj()).ravel()
     for k in range(2):
         for l in range(2):
             a = np.outer(np.eye(2)[k], np.eye(2)[l])
-            col = np.zeros(ts.algebra.dim, dtype=np.complex128)
-            for g in range(4):
-                col += ts.element(d[g], element([0.0] * 4, u[g] @ a @ u[g].conj().T)).vec
-                col += ts.element(element([0.0] * 4, u[g].T @ a @ u[g].conj()), d[g]).vec
-            comult[:, 4 + 2 * k + l] = col
+            comult[:, 4 + 2 * k + l] = sum(
+                ts.scatter(eye[g], corner(u[g] @ a @ u[g].conj().T))
+                + ts.scatter(corner(u[g].T @ a @ u[g].conj()), eye[g])
+                for g in range(4)
+            )
     counit = Functional.from_covector(alg, np.eye(alg.dim)[0])
     antipode = solve_antipode(alg, comult, counit, tol=1e-10)
     haar = solve_haar_state(alg, comult, tol=1e-10)
@@ -169,9 +145,23 @@ def _matrix_pairs(mat: np.ndarray) -> list:
 def _from_pairs(data, where: str) -> np.ndarray:
     try:
         arr = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise QGSpecError(f"{where}: expected a list of [re, im] pairs ({exc})") from exc
+    if not np.isfinite(arr).all():
+        raise QGSpecError(f"{where}: non-finite entry")
     return arr
+
+
+def _from_rows(data, where: str, shape: tuple) -> np.ndarray:
+    if not isinstance(data, list):
+        raise QGSpecError(f"{where}: expected a list of rows of [re, im] pairs")
+    rows = [_from_pairs(row, f"{where} row {i}") for i, row in enumerate(data)]
+    if len({row.shape for row in rows}) > 1:
+        raise QGSpecError(f"{where}: rows of unequal length")
+    out = np.array(rows)
+    if out.shape != shape:
+        raise QGSpecError(f"{where}: expected shape {shape}, got {out.shape}")
+    return out
 
 
 def to_document(G: FiniteQuantumGroup) -> dict:
@@ -194,17 +184,18 @@ def from_document(doc: dict, check_axioms: bool = True) -> FiniteQuantumGroup:
     for key in ("block_dims", "comult", "antipode", "counit", "haar"):
         if key not in doc:
             raise QGSpecError(f"missing field {key!r}")
+    dims = doc["block_dims"]
+    if not isinstance(dims, list) or not all(
+        isinstance(n, int) or (isinstance(n, float) and n.is_integer()) for n in dims
+    ):
+        raise QGSpecError(f"block_dims: expected a list of integers, got {dims!r}")
     try:
-        alg = MultiMatrixAlgebra(tuple(int(n) for n in doc["block_dims"]))
-    except (TypeError, ValueError) as exc:
+        alg = MultiMatrixAlgebra(tuple(int(n) for n in dims))
+    except ValueError as exc:
         raise QGSpecError(f"block_dims: {exc}") from exc
     dim = alg.dim
-    comult = np.array([_from_pairs(row, f"comult row {i}") for i, row in enumerate(doc["comult"])])
-    antipode = np.array([_from_pairs(row, f"antipode row {i}") for i, row in enumerate(doc["antipode"])])
-    if comult.shape != (dim * dim, dim):
-        raise QGSpecError(f"comult: expected shape {(dim * dim, dim)}, got {comult.shape}")
-    if antipode.shape != (dim, dim):
-        raise QGSpecError(f"antipode: expected shape {(dim, dim)}, got {antipode.shape}")
+    comult = _from_rows(doc["comult"], "comult", (dim * dim, dim))
+    antipode = _from_rows(doc["antipode"], "antipode", (dim, dim))
     counit_vec = _from_pairs(doc["counit"], "counit")
     haar_vec = _from_pairs(doc["haar"], "haar")
     if counit_vec.shape != (dim,) or haar_vec.shape != (dim,):
@@ -219,7 +210,10 @@ def from_document(doc: dict, check_axioms: bool = True) -> FiniteQuantumGroup:
         kind="file",
     )
     if check_axioms:
-        report = verify_axioms(G, 1e-8)
+        try:
+            report = verify_axioms(G, 1e-8)
+        except np.linalg.LinAlgError as exc:
+            raise QGSpecError(f"the axiom check cannot run on these structure data ({exc})") from exc
         if not report.passed:
             warnings.warn(
                 f"loaded quantum group fails axioms: {report.failures()}",

@@ -41,6 +41,9 @@ from .tro import (
     recover_idempotent,
 )
 
+# least Choi eigenvalue a completely positive expectation may show
+CP_FLOOR = 1e-9
+
 
 @dataclass
 class Check:
@@ -112,6 +115,13 @@ def _load_group(spec: str) -> FiniteQuantumGroup:
     raise ValueError(f"group source must be builtin:NAME or file:PATH, got {spec!r}")
 
 
+def _element(G: FiniteQuantumGroup, text: str, spec: str) -> int:
+    g = int(text)
+    if not 0 <= g < G.table.order:
+        raise ValueError(f"element {g} out of range 0..{G.table.order - 1} in functional source {spec!r}")
+    return g
+
+
 def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
     """Functional sources: counit | haar | point:g | index:k |
     subgroup-character:H:k | coset-indicator:H:g | density:[[re,im],...]
@@ -122,14 +132,12 @@ def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
         return G.haar
     parts = spec.split(":")
     if parts[0] == "point" and len(parts) == 2:
-        g = int(parts[1])
-        if G.kind == "function":
-            return Functional.from_covector(G.algebra, np.eye(G.table.order)[g])
+        if G.kind not in ("function", "group"):
+            raise ValueError("point:g requires a function or group algebra")
+        values = np.eye(G.table.order)[_element(G, parts[1], spec)]
         if G.kind == "group":
-            values = np.zeros(G.table.order)
-            values[g] = 1.0
-            return Functional.from_covector(G.algebra, np.linalg.solve(G.lambda_basis.T, values))
-        raise ValueError("point:g requires a function or group algebra")
+            values = np.linalg.solve(G.lambda_basis.T, values)
+        return Functional.from_covector(G.algebra, values)
     if parts[0] == "index" and len(parts) == 2:
         k = int(parts[1])
         items = _enumerate(G)
@@ -140,7 +148,7 @@ def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
         if G.kind != "function":
             raise ValueError("subgroup-character requires a function algebra")
         table = G.table
-        subgroup = table.closure([int(x) for x in parts[1].split(",") if x != ""])
+        subgroup = table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
         sub_table, elems = table.subtable(subgroup)
         chars = characters(sub_table)
         k = int(parts[2])
@@ -154,17 +162,21 @@ def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
         if G.kind != "group":
             raise ValueError("coset-indicator requires a group algebra")
         table = G.table
-        subgroup = table.closure([int(x) for x in parts[1].split(",") if x != ""])
-        g = int(parts[2])
+        subgroup = table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
+        g = _element(G, parts[2], spec)
         values = np.zeros(table.order)
         for h in subgroup:
             values[table.op(g, h)] = 1.0
         return Functional.from_covector(G.algebra, np.linalg.solve(G.lambda_basis.T, values))
     if parts[0] == "density":
-        data = json.loads(spec[len("density:"):])
-        vec = np.array([complex(re, im) for re, im in data])
+        try:
+            vec = np.array([complex(re, im) for re, im in json.loads(spec[len("density:"):])])
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"density literal must be a list of [re, im] pairs in {spec!r} ({exc})") from exc
         if vec.shape != (G.dim,):
             raise ValueError(f"density literal must have {G.dim} entries")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"density literal has a non-finite entry in {spec!r}")
         return Functional(G.algebra, G.algebra.from_vec(vec))
     raise ValueError(f"cannot parse functional source {spec!r}")
 
@@ -249,18 +261,19 @@ def tro_rep_checks(G, omega, args, report: Report):
     for name, value in tro_rep.expectation_residuals.items():
         report.add(f"tro {name}", value <= tol, value, tol)
     report.add("image is TRO", tro_rep.image_is_tro, None, None)
-    E = build_expectation(G, omega, tol)
     link = linking_algebra(image_subspace(left_conv_operator(G, omega)), tol)
+    _expectation_rows(G, omega, link, tol, report)
+
+
+def _expectation_rows(G, omega, link, tol, report: Report):
+    """The five rows on the conditional expectation onto the linking algebra."""
+    E = build_expectation(G, omega, tol)
     checks = expectation_checks(E, link)
     report.add("expectation idempotent", checks.idempotent <= tol, checks.idempotent, tol)
     report.add("expectation fixes linking algebra", checks.fixes_subalgebra <= tol, checks.fixes_subalgebra, tol)
     report.add("expectation bimodule", checks.bimodule <= tol, checks.bimodule, tol)
-    report.add(
-        "expectation completely positive",
-        checks.choi_min_eigenvalue >= -1e-9,
-        -checks.choi_min_eigenvalue,
-        1e-9,
-    )
+    cp = checks.choi_min_eigenvalue
+    report.add("expectation completely positive", cp >= -CP_FLOOR, -cp, CP_FLOOR)
     report.add("expectation preserves haar weight", preserves_weight(E, tol), None, None)
 
 
@@ -312,17 +325,7 @@ def cmd_tro(G: FiniteQuantumGroup, args, report: Report):
     report.add("linking corners right invariant",
                is_right_invariant(G, link.left, tol) and is_right_invariant(G, link.right, tol),
                None, None)
-    E = build_expectation(G, omega, tol)
-    checks = expectation_checks(E, link)
-    report.add("expectation idempotent", checks.idempotent <= tol, checks.idempotent, tol)
-    report.add("expectation bimodule", checks.bimodule <= tol, checks.bimodule, tol)
-    report.add(
-        "expectation completely positive",
-        checks.choi_min_eigenvalue >= -1e-9,
-        -checks.choi_min_eigenvalue,
-        1e-9,
-    )
-    report.add("expectation preserves haar weight", preserves_weight(E, tol), None, None)
+    _expectation_rows(G, omega, link, tol, report)
     recovery = recover_idempotent(G, X, tol)
     if recovery.ok:
         distance = (recovery.functional - omega).norm

@@ -116,10 +116,8 @@ class FiniteQuantumGroup:
         ⟨a, b⟩ = h(a*b) = Σ_k w_k tr(a_k* b_k); the Haar density of a finite
         quantum group is central, so the weights are blockwise constants."""
         weights = np.empty(self.dim)
-        for k, (block, n) in enumerate(zip(self.haar.density.blocks, self.algebra.block_dims)):
-            w = float(np.trace(block).real) / n
-            off = self.algebra.offsets[k]
-            weights[off: off + n * n] = w
+        for n, idx, b in self.algebra.blocks_by_size(self.haar.density.vec):
+            weights[idx] = np.trace(b, axis1=-2, axis2=-1).real[:, None] / n
         weights.flags.writeable = False
         return weights
 
@@ -217,10 +215,7 @@ def verify_axioms(G: FiniteQuantumGroup, tol: float = 1e-9) -> AxiomReport:
     # Haar: a state, invariant on both sides
     d_h = G.haar.density
     herm = (d_h - d_h.adjoint()).operator_norm
-    eig_min = min(
-        np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in d_h.blocks
-    )
-    defects["haar_positive"] = max(herm, max(0.0, -float(eig_min)))
+    defects["haar_positive"] = max(herm, max(0.0, -float(A.min_eigenvalues(d_h.vec))))
     defects["haar_trace_one"] = abs(d_h.trace - 1.0)
     ch = G.haar.covector
     defects["haar_left_invariant"] = worst(A, (G.left_matrix(ch) - np.outer(one, ch)).T)
@@ -422,13 +417,7 @@ def group_like_unitaries(G: FiniteQuantumGroup, seed: int = 11, tol: float = 1e-
 
 def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = 1e-8) -> bool:
     """True iff u is unitary and Δ(u) = u ⊗ u within tol."""
-    ident = G.algebra.identity()
-    if (u * u.adjoint() - ident).operator_norm > tol:
-        return False
-    if (u.adjoint() * u - ident).operator_norm > tol:
-        return False
-    defect = (G.apply_comult(u) - G.ts.element(u, u)).operator_norm
-    return defect <= tol
+    return u.is_unitary(tol) and (G.apply_comult(u) - G.ts.element(u, u)).operator_norm <= tol
 
 
 @dataclass(eq=False)
@@ -479,20 +468,12 @@ def quotient_by_support(
     if not is_central(s, tol):
         raise ValueError("support projection is not central")
     alg = G.algebra
-    kept = []
-    for k, (block, n) in enumerate(zip(s.blocks, alg.block_dims)):
-        if np.linalg.norm(block - np.eye(n), 2) <= tol:
-            kept.append(k)
-    if not kept:
+    full = alg.block_norms(s.vec - alg.identity().vec) <= tol
+    if not full.any():
         raise ValueError("support projection is zero")
+    kept = np.flatnonzero(full).tolist()
     sub_alg = MultiMatrixAlgebra(tuple(alg.block_dims[k] for k in kept))
-    proj = np.zeros((sub_alg.dim, alg.dim))
-    row = 0
-    for new_k, k in enumerate(kept):
-        n = alg.block_dims[k]
-        off = alg.offsets[k]
-        proj[row: row + n * n, off: off + n * n] = np.eye(n * n)
-        row += n * n
+    proj = np.eye(alg.dim)[full[alg.coordinates[0]]]
     # coordinate sections: π∘ι = id on the corner, so Δ_H = (π⊗π)Δι
     sub_comult_candidate = _project_tensor(G, sub_alg, proj, G.comult @ proj.T)
     counit_sub = Functional.from_covector(sub_alg, proj @ G.counit.covector)

@@ -273,30 +273,19 @@ def _choi_min_eigenvalue(E: SchurExpectation) -> float:
     compression of the containing full matrix algebra (CP iff E is CP).
 
     Up to a permutation that Choi matrix is block diagonal with one block per
-    pair (input block k, output block l), C_kl[(p,r),(q,s)] = E(e^k_pq)^l_rs:
-    the realignment of E.matrix[rows of l, cols of k].  The blocks form a
-    multi-matrix algebra, so the eigenvalues and the Hermiticity defect are
-    taken block by block."""
-    amb = E.ambient.algebra
-    mat = E.matrix
-    sizes, offsets = amb.block_dims, amb.offsets
-    blocks = []
-    for k, nk in enumerate(sizes):
-        cols = mat[:, offsets[k]: offsets[k] + nk * nk]
-        for l, nl in enumerate(sizes):
-            m = cols[offsets[l]: offsets[l] + nl * nl].reshape(nl, nl, nk, nk)
-            blocks.append(m.transpose(2, 0, 3, 1).ravel())
-    choi = MultiMatrixAlgebra(tuple(nk * nl for nk in sizes for nl in sizes))
-    vec = np.concatenate(blocks)
+    pair (input block k, output block l), C_kl[(p,r),(q,s)] = E(e^k_pq)^l_rs.
+    Those blocks are the blocks of the tensor square of the ambient algebra,
+    with (p,r),(q,s) the coordinates of e^k_pq ⊗ e^l_rs, so the Choi matrix
+    is E.matrix scattered through the tensor positions, and its eigenvalues
+    and Hermiticity defect are taken block by block."""
+    ts = tensor_algebra(E.ambient.algebra, E.ambient.algebra)
+    choi = ts.algebra
+    vec = np.empty(choi.dim, dtype=np.complex128)
+    vec[ts.positions] = E.matrix.T.ravel()
     # a non-Hermitian Choi matrix means the map is not Hermiticity-preserving;
     # fold that defect into the returned bound so such maps fail the floor
     herm_defect = float(choi.operator_norms(vec - choi.adjoint(vec))) / 2
-    hermitian = (vec + choi.adjoint(vec)) / 2
-    eig_min = min(
-        np.linalg.eigvalsh(hermitian[idx].reshape(len(idx), n, n)).min()
-        for n, idx in choi.size_classes
-    )
-    return float(eig_min) - herm_defect
+    return float(choi.min_eigenvalues(vec)) - herm_defect
 
 
 def is_conditional_expectation(
@@ -309,7 +298,6 @@ def preserves_weight(E: SchurExpectation, tol: float = 1e-8) -> bool:
     """h⁽²⁾∘E = h⁽²⁾ on M₂(A), where h⁽²⁾ of a 2×2 matrix is the sum of the
     Haar values of the diagonal entries."""
     G = E.group
-    dim = G.dim
     cov = np.zeros(E.ambient.algebra.dim, dtype=np.complex128)
     cov[E.entry_indices(0, 0)] = G.haar.covector
     cov[E.entry_indices(1, 1)] = G.haar.covector

@@ -305,21 +305,61 @@ def _random_stack(alg, rng, shape):
     return rng.standard_normal(shape + (alg.dim,)) + 1j * rng.standard_normal(shape + (alg.dim,))
 
 
+def _with_singular_values(rng, svals):
+    """Block with the given singular values between random unitaries."""
+    n = len(svals)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return u @ np.diag(svals) @ v.conj().T
+
+
+def _polar_per_block(blocks, cutoff):
+    svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    threshold = cutoff * max(s[0] for s in svals)
+    parts = []
+    for b in blocks:
+        w, s, vh = np.linalg.svd(b)
+        r = int(np.sum(s > threshold))
+        wr, sr, vhr = w[:, :r], s[:r], vh[:r, :]
+        parts.append((wr @ vhr, vhr.conj().T @ np.diag(sr) @ vhr, wr @ np.diag(sr) @ wr.conj().T))
+    return [np.concatenate([p[i].ravel() for p in parts]) for i in range(3)]
+
+
+def _support_per_block(blocks, cutoff):
+    herm = [(b + b.conj().T) / 2 for b in blocks]
+    threshold = cutoff * max(0.0, max(np.linalg.eigvalsh(h)[-1] for h in herm))
+    out = []
+    for h in herm:
+        w, v = np.linalg.eigh(h)
+        keep = v[:, w > threshold]
+        out.append((keep @ keep.conj().T).ravel())
+    return np.concatenate(out)
+
+
 def test_kernel_matches_per_block_loops():
     rng = np.random.default_rng(7)
     alg = MultiMatrixAlgebra((1, 3, 2, 1, 3, 4, 2))
     x, y = _random_stack(alg, rng, (5, 3)), _random_stack(alg, rng, (5, 3))
     norms = alg.operator_norms(x)
+    block_norms = alg.block_norms(x)
+    min_eigs = alg.min_eigenvalues(x)
     prods = alg.multiply(x, y)
     adjoints = alg.adjoint(x)
     for idx in np.ndindex(5, 3):
         blocks_x, blocks_y = alg.split(x[idx]), alg.split(y[idx])
-        want = max(np.linalg.norm(b, 2) for b in blocks_x)
-        assert abs(norms[idx] - want) <= 1e-12 * want
+        want = [np.linalg.norm(b, 2) for b in blocks_x]
+        assert np.abs(block_norms[idx] - want).max() <= 1e-12 * max(want)
+        assert abs(norms[idx] - max(want)) <= 1e-12 * max(want)
+        want_eig = min(np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in blocks_x)
+        assert abs(min_eigs[idx] - want_eig) <= 1e-12 * max(want)
         want_prod = np.concatenate([(a @ b).ravel() for a, b in zip(blocks_x, blocks_y)])
         assert np.abs(prods[idx] - want_prod).max() <= 1e-12
         want_adj = np.concatenate([b.conj().T.ravel() for b in blocks_x])
         assert np.array_equal(adjoints[idx], want_adj)
+        e = alg.from_vec(x[idx])
+        want_trace_norm = sum(np.linalg.svd(b, compute_uv=False).sum() for b in blocks_x)
+        assert abs(e.trace_norm - want_trace_norm) <= 1e-12 * want_trace_norm
+        assert abs(e.trace - sum(np.trace(b) for b in blocks_x)) <= 1e-12 * want_trace_norm
     # broadcasting: one element against a stack
     one_by_many = alg.multiply(x[0, 0], y[:, 0])
     assert one_by_many.shape == (5, alg.dim)
@@ -329,6 +369,32 @@ def test_kernel_matches_per_block_loops():
     a = alg.from_vec(x[2, 1])
     assert a.operator_norm == float(norms[2, 1])
     assert alg.operator_norms(np.zeros((0, alg.dim))).shape == (0,)
+    # the vec is the one copy of the data; blocks are read-only views of it
+    assert not a.vec.flags.writeable and not np.shares_memory(a.vec, x)
+    assert len(a.blocks) == len(alg.block_dims)
+    for b, want in zip(a.blocks, alg.split(x[2, 1])):
+        assert not b.flags.writeable and np.shares_memory(b, a.vec)
+        assert np.array_equal(b, want)
+
+    # Rank-deficient density.  The largest singular value is 2, so the cutoff
+    # keeps singular values above 2e-10 in every block: 3e-10 and 2.5e-10
+    # stay, 1.5e-10 and 1e-10 go, and blocks 2 and 3 drop out entirely,
+    # though each lies above a cutoff relative to its own largest value.
+    cutoff = 1e-10
+    svals = [[2.0], [1.0, 3e-10, 1e-10], [1.5e-10, 0.0], [1e-10], [0.5, 0.4, 0.3],
+             [1.5, 1e-3, 2.5e-10, 1.5e-10], [3e-10, 1e-11]]
+    density = alg.element(_with_singular_values(rng, s) for s in svals)
+    ranks = [int(np.sum(np.array(s) > 2e-10)) for s in svals]
+    assert ranks == [1, 2, 0, 0, 3, 3, 1]
+    parts = polar_decompose(Functional(alg, density), cutoff)
+    want_u, want_p, want_q = _polar_per_block(density.blocks, cutoff)
+    for got, want in ((parts.u, want_u), (parts.abs_r.density, want_p), (parts.abs_l.density, want_q)):
+        assert np.abs(got.vec - want).max() <= 1e-12
+    assert [round(np.trace(b).real) for b in (parts.u.adjoint() * parts.u).blocks] == ranks
+    for positive in (parts.abs_r.density, parts.abs_l.density):
+        support = support_projection(positive, cutoff)
+        assert np.abs(support.vec - _support_per_block(positive.blocks, cutoff)).max() <= 1e-12
+        assert [round(np.trace(b).real) for b in support.blocks] == ranks
 
 
 def test_transpose_perm_matches_index_loop():

@@ -2,9 +2,11 @@
 document format."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quidem import cyclic, dihedral, function_algebra, group_algebra, kac_paljutkin, symmetric
 from quidem.catalogue import QGSpecError, builtin, from_document, load, save, to_document
@@ -120,7 +122,7 @@ def test_document_roundtrip_kp(tmp_path, kp):
     assert np.array_equal(loaded.comult, kp.comult)
 
 
-def test_malformed_document_errors(tmp_path):
+def test_malformed_document_errors(tmp_path, kp):
     path = tmp_path / "broken.qgspec"
     path.write_text("{not json")
     with pytest.raises(QGSpecError) as err:
@@ -130,6 +132,15 @@ def test_malformed_document_errors(tmp_path):
         from_document({"schema": "other"})
     with pytest.raises(QGSpecError):
         from_document({"schema": "qgspec-1", "block_dims": [1]})
+    doc = to_document(builtin("czn:2"))
+    for key, value in (("comult", 5), ("antipode", [[[1, 0]], [[0, 0], [1, 0]]]),
+                       ("block_dims", [1.7, 1]), ("block_dims", "11"), ("counit", [[1e999, 0], [0, 0]])):
+        with pytest.raises(QGSpecError, match=key):
+            from_document({**doc, key: value})
+    # entries so large that the products of the axiom check overflow
+    doc = to_document(kp)
+    with pytest.raises(QGSpecError, match="axiom check"), np.errstate(all="ignore"):
+        from_document({**doc, "comult": [[[1e308, 1e308]] * len(row) for row in doc["comult"]]})
 
 
 def test_axiom_failure_on_load_warns(tmp_path, cz4):
@@ -139,3 +150,32 @@ def test_axiom_failure_on_load_warns(tmp_path, cz4):
     path.write_text(json.dumps(doc))
     with pytest.warns(UserWarning, match="fails axioms"):
         load(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_documents_load_or_raise_spec_error(data):
+    """Replace or delete one field of a valid document, or one entry at any
+    depth inside it: loading gives a quantum group or a QGSpecError."""
+    doc = to_document(builtin("czn:2"))
+    parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], list) and parent[key] and data.draw(st.booleans()):
+        parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
+    if parent is doc and data.draw(st.booleans()):
+        del doc[key]
+    else:
+        parent[key] = data.draw(_JSON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            G = from_document(doc)
+        except QGSpecError:
+            return
+    assert G.algebra.block_dims == tuple(int(n) for n in doc["block_dims"])

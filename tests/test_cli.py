@@ -1,8 +1,11 @@
 """End-to-end command line behaviour: exit codes, JSON output, error paths."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quidem import builtin, convolve, polar_decompose
 from quidem.catalogue import to_document
@@ -140,6 +143,8 @@ def test_tro_report_mu0(capsys):
     assert doc["info"]["image_dim"] in (1, 2, 4)
     assert doc["info"]["linking_dims"]
     assert doc["passed"]
+    row = _rows(doc)["expectation fixes linking algebra"]
+    assert row["passed"] and row["defect"] <= row["tolerance"]
 
 
 def test_tro_coset_indicator(capsys):
@@ -217,3 +222,48 @@ def test_character_prints_plain_floats(capsys):
     assert code == 0
     assert "np.float64" not in out
     assert "character: [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]" in out
+
+
+def _input_error(group, spec):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["decompose", "--group", f"builtin:{group}", "--functional", spec, "--json"])
+    doc = json.loads(out.getvalue())
+    assert code == 1
+    assert [c["name"] for c in doc["checks"]] == ["inputs valid"]
+    assert not doc["checks"][0]["passed"]
+    return doc["checks"][0]["note"]
+
+
+@pytest.mark.parametrize("group, spec", [
+    ("czn:4", "point:99"),
+    ("czn:4", "point:-1"),
+    ("cstar:zn:4", "point:-1"),
+    ("czn:4", "subgroup-character:99:0"),
+    ("cstar:zn:4", "coset-indicator:0:99"),
+    ("cstar:zn:4", "coset-indicator:-1:0"),
+    ("czn:4", "density:[1,2,3,4]"),
+    ("czn:4", "density:[[1,0],[0,0],[0,0],[NaN,0]]"),
+])
+def test_malformed_functional_is_named(group, spec):
+    assert repr(spec) in _input_error(group, spec)
+
+
+_SOURCES = ["counit", "haar", "point", "index", "subgroup-character", "coset-indicator", "density"]
+_OUT_OF_RANGE = st.integers().filter(lambda k: not 0 <= k < 4)
+_MALFORMED = st.one_of(
+    st.text(max_size=20).filter(lambda spec: spec.split(":")[0] not in _SOURCES),
+    st.builds("{}:{}".format, st.sampled_from(_SOURCES),
+              st.text(st.characters(blacklist_categories=("Nd",)), max_size=12)),
+    st.builds("point:{}".format, _OUT_OF_RANGE),
+    st.builds("index:{}".format, st.integers().filter(lambda k: not 0 <= k < 7)),
+    st.builds("subgroup-character:{}:{}".format, _OUT_OF_RANGE, st.integers(0, 3)),
+    st.builds("coset-indicator:{}:{}".format, _OUT_OF_RANGE, st.integers(0, 3)),
+    st.builds("coset-indicator:{}:{}".format, st.integers(0, 3), _OUT_OF_RANGE),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["czn:4", "cstar:zn:4"]), _MALFORMED)
+def test_malformed_functional_never_raises(group, spec):
+    _input_error(group, spec)
