@@ -370,9 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_functional(argv: list[str]) -> list[str]:
+    """Write ``--functional SPEC`` as ``--functional=SPEC``: argparse takes a
+    SPEC that starts with "-" for an option and exits instead of reporting it."""
+    out = list(argv)
+    for i in reversed(range(len(out) - 1)):
+        if out[i] == "--functional":
+            out[i:i + 2] = [f"--functional={out[i + 1]}"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_functional(sys.argv[1:] if argv is None else argv))
     report = Report(command=args.command, inputs={"group": args.group})
     if getattr(args, "functional", None):
         report.inputs["functional"] = args.functional

@@ -80,6 +80,12 @@ class FiniteQuantumGroup:
         return ms
 
     @cached_property
+    def corners(self) -> dict:
+        """Corner quotients built and structure-verified so far, by kept-block
+        tuple; filled by quotient_by_support."""
+        return {}
+
+    @cached_property
     def unit_vec(self) -> np.ndarray:
         return self.algebra.identity().vec
 
@@ -161,14 +167,43 @@ def _mult_tensor(algebra: MultiMatrixAlgebra) -> np.ndarray:
     return algebra.multiply(eye[:, None, :], eye[None, :, :]).transpose(2, 0, 1)
 
 
+# Row order of verify_axioms.  The Haar rows depend on the Haar functional;
+# every other row depends only on the algebra, comultiplication, counit and
+# antipode, which is what lets quotient_by_support verify a corner once.
+AXIOM_ROWS = (
+    "comult_unital", "comult_homomorphism", "comult_star", "coassociativity",
+    "counit_left", "counit_right",
+    "antipode_left", "antipode_right", "antipode_involutive", "antipode_star",
+    "haar_positive", "haar_trace_one", "haar_left_invariant", "haar_right_invariant",
+    "cancellation_left", "cancellation_right",
+)
+HAAR_ROWS = AXIOM_ROWS[10:14]
+
+
 def verify_axioms(G: FiniteQuantumGroup, tol: float = 1e-9) -> AxiomReport:
     """Compute defect norms for every quantum-group axiom.
 
     Every defect is an operator norm (or a rank deficit, for the cancellation
     laws) and should vanish for a genuine finite quantum group.  Each norm is
     the largest over a stack of basis images, taken by the blockwise kernel
-    of the algebra the images live in.
+    of the algebra the images live in.  The rows are the structure rows
+    together with the Haar rows, in the order of AXIOM_ROWS.
     """
+    return _axiom_report(_structure_defects(G), G, tol)
+
+
+def _axiom_report(structure: dict, G: FiniteQuantumGroup, tol: float) -> AxiomReport:
+    """The report of verify_axioms from its structure rows and G's Haar rows."""
+    defects = {**structure, **_haar_defects(G)}
+    return AxiomReport(defects={name: defects[name] for name in AXIOM_ROWS}, tol=tol)
+
+
+def _worst(alg: MultiMatrixAlgebra, stack: np.ndarray) -> float:
+    return float(alg.operator_norms(stack).max(initial=0.0))
+
+
+def _structure_defects(G: FiniteQuantumGroup) -> dict:
+    """The rows of verify_axioms outside HAAR_ROWS."""
     A, AA, ts = G.algebra, G.ts.algebra, G.ts
     dim = A.dim
     images = G.comult.T                     # images[i] = vec Δ(e_i)
@@ -176,17 +211,14 @@ def verify_axioms(G: FiniteQuantumGroup, tol: float = 1e-9) -> AxiomReport:
     ident = np.eye(dim)
     defects: dict[str, float] = {}
 
-    def worst(alg, stack):
-        return float(alg.operator_norms(stack).max(initial=0.0))
-
     one = G.unit_vec
-    defects["comult_unital"] = worst(AA, G.comult @ one - ts.scatter(one, one))
+    defects["comult_unital"] = _worst(AA, G.comult @ one - ts.scatter(one, one))
     # Δ(e_i e_j) − Δ(e_i)Δ(e_j) over all basis pairs
     lhs = (G.comult @ G.mult_tensor.reshape(dim, dim * dim)).T.reshape(dim, dim, AA.dim)
-    defects["comult_homomorphism"] = worst(
+    defects["comult_homomorphism"] = _worst(
         AA, lhs - AA.multiply(images[:, None, :], images[None, :, :])
     )
-    defects["comult_star"] = worst(AA, images[star] - AA.adjoint(images))
+    defects["comult_star"] = _worst(AA, images[star] - AA.adjoint(images))
 
     # coassociativity, measured in the triple tensor algebra
     d3 = G.d3
@@ -195,31 +227,22 @@ def verify_axioms(G: FiniteQuantumGroup, tol: float = 1e-9) -> AxiomReport:
     pos3 = t3.positions.reshape(AA.dim, dim)[G.pos_matrix, :]
     vec3 = np.zeros((dim, t3.algebra.dim), dtype=np.complex128)
     vec3[:, pos3] = diff
-    defects["coassociativity"] = worst(t3.algebra, vec3)
+    defects["coassociativity"] = _worst(t3.algebra, vec3)
 
     ce = G.counit.covector
-    defects["counit_left"] = worst(A, (G.left_matrix(ce) - ident).T)
-    defects["counit_right"] = worst(A, (G.right_matrix(ce) - ident).T)
+    defects["counit_left"] = _worst(A, (G.left_matrix(ce) - ident).T)
+    defects["counit_right"] = _worst(A, (G.right_matrix(ce) - ident).T)
 
     # antipode laws m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ
     ms = G.mult_tensor
     s_mat = G.antipode
     rhs = np.einsum("c,o->co", ce, one)
-    defects["antipode_left"] = worst(A, np.einsum("ijc,ki,okj->co", d3, s_mat, ms) - rhs)
-    defects["antipode_right"] = worst(A, np.einsum("ijc,kj,oik->co", d3, s_mat, ms) - rhs)
-    defects["antipode_involutive"] = worst(A, (s_mat @ s_mat - ident).T)
+    defects["antipode_left"] = _worst(A, np.einsum("ijc,ki,okj->co", d3, s_mat, ms) - rhs)
+    defects["antipode_right"] = _worst(A, np.einsum("ijc,kj,oik->co", d3, s_mat, ms) - rhs)
+    defects["antipode_involutive"] = _worst(A, (s_mat @ s_mat - ident).T)
     # S(a*) = S(a)* checked on the matrix-unit basis
     star_mat = ident[:, star]
-    defects["antipode_star"] = worst(A, (s_mat @ star_mat - star_mat @ np.conj(s_mat)).T)
-
-    # Haar: a state, invariant on both sides
-    d_h = G.haar.density
-    herm = (d_h - d_h.adjoint()).operator_norm
-    defects["haar_positive"] = max(herm, max(0.0, -float(A.min_eigenvalues(d_h.vec))))
-    defects["haar_trace_one"] = abs(d_h.trace - 1.0)
-    ch = G.haar.covector
-    defects["haar_left_invariant"] = worst(A, (G.left_matrix(ch) - np.outer(one, ch)).T)
-    defects["haar_right_invariant"] = worst(A, (G.right_matrix(ch) - np.outer(one, ch)).T)
+    defects["antipode_star"] = _worst(A, (s_mat @ star_mat - star_mat @ np.conj(s_mat)).T)
 
     # quantum cancellation laws: span Δ(A)(A⊗1) = A⊗A = span Δ(A)(1⊗A)
     legs = ts.positions.reshape(dim, dim)
@@ -228,8 +251,22 @@ def verify_axioms(G: FiniteQuantumGroup, tol: float = 1e-9) -> AxiomReport:
         factors[:, side] = ident[:, :, None] * one   # e_j ⊗ 1, or 1 ⊗ e_j
         rows = AA.multiply(images[:, None, :], factors[None, :, :]).reshape(dim * dim, AA.dim)
         defects[name] = float(AA.dim - _numerical_rank(rows))
+    return defects
 
-    return AxiomReport(defects=defects, tol=tol)
+
+def _haar_defects(G: FiniteQuantumGroup) -> dict:
+    """The HAAR_ROWS of verify_axioms: the Haar functional is a state,
+    invariant on both sides."""
+    A, one = G.algebra, G.unit_vec
+    d_h = G.haar.density
+    herm = (d_h - d_h.adjoint()).operator_norm
+    ch = G.haar.covector
+    return {
+        "haar_positive": max(herm, max(0.0, -float(A.min_eigenvalues(d_h.vec)))),
+        "haar_trace_one": abs(d_h.trace - 1.0),
+        "haar_left_invariant": _worst(A, (G.left_matrix(ch) - np.outer(one, ch)).T),
+        "haar_right_invariant": _worst(A, (G.right_matrix(ch) - np.outer(one, ch)).T),
+    }
 
 
 def commutativity_defect(G: FiniteQuantumGroup) -> float:
@@ -338,18 +375,20 @@ def _dual_regular_split(G: FiniteQuantumGroup, seed: int = 11):
     w_half_inv = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T
     lt = [w_half @ d3[b].T @ w_half_inv for b in range(dim)]
     rt = [w_half @ d3[:, b, :].T @ w_half_inv for b in range(dim)]
-    # left multiplication must be a *-representation: L(f♯) = L(f)†
-    star_res = max(
-        np.linalg.norm(
-            sum(msharp[a, b] * lt[a] for a in range(dim)) - lt[b].conj().T, 2
-        )
-        for b in range(dim)
-    )
+    star_res = _star_residual(msharp, lt)
     if star_res > 1e-7:
         raise ValueError(f"dual regular representation is not a *-rep (residual {star_res:.2e})")
     rng = np.random.default_rng(seed)
     split = wedderburn.decompose(lt, rt, rng)
     return eta, lt, split
+
+
+def _star_residual(msharp: np.ndarray, lt: list[np.ndarray]) -> float:
+    """max_b ‖L(e_b♯) − L(e_b)†‖: left multiplication must be a
+    *-representation, L(f♯) = L(f)†, checked on the dual basis in one batch."""
+    stack = np.stack(lt)
+    sharp_images = np.einsum("ab,aij->bij", msharp, stack)
+    return float(np.linalg.norm(sharp_images - np.conj(np.swapaxes(stack, 1, 2)), 2, axis=(1, 2)).max())
 
 
 def dual_pair(
@@ -423,25 +462,30 @@ def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = 1e-8) -
 @dataclass(eq=False)
 class QuantumSubgroup:
     """A compact quantum subgroup (H, π): a surjective *-homomorphism
-    π: A → C(H) intertwining comultiplications."""
+    π: A → C(H) intertwining comultiplications.  axioms is the report of
+    the axiom check quotient_by_support ran on H."""
 
     parent: FiniteQuantumGroup
     target: FiniteQuantumGroup
     projection: np.ndarray          # (dim_H, dim_G) over vec bases
     kept_blocks: tuple[int, ...]
+    axioms: AxiomReport | None = None
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         return self.target.algebra.from_vec(self.projection @ x.vec)
 
     def intertwining_defect(self) -> float:
         """Max coefficient norm of ((π⊗π)Δ_G − Δ_H π) over basis columns."""
-        g, h = self.parent, self.target
-        lhs = _project_tensor(g, h.algebra, self.projection, g.comult)
-        rhs = h.comult @ self.projection
-        return float(np.linalg.norm(lhs - rhs, ord=np.inf))
+        return _intertwining_defect(self.parent, self.target.algebra, self.projection, self.target.comult)
 
     def is_surjective(self) -> bool:
         return _numerical_rank(self.projection) == self.target.algebra.dim
+
+
+def _intertwining_defect(g: FiniteQuantumGroup, sub_alg: MultiMatrixAlgebra, proj: np.ndarray,
+                         sub_comult: np.ndarray) -> float:
+    lhs = _project_tensor(g, sub_alg, proj, g.comult)
+    return float(np.linalg.norm(lhs - sub_comult @ proj, ord=np.inf))
 
 
 def _project_tensor(g: FiniteQuantumGroup, sub_alg: MultiMatrixAlgebra, proj: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -451,6 +495,39 @@ def _project_tensor(g: FiniteQuantumGroup, sub_alg: MultiMatrixAlgebra, proj: np
     out = np.empty((sub_alg.dim ** 2, cols.shape[1]), dtype=np.complex128)
     out[pos_h] = np.einsum("ai,ijc,bj->abc", proj, cols[g.pos_matrix], proj)
     return out
+
+
+@dataclass(eq=False)
+class _Corner:
+    """The part of a corner quotient that depends only on its kept blocks:
+    the structure data and the numbers its checks compare."""
+
+    algebra: MultiMatrixAlgebra
+    projection: np.ndarray
+    comult: np.ndarray
+    counit: Functional
+    antipode: np.ndarray
+    well_defined: float             # intertwining defect of the compression
+    surjective: bool
+    structure: dict | None = None   # verify_axioms rows outside HAAR_ROWS, once run
+
+
+def _corner(G: FiniteQuantumGroup, full: np.ndarray) -> _Corner:
+    """The corner that keeps the blocks where full is true."""
+    alg = G.algebra
+    sub_alg = MultiMatrixAlgebra(tuple(n for n, keep in zip(alg.block_dims, full) if keep))
+    proj = np.eye(alg.dim)[full[alg.coordinates[0]]]
+    # coordinate sections: π∘ι = id on the corner, so Δ_H = (π⊗π)Δι
+    comult = _project_tensor(G, sub_alg, proj, G.comult @ proj.T)
+    return _Corner(
+        algebra=sub_alg,
+        projection=proj,
+        comult=comult,
+        counit=Functional.from_covector(sub_alg, proj @ G.counit.covector),
+        antipode=proj @ G.antipode @ proj.T,
+        well_defined=_intertwining_defect(G, sub_alg, proj, comult),
+        surjective=_numerical_rank(proj) == sub_alg.dim,
+    )
 
 
 def quotient_by_support(
@@ -464,47 +541,52 @@ def quotient_by_support(
 
     π is the corner compression; the induced comultiplication is checked to
     be well defined and the resulting structure must pass all axioms, which
-    fails exactly when s is not the support of a Haar idempotent."""
+    fails exactly when s is not the support of a Haar idempotent.
+
+    The corner's structure (comultiplication, counit, antipode, projection),
+    its intertwining defect, surjectivity and the non-Haar axiom rows depend
+    only on the kept blocks, so they are computed once per group and kept
+    set (``G.corners``).  Every call checks the centrality of s and the Haar
+    rows of its own Haar state, and compares all numbers at its own
+    tolerance."""
     if not is_central(s, tol):
         raise ValueError("support projection is not central")
     alg = G.algebra
     full = alg.block_norms(s.vec - alg.identity().vec) <= tol
     if not full.any():
         raise ValueError("support projection is zero")
-    kept = np.flatnonzero(full).tolist()
-    sub_alg = MultiMatrixAlgebra(tuple(alg.block_dims[k] for k in kept))
-    proj = np.eye(alg.dim)[full[alg.coordinates[0]]]
-    # coordinate sections: π∘ι = id on the corner, so Δ_H = (π⊗π)Δι
-    sub_comult_candidate = _project_tensor(G, sub_alg, proj, G.comult @ proj.T)
-    counit_sub = Functional.from_covector(sub_alg, proj @ G.counit.covector)
-    antipode_sub = proj @ G.antipode @ proj.T
+    kept = tuple(np.flatnonzero(full).tolist())
+    corner = G.corners.get(kept) or _corner(G, full)
     if haar_state is not None:
-        haar_sub = Functional.from_covector(sub_alg, proj @ haar_state.covector)
+        haar_sub = Functional.from_covector(corner.algebra, corner.projection @ haar_state.covector)
     else:
-        haar_sub = solve_haar_state(sub_alg, sub_comult_candidate)
+        haar_sub = solve_haar_state(corner.algebra, corner.comult)
     target = FiniteQuantumGroup(
-        algebra=sub_alg,
-        comult=sub_comult_candidate,
-        counit=counit_sub,
-        antipode=antipode_sub,
+        algebra=corner.algebra,
+        comult=corner.comult,
+        counit=corner.counit,
+        antipode=corner.antipode,
         haar=haar_sub,
         name=f"{G.name}/corner" if G.name else "corner",
         kind="corner",
     )
-    sub = QuantumSubgroup(parent=G, target=target, projection=proj, kept_blocks=tuple(kept))
-    well_defined = sub.intertwining_defect()
-    if well_defined > max(tol, 1e-8):
+    check_tol = max(tol, 1e-8)
+    if corner.well_defined > check_tol:
         raise ValueError(
-            f"induced comultiplication is not well defined (defect {well_defined:.2e}); "
+            f"induced comultiplication is not well defined (defect {corner.well_defined:.2e}); "
             "the projection is not the support of a Haar idempotent"
         )
-    rep = verify_axioms(target, max(tol, 1e-8))
+    if corner.structure is None:
+        rep = verify_axioms(target, check_tol)
+        corner.structure = {k: v for k, v in rep.defects.items() if k not in HAAR_ROWS}
+        G.corners[kept] = corner
+    else:
+        rep = _axiom_report(corner.structure, target, check_tol)
     if not rep.passed:
         raise ValueError(
             f"corner structure fails quantum group axioms: {rep.failures()}; "
             "the projection is not the support of a Haar idempotent"
         )
-    if not sub.is_surjective():
+    if not corner.surjective:
         raise ValueError("corner compression is not surjective")
-    return sub
-
+    return QuantumSubgroup(parent=G, target=target, projection=corner.projection, kept_blocks=kept, axioms=rep)

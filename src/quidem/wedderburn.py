@@ -61,7 +61,7 @@ def decompose(
     """
     n = left_mults[0].shape[0]
     last_error = None
-    for _ in range(max_attempts):
+    for attempt in range(1, max_attempts + 1):
         coeff = rng.standard_normal(len(right_mults)) + 1j * rng.standard_normal(len(right_mults))
         x = sum(c * r for c, r in zip(coeff, right_mults))
         h = x + x.conj().T
@@ -70,6 +70,11 @@ def decompose(
         try:
             return _extract(left_mults, v, clusters, n, tol)
         except _SplitFailure as exc:  # unlucky sample; retry with fresh coefficients
+            import logging   # on first use: at start-up it slows every CLI run by 5-15 ms
+
+            logging.getLogger(__name__).debug(
+                "block decomposition attempt %d/%d failed: %s", attempt, max_attempts, exc
+            )
             last_error = exc
     raise RuntimeError(f"block decomposition failed after {max_attempts} attempts: {last_error}")
 

@@ -244,6 +244,8 @@ def _input_error(group, spec):
     ("cstar:zn:4", "coset-indicator:-1:0"),
     ("czn:4", "density:[1,2,3,4]"),
     ("czn:4", "density:[[1,0],[0,0],[0,0],[NaN,0]]"),
+    ("czn:4", "-:"),
+    ("czn:4", "-point:0"),
 ])
 def test_malformed_functional_is_named(group, spec):
     assert repr(spec) in _input_error(group, spec)

@@ -1,6 +1,8 @@
 """Convolution products, operator matrices, the sharp involution, and
 averaged convolution powers."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,3 +252,21 @@ def test_cesaro_limit_commutes_with_seed(kp):
     limit = result.limit
     assert (convolve(kp, seed, limit) - limit).norm < 1e-8
     assert (convolve(kp, limit, seed) - limit).norm < 1e-8
+
+
+def test_mean_ergodic_finish_is_logged(cz6, cz4, mu0, caplog):
+    with caplog.at_level(logging.DEBUG, logger="quidem.convolution"):
+        result = cesaro_limit(cz6, _delta(cz6, 1), tol=1e-8, max_iter=10_000)
+    assert result.converged
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        f"cesaro_limit: mean-ergodic finish at checkpoint {2 ** 20} "
+        f"(increment {record.args[1]:.3e}, defect {record.args[2]:.3e})"
+    )
+    assert result.checkpoint == record.args[0] == 2 ** 20
+    assert record.args[1] > 1e-8 or record.args[2] > 1e-8   # why the doubling did not stop
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="quidem.convolution"):
+        cesaro_limit(cz4, mu0, tol=1e-8)   # converges at the first checkpoint
+    assert not caplog.records

@@ -23,9 +23,16 @@ from quidem import (
     left_conv_operator,
     symmetric,
 )
-from quidem.algebra import polar_decompose, tensor_algebra
-from quidem.idempotents import enumerate_function_algebra, enumerate_group_algebra
-from quidem.qgroup import FiniteQuantumGroup, verify_axioms
+from quidem.algebra import PolarParts, polar_decompose, support_projection, tensor_algebra
+from quidem.convolution import commutes_with_right_convolutions
+from quidem.idempotents import (
+    _character_defect,
+    _subgroup_character,
+    decompose,
+    enumerate_function_algebra,
+    enumerate_group_algebra,
+)
+from quidem.qgroup import FiniteQuantumGroup, _dual_regular_split, _star_residual, verify_axioms
 from quidem.tro import (
     _choi_min_eigenvalue,
     build_expectation,
@@ -375,6 +382,34 @@ def ref_choi_min_eigenvalue(E):
     return float(eigs.min()) - herm_defect
 
 
+def ref_character_defect(G, omega, sub, u):
+    """max over the basis of |ω(e_i) − h_H(π(e_i)u)|, one product per e_i."""
+    H = sub.target
+    worst = 0.0
+    for x in G.algebra.basis():
+        px = H.algebra.from_vec(sub.projection @ x.vec)
+        prod = H.algebra.element([a @ b for a, b in zip(px.blocks, u.blocks)])
+        worst = max(worst, abs(omega(x) - H.haar(prod)))
+    return worst
+
+
+def ref_right_convolution_defect(G, matrix):
+    """max_j ‖T R_j − R_j T‖ over the right convolution operators R_j of
+    the dual basis; commutes_with_right_convolutions holds iff it is ≤ tol."""
+    d3 = G.d3
+    return max(
+        float(np.linalg.norm(matrix @ d3[:, j, :] - d3[:, j, :] @ matrix, 2)) for j in range(G.dim)
+    )
+
+
+def ref_star_residual(msharp, lt):
+    dim = len(lt)
+    return max(
+        float(np.linalg.norm(sum(msharp[a, b] * lt[a] for a in range(dim)) - lt[b].conj().T, 2))
+        for b in range(dim)
+    )
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -478,3 +513,96 @@ def test_expectation_checks_match_loop_form(case):
                 assert choi >= CP_FLOOR
             elif s01 * s10 != 1.0:
                 assert choi < CP_FLOOR
+
+
+def _kp_block_limits(kp):
+    """Cesàro limits of the states spread evenly over one block each: the
+    counit, the three order-two subgroups and the Haar state."""
+    out = []
+    for block, n in enumerate(kp.algebra.block_dims):
+        blocks = [np.zeros((m, m)) for m in kp.algebra.block_dims]
+        blocks[block] = np.eye(n) / n
+        seed = Functional(kp.algebra, kp.algebra.element(blocks))
+        out.append(cesaro_limit(kp, seed, tol=1e-9, max_iter=10_000).limit)
+    return out
+
+
+@pytest.fixture(scope="module", params=GROUPS)
+def haar_reports(request):
+    """decompose reports of every Haar idempotent of C(Z4), C(S3) and
+    C*(D4), and of the Haar idempotent states of KP above."""
+    name = request.param
+    if name == "KP":
+        G = kac_paljutkin()
+        functionals = _kp_block_limits(G)
+    else:
+        G, _ = _cases(name)
+        enumerate_items = enumerate_group_algebra if G.kind == "group" else enumerate_function_algebra
+        functionals = [item.functional for item in enumerate_items(G)]
+    reports = [decompose(G, omega, TOL) for omega in functionals]
+    return G, [rep for rep in reports if rep.haar]
+
+
+def test_character_check_matches_loop_form(haar_reports):
+    G, reports = haar_reports
+    assert len(reports) >= 5
+    for rep in reports:
+        got = _character_defect(rep.omega, rep.subgroup, rep.character)
+        want = ref_character_defect(G, rep.omega, rep.subgroup, rep.character)
+        assert abs(got - want) <= AGREE
+        assert want <= TOL
+
+
+def test_flipped_character_phase_is_rejected(haar_reports):
+    """Negating the polar isometry on one kept block changes u = π(v) on H,
+    so ω = h_H(π(·)u) fails (faithful h_H) unless a check before it does."""
+    G, reports = haar_reports
+    for rep in reports:
+        parts = polar_decompose(rep.omega)
+        support = support_projection(parts.abs_r.density)
+        block = rep.subgroup.kept_blocks[-1]
+        sign = np.where(G.algebra.coordinates[0] == block, -1.0, 1.0)
+        flipped = PolarParts(u=G.algebra.from_vec(sign * parts.u.vec), abs_r=parts.abs_r, abs_l=parts.abs_l)
+        with pytest.raises(RuntimeError):
+            _subgroup_character(G, rep.omega, flipped, support, TOL)
+
+
+def test_flipped_character_fails_the_batched_check():
+    """On C(Z4) with H = {0, 2}, flipping the trivial character at 2 gives
+    the sign character of H: unitary and group-like, but ω(e_2) = 1/2 while
+    h_H(π(e_2)u) = −1/2, in the batched and the loop form alike."""
+    G = function_algebra(cyclic(4))
+    omega = Functional.from_covector(G.algebra, np.array([0.5, 0.0, 0.5, 0.0]))
+    parts = polar_decompose(omega)
+    support = support_projection(parts.abs_r.density)
+    sub, u = _subgroup_character(G, omega, parts, support, TOL)
+    flipped = PolarParts(
+        u=G.algebra.from_vec(parts.u.vec * np.array([1, 1, -1, 1])), abs_r=parts.abs_r, abs_l=parts.abs_l
+    )
+    with pytest.raises(RuntimeError, match=r"h_H\(π\(·\)u\) \(defect 1.000e\+00\)"):
+        _subgroup_character(G, omega, flipped, support, TOL)
+    sign = sub.apply(flipped.u)
+    assert np.allclose(sign.vec, [1.0, -1.0])
+    assert _character_defect(omega, sub, sign) == ref_character_defect(G, omega, sub, sign) == 1.0
+
+
+def test_right_convolution_commutation_matches_loop_form(case):
+    G, idempotents = case
+    rng = np.random.default_rng(3)
+    matrices = [left_conv_operator(G, omega).matrix for omega in idempotents]
+    matrices += [np.diag(rng.standard_normal(G.dim)), G.right_matrix(G.haar.covector)]
+    for matrix in matrices:
+        want = ref_right_convolution_defect(G, matrix)
+        for tol in (1e-9, 1e-6, 0.5 * want, 2.0 * want):
+            assert commutes_with_right_convolutions(G, matrix, tol) == (want <= tol)
+
+
+def test_star_residual_matches_loop_form(case):
+    G, _ = case
+    _, lt, _ = _dual_regular_split(G)
+    broken = list(lt)
+    broken[1] = (1 + 0.01j) * broken[1]
+    for stack in (lt, broken):
+        want = ref_star_residual(G.sharp_matrix, stack)
+        assert abs(_star_residual(G.sharp_matrix, stack) - want) <= AGREE
+    assert ref_star_residual(G.sharp_matrix, lt) <= 1e-7 < ref_star_residual(G.sharp_matrix, broken)

@@ -1,19 +1,29 @@
 """Axiom verification, duality, quotients, group-like elements."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from quidem import (
     Functional,
+    cesaro_limit,
+    cyclic,
+    dihedral,
     dual,
     function_algebra,
     group_algebra,
     is_group_like,
+    kac_paljutkin,
     quotient_by_support,
+    symmetric,
     verify_axioms,
 )
-from quidem.algebra import support_projection
+from quidem import wedderburn
+from quidem.algebra import is_central, polar_decompose, support_projection
+from quidem.idempotents import enumerate_function_algebra, enumerate_group_algebra
 from quidem.qgroup import (
+    AXIOM_ROWS,
     FiniteQuantumGroup,
     cocommutativity_defect,
     commutativity_defect,
@@ -167,3 +177,138 @@ def test_quotient_rejects_non_subgroup_support(cz4):
     s = cz4.algebra.from_vec(np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         quotient_by_support(cz4, s)
+
+
+def test_verify_axioms_row_names_and_order(cz4):
+    assert list(verify_axioms(cz4).defects) == [
+        "comult_unital", "comult_homomorphism", "comult_star", "coassociativity",
+        "counit_left", "counit_right",
+        "antipode_left", "antipode_right", "antipode_involutive", "antipode_star",
+        "haar_positive", "haar_trace_one", "haar_left_invariant", "haar_right_invariant",
+        "cancellation_left", "cancellation_right",
+    ]
+    assert list(AXIOM_ROWS) == list(verify_axioms(cz4).defects)
+
+
+def _kp_idempotent_states(kp):
+    """Cesàro limits of the states spread evenly over one block each: the
+    counit, the three order-two subgroups and the Haar state."""
+    out = []
+    for block, n in enumerate(kp.algebra.block_dims):
+        blocks = [np.zeros((m, m)) for m in kp.algebra.block_dims]
+        blocks[block] = np.eye(n) / n
+        seed = Functional(kp.algebra, kp.algebra.element(blocks))
+        out.append(cesaro_limit(kp, seed, tol=1e-9, max_iter=10_000).limit)
+    return out
+
+
+BUILDS = {
+    "C(Z4)": (lambda: function_algebra(cyclic(4)), lambda G: [i.functional for i in enumerate_function_algebra(G)]),
+    "C(S3)": (lambda: function_algebra(symmetric(3)), lambda G: [i.functional for i in enumerate_function_algebra(G)]),
+    "C*(D4)": (lambda: group_algebra(dihedral(4)), lambda G: [i.functional for i in enumerate_group_algebra(G)]),
+    "KP": (kac_paljutkin, _kp_idempotent_states),
+}
+
+
+def _haar_supports(G, functionals):
+    """(support, right absolute value) of every Haar idempotent among the
+    functionals, as decompose hands them to quotient_by_support."""
+    out = []
+    for omega in functionals:
+        parts = polar_decompose(omega)
+        s = support_projection(parts.abs_r.density)
+        if is_central(s, 1e-8):
+            out.append((s, parts.abs_r))
+    return out
+
+
+@pytest.mark.parametrize("name", list(BUILDS))
+def test_cached_corner_matches_fresh_build(name):
+    """A quotient served from the per-group corner cache has the structure,
+    projection and axiom rows of a first call on a freshly built group."""
+    build, idempotents = BUILDS[name]
+    G = build()
+    supports = _haar_supports(G, idempotents(G))
+    assert len(supports) >= 5
+    kept_sets = set()
+    for s, sigma in supports:
+        quotient_by_support(G, s, haar_state=sigma)
+        repeat = quotient_by_support(G, s, haar_state=sigma)
+        fresh_group = build()
+        assert not fresh_group.corners
+        fresh = quotient_by_support(fresh_group, s, haar_state=sigma)
+        kept_sets.add(repeat.kept_blocks)
+        assert repeat.kept_blocks == fresh.kept_blocks
+        assert np.array_equal(repeat.projection, fresh.projection)
+        H, F = repeat.target, fresh.target
+        assert H.algebra == F.algebra
+        assert np.array_equal(H.comult, F.comult)
+        assert np.array_equal(H.counit.covector, F.counit.covector)
+        assert np.array_equal(H.antipode, F.antipode)
+        assert np.array_equal(H.haar.covector, F.haar.covector)
+        assert repeat.axioms.tol == 1e-8
+        assert repeat.axioms.defects == verify_axioms(H, 1e-8).defects
+        assert repeat.axioms.defects == fresh.axioms.defects
+    # one corner per distinct support, however many idempotents share it
+    assert set(G.corners) == kept_sets
+
+
+def test_cached_corner_rechecks_the_haar_state():
+    G = function_algebra(cyclic(4))
+    s = G.algebra.from_vec(np.array([1.0, 0.0, 1.0, 0.0]))
+    sigma = Functional.from_covector(G.algebra, np.array([0.5, 0, 0.5, 0]))
+    delta = Functional.from_covector(G.algebra, np.array([1.0, 0, 0, 0]))   # not invariant on {0, 2}
+    quotient_by_support(G, s, haar_state=sigma)
+    assert (0, 2) in G.corners
+    with pytest.raises(ValueError, match="haar_left_invariant") as cached:
+        quotient_by_support(G, s, haar_state=delta)
+    with pytest.raises(ValueError) as first:
+        quotient_by_support(function_algebra(cyclic(4)), s, haar_state=delta)
+    assert str(cached.value) == str(first.value)
+    # the cached corner still serves its invariant state, given or solved
+    assert quotient_by_support(G, s, haar_state=sigma).axioms.passed
+    assert quotient_by_support(G, s).axioms.passed
+
+
+def test_failed_kept_set_keeps_failing():
+    G = function_algebra(cyclic(4))
+    s = G.algebra.from_vec(np.array([1.0, 1.0, 0.0, 0.0]))
+    sigma = Functional.from_covector(G.algebra, np.array([0.5, 0.5, 0, 0]))
+    for haar_state in (None, sigma):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                quotient_by_support(G, s, haar_state=haar_state)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert not G.corners
+
+
+class _ZeroFirstDraw:
+    """A generator whose first commutant sample is zero: a scalar commutant
+    element has one eigenspace, so the first split attempt must fail."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def standard_normal(self, size):
+        self.draws += 1
+        return np.zeros(size) if self.draws <= 2 else self.rng.standard_normal(size)
+
+
+def test_wedderburn_retry_is_logged(caplog):
+    # the left regular representation of S3 and its commutant, the right one
+    table = symmetric(3)
+    eye = np.eye(table.order)
+    lt = [eye[:, [table.op(g, h) for h in range(table.order)]] for g in range(table.order)]
+    rt = [eye[:, [table.op(h, g) for h in range(table.order)]] for g in range(table.order)]
+    with caplog.at_level(logging.DEBUG, logger="quidem.wedderburn"):
+        split = wedderburn.decompose(lt, rt, _ZeroFirstDraw(0))
+    assert sorted(split.block_dims) == [1, 1, 2]
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        "block decomposition attempt 1/12 failed: "
+        "multiplicity does not match dimension (accidental degeneracy)"
+    )
