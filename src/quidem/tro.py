@@ -75,6 +75,20 @@ def _worst_residual(X: OperatorSubspace, stack) -> float:
     return float(residuals.max(initial=0.0))
 
 
+def _worst_norm(A: MultiMatrixAlgebra, mat: np.ndarray, inner, direct) -> float:
+    """Largest operator norm of L(inner) − direct over a stack, with L the
+    linear map whose matrix is mat."""
+    return float(A.operator_norms(inner @ mat.T - direct).max(initial=0.0))
+
+
+def _chunks(count: int, per: int, dim: int) -> list[slice]:
+    """Slices of range(count) for a stack of per vecs at each index: a chunk
+    holds at most dim² vecs, as many as a (dim, dim) stack over two basis
+    indices, and at least one index."""
+    step = max(1, dim * dim // max(per, 1))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def image_subspace(T: ConvolutionOperator | np.ndarray, algebra: MultiMatrixAlgebra | None = None) -> OperatorSubspace:
     """Orthonormal basis of the range of a linear map on the algebra."""
     if isinstance(T, ConvolutionOperator):
@@ -87,13 +101,13 @@ def image_subspace(T: ConvolutionOperator | np.ndarray, algebra: MultiMatrixAlge
 
 
 def is_tro(X: OperatorSubspace, tol: float = 1e-8) -> bool:
-    """Closure under the triple product x y* z on all basis triples, batched
-    over (y, z) for each x."""
+    """Closure under the triple product x y* z on all basis triples, stacked
+    over (x, y, z) in chunks of x."""
     A, basis = X.algebra, X.matrix.T
     stars = A.adjoint(basis)
     return all(
-        _worst_residual(X, A.multiply(A.multiply(x, stars)[:, None, :], basis[None, :, :])) <= tol
-        for x in basis
+        _worst_residual(X, A.multiply(A.multiply(basis[s, None], stars)[:, :, None], basis)) <= tol
+        for s in _chunks(X.dim, X.dim ** 2, A.dim)
     )
 
 
@@ -165,6 +179,11 @@ def linking_algebra(X: OperatorSubspace, tol: float = 1e-8) -> LinkingAlgebra:
     spans of pairwise products are already closed under multiplication."""
     if not is_tro(X, tol):
         raise ValueError("linking_algebra requires a TRO")
+    return _linking_algebra(X)
+
+
+def _linking_algebra(X: OperatorSubspace) -> LinkingAlgebra:
+    """linking_algebra of a subspace already known to be a TRO."""
     A, basis = X.algebra, X.matrix.T
     stars = A.adjoint(basis)
     left = OperatorSubspace.from_spanning(A, A.multiply(basis[:, None, :], stars[None, :, :]))
@@ -342,53 +361,66 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
     parts = polar_decompose(omega)
     A = G.algebra
     lw = G.left_matrix(omega.covector)
-    lr = G.left_matrix(parts.abs_r.covector)
-    ll = G.left_matrix(parts.abs_l.covector)
-    units = np.eye(G.dim)
-    p, p_star = lw.T, A.adjoint(lw.T)        # rows: L_ω(e_i) and its adjoint
-
-    def worst(mat, inner, direct):
-        """Largest operator norm of L(inner) − direct over a stack."""
-        return float(A.operator_norms(inner @ mat.T - direct).max(initial=0.0))
-
-    # stacks indexed [i, j]: a = e_i enters through P(a), b = e_j
-    res = {
-        "left_absorb": worst(lw, A.multiply(p[:, None], units[None]), A.multiply(p[:, None], ll.T[None])),
-        "left_adjoint_absorb": worst(ll, A.multiply(p_star[:, None], units[None]), A.multiply(p_star[:, None], p[None])),
-        "right_absorb": worst(lw, A.multiply(units[None], p[:, None]), A.multiply(lr.T[None], p[:, None])),
-        "right_adjoint_absorb": worst(lr, A.multiply(units[None], p_star[:, None]), A.multiply(p[None], p_star[:, None])),
-    }
-
     image = image_subspace(lw, A)
-    xb = image.matrix.T
-    xs = A.adjoint(xb)
-    xs_y = A.multiply(xs[:, None], xb[None])   # [x, y] = x* y
-    x_xs = A.multiply(xb, xs)                  # [x] = x x*
-    exp_res = {"expect_right_pair": 0.0, "expect_middle": 0.0, "expect_left_pair": 0.0}
-    for a, pa in zip(units, p):  # batched over the image basis pairs
-        x_as = A.multiply(xb, A.adjoint(a))
-        x_pas = A.multiply(xb, A.adjoint(pa))
-        for name, inner, direct in (
-            ("expect_right_pair", A.multiply(a, xs_y), A.multiply(pa, xs_y)),
-            ("expect_middle", A.multiply(x_as[:, None], xb[None]), A.multiply(x_pas[:, None], xb[None])),
-            ("expect_left_pair", A.multiply(x_xs, a), A.multiply(x_xs, pa)),
-        ):
-            exp_res[name] = max(exp_res[name], worst(lw, inner, direct))
     return TroExpectationReport(
-        identity_residuals=res,
-        expectation_residuals=exp_res,
+        identity_residuals=_identity_residuals(
+            A, lw, G.left_matrix(parts.abs_r.covector), G.left_matrix(parts.abs_l.covector)
+        ),
+        expectation_residuals=_expectation_residuals(A, lw, image.matrix.T),
         image_is_tro=is_tro(image, tol),
     )
+
+
+def _identity_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, lr: np.ndarray, ll: np.ndarray) -> dict:
+    """The four mixed-product residuals of check_tro_expectation for the
+    maps P = lw, Q_r = lr and Q_l = ll, over all basis pairs (a, b)."""
+    units = np.eye(A.dim)
+    p, p_star = lw.T, A.adjoint(lw.T)        # rows: P(e_i) and its adjoint
+    # stacks indexed [i, j]: a = e_i enters through P(a), b = e_j
+    return {
+        "left_absorb": _worst_norm(A, lw, A.multiply(p[:, None], units), A.multiply(p[:, None], ll.T)),
+        "left_adjoint_absorb": _worst_norm(A, ll, A.multiply(p_star[:, None], units), A.multiply(p_star[:, None], p)),
+        "right_absorb": _worst_norm(A, lw, A.multiply(units, p[:, None]), A.multiply(lr.T, p[:, None])),
+        "right_adjoint_absorb": _worst_norm(A, lr, A.multiply(units, p_star[:, None]), A.multiply(p, p_star[:, None])),
+    }
+
+
+def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray) -> dict:
+    """The three TRO-expectation residuals of check_tro_expectation,
+
+        P(a x*y) = P(a) x*y,   P(x a* y) = x P(a)* y,   P(x x*a) = x x* P(a),
+
+    for P = lw, over basis elements a and the rows x, y of xb; stacked over
+    (a, x, y) in chunks of a."""
+    units, p = np.eye(A.dim), lw.T
+    xs = A.adjoint(xb)
+    xs_y = A.multiply(xs[:, None], xb)        # [x, y] = x* y
+    x_xs = A.multiply(xb, xs)                 # [x] = x x*
+    out = {"expect_right_pair": 0.0, "expect_middle": 0.0, "expect_left_pair": 0.0}
+    for s in _chunks(A.dim, len(xb) ** 2, A.dim):
+        a, pa = units[s, None], p[s, None]    # [a, 1]
+        x_as = A.multiply(xb, A.adjoint(a))   # [a, x] = x a*
+        x_pas = A.multiply(xb, A.adjoint(pa))
+        for name, inner, direct in (
+            ("expect_right_pair", A.multiply(a[:, None], xs_y), A.multiply(pa[:, None], xs_y)),
+            ("expect_middle", A.multiply(x_as[:, :, None], xb), A.multiply(x_pas[:, :, None], xb)),
+            ("expect_left_pair", A.multiply(x_xs, a), A.multiply(x_xs, pa)),
+        ):
+            out[name] = max(out[name], _worst_norm(A, lw, inner, direct))
+    return out
 
 
 def triple_product_identities(G: FiniteQuantumGroup, omega: Functional) -> dict:
     """Residuals of the four equivalent expressions for the triple product of
     images: the direct product L_ω(a)L_ω(b)*L_ω(c) against the three absorbed
-    forms (the first absorbed form already forces the other two).  Each
-    residual is batched over (b, c) for every basis element a."""
-    A = G.algebra
-    lw = G.left_matrix(omega.covector)
-    units = np.eye(G.dim)
+    forms (the first absorbed form already forces the other two)."""
+    return _triple_residuals(G.algebra, G.left_matrix(omega.covector))
+
+
+def _triple_residuals(A: MultiMatrixAlgebra, lw: np.ndarray) -> dict:
+    """triple_product_identities for P = lw over all basis triples (a, b, c);
+    each residual is batched over (b, c) for every basis element a."""
+    units = np.eye(A.dim)
     p, p_star, unit_stars = lw.T, A.adjoint(lw.T), A.adjoint(units)
     worst = {"first": 0.0, "second": 0.0, "third": 0.0}
     for a, pa in zip(units, p):
@@ -399,7 +431,7 @@ def triple_product_identities(G: FiniteQuantumGroup, omega: Functional) -> dict:
             ("second", A.multiply(A.multiply(pa, unit_stars)[:, None, :], p)),
             ("third", A.multiply(A.multiply(a, p_star)[:, None, :], p)),
         ):
-            worst[name] = max(worst[name], float(A.operator_norms(lhs @ lw.T - direct).max()))
+            worst[name] = max(worst[name], _worst_norm(A, lw, lhs, direct))
     return worst
 
 
@@ -435,8 +467,8 @@ def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
         reasons.append("X is not right invariant")
     if not is_right_invariant(G, X.adjoint_space(), tol):
         reasons.append("X* is not right invariant")
-    if not reasons:
-        link = linking_algebra(X, tol)
+    if not reasons:   # is_tro passed above
+        link = _linking_algebra(X)
         if not is_right_invariant(G, link.left, tol):
             reasons.append("left linking algebra is not right invariant")
         if not is_right_invariant(G, link.right, tol):

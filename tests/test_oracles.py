@@ -14,6 +14,7 @@ import pytest
 
 from quidem import (
     Functional,
+    MultiMatrixAlgebra,
     cesaro_limit,
     cyclic,
     dihedral,
@@ -34,11 +35,18 @@ from quidem.idempotents import (
 )
 from quidem.qgroup import FiniteQuantumGroup, _dual_regular_split, _star_residual, verify_axioms
 from quidem.tro import (
+    LinkingAlgebra,
+    OperatorSubspace,
     _choi_min_eigenvalue,
+    _chunks,
+    _expectation_residuals,
+    _identity_residuals,
+    _triple_residuals,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
     image_subspace,
+    is_tro,
     linking_algebra,
     triple_product_identities,
 )
@@ -324,6 +332,74 @@ def ref_triple_product_identities(G, omega):
     return worst
 
 
+def ref_identity_residuals(alg, lw, lr, ll):
+    """The mixed-product residuals of ref_check_tro_expectation for any maps
+    P = lw, Q_r = lr and Q_l = ll."""
+    basis = alg.basis()
+    p_img, qr_img, ql_img = ([alg.from_vec(m[:, i]) for i in range(alg.dim)] for m in (lw, lr, ll))
+
+    def lmap(mat, x):
+        return alg.from_vec(mat @ x.vec)
+
+    res = {"left_absorb": 0.0, "left_adjoint_absorb": 0.0, "right_absorb": 0.0, "right_adjoint_absorb": 0.0}
+    for i in range(alg.dim):
+        pa, pa_star = p_img[i], p_img[i].adjoint()
+        for j, b in enumerate(basis):
+            for name, value in (
+                ("left_absorb", lmap(lw, pa * b) - pa * ql_img[j]),
+                ("left_adjoint_absorb", lmap(ll, pa_star * b) - pa_star * p_img[j]),
+                ("right_absorb", lmap(lw, b * pa) - qr_img[j] * pa),
+                ("right_adjoint_absorb", lmap(lr, b * pa_star) - p_img[j] * pa_star),
+            ):
+                res[name] = max(res[name], _norm(value))
+    return res
+
+
+def ref_expectation_residuals(alg, lw, xb):
+    """The TRO-expectation residuals of ref_check_tro_expectation for any
+    map P = lw and any image basis, given as the rows of xb."""
+    xs = [alg.from_vec(v) for v in xb]
+
+    def lmap(x):
+        return alg.from_vec(lw @ x.vec)
+
+    res = {"expect_right_pair": 0.0, "expect_middle": 0.0, "expect_left_pair": 0.0}
+    for a in alg.basis():
+        pa = lmap(a)
+        for x in xs:
+            for y in xs:
+                for name, value in (
+                    ("expect_right_pair", lmap(a * x.adjoint() * y) - pa * x.adjoint() * y),
+                    ("expect_middle", lmap(x * a.adjoint() * y) - x * pa.adjoint() * y),
+                    ("expect_left_pair", lmap(x * x.adjoint() * a) - x * x.adjoint() * pa),
+                ):
+                    res[name] = max(res[name], _norm(value))
+    return res
+
+
+def ref_triple_residuals(alg, lw):
+    """ref_triple_product_identities for any map P = lw."""
+    basis = alg.basis()
+    imgs = [alg.from_vec(lw[:, i]) for i in range(alg.dim)]
+
+    def lmap(x):
+        return alg.from_vec(lw @ x.vec)
+
+    worst = {"first": 0.0, "second": 0.0, "third": 0.0}
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            pbs = imgs[j].adjoint()
+            for k, c in enumerate(basis):
+                direct = imgs[i] * pbs * imgs[k]
+                for name, lhs in (
+                    ("first", imgs[i] * pbs * c),
+                    ("second", imgs[i] * b.adjoint() * imgs[k]),
+                    ("third", a * pbs * imgs[k]),
+                ):
+                    worst[name] = max(worst[name], _norm(lmap(lhs) - direct))
+    return worst
+
+
 def ref_multiplicative_defect(link, tol_rank=1e-10):
     basis = _ref_embedded_basis(link)
     stack = np.column_stack(basis)
@@ -448,6 +524,10 @@ GROUPS = ["C(Z4)", "C(S3)", "C*(D4)", "KP"]
 @pytest.fixture(scope="module", params=GROUPS)
 def case(request):
     return _cases(request.param)
+
+
+def _gaussian(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * shape[-1])
 
 
 def _assert_agree(got: dict, want: dict, tol: float):
@@ -606,3 +686,63 @@ def test_star_residual_matches_loop_form(case):
         want = ref_star_residual(G.sharp_matrix, stack)
         assert abs(_star_residual(G.sharp_matrix, stack) - want) <= AGREE
     assert ref_star_residual(G.sharp_matrix, lt) <= 1e-7 < ref_star_residual(G.sharp_matrix, broken)
+
+
+# ---------------------------------------------------------------------------
+# the TRO residuals off idempotents, where every residual is O(1)
+
+# (block dims, image dimension k): on dim 8 the chunks of a hold 16, 7, 4,
+# 2 and 1 basis elements, so a maximum can fall in a short last chunk
+RANDOM_TRO_CASES = [((1, 1, 1, 1, 2), k) for k in (2, 3, 4, 5, 8)] + [((1, 2), k) for k in (1, 2, 5)]
+
+
+@pytest.mark.parametrize("block_dims, k", RANDOM_TRO_CASES,
+                         ids=[f"{'+'.join(map(str, b))}-k{k}" for b, k in RANDOM_TRO_CASES])
+def test_tro_residuals_match_loop_form_off_idempotents(block_dims, k):
+    """Random maps and orthonormal image bases: a chunk left out, or a
+    product paired with the wrong P(a), changes some maximum."""
+    alg = MultiMatrixAlgebra(block_dims)
+    for seed in range(3):
+        rng = np.random.default_rng([k, seed])
+        lw, lr, ll = (_gaussian(rng, alg.dim, alg.dim) for _ in range(3))
+        xb = np.linalg.qr(_gaussian(rng, alg.dim, k))[0].T
+        want = ref_expectation_residuals(alg, lw, xb)
+        assert min(want.values()) > 0.05
+        _assert_agree(_expectation_residuals(alg, lw, xb), want, TOL)
+        want = ref_identity_residuals(alg, lw, lr, ll)
+        assert min(want.values()) > 0.05
+        _assert_agree(_identity_residuals(alg, lw, lr, ll), want, TOL)
+    want = ref_triple_residuals(alg, lw)
+    assert min(want.values()) > 0.05
+    _assert_agree(_triple_residuals(alg, lw), want, TOL)
+
+
+@pytest.mark.parametrize("v, tro", [([0, 1, 0, 0], True), (np.array([1, 0, 0, 2]) / np.sqrt(5), False)])
+def test_is_tro_sees_a_failing_triple_in_the_last_chunk(v, tro):
+    """X = span{e_0, e_1, e_2, e_3, v} in C⁴ ⊕ M₂ with v in M₂: a triple is
+    nonzero only if x, y and z all lie in one block, so only v v* v can
+    leave X.  The chunks of x are {0, 1}, {2, 3} and {4}: that triple lies
+    in the last chunk alone."""
+    alg = MultiMatrixAlgebra((1, 1, 1, 1, 2))
+    assert [s.start for s in _chunks(5, 25, alg.dim)] == [0, 2, 4]
+    rows = np.vstack([np.eye(alg.dim)[:4], np.concatenate([np.zeros(4), v])])
+    X = OperatorSubspace(alg, rows.T.astype(np.complex128))
+    assert is_tro(X, TOL) == ref_is_tro(X, TOL) == tro
+
+
+def test_multiplicative_defect_matches_loop_form_off_linking_algebras():
+    """Random corners: the embedded basis spans a subspace that is far from
+    closed under products."""
+    alg = MultiMatrixAlgebra((1, 1, 1, 1, 2))
+    rng = np.random.default_rng(5)
+
+    def subspace(k):
+        return OperatorSubspace.from_spanning(alg, _gaussian(rng, k, alg.dim))
+
+    link = LinkingAlgebra(
+        tro=subspace(3), left=subspace(2), right=subspace(4),
+        ambient=tensor_algebra(MultiMatrixAlgebra((2,)), alg),
+    )
+    want = ref_multiplicative_defect(link)
+    assert want > 0.05
+    assert abs(link.multiplicative_defect() - want) <= AGREE

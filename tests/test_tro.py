@@ -3,12 +3,17 @@ algebras, the entrywise conditional expectation, and recovery of the
 idempotent from its TRO."""
 
 import numpy as np
+import pytest
 from quidem import (
+    MultiMatrixAlgebra,
+    cyclic,
+    function_algebra,
     left_conv_operator,
 )
 from quidem.idempotents import enumerate_group_algebra
 from quidem.tro import (
     OperatorSubspace,
+    _expectation_residuals,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
@@ -216,3 +221,42 @@ def test_recover_roundtrip_group_algebra(gd4):
         result = recover_idempotent(gd4, X)
         assert result.ok, result.reasons
         assert (result.functional - item.functional).norm < 1e-8
+
+
+@pytest.fixture(scope="module")
+def stack_cases(gd4):
+    """(group, idempotent) pairs: the counit of C*(D4) (image dimension
+    k = dim = 8), an idempotent of C*(D4) with k = 4, and the point mass at
+    0 on C(Z16), whose image is all of C(Z16)."""
+    items = enumerate_group_algebra(gd4)
+    k4 = next(item.functional for item in items if len(item.subgroup) == 4)
+    cz16 = function_algebra(cyclic(16))
+    return [(gd4, gd4.counit), (gd4, k4), (cz16, cz16.counit)]
+
+
+def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
+    """No product stack of the TRO checks holds more than dim² vecs (dim of
+    the algebra multiplied in), and each chunked stack reaches that bound.
+    The expectation residuals are run on their own, since the unchunked
+    (dim, dim) identity residuals of check_tro_expectation reach it anyway."""
+    largest = {}
+    multiply = MultiMatrixAlgebra.multiply
+
+    def recording(self, x, y):
+        out = multiply(self, x, y)
+        largest[self.dim] = max(largest.get(self.dim, 0), out.size // self.dim)
+        return out
+
+    monkeypatch.setattr(MultiMatrixAlgebra, "multiply", recording)
+    for G, omega in stack_cases:
+        lw = G.left_matrix(omega.covector)
+        X = image_subspace(lw, G.algebra)
+        for check in (
+            lambda: _expectation_residuals(G.algebra, lw, X.matrix.T),
+            lambda: check_tro_expectation(G, omega),
+            lambda: is_tro(X),
+            lambda: triple_product_identities(G, omega),
+        ):
+            largest.clear()
+            check()
+            assert largest == {G.dim: G.dim ** 2}
