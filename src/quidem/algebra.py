@@ -22,9 +22,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+# The tolerance policy: every default tolerance, every floor under a caller's
+# tolerance and every cutoff shared between modules is one of these four.
+CHECK_TOL = 1e-8    # identities checked through products and norms of images
+STATE_TOL = 1e-9    # states, dual-norm idempotency, positivity, the axioms
 # Relative singular-value cutoff used for supports, ranks and partial
 # isometries.  All catalogue examples have spectral gaps far above this.
 RANK_CUTOFF = 1e-10
+CP_FLOOR = 1e-9     # a CP map's least Choi eigenvalue is at least -CP_FLOOR
 
 
 def _as_complex(m) -> np.ndarray:
@@ -270,20 +275,20 @@ class AlgebraElement:
     def trace_norm(self) -> float:
         return float(sum(s.sum() for s in self.algebra.singular_values(self.vec)))
 
-    def is_hermitian(self, tol: float = 1e-9) -> bool:
+    def is_hermitian(self, tol: float = STATE_TOL) -> bool:
         return (self - self.adjoint()).operator_norm <= tol
 
-    def is_projection(self, tol: float = 1e-9) -> bool:
+    def is_projection(self, tol: float = STATE_TOL) -> bool:
         return self.is_hermitian(tol) and (self * self - self).operator_norm <= tol
 
-    def is_unitary(self, tol: float = 1e-9) -> bool:
+    def is_unitary(self, tol: float = STATE_TOL) -> bool:
         ident = self.algebra.identity()
         return (
             (self * self.adjoint() - ident).operator_norm <= tol
             and (self.adjoint() * self - ident).operator_norm <= tol
         )
 
-    def is_positive(self, tol: float = 1e-9) -> bool:
+    def is_positive(self, tol: float = STATE_TOL) -> bool:
         return self.is_hermitian(tol) and bool(self.algebra.min_eigenvalues(self.vec) >= -tol)
 
     def __repr__(self):
@@ -341,10 +346,10 @@ class Functional:
 
     __rmul__ = __mul__
 
-    def is_positive(self, tol: float = 1e-9) -> bool:
+    def is_positive(self, tol: float = STATE_TOL) -> bool:
         return self.density.is_positive(tol)
 
-    def is_state(self, tol: float = 1e-9) -> bool:
+    def is_state(self, tol: float = STATE_TOL) -> bool:
         return self.is_positive(tol) and abs(self.density.trace - 1.0) <= tol
 
     def conjugate(self) -> "Functional":
@@ -375,10 +380,10 @@ class PolarParts:
     abs_l: Functional
 
 
-def polar_decompose(omega: Functional, cutoff: float = RANK_CUTOFF) -> PolarParts:
+def polar_decompose(omega: Functional) -> PolarParts:
     """Per-block polar decomposition of the density, d = u·|d|, from one
-    blockwise SVD, keeping the singular values above cutoff times the largest
-    one across blocks.  Raises on the zero functional."""
+    blockwise SVD, keeping the singular values above RANK_CUTOFF times the
+    largest one across blocks.  Raises on the zero functional."""
     alg = omega.algebra
     factors = alg.svd(omega.density.vec)
     smax = max(s.max() for _, _, s, _ in factors)
@@ -386,8 +391,8 @@ def polar_decompose(omega: Functional, cutoff: float = RANK_CUTOFF) -> PolarPart
         raise ValueError("polar decomposition of the zero functional")
     u, p, q = (np.empty(alg.dim, dtype=np.complex128) for _ in range(3))
     for idx, w, s, vh in factors:
-        r = (s > cutoff * smax).sum(axis=-1).max()   # the largest rank in the size class
-        w, vh, kept = w[..., :r], vh[..., :r, :], np.where(s > cutoff * smax, s, 0.0)[..., None, :r]
+        r = (s > RANK_CUTOFF * smax).sum(axis=-1).max()   # the largest rank in the size class
+        w, vh, kept = w[..., :r], vh[..., :r, :], np.where(s > RANK_CUTOFF * smax, s, 0.0)[..., None, :r]
         u[idx] = ((w * (kept > 0)) @ vh).reshape(idx.shape)
         p[idx] = ((_adjoints(vh) * kept) @ vh).reshape(idx.shape)    # (d* d)^{1/2}
         q[idx] = ((w * kept) @ _adjoints(w)).reshape(idx.shape)      # (d d*)^{1/2}
@@ -398,22 +403,22 @@ def polar_decompose(omega: Functional, cutoff: float = RANK_CUTOFF) -> PolarPart
     )
 
 
-def _positive_spectrum(x: AlgebraElement, cutoff: float):
-    """Blockwise eigh of x and cutoff times its largest positive eigenvalue."""
+def _positive_spectrum(x: AlgebraElement):
+    """Blockwise eigh of x and RANK_CUTOFF times its largest positive eigenvalue."""
     factors = x.algebra.eigh(x.vec)
-    return factors, cutoff * max(0.0, max(w.max() for _, w, _ in factors))
+    return factors, RANK_CUTOFF * max(0.0, max(w.max() for _, w, _ in factors))
 
 
-def support_projection(x: AlgebraElement, cutoff: float = RANK_CUTOFF) -> AlgebraElement:
+def support_projection(x: AlgebraElement) -> AlgebraElement:
     """Support projection of a positive element (range projection per block)."""
-    factors, threshold = _positive_spectrum(x, cutoff)
+    factors, threshold = _positive_spectrum(x)
     out = np.empty(x.algebra.dim, dtype=np.complex128)
     for idx, w, v in factors:
         out[idx] = ((v * (w > threshold)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
     return x.algebra.from_vec(out)
 
 
-def null_space_basis(omega: Functional, cutoff: float = RANK_CUTOFF, tol: float = 1e-9) -> list[AlgebraElement]:
+def null_space_basis(omega: Functional, tol: float = STATE_TOL) -> list[AlgebraElement]:
     """Basis of N_ω = {a : ω(a*a) = 0} = A(1 − s), s the support of the density.
 
     Requires ω positive.  The basis elements are e_i w* with w running over an
@@ -422,7 +427,7 @@ def null_space_basis(omega: Functional, cutoff: float = RANK_CUTOFF, tol: float 
     if not omega.is_positive(tol):
         raise ValueError("null space is defined for positive functionals only")
     alg = omega.algebra
-    factors, threshold = _positive_spectrum(omega.density, cutoff)
+    factors, threshold = _positive_spectrum(omega.density)
     rows, starts = [], []
     for idx, w, v in factors:
         block, col = np.nonzero(w <= threshold)   # kernel vector v[block, :, col]
@@ -437,7 +442,7 @@ def null_space_basis(omega: Functional, cutoff: float = RANK_CUTOFF, tol: float 
     return [alg.from_vec(row) for row in np.concatenate(rows)[order]]
 
 
-def is_central(p: AlgebraElement, tol: float = 1e-9) -> bool:
+def is_central(p: AlgebraElement, tol: float = STATE_TOL) -> bool:
     """True iff the projection p is a sum of full block identities."""
     if not p.is_projection(tol):
         raise ValueError("is_central expects a projection")
@@ -500,16 +505,6 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> TensorSplit:
            + np.multiply.outer(ca, m) + cb).ravel()
     pos.flags.writeable = False
     return TensorSplit(left=a, right=b, algebra=prod, positions=pos)
-
-
-def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix of x ↦ a·x on vec coordinates (blockwise kron(a_k, I))."""
-    return a.algebra.multiply(a.vec, np.eye(a.algebra.dim)).T
-
-
-def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix of x ↦ x·a on vec coordinates (blockwise kron(I, a_kᵀ))."""
-    return a.algebra.multiply(np.eye(a.algebra.dim), a.vec).T
 
 
 def norm_attainer(omega: Functional) -> AlgebraElement:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .algebra import Functional, MultiMatrixAlgebra, tensor_algebra
+from .algebra import CHECK_TOL, Functional, MultiMatrixAlgebra, tensor_algebra
 from .groups import GroupTable, cyclic, dihedral, symmetric
 from .qgroup import (
     FiniteQuantumGroup,
@@ -20,6 +20,9 @@ from .qgroup import (
     solve_haar_state,
     verify_axioms,
 )
+
+_KP_SOLVE_TOL = 1e-10   # largest residual of the Kac-Paljutkin antipode and Haar solves
+_KP_AXIOM_TOL = 1e-12   # largest Kac-Paljutkin axiom defect
 
 
 def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
@@ -60,7 +63,7 @@ def _table_name(table: GroupTable) -> str:
     return f"order{table.order}"
 
 
-def kac_paljutkin(tol: float = 1e-12) -> FiniteQuantumGroup:
+def kac_paljutkin() -> FiniteQuantumGroup:
     """The 8-dimensional quantum group with blocks (1,1,1,1,2), neither
     commutative nor cocommutative.
 
@@ -78,7 +81,7 @@ def kac_paljutkin(tol: float = 1e-12) -> FiniteQuantumGroup:
     conjugations (which swap u_3 and u_4), and that asymmetry is exactly
     what makes the structure noncocommutative.  The antipode and Haar state
     are recovered from the axioms as linear systems, and the construction
-    is rejected unless every axiom holds to the requested tolerance."""
+    is rejected unless every axiom holds to _KP_AXIOM_TOL."""
     alg = MultiMatrixAlgebra((1, 1, 1, 1, 2))
     ts = tensor_algebra(alg, alg)
     eye = np.eye(alg.dim)   # eye[g] is the vec of d_g
@@ -109,8 +112,8 @@ def kac_paljutkin(tol: float = 1e-12) -> FiniteQuantumGroup:
                 for g in range(4)
             )
     counit = Functional.from_covector(alg, np.eye(alg.dim)[0])
-    antipode = solve_antipode(alg, comult, counit, tol=1e-10)
-    haar = solve_haar_state(alg, comult, tol=1e-10)
+    antipode = solve_antipode(alg, comult, counit, tol=_KP_SOLVE_TOL)
+    haar = solve_haar_state(alg, comult, tol=_KP_SOLVE_TOL)
     kp = FiniteQuantumGroup(
         algebra=alg,
         comult=comult,
@@ -120,7 +123,7 @@ def kac_paljutkin(tol: float = 1e-12) -> FiniteQuantumGroup:
         name="KacPaljutkin",
         kind="kp",
     )
-    report = verify_axioms(kp, tol)
+    report = verify_axioms(kp, _KP_AXIOM_TOL)
     if not report.passed:
         raise RuntimeError(f"Kac-Paljutkin construction fails axioms: {report.failures()}")
     return kp
@@ -211,7 +214,7 @@ def from_document(doc: dict, check_axioms: bool = True) -> FiniteQuantumGroup:
     )
     if check_axioms:
         try:
-            report = verify_axioms(G, 1e-8)
+            report = verify_axioms(G, CHECK_TOL)
         except np.linalg.LinAlgError as exc:
             raise QGSpecError(f"the axiom check cannot run on these structure data ({exc})") from exc
         if not report.passed:

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalogue
-from .algebra import Functional
-from .convolution import cesaro_limit, convolve, left_conv_operator
+from .algebra import CHECK_TOL, CP_FLOOR, STATE_TOL, Functional
+from .convolution import cesaro_limit, left_conv_operator
 from .groups import characters
 from .idempotents import (
+    _idempotency_defect,
     decompose,
     enumerate_function_algebra,
     enumerate_group_algebra,
@@ -29,6 +30,7 @@ from .qgroup import (
     verify_axioms,
 )
 from .tro import (
+    _linking_algebra,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
@@ -36,13 +38,9 @@ from .tro import (
     is_nondegenerate,
     is_right_invariant,
     is_tro,
-    linking_algebra,
     preserves_weight,
     recover_idempotent,
 )
-
-# least Choi eigenvalue a completely positive expectation may show
-CP_FLOOR = 1e-9
 
 
 @dataclass
@@ -209,19 +207,15 @@ def cmd_enumerate(G: FiniteQuantumGroup, args, report: Report):
         return
     report.info["count"] = len(items)
     for k, item in enumerate(items):
-        rep = decompose(G, item.functional, max(args.tol, 1e-8))
+        rep = decompose(G, item.functional, max(args.tol, CHECK_TOL))
         _add_contractive(report, G, item.functional, args, f"item[{k}] contractive idempotent",
                          note=f"{item.label} haar={rep.haar}")
-
-
-def _idempotency_defect(G, omega) -> float:
-    return (convolve(G, omega, omega) - omega).norm
 
 
 def _add_contractive(report: Report, G, omega, args, name="contractive idempotent", note=None) -> bool:
     """Row for ‖ω⋆ω − ω‖ ≤ tol and ‖ω‖ = 1, with the defect the larger of the
     two deviations and the tolerance is_contractive_idempotent ran at."""
-    tol = max(args.tol, 1e-9)
+    tol = max(args.tol, STATE_TOL)
     ok = is_contractive_idempotent(G, omega, tol)
     if note is None:
         note = "" if ok else f"not a contractive idempotent (norm {omega.norm:.6f})"
@@ -231,7 +225,7 @@ def _add_contractive(report: Report, G, omega, args, name="contractive idempoten
 
 
 def _decompose_into(G, omega, args, report: Report):
-    tol = max(args.tol, 1e-8)
+    tol = max(args.tol, CHECK_TOL)
     if not _add_contractive(report, G, omega, args):
         return None
     rep = decompose(G, omega, tol)
@@ -254,14 +248,14 @@ def _decompose_into(G, omega, args, report: Report):
 
 
 def tro_rep_checks(G, omega, args, report: Report):
-    tol = max(args.tol, 1e-8)
+    tol = max(args.tol, CHECK_TOL)
     tro_rep = check_tro_expectation(G, omega, tol)
     for name, value in tro_rep.identity_residuals.items():
         report.add(f"mixed product {name}", value <= tol, value, tol)
     for name, value in tro_rep.expectation_residuals.items():
         report.add(f"tro {name}", value <= tol, value, tol)
     report.add("image is TRO", tro_rep.image_is_tro, None, None)
-    link = linking_algebra(image_subspace(left_conv_operator(G, omega)), tol)
+    link = _linking_algebra(tro_rep.image, tro_rep.image_is_tro)
     _expectation_rows(G, omega, link, tol, report)
 
 
@@ -284,27 +278,18 @@ def cmd_decompose(G: FiniteQuantumGroup, args, report: Report):
 
 def cmd_explore(G: FiniteQuantumGroup, args, report: Report):
     seed_fn = _parse_functional(G, args.functional)
-    if seed_fn.norm > 1 + 1e-9:
-        report.add(
-            "seed contractive",
-            False,
-            seed_fn.norm - 1.0,
-            1e-9,
-            note="seed functional must have norm at most 1",
-        )
+    if seed_fn.norm > 1 + STATE_TOL:
+        report.add("seed contractive", False, seed_fn.norm - 1.0, STATE_TOL,
+                   note="seed functional must have norm at most 1")
         return
-    report.add("seed contractive", True, max(0.0, seed_fn.norm - 1.0), 1e-9)
-    result = cesaro_limit(G, seed_fn, tol=max(args.tol, 1e-8), max_iter=args.max_iter)
-    report.add(
-        "averaged convolution powers converged",
-        result.converged,
-        result.idempotency_defect,
-        max(args.tol, 1e-8),
-        note=f"{result.iterations} convolution ops, checkpoint N={result.checkpoint}",
-    )
+    report.add("seed contractive", True, max(0.0, seed_fn.norm - 1.0), STATE_TOL)
+    tol = max(args.tol, CHECK_TOL)
+    result = cesaro_limit(G, seed_fn, tol=tol, max_iter=args.max_iter)
+    report.add("averaged convolution powers converged", result.converged, result.idempotency_defect, tol,
+               note=f"{result.iterations} convolution ops, checkpoint N={result.checkpoint}")
     if not result.converged:
         return
-    if result.limit.norm <= 1e-8:
+    if result.limit.norm <= CHECK_TOL:
         report.info["limit"] = "zero functional (no nonzero idempotent along this seed)"
         return
     _decompose_into(G, result.limit, args, report)
@@ -312,15 +297,16 @@ def cmd_explore(G: FiniteQuantumGroup, args, report: Report):
 
 def cmd_tro(G: FiniteQuantumGroup, args, report: Report):
     omega = _parse_functional(G, args.functional)
-    tol = max(args.tol, 1e-8)
+    tol = max(args.tol, CHECK_TOL)
     if not _add_contractive(report, G, omega, args):
         return
     X = image_subspace(left_conv_operator(G, omega))
     report.info["image_dim"] = X.dim
-    report.add("image is TRO", is_tro(X, tol), None, None)
+    image_is_tro = is_tro(X, tol)
+    report.add("image is TRO", image_is_tro, None, None)
     report.add("image nondegenerate", is_nondegenerate(X, tol), None, None)
     report.add("image right invariant", is_right_invariant(G, X, tol), None, None)
-    link = linking_algebra(X, tol)
+    link = _linking_algebra(X, image_is_tro)
     report.info["linking_dims"] = list(link.corner_dims())
     report.add("linking corners right invariant",
                is_right_invariant(G, link.left, tol) and is_right_invariant(G, link.right, tol),
@@ -359,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--group", required=True, help="builtin:NAME or file:PATH; builtins: "
                        "czn:N, cstar:zn:N, cstar:dn:N, cfun:sn:N, cstar:sn:N, kp")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=STATE_TOL)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
         p.add_argument("--json", action="store_true", dest="as_json")

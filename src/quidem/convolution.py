@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Functional
+from .algebra import CHECK_TOL, RANK_CUTOFF, STATE_TOL, Functional
 from .qgroup import FiniteQuantumGroup
 
 
@@ -52,13 +52,13 @@ def recover_functional(T: ConvolutionOperator) -> Functional:
     return Functional.from_covector(T.group.algebra, cov)
 
 
-def commutes_with_right_convolutions(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = 1e-9) -> bool:
+def commutes_with_right_convolutions(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = STATE_TOL) -> bool:
     """Check T R_ν = R_ν T for ν running over the dual basis (hence all ν)."""
     r = np.swapaxes(G.d3, 0, 1)            # r[j] = R_{e_j*} = d3[:, j, :]
     return not (np.linalg.norm(matrix @ r - r @ matrix, 2, axis=(-2, -1)) > tol).any()
 
 
-def intertwines_comultiplication(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = 1e-9) -> bool:
+def intertwines_comultiplication(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = STATE_TOL) -> bool:
     """Check (T ⊗ id)Δ = Δ T as matrices into A⊗A."""
     dim = G.dim
     pos = G.pos_matrix
@@ -99,7 +99,7 @@ _MAX_DOUBLINGS = 20
 def cesaro_limit(
     G: FiniteQuantumGroup,
     mu: Functional,
-    tol: float = 1e-8,
+    tol: float = CHECK_TOL,
     max_iter: int = 100_000,
 ) -> CesaroResult:
     """Limit of the averages ω_N = (1/N) Σ_{n=1..N} μ^⋆n for ‖μ‖ ≤ 1.
@@ -114,58 +114,52 @@ def cesaro_limit(
     conditions are then verified on it directly.  The returned ω also
     satisfies μ⋆ω = ω⋆μ = ω within tol.
     """
-    if mu.norm > 1 + 1e-9:
+    if mu.norm > 1 + STATE_TOL:
         raise ValueError(f"cesaro_limit requires a contractive seed, got norm {mu.norm:.6f}")
     d3 = G.d3
     cov_mu = mu.covector
     power = cov_mu.copy()          # μ^⋆N
     total = cov_mu.copy()          # Σ_{n≤N} μ^⋆n
-    checkpoint = 1
-    ops = 0
+    checkpoint, ops, increment = 1, 0, 0.0
+
+    def conv(c1, c2):
+        return np.einsum("i,j,ijc->c", c1, c2, d3)
+
+    def norm(cov):
+        return Functional.from_covector(G.algebra, cov).norm
 
     def status(cov_avg):
-        avg_sq = np.einsum("i,j,ijc->c", cov_avg, cov_avg, d3)
-        return Functional.from_covector(G.algebra, avg_sq - cov_avg).norm
+        return norm(conv(cov_avg, cov_avg) - cov_avg)
+
+    def result(limit_cov=None):
+        """The outcome so far; converged exactly when a limit is given."""
+        return CesaroResult(
+            limit=None if limit_cov is None else Functional.from_covector(G.algebra, limit_cov),
+            converged=limit_cov is not None, iterations=ops, checkpoint=checkpoint,
+            idempotency_defect=defect, increment=float(increment),
+        )
 
     prev_avg = total / checkpoint
     defect = status(prev_avg)
     ops += 1
     if defect <= tol:
-        return CesaroResult(
-            limit=Functional.from_covector(G.algebra, prev_avg),
-            converged=True,
-            iterations=ops,
-            checkpoint=checkpoint,
-            idempotency_defect=defect,
-            increment=0.0,
-        )
+        return result(prev_avg)
     increment = np.inf
     for _ in range(_MAX_DOUBLINGS):
         if ops + 3 > max_iter:
-            return CesaroResult(
-                limit=None, converged=False, iterations=ops,
-                checkpoint=checkpoint, idempotency_defect=defect,
-                increment=float(increment),
-            )
-        shifted = np.einsum("i,j,ijc->c", power, total, d3)
-        power = np.einsum("i,j,ijc->c", power, power, d3)
+            return result()
+        shifted = conv(power, total)
+        power = conv(power, power)
         total = total + shifted
         checkpoint *= 2
         ops += 2
         avg = total / checkpoint
-        increment = Functional.from_covector(G.algebra, avg - prev_avg).norm
+        increment = norm(avg - prev_avg)
         defect = status(avg)
         ops += 1
         prev_avg = avg
         if increment <= tol and defect <= tol:
-            return CesaroResult(
-                limit=Functional.from_covector(G.algebra, avg),
-                converged=True,
-                iterations=ops,
-                checkpoint=checkpoint,
-                idempotency_defect=defect,
-                increment=increment,
-            )
+            return result(avg)
     # mean-ergodic finish: decompose μ = x + (T−1)y with T x = x and return x
     import logging   # on first use: at start-up it slows every CLI run by 5-15 ms
 
@@ -176,40 +170,18 @@ def cesaro_limit(
     t_mat = np.einsum("i,ijc->cj", cov_mu, d3)
     a = t_mat - np.eye(G.dim)
     u, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0])))
     kernel = vh[rank:].conj().T
     column_space = u[:, :rank]
     basis = np.hstack([kernel, column_space])
     try:
         coeff = np.linalg.solve(basis, cov_mu)
     except np.linalg.LinAlgError:
-        return CesaroResult(
-            limit=None, converged=False, iterations=ops,
-            checkpoint=checkpoint, idempotency_defect=defect,
-            increment=float(increment),
-        )
+        return result()
     limit_cov = kernel @ coeff[: kernel.shape[1]]
     ops += 3
-    limit = Functional.from_covector(G.algebra, limit_cov)
     defect = status(limit_cov)
-    absorb_left = Functional.from_covector(
-        G.algebra, np.einsum("i,j,ijc->c", cov_mu, limit_cov, d3) - limit_cov
-    ).norm
-    absorb_right = Functional.from_covector(
-        G.algebra, np.einsum("i,j,ijc->c", limit_cov, cov_mu, d3) - limit_cov
-    ).norm
-    increment = Functional.from_covector(G.algebra, prev_avg - limit_cov).norm
-    if max(defect, absorb_left, absorb_right) > tol:
-        return CesaroResult(
-            limit=None, converged=False, iterations=ops,
-            checkpoint=checkpoint, idempotency_defect=defect,
-            increment=float(increment),
-        )
-    return CesaroResult(
-        limit=limit,
-        converged=True,
-        iterations=ops,
-        checkpoint=checkpoint,
-        idempotency_defect=defect,
-        increment=float(increment),
-    )
+    absorb_left = norm(conv(cov_mu, limit_cov) - limit_cov)
+    absorb_right = norm(conv(limit_cov, cov_mu) - limit_cov)
+    increment = norm(prev_avg - limit_cov)
+    return result() if max(defect, absorb_left, absorb_right) > tol else result(limit_cov)

@@ -10,6 +10,9 @@ from functools import cached_property
 
 import numpy as np
 
+_SPLIT_GAP = 1e-8   # least relative gap between the eigenvalues that split C[G]
+_SNAP_TOL = 1e-12   # largest multiplicativity defect of a snapped character
+
 
 @dataclass(frozen=True)
 class GroupTable:
@@ -225,7 +228,7 @@ def abelian_characters(table: GroupTable, seed: int = 5) -> list[np.ndarray]:
         skew = rng.standard_normal(n)
         h = sum(c * (p + p.T) + 1j * s * (p - p.T) for c, s, p in zip(coeff, skew, perms))
         w, v = np.linalg.eigh(h)
-        if np.min(np.diff(w)) > 1e-8 * max(1.0, abs(w).max()):
+        if np.min(np.diff(w)) > _SPLIT_GAP * max(1.0, abs(w).max()):
             break
     else:
         raise RuntimeError("failed to split the regular representation of an abelian group")
@@ -244,7 +247,7 @@ def abelian_characters(table: GroupTable, seed: int = 5) -> list[np.ndarray]:
     for c in chars:
         for g in range(n):
             for h in range(n):
-                if abs(c[table.op(g, h)] - c[g] * c[h]) > 1e-12:
+                if abs(c[table.op(g, h)] - c[g] * c[h]) > _SNAP_TOL:
                     raise RuntimeError("snapped character is not multiplicative")
     chars.sort(key=lambda c: tuple(zip(np.round(c.real, 9), np.round(c.imag, 9))))
     return chars

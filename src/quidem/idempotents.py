@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    CHECK_TOL,
+    STATE_TOL,
     AlgebraElement,
     Functional,
     PolarParts,
@@ -23,15 +25,22 @@ from .convolution import convolve
 from .groups import characters
 from .qgroup import FiniteQuantumGroup, QuantumSubgroup, is_group_like, quotient_by_support
 
+_FMT_ZERO = 1e-12   # imaginary parts below this print as real numbers
 
-def is_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = 1e-9) -> bool:
+
+def is_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = STATE_TOL) -> bool:
     """Nonzero and ω⋆ω = ω within tol (in the dual norm)."""
     if omega.norm <= tol:
         return False
-    return (convolve(G, omega, omega) - omega).norm <= tol
+    return _idempotency_defect(G, omega) <= tol
 
 
-def is_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = 1e-9) -> bool:
+def _idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
+    """‖ω⋆ω − ω‖ in the dual norm."""
+    return (convolve(G, omega, omega) - omega).norm
+
+
+def is_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = STATE_TOL) -> bool:
     """Idempotent with ‖ω‖ ≤ 1 + tol; such a functional must have norm one."""
     if not is_idempotent(G, omega, tol):
         return False
@@ -44,19 +53,32 @@ def is_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: flo
     return True
 
 
+def _require_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float, what: str):
+    """Raise ValueError(what), with ω's idempotency defect and norm, unless ω
+    is a contractive idempotent at tol floored at STATE_TOL."""
+    if not is_contractive_idempotent(G, omega, max(tol, STATE_TOL)):
+        raise ValueError(
+            f"{what} (idempotency defect {_idempotency_defect(G, omega):.3e}, norm {omega.norm:.6f})"
+        )
+
+
 def group_like_defect(G: FiniteQuantumGroup, sigma: Functional, u: AlgebraElement) -> float:
     """(σ⊗σ)((Δu − u⊗u)*(Δu − u⊗u)), the seminorm-squared defect of u being
     group-like relative to σ."""
     d = G.apply_comult(u) - G.ts.element(u, u)
-    ss = G.ts.functional(sigma, sigma)
-    return max(0.0, float(ss(d.adjoint() * d).real))
+    return _seminorm_sq(G, sigma, d.adjoint() * d)
+
+
+def _seminorm_sq(G: FiniteQuantumGroup, sigma: Functional, x: AlgebraElement) -> float:
+    """(σ⊗σ)(x) for a positive x in A⊗A, clamped at zero against roundoff."""
+    return max(0.0, float(G.ts.functional(sigma, sigma)(x).real))
 
 
 def construct(
     G: FiniteQuantumGroup,
     sigma: Functional,
     u: AlgebraElement,
-    tol: float = 1e-8,
+    tol: float = CHECK_TOL,
 ) -> tuple[Functional, Functional, Functional]:
     """From an idempotent state σ and a contraction u whose group-like defect
     vanishes in the σ⊗σ seminorm, produce (u.σ, σ.u*, u.σ.u*).
@@ -64,7 +86,8 @@ def construct(
     σ(u*u) is forced to be 0 or 1; the zero branch returns zero functionals,
     the unit branch returns two contractive idempotents and an idempotent
     state."""
-    if not is_idempotent(G, sigma, max(tol, 1e-9)) or not sigma.is_state(max(tol, 1e-9)):
+    state_tol = max(tol, STATE_TOL)
+    if not is_idempotent(G, sigma, state_tol) or not sigma.is_state(state_tol):
         raise ValueError("construct requires an idempotent state")
     if u.operator_norm > 1 + tol:
         raise ValueError(f"construct requires a contraction, got norm {u.operator_norm:.6f}")
@@ -81,18 +104,19 @@ def construct(
     right = act_right(sigma, u.adjoint())
     both = act_left(u, right)
     for f, what in ((left, "u.σ"), (right, "σ.u*")):
-        if not is_contractive_idempotent(G, f, max(tol, 1e-9)):
+        if not is_contractive_idempotent(G, f, state_tol):
             raise RuntimeError(f"{what} failed to be a contractive idempotent")
-    if not (is_idempotent(G, both, max(tol, 1e-9)) and both.is_state(max(tol, 1e-8))):
+    if not (is_idempotent(G, both, state_tol) and both.is_state(max(tol, CHECK_TOL))):
         raise RuntimeError("u.σ.u* failed to be an idempotent state")
     return left, right, both
 
 
-def is_haar_idempotent(G: FiniteQuantumGroup, sigma: Functional, tol: float = 1e-8) -> bool:
+def is_haar_idempotent(G: FiniteQuantumGroup, sigma: Functional, tol: float = CHECK_TOL) -> bool:
     """An idempotent state comes from the Haar state of a quantum subgroup
     exactly when its null space is a two-sided ideal, i.e. when the support
     projection of its density is central."""
-    if not (is_idempotent(G, sigma, max(tol, 1e-9)) and sigma.is_state(max(tol, 1e-9))):
+    state_tol = max(tol, STATE_TOL)
+    if not (is_idempotent(G, sigma, state_tol) and sigma.is_state(state_tol)):
         raise ValueError("is_haar_idempotent expects an idempotent state")
     return is_central(support_projection(sigma.density), tol)
 
@@ -114,30 +138,27 @@ class ContractiveIdempotentReport:
     character: AlgebraElement | None = None
 
 
-def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = 1e-8) -> ContractiveIdempotentReport:
+def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> ContractiveIdempotentReport:
     """Polar-decompose a contractive idempotent: both absolute values are
     idempotent states, the partial isometry v reconstructs ω from either
     side, and Δ(v) − v⊗v vanishes in the induced seminorms.  When the
     absolute value is a Haar idempotent, the associated quantum subgroup and
     group-like character are extracted."""
-    if not is_contractive_idempotent(G, omega, max(tol, 1e-9)):
-        defect = (convolve(G, omega, omega) - omega).norm
-        raise ValueError(
-            f"not a contractive idempotent (idempotency defect {defect:.3e}, norm {omega.norm:.6f})"
-        )
+    _require_contractive_idempotent(G, omega, tol, "not a contractive idempotent")
+    state_tol = max(tol, STATE_TOL)
     parts = polar_decompose(omega)
     abs_r, abs_l = parts.abs_r, parts.abs_l
     for sigma, side in ((abs_r, "right"), (abs_l, "left")):
-        if not is_idempotent(G, sigma, max(tol, 1e-9)):
+        if not is_idempotent(G, sigma, state_tol):
             raise RuntimeError(f"{side} absolute value is not idempotent")
-        if not sigma.is_state(max(tol, 1e-9)):
+        if not sigma.is_state(state_tol):
             raise RuntimeError(f"{side} absolute value is not a state")
     v = parts.u
+    # group_like_defect's seminorm on both sides, from one d = Δv − v⊗v: the
+    # right row takes d*d, the left row d d*
     d = G.apply_comult(v) - G.ts.element(v, v)
-    ss_r = G.ts.functional(abs_r, abs_r)
-    ss_l = G.ts.functional(abs_l, abs_l)
-    defect_r = float(np.sqrt(max(0.0, ss_r(d.adjoint() * d).real)))
-    defect_l = float(np.sqrt(max(0.0, ss_l(d * d.adjoint()).real)))
+    defect_r = float(np.sqrt(_seminorm_sq(G, abs_r, d.adjoint() * d)))
+    defect_l = float(np.sqrt(_seminorm_sq(G, abs_l, d * d.adjoint())))
     roundtrip_r = (act_left(v, abs_r) - omega).norm
     roundtrip_l = (act_right(abs_l, v) - omega).norm
     if max(defect_r, defect_l, roundtrip_r, roundtrip_l) > tol:
@@ -167,13 +188,12 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = 1e-8) -> Co
 
 
 def extract_subgroup_character(
-    G: FiniteQuantumGroup, omega: Functional, tol: float = 1e-8
+    G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL
 ) -> tuple[QuantumSubgroup, AlgebraElement]:
     """For a contractive idempotent whose right absolute value is a Haar
     idempotent: the quantum subgroup carried by its support together with the
     group-like unitary u = π(v), satisfying ω = h_H(π(·)u) and abs_r = abs_l."""
-    if not is_contractive_idempotent(G, omega, max(tol, 1e-9)):
-        raise ValueError("extract_subgroup_character expects a contractive idempotent")
+    _require_contractive_idempotent(G, omega, tol, "extract_subgroup_character expects a contractive idempotent")
     parts = polar_decompose(omega)
     if not is_haar_idempotent(G, parts.abs_r, tol):
         raise ValueError("absolute value is not a Haar idempotent")
@@ -208,7 +228,7 @@ def _character_defect(omega: Functional, sub: QuantumSubgroup, u: AlgebraElement
 
 
 def check_absolute_value_factorization(
-    G: FiniteQuantumGroup, omega1: Functional, omega2: Functional, tol: float = 1e-8
+    G: FiniteQuantumGroup, omega1: Functional, omega2: Functional, tol: float = CHECK_TOL
 ) -> bool | None:
     """When ‖ω₁⋆ω₂‖ = ‖ω₁‖‖ω₂‖, the right absolute value factors:
     |ω₁⋆ω₂|_r = |ω₁|_r ⋆ |ω₂|_r.  Returns None when the norm hypothesis
@@ -301,6 +321,6 @@ def enumerate_group_algebra(G: FiniteQuantumGroup) -> list[CosetItem]:
 
 def _fmt_complex(z: complex) -> str:
     z = complex(z)
-    if abs(z.imag) < 1e-12:
+    if abs(z.imag) < _FMT_ZERO:
         return f"{z.real:+.3g}"
     return f"{z.real:+.3g}{z.imag:+.3g}i"

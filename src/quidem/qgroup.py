@@ -15,6 +15,8 @@ import numpy as np
 
 from . import wedderburn
 from .algebra import (
+    CHECK_TOL,
+    STATE_TOL,
     AlgebraElement,
     Functional,
     MultiMatrixAlgebra,
@@ -22,6 +24,10 @@ from .algebra import (
     tensor_algebra,
 )
 from .groups import GroupTable
+
+_RANK_RTOL = 1e-8          # relative cutoff of the rank tests on structure equations
+_FAITHFUL_CUTOFF = 1e-12   # least relative eigenvalue of a faithful dual Haar trace
+_STAR_TOL = 1e-7           # largest ‖L(f♯) − L(f)†‖ of the dual regular representation
 
 
 @dataclass(eq=False)
@@ -99,9 +105,6 @@ class FiniteQuantumGroup:
     def apply_comult(self, x: AlgebraElement) -> AlgebraElement:
         return self.ts.algebra.from_vec(self.comult @ x.vec)
 
-    def apply_antipode(self, x: AlgebraElement) -> AlgebraElement:
-        return self.algebra.from_vec(self.antipode @ x.vec)
-
     def convolve_cov(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijc->c", c1, c2, self.d3)
 
@@ -154,11 +157,11 @@ class AxiomReport:
         return f"AxiomReport(max={self.max_defect:.3e}, tol={self.tol:g}, {status})"
 
 
-def _numerical_rank(mat: np.ndarray, rtol: float = 1e-8) -> int:
+def _numerical_rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > _RANK_RTOL * s[0]))
 
 
 def _mult_tensor(algebra: MultiMatrixAlgebra) -> np.ndarray:
@@ -180,7 +183,7 @@ AXIOM_ROWS = (
 HAAR_ROWS = AXIOM_ROWS[10:14]
 
 
-def verify_axioms(G: FiniteQuantumGroup, tol: float = 1e-9) -> AxiomReport:
+def verify_axioms(G: FiniteQuantumGroup, tol: float = STATE_TOL) -> AxiomReport:
     """Compute defect norms for every quantum-group axiom.
 
     Every defect is an operator norm (or a rank deficit, for the cancellation
@@ -281,7 +284,7 @@ def cocommutativity_defect(G: FiniteQuantumGroup) -> float:
 
 
 def solve_haar_state(
-    algebra: MultiMatrixAlgebra, comult: np.ndarray, tol: float = 1e-9
+    algebra: MultiMatrixAlgebra, comult: np.ndarray, tol: float = STATE_TOL
 ) -> Functional:
     """The unique bi-invariant state, found by solving the invariance
     equations (ω⊗id)Δ = ω(·)1 = (id⊗ω)Δ with ω(1) = 1 as a linear system."""
@@ -305,7 +308,7 @@ def _solve_invariant(homogeneous: np.ndarray, normal: np.ndarray, tol: float, wh
     homogeneous system must have a one-dimensional kernel (SVD rank test),
     then the normalized system is solved by least squares."""
     svals = np.linalg.svd(homogeneous, compute_uv=False)
-    if np.sum(svals > 1e-8 * max(1.0, svals[0])) != homogeneous.shape[1] - 1:
+    if np.sum(svals > _RANK_RTOL * max(1.0, svals[0])) != homogeneous.shape[1] - 1:
         raise ValueError(f"{what} is not unique; not a quantum group structure")
     a = np.vstack([homogeneous, normal[np.newaxis, :]])
     b = np.zeros(a.shape[0], dtype=np.complex128)
@@ -321,7 +324,7 @@ def solve_antipode(
     algebra: MultiMatrixAlgebra,
     comult: np.ndarray,
     counit: Functional,
-    tol: float = 1e-9,
+    tol: float = STATE_TOL,
 ) -> np.ndarray:
     """The antipode as the convolution inverse of the identity map: the
     unique S with m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ, solved as a linear system."""
@@ -341,7 +344,7 @@ def solve_antipode(
     return flat.reshape(dim, dim)
 
 
-def _solve_dual_haar(G: FiniteQuantumGroup, tol: float = 1e-9) -> np.ndarray:
+def _solve_dual_haar(G: FiniteQuantumGroup) -> np.ndarray:
     """Vector eta with dual-Haar(f) = covector(f)·eta, from the invariance
     equations of the dual comultiplication f ↦ f∘m."""
     dim = G.dim
@@ -354,7 +357,7 @@ def _solve_dual_haar(G: FiniteQuantumGroup, tol: float = 1e-9) -> np.ndarray:
     rows_l = np.transpose(ms, (0, 2, 1)).reshape(dim * dim, dim) - np.einsum(
         "j,ik->ijk", ce, eye
     ).reshape(dim * dim, dim)
-    return _solve_invariant(np.vstack([rows_r, rows_l]), ce, tol, "dual Haar state")
+    return _solve_invariant(np.vstack([rows_r, rows_l]), ce, STATE_TOL, "dual Haar state")
 
 
 def _dual_regular_split(G: FiniteQuantumGroup, seed: int = 11):
@@ -369,14 +372,14 @@ def _dual_regular_split(G: FiniteQuantumGroup, seed: int = 11):
     gram = np.einsum("ijc,c->ij", conv_after_sharp, eta)
     gram = (gram + gram.conj().T) / 2
     evals, evecs = np.linalg.eigh(gram)
-    if evals.min() <= 1e-12 * max(1.0, evals.max()):
+    if evals.min() <= _FAITHFUL_CUTOFF * max(1.0, evals.max()):
         raise ValueError("dual Haar trace is not faithful; cannot split the dual")
     w_half = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
     w_half_inv = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T
     lt = [w_half @ d3[b].T @ w_half_inv for b in range(dim)]
     rt = [w_half @ d3[:, b, :].T @ w_half_inv for b in range(dim)]
     star_res = _star_residual(msharp, lt)
-    if star_res > 1e-7:
+    if star_res > _STAR_TOL:
         raise ValueError(f"dual regular representation is not a *-rep (residual {star_res:.2e})")
     rng = np.random.default_rng(seed)
     split = wedderburn.decompose(lt, rt, rng)
@@ -392,7 +395,7 @@ def _star_residual(msharp: np.ndarray, lt: list[np.ndarray]) -> float:
 
 
 def dual_pair(
-    G: FiniteQuantumGroup, seed: int = 11, tol: float = 1e-9
+    G: FiniteQuantumGroup, seed: int = 11, tol: float = STATE_TOL
 ) -> tuple[FiniteQuantumGroup, np.ndarray]:
     """The dual quantum group plus the transform phi whose column b is the
     vec, in the dual algebra, of the image of the b-th dual basis functional."""
@@ -428,7 +431,7 @@ def dual_pair(
     return dual_group, phi
 
 
-def dual(G: FiniteQuantumGroup, seed: int = 11, tol: float = 1e-9) -> FiniteQuantumGroup:
+def dual(G: FiniteQuantumGroup, seed: int = 11, tol: float = STATE_TOL) -> FiniteQuantumGroup:
     """The dual quantum group on A*: product = convolution, coproduct dual to
     multiplication, counit = evaluation at 1, antipode = transpose of S.
 
@@ -437,7 +440,7 @@ def dual(G: FiniteQuantumGroup, seed: int = 11, tol: float = 1e-9) -> FiniteQuan
     return dual_pair(G, seed=seed, tol=tol)[0]
 
 
-def group_like_unitaries(G: FiniteQuantumGroup, seed: int = 11, tol: float = 1e-8) -> list[AlgebraElement]:
+def group_like_unitaries(G: FiniteQuantumGroup, seed: int = 11, tol: float = CHECK_TOL) -> list[AlgebraElement]:
     """All group-like unitaries of G, i.e. the *-characters of the dual
     convolution algebra (its one-dimensional blocks)."""
     _, lt, split = _dual_regular_split(G, seed)
@@ -454,7 +457,7 @@ def group_like_unitaries(G: FiniteQuantumGroup, seed: int = 11, tol: float = 1e-
     return out
 
 
-def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = 1e-8) -> bool:
+def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = CHECK_TOL) -> bool:
     """True iff u is unitary and Δ(u) = u ⊗ u within tol."""
     return u.is_unitary(tol) and (G.apply_comult(u) - G.ts.element(u, u)).operator_norm <= tol
 
@@ -534,7 +537,7 @@ def quotient_by_support(
     G: FiniteQuantumGroup,
     s: AlgebraElement,
     haar_state: Functional | None = None,
-    tol: float = 1e-9,
+    tol: float = STATE_TOL,
 ) -> QuantumSubgroup:
     """Compact quantum subgroup carried by the corner sA of a central
     projection s (the support of a Haar idempotent state).
@@ -570,7 +573,7 @@ def quotient_by_support(
         name=f"{G.name}/corner" if G.name else "corner",
         kind="corner",
     )
-    check_tol = max(tol, 1e-8)
+    check_tol = max(tol, CHECK_TOL)
     if corner.well_defined > check_tol:
         raise ValueError(
             f"induced comultiplication is not well defined (defect {corner.well_defined:.2e}); "

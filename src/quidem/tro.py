@@ -10,6 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    CHECK_TOL,
+    CP_FLOOR,
+    RANK_CUTOFF,
+    STATE_TOL,
     AlgebraElement,
     Functional,
     MultiMatrixAlgebra,
@@ -18,10 +22,11 @@ from .algebra import (
     tensor_algebra,
 )
 from .convolution import ConvolutionOperator, commutes_with_right_convolutions
-from .idempotents import is_contractive_idempotent
+from .idempotents import _require_contractive_idempotent, is_contractive_idempotent
 from .qgroup import FiniteQuantumGroup, _numerical_rank
 
 _M2 = MultiMatrixAlgebra((2,))
+_COUPLING_TOL = 1e-10   # largest cross-entry coefficient of a Schur map
 
 
 @dataclass(eq=False)
@@ -33,14 +38,15 @@ class OperatorSubspace:
     matrix: np.ndarray            # (dim, k), orthonormal columns
 
     @classmethod
-    def from_spanning(cls, algebra: MultiMatrixAlgebra, vectors, cutoff: float = 1e-10) -> "OperatorSubspace":
+    def from_spanning(cls, algebra: MultiMatrixAlgebra, vectors) -> "OperatorSubspace":
         """Orthonormal basis of the span of vecs given as a sequence or as the
-        rows of a stack."""
+        rows of a stack, keeping singular values above RANK_CUTOFF times the
+        largest."""
         stack = np.asarray(vectors, dtype=np.complex128).reshape(-1, algebra.dim).T
         u, s, _ = np.linalg.svd(stack, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
             return cls(algebra, np.zeros((algebra.dim, 0), dtype=np.complex128))
-        keep = int(np.sum(s > cutoff * s[0]))
+        keep = int(np.sum(s > RANK_CUTOFF * s[0]))
         return cls(algebra, u[:, :keep])
 
     @property
@@ -55,13 +61,13 @@ class OperatorSubspace:
         """Hilbert-Schmidt distance from x to its trace-orthogonal projection."""
         return _worst_residual(self, x.vec)
 
-    def contains(self, x: AlgebraElement, tol: float = 1e-8) -> bool:
+    def contains(self, x: AlgebraElement, tol: float = CHECK_TOL) -> bool:
         return self.residual(x) <= tol
 
     def projector(self) -> np.ndarray:
         return self.matrix @ self.matrix.conj().T
 
-    def equals(self, other: "OperatorSubspace", tol: float = 1e-8) -> bool:
+    def equals(self, other: "OperatorSubspace", tol: float = CHECK_TOL) -> bool:
         return float(np.linalg.norm(self.projector() - other.projector(), 2)) <= tol
 
     def adjoint_space(self) -> "OperatorSubspace":
@@ -100,7 +106,7 @@ def image_subspace(T: ConvolutionOperator | np.ndarray, algebra: MultiMatrixAlge
     return OperatorSubspace.from_spanning(algebra, matrix.T)
 
 
-def is_tro(X: OperatorSubspace, tol: float = 1e-8) -> bool:
+def is_tro(X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
     """Closure under the triple product x y* z on all basis triples, stacked
     over (x, y, z) in chunks of x."""
     A, basis = X.algebra, X.matrix.T
@@ -111,8 +117,9 @@ def is_tro(X: OperatorSubspace, tol: float = 1e-8) -> bool:
     )
 
 
-def is_nondegenerate(X: OperatorSubspace, tol: float = 1e-8) -> bool:
-    """span(X·A) = A and span(A·X) = A (rank tests)."""
+def is_nondegenerate(X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
+    """span(X·A) = A and span(A·X) = A.  Both are rank tests at the relative
+    cutoff of qgroup._numerical_rank (_RANK_RTOL); tol is unused."""
     A = X.algebra
     basis, units = X.matrix.T[:, None, :], np.eye(A.dim)[None, :, :]
     return (
@@ -121,7 +128,7 @@ def is_nondegenerate(X: OperatorSubspace, tol: float = 1e-8) -> bool:
     )
 
 
-def is_right_invariant(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 1e-8) -> bool:
+def is_right_invariant(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
     """R_ν(X) ⊆ X for ν over the dual basis, hence for every functional."""
     return _worst_residual(X, np.einsum("ijc,cx->jxi", G.d3, X.matrix)) <= tol
 
@@ -135,18 +142,13 @@ class LinkingAlgebra:
     right: OperatorSubspace
     ambient: TensorSplit
 
-    def embed(self, i: int, j: int, x: AlgebraElement) -> np.ndarray:
-        """Vec in M₂(A) of the matrix with x at entry (i, j) and zeros elsewhere."""
-        return self._embed(i, j, x.vec)
-
     def _embed(self, i: int, j: int, vecs: np.ndarray) -> np.ndarray:
+        """Vecs in M₂(A) of the matrices with the given vecs at entry (i, j)
+        and zeros elsewhere."""
         dim = self.tro.algebra.dim
         out = np.zeros(vecs.shape[:-1] + (self.ambient.algebra.dim,), dtype=np.complex128)
         out[..., self.ambient.positions[(2 * i + j) * dim + np.arange(dim)]] = vecs
         return out
-
-    def embedded_basis(self) -> list[np.ndarray]:
-        return list(self._embedded_rows())
 
     def _embedded_rows(self) -> np.ndarray:
         """Rows: the corner bases embedded in M₂(A), ⟨XX*⟩ at (0,0), X at
@@ -162,28 +164,28 @@ class LinkingAlgebra:
     def corner_dims(self) -> tuple[int, int, int]:
         return self.left.dim, self.tro.dim, self.right.dim
 
-    def multiplicative_defect(self, tol_rank: float = 1e-10) -> float:
+    def multiplicative_defect(self) -> float:
         """Largest residual of a product (or adjoint) of embedded basis
         elements against the span of the embedded basis (closure of the 2×2
         array under multiplication and adjoint)."""
         amb, basis = self.ambient.algebra, self._embedded_rows()
-        span = OperatorSubspace.from_spanning(amb, basis, tol_rank)
+        span = OperatorSubspace.from_spanning(amb, basis)
         worst = _worst_residual(span, amb.adjoint(basis))
         for u in basis:  # batched over the right factor
             worst = max(worst, _worst_residual(span, amb.multiply(u, basis)))
         return worst
 
 
-def linking_algebra(X: OperatorSubspace, tol: float = 1e-8) -> LinkingAlgebra:
+def linking_algebra(X: OperatorSubspace, tol: float = CHECK_TOL) -> LinkingAlgebra:
     """Left and right linking algebras ⟨XX*⟩ and ⟨X*X⟩ of a TRO; for a TRO the
     spans of pairwise products are already closed under multiplication."""
-    if not is_tro(X, tol):
+    return _linking_algebra(X, is_tro(X, tol))
+
+
+def _linking_algebra(X: OperatorSubspace, tro: bool) -> LinkingAlgebra:
+    """linking_algebra of X given its is_tro verdict."""
+    if not tro:
         raise ValueError("linking_algebra requires a TRO")
-    return _linking_algebra(X)
-
-
-def _linking_algebra(X: OperatorSubspace) -> LinkingAlgebra:
-    """linking_algebra of a subspace already known to be a TRO."""
     A, basis = X.algebra, X.matrix.T
     stars = A.adjoint(basis)
     left = OperatorSubspace.from_spanning(A, A.multiply(basis[:, None, :], stars[None, :, :]))
@@ -215,12 +217,11 @@ class SchurExpectation:
         return self.ambient.positions[(2 * i + j) * dim + np.arange(dim)]
 
 
-def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = 1e-8) -> SchurExpectation:
+def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> SchurExpectation:
     """The extension of L_ω to a conditional expectation of M₂(A) onto the
     linking algebra of its image: entrywise left convolutions by
     [[|ω|_r, ω], [ω̄, |ω|_l]]."""
-    if not is_contractive_idempotent(G, omega, max(tol, 1e-9)):
-        raise ValueError("build_expectation requires a contractive idempotent")
+    _require_contractive_idempotent(G, omega, tol, "build_expectation requires a contractive idempotent")
     parts = polar_decompose(omega)
     entries = [
         [G.left_matrix(parts.abs_r.covector), G.left_matrix(omega.covector)],
@@ -229,7 +230,7 @@ def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = 1e-
     return SchurExpectation(group=G, entries=entries, ambient=tensor_algebra(_M2, G.algebra))
 
 
-def is_schur(E: SchurExpectation, tol: float = 1e-10) -> bool:
+def is_schur(E: SchurExpectation) -> bool:
     """The output entry (i,j) depends only on the input entry (i,j): the full
     matrix has no cross-entry coupling."""
     full = E.matrix
@@ -238,7 +239,7 @@ def is_schur(E: SchurExpectation, tol: float = 1e-10) -> bool:
         for j in range(2):
             idx = E.entry_indices(i, j)
             mask[np.ix_(idx, idx)] = False
-    return float(np.abs(full[mask]).max()) <= tol if mask.any() else True
+    return float(np.abs(full[mask]).max()) <= _COUPLING_TOL if mask.any() else True
 
 
 @dataclass(eq=False)
@@ -250,10 +251,10 @@ class ExpectationCheck:
     bimodule: float
     choi_min_eigenvalue: float
 
-    def passed(self, tol: float = 1e-8, cp_floor: float = -1e-9) -> bool:
+    def passed(self, tol: float = CHECK_TOL) -> bool:
         return (
             max(self.idempotent, self.fixes_subalgebra, self.bimodule) <= tol
-            and self.choi_min_eigenvalue >= cp_floor
+            and self.choi_min_eigenvalue >= -CP_FLOOR
         )
 
 
@@ -307,13 +308,11 @@ def _choi_min_eigenvalue(E: SchurExpectation) -> float:
     return float(choi.min_eigenvalues(vec)) - herm_defect
 
 
-def is_conditional_expectation(
-    E: SchurExpectation, B: LinkingAlgebra, tol: float = 1e-8, cp_floor: float = -1e-9
-) -> bool:
-    return expectation_checks(E, B).passed(tol, cp_floor)
+def is_conditional_expectation(E: SchurExpectation, B: LinkingAlgebra, tol: float = CHECK_TOL) -> bool:
+    return expectation_checks(E, B).passed(tol)
 
 
-def preserves_weight(E: SchurExpectation, tol: float = 1e-8) -> bool:
+def preserves_weight(E: SchurExpectation, tol: float = CHECK_TOL) -> bool:
     """h⁽²⁾∘E = h⁽²⁾ on M₂(A), where h⁽²⁾ of a 2×2 matrix is the sum of the
     Haar values of the diagonal entries."""
     G = E.group
@@ -332,9 +331,10 @@ class TroExpectationReport:
 
     identity_residuals: dict
     expectation_residuals: dict
+    image: OperatorSubspace
     image_is_tro: bool
 
-    def passed(self, tol: float = 1e-8) -> bool:
+    def passed(self, tol: float = CHECK_TOL) -> bool:
         return (
             self.image_is_tro
             and all(v <= tol for v in self.identity_residuals.values())
@@ -348,7 +348,7 @@ class TroExpectationReport:
         )
 
 
-def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = 1e-8) -> TroExpectationReport:
+def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> TroExpectationReport:
     """Verify, over all basis pairs, the four identities
 
         P(P(a)b) = P(a)Q_l(b),     Q_l(P(a)*b) = P(a)*P(b),
@@ -356,8 +356,7 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
 
     with P = L_ω, Q_r = L_{|ω|_r}, Q_l = L_{|ω|_l}; then the three
     TRO-expectation axioms on the image, and the TRO property of the image."""
-    if not is_contractive_idempotent(G, omega, max(tol, 1e-9)):
-        raise ValueError("check_tro_expectation requires a contractive idempotent")
+    _require_contractive_idempotent(G, omega, tol, "check_tro_expectation requires a contractive idempotent")
     parts = polar_decompose(omega)
     A = G.algebra
     lw = G.left_matrix(omega.covector)
@@ -367,6 +366,7 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
             A, lw, G.left_matrix(parts.abs_r.covector), G.left_matrix(parts.abs_l.covector)
         ),
         expectation_residuals=_expectation_residuals(A, lw, image.matrix.T),
+        image=image,
         image_is_tro=is_tro(image, tol),
     )
 
@@ -448,7 +448,7 @@ class RecoveryResult:
         return self.ok
 
 
-def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 1e-8) -> RecoveryResult:
+def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = CHECK_TOL) -> RecoveryResult:
     """Recover the contractive idempotent ω with X = L_ω(A) from an invariant
     nondegenerate TRO.
 
@@ -467,8 +467,8 @@ def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
         reasons.append("X is not right invariant")
     if not is_right_invariant(G, X.adjoint_space(), tol):
         reasons.append("X* is not right invariant")
-    if not reasons:   # is_tro passed above
-        link = _linking_algebra(X)
+    if not reasons:
+        link = _linking_algebra(X, True)   # is_tro passed above
         if not is_right_invariant(G, link.left, tol):
             reasons.append("left linking algebra is not right invariant")
         if not is_right_invariant(G, link.right, tol):
@@ -482,13 +482,13 @@ def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
     weighted = w_half[:, None] * X.matrix
     q, _ = np.linalg.qr(weighted)
     proj = (q @ q.conj().T) * (w_half[None, :] / w_half[:, None])
-    if not commutes_with_right_convolutions(G, proj, max(tol, 1e-8)):
+    if not commutes_with_right_convolutions(G, proj, max(tol, CHECK_TOL)):
         return RecoveryResult(
             functional=None, ok=False,
             reasons=["orthogonal projection does not commute with right convolutions"],
         )
     omega = Functional.from_covector(G.algebra, proj.T @ G.counit.covector)
-    if not is_contractive_idempotent(G, omega, max(tol, 1e-9)):
+    if not is_contractive_idempotent(G, omega, max(tol, STATE_TOL)):
         return RecoveryResult(
             functional=None, ok=False, reasons=["recovered functional is not a contractive idempotent"]
         )

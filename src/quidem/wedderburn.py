@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import CHECK_TOL
+
+_CLUSTER_GAP = 1e-6   # least relative gap between distinct eigenvalues or characters
+
 
 @dataclass(eq=False)
 class BlockSplit:
@@ -36,11 +40,11 @@ class BlockSplit:
         return phi
 
 
-def _cluster(eigenvalues: np.ndarray, rel_gap: float = 1e-6) -> list[np.ndarray]:
+def _cluster(eigenvalues: np.ndarray) -> list[np.ndarray]:
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     clusters, start = [], 0
     for i in range(1, len(eigenvalues) + 1):
-        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > rel_gap * scale:
+        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > _CLUSTER_GAP * scale:
             clusters.append(np.arange(start, i))
             start = i
     return clusters
@@ -51,7 +55,7 @@ def decompose(
     right_mults: list[np.ndarray],
     rng: np.random.Generator,
     max_attempts: int = 12,
-    tol: float = 1e-8,
+    tol: float = CHECK_TOL,
 ) -> BlockSplit:
     """Split C^N into one irreducible left submodule per block.
 
@@ -99,7 +103,7 @@ def _extract(left_mults, v, clusters, n, tol) -> BlockSplit:
     classes: list[list] = []
     for q, char in reps:
         for cls in classes:
-            if np.linalg.norm(cls[0][1] - char) <= 1e-6 * max(1.0, np.linalg.norm(char)):
+            if np.linalg.norm(cls[0][1] - char) <= _CLUSTER_GAP * max(1.0, np.linalg.norm(char)):
                 cls.append((q, char))
                 break
         else:

@@ -1,11 +1,17 @@
 """Element arithmetic, trace-pairing functionals, polar decomposition, null
 spaces, centrality, tensor products."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quidem
 from quidem.algebra import (
+    RANK_CUTOFF,
     Functional,
     MultiMatrixAlgebra,
     act_left,
@@ -380,20 +386,19 @@ def test_kernel_matches_per_block_loops():
     # keeps singular values above 2e-10 in every block: 3e-10 and 2.5e-10
     # stay, 1.5e-10 and 1e-10 go, and blocks 2 and 3 drop out entirely,
     # though each lies above a cutoff relative to its own largest value.
-    cutoff = 1e-10
     svals = [[2.0], [1.0, 3e-10, 1e-10], [1.5e-10, 0.0], [1e-10], [0.5, 0.4, 0.3],
              [1.5, 1e-3, 2.5e-10, 1.5e-10], [3e-10, 1e-11]]
     density = alg.element(_with_singular_values(rng, s) for s in svals)
     ranks = [int(np.sum(np.array(s) > 2e-10)) for s in svals]
     assert ranks == [1, 2, 0, 0, 3, 3, 1]
-    parts = polar_decompose(Functional(alg, density), cutoff)
-    want_u, want_p, want_q = _polar_per_block(density.blocks, cutoff)
+    parts = polar_decompose(Functional(alg, density))
+    want_u, want_p, want_q = _polar_per_block(density.blocks, RANK_CUTOFF)
     for got, want in ((parts.u, want_u), (parts.abs_r.density, want_p), (parts.abs_l.density, want_q)):
         assert np.abs(got.vec - want).max() <= 1e-12
     assert [round(np.trace(b).real) for b in (parts.u.adjoint() * parts.u).blocks] == ranks
     for positive in (parts.abs_r.density, parts.abs_l.density):
-        support = support_projection(positive, cutoff)
-        assert np.abs(support.vec - _support_per_block(positive.blocks, cutoff)).max() <= 1e-12
+        support = support_projection(positive)
+        assert np.abs(support.vec - _support_per_block(positive.blocks, RANK_CUTOFF)).max() <= 1e-12
         assert [round(np.trace(b).real) for b in support.blocks] == ranks
 
 
@@ -405,3 +410,27 @@ def test_transpose_perm_matches_index_loop():
                 for j in range(n):
                     perm[alg.index(k, i, j)] = alg.index(k, j, i)
         assert np.array_equal(alg.transpose_perm, perm)
+
+
+_CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def test_small_float_literals_are_named_module_constants():
+    """Every tolerance or cutoff of the library (a positive float literal of
+    at most 1e-6) is written once, as the value of a module-level UPPER_CASE
+    assignment, so that each decision has one name."""
+    src = pathlib.Path(quidem.__file__).parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {
+            id(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            and all(isinstance(t, ast.Name) and _CONSTANT_NAME.fullmatch(t.id) for t in node.targets)
+        }
+        stray += [
+            f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0.0 < node.value <= 1e-6 and id(node) not in named
+        ]
+    assert not stray, stray

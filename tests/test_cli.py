@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quidem import builtin, convolve, polar_decompose
+from quidem.algebra import CP_FLOOR
 from quidem.catalogue import to_document
 from quidem.cli import main
+from quidem.tro import ExpectationCheck
 
 
 def run(capsys, *argv):
@@ -181,24 +183,87 @@ def _rows(doc):
     return {c["name"]: c for c in doc["checks"]}
 
 
-@pytest.mark.parametrize("argv", [
+def _expected_tolerance(name, tol):
+    """The tolerance a CLI row reports at --tol tol: the axiom rows take tol
+    as given, the contractive idempotent rows floor it at 1e-9, the seed row
+    and the completely positive row show their fixed 1e-9, and every other
+    measured row floors tol at 1e-8."""
+    if name.startswith("axiom:"):
+        return tol
+    if name == "seed contractive" or name == "expectation completely positive":
+        return 1e-9
+    if "contractive idempotent" in name:
+        return max(tol, 1e-9)
+    return max(tol, 1e-8)
+
+
+_ROW_ARGV = [
     ("decompose", "--group", "builtin:czn:4", "--functional", "index:5"),
     ("decompose", "--group", "builtin:cstar:dn:4", "--functional", "index:12"),
     ("decompose", "--group", "builtin:czn:4", "--functional", "point:1"),
     ("tro", "--group", "builtin:czn:4", "--functional", "point:1"),
     ("enumerate", "--group", "builtin:czn:4"),
+    ("tro", "--group", "builtin:cstar:dn:4", "--functional", "index:12"),
+    ("explore", "--group", "builtin:czn:6", "--functional", "point:1"),
+    ("explore", "--group", "builtin:kp", "--functional", "counit"),
+    ("verify", "--group", "builtin:czn:4"),
+    ("verify", "--group", "builtin:kp"),
+]
+
+
+@pytest.mark.parametrize("argv, tol", [
+    pytest.param(argv, tol, id=f"argv{i}" if tol == "1e-20" else f"argv{i}-tol{tol}")
+    for tol in ("1e-20", "1e-6") for i, argv in enumerate(_ROW_ARGV)
 ])
-def test_rows_show_the_tolerance_they_were_checked_at(capsys, argv):
+def test_rows_show_the_tolerance_they_were_checked_at(capsys, argv, tol):
     """A row with a defect and a tolerance passes exactly when the defect is
-    within that tolerance; --tol below the library floor shows the floor."""
-    code, out = run(capsys, *argv, "--tol", "1e-20", "--json")
+    within that tolerance, and shows the tolerance its command checks it at:
+    --tol below a library floor shows the floor."""
+    code, out = run(capsys, *argv, "--tol", tol, "--json")
     doc = json.loads(out)
+    assert any(row["defect"] is not None for row in doc["checks"])
     for row in doc["checks"]:
-        if row["defect"] is not None and row["tolerance"] is not None:
-            assert row["passed"] == (row["defect"] <= row["tolerance"]), row
-        if "contractive idempotent" in row["name"]:
-            assert row["tolerance"] == 1e-9, row
+        if row["defect"] is None:
+            assert row["tolerance"] is None, row
+            continue
+        assert row["tolerance"] == _expected_tolerance(row["name"], float(tol)), row
+        assert row["passed"] == (row["defect"] <= row["tolerance"]), row
     assert code == (0 if doc["passed"] else 1)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1.5])
+def test_cp_row_agrees_with_expectation_check_at_the_floor(capsys, monkeypatch, scale):
+    """The CLI's completely positive row and ExpectationCheck.passed read the
+    one CP_FLOOR the same way on both sides of it."""
+    import quidem.cli
+
+    choi_min = -CP_FLOOR * scale
+    check = ExpectationCheck(idempotent=0.0, fixes_subalgebra=0.0, bimodule=0.0,
+                             choi_min_eigenvalue=choi_min)
+    monkeypatch.setattr(quidem.cli, "expectation_checks", lambda E, B: check)
+    code, out = run(capsys, "tro", "--group", "builtin:czn:4", "--functional", "haar", "--json")
+    row = _rows(json.loads(out))["expectation completely positive"]
+    assert row["defect"] == -choi_min and row["tolerance"] == CP_FLOOR
+    assert row["passed"] == check.passed() == (scale <= 1.0)
+    assert code == (0 if scale <= 1.0 else 1)
+
+
+@pytest.mark.parametrize("command", ["tro", "decompose"])
+def test_image_that_is_not_a_tro_is_an_input_error(capsys, monkeypatch, command):
+    """When the image fails the TRO check, the report shows the failed row and
+    then names the linking algebra's precondition."""
+    import quidem.cli
+    import quidem.tro
+
+    monkeypatch.setattr(quidem.cli, "is_tro", lambda X, tol=1e-8: False)
+    monkeypatch.setattr(quidem.tro, "is_tro", lambda X, tol=1e-8: False)
+    code, out = run(capsys, command, "--group", "builtin:czn:4", "--functional", "haar", "--json")
+    rows = json.loads(out)["checks"]
+    names = [row["name"] for row in rows]
+    assert code == 1
+    assert not rows[names.index("image is TRO")]["passed"]
+    assert names[-1] == "inputs valid"
+    assert rows[-1]["note"] == "linking_algebra requires a TRO"
 
 
 def test_absolute_values_row_is_measured(capsys):
