@@ -26,7 +26,6 @@ from .idempotents import _require_contractive_idempotent, is_contractive_idempot
 from .qgroup import FiniteQuantumGroup, _numerical_rank
 
 _M2 = MultiMatrixAlgebra((2,))
-_COUPLING_TOL = 1e-10   # largest cross-entry coefficient of a Schur map
 
 
 @dataclass(eq=False)
@@ -150,16 +149,16 @@ class LinkingAlgebra:
         out[..., self.ambient.positions[(2 * i + j) * dim + np.arange(dim)]] = vecs
         return out
 
-    def _embedded_rows(self) -> np.ndarray:
-        """Rows: the corner bases embedded in M₂(A), ⟨XX*⟩ at (0,0), X at
-        (0,1), X* at (1,0) and ⟨X*X⟩ at (1,1)."""
+    def corners(self) -> dict:
+        """The corner bases as rows of vecs of A, keyed by entry: ⟨XX*⟩ at
+        (0,0), X at (0,1), X* at (1,0) and ⟨X*X⟩ at (1,1)."""
         x = self.tro.matrix.T
-        return np.vstack([
-            self._embed(0, 0, self.left.matrix.T),
-            self._embed(0, 1, x),
-            self._embed(1, 0, self.tro.algebra.adjoint(x)),
-            self._embed(1, 1, self.right.matrix.T),
-        ])
+        return {(0, 0): self.left.matrix.T, (0, 1): x,
+                (1, 0): self.tro.algebra.adjoint(x), (1, 1): self.right.matrix.T}
+
+    def _embedded_rows(self) -> np.ndarray:
+        """Rows: the corner bases embedded in M₂(A)."""
+        return np.vstack([self._embed(i, j, rows) for (i, j), rows in self.corners().items()])
 
     def corner_dims(self) -> tuple[int, int, int]:
         return self.left.dim, self.tro.dim, self.right.dim
@@ -230,18 +229,6 @@ def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHE
     return SchurExpectation(group=G, entries=entries, ambient=tensor_algebra(_M2, G.algebra))
 
 
-def is_schur(E: SchurExpectation) -> bool:
-    """The output entry (i,j) depends only on the input entry (i,j): the full
-    matrix has no cross-entry coupling."""
-    full = E.matrix
-    mask = np.ones_like(full, dtype=bool)
-    for i in range(2):
-        for j in range(2):
-            idx = E.entry_indices(i, j)
-            mask[np.ix_(idx, idx)] = False
-    return float(np.abs(full[mask]).max()) <= _COUPLING_TOL if mask.any() else True
-
-
 @dataclass(eq=False)
 class ExpectationCheck:
     """Residuals of the conditional-expectation axioms on a linking algebra."""
@@ -263,29 +250,45 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
     and complete positivity through the Choi matrix of the block-compressed
     extension to full matrices.
 
-    The bimodule property E(b₁ x b₂) = b₁ E(x) b₂ over all x is equivalent to
-    E commuting with L_{b₁} R_{b₂}, checked on every basis pair of the
-    linking algebra: b₁ in a loop, b₂ batched."""
-    amb = B.ambient.algebra
-    mat = E.matrix
-    idem = float(np.linalg.norm(mat @ mat - mat, 2))
-    basis_b = B._embedded_rows()
-    fixes = float(np.linalg.norm(basis_b @ mat.T - basis_b, axis=-1).max(initial=0.0))
-    units = np.eye(amb.dim)
-    lmults = amb.multiply(basis_b[:, None, :], units).transpose(0, 2, 1)   # x ↦ b·x
-    rmults = amb.multiply(units, basis_b[:, None, :]).transpose(0, 2, 1)   # x ↦ x·b
-    r_after_e = rmults @ mat
-    bimodule = 0.0
-    for lm in lmults:
-        defect = np.linalg.norm((mat @ lm) @ rmults - lm @ r_after_e, axis=(1, 2))
-        bimodule = max(bimodule, float(defect.max()))
-    choi_min = _choi_min_eigenvalue(E)
+    E.matrix is block diagonal with one block E_ij per entry, so
+    ‖E∘E − E‖ is the largest ‖E_ij² − E_ij‖, and each corner basis element
+    lies in one entry.  The bimodule property E(b₁ x b₂) = b₁ E(x) b₂ over
+    all x is equivalent to E commuting with L_{b₁} R_{b₂}, checked on every
+    basis pair of the linking algebra by _bimodule_defects."""
+    entries, corners = E.entries, B.corners()
+    idem = max(float(np.linalg.norm(e @ e - e, 2)) for row in entries for e in row)
+    fixes = max(float(np.linalg.norm(b @ entries[i][j].T - b, axis=-1).max(initial=0.0))
+                for (i, j), b in corners.items())
     return ExpectationCheck(
         idempotent=idem,
         fixes_subalgebra=fixes,
-        bimodule=bimodule,
-        choi_min_eigenvalue=choi_min,
+        bimodule=max(_bimodule_defects(B.tro.algebra, entries, corners).values()),
+        choi_min_eigenvalue=_choi_min_eigenvalue(E),
     )
+
+
+def _bimodule_defects(A: MultiMatrixAlgebra, entries, corners: dict) -> dict:
+    """Largest Frobenius norm of E L_{b₁}R_{b₂} − L_{b₁}R_{b₂} E over the
+    basis pairs of each pair of corners, keyed ((i, j), (k, l)).
+
+    For b₁ = e_ij⊗p and b₂ = e_kl⊗q, L_{b₁}R_{b₂} takes entry (j,k) to entry
+    (i,l) by a ↦ paq and every other entry to 0, so the commutator is
+    E_il L_p R_q − L_p R_q E_jk, a (dim, dim) operator on A, from entry
+    (j,k) to (i,l) and 0 elsewhere.  Stacked over (p, q) in chunks of p."""
+    units = np.eye(A.dim)
+    lmults = {c: A.multiply(ps[:, None], units).swapaxes(-1, -2) for c, ps in corners.items()}
+    rmults = {c: A.multiply(units, ps[:, None]).swapaxes(-1, -2) for c, ps in corners.items()}
+    out = {}
+    for (i, j), ps in corners.items():
+        for (k, l), qs in corners.items():
+            lm, rm = lmults[i, j], rmults[k, l]
+            e_after_l, r_after_e = entries[i][l] @ lm, rm @ entries[j][k]
+            worst = 0.0
+            for s in _chunks(len(ps), len(qs) * A.dim, A.dim):
+                defect = e_after_l[s, None] @ rm - lm[s, None] @ r_after_e
+                worst = max(worst, float(np.linalg.norm(defect, axis=(-2, -1)).max()))
+            out[(i, j), (k, l)] = worst
+    return out
 
 
 def _choi_min_eigenvalue(E: SchurExpectation) -> float:
@@ -315,12 +318,9 @@ def is_conditional_expectation(E: SchurExpectation, B: LinkingAlgebra, tol: floa
 def preserves_weight(E: SchurExpectation, tol: float = CHECK_TOL) -> bool:
     """h⁽²⁾∘E = h⁽²⁾ on M₂(A), where h⁽²⁾ of a 2×2 matrix is the sum of the
     Haar values of the diagonal entries."""
-    G = E.group
-    cov = np.zeros(E.ambient.algebra.dim, dtype=np.complex128)
-    cov[E.entry_indices(0, 0)] = G.haar.covector
-    cov[E.entry_indices(1, 1)] = G.haar.covector
-    defect = float(np.abs(E.matrix.T @ cov - cov).max())
-    return defect <= tol
+    h = E.group.haar.covector
+    # h⁽²⁾ is zero on the off-diagonal entries, which E keeps apart
+    return max(float(np.abs(E.entries[i][i].T @ h - h).max()) for i in (0, 1)) <= tol
 
 
 @dataclass(eq=False)

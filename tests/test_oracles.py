@@ -37,6 +37,7 @@ from quidem.qgroup import FiniteQuantumGroup, _dual_regular_split, _star_residua
 from quidem.tro import (
     LinkingAlgebra,
     OperatorSubspace,
+    _bimodule_defects,
     _choi_min_eigenvalue,
     _chunks,
     _expectation_residuals,
@@ -431,6 +432,42 @@ def ref_bimodule(E, B):
     return bimodule
 
 
+def _ref_corner_bases(link):
+    """_ref_embedded_basis split by corner: ⟨XX*⟩ at (0,0), X at (0,1), X* at
+    (1,0) and ⟨X*X⟩ at (1,1)."""
+    basis = _ref_embedded_basis(link)
+    n_l, k, _ = link.corner_dims()
+    cuts = [0, n_l, n_l + k, n_l + 2 * k, len(basis)]
+    return {corner: basis[cuts[c]: cuts[c + 1]]
+            for c, corner in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)))}
+
+
+def ref_bimodule_corners(E, B, first, second):
+    """ref_bimodule over b₁ in corner `first` and b₂ in corner `second`."""
+    amb = B.ambient.algebra
+    mat = E.matrix
+    corners = _ref_corner_bases(B)
+    lmults = [_ref_left_mult_matrix(amb.from_vec(v)) for v in corners[first]]
+    rmults = [_ref_right_mult_matrix(amb.from_vec(v)) for v in corners[second]]
+    bimodule = 0.0
+    for lm in lmults:
+        for rm in rmults:
+            defect = np.linalg.norm(mat @ lm @ rm - lm @ rm @ mat)
+            bimodule = max(bimodule, float(defect))
+    return bimodule
+
+
+def ref_expectation_idempotent(E):
+    mat = E.matrix
+    return float(np.linalg.norm(mat @ mat - mat, 2))
+
+
+def ref_fixes_subalgebra(E, B):
+    mat = E.matrix
+    basis_b = np.array(_ref_embedded_basis(B))
+    return float(np.linalg.norm(basis_b @ mat.T - basis_b, axis=-1).max(initial=0.0))
+
+
 def ref_choi_min_eigenvalue(E):
     amb = E.ambient.algebra
     sizes = amb.block_dims
@@ -593,6 +630,32 @@ def test_expectation_checks_match_loop_form(case):
                 assert choi >= CP_FLOOR
             elif s01 * s10 != 1.0:
                 assert choi < CP_FLOOR
+
+
+def test_bimodule_defects_match_loop_form_per_corner_pair(case):
+    """Each of the 16 corner-pair defects, and the idempotent and fixed-point
+    residuals, against the dense loop forms on M₂(A): on the expectation,
+    where every residual is roundoff, and on Schur maps with four random
+    entries, where the residuals are O(1) (a corner pair whose products are
+    multiples of 1 and whose two entries coincide stays at roundoff)."""
+    G, idempotents = case
+    rng = np.random.default_rng(11)
+    for omega in idempotents:
+        link = linking_algebra(image_subspace(left_conv_operator(G, omega)), TOL)
+        random = build_expectation(G, omega, TOL)
+        random.entries = [[_gaussian(rng, G.dim, G.dim) for _ in range(2)] for _ in range(2)]
+        for E, small in ((build_expectation(G, omega, TOL), True), (random, False)):
+            got = _bimodule_defects(G.algebra, E.entries, link.corners())
+            corners = _ref_corner_bases(link)
+            want = {(c1, c2): ref_bimodule_corners(E, link, c1, c2) for c1 in corners for c2 in corners}
+            _assert_agree(got, want, TOL)
+            assert (max(want.values()) <= TOL) == small
+            checks = expectation_checks(E, link)
+            assert checks.bimodule == max(got.values())
+            for value, ref in ((checks.idempotent, ref_expectation_idempotent(E)),
+                               (checks.fixes_subalgebra, ref_fixes_subalgebra(E, link))):
+                assert abs(value - ref) <= AGREE
+                assert (ref <= TOL) == small
 
 
 def _kp_block_limits(kp):

@@ -10,9 +10,11 @@ from quidem import (
     function_algebra,
     left_conv_operator,
 )
+from quidem.algebra import tensor_algebra
 from quidem.idempotents import enumerate_group_algebra
 from quidem.tro import (
     OperatorSubspace,
+    SchurExpectation,
     _expectation_residuals,
     build_expectation,
     check_tro_expectation,
@@ -21,7 +23,6 @@ from quidem.tro import (
     is_conditional_expectation,
     is_nondegenerate,
     is_right_invariant,
-    is_schur,
     is_tro,
     linking_algebra,
     preserves_weight,
@@ -152,7 +153,6 @@ def test_expectation_full_checks_mu0(cz4, mu0):
     checks = expectation_checks(E, link)
     assert checks.passed(1e-10)
     assert preserves_weight(E, 1e-10)
-    assert is_schur(E)
 
 
 def test_expectation_rejects_scaled_corner(cz4, mu0):
@@ -169,22 +169,24 @@ def test_weight_preservation_fails_for_counit_average(cz4, mu0):
     assert not preserves_weight(E, 1e-8)
 
 
-def test_schur_detection(cz4, mu0):
-    E = build_expectation(cz4, mu0)
-    assert is_schur(E)
+def test_schur_matrix_has_no_cross_entry_coupling(kp):
+    """E.matrix holds each entry E_ij in its own (entry_indices, entry_indices)
+    block and is exactly 0 elsewhere: the structure the entrywise checks of
+    expectation_checks and preserves_weight rely on."""
+    rng = np.random.default_rng(7)
+    dim = kp.dim
+    entries = [[rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(2)]
+               for _ in range(2)]
+    E = SchurExpectation(group=kp, entries=entries, ambient=tensor_algebra(MultiMatrixAlgebra((2,)), kp.algebra))
     M = E.matrix
-    idx_01 = E.entry_indices(0, 1)
-    idx_10 = E.entry_indices(1, 0)
-    M2 = M.copy()
-    M2[idx_01[0], idx_10[0]] = 0.5  # couple two entries
-    assert abs(M2[idx_01[0], idx_10[0]]) > 1e-10
-    # zeroing inputs entrywise detects the coupling
-    probe = np.zeros(M.shape[0], dtype=complex)
-    probe[idx_10[0]] = 1.0
-    image = M2 @ probe
-    outside = image.copy()
-    outside[idx_10] = 0.0
-    assert np.abs(outside).max() > 1e-10
+    inside = np.zeros(M.shape, dtype=bool)
+    for i in range(2):
+        for j in range(2):
+            block = np.ix_(E.entry_indices(i, j), E.entry_indices(i, j))
+            assert np.array_equal(M[block], entries[i][j])
+            inside[block] = True
+    assert np.count_nonzero(inside) == 4 * dim * dim
+    assert np.all(M[~inside] == 0)
 
 
 def test_recover_from_scalars_gives_haar(kp):
@@ -260,3 +262,24 @@ def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
             largest.clear()
             check()
             assert largest == {G.dim: G.dim ** 2}
+
+
+def test_expectation_checks_stay_in_A(stack_cases, monkeypatch):
+    """expectation_checks works on the four (dim, dim) entries: it never
+    multiplies in M₂(A), and no product stack holds more than dim² vecs of A."""
+    largest = {}
+    multiply = MultiMatrixAlgebra.multiply
+
+    def recording(self, x, y):
+        out = multiply(self, x, y)
+        largest[self.dim] = max(largest.get(self.dim, 0), out.size // self.dim)
+        return out
+
+    monkeypatch.setattr(MultiMatrixAlgebra, "multiply", recording)
+    for G, omega in stack_cases:
+        link = linking_algebra(image_subspace(left_conv_operator(G, omega)))
+        E = build_expectation(G, omega)
+        largest.clear()
+        assert expectation_checks(E, link).passed()
+        assert largest.keys() == {G.dim}
+        assert largest[G.dim] <= G.dim ** 2
