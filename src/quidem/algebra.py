@@ -17,6 +17,7 @@ functional covectors use this ordering throughout the package.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -30,6 +31,8 @@ STATE_TOL = 1e-9    # states, dual-norm idempotency, positivity, the axioms
 # isometries.  All catalogue examples have spectral gaps far above this.
 RANK_CUTOFF = 1e-10
 CP_FLOOR = 1e-9     # a CP map's least Choi eigenvalue is at least -CP_FLOOR
+_SCREEN_MARGIN = 1e-6    # max_operator_norm's slack, far above rounding of ‖b‖_F or an SVD
+_SCREEN_FLOOR = 1e-150   # below it, squares of block entries may underflow
 
 
 def _as_complex(m) -> np.ndarray:
@@ -118,9 +121,23 @@ class MultiMatrixAlgebra:
         # size_classes lists the blocks by size, then in block order
         return norms[..., np.argsort(np.argsort(self.block_dims, kind="stable"))]
 
-    def operator_norms(self, x) -> np.ndarray:
-        """Operator norm of each vec in a stack: its largest block singular value."""
-        return np.max([s[..., 0].max(axis=-1) for s in self.singular_values(x)], axis=0)
+    def max_operator_norm(self, x) -> float:
+        """Largest operator norm over a stack of vecs (0.0 if empty), as a full
+        blockwise SVD gives it.  As ‖b‖_F/√n ≤ ‖b‖ ≤ ‖b‖_F, a size class of several
+        n×n blocks sends to the SVD only those with ‖b‖_F ≥ L = max ‖b‖_F/√n; all
+        nonzero blocks go if a bound is not finite or L < _SCREEN_FLOOR."""
+        classes = self.blocks_by_size(x)
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow or inf: no screen
+            fro = [np.abs(b[..., 0, 0]) if n == 1 else np.linalg.norm(b, axis=(-2, -1)) if b.size > n * n else None
+                   for n, _, b in classes]
+        tops = [f.max(initial=0.0) / math.sqrt(n) for (n, _, _), f in zip(classes, fro) if f is not None]
+        screened = all(map(math.isfinite, tops)) and (lower := max(tops, default=0.0)) >= _SCREEN_FLOOR
+        norms = tops[:1] if classes[0][0] == 1 else []   # 1×1 moduli, the first class, are norms
+        for (n, _, b), f in zip(classes, fro):
+            if n > 1:   # the SVD of a block does not depend on the rest of the batch
+                b = b[f >= lower * (1 - _SCREEN_MARGIN) if screened and f is not None else b.any(axis=(-2, -1))]
+                norms += [np.linalg.svd(b, compute_uv=False).max()] if len(b) else []
+        return math.nan if any(map(math.isnan, norms)) else float(max(norms, default=0.0))
 
     def min_eigenvalues(self, x) -> np.ndarray:
         """Least eigenvalue of the Hermitian part of each vec in a stack: the
@@ -269,7 +286,7 @@ class AlgebraElement:
 
     @property
     def operator_norm(self) -> float:
-        return float(self.algebra.operator_norms(self.vec))
+        return self.algebra.max_operator_norm(self.vec)
 
     @property
     def trace_norm(self) -> float:
@@ -332,6 +349,24 @@ class Functional:
         """The dual norm ‖ω‖, the trace norm of the density; taken once."""
         return self.density.trace_norm
 
+    @cached_property
+    def polar(self) -> "PolarParts":
+        """The polar parts of polar_decompose; taken once."""
+        alg = self.algebra
+        factors = alg.svd(self.density.vec)
+        smax = max(s.max() for _, _, s, _ in factors)
+        if smax == 0.0:
+            raise ValueError("polar decomposition of the zero functional")
+        u, p, q = (np.empty(alg.dim, dtype=np.complex128) for _ in range(3))
+        for idx, w, s, vh in factors:
+            r = (s > RANK_CUTOFF * smax).sum(axis=-1).max()   # the largest rank in the size class
+            w, vh, kept = w[..., :r], vh[..., :r, :], np.where(s > RANK_CUTOFF * smax, s, 0.0)[..., None, :r]
+            u[idx] = ((w * (kept > 0)) @ vh).reshape(idx.shape)
+            p[idx] = ((_adjoints(vh) * kept) @ vh).reshape(idx.shape)    # (d* d)^{1/2}
+            q[idx] = ((w * kept) @ _adjoints(w)).reshape(idx.shape)      # (d d*)^{1/2}
+        return PolarParts(u=alg.from_vec(u), abs_r=Functional(alg, alg.from_vec(p)),
+                          abs_l=Functional(alg, alg.from_vec(q)))
+
     def __add__(self, other: "Functional") -> "Functional":
         return Functional(self.algebra, self.density + other.density)
 
@@ -382,25 +417,9 @@ class PolarParts:
 
 def polar_decompose(omega: Functional) -> PolarParts:
     """Per-block polar decomposition of the density, d = u·|d|, from one
-    blockwise SVD, keeping the singular values above RANK_CUTOFF times the
-    largest one across blocks.  Raises on the zero functional."""
-    alg = omega.algebra
-    factors = alg.svd(omega.density.vec)
-    smax = max(s.max() for _, _, s, _ in factors)
-    if smax == 0.0:
-        raise ValueError("polar decomposition of the zero functional")
-    u, p, q = (np.empty(alg.dim, dtype=np.complex128) for _ in range(3))
-    for idx, w, s, vh in factors:
-        r = (s > RANK_CUTOFF * smax).sum(axis=-1).max()   # the largest rank in the size class
-        w, vh, kept = w[..., :r], vh[..., :r, :], np.where(s > RANK_CUTOFF * smax, s, 0.0)[..., None, :r]
-        u[idx] = ((w * (kept > 0)) @ vh).reshape(idx.shape)
-        p[idx] = ((_adjoints(vh) * kept) @ vh).reshape(idx.shape)    # (d* d)^{1/2}
-        q[idx] = ((w * kept) @ _adjoints(w)).reshape(idx.shape)      # (d d*)^{1/2}
-    return PolarParts(
-        u=alg.from_vec(u),
-        abs_r=Functional(alg, alg.from_vec(p)),
-        abs_l=Functional(alg, alg.from_vec(q)),
-    )
+    blockwise SVD keeping singular values above RANK_CUTOFF times the largest
+    across blocks: ω.polar, taken once.  Raises on the zero functional."""
+    return omega.polar
 
 
 def _positive_spectrum(x: AlgebraElement):

@@ -201,10 +201,6 @@ def _axiom_report(structure: dict, G: FiniteQuantumGroup, tol: float) -> AxiomRe
     return AxiomReport(defects={name: defects[name] for name in AXIOM_ROWS}, tol=tol)
 
 
-def _worst(alg: MultiMatrixAlgebra, stack: np.ndarray) -> float:
-    return float(alg.operator_norms(stack).max(initial=0.0))
-
-
 def _structure_defects(G: FiniteQuantumGroup) -> dict:
     """The rows of verify_axioms outside HAAR_ROWS."""
     A, AA, ts = G.algebra, G.ts.algebra, G.ts
@@ -215,13 +211,11 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
     defects: dict[str, float] = {}
 
     one = G.unit_vec
-    defects["comult_unital"] = _worst(AA, G.comult @ one - ts.scatter(one, one))
+    defects["comult_unital"] = AA.max_operator_norm(G.comult @ one - ts.scatter(one, one))
     # Δ(e_i e_j) − Δ(e_i)Δ(e_j) over all basis pairs
     lhs = (G.comult @ G.mult_tensor.reshape(dim, dim * dim)).T.reshape(dim, dim, AA.dim)
-    defects["comult_homomorphism"] = _worst(
-        AA, lhs - AA.multiply(images[:, None, :], images[None, :, :])
-    )
-    defects["comult_star"] = _worst(AA, images[star] - AA.adjoint(images))
+    defects["comult_homomorphism"] = AA.max_operator_norm(lhs - AA.multiply(images[:, None, :], images[None, :, :]))
+    defects["comult_star"] = AA.max_operator_norm(images[star] - AA.adjoint(images))
 
     # coassociativity, measured in the triple tensor algebra
     d3 = G.d3
@@ -230,22 +224,22 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
     pos3 = t3.positions.reshape(AA.dim, dim)[G.pos_matrix, :]
     vec3 = np.zeros((dim, t3.algebra.dim), dtype=np.complex128)
     vec3[:, pos3] = diff
-    defects["coassociativity"] = _worst(t3.algebra, vec3)
+    defects["coassociativity"] = t3.algebra.max_operator_norm(vec3)
 
     ce = G.counit.covector
-    defects["counit_left"] = _worst(A, (G.left_matrix(ce) - ident).T)
-    defects["counit_right"] = _worst(A, (G.right_matrix(ce) - ident).T)
+    defects["counit_left"] = A.max_operator_norm((G.left_matrix(ce) - ident).T)
+    defects["counit_right"] = A.max_operator_norm((G.right_matrix(ce) - ident).T)
 
     # antipode laws m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ
     ms = G.mult_tensor
     s_mat = G.antipode
     rhs = np.einsum("c,o->co", ce, one)
-    defects["antipode_left"] = _worst(A, np.einsum("ijc,ki,okj->co", d3, s_mat, ms) - rhs)
-    defects["antipode_right"] = _worst(A, np.einsum("ijc,kj,oik->co", d3, s_mat, ms) - rhs)
-    defects["antipode_involutive"] = _worst(A, (s_mat @ s_mat - ident).T)
+    defects["antipode_left"] = A.max_operator_norm(np.einsum("ijc,ki,okj->co", d3, s_mat, ms) - rhs)
+    defects["antipode_right"] = A.max_operator_norm(np.einsum("ijc,kj,oik->co", d3, s_mat, ms) - rhs)
+    defects["antipode_involutive"] = A.max_operator_norm((s_mat @ s_mat - ident).T)
     # S(a*) = S(a)* checked on the matrix-unit basis
     star_mat = ident[:, star]
-    defects["antipode_star"] = _worst(A, (s_mat @ star_mat - star_mat @ np.conj(s_mat)).T)
+    defects["antipode_star"] = A.max_operator_norm((s_mat @ star_mat - star_mat @ np.conj(s_mat)).T)
 
     # quantum cancellation laws: span Δ(A)(A⊗1) = A⊗A = span Δ(A)(1⊗A)
     legs = ts.positions.reshape(dim, dim)
@@ -267,20 +261,20 @@ def _haar_defects(G: FiniteQuantumGroup) -> dict:
     return {
         "haar_positive": max(herm, max(0.0, -float(A.min_eigenvalues(d_h.vec)))),
         "haar_trace_one": abs(d_h.trace - 1.0),
-        "haar_left_invariant": _worst(A, (G.left_matrix(ch) - np.outer(one, ch)).T),
-        "haar_right_invariant": _worst(A, (G.right_matrix(ch) - np.outer(one, ch)).T),
+        "haar_left_invariant": A.max_operator_norm((G.left_matrix(ch) - np.outer(one, ch)).T),
+        "haar_right_invariant": A.max_operator_norm((G.right_matrix(ch) - np.outer(one, ch)).T),
     }
 
 
 def commutativity_defect(G: FiniteQuantumGroup) -> float:
     """Max operator norm of [e_i, e_j]; zero iff all blocks are 1×1."""
     ms = G.mult_tensor
-    return float(G.algebra.operator_norms((ms - ms.transpose(0, 2, 1)).T).max())
+    return G.algebra.max_operator_norm((ms - ms.transpose(0, 2, 1)).T)
 
 
 def cocommutativity_defect(G: FiniteQuantumGroup) -> float:
     """Max operator norm of (flip∘Δ − Δ)(e_c)."""
-    return float(G.ts.algebra.operator_norms((G.comult[G.ts.flip] - G.comult).T).max())
+    return G.ts.algebra.max_operator_norm((G.comult[G.ts.flip] - G.comult).T)
 
 
 def solve_haar_state(

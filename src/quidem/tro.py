@@ -80,12 +80,6 @@ def _worst_residual(X: OperatorSubspace, stack) -> float:
     return float(residuals.max(initial=0.0))
 
 
-def _worst_norm(A: MultiMatrixAlgebra, mat: np.ndarray, inner, direct) -> float:
-    """Largest operator norm of L(inner) − direct over a stack, with L the
-    linear map whose matrix is mat."""
-    return float(A.operator_norms(inner @ mat.T - direct).max(initial=0.0))
-
-
 def _chunks(count: int, per: int, dim: int) -> list[slice]:
     """Slices of range(count) for a stack of per vecs at each index: a chunk
     holds at most dim² vecs, as many as a (dim, dim) stack over two basis
@@ -274,21 +268,29 @@ def _bimodule_defects(A: MultiMatrixAlgebra, entries, corners: dict) -> dict:
     For b₁ = e_ij⊗p and b₂ = e_kl⊗q, L_{b₁}R_{b₂} takes entry (j,k) to entry
     (i,l) by a ↦ paq and every other entry to 0, so the commutator is
     E_il L_p R_q − L_p R_q E_jk, a (dim, dim) operator on A, from entry
-    (j,k) to (i,l) and 0 elsewhere.  Stacked over (p, q) in chunks of p."""
-    units = np.eye(A.dim)
-    lmults = {c: A.multiply(ps[:, None], units).swapaxes(-1, -2) for c, ps in corners.items()}
-    rmults = {c: A.multiply(units, ps[:, None]).swapaxes(-1, -2) for c, ps in corners.items()}
-    out = {}
-    for (i, j), ps in corners.items():
-        for (k, l), qs in corners.items():
-            lm, rm = lmults[i, j], rmults[k, l]
-            e_after_l, r_after_e = entries[i][l] @ lm, rm @ entries[j][k]
-            worst = 0.0
-            for s in _chunks(len(ps), len(qs) * A.dim, A.dim):
-                defect = e_after_l[s, None] @ rm - lm[s, None] @ r_after_e
-                worst = max(worst, float(np.linalg.norm(defect, axis=(-2, -1)).max()))
-            out[(i, j), (k, l)] = worst
-    return out
+    (j,k) to (i,l) and 0 elsewhere."""
+    worst = np.zeros((len(corners), len(corners)))
+    for rows, cols, defect in _bimodule_stacks(A, entries, corners):
+        np.maximum.at(worst, (rows[:, None], cols), np.linalg.norm(defect, axis=(-2, -1)))
+    return {(c1, c2): float(worst[m, n]) for m, c1 in enumerate(corners) for n, c2 in enumerate(corners)}
+
+
+def _bimodule_stacks(A: MultiMatrixAlgebra, entries, corners: dict):
+    """The commutators of _bimodule_defects for all corner basis pairs (p, q)
+    in one pass, chunked over q and then p to at most dim² vecs of A: yields
+    the corners of the chunk's p and q and its (p, q, dim, dim) stack."""
+    units, E = np.eye(A.dim), np.array(entries)
+    corner = np.repeat(np.arange(len(corners)), [len(b) for b in corners.values()])
+    i, j = np.array(list(corners))[corner].T     # entry (i, j) of each basis element
+    # L_p and R_q as matrices on A, multiplied out corner by corner
+    lm = np.concatenate([A.multiply(b[:, None], units) for b in corners.values()]).swapaxes(-1, -2)
+    rm = np.concatenate([A.multiply(units, b[:, None]) for b in corners.values()]).swapaxes(-1, -2)
+    e_after_l = E[i] @ lm[:, None]                        # [p, l] = E_{i(p) l} L_p
+    r_after_e = rm[:, None] @ E[:, i].swapaxes(0, 1)      # [q, m] = R_q E_{m i(q)}
+    for qs in _chunks(len(corner), A.dim, A.dim):
+        for ps in _chunks(len(corner), len(corner[qs]) * A.dim, A.dim):
+            defect = e_after_l[ps][:, j[qs]] @ rm[qs] - lm[ps, None] @ r_after_e[qs][:, j[ps]].swapaxes(0, 1)
+            yield corner[ps], corner[qs], defect
 
 
 def _choi_min_eigenvalue(E: SchurExpectation) -> float:
@@ -307,7 +309,7 @@ def _choi_min_eigenvalue(E: SchurExpectation) -> float:
     vec[ts.positions] = E.matrix.T.ravel()
     # a non-Hermitian Choi matrix means the map is not Hermiticity-preserving;
     # fold that defect into the returned bound so such maps fail the floor
-    herm_defect = float(choi.operator_norms(vec - choi.adjoint(vec))) / 2
+    herm_defect = choi.max_operator_norm(vec - choi.adjoint(vec)) / 2
     return float(choi.min_eigenvalues(vec)) - herm_defect
 
 
@@ -376,12 +378,12 @@ def _identity_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, lr: np.ndarray, l
     maps P = lw, Q_r = lr and Q_l = ll, over all basis pairs (a, b)."""
     units = np.eye(A.dim)
     p, p_star = lw.T, A.adjoint(lw.T)        # rows: P(e_i) and its adjoint
-    # stacks indexed [i, j]: a = e_i enters through P(a), b = e_j
+    # stacks indexed [i, j]: a = e_i enters through P(a), b = e_j; x @ m.T maps x by m
     return {
-        "left_absorb": _worst_norm(A, lw, A.multiply(p[:, None], units), A.multiply(p[:, None], ll.T)),
-        "left_adjoint_absorb": _worst_norm(A, ll, A.multiply(p_star[:, None], units), A.multiply(p_star[:, None], p)),
-        "right_absorb": _worst_norm(A, lw, A.multiply(units, p[:, None]), A.multiply(lr.T, p[:, None])),
-        "right_adjoint_absorb": _worst_norm(A, lr, A.multiply(units, p_star[:, None]), A.multiply(p, p_star[:, None])),
+        "left_absorb": A.max_operator_norm(A.multiply(p[:, None], units) @ lw.T - A.multiply(p[:, None], ll.T)),
+        "left_adjoint_absorb": A.max_operator_norm(A.multiply(p_star[:, None], units) @ ll.T - A.multiply(p_star[:, None], p)),
+        "right_absorb": A.max_operator_norm(A.multiply(units, p[:, None]) @ lw.T - A.multiply(lr.T, p[:, None])),
+        "right_adjoint_absorb": A.max_operator_norm(A.multiply(units, p_star[:, None]) @ lr.T - A.multiply(p, p_star[:, None])),
     }
 
 
@@ -406,7 +408,7 @@ def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray
             ("expect_middle", A.multiply(x_as[:, :, None], xb), A.multiply(x_pas[:, :, None], xb)),
             ("expect_left_pair", A.multiply(x_xs, a), A.multiply(x_xs, pa)),
         ):
-            out[name] = max(out[name], _worst_norm(A, lw, inner, direct))
+            out[name] = max(out[name], A.max_operator_norm(inner @ lw.T - direct))
     return out
 
 
@@ -431,7 +433,7 @@ def _triple_residuals(A: MultiMatrixAlgebra, lw: np.ndarray) -> dict:
             ("second", A.multiply(A.multiply(pa, unit_stars)[:, None, :], p)),
             ("third", A.multiply(A.multiply(a, p_star)[:, None, :], p)),
         ):
-            worst[name] = max(worst[name], _worst_norm(A, lw, lhs, direct))
+            worst[name] = max(worst[name], A.max_operator_norm(lhs @ lw.T - direct))
     return worst
 
 

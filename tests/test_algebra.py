@@ -155,9 +155,22 @@ def test_polar_of_offdiagonal_rank_one():
 
 
 def test_polar_of_zero_raises():
+    """On every call: a failed decomposition is not cached."""
+    zero = Functional.zero(_m2())
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            polar_decompose(zero)
+
+
+def test_polar_parts_are_taken_once_per_functional(monkeypatch):
     alg = _m2()
-    with pytest.raises(ValueError):
-        polar_decompose(Functional.zero(alg))
+    omega = alg.random_functional(np.random.default_rng(3))
+    calls = []
+    svd = MultiMatrixAlgebra.svd
+    monkeypatch.setattr(MultiMatrixAlgebra, "svd", lambda self, x: calls.append(1) or svd(self, x))
+    parts = polar_decompose(omega)
+    assert polar_decompose(omega) is parts is omega.polar
+    assert len(calls) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -346,7 +359,6 @@ def test_kernel_matches_per_block_loops():
     rng = np.random.default_rng(7)
     alg = MultiMatrixAlgebra((1, 3, 2, 1, 3, 4, 2))
     x, y = _random_stack(alg, rng, (5, 3)), _random_stack(alg, rng, (5, 3))
-    norms = alg.operator_norms(x)
     block_norms = alg.block_norms(x)
     min_eigs = alg.min_eigenvalues(x)
     prods = alg.multiply(x, y)
@@ -355,7 +367,7 @@ def test_kernel_matches_per_block_loops():
         blocks_x, blocks_y = alg.split(x[idx]), alg.split(y[idx])
         want = [np.linalg.norm(b, 2) for b in blocks_x]
         assert np.abs(block_norms[idx] - want).max() <= 1e-12 * max(want)
-        assert abs(norms[idx] - max(want)) <= 1e-12 * max(want)
+        assert abs(alg.max_operator_norm(x[idx]) - max(want)) <= 1e-12 * max(want)
         want_eig = min(np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in blocks_x)
         assert abs(min_eigs[idx] - want_eig) <= 1e-12 * max(want)
         want_prod = np.concatenate([(a @ b).ravel() for a, b in zip(blocks_x, blocks_y)])
@@ -373,8 +385,9 @@ def test_kernel_matches_per_block_loops():
         assert np.array_equal(one_by_many[m], alg.multiply(x[0, 0], y[m, 0]))
     # the element property goes through the same kernel
     a = alg.from_vec(x[2, 1])
-    assert a.operator_norm == float(norms[2, 1])
-    assert alg.operator_norms(np.zeros((0, alg.dim))).shape == (0,)
+    assert a.operator_norm == alg.max_operator_norm(x[2, 1])
+    assert alg.max_operator_norm(x) == max(alg.max_operator_norm(v) for v in x.reshape(-1, alg.dim))
+    assert alg.max_operator_norm(np.zeros((0, alg.dim))) == 0.0
     # the vec is the one copy of the data; blocks are read-only views of it
     assert not a.vec.flags.writeable and not np.shares_memory(a.vec, x)
     assert len(a.blocks) == len(alg.block_dims)

@@ -9,6 +9,8 @@ must agree within 1e-12 and every pass/fail verdict must be identical,
 also on deliberately broken inputs.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,22 @@ CP_FLOOR = -1e-9
 def _norm(x):
     """Operator norm as one 2-norm per block."""
     return max(float(np.linalg.norm(b, 2)) for b in x.blocks)
+
+
+def ref_max_operator_norm(alg, x):
+    """Largest operator norm over a stack as one 2-norm per block of every
+    vec, NaN propagating.  On 1×1 blocks it is np.abs of the block, as the
+    kernel has always taken it (LAPACK's and the scalar abs's moduli can
+    differ from it in the last bit)."""
+    x = np.asarray(x).reshape(-1, alg.dim)
+    return float(np.max([np.abs(b).max() if b.shape == (1, 1) else np.linalg.norm(b, 2)
+                         for v in x for b in alg.split(v)], initial=0.0))
+
+
+def ref_operator_norms_max(alg, x):
+    """The kernel's earlier form: every block's singular values from one
+    batched SVD per block size, the operator norm of each vec, their max."""
+    return float(np.max([s[..., 0].max(axis=-1) for s in alg.singular_values(x)], axis=0).max(initial=0.0))
 
 
 def _residual(X, x):
@@ -809,3 +827,85 @@ def test_multiplicative_defect_matches_loop_form_off_linking_algebras():
     want = ref_multiplicative_defect(link)
     assert want > 0.05
     assert abs(link.multiplicative_defect() - want) <= AGREE
+
+
+SCREEN_ALG = MultiMatrixAlgebra((1, 3, 2, 1, 3, 4, 2))
+
+
+def _with_blocks(rng, scale=1.0, **blocks):
+    """A stack of two vecs of SCREEN_ALG, so that every size class holds
+    several blocks and is screened: the given blocks (keyed b<k>) in the
+    first, the other blocks random with operator norm about scale/4."""
+    alg = SCREEN_ALG
+    first = alg.element(blocks.get(f"b{k}", scale * _gaussian(rng, n, n) / 4)
+                        for k, n in enumerate(alg.block_dims)).vec
+    return np.stack([first, alg.element(scale * _gaussian(rng, n, n) / 4 for n in alg.block_dims).vec])
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(_gaussian(rng, n, n))[0]
+
+
+def _rank_one(rng, n, norm):
+    u, v = _gaussian(rng, n), _gaussian(rng, n)
+    return norm * np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))
+
+
+def _outcome(fn, *args):
+    """The value as a hex string (nan and inf included), or the error."""
+    try:
+        return float(fn(*args)).hex()
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+def test_max_operator_norm_matches_full_decomposition(monkeypatch):
+    """The Frobenius screen decomposes only the blocks that can attain the
+    maximum and returns, bit for bit, what a full blockwise SVD returns:
+    on random stacks and on the edges of the bound ‖b‖_F/√n ≤ ‖b‖ ≤ ‖b‖_F."""
+    alg, rng = SCREEN_ALG, np.random.default_rng(17)
+    cases = [_gaussian(rng, *shape, alg.dim) for shape in ((1,), (7,), (3, 4), (40,))]
+    cases += [np.zeros((0, alg.dim)), _with_blocks(rng, b0=np.array([[2.0 - 1.0j]]))]
+    # the maximum at the upper end of the bound: a rank-one block (σ = ‖b‖_F)
+    # beside a scaled unitary of larger Frobenius norm; alone, the vec's 4×4
+    # class holds one block, which goes to the SVD unscreened
+    edge = _with_blocks(rng, b5=_unitary(rng, 4), b2=_rank_one(rng, 2, 1.5))
+    cases += [edge, edge[0]]
+    # exact ties between a rank-one block and unitaries (σ = ‖b‖_F/√n): which
+    # one attains the maximum is decided by the last bit of each norm, and a
+    # screen without a margin drops the attaining block in about 2% of draws
+    for _ in range(1000):
+        cases.append(_with_blocks(rng, b1=_unitary(rng, 3), b5=_unitary(rng, 4), b6=_rank_one(rng, 2, 1.0)))
+    # near-ties: every block's operator norm within 1e-13 of 1
+    for _ in range(20):
+        x = _gaussian(rng, 5, alg.dim)
+        for v in x:
+            for b in alg.split(v):
+                b *= (1 + rng.integers(10) * 1e-14) / np.linalg.norm(b, 2)
+        cases.append(x)
+    # tiny and huge entries: squares that underflow, and Frobenius norms that
+    # overflow while a rank-one block below them holds the maximum
+    cases += [1e-300 * _gaussian(rng, 6, alg.dim), 1e150 * _gaussian(rng, 6, alg.dim),
+              1e200 * _gaussian(rng, 6, alg.dim),
+              _with_blocks(rng, 1e154, b5=1e154 * _unitary(rng, 4), b2=_rank_one(rng, 2, 1.2e154))]
+    for case in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _outcome(alg.max_operator_norm, case)
+        assert got == _outcome(ref_operator_norms_max, alg, case) == _outcome(ref_max_operator_norm, alg, case)
+    # non-finite entries in a 1×1 and in an n×n block: NaN and inf reach the
+    # result, or the SVD raises, as in a full decomposition; never 0.0
+    for block, bad in ((0, np.nan), (0, np.inf), (5, np.nan), (5, np.inf), (2, -np.inf)):
+        x = _gaussian(rng, 4, alg.dim)
+        x[2, alg.index(block, 0, 0)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _outcome(alg.max_operator_norm, x)
+        assert got in ("nan", "inf", "LinAlgError")
+        assert got == _outcome(ref_operator_norms_max, alg, x) == _outcome(ref_max_operator_norm, alg, x)
+    # an all-zero stack or vec is 0.0 without an SVD
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert alg.max_operator_norm(np.zeros((5, alg.dim))) == alg.max_operator_norm(np.zeros(alg.dim)) == 0.0
+    assert not calls
