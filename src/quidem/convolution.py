@@ -116,14 +116,10 @@ def cesaro_limit(
     """
     if mu.norm > 1 + STATE_TOL:
         raise ValueError(f"cesaro_limit requires a contractive seed, got norm {mu.norm:.6f}")
-    d3 = G.d3
-    cov_mu = mu.covector
+    conv, cov_mu = G.convolve_cov, mu.covector
     power = cov_mu.copy()          # μ^⋆N
     total = cov_mu.copy()          # Σ_{n≤N} μ^⋆n
     checkpoint, ops, increment = 1, 0, 0.0
-
-    def conv(c1, c2):
-        return np.einsum("i,j,ijc->c", c1, c2, d3)
 
     def norm(cov):
         return Functional.from_covector(G.algebra, cov).norm
@@ -167,7 +163,7 @@ def cesaro_limit(
         "cesaro_limit: mean-ergodic finish at checkpoint %d (increment %.3e, defect %.3e)",
         checkpoint, increment, defect,
     )
-    t_mat = np.einsum("i,ijc->cj", cov_mu, d3)
+    t_mat = np.einsum("i,ijc->cj", cov_mu, G.d3)
     a = t_mat - np.eye(G.dim)
     u, s, vh = np.linalg.svd(a)
     rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0])))

@@ -41,16 +41,9 @@ def _idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
 
 
 def is_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = STATE_TOL) -> bool:
-    """Idempotent with ‖ω‖ ≤ 1 + tol; such a functional must have norm one."""
-    if not is_idempotent(G, omega, tol):
-        return False
-    if omega.norm > 1 + tol:
-        return False
-    if abs(omega.norm - 1.0) > tol:
-        raise RuntimeError(
-            f"contractive idempotent with norm {omega.norm:.12f} != 1; numerical inconsistency"
-        )
-    return True
+    """Idempotent with |‖ω‖ − 1| ≤ tol: a nonzero contractive idempotent has
+    norm one, and at a loose tol an idempotent of smaller norm is rejected."""
+    return is_idempotent(G, omega, tol) and abs(omega.norm - 1.0) <= tol
 
 
 def _require_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float, what: str):

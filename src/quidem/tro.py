@@ -1,7 +1,8 @@
 """Ternary rings of operators attached to contractive idempotents: the image
-of the left convolution operator, its linking algebra inside 2×2 matrices
-over the algebra, the entrywise conditional expectation built from the
-absolute values, and recovery of the idempotent from an invariant TRO."""
+of the left convolution operator, its linking algebra of 2×2 matrices over
+the algebra (kept as four corners in the algebra), the entrywise conditional
+expectation built from the absolute values, and recovery of the idempotent
+from an invariant TRO."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from .algebra import (
     AlgebraElement,
     Functional,
     MultiMatrixAlgebra,
-    TensorSplit,
     polar_decompose,
     tensor_algebra,
 )
@@ -128,20 +128,12 @@ def is_right_invariant(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
 
 @dataclass(eq=False)
 class LinkingAlgebra:
-    """The 2×2 linking C*-algebra [[⟨XX*⟩, X], [X*, ⟨X*X⟩]] inside M₂(A)."""
+    """The 2×2 linking C*-algebra [[⟨XX*⟩, X], [X*, ⟨X*X⟩]], kept as its four
+    corners in A."""
 
     tro: OperatorSubspace
     left: OperatorSubspace
     right: OperatorSubspace
-    ambient: TensorSplit
-
-    def _embed(self, i: int, j: int, vecs: np.ndarray) -> np.ndarray:
-        """Vecs in M₂(A) of the matrices with the given vecs at entry (i, j)
-        and zeros elsewhere."""
-        dim = self.tro.algebra.dim
-        out = np.zeros(vecs.shape[:-1] + (self.ambient.algebra.dim,), dtype=np.complex128)
-        out[..., self.ambient.positions[(2 * i + j) * dim + np.arange(dim)]] = vecs
-        return out
 
     def corners(self) -> dict:
         """The corner bases as rows of vecs of A, keyed by entry: ⟨XX*⟩ at
@@ -150,22 +142,22 @@ class LinkingAlgebra:
         return {(0, 0): self.left.matrix.T, (0, 1): x,
                 (1, 0): self.tro.algebra.adjoint(x), (1, 1): self.right.matrix.T}
 
-    def _embedded_rows(self) -> np.ndarray:
-        """Rows: the corner bases embedded in M₂(A)."""
-        return np.vstack([self._embed(i, j, rows) for (i, j), rows in self.corners().items()])
-
     def corner_dims(self) -> tuple[int, int, int]:
         return self.left.dim, self.tro.dim, self.right.dim
 
     def multiplicative_defect(self) -> float:
-        """Largest residual of a product (or adjoint) of embedded basis
-        elements against the span of the embedded basis (closure of the 2×2
-        array under multiplication and adjoint)."""
-        amb, basis = self.ambient.algebra, self._embedded_rows()
-        span = OperatorSubspace.from_spanning(amb, basis)
-        worst = _worst_residual(span, amb.adjoint(basis))
-        for u in basis:  # batched over the right factor
-            worst = max(worst, _worst_residual(span, amb.multiply(u, basis)))
+        """Largest residual of a product (or adjoint) of basis elements of
+        the 2×2 array against its span, corner by corner: in M₂(A)
+        (e_ij⊗x)(e_kl⊗y) is e_il⊗xy for j = k and exactly 0 otherwise, and
+        (e_ij⊗x)* = e_ji⊗x*, so corner(i,j)·corner(j,l) is checked against
+        the span of corner(i,l) and the adjoints of corner(i,j) against that
+        of corner(j,i).  The corner bases are orthonormal."""
+        A, corners = self.tro.algebra, self.corners()
+        spans = {c: OperatorSubspace(A, rows.T) for c, rows in corners.items()}
+        worst = max(_worst_residual(spans[j, i], A.adjoint(rows)) for (i, j), rows in corners.items())
+        for (i, j), rows in corners.items():
+            for l in (0, 1):
+                worst = max(worst, _worst_residual(spans[i, l], A.multiply(rows[:, None], corners[j, l])))
         return worst
 
 
@@ -183,8 +175,7 @@ def _linking_algebra(X: OperatorSubspace, tro: bool) -> LinkingAlgebra:
     stars = A.adjoint(basis)
     left = OperatorSubspace.from_spanning(A, A.multiply(basis[:, None, :], stars[None, :, :]))
     right = OperatorSubspace.from_spanning(A, A.multiply(stars[:, None, :], basis[None, :, :]))
-    ambient = tensor_algebra(_M2, X.algebra)
-    return LinkingAlgebra(tro=X, left=left, right=right, ambient=ambient)
+    return LinkingAlgebra(tro=X, left=left, right=right)
 
 
 @dataclass(eq=False)
@@ -193,21 +184,6 @@ class SchurExpectation:
 
     group: FiniteQuantumGroup
     entries: list                  # 2×2 nested list of (dim, dim) matrices
-    ambient: TensorSplit
-
-    @property
-    def matrix(self) -> np.ndarray:
-        total = self.ambient.algebra.dim
-        out = np.zeros((total, total), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                idx = self.entry_indices(i, j)
-                out[np.ix_(idx, idx)] = self.entries[i][j]
-        return out
-
-    def entry_indices(self, i: int, j: int) -> np.ndarray:
-        dim = self.group.dim
-        return self.ambient.positions[(2 * i + j) * dim + np.arange(dim)]
 
 
 def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> SchurExpectation:
@@ -220,7 +196,7 @@ def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHE
         [G.left_matrix(parts.abs_r.covector), G.left_matrix(omega.covector)],
         [G.left_matrix(omega.conjugate().covector), G.left_matrix(parts.abs_l.covector)],
     ]
-    return SchurExpectation(group=G, entries=entries, ambient=tensor_algebra(_M2, G.algebra))
+    return SchurExpectation(group=G, entries=entries)
 
 
 @dataclass(eq=False)
@@ -244,7 +220,7 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
     and complete positivity through the Choi matrix of the block-compressed
     extension to full matrices.
 
-    E.matrix is block diagonal with one block E_ij per entry, so
+    On M₂(A), E is block diagonal with one block E_ij per entry, so
     ‖E∘E − E‖ is the largest ‖E_ij² − E_ij‖, and each corner basis element
     lies in one entry.  The bimodule property E(b₁ x b₂) = b₁ E(x) b₂ over
     all x is equivalent to E commuting with L_{b₁} R_{b₂}, checked on every
@@ -298,19 +274,22 @@ def _choi_min_eigenvalue(E: SchurExpectation) -> float:
     compression of the containing full matrix algebra (CP iff E is CP).
 
     Up to a permutation that Choi matrix is block diagonal with one block per
-    pair (input block k, output block l), C_kl[(p,r),(q,s)] = E(e^k_pq)^l_rs.
-    Those blocks are the blocks of the tensor square of the ambient algebra,
-    with (p,r),(q,s) the coordinates of e^k_pq ⊗ e^l_rs, so the Choi matrix
-    is E.matrix scattered through the tensor positions, and its eigenvalues
-    and Hermiticity defect are taken block by block."""
-    ts = tensor_algebra(E.ambient.algebra, E.ambient.algebra)
-    choi = ts.algebra
+    pair (input block k, output block l), C_kl[(p,r),(q,s)] = E(e^k_pq)^l_rs,
+    the block structure of the tensor square.  On M₂(A) the unit e_ij⊗e_a
+    goes to e_ij⊗E_ij(e_a), so the Choi matrix of E is Σ e_ij⊗e_ij⊗C_ij, with
+    C_ij the Choi matrix of E_ij on A⊗A: it is zero on every row and column
+    ((i,p),(i′,r)) with i ≠ i′, and otherwise it is the element Σ e_ij⊗C_ij
+    of M₂⊗(A⊗A).  Its eigenvalues are those of that element and zeros, and
+    its Hermiticity defect is that element's, taken block by block."""
+    ts = E.group.ts
+    m2 = tensor_algebra(_M2, ts.algebra)
+    choi = m2.algebra
     vec = np.empty(choi.dim, dtype=np.complex128)
-    vec[ts.positions] = E.matrix.T.ravel()
+    vec[m2.positions.reshape(4, -1)[:, ts.positions]] = [e.T.ravel() for row in E.entries for e in row]
     # a non-Hermitian Choi matrix means the map is not Hermiticity-preserving;
     # fold that defect into the returned bound so such maps fail the floor
     herm_defect = choi.max_operator_norm(vec - choi.adjoint(vec)) / 2
-    return float(choi.min_eigenvalues(vec)) - herm_defect
+    return min(0.0, float(choi.min_eigenvalues(vec))) - herm_defect
 
 
 def is_conditional_expectation(E: SchurExpectation, B: LinkingAlgebra, tol: float = CHECK_TOL) -> bool:

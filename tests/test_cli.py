@@ -102,6 +102,19 @@ def test_decompose_rejects_non_idempotent(capsys):
     assert "not a contractive idempotent" in bad[0]["note"]
 
 
+@pytest.mark.parametrize("command", ["decompose", "tro"])
+def test_loose_tol_rejects_idempotent_below_norm_one(capsys, command):
+    """0.3·δ₀ on C(Z4) is idempotent within 0.25 but has norm 0.3: the report
+    fails its contractive idempotent row with the defect |‖ω‖ − 1| = 0.7."""
+    code = main([command, "--group", "builtin:czn:4", "--functional",
+                 "density:[[0.3,0],[0,0],[0,0],[0,0]]", "--tol", "0.25", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    row = _rows(json.loads(out))["contractive idempotent"]
+    assert not row["passed"]
+    assert row["defect"] == pytest.approx(0.7, abs=1e-12)
+
+
 def test_explore_point_seed(capsys):
     code, out = run(
         capsys,

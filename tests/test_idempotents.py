@@ -45,6 +45,14 @@ def test_mu0_is_contractive_idempotent(cz4, mu0):
     assert is_contractive_idempotent(cz4, mu0)
 
 
+def test_loose_tol_rejects_idempotent_below_norm_one(cz4):
+    """0.3·δ₀ is idempotent within 0.25 but ‖ω‖ = 0.3: not contractive
+    idempotent at that tol, and no error."""
+    omega = Functional.from_covector(cz4.algebra, np.array([0.3, 0, 0, 0]))
+    assert is_idempotent(cz4, omega, 0.25)
+    assert not is_contractive_idempotent(cz4, omega, 0.25)
+
+
 def test_non_subgroup_average_is_not_idempotent(cz4):
     bad = Functional.from_covector(cz4.algebra, np.array([0.5, 0.5, 0, 0]))
     assert not is_idempotent(cz4, bad)

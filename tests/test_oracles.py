@@ -142,12 +142,34 @@ def _ref_right_mult_matrix(a):
     return out
 
 
+def _ref_m2(alg):
+    """M₂(A) = M₂⊗A: positions[(2i + j)·dim + a] is the vec index of e_ij⊗e_a."""
+    return tensor_algebra(MultiMatrixAlgebra((2,)), alg)
+
+
+def _ref_entry_indices(m2, i, j):
+    """Vec indices in M₂(A) of entry (i, j)."""
+    dim = m2.right.dim
+    return m2.positions[(2 * i + j) * dim + np.arange(dim)]
+
+
+def _ref_schur_matrix(E):
+    """The dense (4·dim)² matrix on M₂(A) of the entrywise map E."""
+    m2 = _ref_m2(E.group.algebra)
+    out = np.zeros((m2.algebra.dim, m2.algebra.dim), dtype=np.complex128)
+    for i in range(2):
+        for j in range(2):
+            idx = _ref_entry_indices(m2, i, j)
+            out[np.ix_(idx, idx)] = E.entries[i][j]
+    return out
+
+
 def _ref_embedded_basis(link):
-    dim = link.tro.algebra.dim
+    m2 = _ref_m2(link.tro.algebra)
 
     def embed(i, j, x):
-        out = np.zeros(link.ambient.algebra.dim, dtype=np.complex128)
-        out[link.ambient.positions[(2 * i + j) * dim + np.arange(dim)]] = x.vec
+        out = np.zeros(m2.algebra.dim, dtype=np.complex128)
+        out[_ref_entry_indices(m2, i, j)] = x.vec
         return out
 
     out = [embed(0, 0, x) for x in link.left.basis]
@@ -423,8 +445,8 @@ def ref_multiplicative_defect(link, tol_rank=1e-10):
     basis = _ref_embedded_basis(link)
     stack = np.column_stack(basis)
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    span = type(link.tro)(link.ambient.algebra, u[:, : int(np.sum(s > tol_rank * s[0]))])
-    amb = link.ambient.algebra
+    amb = _ref_m2(link.tro.algebra).algebra
+    span = type(link.tro)(amb, u[:, : int(np.sum(s > tol_rank * s[0]))])
     elems = [amb.from_vec(v) for v in basis]
     worst = max((_residual(span, e.adjoint()) for e in elems), default=0.0)
     for eu in elems:
@@ -434,8 +456,8 @@ def ref_multiplicative_defect(link, tol_rank=1e-10):
 
 
 def ref_bimodule(E, B):
-    amb = B.ambient.algebra
-    mat = E.matrix
+    amb = _ref_m2(B.tro.algebra).algebra
+    mat = _ref_schur_matrix(E)
     basis_b = _ref_embedded_basis(B)
     elems_b = [amb.from_vec(v) for v in basis_b]
     lmults = [_ref_left_mult_matrix(b) for b in elems_b]
@@ -462,8 +484,8 @@ def _ref_corner_bases(link):
 
 def ref_bimodule_corners(E, B, first, second):
     """ref_bimodule over b₁ in corner `first` and b₂ in corner `second`."""
-    amb = B.ambient.algebra
-    mat = E.matrix
+    amb = _ref_m2(B.tro.algebra).algebra
+    mat = _ref_schur_matrix(E)
     corners = _ref_corner_bases(B)
     lmults = [_ref_left_mult_matrix(amb.from_vec(v)) for v in corners[first]]
     rmults = [_ref_right_mult_matrix(amb.from_vec(v)) for v in corners[second]]
@@ -476,21 +498,21 @@ def ref_bimodule_corners(E, B, first, second):
 
 
 def ref_expectation_idempotent(E):
-    mat = E.matrix
+    mat = _ref_schur_matrix(E)
     return float(np.linalg.norm(mat @ mat - mat, 2))
 
 
 def ref_fixes_subalgebra(E, B):
-    mat = E.matrix
+    mat = _ref_schur_matrix(E)
     basis_b = np.array(_ref_embedded_basis(B))
     return float(np.linalg.norm(basis_b @ mat.T - basis_b, axis=-1).max(initial=0.0))
 
 
 def ref_choi_min_eigenvalue(E):
-    amb = E.ambient.algebra
+    amb = _ref_m2(E.group.algebra).algebra
     sizes = amb.block_dims
     n_total = sum(sizes)
-    mat = E.matrix
+    mat = _ref_schur_matrix(E)
     choi = np.zeros((n_total * n_total, n_total * n_total), dtype=np.complex128)
     start = 0
     for k, n in enumerate(sizes):
@@ -651,8 +673,9 @@ def test_expectation_checks_match_loop_form(case):
 
 
 def test_bimodule_defects_match_loop_form_per_corner_pair(case):
-    """Each of the 16 corner-pair defects, and the idempotent and fixed-point
-    residuals, against the dense loop forms on M₂(A): on the expectation,
+    """Each of the 16 corner-pair defects, the idempotent and fixed-point
+    residuals and the Choi bound, against the dense loop forms on M₂(A): on
+    the expectation,
     where every residual is roundoff, and on Schur maps with four random
     entries, where the residuals are O(1) (a corner pair whose products are
     multiples of 1 and whose two entries coincide stays at roundoff)."""
@@ -670,6 +693,9 @@ def test_bimodule_defects_match_loop_form_per_corner_pair(case):
             assert (max(want.values()) <= TOL) == small
             checks = expectation_checks(E, link)
             assert checks.bimodule == max(got.values())
+            choi = ref_choi_min_eigenvalue(E)
+            assert abs(_choi_min_eigenvalue(E) - choi) <= AGREE
+            assert (checks.choi_min_eigenvalue >= CP_FLOOR) == (choi >= CP_FLOOR)
             for value, ref in ((checks.idempotent, ref_expectation_idempotent(E)),
                                (checks.fixes_subalgebra, ref_fixes_subalgebra(E, link))):
                 assert abs(value - ref) <= AGREE
@@ -820,10 +846,7 @@ def test_multiplicative_defect_matches_loop_form_off_linking_algebras():
     def subspace(k):
         return OperatorSubspace.from_spanning(alg, _gaussian(rng, k, alg.dim))
 
-    link = LinkingAlgebra(
-        tro=subspace(3), left=subspace(2), right=subspace(4),
-        ambient=tensor_algebra(MultiMatrixAlgebra((2,)), alg),
-    )
+    link = LinkingAlgebra(tro=subspace(3), left=subspace(2), right=subspace(4))
     want = ref_multiplicative_defect(link)
     assert want > 0.05
     assert abs(link.multiplicative_defect() - want) <= AGREE

@@ -11,7 +11,6 @@ from quidem import (
     left_conv_operator,
 )
 from quidem import tro
-from quidem.algebra import tensor_algebra
 from quidem.idempotents import enumerate_group_algebra
 from quidem.tro import (
     OperatorSubspace,
@@ -30,6 +29,7 @@ from quidem.tro import (
     recover_idempotent,
     triple_product_identities,
 )
+from test_oracles import _ref_entry_indices, _ref_m2, _ref_schur_matrix
 
 
 def _subspace(alg, vecs):
@@ -134,7 +134,9 @@ def test_linking_algebra_of_mu0(cz4, mu0):
 
 def test_expectation_of_counit_is_identity(cz4):
     E = build_expectation(cz4, cz4.counit)
-    assert np.allclose(E.matrix, np.eye(4 * cz4.dim))
+    for row in E.entries:
+        for entry in row:
+            assert np.allclose(entry, np.eye(cz4.dim))
 
 
 def test_expectation_of_haar_averages(kp):
@@ -171,19 +173,21 @@ def test_weight_preservation_fails_for_counit_average(cz4, mu0):
 
 
 def test_schur_matrix_has_no_cross_entry_coupling(kp):
-    """E.matrix holds each entry E_ij in its own (entry_indices, entry_indices)
-    block and is exactly 0 elsewhere: the structure the entrywise checks of
-    expectation_checks and preserves_weight rely on."""
+    """The dense matrix of E on M₂(A) holds each entry E_ij in its own
+    (entry indices, entry indices) block and is exactly 0 elsewhere: the
+    structure the entrywise checks of expectation_checks and preserves_weight
+    rely on, and the form the dense oracles of test_oracles build."""
     rng = np.random.default_rng(7)
     dim = kp.dim
     entries = [[rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(2)]
                for _ in range(2)]
-    E = SchurExpectation(group=kp, entries=entries, ambient=tensor_algebra(MultiMatrixAlgebra((2,)), kp.algebra))
-    M = E.matrix
+    E = SchurExpectation(group=kp, entries=entries)
+    m2 = _ref_m2(kp.algebra)
+    M = _ref_schur_matrix(E)
     inside = np.zeros(M.shape, dtype=bool)
     for i in range(2):
         for j in range(2):
-            block = np.ix_(E.entry_indices(i, j), E.entry_indices(i, j))
+            block = np.ix_(_ref_entry_indices(m2, i, j), _ref_entry_indices(m2, i, j))
             assert np.array_equal(M[block], entries[i][j])
             inside[block] = True
     assert np.count_nonzero(inside) == 4 * dim * dim
@@ -267,23 +271,32 @@ def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
 
 def test_expectation_checks_stay_in_A(stack_cases, monkeypatch):
     """expectation_checks works on the four (dim, dim) entries: it never
-    multiplies in M₂(A), and no product stack holds more than dim² vecs of A."""
-    largest = {}
-    multiply = MultiMatrixAlgebra.multiply
+    multiplies in M₂(A), no product stack holds more than dim² vecs of A, and
+    the Choi eigenvalues are taken in an algebra of dimension at most 4·dim²
+    (M₂⊗(A⊗A)), not in M₂(A)⊗M₂(A) of dimension 16·dim²."""
+    largest, eig_dims = {}, []
+    multiply, min_eigenvalues = MultiMatrixAlgebra.multiply, MultiMatrixAlgebra.min_eigenvalues
 
     def recording(self, x, y):
         out = multiply(self, x, y)
         largest[self.dim] = max(largest.get(self.dim, 0), out.size // self.dim)
         return out
 
+    def recording_eigs(self, x):
+        eig_dims.append(self.dim)
+        return min_eigenvalues(self, x)
+
     monkeypatch.setattr(MultiMatrixAlgebra, "multiply", recording)
+    monkeypatch.setattr(MultiMatrixAlgebra, "min_eigenvalues", recording_eigs)
     for G, omega in stack_cases:
         link = linking_algebra(image_subspace(left_conv_operator(G, omega)))
         E = build_expectation(G, omega)
         largest.clear()
+        eig_dims.clear()
         assert expectation_checks(E, link).passed()
         assert largest.keys() == {G.dim}
         assert largest[G.dim] <= G.dim ** 2
+        assert eig_dims and max(eig_dims) <= 4 * G.dim ** 2
 
 
 def test_bimodule_stacks_hold_at_most_dim_squared_vecs(gd4, monkeypatch):
