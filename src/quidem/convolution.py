@@ -163,7 +163,7 @@ def cesaro_limit(
         "cesaro_limit: mean-ergodic finish at checkpoint %d (increment %.3e, defect %.3e)",
         checkpoint, increment, defect,
     )
-    t_mat = np.einsum("i,ijc->cj", cov_mu, G.d3)
+    t_mat = G.left_matrix(cov_mu).T
     a = t_mat - np.eye(G.dim)
     u, s, vh = np.linalg.svd(a)
     rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0])))

@@ -222,9 +222,10 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
 
     On M₂(A), E is block diagonal with one block E_ij per entry, so
     ‖E∘E − E‖ is the largest ‖E_ij² − E_ij‖, and each corner basis element
-    lies in one entry.  The bimodule property E(b₁ x b₂) = b₁ E(x) b₂ over
-    all x is equivalent to E commuting with L_{b₁} R_{b₂}, checked on every
-    basis pair of the linking algebra by _bimodule_defects."""
+    lies in one entry.  The bimodule property is checked as the left and
+    right module properties by _module_defect: those two give it, since
+    E(b₁xb₂) = b₁E(xb₂) = b₁E(x)b₂, and follow from it when 1 ∈ B, as for a
+    unital E, whose range B holds E(1) = 1."""
     entries, corners = E.entries, B.corners()
     idem = max(float(np.linalg.norm(e @ e - e, 2)) for row in entries for e in row)
     fixes = max(float(np.linalg.norm(b @ entries[i][j].T - b, axis=-1).max(initial=0.0))
@@ -232,41 +233,29 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
     return ExpectationCheck(
         idempotent=idem,
         fixes_subalgebra=fixes,
-        bimodule=max(_bimodule_defects(B.tro.algebra, entries, corners).values()),
+        bimodule=_module_defect(B.tro.algebra, entries, corners),
         choi_min_eigenvalue=_choi_min_eigenvalue(E),
     )
 
 
-def _bimodule_defects(A: MultiMatrixAlgebra, entries, corners: dict) -> dict:
-    """Largest Frobenius norm of E L_{b₁}R_{b₂} − L_{b₁}R_{b₂} E over the
-    basis pairs of each pair of corners, keyed ((i, j), (k, l)).
+def _module_defect(A: MultiMatrixAlgebra, entries, corners: dict) -> float:
+    """Largest Frobenius norm of E L_b − L_b E and of E R_b − R_b E over the
+    basis elements b of the linking algebra.
 
-    For b₁ = e_ij⊗p and b₂ = e_kl⊗q, L_{b₁}R_{b₂} takes entry (j,k) to entry
-    (i,l) by a ↦ paq and every other entry to 0, so the commutator is
-    E_il L_p R_q − L_p R_q E_jk, a (dim, dim) operator on A, from entry
-    (j,k) to (i,l) and 0 elsewhere."""
-    worst = np.zeros((len(corners), len(corners)))
-    for rows, cols, defect in _bimodule_stacks(A, entries, corners):
-        np.maximum.at(worst, (rows[:, None], cols), np.linalg.norm(defect, axis=(-2, -1)))
-    return {(c1, c2): float(worst[m, n]) for m, c1 in enumerate(corners) for n, c2 in enumerate(corners)}
-
-
-def _bimodule_stacks(A: MultiMatrixAlgebra, entries, corners: dict):
-    """The commutators of _bimodule_defects for all corner basis pairs (p, q)
-    in one pass, chunked over q and then p to at most dim² vecs of A: yields
-    the corners of the chunk's p and q and its (p, q, dim, dim) stack."""
+    For b = e_ij⊗p, L_b takes entry (j,l) to entry (i,l) by a ↦ pa and R_b
+    takes entry (l,i) to entry (l,j) by a ↦ ap, for l = 0, 1, and every other
+    entry to 0; so the two commutators have the blocks E_il L_p − L_p E_jl
+    and E_lj R_p − R_p E_li, operators on A, and are 0 elsewhere."""
     units, E = np.eye(A.dim), np.array(entries)
-    corner = np.repeat(np.arange(len(corners)), [len(b) for b in corners.values()])
-    i, j = np.array(list(corners))[corner].T     # entry (i, j) of each basis element
-    # L_p and R_q as matrices on A, multiplied out corner by corner
-    lm = np.concatenate([A.multiply(b[:, None], units) for b in corners.values()]).swapaxes(-1, -2)
-    rm = np.concatenate([A.multiply(units, b[:, None]) for b in corners.values()]).swapaxes(-1, -2)
-    e_after_l = E[i] @ lm[:, None]                        # [p, l] = E_{i(p) l} L_p
-    r_after_e = rm[:, None] @ E[:, i].swapaxes(0, 1)      # [q, m] = R_q E_{m i(q)}
-    for qs in _chunks(len(corner), A.dim, A.dim):
-        for ps in _chunks(len(corner), len(corner[qs]) * A.dim, A.dim):
-            defect = e_after_l[ps][:, j[qs]] @ rm[qs] - lm[ps, None] @ r_after_e[qs][:, j[ps]].swapaxes(0, 1)
-            yield corner[ps], corner[qs], defect
+    worst = 0.0
+    for (i, j), b in corners.items():
+        # L_p and R_p as matrices on A for every basis element p of the corner
+        lp = A.multiply(b[:, None], units).swapaxes(-1, -2)
+        rp = A.multiply(units, b[:, None]).swapaxes(-1, -2)
+        left = [np.linalg.norm(E[i, l] @ lp - lp @ E[j, l], axis=(-2, -1)) for l in (0, 1)]
+        right = [np.linalg.norm(E[l, j] @ rp - rp @ E[l, i], axis=(-2, -1)) for l in (0, 1)]
+        worst = max(worst, np.hypot(*left).max(initial=0.0), np.hypot(*right).max(initial=0.0))
+    return float(worst)
 
 
 def _choi_min_eigenvalue(E: SchurExpectation) -> float:
@@ -369,14 +358,14 @@ def _identity_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, lr: np.ndarray, l
 def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray) -> dict:
     """The three TRO-expectation residuals of check_tro_expectation,
 
-        P(a x*y) = P(a) x*y,   P(x a* y) = x P(a)* y,   P(x x*a) = x x* P(a),
+        P(a x*y) = P(a) x*y,   P(x a* y) = x P(a)* y,   P(x y*a) = x y* P(a),
 
     for P = lw, over basis elements a and the rows x, y of xb; stacked over
     (a, x, y) in chunks of a."""
     units, p = np.eye(A.dim), lw.T
     xs = A.adjoint(xb)
     xs_y = A.multiply(xs[:, None], xb)        # [x, y] = x* y
-    x_xs = A.multiply(xb, xs)                 # [x] = x x*
+    x_ys = A.multiply(xb[:, None], xs)        # [x, y] = x y*
     out = {"expect_right_pair": 0.0, "expect_middle": 0.0, "expect_left_pair": 0.0}
     for s in _chunks(A.dim, len(xb) ** 2, A.dim):
         a, pa = units[s, None], p[s, None]    # [a, 1]
@@ -385,7 +374,7 @@ def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray
         for name, inner, direct in (
             ("expect_right_pair", A.multiply(a[:, None], xs_y), A.multiply(pa[:, None], xs_y)),
             ("expect_middle", A.multiply(x_as[:, :, None], xb), A.multiply(x_pas[:, :, None], xb)),
-            ("expect_left_pair", A.multiply(x_xs, a), A.multiply(x_xs, pa)),
+            ("expect_left_pair", A.multiply(x_ys, a[:, None]), A.multiply(x_ys, pa[:, None])),
         ):
             out[name] = max(out[name], A.max_operator_norm(inner @ lw.T - direct))
     return out
@@ -394,26 +383,12 @@ def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray
 def triple_product_identities(G: FiniteQuantumGroup, omega: Functional) -> dict:
     """Residuals of the four equivalent expressions for the triple product of
     images: the direct product L_ω(a)L_ω(b)*L_ω(c) against the three absorbed
-    forms (the first absorbed form already forces the other two)."""
-    return _triple_residuals(G.algebra, G.left_matrix(omega.covector))
-
-
-def _triple_residuals(A: MultiMatrixAlgebra, lw: np.ndarray) -> dict:
-    """triple_product_identities for P = lw over all basis triples (a, b, c);
-    each residual is batched over (b, c) for every basis element a."""
-    units = np.eye(A.dim)
-    p, p_star, unit_stars = lw.T, A.adjoint(lw.T), A.adjoint(units)
-    worst = {"first": 0.0, "second": 0.0, "third": 0.0}
-    for a, pa in zip(units, p):
-        pa_pb = A.multiply(pa, p_star)[:, None, :]
-        direct = A.multiply(pa_pb, p)
-        for name, lhs in (
-            ("first", A.multiply(pa_pb, units)),
-            ("second", A.multiply(A.multiply(pa, unit_stars)[:, None, :], p)),
-            ("third", A.multiply(A.multiply(a, p_star)[:, None, :], p)),
-        ):
-            worst[name] = max(worst[name], A.max_operator_norm(lhs @ lw.T - direct))
-    return worst
+    forms (the first absorbed form already forces the other two).  With x and
+    y running over the images L_ω(e_i), these are the TRO-expectation
+    residuals P(x y*c), P(x b* y) and P(a x*y) of _expectation_residuals."""
+    lw = G.left_matrix(omega.covector)
+    res = _expectation_residuals(G.algebra, lw, lw.T)
+    return {"first": res["expect_left_pair"], "second": res["expect_middle"], "third": res["expect_right_pair"]}
 
 
 @dataclass(eq=False)

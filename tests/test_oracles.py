@@ -10,6 +10,7 @@ also on deliberately broken inputs.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,12 +40,11 @@ from quidem.qgroup import FiniteQuantumGroup, _dual_regular_split, _star_residua
 from quidem.tro import (
     LinkingAlgebra,
     OperatorSubspace,
-    _bimodule_defects,
     _choi_min_eigenvalue,
     _chunks,
     _expectation_residuals,
     _identity_residuals,
-    _triple_residuals,
+    _module_defect,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
@@ -347,7 +347,7 @@ def ref_check_tro_expectation(G, omega, tol):
                 )
                 exp_res["expect_left_pair"] = max(
                     exp_res["expect_left_pair"],
-                    _norm(lmap(lw, x * xs * a) - x * xs * pa),
+                    _norm(lmap(lw, x * y.adjoint() * a) - x * y.adjoint() * pa),
                 )
     return res, exp_res, ref_is_tro(image, tol)
 
@@ -412,7 +412,7 @@ def ref_expectation_residuals(alg, lw, xb):
                 for name, value in (
                     ("expect_right_pair", lmap(a * x.adjoint() * y) - pa * x.adjoint() * y),
                     ("expect_middle", lmap(x * a.adjoint() * y) - x * pa.adjoint() * y),
-                    ("expect_left_pair", lmap(x * x.adjoint() * a) - x * x.adjoint() * pa),
+                    ("expect_left_pair", lmap(x * y.adjoint() * a) - x * y.adjoint() * pa),
                 ):
                     res[name] = max(res[name], _norm(value))
     return res
@@ -472,29 +472,17 @@ def ref_bimodule(E, B):
     return bimodule
 
 
-def _ref_corner_bases(link):
-    """_ref_embedded_basis split by corner: ⟨XX*⟩ at (0,0), X at (0,1), X* at
-    (1,0) and ⟨X*X⟩ at (1,1)."""
-    basis = _ref_embedded_basis(link)
-    n_l, k, _ = link.corner_dims()
-    cuts = [0, n_l, n_l + k, n_l + 2 * k, len(basis)]
-    return {corner: basis[cuts[c]: cuts[c + 1]]
-            for c, corner in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)))}
-
-
-def ref_bimodule_corners(E, B, first, second):
-    """ref_bimodule over b₁ in corner `first` and b₂ in corner `second`."""
+def ref_module(E, B):
+    """Largest Frobenius norm of E L_b − L_b E and of E R_b − R_b E over the
+    embedded basis elements b of B, on the dense matrices of M₂(A)."""
     amb = _ref_m2(B.tro.algebra).algebra
     mat = _ref_schur_matrix(E)
-    corners = _ref_corner_bases(B)
-    lmults = [_ref_left_mult_matrix(amb.from_vec(v)) for v in corners[first]]
-    rmults = [_ref_right_mult_matrix(amb.from_vec(v)) for v in corners[second]]
-    bimodule = 0.0
-    for lm in lmults:
-        for rm in rmults:
-            defect = np.linalg.norm(mat @ lm @ rm - lm @ rm @ mat)
-            bimodule = max(bimodule, float(defect))
-    return bimodule
+    module = 0.0
+    for v in _ref_embedded_basis(B):
+        b = amb.from_vec(v)
+        for mult in (_ref_left_mult_matrix(b), _ref_right_mult_matrix(b)):
+            module = max(module, float(np.linalg.norm(mat @ mult - mult @ mat)))
+    return module
 
 
 def ref_expectation_idempotent(E):
@@ -659,9 +647,8 @@ def test_expectation_checks_match_loop_form(case):
             E.entries[0][1] = s01 * E.entries[0][1]
             E.entries[1][0] = s10 * E.entries[1][0]
             checks = expectation_checks(E, link)
-            bimodule = ref_bimodule(E, link)
-            assert abs(checks.bimodule - bimodule) <= AGREE
-            assert (checks.bimodule <= TOL) == (bimodule <= TOL)
+            assert abs(checks.bimodule - ref_module(E, link)) <= AGREE
+            assert (checks.bimodule <= TOL) == (ref_bimodule(E, link) <= TOL)
             choi = ref_choi_min_eigenvalue(E)
             assert abs(_choi_min_eigenvalue(E) - choi) <= AGREE
             assert abs(checks.choi_min_eigenvalue - choi) <= AGREE
@@ -672,13 +659,12 @@ def test_expectation_checks_match_loop_form(case):
                 assert choi < CP_FLOOR
 
 
-def test_bimodule_defects_match_loop_form_per_corner_pair(case):
-    """Each of the 16 corner-pair defects, the idempotent and fixed-point
-    residuals and the Choi bound, against the dense loop forms on M₂(A): on
-    the expectation,
-    where every residual is roundoff, and on Schur maps with four random
-    entries, where the residuals are O(1) (a corner pair whose products are
-    multiples of 1 and whose two entries coincide stays at roundoff)."""
+def test_module_defect_matches_loop_form(case):
+    """The module defect against its dense loop form on M₂(A), with the
+    verdict of the pairwise bimodule loop form, and the idempotent and
+    fixed-point residuals and the Choi bound against theirs: on the
+    expectation, where every residual is roundoff, and on Schur maps with four
+    random entries, where the residuals are O(1)."""
     G, idempotents = case
     rng = np.random.default_rng(11)
     for omega in idempotents:
@@ -686,13 +672,11 @@ def test_bimodule_defects_match_loop_form_per_corner_pair(case):
         random = build_expectation(G, omega, TOL)
         random.entries = [[_gaussian(rng, G.dim, G.dim) for _ in range(2)] for _ in range(2)]
         for E, small in ((build_expectation(G, omega, TOL), True), (random, False)):
-            got = _bimodule_defects(G.algebra, E.entries, link.corners())
-            corners = _ref_corner_bases(link)
-            want = {(c1, c2): ref_bimodule_corners(E, link, c1, c2) for c1 in corners for c2 in corners}
-            _assert_agree(got, want, TOL)
-            assert (max(want.values()) <= TOL) == small
+            want = ref_module(E, link)
+            assert abs(_module_defect(G.algebra, E.entries, link.corners()) - want) <= AGREE
+            assert (want <= TOL) == (ref_bimodule(E, link) <= TOL) == small
             checks = expectation_checks(E, link)
-            assert checks.bimodule == max(got.values())
+            assert abs(checks.bimodule - want) <= AGREE
             choi = ref_choi_min_eigenvalue(E)
             assert abs(_choi_min_eigenvalue(E) - choi) <= AGREE
             assert (checks.choi_min_eigenvalue >= CP_FLOOR) == (choi >= CP_FLOOR)
@@ -821,7 +805,20 @@ def test_tro_residuals_match_loop_form_off_idempotents(block_dims, k):
         _assert_agree(_identity_residuals(alg, lw, lr, ll), want, TOL)
     want = ref_triple_residuals(alg, lw)
     assert min(want.values()) > 0.05
-    _assert_agree(_triple_residuals(alg, lw), want, TOL)
+    G = SimpleNamespace(algebra=alg, left_matrix=lambda cov: lw)
+    _assert_agree(triple_product_identities(G, SimpleNamespace(covector=None)), want, TOL)
+
+
+def test_expect_left_pair_sees_off_diagonal_pairs():
+    """P = Ad(u) on M₂ with u = diag(1, −1) and X = span{e₁₁, e₂₁}: the
+    diagonal pairs satisfy P(x x*a) = x x*P(a), but P(e₁₁e₂₁*a) = −e₁₂P(a),
+    so the left pair fails at x ≠ y."""
+    alg = MultiMatrixAlgebra((2,))
+    u = np.diag([1.0, -1.0])
+    lw = np.kron(u, u).astype(np.complex128)
+    xb = np.eye(4, dtype=np.complex128)[[0, 2]]
+    assert ref_expectation_residuals(alg, lw, xb)["expect_left_pair"] == pytest.approx(2.0)
+    assert _expectation_residuals(alg, lw, xb)["expect_left_pair"] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("v, tro", [([0, 1, 0, 0], True), (np.array([1, 0, 0, 2]) / np.sqrt(5), False)])

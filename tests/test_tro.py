@@ -10,7 +10,6 @@ from quidem import (
     function_algebra,
     left_conv_operator,
 )
-from quidem import tro
 from quidem.idempotents import enumerate_group_algebra
 from quidem.tro import (
     OperatorSubspace,
@@ -297,26 +296,3 @@ def test_expectation_checks_stay_in_A(stack_cases, monkeypatch):
         assert largest.keys() == {G.dim}
         assert largest[G.dim] <= G.dim ** 2
         assert eig_dims and max(eig_dims) <= 4 * G.dim ** 2
-
-
-def test_bimodule_stacks_hold_at_most_dim_squared_vecs(gd4, monkeypatch):
-    """The single bimodule pass over all corner basis pairs, on the C*(D4)
-    counit: its 32 basis elements outnumber dim = 8, so q is chunked as well
-    as p; no commutator stack holds more than dim² vecs of A, the largest
-    reaches that bound, and every pair (p, q) is covered once."""
-    shapes = []
-    stacks = tro._bimodule_stacks
-
-    def recording(A, entries, corners):
-        for rows, cols, defect in stacks(A, entries, corners):
-            shapes.append(defect.shape)
-            yield rows, cols, defect
-
-    monkeypatch.setattr(tro, "_bimodule_stacks", recording)
-    link = linking_algebra(image_subspace(left_conv_operator(gd4, gd4.counit)))
-    assert expectation_checks(build_expectation(gd4, gd4.counit), link).passed()
-    count = sum(len(b) for b in link.corners().values())
-    assert count == 4 * gd4.dim
-    assert max(p * q * n for p, q, n, _ in shapes) == gd4.dim ** 2
-    assert all(n == m == gd4.dim for _, _, n, m in shapes)
-    assert sum(p * q for p, q, _, _ in shapes) == count ** 2
