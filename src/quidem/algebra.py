@@ -100,12 +100,34 @@ class MultiMatrixAlgebra:
         return [(n, idx, x[..., idx].reshape(x.shape[:-1] + (len(idx), n, n)))
                 for n, idx in self.size_classes]
 
+    @cached_property
+    def product_tables(self) -> tuple[tuple[slice | np.ndarray, np.ndarray, np.ndarray], ...]:
+        """One (o, l, r) per k < max n: o lists the vec indices (b, r, c) of
+        every block b with n_b > k, and l, r the vec indices of x_(b,r,k) and
+        y_(b,k,c) for each, so that (xy)[o] is the sum over k of x[l]·y[r].
+        An o that is one contiguous run, as when the block sizes do not
+        decrease, is a slice, so that its sum is added in place."""
+        block, row, col = self.coordinates
+        sizes, offsets = np.array(self.block_dims)[block], np.array(self.offsets)[block]
+        tables = []
+        for k in range(max(self.block_dims)):
+            o = np.flatnonzero(sizes > k)
+            l, r = offsets[o] + row[o] * sizes[o] + k, offsets[o] + k * sizes[o] + col[o]
+            for t in (o, l, r):
+                t.flags.writeable = False
+            tables.append((slice(int(o[0]), int(o[-1]) + 1) if o[-1] - o[0] + 1 == len(o) else o, l, r))
+        return tuple(tables)
+
     def multiply(self, x, y) -> np.ndarray:
-        """Blockwise products of stacks of vecs, broadcast over leading axes."""
+        """Blockwise products of stacks of vecs, broadcast over leading axes:
+        one gather-multiply per inner index k, with no matrix product."""
         x, y = np.asarray(x), np.asarray(y)
-        out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
-        for (n, idx, xb), (_, _, yb) in zip(self.blocks_by_size(x), self.blocks_by_size(y)):
-            out[..., idx] = (xb * yb if n == 1 else xb @ yb).reshape(out.shape[:-1] + idx.shape)
+        if len(self.product_tables) == 1:   # every block is 1×1
+            return x * y
+        (_, l, r), *rest = self.product_tables
+        out = x[..., l] * y[..., r]
+        for o, l, r in rest:
+            out[..., o] += x[..., l] * y[..., r]
         return out
 
     def singular_values(self, x) -> list:

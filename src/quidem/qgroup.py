@@ -219,7 +219,7 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
 
     # coassociativity, measured in the triple tensor algebra
     d3 = G.d3
-    diff = np.einsum("ijm,mkc->cijk", d3, d3) - np.einsum("jkm,imc->cijk", d3, d3)
+    diff = np.einsum("ijm,mkc->cijk", d3, d3, optimize=True) - np.einsum("jkm,imc->cijk", d3, d3, optimize=True)
     t3 = tensor_algebra(AA, A)
     pos3 = t3.positions.reshape(AA.dim, dim)[G.pos_matrix, :]
     vec3 = np.zeros((dim, t3.algebra.dim), dtype=np.complex128)
@@ -234,8 +234,8 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
     ms = G.mult_tensor
     s_mat = G.antipode
     rhs = np.einsum("c,o->co", ce, one)
-    defects["antipode_left"] = A.max_operator_norm(np.einsum("ijc,ki,okj->co", d3, s_mat, ms) - rhs)
-    defects["antipode_right"] = A.max_operator_norm(np.einsum("ijc,kj,oik->co", d3, s_mat, ms) - rhs)
+    defects["antipode_left"] = A.max_operator_norm(np.einsum("ijc,ki,okj->co", d3, s_mat, ms, optimize=True) - rhs)
+    defects["antipode_right"] = A.max_operator_norm(np.einsum("ijc,kj,oik->co", d3, s_mat, ms, optimize=True) - rhs)
     defects["antipode_involutive"] = A.max_operator_norm((s_mat @ s_mat - ident).T)
     # S(a*) = S(a)* checked on the matrix-unit basis
     star_mat = ident[:, star]

@@ -171,11 +171,15 @@ def _linking_algebra(X: OperatorSubspace, tro: bool) -> LinkingAlgebra:
     """linking_algebra of X given its is_tro verdict."""
     if not tro:
         raise ValueError("linking_algebra requires a TRO")
+    return LinkingAlgebra(X, *_product_spans(X))
+
+
+def _product_spans(X: OperatorSubspace) -> tuple[OperatorSubspace, OperatorSubspace]:
+    """Orthonormal bases of ⟨XX*⟩ and ⟨X*X⟩, for any subspace X."""
     A, basis = X.algebra, X.matrix.T
     stars = A.adjoint(basis)
-    left = OperatorSubspace.from_spanning(A, A.multiply(basis[:, None, :], stars[None, :, :]))
-    right = OperatorSubspace.from_spanning(A, A.multiply(stars[:, None, :], basis[None, :, :]))
-    return LinkingAlgebra(tro=X, left=left, right=right)
+    return (OperatorSubspace.from_spanning(A, A.multiply(basis[:, None, :], stars[None, :, :])),
+            OperatorSubspace.from_spanning(A, A.multiply(stars[:, None, :], basis[None, :, :])))
 
 
 @dataclass(eq=False)
@@ -319,65 +323,71 @@ class TroExpectationReport:
 
 
 def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> TroExpectationReport:
-    """Verify, over all basis pairs, the four identities
+    """Verify the four identities
 
         P(P(a)b) = P(a)Q_l(b),     Q_l(P(a)*b) = P(a)*P(b),
         P(aP(b)) = Q_r(a)P(b),     Q_r(aP(b)*) = P(a)P(b)*,
 
-    with P = L_ω, Q_r = L_{|ω|_r}, Q_l = L_{|ω|_l}; then the three
-    TRO-expectation axioms on the image, and the TRO property of the image."""
+    with P = L_ω, Q_r = L_{|ω|_r}, Q_l = L_{|ω|_l}, over the basis elements b
+    and an orthonormal basis of the image in place of P(a); then the three
+    TRO-expectation axioms on the image, and the TRO property of the image.
+    Each identity is linear or conjugate-linear in the factor that runs over
+    a basis, so it holds on the whole span iff it holds on that basis."""
     _require_contractive_idempotent(G, omega, tol, "check_tro_expectation requires a contractive idempotent")
     parts = polar_decompose(omega)
     A = G.algebra
     lw = G.left_matrix(omega.covector)
     image = image_subspace(lw, A)
+    xb = image.matrix.T
     return TroExpectationReport(
         identity_residuals=_identity_residuals(
-            A, lw, G.left_matrix(parts.abs_r.covector), G.left_matrix(parts.abs_l.covector)
+            A, lw, G.left_matrix(parts.abs_r.covector), G.left_matrix(parts.abs_l.covector), xb
         ),
-        expectation_residuals=_expectation_residuals(A, lw, image.matrix.T),
+        expectation_residuals=_expectation_residuals(A, lw, xb, *_product_spans(image)),
         image=image,
         image_is_tro=is_tro(image, tol),
     )
 
 
-def _identity_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, lr: np.ndarray, ll: np.ndarray) -> dict:
+def _identity_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, lr: np.ndarray, ll: np.ndarray, xb: np.ndarray) -> dict:
     """The four mixed-product residuals of check_tro_expectation for the
-    maps P = lw, Q_r = lr and Q_l = ll, over all basis pairs (a, b)."""
+    maps P = lw, Q_r = lr and Q_l = ll, with x = P(a) over the rows of xb
+    and b over the basis elements."""
     units = np.eye(A.dim)
-    p, p_star = lw.T, A.adjoint(lw.T)        # rows: P(e_i) and its adjoint
-    # stacks indexed [i, j]: a = e_i enters through P(a), b = e_j; x @ m.T maps x by m
+    xs = A.adjoint(xb)
+    # stacks indexed [x, j] with b = e_j; v @ m.T maps v by m, and m.T has rows m(e_j)
     return {
-        "left_absorb": A.max_operator_norm(A.multiply(p[:, None], units) @ lw.T - A.multiply(p[:, None], ll.T)),
-        "left_adjoint_absorb": A.max_operator_norm(A.multiply(p_star[:, None], units) @ ll.T - A.multiply(p_star[:, None], p)),
-        "right_absorb": A.max_operator_norm(A.multiply(units, p[:, None]) @ lw.T - A.multiply(lr.T, p[:, None])),
-        "right_adjoint_absorb": A.max_operator_norm(A.multiply(units, p_star[:, None]) @ lr.T - A.multiply(p, p_star[:, None])),
+        "left_absorb": A.max_operator_norm(A.multiply(xb[:, None], units) @ lw.T - A.multiply(xb[:, None], ll.T)),
+        "left_adjoint_absorb": A.max_operator_norm(A.multiply(xs[:, None], units) @ ll.T - A.multiply(xs[:, None], lw.T)),
+        "right_absorb": A.max_operator_norm(A.multiply(units, xb[:, None]) @ lw.T - A.multiply(lr.T, xb[:, None])),
+        "right_adjoint_absorb": A.max_operator_norm(A.multiply(units, xs[:, None]) @ lr.T - A.multiply(lw.T, xs[:, None])),
     }
 
 
-def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray) -> dict:
+def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray,
+                           left: OperatorSubspace, right: OperatorSubspace) -> dict:
     """The three TRO-expectation residuals of check_tro_expectation,
 
         P(a x*y) = P(a) x*y,   P(x a* y) = x P(a)* y,   P(x y*a) = x y* P(a),
 
-    for P = lw, over basis elements a and the rows x, y of xb; stacked over
-    (a, x, y) in chunks of a."""
+    for P = lw, over basis elements a and the rows x, y of xb.  The outer
+    two are linear in c = x*y and c = xy*, so c runs over the bases of right
+    = ⟨X*X⟩ and left = ⟨XX*⟩; the middle one is stacked over (a, x, y) in
+    chunks of a."""
     units, p = np.eye(A.dim), lw.T
-    xs = A.adjoint(xb)
-    xs_y = A.multiply(xs[:, None], xb)        # [x, y] = x* y
-    x_ys = A.multiply(xb[:, None], xs)        # [x, y] = x y*
-    out = {"expect_right_pair": 0.0, "expect_middle": 0.0, "expect_left_pair": 0.0}
+    c_r, c_l = right.matrix.T, left.matrix.T
+    middle = 0.0
     for s in _chunks(A.dim, len(xb) ** 2, A.dim):
-        a, pa = units[s, None], p[s, None]    # [a, 1]
-        x_as = A.multiply(xb, A.adjoint(a))   # [a, x] = x a*
-        x_pas = A.multiply(xb, A.adjoint(pa))
-        for name, inner, direct in (
-            ("expect_right_pair", A.multiply(a[:, None], xs_y), A.multiply(pa[:, None], xs_y)),
-            ("expect_middle", A.multiply(x_as[:, :, None], xb), A.multiply(x_pas[:, :, None], xb)),
-            ("expect_left_pair", A.multiply(x_ys, a[:, None]), A.multiply(x_ys, pa[:, None])),
-        ):
-            out[name] = max(out[name], A.max_operator_norm(inner @ lw.T - direct))
-    return out
+        x_as = A.multiply(xb, A.adjoint(units[s, None]))     # [a, x] = x a*
+        x_pas = A.multiply(xb, A.adjoint(p[s, None]))
+        middle = max(middle, A.max_operator_norm(
+            A.multiply(x_as[:, :, None], xb) @ lw.T - A.multiply(x_pas[:, :, None], xb)))
+    # stacks indexed [a, c]
+    return {
+        "expect_right_pair": A.max_operator_norm(A.multiply(units[:, None], c_r) @ lw.T - A.multiply(p[:, None], c_r)),
+        "expect_middle": middle,
+        "expect_left_pair": A.max_operator_norm(A.multiply(c_l, units[:, None]) @ lw.T - A.multiply(c_l, p[:, None])),
+    }
 
 
 def triple_product_identities(G: FiniteQuantumGroup, omega: Functional) -> dict:
@@ -385,9 +395,10 @@ def triple_product_identities(G: FiniteQuantumGroup, omega: Functional) -> dict:
     images: the direct product L_ω(a)L_ω(b)*L_ω(c) against the three absorbed
     forms (the first absorbed form already forces the other two).  With x and
     y running over the images L_ω(e_i), these are the TRO-expectation
-    residuals P(x y*c), P(x b* y) and P(a x*y) of _expectation_residuals."""
+    residuals P(x y*c), P(x b* y) and P(a x*y) of _expectation_residuals,
+    the outer two on bases of the spans of x y* and x*y."""
     lw = G.left_matrix(omega.covector)
-    res = _expectation_residuals(G.algebra, lw, lw.T)
+    res = _expectation_residuals(G.algebra, lw, lw.T, *_product_spans(image_subspace(lw, G.algebra)))
     return {"first": res["expect_left_pair"], "second": res["expect_middle"], "third": res["expect_right_pair"]}
 
 

@@ -23,6 +23,7 @@ from quidem.algebra import (
     support_projection,
     tensor_algebra,
 )
+from quidem.catalogue import builtin
 
 ALGEBRAS = [
     MultiMatrixAlgebra((1, 1)),
@@ -353,6 +354,42 @@ def _support_per_block(blocks, cutoff):
         keep = v[:, w > threshold]
         out.append((keep @ keep.conj().T).ravel())
     return np.concatenate(out)
+
+
+def _per_block_products(alg, x, y):
+    """Blockwise products of two stacks by one a @ b per block and stack entry."""
+    x, y = np.broadcast_arrays(x, y)
+    out = np.empty(x.shape, dtype=np.result_type(x, y))
+    for idx in np.ndindex(x.shape[:-1]):
+        out[idx] = np.concatenate([(a @ b).ravel() for a, b in zip(alg.split(x[idx]), alg.split(y[idx]))])
+    return out
+
+
+# the algebras of the tro benchmark pool and C*(S4), and the tensor squares
+# of KP and C*(S4)
+KERNEL_ALGEBRAS = [(spec, False) for spec in ("cstar:dn:4", "kp", "cstar:dn:5", "czn:16", "cstar:sn:4")] + [
+    (spec, True) for spec in ("kp", "cstar:sn:4")]
+
+
+@pytest.mark.parametrize("spec, square", KERNEL_ALGEBRAS,
+                         ids=[spec + ("-tensor-square" if square else "") for spec, square in KERNEL_ALGEBRAS])
+def test_multiply_matches_per_block_products(spec, square):
+    """multiply against a @ b per block: complex and real × complex stacks,
+    broadcast shapes and an empty stack.  On all-1×1 algebras it is bit for
+    bit x * y, and its result never shares memory with an input."""
+    G = builtin(spec)
+    alg = G.ts.algebra if square else G.algebra
+    rng = np.random.default_rng(alg.dim)
+    x, y = _random_stack(alg, rng, (3, 1)), _random_stack(alg, rng, (4,))
+    real = rng.standard_normal((3, 1, alg.dim))
+    for a, b in ((x, y), (real, y), (y, real), (x[0, 0], y), (x, y[:0])):
+        got = alg.multiply(a, b)
+        want = _per_block_products(alg, a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+        if max(alg.block_dims) == 1:
+            assert np.array_equal(got, a * b)
 
 
 def test_kernel_matches_per_block_loops():

@@ -28,6 +28,7 @@ from quidem import (
     symmetric,
 )
 from quidem.algebra import PolarParts, polar_decompose, support_projection, tensor_algebra
+from quidem.catalogue import builtin
 from quidem.convolution import commutes_with_right_convolutions
 from quidem.idempotents import (
     _character_defect,
@@ -36,7 +37,7 @@ from quidem.idempotents import (
     enumerate_function_algebra,
     enumerate_group_algebra,
 )
-from quidem.qgroup import FiniteQuantumGroup, _dual_regular_split, _star_residual, verify_axioms
+from quidem.qgroup import FiniteQuantumGroup, _dual_regular_split, _star_residual, _structure_defects, verify_axioms
 from quidem.tro import (
     LinkingAlgebra,
     OperatorSubspace,
@@ -45,6 +46,7 @@ from quidem.tro import (
     _expectation_residuals,
     _identity_residuals,
     _module_defect,
+    _product_spans,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
@@ -373,18 +375,20 @@ def ref_triple_product_identities(G, omega):
     return worst
 
 
-def ref_identity_residuals(alg, lw, lr, ll):
+def ref_identity_residuals(alg, lw, lr, ll, xb=None):
     """The mixed-product residuals of ref_check_tro_expectation for any maps
-    P = lw, Q_r = lr and Q_l = ll."""
+    P = lw, Q_r = lr and Q_l = ll: x = P(a) runs over the rows of xb, or over
+    all P(e_i) when xb is None (the all-pairs form)."""
     basis = alg.basis()
     p_img, qr_img, ql_img = ([alg.from_vec(m[:, i]) for i in range(alg.dim)] for m in (lw, lr, ll))
+    xs = p_img if xb is None else [alg.from_vec(v) for v in xb]
 
     def lmap(mat, x):
         return alg.from_vec(mat @ x.vec)
 
     res = {"left_absorb": 0.0, "left_adjoint_absorb": 0.0, "right_absorb": 0.0, "right_adjoint_absorb": 0.0}
-    for i in range(alg.dim):
-        pa, pa_star = p_img[i], p_img[i].adjoint()
+    for pa in xs:
+        pa_star = pa.adjoint()
         for j, b in enumerate(basis):
             for name, value in (
                 ("left_absorb", lmap(lw, pa * b) - pa * ql_img[j]),
@@ -396,10 +400,18 @@ def ref_identity_residuals(alg, lw, lr, ll):
     return res
 
 
-def ref_expectation_residuals(alg, lw, xb):
+def ref_expectation_residuals(alg, lw, xb, left=None, right=None):
     """The TRO-expectation residuals of ref_check_tro_expectation for any
-    map P = lw and any image basis, given as the rows of xb."""
+    map P = lw and any image basis, given as the rows of xb.  With left and
+    right (rows of bases of ⟨XX*⟩ and ⟨X*X⟩) the outer two run over c in
+    those bases, P(c a) = c P(a) and P(a c) = P(a) c; without them, over all
+    pairs c = x y* and c = x*y (the all-pairs form)."""
     xs = [alg.from_vec(v) for v in xb]
+    if left is None:
+        left = [x * y.adjoint() for x in xs for y in xs]
+        right = [x.adjoint() * y for x in xs for y in xs]
+    else:
+        left, right = ([alg.from_vec(v) for v in rows] for rows in (left, right))
 
     def lmap(x):
         return alg.from_vec(lw @ x.vec)
@@ -407,19 +419,25 @@ def ref_expectation_residuals(alg, lw, xb):
     res = {"expect_right_pair": 0.0, "expect_middle": 0.0, "expect_left_pair": 0.0}
     for a in alg.basis():
         pa = lmap(a)
+        for c in right:
+            res["expect_right_pair"] = max(res["expect_right_pair"], _norm(lmap(a * c) - pa * c))
         for x in xs:
             for y in xs:
-                for name, value in (
-                    ("expect_right_pair", lmap(a * x.adjoint() * y) - pa * x.adjoint() * y),
-                    ("expect_middle", lmap(x * a.adjoint() * y) - x * pa.adjoint() * y),
-                    ("expect_left_pair", lmap(x * y.adjoint() * a) - x * y.adjoint() * pa),
-                ):
-                    res[name] = max(res[name], _norm(value))
+                res["expect_middle"] = max(res["expect_middle"],
+                                           _norm(lmap(x * a.adjoint() * y) - x * pa.adjoint() * y))
+        for c in left:
+            res["expect_left_pair"] = max(res["expect_left_pair"], _norm(lmap(c * a) - c * pa))
     return res
 
 
-def ref_triple_residuals(alg, lw):
-    """ref_triple_product_identities for any map P = lw."""
+def ref_triple_residuals(alg, lw, left=None, right=None):
+    """ref_triple_product_identities for any map P = lw.  With left and right
+    (rows of bases of the spans of P(e_i)P(e_j)* and P(e_i)*P(e_j)) the first
+    and third forms run over c in those bases, as P(c e_k) − c P(e_k) and
+    P(e_i c) − P(e_i) c."""
+    if left is not None:
+        res = ref_expectation_residuals(alg, lw, lw.T, left, right)
+        return {"first": res["expect_left_pair"], "second": res["expect_middle"], "third": res["expect_right_pair"]}
     basis = alg.basis()
     imgs = [alg.from_vec(lw[:, i]) for i in range(alg.dim)]
 
@@ -621,6 +639,24 @@ def test_verify_axioms_matches_loop_form(case):
     assert not verify_axioms(_broken(G), 1e-9).passed
 
 
+@pytest.mark.parametrize("spec", ["cstar:sn:4", "czn:8", "kp"])
+def test_optimized_einsums_match_unoptimized(spec, monkeypatch):
+    """The antipode and coassociativity rows of _structure_defects let einsum
+    choose a contraction order (optimize=True); the unoptimized einsum, one
+    summation in the written order, is their oracle, on the group and on a
+    broken copy."""
+    G = builtin(spec)
+    einsum = np.einsum
+    for H in (G, _broken(G)):
+        got = _structure_defects(H)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "einsum", lambda *operands, optimize=False: einsum(*operands))
+            want = _structure_defects(H)
+        _assert_agree(got, want, 1e-9)
+        rows = [got[row] for row in ("antipode_left", "antipode_right", "coassociativity")]
+        assert (max(rows) > 1e-6) == (H is not G)
+
+
 def test_tro_checks_match_loop_form(case):
     G, idempotents = case
     for omega in idempotents:
@@ -787,38 +823,115 @@ def test_star_residual_matches_loop_form(case):
 RANDOM_TRO_CASES = [((1, 1, 1, 1, 2), k) for k in (2, 3, 4, 5, 8)] + [((1, 2), k) for k in (1, 2, 5)]
 
 
+def _ref_product_spans(alg, xb):
+    """Projectors onto the spans of the products x y* and x*y, x, y over the
+    rows of xb, from loops over elements."""
+    xs = [alg.from_vec(v) for v in xb]
+    return [_ref_image_subspace(np.column_stack([prod(x, y).vec for x in xs for y in xs]), alg).projector()
+            for prod in (lambda x, y: x * y.adjoint(), lambda x, y: x.adjoint() * y)]
+
+
+def _spans(alg, xb):
+    """The corner bases that _expectation_residuals takes, as OperatorSubspaces
+    and as rows for the loop forms."""
+    spans = _product_spans(OperatorSubspace(alg, xb.T))
+    return spans, [span.matrix.T for span in spans]
+
+
 @pytest.mark.parametrize("block_dims, k", RANDOM_TRO_CASES,
                          ids=[f"{'+'.join(map(str, b))}-k{k}" for b, k in RANDOM_TRO_CASES])
 def test_tro_residuals_match_loop_form_off_idempotents(block_dims, k):
-    """Random maps and orthonormal image bases: a chunk left out, or a
-    product paired with the wrong P(a), changes some maximum."""
+    """Random maps and orthonormal image bases, with the loop forms given the
+    same bases: a chunk left out, or a product paired with the wrong P(a),
+    changes some maximum."""
     alg = MultiMatrixAlgebra(block_dims)
     for seed in range(3):
         rng = np.random.default_rng([k, seed])
         lw, lr, ll = (_gaussian(rng, alg.dim, alg.dim) for _ in range(3))
         xb = np.linalg.qr(_gaussian(rng, alg.dim, k))[0].T
-        want = ref_expectation_residuals(alg, lw, xb)
+        spans, rows = _spans(alg, xb)
+        for span, want in zip(spans, _ref_product_spans(alg, xb)):
+            assert np.abs(span.projector() - want).max() <= AGREE
+        want = ref_expectation_residuals(alg, lw, xb, *rows)
         assert min(want.values()) > 0.05
-        _assert_agree(_expectation_residuals(alg, lw, xb), want, TOL)
-        want = ref_identity_residuals(alg, lw, lr, ll)
+        _assert_agree(_expectation_residuals(alg, lw, xb, *spans), want, TOL)
+        want = ref_identity_residuals(alg, lw, lr, ll, xb)
         assert min(want.values()) > 0.05
-        _assert_agree(_identity_residuals(alg, lw, lr, ll), want, TOL)
-    want = ref_triple_residuals(alg, lw)
+        _assert_agree(_identity_residuals(alg, lw, lr, ll, xb), want, TOL)
+    _, rows = _spans(alg, image_subspace(lw, alg).matrix.T)
+    want = ref_triple_residuals(alg, lw, *rows)
     assert min(want.values()) > 0.05
     G = SimpleNamespace(algebra=alg, left_matrix=lambda cov: lw)
     _assert_agree(triple_product_identities(G, SimpleNamespace(covector=None)), want, TOL)
 
 
+def _tro_idempotents(name):
+    """Every enumerated idempotent of C*(D4) and C(Z8), and the idempotent
+    states of KP that the block and corner seeds reach."""
+    if name == "KP":
+        G = kac_paljutkin()
+        return G, _kp_block_limits(G) + [_kp_non_haar_state(G)]
+    G = group_algebra(dihedral(4)) if name == "C*(D4)" else function_algebra(cyclic(8))
+    enumerate_items = enumerate_group_algebra if G.kind == "group" else enumerate_function_algebra
+    return G, [item.functional for item in enumerate_items(G)]
+
+
+@pytest.mark.parametrize("name", ["C*(D4)", "C(Z8)", "KP"])
+def test_tro_basis_residuals_match_all_pairs_on_idempotents(name):
+    """On contractive idempotents the residuals on bases of the spans and
+    the all-pairs loop forms are both at round-off, with the same verdicts."""
+    G, idempotents = _tro_idempotents(name)
+    assert len(idempotents) >= 6
+    for omega in idempotents:
+        report = check_tro_expectation(G, omega, TOL)
+        parts = polar_decompose(omega)
+        lw = G.left_matrix(omega.covector)
+        lr, ll = (G.left_matrix(f.covector) for f in (parts.abs_r, parts.abs_l))
+        xb = report.image.matrix.T
+        for got, want in ((report.identity_residuals, ref_identity_residuals(G.algebra, lw, lr, ll)),
+                          (report.expectation_residuals, ref_expectation_residuals(G.algebra, lw, xb))):
+            assert got.keys() == want.keys()
+            assert max(got.values()) <= 1e-12 and max(want.values()) <= 1e-12
+        assert report.passed(TOL)
+
+
+def test_tro_basis_residuals_see_a_perturbed_map():
+    """Negative control: P = L_ω of a C*(D4) idempotent with a 4-dimensional
+    image, perturbed inside that image.  Every residual, on the bases and in
+    the all-pairs loop forms, reads above 0.05."""
+    G = group_algebra(dihedral(4))
+    omega = next(item.functional for item in enumerate_group_algebra(G) if len(item.subgroup) == 4)
+    parts = polar_decompose(omega)
+    lw = G.left_matrix(omega.covector)
+    lr, ll = (G.left_matrix(f.covector) for f in (parts.abs_r, parts.abs_l))
+    image = image_subspace(lw, G.algebra)
+    assert image.dim == 4
+    perturbed = image.projector() @ (lw + 0.3 * _gaussian(np.random.default_rng(3), G.dim, G.dim))
+    xb = image_subspace(perturbed, G.algebra).matrix.T
+    assert len(xb) == 4
+    spans, rows = _spans(G.algebra, xb)
+    for got, want in (
+        (_identity_residuals(G.algebra, perturbed, lr, ll, xb), ref_identity_residuals(G.algebra, perturbed, lr, ll)),
+        (_expectation_residuals(G.algebra, perturbed, xb, *spans), ref_expectation_residuals(G.algebra, perturbed, xb)),
+    ):
+        assert min(got.values()) > 0.05 and min(want.values()) > 0.05, (got, want)
+
+
 def test_expect_left_pair_sees_off_diagonal_pairs():
     """P = Ad(u) on M₂ with u = diag(1, −1) and X = span{e₁₁, e₂₁}: the
     diagonal pairs satisfy P(x x*a) = x x*P(a), but P(e₁₁e₂₁*a) = −e₁₂P(a),
-    so the left pair fails at x ≠ y."""
+    so the left pair fails at x ≠ y, and on a basis of ⟨XX*⟩ = M₂, which
+    the diagonal products e₁₁, e₂₂ do not span."""
     alg = MultiMatrixAlgebra((2,))
     u = np.diag([1.0, -1.0])
     lw = np.kron(u, u).astype(np.complex128)
     xb = np.eye(4, dtype=np.complex128)[[0, 2]]
+    spans, rows = _spans(alg, xb)
+    assert [span.dim for span in spans] == [4, 1]
     assert ref_expectation_residuals(alg, lw, xb)["expect_left_pair"] == pytest.approx(2.0)
-    assert _expectation_residuals(alg, lw, xb)["expect_left_pair"] == pytest.approx(2.0)
+    want = ref_expectation_residuals(alg, lw, xb, *rows)["expect_left_pair"]
+    assert want > 1.0
+    assert _expectation_residuals(alg, lw, xb, *spans)["expect_left_pair"] == pytest.approx(want, abs=AGREE)
 
 
 @pytest.mark.parametrize("v, tro", [([0, 1, 0, 0], True), (np.array([1, 0, 0, 2]) / np.sqrt(5), False)])

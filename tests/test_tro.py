@@ -15,6 +15,7 @@ from quidem.tro import (
     OperatorSubspace,
     SchurExpectation,
     _expectation_residuals,
+    _product_spans,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
@@ -243,8 +244,9 @@ def stack_cases(gd4):
 def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
     """No product stack of the TRO checks holds more than dim² vecs (dim of
     the algebra multiplied in), and each chunked stack reaches that bound.
-    The expectation residuals are run on their own, since the unchunked
-    (dim, dim) identity residuals of check_tro_expectation reach it anyway."""
+    The expectation residuals are also run on their own, since inside
+    check_tro_expectation the product spans of a full image (k = dim) reach
+    the bound as well."""
     largest = {}
     multiply = MultiMatrixAlgebra.multiply
 
@@ -258,7 +260,7 @@ def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
         lw = G.left_matrix(omega.covector)
         X = image_subspace(lw, G.algebra)
         for check in (
-            lambda: _expectation_residuals(G.algebra, lw, X.matrix.T),
+            lambda: _expectation_residuals(G.algebra, lw, X.matrix.T, *_product_spans(X)),
             lambda: check_tro_expectation(G, omega),
             lambda: is_tro(X),
             lambda: triple_product_identities(G, omega),
