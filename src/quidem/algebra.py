@@ -82,23 +82,24 @@ class MultiMatrixAlgebra:
         return perm
 
     @cached_property
-    def size_classes(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """One (n, idx) per distinct block size n, where idx[m] lists the vec
-        indices of the m-th n×n block, row-major."""
+    def size_classes(self) -> tuple[tuple[int, np.ndarray, slice | np.ndarray], ...]:
+        """One (n, idx, take) per distinct block size n: idx[m] lists the vec
+        indices of the m-th n×n block, row-major, and take is idx or, when the
+        class is one contiguous run (every builtin algebra), a slice."""
         out = []
         for n in sorted(set(self.block_dims)):
             starts = [off for off, m in zip(self.offsets, self.block_dims) if m == n]
             idx = np.add.outer(np.array(starts, dtype=np.intp), np.arange(n * n))
             idx.flags.writeable = False
-            out.append((n, idx))
+            out.append((n, idx, slice(idx[0, 0], idx[-1, -1] + 1) if idx[-1, -1] - idx[0, 0] + 1 == idx.size else idx))
         return tuple(out)
 
     def blocks_by_size(self, x) -> list:
         """One (n, idx, blocks) per size class: blocks[..., m, :, :] is the
-        m-th n×n block of each vec in the stack x."""
+        m-th n×n block of each vec in the stack x (a view when it can be)."""
         x = np.asarray(x)
-        return [(n, idx, x[..., idx].reshape(x.shape[:-1] + (len(idx), n, n)))
-                for n, idx in self.size_classes]
+        return [(n, idx, x[..., take].reshape(x.shape[:-1] + (len(idx), n, n)))
+                for n, idx, take in self.size_classes]
 
     @cached_property
     def product_tables(self) -> tuple[tuple[slice | np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -220,7 +221,12 @@ class MultiMatrixAlgebra:
         return self.element(np.zeros((n, n)) for n in self.block_dims)
 
     def identity(self) -> "AlgebraElement":
-        return self.element(np.eye(n) for n in self.block_dims)
+        """The unit, built once per algebra (elements are immutable)."""
+        return self._unit
+
+    @cached_property
+    def _unit(self) -> "AlgebraElement":
+        return self.from_vec(self.coordinates[1] == self.coordinates[2])
 
     def basis_element(self, i: int) -> "AlgebraElement":
         vec = np.zeros(self.dim, dtype=np.complex128)
@@ -317,15 +323,9 @@ class AlgebraElement:
     def is_hermitian(self, tol: float = STATE_TOL) -> bool:
         return (self - self.adjoint()).operator_norm <= tol
 
-    def is_projection(self, tol: float = STATE_TOL) -> bool:
-        return self.is_hermitian(tol) and (self * self - self).operator_norm <= tol
-
     def is_unitary(self, tol: float = STATE_TOL) -> bool:
-        ident = self.algebra.identity()
-        return (
-            (self * self.adjoint() - ident).operator_norm <= tol
-            and (self.adjoint() * self - ident).operator_norm <= tol
-        )
+        alg, star = self.algebra, self.algebra.adjoint(self.vec)
+        return alg.max_operator_norm(alg.multiply([self.vec, star], [star, self.vec]) - alg.identity().vec) <= tol
 
     def is_positive(self, tol: float = STATE_TOL) -> bool:
         return self.is_hermitian(tol) and bool(self.algebra.min_eigenvalues(self.vec) >= -tol)
@@ -485,10 +485,22 @@ def null_space_basis(omega: Functional, tol: float = STATE_TOL) -> list[AlgebraE
 
 def is_central(p: AlgebraElement, tol: float = STATE_TOL) -> bool:
     """True iff the projection p is a sum of full block identities."""
-    if not p.is_projection(tol):
+    return _is_central(_centrality(p), tol)
+
+
+def _centrality(p: AlgebraElement) -> tuple[float, np.ndarray]:
+    """is_central's numbers from one block_norms call: the projection defect
+    max(‖p − p*‖, ‖p² − p‖) and the block norms of p and p − 1 (rows 0, 1)."""
+    alg, v = p.algebra, p.vec
+    norms = alg.block_norms([v - alg.adjoint(v), alg.multiply(v, v) - v, v, v - alg.identity().vec])
+    return float(norms[:2].max()), norms[2:]
+
+
+def _is_central(centrality: tuple[float, np.ndarray], tol: float) -> bool:
+    """is_central from the numbers of _centrality, compared at tol."""
+    if not centrality[0] <= tol:
         raise ValueError("is_central expects a projection")
-    norms = p.algebra.block_norms([p.vec, p.vec - p.algebra.identity().vec])
-    return bool((norms <= tol).any(axis=0).all())
+    return bool((centrality[1] <= tol).any(axis=0).all())
 
 
 @dataclass(eq=False)
@@ -508,8 +520,8 @@ class TensorSplit:
     def scatter(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vec of the product algebra whose (I,J) coefficient is u[I]·v[J]."""
         out = np.empty(self.algebra.dim, dtype=np.complex128)
-        out[self.positions] = np.kron(np.asarray(u, dtype=np.complex128),
-                                      np.asarray(v, dtype=np.complex128))
+        out[self.positions] = np.outer(np.asarray(u, dtype=np.complex128),
+                                       np.asarray(v, dtype=np.complex128)).ravel()
         return out
 
     def element(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

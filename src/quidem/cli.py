@@ -255,7 +255,7 @@ def tro_rep_checks(G, omega, args, report: Report):
     for name, value in tro_rep.expectation_residuals.items():
         report.add(f"tro {name}", value <= tol, value, tol)
     report.add("image is TRO", tro_rep.image_is_tro, None, None)
-    link = _linking_algebra(tro_rep.image, tro_rep.image_is_tro)
+    link = _linking_algebra(tro_rep.image, tro_rep.image_is_tro, tro_rep.spans)
     _expectation_rows(G, omega, link, tol, report)
 
 

@@ -15,15 +15,16 @@ from .algebra import (
     AlgebraElement,
     Functional,
     PolarParts,
+    _centrality,
+    _is_central,
     act_left,
     act_right,
-    is_central,
     polar_decompose,
     support_projection,
 )
 from .convolution import convolve
 from .groups import characters
-from .qgroup import FiniteQuantumGroup, QuantumSubgroup, is_group_like, quotient_by_support
+from .qgroup import FiniteQuantumGroup, QuantumSubgroup, _group_like_residual, _quotient_by_support
 
 _FMT_ZERO = 1e-12   # imaginary parts below this print as real numbers
 
@@ -63,8 +64,10 @@ def group_like_defect(G: FiniteQuantumGroup, sigma: Functional, u: AlgebraElemen
 
 
 def _seminorm_sq(G: FiniteQuantumGroup, sigma: Functional, x: AlgebraElement) -> float:
-    """(σ⊗σ)(x) for a positive x in A⊗A, clamped at zero against roundoff."""
-    return max(0.0, float(G.ts.functional(sigma, sigma)(x).real))
+    """(σ⊗σ)(x) = c·X·c for a positive x in A⊗A, with c the covector of σ and
+    X[I, J] the coefficient of e_I⊗e_J in x; clamped at zero against roundoff."""
+    c = sigma.covector
+    return max(0.0, float((c @ x.vec[G.pos_matrix] @ c).real))
 
 
 def construct(
@@ -108,10 +111,15 @@ def is_haar_idempotent(G: FiniteQuantumGroup, sigma: Functional, tol: float = CH
     """An idempotent state comes from the Haar state of a quantum subgroup
     exactly when its null space is a two-sided ideal, i.e. when the support
     projection of its density is central."""
+    return _is_central(_haar_centrality(G, sigma, tol), tol)
+
+
+def _haar_centrality(G: FiniteQuantumGroup, sigma: Functional, tol: float) -> tuple:
+    """_centrality of supp σ, once σ passes is_haar_idempotent's entry check."""
     state_tol = max(tol, STATE_TOL)
     if not (is_idempotent(G, sigma, state_tol) and sigma.is_state(state_tol)):
         raise ValueError("is_haar_idempotent expects an idempotent state")
-    return is_central(support_projection(sigma.density), tol)
+    return _centrality(support_projection(sigma.density))
 
 
 @dataclass(eq=False)
@@ -136,7 +144,8 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     idempotent states, the partial isometry v reconstructs ω from either
     side, and Δ(v) − v⊗v vanishes in the induced seminorms.  When the
     absolute value is a Haar idempotent, the associated quantum subgroup and
-    group-like character are extracted."""
+    group-like character are extracted; each centrality number of supp |ω|_r
+    is computed once, then compared at tol here and at STATE_TOL by the quotient."""
     _require_contractive_idempotent(G, omega, tol, "not a contractive idempotent")
     state_tol = max(tol, STATE_TOL)
     parts = polar_decompose(omega)
@@ -160,11 +169,11 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
             f"round trips ({roundtrip_r:.3e}, {roundtrip_l:.3e})"
         )
     # is_haar_idempotent without its entry check, which the loop above made
-    support = support_projection(abs_r.density)
-    haar = is_central(support, tol)
+    centrality = _centrality(support_projection(abs_r.density))
+    haar = _is_central(centrality, tol)
     subgroup = character = None
     if haar:
-        subgroup, character = _subgroup_character(G, omega, parts, support, tol)
+        subgroup, character = _subgroup_character(G, omega, parts, centrality, tol)
     return ContractiveIdempotentReport(
         omega=omega,
         abs_r=abs_r,
@@ -188,23 +197,24 @@ def extract_subgroup_character(
     group-like unitary u = π(v), satisfying ω = h_H(π(·)u) and abs_r = abs_l."""
     _require_contractive_idempotent(G, omega, tol, "extract_subgroup_character expects a contractive idempotent")
     parts = polar_decompose(omega)
-    if not is_haar_idempotent(G, parts.abs_r, tol):
+    centrality = _haar_centrality(G, parts.abs_r, tol)
+    if not _is_central(centrality, tol):
         raise ValueError("absolute value is not a Haar idempotent")
-    return _subgroup_character(G, omega, parts, support_projection(parts.abs_r.density), tol)
+    return _subgroup_character(G, omega, parts, centrality, tol)
 
 
 def _subgroup_character(
-    G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, support: AlgebraElement, tol: float
+    G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, centrality: tuple, tol: float
 ) -> tuple[QuantumSubgroup, AlgebraElement]:
-    """extract_subgroup_character from the polar data of ω and the support of
-    its right absolute value, once ω is known to be a Haar idempotent."""
+    """extract_subgroup_character from the polar data of ω and the centrality
+    numbers of supp |ω|_r, once ω is known to be a Haar idempotent."""
     if (parts.abs_r - parts.abs_l).norm > tol:
         raise RuntimeError("Haar case must have equal absolute values")
-    sub = quotient_by_support(G, support, haar_state=parts.abs_r)
+    sub = _quotient_by_support(G, centrality, parts.abs_r, STATE_TOL)
     u = sub.apply(parts.u)
     if not u.is_unitary(tol):
         raise RuntimeError("extracted character is not unitary on the subgroup")
-    if not is_group_like(sub.target, u, tol):
+    if not _group_like_residual(sub.target, u) <= tol:
         raise RuntimeError("extracted character is not group-like on the subgroup")
     worst = _character_defect(omega, sub, u)
     if worst > tol:

@@ -20,7 +20,8 @@ from .algebra import (
     AlgebraElement,
     Functional,
     MultiMatrixAlgebra,
-    is_central,
+    _centrality,
+    _is_central,
     tensor_algebra,
 )
 from .groups import GroupTable
@@ -90,10 +91,6 @@ class FiniteQuantumGroup:
         """Corner quotients built and structure-verified so far, by kept-block
         tuple; filled by quotient_by_support."""
         return {}
-
-    @cached_property
-    def unit_vec(self) -> np.ndarray:
-        return self.algebra.identity().vec
 
     @cached_property
     def sharp_matrix(self) -> np.ndarray:
@@ -210,7 +207,7 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
     ident = np.eye(dim)
     defects: dict[str, float] = {}
 
-    one = G.unit_vec
+    one = A.identity().vec
     defects["comult_unital"] = AA.max_operator_norm(G.comult @ one - ts.scatter(one, one))
     # Δ(e_i e_j) − Δ(e_i)Δ(e_j) over all basis pairs
     lhs = (G.comult @ G.mult_tensor.reshape(dim, dim * dim)).T.reshape(dim, dim, AA.dim)
@@ -254,7 +251,7 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
 def _haar_defects(G: FiniteQuantumGroup) -> dict:
     """The HAAR_ROWS of verify_axioms: the Haar functional is a state,
     invariant on both sides."""
-    A, one = G.algebra, G.unit_vec
+    A, one = G.algebra, G.algebra.identity().vec
     d_h = G.haar.density
     herm = (d_h - d_h.adjoint()).operator_norm
     ch = G.haar.covector
@@ -286,13 +283,9 @@ def solve_haar_state(
     ts = tensor_algebra(algebra, algebra)
     d3 = comult[ts.positions.reshape(dim, dim), :]
     one = algebra.identity().vec
-    eye = np.eye(dim)
-    rows_l = np.transpose(d3, (1, 2, 0)).reshape(dim * dim, dim) - np.einsum(
-        "j,ci->jci", one, eye
-    ).reshape(dim * dim, dim)
-    rows_r = np.transpose(d3, (0, 2, 1)).reshape(dim * dim, dim) - np.einsum(
-        "i,cj->icj", one, eye
-    ).reshape(dim * dim, dim)
+    units = np.einsum("j,ci->jci", one, np.eye(dim))   # [j, c, i] = 1_j δ_ci, on both sides
+    rows_l = (np.transpose(d3, (1, 2, 0)) - units).reshape(dim * dim, dim)
+    rows_r = (np.transpose(d3, (0, 2, 1)) - units).reshape(dim * dim, dim)
     cov = _solve_invariant(np.vstack([rows_l, rows_r]), one, tol, "Haar state")
     return Functional.from_covector(algebra, cov)
 
@@ -344,13 +337,9 @@ def _solve_dual_haar(G: FiniteQuantumGroup) -> np.ndarray:
     dim = G.dim
     ms = G.mult_tensor
     ce = G.counit.covector
-    eye = np.eye(dim)
-    rows_r = ms.reshape(dim * dim, dim) - np.einsum("j,ik->ijk", ce, eye).reshape(
-        dim * dim, dim
-    )
-    rows_l = np.transpose(ms, (0, 2, 1)).reshape(dim * dim, dim) - np.einsum(
-        "j,ik->ijk", ce, eye
-    ).reshape(dim * dim, dim)
+    counits = np.einsum("j,ik->ijk", ce, np.eye(dim)).reshape(dim * dim, dim)   # ε_j δ_ik, on both sides
+    rows_r = ms.reshape(dim * dim, dim) - counits
+    rows_l = np.transpose(ms, (0, 2, 1)).reshape(dim * dim, dim) - counits
     return _solve_invariant(np.vstack([rows_r, rows_l]), ce, STATE_TOL, "dual Haar state")
 
 
@@ -409,7 +398,7 @@ def dual_pair(
     comult_cols[tsd.positions] = big.reshape(dim, -1).T
     phi_inv = np.linalg.inv(phi)
     comult_dual = comult_cols @ phi_inv
-    counit_dual = Functional.from_covector(dual_alg, np.linalg.solve(phi.T, G.unit_vec))
+    counit_dual = Functional.from_covector(dual_alg, np.linalg.solve(phi.T, G.algebra.identity().vec))
     antipode_dual = phi @ G.antipode.T @ phi_inv
     haar_dual = Functional.from_covector(dual_alg, np.linalg.solve(phi.T, eta))
     dual_group = FiniteQuantumGroup(
@@ -453,7 +442,12 @@ def group_like_unitaries(G: FiniteQuantumGroup, seed: int = 11, tol: float = CHE
 
 def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = CHECK_TOL) -> bool:
     """True iff u is unitary and Δ(u) = u ⊗ u within tol."""
-    return u.is_unitary(tol) and (G.apply_comult(u) - G.ts.element(u, u)).operator_norm <= tol
+    return u.is_unitary(tol) and _group_like_residual(G, u) <= tol
+
+
+def _group_like_residual(G: FiniteQuantumGroup, u: AlgebraElement) -> float:
+    """‖Δ(u) − u⊗u‖, which is_group_like compares once u is unitary."""
+    return G.ts.algebra.max_operator_norm(G.comult @ u.vec - G.ts.scatter(u.vec, u.vec))
 
 
 @dataclass(eq=False)
@@ -545,11 +539,17 @@ def quotient_by_support(
     only on the kept blocks, so they are computed once per group and kept
     set (``G.corners``).  Every call checks the centrality of s and the Haar
     rows of its own Haar state, and compares all numbers at its own
-    tolerance."""
-    if not is_central(s, tol):
+    tolerance.  Each centrality number of s (projection defect, block norms of
+    s and s − 1) is computed once, here or by decompose, and compared at each
+    caller's tolerance."""
+    return _quotient_by_support(G, _centrality(s), haar_state, tol)
+
+
+def _quotient_by_support(G: FiniteQuantumGroup, centrality: tuple, haar_state, tol: float) -> QuantumSubgroup:
+    """quotient_by_support from the numbers algebra._centrality gives for s."""
+    if not _is_central(centrality, tol):
         raise ValueError("support projection is not central")
-    alg = G.algebra
-    full = alg.block_norms(s.vec - alg.identity().vec) <= tol
+    full = centrality[1][1] <= tol
     if not full.any():
         raise ValueError("support projection is zero")
     kept = tuple(np.flatnonzero(full).tolist())

@@ -167,11 +167,11 @@ def linking_algebra(X: OperatorSubspace, tol: float = CHECK_TOL) -> LinkingAlgeb
     return _linking_algebra(X, is_tro(X, tol))
 
 
-def _linking_algebra(X: OperatorSubspace, tro: bool) -> LinkingAlgebra:
-    """linking_algebra of X given its is_tro verdict."""
+def _linking_algebra(X: OperatorSubspace, tro: bool, spans: tuple | None = None) -> LinkingAlgebra:
+    """linking_algebra of X given its is_tro verdict and, if built, _product_spans(X)."""
     if not tro:
         raise ValueError("linking_algebra requires a TRO")
-    return LinkingAlgebra(X, *_product_spans(X))
+    return LinkingAlgebra(X, *(spans or _product_spans(X)))
 
 
 def _product_spans(X: OperatorSubspace) -> tuple[OperatorSubspace, OperatorSubspace]:
@@ -307,6 +307,7 @@ class TroExpectationReport:
     expectation_residuals: dict
     image: OperatorSubspace
     image_is_tro: bool
+    spans: tuple                   # _product_spans(image): ⟨XX*⟩ and ⟨X*X⟩
 
     def passed(self, tol: float = CHECK_TOL) -> bool:
         return (
@@ -339,13 +340,15 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
     lw = G.left_matrix(omega.covector)
     image = image_subspace(lw, A)
     xb = image.matrix.T
+    spans = _product_spans(image)
     return TroExpectationReport(
         identity_residuals=_identity_residuals(
             A, lw, G.left_matrix(parts.abs_r.covector), G.left_matrix(parts.abs_l.covector), xb
         ),
-        expectation_residuals=_expectation_residuals(A, lw, xb, *_product_spans(image)),
+        expectation_residuals=_expectation_residuals(A, lw, xb, *spans),
         image=image,
         image_is_tro=is_tro(image, tol),
+        spans=spans,
     )
 
 

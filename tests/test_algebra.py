@@ -452,6 +452,43 @@ def test_kernel_matches_per_block_loops():
         assert [round(np.trace(b).real) for b in support.blocks] == ranks
 
 
+@pytest.mark.parametrize("block_dims", [(1, 1, 2, 3, 3), (1,) * 6])
+def test_kernel_matches_per_block_loops_on_contiguous_classes(block_dims):
+    """Every size class is one run of blocks, so the kernel reads the blocks
+    as slice views of its input: read-only stacks work, nothing is written
+    back, and each spectral step agrees with a loop over single blocks."""
+    rng = np.random.default_rng(8)
+    alg = MultiMatrixAlgebra(block_dims)
+    assert all(isinstance(take, slice) for _, _, take in alg.size_classes)
+    x = _random_stack(alg, rng, (4, 3))
+    x.flags.writeable = False
+    before = x.copy()
+    block_norms, min_eigs, svals = alg.block_norms(x), alg.min_eigenvalues(x), alg.singular_values(x)
+    assert alg.max_operator_norm(x) == block_norms.max()
+    for idx in np.ndindex(4, 3):
+        blocks = alg.split(x[idx])
+        want = [np.linalg.norm(b, 2) for b in blocks]
+        assert np.abs(block_norms[idx] - want).max() <= 1e-12 * max(want)
+        assert abs(alg.max_operator_norm(x[idx]) - max(want)) <= 1e-12 * max(want)
+        want_eig = min(np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in blocks)
+        assert abs(min_eigs[idx] - want_eig) <= 1e-12 * max(want)
+        for (n, cidx, _), s, factors, eig in zip(alg.size_classes, svals, alg.svd(x[idx]), alg.eigh(x[idx])):
+            _, w, sv, vh = factors
+            _, ew, ev = eig
+            for m, rows in enumerate(cidx):
+                b = x[idx][rows].reshape(n, n)
+                want_s = np.linalg.svd(b, compute_uv=False)
+                assert np.abs(s[idx][m] - want_s).max() <= 1e-12 * max(want)
+                assert np.abs(sv[m] - want_s).max() <= 1e-12 * max(want)
+                assert np.abs((w[m] * sv[m]) @ vh[m] - b).max() <= 1e-12 * max(want)
+                herm = (b + b.conj().T) / 2
+                assert np.abs(ew[m] - np.linalg.eigvalsh(herm)).max() <= 1e-12 * max(want)
+                assert np.abs((ev[m] * ew[m]) @ ev[m].conj().T - herm).max() <= 1e-12 * max(want)
+        want_trace_norm = sum(np.linalg.svd(b, compute_uv=False).sum() for b in blocks)
+        assert abs(alg.from_vec(x[idx]).trace_norm - want_trace_norm) <= 1e-12 * want_trace_norm
+    assert np.array_equal(x, before)
+
+
 def test_transpose_perm_matches_index_loop():
     for alg in ALGEBRAS:
         perm = np.empty(alg.dim, dtype=np.intp)

@@ -17,6 +17,7 @@ from quidem import (
     sharp,
 )
 
+from quidem.algebra import AlgebraElement, MultiMatrixAlgebra
 from quidem.idempotents import (
     check_absolute_value_factorization,
     construct,
@@ -370,3 +371,20 @@ def test_decompose_of_cesaro_limits_on_kp(kp):
         rep = decompose(kp, result.limit, 1e-8)
         seen_nonhaar = seen_nonhaar or not rep.haar
         assert rep.roundtrip_r < 1e-8 and rep.roundtrip_l < 1e-8
+
+
+def test_haar_decompose_computes_each_fact_once(cz6, monkeypatch):
+    """One Haar decompose takes the block norms of the support of |ω|_r once,
+    for its Haar flag and its corner quotient alike, and checks the
+    unitarity of the character once, for unitarity and group-likeness."""
+    counts = {"block_norms": 0, "is_unitary": 0}
+    for owner, name in ((MultiMatrixAlgebra, "block_norms"), (AlgebraElement, "is_unitary")):
+        def spy(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    # the sign character of H = {0, 3}
+    omega = Functional.from_covector(cz6.algebra, np.array([0.5, 0.0, 0.0, -0.5, 0.0, 0.0]))
+    rep = decompose(cz6, omega)
+    assert rep.haar and rep.subgroup.kept_blocks == (0, 3)
+    assert counts == {"block_norms": 1, "is_unitary": 1}

@@ -27,11 +27,12 @@ from quidem import (
     left_conv_operator,
     symmetric,
 )
-from quidem.algebra import PolarParts, polar_decompose, support_projection, tensor_algebra
+from quidem.algebra import PolarParts, _centrality, polar_decompose, support_projection, tensor_algebra
 from quidem.catalogue import builtin
 from quidem.convolution import commutes_with_right_convolutions
 from quidem.idempotents import (
     _character_defect,
+    _seminorm_sq,
     _subgroup_character,
     decompose,
     enumerate_function_algebra,
@@ -240,7 +241,7 @@ def ref_verify_axioms(G):
     s_mat = G.antipode
     lhs_left = np.einsum("ijc,ki,okj->oc", d3, s_mat, ms)
     lhs_right = np.einsum("ijc,kj,oik->oc", d3, s_mat, ms)
-    rhs = np.einsum("c,o->oc", ce, G.unit_vec)
+    rhs = np.einsum("c,o->oc", ce, G.algebra.identity().vec)
     defects["antipode_left"] = max(
         _norm(A.from_vec(lhs_left[:, c] - rhs[:, c])) for c in range(dim)
     )
@@ -268,10 +269,10 @@ def ref_verify_axioms(G):
     left_h = np.einsum("i,ijc->jc", ch, d3)
     right_h = np.einsum("j,ijc->ic", ch, d3)
     defects["haar_left_invariant"] = max(
-        _norm(A.from_vec(left_h[:, c] - ch[c] * G.unit_vec)) for c in range(dim)
+        _norm(A.from_vec(left_h[:, c] - ch[c] * G.algebra.identity().vec)) for c in range(dim)
     )
     defects["haar_right_invariant"] = max(
-        _norm(A.from_vec(right_h[:, c] - ch[c] * G.unit_vec)) for c in range(dim)
+        _norm(A.from_vec(right_h[:, c] - ch[c] * G.algebra.identity().vec)) for c in range(dim)
     )
 
     one = A.identity()
@@ -771,7 +772,7 @@ def test_flipped_character_phase_is_rejected(haar_reports):
         sign = np.where(G.algebra.coordinates[0] == block, -1.0, 1.0)
         flipped = PolarParts(u=G.algebra.from_vec(sign * parts.u.vec), abs_r=parts.abs_r, abs_l=parts.abs_l)
         with pytest.raises(RuntimeError):
-            _subgroup_character(G, rep.omega, flipped, support, TOL)
+            _subgroup_character(G, rep.omega, flipped, _centrality(support), TOL)
 
 
 def test_flipped_character_fails_the_batched_check():
@@ -782,15 +783,40 @@ def test_flipped_character_fails_the_batched_check():
     omega = Functional.from_covector(G.algebra, np.array([0.5, 0.0, 0.5, 0.0]))
     parts = polar_decompose(omega)
     support = support_projection(parts.abs_r.density)
-    sub, u = _subgroup_character(G, omega, parts, support, TOL)
+    sub, u = _subgroup_character(G, omega, parts, _centrality(support), TOL)
     flipped = PolarParts(
         u=G.algebra.from_vec(parts.u.vec * np.array([1, 1, -1, 1])), abs_r=parts.abs_r, abs_l=parts.abs_l
     )
     with pytest.raises(RuntimeError, match=r"h_H\(π\(·\)u\) \(defect 1.000e\+00\)"):
-        _subgroup_character(G, omega, flipped, support, TOL)
+        _subgroup_character(G, omega, flipped, _centrality(support), TOL)
     sign = sub.apply(flipped.u)
     assert np.allclose(sign.vec, [1.0, -1.0])
     assert _character_defect(omega, sub, sign) == ref_character_defect(G, omega, sub, sign) == 1.0
+
+
+@pytest.mark.parametrize("spec", ["czn:6", "cstar:dn:4", "kp", "cstar:sn:4"])
+def test_seminorm_matches_tensor_functional(spec):
+    """_seminorm_sq reads (σ⊗σ)(x) as c·X·c from σ's covector; the reference
+    is the tensor functional σ⊗σ with its Kronecker density.  They agree on
+    decompose's d*d and dd* (d = Δv − v⊗v) and on random positive x, with σ
+    either absolute value of each idempotent."""
+    G = builtin(spec)
+    AA = G.ts.algebra
+    if G.kind == "kp":
+        functionals = _kp_block_limits(G) + [_kp_non_haar_state(G)]
+    else:
+        items = (enumerate_group_algebra if G.kind == "group" else enumerate_function_algebra)(G)
+        functionals = [item.functional for item in items[::max(1, len(items) // 12)]]
+    rng = np.random.default_rng(5)
+    for omega in functionals:
+        parts = polar_decompose(omega)
+        v = parts.u
+        d = G.apply_comult(v) - G.ts.element(v, v)
+        y = AA.random_element(rng) * (1 / np.sqrt(AA.dim))
+        for sigma in (parts.abs_r, parts.abs_l):
+            for x in (d.adjoint() * d, d * d.adjoint(), y.adjoint() * y, y * y.adjoint()):
+                want = max(0.0, float(G.ts.functional(sigma, sigma)(x).real))
+                assert abs(_seminorm_sq(G, sigma, x) - want) <= AGREE
 
 
 def test_right_convolution_commutation_matches_loop_form(case):

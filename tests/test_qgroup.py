@@ -172,6 +172,25 @@ def test_quotient_rejects_noncentral(gd4):
         quotient_by_support(gd4, p)
 
 
+@pytest.mark.parametrize("entries", [{1: 1 + 5e-9}, {5: 5e-9, 6: 5e-9}])
+def test_centrality_verdicts_on_a_perturbed_central_projection(kp, entries):
+    """s = e_0 + e_1, the support of the Haar state of an order-two subgroup
+    of KP, moved by 5e-9 on its second 1×1 block or off the diagonal of the
+    2×2 block: a central projection at 1e-8, and not a projection at 1e-9,
+    for is_central and quotient_by_support alike."""
+    vec = np.zeros(kp.dim)
+    vec[[0, 1]] = 1.0
+    for i, value in entries.items():
+        vec[i] = value
+    s = kp.algebra.from_vec(vec)
+    assert is_central(s, 1e-8)
+    assert quotient_by_support(kp, s, tol=1e-8).kept_blocks == (0, 1)
+    with pytest.raises(ValueError, match="^is_central expects a projection$"):
+        is_central(s, 1e-9)
+    with pytest.raises(ValueError, match="^is_central expects a projection$"):
+        quotient_by_support(kp, s)
+
+
 def test_quotient_rejects_non_subgroup_support(cz4):
     # {0, 1} is not a subgroup of Z4: the corner coproduct cannot close
     s = cz4.algebra.from_vec(np.array([1.0, 1.0, 0.0, 0.0]))
