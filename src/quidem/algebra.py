@@ -276,6 +276,16 @@ class AlgebraElement:
             raise ValueError(f"expected vector of length {self.algebra.dim}, got {vec.shape}")
         self.vec = vec
 
+    @classmethod
+    def _built(cls, algebra: MultiMatrixAlgebra, vec: np.ndarray) -> "AlgebraElement":
+        """Element around the complex vec an operation has just built: made read-only, not copied."""
+        if vec.dtype != np.complex128 or vec.shape != (algebra.dim,):
+            return cls(algebra, vec)
+        vec.flags.writeable = False
+        out = cls.__new__(cls)
+        out.algebra, out.vec = algebra, vec
+        return out
+
     @cached_property
     def blocks(self) -> tuple:
         """The per-block (n, n) matrices, as read-only views of vec."""
@@ -283,20 +293,20 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.algebra, self.vec + other.vec)
+        return AlgebraElement._built(self.algebra, self.vec + other.vec)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.algebra, self.vec - other.vec)
+        return AlgebraElement._built(self.algebra, self.vec - other.vec)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, -self.vec)
+        return AlgebraElement._built(self.algebra, -self.vec)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            return AlgebraElement(self.algebra, self.algebra.multiply(self.vec, other.vec))
-        return AlgebraElement(self.algebra, other * self.vec)
+            return AlgebraElement._built(self.algebra, self.algebra.multiply(self.vec, other.vec))
+        return AlgebraElement._built(self.algebra, other * self.vec)
 
     __rmul__ = __mul__
 
@@ -305,7 +315,7 @@ class AlgebraElement:
             raise ValueError("elements live in different algebras")
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.algebra.adjoint(self.vec))
+        return AlgebraElement._built(self.algebra, self.algebra.adjoint(self.vec))
 
     @property
     def trace(self) -> complex:

@@ -30,7 +30,6 @@ from .qgroup import (
     verify_axioms,
 )
 from .tro import (
-    _linking_algebra,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
@@ -38,6 +37,7 @@ from .tro import (
     is_nondegenerate,
     is_right_invariant,
     is_tro,
+    linking_algebra,
     preserves_weight,
     recover_idempotent,
 )
@@ -254,9 +254,8 @@ def tro_rep_checks(G, omega, args, report: Report):
         report.add(f"mixed product {name}", value <= tol, value, tol)
     for name, value in tro_rep.expectation_residuals.items():
         report.add(f"tro {name}", value <= tol, value, tol)
-    report.add("image is TRO", tro_rep.image_is_tro, None, None)
-    link = _linking_algebra(tro_rep.image, tro_rep.image_is_tro, tro_rep.spans)
-    _expectation_rows(G, omega, link, tol, report)
+    report.add("image is TRO", tro_rep.image_is_tro, tro_rep.image.tro_defect, tol)
+    _expectation_rows(G, omega, linking_algebra(tro_rep.image, tol), tol, report)
 
 
 def _expectation_rows(G, omega, link, tol, report: Report):
@@ -302,11 +301,10 @@ def cmd_tro(G: FiniteQuantumGroup, args, report: Report):
         return
     X = image_subspace(left_conv_operator(G, omega))
     report.info["image_dim"] = X.dim
-    image_is_tro = is_tro(X, tol)
-    report.add("image is TRO", image_is_tro, None, None)
-    report.add("image nondegenerate", is_nondegenerate(X, tol), None, None)
+    report.add("image is TRO", is_tro(X, tol), X.tro_defect, tol)
+    report.add("image nondegenerate", is_nondegenerate(X, tol), X.rank_deficit, tol)
     report.add("image right invariant", is_right_invariant(G, X, tol), None, None)
-    link = _linking_algebra(X, image_is_tro)
+    link = linking_algebra(X, tol)
     report.info["linking_dims"] = list(link.corner_dims())
     report.add("linking corners right invariant",
                is_right_invariant(G, link.left, tol) and is_right_invariant(G, link.right, tol),

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CHECK_TOL, RANK_CUTOFF, STATE_TOL, Functional
+from .algebra import _SCREEN_MARGIN, CHECK_TOL, RANK_CUTOFF, STATE_TOL, Functional
 from .qgroup import FiniteQuantumGroup
 
 
@@ -53,9 +53,12 @@ def recover_functional(T: ConvolutionOperator) -> Functional:
 
 
 def commutes_with_right_convolutions(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = STATE_TOL) -> bool:
-    """Check T R_ν = R_ν T for ν running over the dual basis (hence all ν)."""
+    """Check T R_ν = R_ν T for ν running over the dual basis (hence all ν); as
+    ‖c‖₂ ≤ ‖c‖_F, a commutator c takes an SVD only if ‖c‖_F ≥ tol(1 − _SCREEN_MARGIN)."""
     r = np.swapaxes(G.d3, 0, 1)            # r[j] = R_{e_j*} = d3[:, j, :]
-    return not (np.linalg.norm(matrix @ r - r @ matrix, 2, axis=(-2, -1)) > tol).any()
+    comm = matrix @ r - r @ matrix
+    comm = comm[~(np.linalg.norm(comm, axis=(-2, -1)) <= tol * (1 - _SCREEN_MARGIN))]
+    return not (np.linalg.norm(comm, 2, axis=(-2, -1)) > tol).any()
 
 
 def intertwines_comultiplication(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = STATE_TOL) -> bool:

@@ -7,6 +7,7 @@ from an invariant TRO."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,23 +19,24 @@ from .algebra import (
     AlgebraElement,
     Functional,
     MultiMatrixAlgebra,
+    _as_complex,
     polar_decompose,
-    tensor_algebra,
 )
 from .convolution import ConvolutionOperator, commutes_with_right_convolutions
 from .idempotents import _require_contractive_idempotent, is_contractive_idempotent
 from .qgroup import FiniteQuantumGroup, _numerical_rank
 
-_M2 = MultiMatrixAlgebra((2,))
-
 
 @dataclass(eq=False)
 class OperatorSubspace:
     """Subspace of a multi-matrix algebra with a basis orthonormal for the
-    trace inner product ⟨a, b⟩ = Tr(a*b)."""
+    trace inner product ⟨a, b⟩ = Tr(a*b), kept as a read-only copy."""
 
     algebra: MultiMatrixAlgebra
-    matrix: np.ndarray            # (dim, k), orthonormal columns
+    matrix: np.ndarray            # (dim, k), orthonormal columns, read-only
+
+    def __post_init__(self):
+        self.matrix = _as_complex(self.matrix)
 
     @classmethod
     def from_spanning(cls, algebra: MultiMatrixAlgebra, vectors) -> "OperatorSubspace":
@@ -70,12 +72,38 @@ class OperatorSubspace:
         return float(np.linalg.norm(self.projector() - other.projector(), 2)) <= tol
 
     def adjoint_space(self) -> "OperatorSubspace":
-        return OperatorSubspace.from_spanning(self.algebra, self.algebra.adjoint(self.matrix.T))
+        """X*, on the adjoints of the basis: a ↦ a* keeps the trace inner
+        product up to conjugation, so they are orthonormal; no SVD is taken."""
+        return OperatorSubspace(self.algebra, self.algebra.adjoint(self.matrix.T).T)
+
+    @cached_property
+    def tro_defect(self) -> float:
+        """Largest residual against X of a triple product x y* z over all
+        basis triples, stacked over (x, y, z) in chunks of x."""
+        A, basis = self.algebra, self.matrix.T
+        stars = A.adjoint(basis)
+        return max((_worst_residual(self, A.multiply(A.multiply(basis[s, None], stars)[:, :, None], basis))
+                    for s in _chunks(self.dim, self.dim ** 2, A.dim)), default=0.0)
+
+    @cached_property
+    def product_spans(self) -> tuple["OperatorSubspace", "OperatorSubspace"]:
+        """Orthonormal bases of ⟨XX*⟩ and ⟨X*X⟩."""
+        A, basis = self.algebra, self.matrix.T
+        stars = A.adjoint(basis)
+        return (OperatorSubspace.from_spanning(A, A.multiply(basis[:, None, :], stars[None, :, :])),
+                OperatorSubspace.from_spanning(A, A.multiply(stars[:, None, :], basis[None, :, :])))
+
+    @cached_property
+    def rank_deficit(self) -> int:
+        """dim A minus the smaller rank of span(X·A) and span(A·X), at _RANK_RTOL."""
+        A = self.algebra
+        basis, units = self.matrix.T[:, None, :], np.eye(A.dim)[None, :, :]
+        return A.dim - min(_numerical_rank(A.multiply(basis, units).reshape(-1, A.dim)),
+                           _numerical_rank(A.multiply(units, basis).reshape(-1, A.dim)))
 
 
-def _worst_residual(X: OperatorSubspace, stack) -> float:
+def _worst_residual(X: OperatorSubspace, stack: np.ndarray) -> float:
     """Largest Hilbert-Schmidt distance from a vec of the stack to X."""
-    stack = np.asarray(stack)
     residuals = np.linalg.norm(stack - (stack @ X.matrix.conj()) @ X.matrix.T, axis=-1)
     return float(residuals.max(initial=0.0))
 
@@ -100,25 +128,13 @@ def image_subspace(T: ConvolutionOperator | np.ndarray, algebra: MultiMatrixAlge
 
 
 def is_tro(X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
-    """Closure under the triple product x y* z on all basis triples, stacked
-    over (x, y, z) in chunks of x."""
-    A, basis = X.algebra, X.matrix.T
-    stars = A.adjoint(basis)
-    return all(
-        _worst_residual(X, A.multiply(A.multiply(basis[s, None], stars)[:, :, None], basis)) <= tol
-        for s in _chunks(X.dim, X.dim ** 2, A.dim)
-    )
+    """Closure under the triple product x y* z: X.tro_defect ≤ tol."""
+    return X.tro_defect <= tol
 
 
 def is_nondegenerate(X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
-    """span(X·A) = A and span(A·X) = A.  Both are rank tests at the relative
-    cutoff of qgroup._numerical_rank (_RANK_RTOL); tol is unused."""
-    A = X.algebra
-    basis, units = X.matrix.T[:, None, :], np.eye(A.dim)[None, :, :]
-    return (
-        _numerical_rank(A.multiply(basis, units).reshape(-1, A.dim)) == A.dim
-        and _numerical_rank(A.multiply(units, basis).reshape(-1, A.dim)) == A.dim
-    )
+    """span(X·A) = A and span(A·X) = A: X.rank_deficit ≤ tol."""
+    return X.rank_deficit <= tol
 
 
 def is_right_invariant(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
@@ -164,43 +180,31 @@ class LinkingAlgebra:
 def linking_algebra(X: OperatorSubspace, tol: float = CHECK_TOL) -> LinkingAlgebra:
     """Left and right linking algebras ⟨XX*⟩ and ⟨X*X⟩ of a TRO; for a TRO the
     spans of pairwise products are already closed under multiplication."""
-    return _linking_algebra(X, is_tro(X, tol))
-
-
-def _linking_algebra(X: OperatorSubspace, tro: bool, spans: tuple | None = None) -> LinkingAlgebra:
-    """linking_algebra of X given its is_tro verdict and, if built, _product_spans(X)."""
-    if not tro:
+    if not is_tro(X, tol):
         raise ValueError("linking_algebra requires a TRO")
-    return LinkingAlgebra(X, *(spans or _product_spans(X)))
-
-
-def _product_spans(X: OperatorSubspace) -> tuple[OperatorSubspace, OperatorSubspace]:
-    """Orthonormal bases of ⟨XX*⟩ and ⟨X*X⟩, for any subspace X."""
-    A, basis = X.algebra, X.matrix.T
-    stars = A.adjoint(basis)
-    return (OperatorSubspace.from_spanning(A, A.multiply(basis[:, None, :], stars[None, :, :])),
-            OperatorSubspace.from_spanning(A, A.multiply(stars[:, None, :], basis[None, :, :])))
+    return LinkingAlgebra(X, *X.product_spans)
 
 
 @dataclass(eq=False)
 class SchurExpectation:
-    """Entrywise (Schur) map on M₂(A) with one linear map per entry."""
+    """Entrywise (Schur) map on M₂(A) given by a 2×2 matrix Ω of functionals
+    on A, the linking functional: entry (i,j) is mapped by L_{Ω_ij}."""
 
     group: FiniteQuantumGroup
-    entries: list                  # 2×2 nested list of (dim, dim) matrices
+    linking: list                  # 2×2 nested list of Functionals, Ω_ij
+
+    @cached_property
+    def entries(self) -> list:   # 2×2 nested list of the (dim, dim) matrices of L_{Ω_ij}
+        return [[self.group.left_matrix(f.covector) for f in row] for row in self.linking]
 
 
 def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> SchurExpectation:
     """The extension of L_ω to a conditional expectation of M₂(A) onto the
-    linking algebra of its image: entrywise left convolutions by
-    [[|ω|_r, ω], [ω̄, |ω|_l]]."""
+    linking algebra of its image: entrywise left convolutions by the linking
+    functional Ω = [[|ω|_r, ω], [ω̄, |ω|_l]]."""
     _require_contractive_idempotent(G, omega, tol, "build_expectation requires a contractive idempotent")
     parts = polar_decompose(omega)
-    entries = [
-        [G.left_matrix(parts.abs_r.covector), G.left_matrix(omega.covector)],
-        [G.left_matrix(omega.conjugate().covector), G.left_matrix(parts.abs_l.covector)],
-    ]
-    return SchurExpectation(group=G, entries=entries)
+    return SchurExpectation(group=G, linking=[[parts.abs_r, omega], [omega.conjugate(), parts.abs_l]])
 
 
 @dataclass(eq=False)
@@ -213,32 +217,35 @@ class ExpectationCheck:
     choi_min_eigenvalue: float
 
     def passed(self, tol: float = CHECK_TOL) -> bool:
-        return (
-            max(self.idempotent, self.fixes_subalgebra, self.bimodule) <= tol
-            and self.choi_min_eigenvalue >= -CP_FLOOR
-        )
+        worst = max(self.idempotent, self.fixes_subalgebra, self.bimodule)
+        return worst <= tol and self.choi_min_eigenvalue >= -CP_FLOOR
 
 
 def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationCheck:
     """E∘E = E, E fixes the linking algebra, the bimodule property over it,
-    and complete positivity through the Choi matrix of the block-compressed
-    extension to full matrices.
-
-    On M₂(A), E is block diagonal with one block E_ij per entry, so
-    ‖E∘E − E‖ is the largest ‖E_ij² − E_ij‖, and each corner basis element
-    lies in one entry.  The bimodule property is checked as the left and
-    right module properties by _module_defect: those two give it, since
-    E(b₁xb₂) = b₁E(xb₂) = b₁E(x)b₂, and follow from it when 1 ∈ B, as for a
-    unital E, whose range B holds E(1) = 1."""
-    entries, corners = E.entries, B.corners()
-    idem = max(float(np.linalg.norm(e @ e - e, 2)) for row in entries for e in row)
-    fixes = max(float(np.linalg.norm(b @ entries[i][j].T - b, axis=-1).max(initial=0.0))
+    and complete positivity, the first and last read off the linking
+    functional Ω.  As L_φL_ψ = L_{ψ⋆φ} and L is injective (ε∘L_φ = φ),
+    E∘E = E iff each Ω_ij⋆Ω_ij = Ω_ij: idempotent is the largest dual norm of
+    Ω_ij⋆Ω_ij − Ω_ij.  E is CP iff Ω ≥ 0 on M₂(A) (_linking_positivity):
+    (id⊗ε)∘E, with id⊗ε a *-homomorphism, is the Schur map X ↦ [Ω_ij(x_ij)],
+    CP iff Ω ≥ 0, and E is that map, W*(id⊗ρ)(·)W in the GNS form of Ω,
+    composed with id⊗Δ.  Each corner basis element lies in one entry, so its
+    fixed-point residual is ‖E_ij(b) − b‖.  The bimodule property is checked
+    as the left and right module properties (_module_defect): they give it,
+    as E(b₁xb₂) = b₁E(xb₂) = b₁E(x)b₂, and follow from it when 1 ∈ B, as for
+    a unital E, whose range B holds E(1) = 1."""
+    A, corners = B.tro.algebra, B.corners()
+    cov = np.array([[f.covector for f in row] for row in E.linking])        # (2, 2, dim)
+    pairs = (cov[..., :, None] * cov[..., None, :]).reshape(2, 2, -1)
+    dens = (pairs @ E.group.d3.reshape(A.dim * A.dim, A.dim) - cov)[..., A.transpose_perm]
+    idem = sum(s.sum(axis=(-2, -1)) for s in A.singular_values(dens)).max()
+    fixes = max(float(np.linalg.norm(b @ E.entries[i][j].T - b, axis=-1).max(initial=0.0))
                 for (i, j), b in corners.items())
     return ExpectationCheck(
-        idempotent=idem,
+        idempotent=float(idem),
         fixes_subalgebra=fixes,
-        bimodule=_module_defect(B.tro.algebra, entries, corners),
-        choi_min_eigenvalue=_choi_min_eigenvalue(E),
+        bimodule=_module_defect(A, E.entries, corners),
+        choi_min_eigenvalue=_linking_positivity(A, cov[..., A.transpose_perm]),
     )
 
 
@@ -262,27 +269,25 @@ def _module_defect(A: MultiMatrixAlgebra, entries, corners: dict) -> float:
     return float(worst)
 
 
-def _choi_min_eigenvalue(E: SchurExpectation) -> float:
-    """Min eigenvalue of the Choi matrix of E composed with the block-diagonal
-    compression of the containing full matrix algebra (CP iff E is CP).
+@lru_cache(maxsize=None)
+def _linking_ambient(A: MultiMatrixAlgebra) -> MultiMatrixAlgebra:
+    """M₂(A) as the algebra of blocks M₂(M_n) = M_{2n}, block by block."""
+    return MultiMatrixAlgebra(tuple(2 * n for n in A.block_dims))
 
-    Up to a permutation that Choi matrix is block diagonal with one block per
-    pair (input block k, output block l), C_kl[(p,r),(q,s)] = E(e^k_pq)^l_rs,
-    the block structure of the tensor square.  On M₂(A) the unit e_ij⊗e_a
-    goes to e_ij⊗E_ij(e_a), so the Choi matrix of E is Σ e_ij⊗e_ij⊗C_ij, with
-    C_ij the Choi matrix of E_ij on A⊗A: it is zero on every row and column
-    ((i,p),(i′,r)) with i ≠ i′, and otherwise it is the element Σ e_ij⊗C_ij
-    of M₂⊗(A⊗A).  Its eigenvalues are those of that element and zeros, and
-    its Hermiticity defect is that element's, taken block by block."""
-    ts = E.group.ts
-    m2 = tensor_algebra(_M2, ts.algebra)
-    choi = m2.algebra
-    vec = np.empty(choi.dim, dtype=np.complex128)
-    vec[m2.positions.reshape(4, -1)[:, ts.positions]] = [e.T.ravel() for row in E.entries for e in row]
-    # a non-Hermitian Choi matrix means the map is not Hermiticity-preserving;
-    # fold that defect into the returned bound so such maps fail the floor
-    herm_defect = choi.max_operator_norm(vec - choi.adjoint(vec)) / 2
-    return min(0.0, float(choi.min_eigenvalues(vec))) - herm_defect
+
+def _linking_positivity(A: MultiMatrixAlgebra, dens: np.ndarray) -> float:
+    """min(0, λ_min) − ‖D − D*‖/2 for the density D on M₂(A) of Ω: X ↦ Σ Ω_ij(x_ij),
+    from the densities dens[i, j] of the Ω_ij: D = [[d_00, d_10], [d_01, d_11]]
+    per block, as Tr(D X) pairs the (i, j) block of D with the entry x_ji."""
+    m2 = _linking_ambient(A)
+    vec = np.empty(m2.dim, dtype=np.complex128)
+    for (n, _, b), (_, idx, _) in zip(A.blocks_by_size(dens), m2.size_classes):
+        vec[idx] = b.transpose(2, 1, 3, 0, 4).reshape(idx.shape)   # [m, i, r, j, s] = d_ji[m, r, s]
+    # fold the Hermiticity defect of D into the bound, so that maps that do not
+    # preserve Hermiticity fail: K = i(D − D*)/2 has ‖K‖ = max(−λ_min(±K))
+    skew = 0.5j * (vec - m2.adjoint(vec))
+    low, *skews = m2.min_eigenvalues([vec, skew, -skew])
+    return min(0.0, float(low)) + float(min(skews))
 
 
 def is_conditional_expectation(E: SchurExpectation, B: LinkingAlgebra, tol: float = CHECK_TOL) -> bool:
@@ -307,20 +312,14 @@ class TroExpectationReport:
     expectation_residuals: dict
     image: OperatorSubspace
     image_is_tro: bool
-    spans: tuple                   # _product_spans(image): ⟨XX*⟩ and ⟨X*X⟩
 
     def passed(self, tol: float = CHECK_TOL) -> bool:
-        return (
-            self.image_is_tro
-            and all(v <= tol for v in self.identity_residuals.values())
-            and all(v <= tol for v in self.expectation_residuals.values())
-        )
+        residuals = [*self.identity_residuals.values(), *self.expectation_residuals.values()]
+        return self.image_is_tro and all(v <= tol for v in residuals)
 
     @property
     def max_residual(self) -> float:
-        return max(
-            list(self.identity_residuals.values()) + list(self.expectation_residuals.values())
-        )
+        return max(*self.identity_residuals.values(), *self.expectation_residuals.values())
 
 
 def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> TroExpectationReport:
@@ -340,15 +339,13 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
     lw = G.left_matrix(omega.covector)
     image = image_subspace(lw, A)
     xb = image.matrix.T
-    spans = _product_spans(image)
     return TroExpectationReport(
         identity_residuals=_identity_residuals(
             A, lw, G.left_matrix(parts.abs_r.covector), G.left_matrix(parts.abs_l.covector), xb
         ),
-        expectation_residuals=_expectation_residuals(A, lw, xb, *spans),
+        expectation_residuals=_expectation_residuals(A, lw, xb, *image.product_spans),
         image=image,
         image_is_tro=is_tro(image, tol),
-        spans=spans,
     )
 
 
@@ -401,7 +398,7 @@ def triple_product_identities(G: FiniteQuantumGroup, omega: Functional) -> dict:
     residuals P(x y*c), P(x b* y) and P(a x*y) of _expectation_residuals,
     the outer two on bases of the spans of x y* and x*y."""
     lw = G.left_matrix(omega.covector)
-    res = _expectation_residuals(G.algebra, lw, lw.T, *_product_spans(image_subspace(lw, G.algebra)))
+    res = _expectation_residuals(G.algebra, lw, lw.T, *image_subspace(lw, G.algebra).product_spans)
     return {"first": res["expect_left_pair"], "second": res["expect_middle"], "third": res["expect_right_pair"]}
 
 
@@ -438,33 +435,24 @@ def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
     if not is_right_invariant(G, X.adjoint_space(), tol):
         reasons.append("X* is not right invariant")
     if not reasons:
-        link = _linking_algebra(X, True)   # is_tro passed above
-        if not is_right_invariant(G, link.left, tol):
+        left, right = X.product_spans
+        if not is_right_invariant(G, left, tol):
             reasons.append("left linking algebra is not right invariant")
-        if not is_right_invariant(G, link.right, tol):
+        if not is_right_invariant(G, right, tol):
             reasons.append("right linking algebra is not right invariant")
+    weights = G.haar_weight_vec
+    if not reasons and weights.min() <= 0:
+        reasons.append("Haar weights not positive")
     if reasons:
         return RecoveryResult(functional=None, ok=False, reasons=reasons)
-    weights = G.haar_weight_vec
-    if weights.min() <= 0:
-        return RecoveryResult(functional=None, ok=False, reasons=["Haar weights not positive"])
     w_half = np.sqrt(weights)
-    weighted = w_half[:, None] * X.matrix
-    q, _ = np.linalg.qr(weighted)
+    q, _ = np.linalg.qr(w_half[:, None] * X.matrix)
     proj = (q @ q.conj().T) * (w_half[None, :] / w_half[:, None])
-    if not commutes_with_right_convolutions(G, proj, max(tol, CHECK_TOL)):
-        return RecoveryResult(
-            functional=None, ok=False,
-            reasons=["orthogonal projection does not commute with right convolutions"],
-        )
     omega = Functional.from_covector(G.algebra, proj.T @ G.counit.covector)
-    if not is_contractive_idempotent(G, omega, max(tol, STATE_TOL)):
-        return RecoveryResult(
-            functional=None, ok=False, reasons=["recovered functional is not a contractive idempotent"]
-        )
-    recovered_image = image_subspace(G.left_matrix(omega.covector), G.algebra)
-    if not recovered_image.equals(X, tol):
-        return RecoveryResult(
-            functional=None, ok=False, reasons=["image of the recovered idempotent differs from X"]
-        )
-    return RecoveryResult(functional=omega, ok=True)
+    if not commutes_with_right_convolutions(G, proj, max(tol, CHECK_TOL)):
+        reasons.append("orthogonal projection does not commute with right convolutions")
+    elif not is_contractive_idempotent(G, omega, max(tol, STATE_TOL)):
+        reasons.append("recovered functional is not a contractive idempotent")
+    elif not image_subspace(G.left_matrix(omega.covector), G.algebra).equals(X, tol):
+        reasons.append("image of the recovered idempotent differs from X")
+    return RecoveryResult(functional=None if reasons else omega, ok=not reasons, reasons=reasons)

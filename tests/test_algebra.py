@@ -80,6 +80,32 @@ def test_adjoint_antihomomorphism(seed, which):
     assert ((a * b).adjoint() - b.adjoint() * a.adjoint()).operator_norm < 1e-12
 
 
+def test_caller_input_is_copied_and_results_are_read_only(monkeypatch):
+    """from_vec and element copy the caller's arrays; + − * adjoint hand the
+    arrays they have just built to the element without a copy, read-only."""
+    import quidem.algebra
+
+    alg = MultiMatrixAlgebra((1, 2))
+    vec = np.arange(alg.dim, dtype=np.complex128)
+    block = np.eye(2)
+    x, y = alg.from_vec(vec), alg.element([np.ones((1, 1)), block])
+    vec[0], block[0, 0] = 9.0, 9.0
+    assert x.vec[0] == 0.0 and y.vec[1] == 1.0
+    copies = []
+    as_complex = quidem.algebra._as_complex
+    monkeypatch.setattr(quidem.algebra, "_as_complex", lambda m: copies.append(m) or as_complex(m))
+    results = [x + y, x - y, -x, x * y, 2.0 * x, x * 2j, x.adjoint()]
+    assert not copies
+    want = [v.copy() for v in (x.vec + y.vec, x.vec - y.vec, -x.vec, alg.multiply(x.vec, y.vec),
+                                    2.0 * x.vec, 2j * x.vec, alg.adjoint(x.vec))]
+    for z, w in zip(results, want):
+        assert not z.vec.flags.writeable and z.vec.dtype == np.complex128
+        assert np.array_equal(z.vec, w)
+        with pytest.raises(ValueError):
+            z.vec[0] = 1.0
+    assert not x.vec.flags.writeable and not y.vec.flags.writeable
+
+
 def test_zero_functional_norm():
     alg = MultiMatrixAlgebra((1, 1))
     assert Functional.zero(alg).norm == 0.0

@@ -172,6 +172,18 @@ def test_tro_coset_indicator(capsys):
     assert json.loads(out)["passed"]
 
 
+def test_tro_and_nondegeneracy_rows_are_measured(capsys):
+    """"image is TRO" reports the largest triple-product residual and
+    "image nondegenerate" the rank deficit, each with its tolerance."""
+    code, out = run(capsys, "tro", "--group", "builtin:kp", "--functional", "haar", "--json")
+    assert code == 0
+    rows = _rows(json.loads(out))
+    for name in ("image is TRO", "image nondegenerate"):
+        assert rows[name]["defect"] is not None and rows[name]["tolerance"] == 1e-8, rows[name]
+        assert rows[name]["passed"] and rows[name]["defect"] <= rows[name]["tolerance"]
+    assert rows["image nondegenerate"]["defect"] == 0.0
+
+
 def test_bad_group_spec(capsys):
     code, out = run(capsys, "verify", "--group", "builtin:bogus")
     assert code == 1

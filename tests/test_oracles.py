@@ -42,12 +42,11 @@ from quidem.qgroup import FiniteQuantumGroup, _dual_regular_split, _star_residua
 from quidem.tro import (
     LinkingAlgebra,
     OperatorSubspace,
-    _choi_min_eigenvalue,
+    SchurExpectation,
     _chunks,
     _expectation_residuals,
     _identity_residuals,
     _module_defect,
-    _product_spans,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
@@ -669,6 +668,13 @@ def test_tro_checks_match_loop_form(case):
         _assert_agree(triple_product_identities(G, omega), ref_triple_product_identities(G, omega), TOL)
 
 
+def _rescaled(E, s01, s10):
+    """The Schur map of E with the off-diagonal functionals Ω_01 and Ω_10 of
+    its linking functional multiplied by s01 and s10."""
+    (r, w), (wbar, l) = E.linking
+    return SchurExpectation(E.group, [[r, s01 * w], [s10 * wbar, l]])
+
+
 def test_expectation_checks_match_loop_form(case):
     G, idempotents = case
     for omega in idempotents:
@@ -680,15 +686,11 @@ def test_expectation_checks_match_loop_form(case):
         # the expectation itself, then Schur maps whose off-diagonal entries
         # are rescaled: no longer completely positive
         for s01, s10 in ((1.0, 1.0), (1.3, 1.0), (1.0, 0.2), (1.3, 0.2)):
-            E = build_expectation(G, omega, TOL)
-            E.entries[0][1] = s01 * E.entries[0][1]
-            E.entries[1][0] = s10 * E.entries[1][0]
+            E = _rescaled(build_expectation(G, omega, TOL), s01, s10)
             checks = expectation_checks(E, link)
             assert abs(checks.bimodule - ref_module(E, link)) <= AGREE
             assert (checks.bimodule <= TOL) == (ref_bimodule(E, link) <= TOL)
             choi = ref_choi_min_eigenvalue(E)
-            assert abs(_choi_min_eigenvalue(E) - choi) <= AGREE
-            assert abs(checks.choi_min_eigenvalue - choi) <= AGREE
             assert (checks.choi_min_eigenvalue >= CP_FLOOR) == (choi >= CP_FLOOR)
             if (s01, s10) == (1.0, 1.0):
                 assert choi >= CP_FLOOR
@@ -696,31 +698,93 @@ def test_expectation_checks_match_loop_form(case):
                 assert choi < CP_FLOOR
 
 
+def _random_linking(rng, G):
+    """Four functionals with random covectors of norm about 1."""
+    return [[Functional.from_covector(G.algebra, _gaussian(rng, G.dim)) for _ in range(2)] for _ in range(2)]
+
+
 def test_module_defect_matches_loop_form(case):
     """The module defect against its dense loop form on M₂(A), with the
-    verdict of the pairwise bimodule loop form, and the idempotent and
-    fixed-point residuals and the Choi bound against theirs: on the
-    expectation, where every residual is roundoff, and on Schur maps with four
-    random entries, where the residuals are O(1)."""
+    verdict of the pairwise bimodule loop form, the fixed-point residual
+    against its loop form, and the idempotent and completely positive
+    verdicts against the dense E∘E − E and Choi forms: on the expectation,
+    where every residual is roundoff, and on Schur maps of four random
+    functionals, where the residuals are O(1)."""
     G, idempotents = case
     rng = np.random.default_rng(11)
     for omega in idempotents:
         link = linking_algebra(image_subspace(left_conv_operator(G, omega)), TOL)
-        random = build_expectation(G, omega, TOL)
-        random.entries = [[_gaussian(rng, G.dim, G.dim) for _ in range(2)] for _ in range(2)]
+        random = SchurExpectation(G, _random_linking(rng, G))
         for E, small in ((build_expectation(G, omega, TOL), True), (random, False)):
             want = ref_module(E, link)
             assert abs(_module_defect(G.algebra, E.entries, link.corners()) - want) <= AGREE
             assert (want <= TOL) == (ref_bimodule(E, link) <= TOL) == small
             checks = expectation_checks(E, link)
             assert abs(checks.bimodule - want) <= AGREE
-            choi = ref_choi_min_eigenvalue(E)
-            assert abs(_choi_min_eigenvalue(E) - choi) <= AGREE
-            assert (checks.choi_min_eigenvalue >= CP_FLOOR) == (choi >= CP_FLOOR)
-            for value, ref in ((checks.idempotent, ref_expectation_idempotent(E)),
-                               (checks.fixes_subalgebra, ref_fixes_subalgebra(E, link))):
-                assert abs(value - ref) <= AGREE
-                assert (ref <= TOL) == small
+            assert (checks.choi_min_eigenvalue >= CP_FLOOR) == (ref_choi_min_eigenvalue(E) >= CP_FLOOR) == small
+            assert (checks.idempotent <= TOL) == (ref_expectation_idempotent(E) <= TOL) == small
+            ref = ref_fixes_subalgebra(E, link)
+            assert abs(checks.fixes_subalgebra - ref) <= AGREE
+            assert (ref <= TOL) == small
+
+
+def _linking_of_density(alg, blocks):
+    """The functionals Ω_ij of the functional on M₂(A) whose density has the
+    (2n, 2n) block blocks[k] on block k of A: Tr(D X) pairs the row-j,
+    column-i corner of D with x_ij, so that corner is the density of Ω_ij."""
+    def corner(i, j):
+        return alg.element([b[j * n:(j + 1) * n, i * n:(i + 1) * n] for b, n in zip(blocks, alg.block_dims)])
+    return [[Functional(alg, corner(i, j)) for j in (0, 1)] for i in (0, 1)]
+
+
+def _random_density_blocks(rng, alg, positive):
+    """Random Hermitian (2n, 2n) blocks, one per block of A: G G* when
+    positive, else G + G*, which has eigenvalues of both signs."""
+    out = []
+    for n in alg.block_dims:
+        g = _gaussian(rng, 2 * n, 2 * n)
+        out.append(g @ g.conj().T if positive else g + g.conj().T)
+    return out
+
+
+OMEGA_GROUPS = ["czn:4", "cfun:sn:3", "cstar:dn:4", "kp", "cstar:dn:5"]
+# (s01, s10): Ω_01 = s01·ω and Ω_10 = s10·ω̄.  With s10 = conj(s01) the
+# Schur product with [[1, s01], [s10, 1]] keeps Ω positive iff |s01| ≤ 1;
+# otherwise Ω is not Hermitian.  Only (1, 1) keeps each Ω_ij idempotent.
+OMEGA_SCALINGS = [(1.0, 1.0), (0.5, 0.5), (1j, -1j), (1.3, 1.3), (1.3, 1.0), (1.0, 0.2), (1j, 1j)]
+
+
+@pytest.mark.parametrize("spec", OMEGA_GROUPS)
+def test_linking_functional_verdicts_match_dense_forms(spec):
+    """The idempotent and completely positive verdicts of expectation_checks,
+    taken on the linking functional Ω, against the dense forms on M₂(A):
+    ‖E∘E − E‖₂ of the (4·dim)² matrix and the least eigenvalue of the Choi
+    matrix.  On idempotents of each group, their off-diagonal rescalings,
+    Hermitian and not, and random functionals: positive, Hermitian
+    indefinite, and with four unrelated covectors."""
+    G = builtin(spec)
+    assert G.dim <= 24
+    if G.kind == "kp":
+        idempotents = [G.counit, G.haar, _kp_non_haar_state(G)]
+    else:
+        items = (enumerate_group_algebra if G.kind == "group" else enumerate_function_algebra)(G)
+        idempotents = [item.functional for item in items[::max(1, len(items) // 6)]]
+    rng = np.random.default_rng(17)
+    cases = []
+    for omega in idempotents:
+        E = build_expectation(G, omega, TOL)
+        cases += [(_rescaled(E, s01, s10), s01 == s10 == 1.0, s10 == np.conj(s01) and abs(s01) <= 1.0)
+                  for s01, s10 in OMEGA_SCALINGS]
+    for positive in (True, False):
+        linking = _linking_of_density(G.algebra, _random_density_blocks(rng, G.algebra, positive))
+        cases.append((SchurExpectation(G, linking), False, positive))
+    cases.append((SchurExpectation(G, _random_linking(rng, G)), False, False))
+    link = linking_algebra(image_subspace(left_conv_operator(G, G.counit)), TOL)
+    for E, idempotent, cp in cases:
+        checks = expectation_checks(E, link)
+        choi, idem = ref_choi_min_eigenvalue(E), ref_expectation_idempotent(E)
+        assert (checks.choi_min_eigenvalue >= CP_FLOOR) == (choi >= CP_FLOOR) == cp, (checks, choi)
+        assert (checks.idempotent <= TOL) == (idem <= TOL) == idempotent, (checks, idem)
 
 
 def _kp_block_limits(kp):
@@ -830,6 +894,34 @@ def test_right_convolution_commutation_matches_loop_form(case):
             assert commutes_with_right_convolutions(G, matrix, tol) == (want <= tol)
 
 
+def _unscreened_commutes(G, matrix, tol):
+    """commutes_with_right_convolutions as one spectral norm per commutator."""
+    r = np.swapaxes(G.d3, 0, 1)
+    return not (np.linalg.norm(matrix @ r - r @ matrix, 2, axis=(-2, -1)) > tol).any()
+
+
+def test_right_convolution_screen_keeps_the_verdict(cz4):
+    """The Frobenius screen of commutes_with_right_convolutions against the
+    unscreened form: a projection that passes, the point projection of
+    test_recover_rejects_non_invariant, and a perturbed projection at a tol
+    between the largest spectral and Frobenius norms of its commutators,
+    where the SVD of the screened-in commutators decides."""
+    G = cz4
+    passing = left_conv_operator(G, enumerate_function_algebra(G)[1].functional).matrix
+    point = np.zeros((G.dim, G.dim))
+    point[0, 0] = 1.0
+    perturbed = passing + 0.05 * _gaussian(np.random.default_rng(9), G.dim, G.dim)
+    r = np.swapaxes(G.d3, 0, 1)
+    comm = perturbed @ r - r @ perturbed
+    spectral = np.linalg.norm(comm, 2, axis=(-2, -1)).max()
+    frobenius = np.linalg.norm(comm, axis=(-2, -1)).max()
+    assert spectral < frobenius
+    for matrix, tol, verdict in ((passing, 1e-9, True), (point, 1e-9, False),
+                                 (perturbed, (spectral + frobenius) / 2, True),
+                                 (perturbed, 0.99 * spectral, False)):
+        assert commutes_with_right_convolutions(G, matrix, tol) == _unscreened_commutes(G, matrix, tol) == verdict
+
+
 def test_star_residual_matches_loop_form(case):
     G, _ = case
     _, lt, _ = _dual_regular_split(G)
@@ -860,7 +952,7 @@ def _ref_product_spans(alg, xb):
 def _spans(alg, xb):
     """The corner bases that _expectation_residuals takes, as OperatorSubspaces
     and as rows for the loop forms."""
-    spans = _product_spans(OperatorSubspace(alg, xb.T))
+    spans = OperatorSubspace(alg, xb.T).product_spans
     return spans, [span.matrix.T for span in spans]
 
 

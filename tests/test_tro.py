@@ -2,6 +2,8 @@
 algebras, the entrywise conditional expectation, and recovery of the
 idempotent from its TRO."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from quidem import (
@@ -15,7 +17,6 @@ from quidem.tro import (
     OperatorSubspace,
     SchurExpectation,
     _expectation_residuals,
-    _product_spans,
     build_expectation,
     check_tro_expectation,
     expectation_checks,
@@ -29,7 +30,7 @@ from quidem.tro import (
     recover_idempotent,
     triple_product_identities,
 )
-from test_oracles import _ref_entry_indices, _ref_m2, _ref_schur_matrix
+from test_oracles import _ref_entry_indices, _ref_m2, _ref_schur_matrix, _rescaled
 
 
 def _subspace(alg, vecs):
@@ -159,36 +160,35 @@ def test_expectation_full_checks_mu0(cz4, mu0):
 
 
 def test_expectation_rejects_scaled_corner(cz4, mu0):
-    E = build_expectation(cz4, mu0)
-    E.entries[0][1] = 2.0 * E.entries[0][1]
+    E = _rescaled(build_expectation(cz4, mu0), 2.0, 1.0)
     link = linking_algebra(image_subspace(left_conv_operator(cz4, mu0)))
     assert not is_conditional_expectation(E, link)
 
 
 def test_weight_preservation_fails_for_counit_average(cz4, mu0):
     E = build_expectation(cz4, mu0)
-    # replace the (1,1) entry with a ↦ ε(a)1: not Haar-preserving
-    E.entries[0][0] = np.outer(cz4.algebra.identity().vec, cz4.counit.covector)
-    assert not preserves_weight(E, 1e-8)
+    assert preserves_weight(E, 1e-8)
+    # h∘L_φ = φ(1)h, so an entry Ω_00 with Ω_00(1) = 2 doubles the Haar weight
+    (_, w), (wbar, l) = E.linking
+    assert not preserves_weight(SchurExpectation(group=cz4, linking=[[2.0 * cz4.counit, w], [wbar, l]]), 1e-8)
 
 
 def test_schur_matrix_has_no_cross_entry_coupling(kp):
-    """The dense matrix of E on M₂(A) holds each entry E_ij in its own
+    """The dense matrix of E on M₂(A) holds each entry L_{Ω_ij} in its own
     (entry indices, entry indices) block and is exactly 0 elsewhere: the
     structure the entrywise checks of expectation_checks and preserves_weight
     rely on, and the form the dense oracles of test_oracles build."""
     rng = np.random.default_rng(7)
     dim = kp.dim
-    entries = [[rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(2)]
-               for _ in range(2)]
-    E = SchurExpectation(group=kp, entries=entries)
+    linking = [[kp.algebra.random_functional(rng) for _ in range(2)] for _ in range(2)]
+    E = SchurExpectation(group=kp, linking=linking)
     m2 = _ref_m2(kp.algebra)
     M = _ref_schur_matrix(E)
     inside = np.zeros(M.shape, dtype=bool)
     for i in range(2):
         for j in range(2):
             block = np.ix_(_ref_entry_indices(m2, i, j), _ref_entry_indices(m2, i, j))
-            assert np.array_equal(M[block], entries[i][j])
+            assert np.array_equal(M[block], kp.left_matrix(linking[i][j].covector))
             inside[block] = True
     assert np.count_nonzero(inside) == 4 * dim * dim
     assert np.all(M[~inside] == 0)
@@ -260,7 +260,7 @@ def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
         lw = G.left_matrix(omega.covector)
         X = image_subspace(lw, G.algebra)
         for check in (
-            lambda: _expectation_residuals(G.algebra, lw, X.matrix.T, *_product_spans(X)),
+            lambda: _expectation_residuals(G.algebra, lw, X.matrix.T, *X.product_spans),
             lambda: check_tro_expectation(G, omega),
             lambda: is_tro(X),
             lambda: triple_product_identities(G, omega),
@@ -271,10 +271,11 @@ def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
 
 
 def test_expectation_checks_stay_in_A(stack_cases, monkeypatch):
-    """expectation_checks works on the four (dim, dim) entries: it never
-    multiplies in M₂(A), no product stack holds more than dim² vecs of A, and
-    the Choi eigenvalues are taken in an algebra of dimension at most 4·dim²
-    (M₂⊗(A⊗A)), not in M₂(A)⊗M₂(A) of dimension 16·dim²."""
+    """expectation_checks works on the four (dim, dim) entries and the four
+    functionals of Ω: it never multiplies in M₂(A), no product stack holds
+    more than dim² vecs of A, and the eigenvalues are taken in an algebra of
+    dimension at most 4·dim (M₂(A), where Ω's density lives), not in the
+    Choi algebra M₂⊗(A⊗A) of dimension 4·dim²."""
     largest, eig_dims = {}, []
     multiply, min_eigenvalues = MultiMatrixAlgebra.multiply, MultiMatrixAlgebra.min_eigenvalues
 
@@ -297,4 +298,34 @@ def test_expectation_checks_stay_in_A(stack_cases, monkeypatch):
         assert expectation_checks(E, link).passed()
         assert largest.keys() == {G.dim}
         assert largest[G.dim] <= G.dim ** 2
-        assert eig_dims and max(eig_dims) <= 4 * G.dim ** 2
+        assert eig_dims and max(eig_dims) <= 4 * G.dim
+
+
+def test_subspace_facts_are_computed_once(gd4, monkeypatch):
+    """On one X, the triple-product kernel, the product spans and the
+    nondegeneracy ranks each run once across is_tro, is_nondegenerate,
+    linking_algebra and recover_idempotent."""
+    calls = []
+    for name in ("tro_defect", "product_spans", "rank_deficit"):
+        def counted(self, fn=OperatorSubspace.__dict__[name].func, name=name):
+            calls.append(name)
+            return fn(self)
+        prop = cached_property(counted)
+        prop.__set_name__(OperatorSubspace, name)
+        monkeypatch.setattr(OperatorSubspace, name, prop)
+    omega = next(item.functional for item in enumerate_group_algebra(gd4) if len(item.subgroup) == 4)
+    X = image_subspace(left_conv_operator(gd4, omega))
+    assert is_tro(X) and is_nondegenerate(X)
+    link = linking_algebra(X)
+    assert recover_idempotent(gd4, X).ok
+    assert sorted(calls) == ["product_spans", "rank_deficit", "tro_defect"]
+    assert (link.left, link.right) == X.product_spans
+
+
+def test_subspace_is_immutable(cz4):
+    """An OperatorSubspace holds a read-only copy of its basis, so facts
+    cached on it stay true."""
+    vecs = np.eye(4)[:2].T.copy()
+    X = OperatorSubspace(cz4.algebra, vecs)
+    vecs[0, 0] = 5.0
+    assert X.matrix[0, 0] == 1.0 and not X.matrix.flags.writeable
