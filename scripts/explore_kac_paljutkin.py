@@ -11,10 +11,9 @@ import argparse
 
 import numpy as np
 
-from quidem import Functional, cesaro_limit, kac_paljutkin, left_conv_operator
-from quidem.algebra import support_projection, is_central
-from quidem.idempotents import decompose
-from quidem.tro import image_subspace, linking_algebra, recover_idempotent
+from quidem import Functional, cesaro_limit, kac_paljutkin
+from quidem.algebra import CHECK_TOL, is_central, support_projection
+from quidem.tro import Analysis
 
 
 def structured_seeds(kp):
@@ -55,16 +54,13 @@ def main():
 
     print(f"distinct idempotent states discovered: {len(found)}\n")
     for k, omega in enumerate(found):
-        rep = decompose(kp, omega)
+        a = Analysis(kp, omega, CHECK_TOL)
         support = support_projection(omega.density)
         ranks = tuple(int(round(np.trace(b).real)) for b in support.blocks)
-        X = image_subspace(left_conv_operator(kp, omega))
-        link = linking_algebra(X)
-        recovery = recover_idempotent(kp, X)
-        roundtrip = (recovery.functional - omega).norm if recovery.ok else float("nan")
-        print(f"[{k}] haar={rep.haar}  support ranks per block={ranks} "
+        roundtrip = (a.recovery.functional - omega).norm if a.recovery.ok else float("nan")
+        print(f"[{k}] haar={a.decomposition.haar}  support ranks per block={ranks} "
               f"central={is_central(support)}")
-        print(f"    image dim={X.dim}  linking dims={link.corner_dims()}  "
+        print(f"    image dim={a.image.dim}  linking dims={a.linking.corner_dims()}  "
               f"recovery roundtrip={roundtrip:.2e}")
 
 

@@ -59,6 +59,7 @@ from .qgroup import (
     verify_axioms,
 )
 from .tro import (
+    Analysis,
     LinkingAlgebra,
     OperatorSubspace,
     RecoveryResult,
@@ -66,7 +67,6 @@ from .tro import (
     build_expectation,
     check_tro_expectation,
     image_subspace,
-    is_conditional_expectation,
     is_nondegenerate,
     is_right_invariant,
     is_tro,

@@ -8,46 +8,23 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import catalogue
 from .algebra import CHECK_TOL, CP_FLOOR, STATE_TOL, Functional
-from .convolution import cesaro_limit, left_conv_operator
-from .groups import characters
-from .idempotents import (
-    _idempotency_defect,
-    decompose,
-    enumerate_function_algebra,
-    enumerate_group_algebra,
-    is_contractive_idempotent,
-)
-from .qgroup import (
-    FiniteQuantumGroup,
-    commutativity_defect,
-    cocommutativity_defect,
-    verify_axioms,
-)
-from .tro import (
-    build_expectation,
-    check_tro_expectation,
-    expectation_checks,
-    image_subspace,
-    is_nondegenerate,
-    is_right_invariant,
-    is_tro,
-    linking_algebra,
-    preserves_weight,
-    recover_idempotent,
-)
+from .convolution import cesaro_limit
+from .idempotents import enumerate_function_algebra, enumerate_group_algebra
+from .qgroup import FiniteQuantumGroup, cocommutativity_defect, commutativity_defect, verify_axioms
+from .tro import Analysis, invariance_defect, is_tro, weight_defect
 
 
 @dataclass
 class Check:
     name: str
     defect: float | None
-    tol: float | None
+    tolerance: float | None
     passed: bool
     note: str = ""
 
@@ -63,6 +40,11 @@ class Report:
     def add(self, name, passed, defect=None, tol=None, note=""):
         self.checks.append(Check(name, None if defect is None else float(defect), tol, bool(passed), note))
 
+    def measured(self, tol, defects: dict):
+        """One row per named defect, passing when it is at most tol."""
+        for name, defect in defects.items():
+            self.add(name, defect <= tol, defect, tol)
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -74,16 +56,7 @@ class Report:
             "passed": self.passed,
             "elapsed_seconds": self.elapsed,
             "info": self.info,
-            "checks": [
-                {
-                    "name": c.name,
-                    "defect": c.defect,
-                    "tolerance": c.tol,
-                    "passed": c.passed,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def render(self) -> str:
@@ -97,7 +70,7 @@ class Report:
         lines += [header, "-" * len(header)]
         for c in self.checks:
             defect = f"{c.defect:.3e}" if c.defect is not None else "-"
-            tol = f"{c.tol:.1e}" if c.tol is not None else "-"
+            tol = f"{c.tolerance:.1e}" if c.tolerance is not None else "-"
             status = "pass" if c.passed else "FAIL"
             note = f"  {c.note}" if c.note else ""
             lines.append(f"{c.name.ljust(width)}  {defect:>12}  {tol:>9}  {status}{note}")
@@ -145,27 +118,19 @@ def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
     if parts[0] == "subgroup-character" and len(parts) == 3:
         if G.kind != "function":
             raise ValueError("subgroup-character requires a function algebra")
-        table = G.table
-        subgroup = table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
-        sub_table, elems = table.subtable(subgroup)
-        chars = characters(sub_table)
+        subgroup = G.table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
+        items = [item for item in enumerate_function_algebra(G) if item.subgroup == subgroup]
         k = int(parts[2])
-        if not 0 <= k < len(chars):
-            raise ValueError(f"character index {k} out of range ({len(chars)} characters)")
-        cov = np.zeros(table.order, dtype=np.complex128)
-        for pos, g in enumerate(elems):
-            cov[g] = chars[k][pos] / len(elems)
-        return Functional.from_covector(G.algebra, cov)
+        if not 0 <= k < len(items):
+            raise ValueError(f"character index {k} out of range ({len(items)} characters)")
+        return items[k].functional
     if parts[0] == "coset-indicator" and len(parts) == 3:
         if G.kind != "group":
             raise ValueError("coset-indicator requires a group algebra")
-        table = G.table
-        subgroup = table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
+        subgroup = G.table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
         g = _element(G, parts[2], spec)
-        values = np.zeros(table.order)
-        for h in subgroup:
-            values[table.op(g, h)] = 1.0
-        return Functional.from_covector(G.algebra, np.linalg.solve(G.lambda_basis.T, values))
+        coset = frozenset(G.table.op(g, h) for h in subgroup)
+        return next(item.functional for item in enumerate_group_algebra(G) if item.coset == coset)
     if parts[0] == "density":
         try:
             vec = np.array([complex(re, im) for re, im in json.loads(spec[len("density:"):])])
@@ -189,8 +154,7 @@ def _enumerate(G: FiniteQuantumGroup):
 
 def cmd_verify(G: FiniteQuantumGroup, args, report: Report):
     axioms = verify_axioms(G, args.tol)
-    for name, defect in sorted(axioms.defects.items()):
-        report.add(f"axiom:{name}", defect <= args.tol, defect, args.tol)
+    report.measured(args.tol, {f"axiom:{name}": defect for name, defect in sorted(axioms.defects.items())})
     report.info["commutativity_defect"] = f"{commutativity_defect(G):.3e}"
     report.info["cocommutativity_defect"] = f"{cocommutativity_defect(G):.3e}"
     report.info["block_dims"] = list(G.algebra.block_dims)
@@ -206,82 +170,69 @@ def cmd_enumerate(G: FiniteQuantumGroup, args, report: Report):
         )
         return
     report.info["count"] = len(items)
-    for k, item in enumerate(items):
-        rep = decompose(G, item.functional, max(args.tol, CHECK_TOL))
-        _add_contractive(report, G, item.functional, args, f"item[{k}] contractive idempotent",
-                         note=f"{item.label} haar={rep.haar}")
-
-
-def _add_contractive(report: Report, G, omega, args, name="contractive idempotent", note=None) -> bool:
-    """Row for ‖ω⋆ω − ω‖ ≤ tol and ‖ω‖ = 1, with the defect the larger of the
-    two deviations and the tolerance is_contractive_idempotent ran at."""
     tol = max(args.tol, STATE_TOL)
-    ok = is_contractive_idempotent(G, omega, tol)
-    if note is None:
-        note = "" if ok else f"not a contractive idempotent (norm {omega.norm:.6f})"
-    defect = max(_idempotency_defect(G, omega), abs(omega.norm - 1.0))
-    report.add(name, ok, defect, tol, note=note)
-    return ok
+    for k, item in enumerate(items):
+        a = Analysis(G, item.functional, max(args.tol, CHECK_TOL))
+        report.add(f"item[{k}] contractive idempotent", a.is_contractive(tol), a.contractive_defect, tol,
+                   note=f"{item.label} haar={a.decomposition.haar}")
 
 
-def _decompose_into(G, omega, args, report: Report):
-    tol = max(args.tol, CHECK_TOL)
-    if not _add_contractive(report, G, omega, args):
-        return None
-    rep = decompose(G, omega, tol)
-    abs_defect = max(_idempotency_defect(G, rep.abs_r), _idempotency_defect(G, rep.abs_l))
-    report.add("absolute values idempotent states", abs_defect <= tol, abs_defect, tol)
-    report.add("reconstruction v.|w|_r", rep.roundtrip_r <= tol, rep.roundtrip_r, tol)
-    report.add("reconstruction |w|_l.v", rep.roundtrip_l <= tol, rep.roundtrip_l, tol)
-    report.add("group-like defect (right)", rep.defect_r <= tol, rep.defect_r, tol)
-    report.add("group-like defect (left)", rep.defect_l <= tol, rep.defect_l, tol)
-    report.info["haar"] = rep.haar
-    if rep.haar:
-        gap = (rep.abs_r - rep.abs_l).norm
-        report.add("haar: |w|_r = |w|_l", gap <= tol, gap, tol)
-        report.info["subgroup_block_dims"] = list(rep.subgroup.target.algebra.block_dims)
-        report.info["character"] = [
-            [round(float(z.real), 12), round(float(z.imag), 12)] for z in rep.character.vec
-        ]
-    tro_rep_checks(G, omega, args, report)
-    return rep
+def _analysis(G, omega, args, report: Report) -> Analysis | None:
+    """The Analysis of ω at --tol floored at CHECK_TOL, once its contractive
+    idempotent row, at --tol floored at STATE_TOL, passes; else None."""
+    a = Analysis(G, omega, max(args.tol, CHECK_TOL))
+    tol = max(args.tol, STATE_TOL)
+    ok = a.is_contractive(tol)
+    report.add("contractive idempotent", ok, a.contractive_defect, tol,
+               note="" if ok else f"not a contractive idempotent (norm {omega.norm:.6f})")
+    return a if ok else None
 
 
-def tro_rep_checks(G, omega, args, report: Report):
-    tol = max(args.tol, CHECK_TOL)
-    tro_rep = check_tro_expectation(G, omega, tol)
-    for name, value in tro_rep.identity_residuals.items():
-        report.add(f"mixed product {name}", value <= tol, value, tol)
-    for name, value in tro_rep.expectation_residuals.items():
-        report.add(f"tro {name}", value <= tol, value, tol)
-    report.add("image is TRO", tro_rep.image_is_tro, tro_rep.image.tro_defect, tol)
-    _expectation_rows(G, omega, linking_algebra(tro_rep.image, tol), tol, report)
-
-
-def _expectation_rows(G, omega, link, tol, report: Report):
+def _expectation(a: Analysis, report: Report):
     """The five rows on the conditional expectation onto the linking algebra."""
-    E = build_expectation(G, omega, tol)
-    checks = expectation_checks(E, link)
-    report.add("expectation idempotent", checks.idempotent <= tol, checks.idempotent, tol)
-    report.add("expectation fixes linking algebra", checks.fixes_subalgebra <= tol, checks.fixes_subalgebra, tol)
-    report.add("expectation bimodule", checks.bimodule <= tol, checks.bimodule, tol)
-    cp = checks.choi_min_eigenvalue
-    report.add("expectation completely positive", cp >= -CP_FLOOR, -cp, CP_FLOOR)
-    report.add("expectation preserves haar weight", preserves_weight(E, tol), None, None)
+    checks = a.checks
+    report.measured(a.tol, {"expectation idempotent": checks.idempotent,
+                            "expectation fixes linking algebra": checks.fixes_subalgebra,
+                            "expectation bimodule": checks.bimodule})
+    report.measured(CP_FLOOR, {"expectation completely positive": -checks.choi_min_eigenvalue})
+    report.measured(a.tol, {"expectation preserves haar weight": weight_defect(a.expectation)})
 
 
 def cmd_decompose(G: FiniteQuantumGroup, args, report: Report):
-    omega = _parse_functional(G, args.functional)
-    _decompose_into(G, omega, args, report)
+    _decomposition(_analysis(G, _parse_functional(G, args.functional), args, report), report)
+
+
+def _decomposition(a: Analysis | None, report: Report):
+    """The rows of decompose and explore on a contractive idempotent."""
+    if a is None:
+        return
+    rep, tol = a.decomposition, a.tol
+    report.measured(tol, {
+        "absolute values idempotent states": max(rep.idempotency_r, rep.idempotency_l),
+        "reconstruction v.|w|_r": rep.roundtrip_r,
+        "reconstruction |w|_l.v": rep.roundtrip_l,
+        "group-like defect (right)": rep.defect_r,
+        "group-like defect (left)": rep.defect_l,
+    })
+    report.info["haar"] = rep.haar
+    if rep.haar:
+        report.measured(tol, {"haar: |w|_r = |w|_l": (rep.abs_r - rep.abs_l).norm})
+        report.info["subgroup_block_dims"] = list(rep.subgroup.target.algebra.block_dims)
+        report.info["character"] = [[round(float(z.real), 12), round(float(z.imag), 12)] for z in rep.character.vec]
+    tro = a.tro_report
+    report.measured(tol, {f"mixed product {name}": value for name, value in tro.identity_residuals.items()})
+    report.measured(tol, {f"tro {name}": value for name, value in tro.expectation_residuals.items()})
+    report.add("image is TRO", tro.image_is_tro, a.image.tro_defect, tol)
+    _expectation(a, report)
 
 
 def cmd_explore(G: FiniteQuantumGroup, args, report: Report):
     seed_fn = _parse_functional(G, args.functional)
-    if seed_fn.norm > 1 + STATE_TOL:
-        report.add("seed contractive", False, seed_fn.norm - 1.0, STATE_TOL,
-                   note="seed functional must have norm at most 1")
+    ok = seed_fn.norm <= 1 + STATE_TOL
+    report.add("seed contractive", ok, max(0.0, seed_fn.norm - 1.0), STATE_TOL,
+               note="" if ok else "seed functional must have norm at most 1")
+    if not ok:
         return
-    report.add("seed contractive", True, max(0.0, seed_fn.norm - 1.0), STATE_TOL)
     tol = max(args.tol, CHECK_TOL)
     result = cesaro_limit(G, seed_fn, tol=tol, max_iter=args.max_iter)
     report.add("averaged convolution powers converged", result.converged, result.idempotency_defect, tol,
@@ -291,29 +242,24 @@ def cmd_explore(G: FiniteQuantumGroup, args, report: Report):
     if result.limit.norm <= CHECK_TOL:
         report.info["limit"] = "zero functional (no nonzero idempotent along this seed)"
         return
-    _decompose_into(G, result.limit, args, report)
+    _decomposition(_analysis(G, result.limit, args, report), report)
 
 
 def cmd_tro(G: FiniteQuantumGroup, args, report: Report):
-    omega = _parse_functional(G, args.functional)
-    tol = max(args.tol, CHECK_TOL)
-    if not _add_contractive(report, G, omega, args):
+    a = _analysis(G, _parse_functional(G, args.functional), args, report)
+    if a is None:
         return
-    X = image_subspace(left_conv_operator(G, omega))
+    X, tol = a.image, a.tol
     report.info["image_dim"] = X.dim
     report.add("image is TRO", is_tro(X, tol), X.tro_defect, tol)
-    report.add("image nondegenerate", is_nondegenerate(X, tol), X.rank_deficit, tol)
-    report.add("image right invariant", is_right_invariant(G, X, tol), None, None)
-    link = linking_algebra(X, tol)
-    report.info["linking_dims"] = list(link.corner_dims())
-    report.add("linking corners right invariant",
-               is_right_invariant(G, link.left, tol) and is_right_invariant(G, link.right, tol),
-               None, None)
-    _expectation_rows(G, omega, link, tol, report)
-    recovery = recover_idempotent(G, X, tol)
+    report.measured(tol, {"image nondegenerate": X.rank_deficit, "image right invariant": invariance_defect(G, X)})
+    report.info["linking_dims"] = list(a.linking.corner_dims())
+    corners = (a.linking.left, a.linking.right)
+    report.measured(tol, {"linking corners right invariant": max(invariance_defect(G, c) for c in corners)})
+    _expectation(a, report)
+    recovery = a.recovery
     if recovery.ok:
-        distance = (recovery.functional - omega).norm
-        report.add("recovered idempotent matches", distance <= tol, distance, tol)
+        report.measured(tol, {"recovered idempotent matches": (recovery.functional - a.omega).norm})
     else:
         report.add("recovered idempotent matches", False, None, None, note="; ".join(recovery.reasons))
 

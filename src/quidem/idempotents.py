@@ -44,16 +44,19 @@ def _idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
 def is_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = STATE_TOL) -> bool:
     """Idempotent with |‖ω‖ − 1| ≤ tol: a nonzero contractive idempotent has
     norm one, and at a loose tol an idempotent of smaller norm is rejected."""
-    return is_idempotent(G, omega, tol) and abs(omega.norm - 1.0) <= tol
+    return _is_contractive(omega, _idempotency_defect(G, omega), tol)
 
 
-def _require_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float, what: str):
-    """Raise ValueError(what), with ω's idempotency defect and norm, unless ω
-    is a contractive idempotent at tol floored at STATE_TOL."""
-    if not is_contractive_idempotent(G, omega, max(tol, STATE_TOL)):
-        raise ValueError(
-            f"{what} (idempotency defect {_idempotency_defect(G, omega):.3e}, norm {omega.norm:.6f})"
-        )
+def _is_contractive(omega: Functional, idempotency: float, tol: float) -> bool:
+    """is_contractive_idempotent, given ω's idempotency defect."""
+    return omega.norm > tol and max(idempotency, abs(omega.norm - 1.0)) <= tol
+
+
+def _require_contractive(omega: Functional, idempotency: float, tol: float, what: str):
+    """Raise ValueError(what), with ω's idempotency defect and norm, unless
+    ω is a contractive idempotent at tol floored at STATE_TOL."""
+    if not _is_contractive(omega, idempotency, max(tol, STATE_TOL)):
+        raise ValueError(f"{what} (idempotency defect {idempotency:.3e}, norm {omega.norm:.6f})")
 
 
 def group_like_defect(G: FiniteQuantumGroup, sigma: Functional, u: AlgebraElement) -> float:
@@ -124,7 +127,8 @@ def _haar_centrality(G: FiniteQuantumGroup, sigma: Functional, tol: float) -> tu
 
 @dataclass(eq=False)
 class ContractiveIdempotentReport:
-    """Full decomposition record of a contractive idempotent."""
+    """Full decomposition record of a contractive idempotent, with the
+    idempotency defects ‖σ⋆σ − σ‖ of its absolute values."""
 
     omega: Functional
     abs_r: Functional
@@ -135,6 +139,8 @@ class ContractiveIdempotentReport:
     haar: bool
     roundtrip_r: float
     roundtrip_l: float
+    idempotency_r: float
+    idempotency_l: float
     subgroup: QuantumSubgroup | None = None
     character: AlgebraElement | None = None
 
@@ -146,12 +152,18 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     absolute value is a Haar idempotent, the associated quantum subgroup and
     group-like character are extracted; each centrality number of supp |ω|_r
     is computed once, then compared at tol here and at STATE_TOL by the quotient."""
-    _require_contractive_idempotent(G, omega, tol, "not a contractive idempotent")
+    _require_contractive(omega, _idempotency_defect(G, omega), tol, "not a contractive idempotent")
+    return _decompose(G, omega, polar_decompose(omega), tol)
+
+
+def _decompose(G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, tol: float) -> ContractiveIdempotentReport:
+    """decompose from the polar parts of an ω known to be a contractive idempotent."""
     state_tol = max(tol, STATE_TOL)
-    parts = polar_decompose(omega)
     abs_r, abs_l = parts.abs_r, parts.abs_l
+    idempotency = []
     for sigma, side in ((abs_r, "right"), (abs_l, "left")):
-        if not is_idempotent(G, sigma, state_tol):
+        idempotency.append(_idempotency_defect(G, sigma))
+        if sigma.norm <= state_tol or idempotency[-1] > state_tol:
             raise RuntimeError(f"{side} absolute value is not idempotent")
         if not sigma.is_state(state_tol):
             raise RuntimeError(f"{side} absolute value is not a state")
@@ -174,19 +186,8 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     subgroup = character = None
     if haar:
         subgroup, character = _subgroup_character(G, omega, parts, centrality, tol)
-    return ContractiveIdempotentReport(
-        omega=omega,
-        abs_r=abs_r,
-        abs_l=abs_l,
-        v=v,
-        defect_r=defect_r,
-        defect_l=defect_l,
-        haar=haar,
-        roundtrip_r=roundtrip_r,
-        roundtrip_l=roundtrip_l,
-        subgroup=subgroup,
-        character=character,
-    )
+    return ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar,
+                                       roundtrip_r, roundtrip_l, *idempotency, subgroup, character)
 
 
 def extract_subgroup_character(
@@ -195,7 +196,8 @@ def extract_subgroup_character(
     """For a contractive idempotent whose right absolute value is a Haar
     idempotent: the quantum subgroup carried by its support together with the
     group-like unitary u = π(v), satisfying ω = h_H(π(·)u) and abs_r = abs_l."""
-    _require_contractive_idempotent(G, omega, tol, "extract_subgroup_character expects a contractive idempotent")
+    _require_contractive(omega, _idempotency_defect(G, omega), tol,
+                         "extract_subgroup_character expects a contractive idempotent")
     parts = polar_decompose(omega)
     centrality = _haar_centrality(G, parts.abs_r, tol)
     if not _is_central(centrality, tol):

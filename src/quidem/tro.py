@@ -1,8 +1,9 @@
 """Ternary rings of operators attached to contractive idempotents: the image
 of the left convolution operator, its linking algebra of 2×2 matrices over
 the algebra (kept as four corners in the algebra), the entrywise conditional
-expectation built from the absolute values, and recovery of the idempotent
-from an invariant TRO."""
+expectation built from the absolute values, recovery of the idempotent from
+an invariant TRO, and Analysis, which runs the whole chain once for one
+functional."""
 
 from __future__ import annotations
 
@@ -11,19 +12,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import (
-    CHECK_TOL,
-    CP_FLOOR,
-    RANK_CUTOFF,
-    STATE_TOL,
-    AlgebraElement,
-    Functional,
-    MultiMatrixAlgebra,
-    _as_complex,
-    polar_decompose,
-)
+from .algebra import (CHECK_TOL, CP_FLOOR, RANK_CUTOFF, STATE_TOL, AlgebraElement, Functional, MultiMatrixAlgebra,
+                      PolarParts, _as_complex, polar_decompose)
 from .convolution import ConvolutionOperator, commutes_with_right_convolutions
-from .idempotents import _require_contractive_idempotent, is_contractive_idempotent
+from .idempotents import (ContractiveIdempotentReport, _decompose, _idempotency_defect, _is_contractive,
+                          _require_contractive, is_contractive_idempotent)
 from .qgroup import FiniteQuantumGroup, _numerical_rank
 
 
@@ -139,7 +132,12 @@ def is_nondegenerate(X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
 
 def is_right_invariant(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
     """R_ν(X) ⊆ X for ν over the dual basis, hence for every functional."""
-    return _worst_residual(X, np.einsum("ijc,cx->jxi", G.d3, X.matrix)) <= tol
+    return invariance_defect(G, X) <= tol
+
+
+def invariance_defect(G: FiniteQuantumGroup, X: OperatorSubspace) -> float:
+    """Largest residual against X of R_ν(x), over the dual basis ν and the basis of X."""
+    return _worst_residual(X, np.einsum("ijc,cx->jxi", G.d3, X.matrix))
 
 
 @dataclass(eq=False)
@@ -202,9 +200,9 @@ def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHE
     """The extension of L_ω to a conditional expectation of M₂(A) onto the
     linking algebra of its image: entrywise left convolutions by the linking
     functional Ω = [[|ω|_r, ω], [ω̄, |ω|_l]]."""
-    _require_contractive_idempotent(G, omega, tol, "build_expectation requires a contractive idempotent")
-    parts = polar_decompose(omega)
-    return SchurExpectation(group=G, linking=[[parts.abs_r, omega], [omega.conjugate(), parts.abs_l]])
+    analysis = Analysis(G, omega, tol)
+    analysis.require("build_expectation requires a contractive idempotent")
+    return analysis.expectation
 
 
 @dataclass(eq=False)
@@ -290,16 +288,15 @@ def _linking_positivity(A: MultiMatrixAlgebra, dens: np.ndarray) -> float:
     return min(0.0, float(low)) + float(min(skews))
 
 
-def is_conditional_expectation(E: SchurExpectation, B: LinkingAlgebra, tol: float = CHECK_TOL) -> bool:
-    return expectation_checks(E, B).passed(tol)
-
-
 def preserves_weight(E: SchurExpectation, tol: float = CHECK_TOL) -> bool:
-    """h⁽²⁾∘E = h⁽²⁾ on M₂(A), where h⁽²⁾ of a 2×2 matrix is the sum of the
-    Haar values of the diagonal entries."""
+    """h⁽²⁾∘E = h⁽²⁾ on M₂(A), where h⁽²⁾ sums the Haar values of the diagonal entries."""
+    return weight_defect(E) <= tol
+
+
+def weight_defect(E: SchurExpectation) -> float:
+    """max |E_iiᵀh − h| over the diagonal entries; h⁽²⁾ is zero on the off-diagonal ones, which E keeps apart."""
     h = E.group.haar.covector
-    # h⁽²⁾ is zero on the off-diagonal entries, which E keeps apart
-    return max(float(np.abs(E.entries[i][i].T @ h - h).max()) for i in (0, 1)) <= tol
+    return max(float(np.abs(E.entries[i][i].T @ h - h).max()) for i in (0, 1))
 
 
 @dataclass(eq=False)
@@ -333,20 +330,9 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
     TRO-expectation axioms on the image, and the TRO property of the image.
     Each identity is linear or conjugate-linear in the factor that runs over
     a basis, so it holds on the whole span iff it holds on that basis."""
-    _require_contractive_idempotent(G, omega, tol, "check_tro_expectation requires a contractive idempotent")
-    parts = polar_decompose(omega)
-    A = G.algebra
-    lw = G.left_matrix(omega.covector)
-    image = image_subspace(lw, A)
-    xb = image.matrix.T
-    return TroExpectationReport(
-        identity_residuals=_identity_residuals(
-            A, lw, G.left_matrix(parts.abs_r.covector), G.left_matrix(parts.abs_l.covector), xb
-        ),
-        expectation_residuals=_expectation_residuals(A, lw, xb, *image.product_spans),
-        image=image,
-        image_is_tro=is_tro(image, tol),
-    )
+    analysis = Analysis(G, omega, tol)
+    analysis.require("check_tro_expectation requires a contractive idempotent")
+    return analysis.tro_report
 
 
 def _identity_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, lr: np.ndarray, ll: np.ndarray, xb: np.ndarray) -> dict:
@@ -456,3 +442,70 @@ def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
     elif not image_subspace(G.left_matrix(omega.covector), G.algebra).equals(X, tol):
         reasons.append("image of the recovered idempotent differs from X")
     return RecoveryResult(functional=None if reasons else omega, ok=not reasons, reasons=reasons)
+
+
+class Analysis:
+    """The paper's chain for one functional ω on G, each stage computed once,
+    on first use: ω's idempotency defect; past the contractive guard, which
+    raises ValueError unless ω is a contractive idempotent at tol floored at
+    STATE_TOL, its polar parts and decomposition, the image X = L_ω(A), its
+    linking algebra, the Schur expectation of Ω = [[|ω|_r, ω], [ω̄, |ω|_l]],
+    their checks, the TRO-expectation report and the recovery of ω from X,
+    each at tol.  A plain class: a frozen dataclass slows the import."""
+
+    def __init__(self, group: FiniteQuantumGroup, omega: Functional, tol: float):
+        self.group, self.omega, self.tol = group, omega, tol
+
+    @cached_property
+    def idempotency_defect(self) -> float:
+        return _idempotency_defect(self.group, self.omega)
+
+    @property
+    def contractive_defect(self) -> float:
+        """max(‖ω⋆ω − ω‖, |‖ω‖ − 1|)"""
+        return max(self.idempotency_defect, abs(self.omega.norm - 1.0))
+
+    def is_contractive(self, tol: float) -> bool:
+        return _is_contractive(self.omega, self.idempotency_defect, tol)
+
+    def require(self, what: str):
+        _require_contractive(self.omega, self.idempotency_defect, self.tol, what)
+
+    @cached_property
+    def parts(self) -> PolarParts:
+        self.require("not a contractive idempotent")
+        return polar_decompose(self.omega)
+
+    @cached_property
+    def decomposition(self) -> ContractiveIdempotentReport:
+        return _decompose(self.group, self.omega, self.parts, self.tol)
+
+    @cached_property
+    def expectation(self) -> SchurExpectation:
+        parts, omega = self.parts, self.omega
+        return SchurExpectation(self.group, [[parts.abs_r, omega], [omega.conjugate(), parts.abs_l]])
+
+    @cached_property
+    def image(self) -> OperatorSubspace:
+        return image_subspace(self.expectation.entries[0][1], self.group.algebra)
+
+    @cached_property
+    def linking(self) -> LinkingAlgebra:
+        return linking_algebra(self.image, self.tol)
+
+    @cached_property
+    def checks(self) -> ExpectationCheck:
+        return expectation_checks(self.expectation, self.linking)
+
+    @cached_property
+    def tro_report(self) -> TroExpectationReport:
+        """P = L_ω, Q_r = L_{|ω|_r} and Q_l = L_{|ω|_l} are entries of the expectation."""
+        (lr, lw), (_, ll) = self.expectation.entries
+        xb = self.image.matrix.T
+        return TroExpectationReport(_identity_residuals(self.group.algebra, lw, lr, ll, xb),
+                                    _expectation_residuals(self.group.algebra, lw, xb, *self.image.product_spans),
+                                    self.image, is_tro(self.image, self.tol))
+
+    @cached_property
+    def recovery(self) -> RecoveryResult:
+        return recover_idempotent(self.group, self.image, self.tol)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,15 +174,69 @@ def test_tro_coset_indicator(capsys):
 
 
 def test_tro_and_nondegeneracy_rows_are_measured(capsys):
-    """"image is TRO" reports the largest triple-product residual and
-    "image nondegenerate" the rank deficit, each with its tolerance."""
+    """"image is TRO" reports the largest triple-product residual, "image
+    nondegenerate" the rank deficit, the two invariance rows the residual of
+    R_ν(x) against the subspace (the larger of the two corners) and the weight
+    row max |E_iiᵀh − h|, each with its tolerance: every row of the report
+    is measured."""
     code, out = run(capsys, "tro", "--group", "builtin:kp", "--functional", "haar", "--json")
     assert code == 0
-    rows = _rows(json.loads(out))
-    for name in ("image is TRO", "image nondegenerate"):
+    doc = json.loads(out)
+    rows = _rows(doc)
+    for name in ("image is TRO", "image nondegenerate", "image right invariant",
+                 "linking corners right invariant", "expectation preserves haar weight"):
         assert rows[name]["defect"] is not None and rows[name]["tolerance"] == 1e-8, rows[name]
         assert rows[name]["passed"] and rows[name]["defect"] <= rows[name]["tolerance"]
     assert rows["image nondegenerate"]["defect"] == 0.0
+    assert all(row["defect"] is not None and row["tolerance"] is not None for row in doc["checks"])
+
+
+@pytest.mark.parametrize("command", ["decompose", "tro"])
+def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
+    """Every row of one command reads one Analysis.  decompose checks ω,
+    |ω|_r and |ω|_l for idempotency once each, tro ω and the recovered
+    functional; the contractive verdict is read off ω's one defect, so
+    is_contractive_idempotent runs only on the recovered functional; and
+    G.left_matrix runs once per covector of ω, |ω|_r and |ω|_l, plus ω̄ (the
+    fourth entry of the linking functional) and the recovered functional."""
+    import quidem.cli
+    import quidem.idempotents
+    import quidem.tro
+    from quidem.cli import _enumerate
+    from quidem.qgroup import FiniteQuantumGroup
+
+    G = builtin("cstar:dn:4")   # built before the spies: its verification takes left matrices too
+    omega = _enumerate(G)[12].functional
+    parts = polar_decompose(omega)
+    named = {"ω": omega, "|ω|_r": parts.abs_r, "|ω|_l": parts.abs_l, "ω̄": omega.conjugate()}
+    calls = {"idempotency": [], "contractive": [], "left_matrix": []}
+
+    def spy(key, fn, covector):
+        def wrapper(*args):
+            calls[key].append(covector(args[1]))
+            return fn(*args)
+        return wrapper
+
+    def names(key):
+        """The functional of each call's covector; the recovered one only
+        approximates ω, so it is "other"."""
+        return [next((name for name, f in named.items() if np.array_equal(cov, f.covector)), "other")
+                for cov in calls[key]]
+
+    monkeypatch.setattr(quidem.cli, "_load_group", lambda spec: G)
+    monkeypatch.setattr(FiniteQuantumGroup, "left_matrix",
+                        spy("left_matrix", FiniteQuantumGroup.left_matrix, lambda cov: cov))
+    idempotency = spy("idempotency", quidem.idempotents._idempotency_defect, lambda f: f.covector)
+    contractive = spy("contractive", quidem.idempotents.is_contractive_idempotent, lambda f: f.covector)
+    for module in (quidem.idempotents, quidem.tro, quidem.cli):
+        monkeypatch.setattr(module, "_idempotency_defect", idempotency, raising=False)
+        monkeypatch.setattr(module, "is_contractive_idempotent", contractive, raising=False)
+    code, _ = run(capsys, command, "--group", "builtin:cstar:dn:4", "--functional", "index:12", "--json")
+    assert code == 0
+    recovered = ["other"] if command == "tro" else []
+    assert names("idempotency") == (["ω", "|ω|_r", "|ω|_l"] if command == "decompose" else ["ω", *recovered])
+    assert names("contractive") == recovered
+    assert sorted(names("left_matrix")) == sorted(["ω", "|ω|_r", "|ω|_l", "ω̄", *recovered])
 
 
 def test_bad_group_spec(capsys):
@@ -260,12 +315,12 @@ def test_rows_show_the_tolerance_they_were_checked_at(capsys, argv, tol):
 def test_cp_row_agrees_with_expectation_check_at_the_floor(capsys, monkeypatch, scale):
     """The CLI's completely positive row and ExpectationCheck.passed read the
     one CP_FLOOR the same way on both sides of it."""
-    import quidem.cli
+    import quidem.tro
 
     choi_min = -CP_FLOOR * scale
     check = ExpectationCheck(idempotent=0.0, fixes_subalgebra=0.0, bimodule=0.0,
                              choi_min_eigenvalue=choi_min)
-    monkeypatch.setattr(quidem.cli, "expectation_checks", lambda E, B: check)
+    monkeypatch.setattr(quidem.tro, "expectation_checks", lambda E, B: check)
     code, out = run(capsys, "tro", "--group", "builtin:czn:4", "--functional", "haar", "--json")
     row = _rows(json.loads(out))["expectation completely positive"]
     assert row["defect"] == -choi_min and row["tolerance"] == CP_FLOOR

@@ -21,7 +21,6 @@ from quidem.tro import (
     check_tro_expectation,
     expectation_checks,
     image_subspace,
-    is_conditional_expectation,
     is_nondegenerate,
     is_right_invariant,
     is_tro,
@@ -143,7 +142,7 @@ def test_expectation_of_counit_is_identity(cz4):
 def test_expectation_of_haar_averages(kp):
     E = build_expectation(kp, kp.haar)
     link = linking_algebra(image_subspace(left_conv_operator(kp, kp.haar)))
-    assert is_conditional_expectation(E, link)
+    assert expectation_checks(E, link).passed()
     assert preserves_weight(E)
     rng = np.random.default_rng(0)
     x = kp.algebra.random_element(rng)
@@ -162,7 +161,7 @@ def test_expectation_full_checks_mu0(cz4, mu0):
 def test_expectation_rejects_scaled_corner(cz4, mu0):
     E = _rescaled(build_expectation(cz4, mu0), 2.0, 1.0)
     link = linking_algebra(image_subspace(left_conv_operator(cz4, mu0)))
-    assert not is_conditional_expectation(E, link)
+    assert not expectation_checks(E, link).passed()
 
 
 def test_weight_preservation_fails_for_counit_average(cz4, mu0):
