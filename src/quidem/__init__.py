@@ -8,7 +8,6 @@ from .algebra import (
     act_left,
     act_right,
     is_central,
-    null_space_basis,
     polar_decompose,
     support_projection,
     tensor_algebra,
@@ -27,17 +26,13 @@ from .convolution import (
     cesaro_limit,
     commutes_with_right_convolutions,
     convolve,
-    intertwines_comultiplication,
     left_conv_operator,
-    recover_functional,
-    right_conv_operator,
     sharp,
 )
 from .groups import GroupTable, cyclic, dihedral, symmetric
 from .idempotents import (
     ContractiveIdempotentReport,
     construct,
-    check_absolute_value_factorization,
     decompose,
     enumerate_function_algebra,
     enumerate_group_algebra,

@@ -454,43 +454,15 @@ def polar_decompose(omega: Functional) -> PolarParts:
     return omega.polar
 
 
-def _positive_spectrum(x: AlgebraElement):
-    """Blockwise eigh of x and RANK_CUTOFF times its largest positive eigenvalue."""
-    factors = x.algebra.eigh(x.vec)
-    return factors, RANK_CUTOFF * max(0.0, max(w.max() for _, w, _ in factors))
-
-
 def support_projection(x: AlgebraElement) -> AlgebraElement:
-    """Support projection of a positive element (range projection per block)."""
-    factors, threshold = _positive_spectrum(x)
+    """Support projection of a positive element (range projection per block),
+    keeping eigenvalues above RANK_CUTOFF times the largest positive one."""
+    factors = x.algebra.eigh(x.vec)
+    threshold = RANK_CUTOFF * max(0.0, max(w.max() for _, w, _ in factors))
     out = np.empty(x.algebra.dim, dtype=np.complex128)
     for idx, w, v in factors:
         out[idx] = ((v * (w > threshold)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
     return x.algebra.from_vec(out)
-
-
-def null_space_basis(omega: Functional, tol: float = STATE_TOL) -> list[AlgebraElement]:
-    """Basis of N_ω = {a : ω(a*a) = 0} = A(1 − s), s the support of the density.
-
-    Requires ω positive.  The basis elements are e_i w* with w running over an
-    orthonormal basis of ker(s) in each block, block by block.
-    """
-    if not omega.is_positive(tol):
-        raise ValueError("null space is defined for positive functionals only")
-    alg = omega.algebra
-    factors, threshold = _positive_spectrum(omega.density)
-    rows, starts = [], []
-    for idx, w, v in factors:
-        block, col = np.nonzero(w <= threshold)   # kernel vector v[block, :, col]
-        n = v.shape[-1]
-        # one element per kernel vector and row i, whose row i is the vector's conjugate
-        out = np.zeros((len(block), n, alg.dim), dtype=np.complex128)
-        out[np.arange(len(block))[:, None, None], np.arange(n)[:, None],
-            idx[block].reshape(-1, n, n)] = np.conj(v[block, :, col])[:, None, :]
-        rows.append(out.reshape(-1, alg.dim))
-        starts.append(np.repeat(idx[block, 0], n))
-    order = np.argsort(np.concatenate(starts), kind="stable")
-    return [alg.from_vec(row) for row in np.concatenate(rows)[order]]
 
 
 def is_central(p: AlgebraElement, tol: float = STATE_TOL) -> bool:

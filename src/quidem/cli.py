@@ -17,7 +17,7 @@ from .algebra import CHECK_TOL, CP_FLOOR, STATE_TOL, Functional
 from .convolution import cesaro_limit
 from .idempotents import enumerate_function_algebra, enumerate_group_algebra
 from .qgroup import FiniteQuantumGroup, cocommutativity_defect, commutativity_defect, verify_axioms
-from .tro import Analysis, invariance_defect, is_tro, weight_defect
+from .tro import Analysis, is_tro, weight_defect
 
 
 @dataclass
@@ -216,7 +216,7 @@ def _decomposition(a: Analysis | None, report: Report):
     })
     report.info["haar"] = rep.haar
     if rep.haar:
-        report.measured(tol, {"haar: |w|_r = |w|_l": (rep.abs_r - rep.abs_l).norm})
+        report.measured(tol, {"haar: |w|_r = |w|_l": rep.haar_gap})
         report.info["subgroup_block_dims"] = list(rep.subgroup.target.algebra.block_dims)
         report.info["character"] = [[round(float(z.real), 12), round(float(z.imag), 12)] for z in rep.character.vec]
     tro = a.tro_report
@@ -252,10 +252,9 @@ def cmd_tro(G: FiniteQuantumGroup, args, report: Report):
     X, tol = a.image, a.tol
     report.info["image_dim"] = X.dim
     report.add("image is TRO", is_tro(X, tol), X.tro_defect, tol)
-    report.measured(tol, {"image nondegenerate": X.rank_deficit, "image right invariant": invariance_defect(G, X)})
+    report.measured(tol, {"image nondegenerate": X.rank_deficit, "image right invariant": a.image_invariance})
     report.info["linking_dims"] = list(a.linking.corner_dims())
-    corners = (a.linking.left, a.linking.right)
-    report.measured(tol, {"linking corners right invariant": max(invariance_defect(G, c) for c in corners)})
+    report.measured(tol, {"linking corners right invariant": max(a.linking_invariance)})
     _expectation(a, report)
     recovery = a.recovery
     if recovery.ok:

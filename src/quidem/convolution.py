@@ -1,5 +1,5 @@
 """The convolution algebra of functionals on a finite quantum group:
-products, explicit left/right convolution operator matrices, the sharp
+products, the explicit matrix of a left convolution operator, the sharp
 involution, and limits of averaged convolution powers."""
 
 from __future__ import annotations
@@ -21,35 +21,17 @@ def convolve(G: FiniteQuantumGroup, omega: Functional, mu: Functional) -> Functi
 
 @dataclass(eq=False)
 class ConvolutionOperator:
-    """Explicit matrix of L_ω (a ↦ (ω⊗id)Δa) or R_ω (a ↦ (id⊗ω)Δa)."""
+    """Explicit matrix of L_ω: a ↦ (ω⊗id)Δa."""
 
     group: FiniteQuantumGroup
     matrix: np.ndarray
-    side: str                      # "left" | "right"
-    source: Functional | None = None
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
 
     def __call__(self, x):
         return self.group.algebra.from_vec(self.matrix @ x.vec)
 
 
 def left_conv_operator(G: FiniteQuantumGroup, omega: Functional) -> ConvolutionOperator:
-    return ConvolutionOperator(G, G.left_matrix(omega.covector), "left", omega)
-
-
-def right_conv_operator(G: FiniteQuantumGroup, omega: Functional) -> ConvolutionOperator:
-    return ConvolutionOperator(G, G.right_matrix(omega.covector), "right", omega)
-
-
-def recover_functional(T: ConvolutionOperator) -> Functional:
-    """ε∘T; by the counit law this returns μ exactly when T = L_μ."""
-    if T.side != "left":
-        raise ValueError("recover_functional expects a left convolution operator")
-    cov = T.matrix.T @ T.group.counit.covector
-    return Functional.from_covector(T.group.algebra, cov)
+    return ConvolutionOperator(G, G.left_matrix(omega.covector))
 
 
 def commutes_with_right_convolutions(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = STATE_TOL) -> bool:
@@ -59,17 +41,6 @@ def commutes_with_right_convolutions(G: FiniteQuantumGroup, matrix: np.ndarray, 
     comm = matrix @ r - r @ matrix
     comm = comm[~(np.linalg.norm(comm, axis=(-2, -1)) <= tol * (1 - _SCREEN_MARGIN))]
     return not (np.linalg.norm(comm, 2, axis=(-2, -1)) > tol).any()
-
-
-def intertwines_comultiplication(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = STATE_TOL) -> bool:
-    """Check (T ⊗ id)Δ = Δ T as matrices into A⊗A."""
-    dim = G.dim
-    pos = G.pos_matrix
-    lift = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for j in range(dim):
-        lift[np.ix_(pos[:, j], pos[:, j])] = matrix
-    defect = np.linalg.norm(lift @ G.comult - G.comult @ matrix, 2)
-    return defect <= tol
 
 
 def sharp(G: FiniteQuantumGroup, omega: Functional) -> Functional:

@@ -128,7 +128,8 @@ def _haar_centrality(G: FiniteQuantumGroup, sigma: Functional, tol: float) -> tu
 @dataclass(eq=False)
 class ContractiveIdempotentReport:
     """Full decomposition record of a contractive idempotent, with the
-    idempotency defects ‖σ⋆σ − σ‖ of its absolute values."""
+    idempotency defects ‖σ⋆σ − σ‖ of its absolute values and, in the Haar
+    case, the trace norm haar_gap = ‖|ω|_r − |ω|_l‖."""
 
     omega: Functional
     abs_r: Functional
@@ -143,6 +144,7 @@ class ContractiveIdempotentReport:
     idempotency_l: float
     subgroup: QuantumSubgroup | None = None
     character: AlgebraElement | None = None
+    haar_gap: float | None = None
 
 
 def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> ContractiveIdempotentReport:
@@ -183,11 +185,11 @@ def _decompose(G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, tol:
     # is_haar_idempotent without its entry check, which the loop above made
     centrality = _centrality(support_projection(abs_r.density))
     haar = _is_central(centrality, tol)
-    subgroup = character = None
+    subgroup = character = gap = None
     if haar:
-        subgroup, character = _subgroup_character(G, omega, parts, centrality, tol)
+        subgroup, character, gap = _subgroup_character(G, omega, parts, centrality, tol)
     return ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar,
-                                       roundtrip_r, roundtrip_l, *idempotency, subgroup, character)
+                                       roundtrip_r, roundtrip_l, *idempotency, subgroup, character, gap)
 
 
 def extract_subgroup_character(
@@ -202,15 +204,17 @@ def extract_subgroup_character(
     centrality = _haar_centrality(G, parts.abs_r, tol)
     if not _is_central(centrality, tol):
         raise ValueError("absolute value is not a Haar idempotent")
-    return _subgroup_character(G, omega, parts, centrality, tol)
+    return _subgroup_character(G, omega, parts, centrality, tol)[:2]
 
 
 def _subgroup_character(
     G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, centrality: tuple, tol: float
-) -> tuple[QuantumSubgroup, AlgebraElement]:
+) -> tuple[QuantumSubgroup, AlgebraElement, float]:
     """extract_subgroup_character from the polar data of ω and the centrality
-    numbers of supp |ω|_r, once ω is known to be a Haar idempotent."""
-    if (parts.abs_r - parts.abs_l).norm > tol:
+    numbers of supp |ω|_r, once ω is known to be a Haar idempotent, with the
+    gap ‖|ω|_r − |ω|_l‖ that it checks."""
+    gap = (parts.abs_r - parts.abs_l).norm
+    if gap > tol:
         raise RuntimeError("Haar case must have equal absolute values")
     sub = _quotient_by_support(G, centrality, parts.abs_r, STATE_TOL)
     u = sub.apply(parts.u)
@@ -221,7 +225,7 @@ def _subgroup_character(
     worst = _character_defect(omega, sub, u)
     if worst > tol:
         raise RuntimeError(f"ω != h_H(π(·)u) (defect {worst:.3e})")
-    return sub, u
+    return sub, u, gap
 
 
 def _character_defect(omega: Functional, sub: QuantumSubgroup, u: AlgebraElement) -> float:
@@ -230,20 +234,6 @@ def _character_defect(omega: Functional, sub: QuantumSubgroup, u: AlgebraElement
     H = sub.target
     values = H.algebra.multiply(sub.projection.T, u.vec) @ H.haar.covector
     return float(np.abs(omega.covector - values).max())
-
-
-def check_absolute_value_factorization(
-    G: FiniteQuantumGroup, omega1: Functional, omega2: Functional, tol: float = CHECK_TOL
-) -> bool | None:
-    """When ‖ω₁⋆ω₂‖ = ‖ω₁‖‖ω₂‖, the right absolute value factors:
-    |ω₁⋆ω₂|_r = |ω₁|_r ⋆ |ω₂|_r.  Returns None when the norm hypothesis
-    fails (the identity is then not asserted)."""
-    product = convolve(G, omega1, omega2)
-    if abs(product.norm - omega1.norm * omega2.norm) > tol:
-        return None
-    lhs = polar_decompose(product).abs_r
-    rhs = convolve(G, polar_decompose(omega1).abs_r, polar_decompose(omega2).abs_r)
-    return (lhs - rhs).norm <= tol
 
 
 # ---------------------------------------------------------------------------

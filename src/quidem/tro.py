@@ -7,6 +7,7 @@ functional."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -376,18 +377,6 @@ def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray
     }
 
 
-def triple_product_identities(G: FiniteQuantumGroup, omega: Functional) -> dict:
-    """Residuals of the four equivalent expressions for the triple product of
-    images: the direct product L_ω(a)L_ω(b)*L_ω(c) against the three absorbed
-    forms (the first absorbed form already forces the other two).  With x and
-    y running over the images L_ω(e_i), these are the TRO-expectation
-    residuals P(x y*c), P(x b* y) and P(a x*y) of _expectation_residuals,
-    the outer two on bases of the spans of x y* and x*y."""
-    lw = G.left_matrix(omega.covector)
-    res = _expectation_residuals(G.algebra, lw, lw.T, *image_subspace(lw, G.algebra).product_spans)
-    return {"first": res["expect_left_pair"], "second": res["expect_middle"], "third": res["expect_right_pair"]}
-
-
 @dataclass(eq=False)
 class RecoveryResult:
     """Outcome of recover_idempotent; when not ok, reasons lists the failed
@@ -411,21 +400,22 @@ def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
     self-adjoint, so the candidate is exact whenever X arises from one.  If
     the projection fails to commute with the right convolutions the subspace
     is reported as not recoverable."""
-    reasons = []
-    if not is_tro(X, tol):
-        reasons.append("not a TRO")
-    if not is_nondegenerate(X, tol):
-        reasons.append("not nondegenerate")
-    if not is_right_invariant(G, X, tol):
-        reasons.append("X is not right invariant")
-    if not is_right_invariant(G, X.adjoint_space(), tol):
-        reasons.append("X* is not right invariant")
+    return _recover(G, X, tol, invariance_defect(G, X),
+                    lambda: tuple(invariance_defect(G, c) for c in X.product_spans))
+
+
+def _recover(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float, invariance: float,
+             linking_invariance: Callable[[], tuple[float, float]]) -> RecoveryResult:
+    """recover_idempotent from the invariance defect of X and a callable that
+    gives those of ⟨XX*⟩ and ⟨X*X⟩, called once X is a nondegenerate
+    invariant TRO; X caches its TRO and rank defects.  X* is not measured:
+    its defect is X's, as R_ν(x)* = R_ν̄(x*) with ν̄(a) = conj(ν(a*)), which
+    permutes the dual basis, and a ↦ a* is a Hilbert-Schmidt isometry onto X*."""
+    reasons = [reason for reason, defect in (("not a TRO", X.tro_defect), ("not nondegenerate", X.rank_deficit),
+                                              ("X is not right invariant", invariance)) if not defect <= tol]
     if not reasons:
-        left, right = X.product_spans
-        if not is_right_invariant(G, left, tol):
-            reasons.append("left linking algebra is not right invariant")
-        if not is_right_invariant(G, right, tol):
-            reasons.append("right linking algebra is not right invariant")
+        reasons = [f"{side} linking algebra is not right invariant"
+                   for side, defect in zip(("left", "right"), linking_invariance()) if not defect <= tol]
     weights = G.haar_weight_vec
     if not reasons and weights.min() <= 0:
         reasons.append("Haar weights not positive")
@@ -450,8 +440,9 @@ class Analysis:
     raises ValueError unless ω is a contractive idempotent at tol floored at
     STATE_TOL, its polar parts and decomposition, the image X = L_ω(A), its
     linking algebra, the Schur expectation of Ω = [[|ω|_r, ω], [ω̄, |ω|_l]],
-    their checks, the TRO-expectation report and the recovery of ω from X,
-    each at tol.  A plain class: a frozen dataclass slows the import."""
+    their checks, the TRO-expectation report, the right-invariance defects
+    of X and of the linking corners, and the recovery of ω from X, which
+    reads them, each at tol.  A plain class: a frozen dataclass slows the import."""
 
     def __init__(self, group: FiniteQuantumGroup, omega: Functional, tol: float):
         self.group, self.omega, self.tol = group, omega, tol
@@ -507,5 +498,14 @@ class Analysis:
                                     self.image, is_tro(self.image, self.tol))
 
     @cached_property
+    def image_invariance(self) -> float:
+        return invariance_defect(self.group, self.image)
+
+    @cached_property
+    def linking_invariance(self) -> tuple[float, float]:
+        """The invariance defects of ⟨XX*⟩ and ⟨X*X⟩."""
+        return tuple(invariance_defect(self.group, c) for c in (self.linking.left, self.linking.right))
+
+    @cached_property
     def recovery(self) -> RecoveryResult:
-        return recover_idempotent(self.group, self.image, self.tol)
+        return _recover(self.group, self.image, self.tol, self.image_invariance, lambda: self.linking_invariance)

@@ -198,15 +198,20 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     functional; the contractive verdict is read off ω's one defect, so
     is_contractive_idempotent runs only on the recovered functional; and
     G.left_matrix runs once per covector of ω, |ω|_r and |ω|_l, plus ω̄ (the
-    fourth entry of the linking functional) and the recovered functional."""
+    fourth entry of the linking functional) and the recovered functional.
+    invariance_defect runs in tro only, once per subspace: on the image X
+    and on the corners ⟨XX*⟩ and ⟨X*X⟩ of its linking algebra, whose stages
+    the recovery reads; X* has X's defect and is not measured."""
     import quidem.cli
     import quidem.idempotents
     import quidem.tro
     from quidem.cli import _enumerate
     from quidem.qgroup import FiniteQuantumGroup
+    from quidem.tro import image_subspace
 
     G = builtin("cstar:dn:4")   # built before the spies: its verification takes left matrices too
     omega = _enumerate(G)[12].functional
+    image = image_subspace(G.left_matrix(omega.covector), G.algebra)
     parts = polar_decompose(omega)
     named = {"ω": omega, "|ω|_r": parts.abs_r, "|ω|_l": parts.abs_l, "ω̄": omega.conjugate()}
     calls = {"idempotency": [], "contractive": [], "left_matrix": []}
@@ -231,12 +236,22 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     for module in (quidem.idempotents, quidem.tro, quidem.cli):
         monkeypatch.setattr(module, "_idempotency_defect", idempotency, raising=False)
         monkeypatch.setattr(module, "is_contractive_idempotent", contractive, raising=False)
+    measured, invariance_defect = [], quidem.tro.invariance_defect
+    for module in (quidem.tro, quidem.cli):
+        monkeypatch.setattr(module, "invariance_defect", lambda H, X: measured.append(X) or invariance_defect(H, X),
+                            raising=False)
     code, _ = run(capsys, command, "--group", "builtin:cstar:dn:4", "--functional", "index:12", "--json")
     assert code == 0
     recovered = ["other"] if command == "tro" else []
     assert names("idempotency") == (["ω", "|ω|_r", "|ω|_l"] if command == "decompose" else ["ω", *recovered])
     assert names("contractive") == recovered
     assert sorted(names("left_matrix")) == sorted(["ω", "|ω|_r", "|ω|_l", "ω̄", *recovered])
+    if command == "decompose":
+        assert measured == []
+    else:
+        X, *corners = measured
+        assert X.equals(image) and len(corners) == 2
+        assert all(c is span for c, span in zip(corners, X.product_spans))
 
 
 def test_bad_group_spec(capsys):

@@ -12,16 +12,18 @@ from quidem import (
     cesaro_limit,
     commutes_with_right_convolutions,
     convolve,
-    intertwines_comultiplication,
     left_conv_operator,
-    recover_functional,
-    right_conv_operator,
     sharp,
 )
 
 
 def _delta(G, g):
     return Functional.from_covector(G.algebra, np.eye(G.dim)[g])
+
+
+def _counit_after(T):
+    """ε∘T for a convolution operator T, as recover_idempotent reads ω off L_ω."""
+    return Functional.from_covector(T.group.algebra, T.matrix.T @ T.group.counit.covector)
 
 
 def test_counit_is_convolution_unit(cz4, kp):
@@ -84,19 +86,17 @@ def test_composition_laws(kp):
     rng = np.random.default_rng(4)
     w, m = kp.algebra.random_functional(rng), kp.algebra.random_functional(rng)
     lw, lm = left_conv_operator(kp, w).matrix, left_conv_operator(kp, m).matrix
-    rw, rm = right_conv_operator(kp, w).matrix, right_conv_operator(kp, m).matrix
+    rw, rm = kp.right_matrix(w.covector), kp.right_matrix(m.covector)
     conv = convolve(kp, w, m)
     assert np.allclose(left_conv_operator(kp, conv).matrix, lm @ lw, atol=1e-10)
-    assert np.allclose(right_conv_operator(kp, conv).matrix, rw @ rm, atol=1e-10)
+    assert np.allclose(kp.right_matrix(conv.covector), rw @ rm, atol=1e-10)
     # left and right convolutions always commute
     assert np.allclose(lw @ rm, rm @ lw, atol=1e-10)
 
 
 def test_recover_functional(cz4, kp, mu0):
-    for G, omega in ((cz4, mu0), (kp, kp.haar)):
-        L = left_conv_operator(G, omega)
-        assert (recover_functional(L) - omega).norm < 1e-12
-    assert (recover_functional(left_conv_operator(cz4, cz4.counit)) - cz4.counit).norm < 1e-12
+    for G, omega in ((cz4, mu0), (kp, kp.haar), (cz4, cz4.counit)):
+        assert (_counit_after(left_conv_operator(G, omega)) - omega).norm < 1e-12
 
 
 def test_convolution_operator_criteria(kp, cs3):
@@ -104,15 +104,13 @@ def test_convolution_operator_criteria(kp, cs3):
     omega = kp.algebra.random_functional(rng)
     L = left_conv_operator(kp, omega).matrix
     assert commutes_with_right_convolutions(kp, L, 1e-9)
-    assert intertwines_comultiplication(kp, L, 1e-9)
     # left multiplication by a non-scalar element is not a convolution operator
     a = cs3.algebra.from_vec(np.arange(6, dtype=float))
     mult = np.diag(np.arange(6, dtype=float))
     assert not commutes_with_right_convolutions(cs3, mult, 1e-6)
-    assert not intertwines_comultiplication(cs3, mult, 1e-6)
     # a right convolution on a noncommutative measure algebra fails too
     delta_s = Functional.from_covector(cs3.algebra, np.eye(6)[1])
-    R = right_conv_operator(cs3, delta_s).matrix
+    R = cs3.right_matrix(delta_s.covector)
     assert not commutes_with_right_convolutions(cs3, R, 1e-6)
 
 
@@ -123,15 +121,14 @@ def test_left_right_identification_of_recovered_functional(cs3, gz4):
     of a nonabelian group it fails."""
     delta = Functional.from_covector(cs3.algebra, np.eye(6)[1])
     L = left_conv_operator(cs3, delta)
-    recovered = recover_functional(L)
+    recovered = _counit_after(L)
     assert (recovered - delta).norm < 1e-12
-    R = right_conv_operator(cs3, recovered)
-    assert np.linalg.norm(L.matrix - R.matrix, 2) > 0.5
+    assert np.linalg.norm(L.matrix - cs3.right_matrix(recovered.covector), 2) > 0.5
     # cocommutative: the two operators coincide
     rng = np.random.default_rng(8)
     mu = gz4.algebra.random_functional(rng)
     assert np.allclose(
-        left_conv_operator(gz4, mu).matrix, right_conv_operator(gz4, mu).matrix, atol=1e-10
+        left_conv_operator(gz4, mu).matrix, gz4.right_matrix(mu.covector), atol=1e-10
     )
 
 
@@ -215,15 +212,6 @@ def test_cesaro_doubling_matches_plain_average(cz6):
         total = total + acc.covector
     plain = Functional.from_covector(cz6.algebra, total / n)
     assert (result.limit - plain).norm < 1e-12
-
-
-def test_operator_side_validation(cz4, mu0):
-    from quidem.convolution import ConvolutionOperator
-
-    with pytest.raises(ValueError):
-        ConvolutionOperator(cz4, np.eye(4), "middle")
-    with pytest.raises(ValueError):
-        recover_functional(right_conv_operator(cz4, mu0))
 
 
 def test_convolve_rejects_group_mismatch(cz4, cz6):

@@ -10,7 +10,6 @@ also on deliberately broken inputs.
 """
 
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,9 +50,9 @@ from quidem.tro import (
     check_tro_expectation,
     expectation_checks,
     image_subspace,
+    invariance_defect,
     is_tro,
     linking_algebra,
-    triple_product_identities,
 )
 
 AGREE = 1e-12
@@ -657,6 +656,14 @@ def test_optimized_einsums_match_unoptimized(spec, monkeypatch):
         assert (max(rows) > 1e-6) == (H is not G)
 
 
+def _image_row_residuals(alg, lw):
+    """_expectation_residuals with x and y over the image rows P(e_i) of
+    P = lw, keyed by the triple-product forms they check: P(x y*c) first,
+    P(x b* y) second and P(a x*y) third."""
+    res = _expectation_residuals(alg, lw, lw.T, *image_subspace(lw, alg).product_spans)
+    return {"first": res["expect_left_pair"], "second": res["expect_middle"], "third": res["expect_right_pair"]}
+
+
 def test_tro_checks_match_loop_form(case):
     G, idempotents = case
     for omega in idempotents:
@@ -665,7 +672,8 @@ def test_tro_checks_match_loop_form(case):
         _assert_agree(report.identity_residuals, res, TOL)
         _assert_agree(report.expectation_residuals, exp_res, TOL)
         assert report.image_is_tro == image_is_tro
-        _assert_agree(triple_product_identities(G, omega), ref_triple_product_identities(G, omega), TOL)
+        _assert_agree(_image_row_residuals(G.algebra, G.left_matrix(omega.covector)),
+                      ref_triple_product_identities(G, omega), TOL)
 
 
 def _rescaled(E, s01, s10):
@@ -847,7 +855,7 @@ def test_flipped_character_fails_the_batched_check():
     omega = Functional.from_covector(G.algebra, np.array([0.5, 0.0, 0.5, 0.0]))
     parts = polar_decompose(omega)
     support = support_projection(parts.abs_r.density)
-    sub, u = _subgroup_character(G, omega, parts, _centrality(support), TOL)
+    sub, u, _ = _subgroup_character(G, omega, parts, _centrality(support), TOL)
     flipped = PolarParts(
         u=G.algebra.from_vec(parts.u.vec * np.array([1, 1, -1, 1])), abs_r=parts.abs_r, abs_l=parts.abs_l
     )
@@ -979,8 +987,7 @@ def test_tro_residuals_match_loop_form_off_idempotents(block_dims, k):
     _, rows = _spans(alg, image_subspace(lw, alg).matrix.T)
     want = ref_triple_residuals(alg, lw, *rows)
     assert min(want.values()) > 0.05
-    G = SimpleNamespace(algebra=alg, left_matrix=lambda cov: lw)
-    _assert_agree(triple_product_identities(G, SimpleNamespace(covector=None)), want, TOL)
+    _assert_agree(_image_row_residuals(alg, lw), want, TOL)
 
 
 def _tro_idempotents(name):
@@ -1160,3 +1167,25 @@ def test_max_operator_norm_matches_full_decomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     assert alg.max_operator_norm(np.zeros((5, alg.dim))) == alg.max_operator_norm(np.zeros(alg.dim)) == 0.0
     assert not calls
+
+
+def test_adjoint_space_has_the_invariance_defect_of_its_space():
+    """invariance_defect(G, X*) = invariance_defect(G, X) for every subspace X,
+    which is why recovery measures X* no more: R_ν(x)* = R_ν̄(x*) with
+    ν̄(a) = conj(ν(a*)), a permutation of the matrix-unit dual basis, and
+    a ↦ a* maps X onto X* isometrically in the Hilbert-Schmidt norm.  Checked
+    on the enumerated images of C*(D4) and C(S3), KP's Haar and counit images,
+    and random subspaces, which are not invariant."""
+    gd4, cs3, kp = group_algebra(dihedral(4)), function_algebra(symmetric(3)), kac_paljutkin()
+    images = [(G, item.functional) for G, items in ((gd4, enumerate_group_algebra(gd4)),
+                                                   (cs3, enumerate_function_algebra(cs3))) for item in items]
+    images += [(kp, kp.haar), (kp, kp.counit)]
+    cases = [(G, image_subspace(G.left_matrix(omega.covector), G.algebra)) for G, omega in images]
+    rng = np.random.default_rng(17)
+    randoms = [(G, OperatorSubspace.from_spanning(G.algebra, _gaussian(rng, k, G.dim)))
+               for G in (gd4, cs3, kp) for k in (1, 2, 3, 5)]
+    for G, X in cases + randoms:
+        star = X.adjoint_space()
+        assert star.dim == X.dim and all(star.contains(x.adjoint(), AGREE) for x in X.basis)
+        assert abs(invariance_defect(G, star) - invariance_defect(G, X)) <= 1e-14
+    assert min(invariance_defect(G, X) for G, X in randoms) > 0.05

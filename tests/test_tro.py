@@ -27,7 +27,6 @@ from quidem.tro import (
     linking_algebra,
     preserves_weight,
     recover_idempotent,
-    triple_product_identities,
 )
 from test_oracles import _ref_entry_indices, _ref_m2, _ref_schur_matrix, _rescaled
 
@@ -104,11 +103,12 @@ def test_check_tro_expectation_mu0(cz4, mu0):
 
 
 def test_triple_product_identities_agree(cz4, gd4, mu0):
-    worst = triple_product_identities(cz4, mu0)
-    assert max(worst.values()) < 1e-12
-    item = enumerate_group_algebra(gd4)[20]
-    worst = triple_product_identities(gd4, item.functional)
-    assert max(worst.values()) < 1e-9
+    """The triple product L_ω(a)L_ω(b)*L_ω(c) equals its three absorbed forms:
+    the TRO-expectation residuals with x and y over the image rows L_ω(e_i)."""
+    for G, omega, bound in ((cz4, mu0, 1e-12), (gd4, enumerate_group_algebra(gd4)[20].functional, 1e-9)):
+        lw = G.left_matrix(omega.covector)
+        worst = _expectation_residuals(G.algebra, lw, lw.T, *image_subspace(lw, G.algebra).product_spans)
+        assert max(worst.values()) < bound
 
 
 def test_linking_algebra_of_single_matrix_unit():
@@ -262,7 +262,6 @@ def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
             lambda: _expectation_residuals(G.algebra, lw, X.matrix.T, *X.product_spans),
             lambda: check_tro_expectation(G, omega),
             lambda: is_tro(X),
-            lambda: triple_product_identities(G, omega),
         ):
             largest.clear()
             check()
