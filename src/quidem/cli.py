@@ -289,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True, help="builtin:NAME or file:PATH; builtins: "
                        "czn:N, cstar:zn:N, cstar:dn:N, cfun:sn:N, cstar:sn:N, kp")
         p.add_argument("--tol", type=float, default=STATE_TOL)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
         p.add_argument("--json", action="store_true", dest="as_json")
+        if name == "explore":
+            p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
         if name in ("decompose", "explore", "tro"):
             p.add_argument("--functional", required=True,
                            help="counit | haar | point:g | index:k | subgroup-character:H:k "
@@ -317,6 +317,8 @@ def main(argv=None) -> int:
         report.inputs["functional"] = args.functional
     start = time.perf_counter()
     try:
+        if not 0 <= args.tol < float("inf"):
+            raise ValueError(f"--tol must be a finite number at least 0, got {args.tol}")
         group = _load_group(args.group)
         report.info["group"] = group.name or group.kind
         COMMANDS[args.command](group, args, report)

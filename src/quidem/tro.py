@@ -230,9 +230,15 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
     CP iff Ω ≥ 0, and E is that map, W*(id⊗ρ)(·)W in the GNS form of Ω,
     composed with id⊗Δ.  Each corner basis element lies in one entry, so its
     fixed-point residual is ‖E_ij(b) − b‖.  The bimodule property is checked
-    as the left and right module properties (_module_defect): they give it,
-    as E(b₁xb₂) = b₁E(xb₂) = b₁E(x)b₂, and follow from it when 1 ∈ B, as for
-    a unital E, whose range B holds E(1) = 1."""
+    as the left and right module properties, the largest Frobenius norm of
+    E L_b − L_b E and of E R_b − R_b E (_commutators): they give it, as
+    E(b₁xb₂) = b₁E(xb₂) = b₁E(x)b₂, and follow from it when 1 ∈ B, as for a
+    unital E, whose range B holds E(1) = 1."""
+    return _expectation_checks(E, B, _commutators(B.tro.algebra, E.entries, B.corners()))
+
+
+def _expectation_checks(E: SchurExpectation, B: LinkingAlgebra, commutators: dict) -> ExpectationCheck:
+    """expectation_checks with the bimodule commutators of E and B given."""
     A, corners = B.tro.algebra, B.corners()
     cov = np.array([[f.covector for f in row] for row in E.linking])        # (2, 2, dim)
     pairs = (cov[..., :, None] * cov[..., None, :]).reshape(2, 2, -1)
@@ -240,32 +246,35 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
     idem = sum(s.sum(axis=(-2, -1)) for s in A.singular_values(dens)).max()
     fixes = max(float(np.linalg.norm(b @ E.entries[i][j].T - b, axis=-1).max(initial=0.0))
                 for (i, j), b in corners.items())
+    # the Frobenius norm of a commutator on M₂(A) is the root sum of squares of its two blocks
+    bimodule = max(np.hypot(*(np.linalg.norm(c, axis=(-2, -1)) for c in blocks)).max(initial=0.0)
+                   for _, _, *sides in commutators.values() for blocks in sides)
     return ExpectationCheck(
         idempotent=float(idem),
         fixes_subalgebra=fixes,
-        bimodule=_module_defect(A, E.entries, corners),
+        bimodule=float(bimodule),
         choi_min_eigenvalue=_linking_positivity(A, cov[..., A.transpose_perm]),
     )
 
 
-def _module_defect(A: MultiMatrixAlgebra, entries, corners: dict) -> float:
-    """Largest Frobenius norm of E L_b − L_b E and of E R_b − R_b E over the
-    basis elements b of the linking algebra.
+def _commutators(A: MultiMatrixAlgebra, entries, corners: dict) -> dict:
+    """The commutators of the Schur map with entries E_ij with left and right
+    multiplication by the basis elements b of a linking algebra: keyed by
+    corner (i, j), with p over that corner's basis, the stacks L_p and R_p and
+    the blocks C^L_l = E_il L_p − L_p E_jl and C^R_l = E_lj R_p − R_p E_li for
+    l = 0, 1, each operator on A transposed: row k is its value at e_k.
 
     For b = e_ij⊗p, L_b takes entry (j,l) to entry (i,l) by a ↦ pa and R_b
     takes entry (l,i) to entry (l,j) by a ↦ ap, for l = 0, 1, and every other
-    entry to 0; so the two commutators have the blocks E_il L_p − L_p E_jl
-    and E_lj R_p − R_p E_li, operators on A, and are 0 elsewhere."""
-    units, E = np.eye(A.dim), np.array(entries)
-    worst = 0.0
+    entry to 0; so E L_b − L_b E has the blocks C^L_l, E R_b − R_b E the
+    blocks C^R_l, and both are 0 elsewhere."""
+    units, E = np.eye(A.dim), np.array(entries).swapaxes(-1, -2)   # E[i, j] = E_ijᵀ
+    out = {}
     for (i, j), b in corners.items():
-        # L_p and R_p as matrices on A for every basis element p of the corner
-        lp = A.multiply(b[:, None], units).swapaxes(-1, -2)
-        rp = A.multiply(units, b[:, None]).swapaxes(-1, -2)
-        left = [np.linalg.norm(E[i, l] @ lp - lp @ E[j, l], axis=(-2, -1)) for l in (0, 1)]
-        right = [np.linalg.norm(E[l, j] @ rp - rp @ E[l, i], axis=(-2, -1)) for l in (0, 1)]
-        worst = max(worst, np.hypot(*left).max(initial=0.0), np.hypot(*right).max(initial=0.0))
-    return float(worst)
+        lp, rp = A.multiply(b[:, None], units), A.multiply(units, b[:, None])
+        out[i, j] = (lp, rp, tuple(lp @ E[i, l] - E[j, l] @ lp for l in (0, 1)),
+                     tuple(rp @ E[l, j] - E[l, i] @ rp for l in (0, 1)))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -315,10 +324,6 @@ class TroExpectationReport:
         residuals = [*self.identity_residuals.values(), *self.expectation_residuals.values()]
         return self.image_is_tro and all(v <= tol for v in residuals)
 
-    @property
-    def max_residual(self) -> float:
-        return max(*self.identity_residuals.values(), *self.expectation_residuals.values())
-
 
 def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> TroExpectationReport:
     """Verify the four identities
@@ -330,51 +335,35 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
     and an orthonormal basis of the image in place of P(a); then the three
     TRO-expectation axioms on the image, and the TRO property of the image.
     Each identity is linear or conjugate-linear in the factor that runs over
-    a basis, so it holds on the whole span iff it holds on that basis."""
+    a basis, so it holds on the whole span iff it holds on that basis; each
+    is read off the expectation's bimodule commutators (_tro_residuals)."""
     analysis = Analysis(G, omega, tol)
     analysis.require("check_tro_expectation requires a contractive idempotent")
     return analysis.tro_report
 
 
-def _identity_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, lr: np.ndarray, ll: np.ndarray, xb: np.ndarray) -> dict:
-    """The four mixed-product residuals of check_tro_expectation for the
-    maps P = lw, Q_r = lr and Q_l = ll, with x = P(a) over the rows of xb
-    and b over the basis elements."""
-    units = np.eye(A.dim)
-    xs = A.adjoint(xb)
-    # stacks indexed [x, j] with b = e_j; v @ m.T maps v by m, and m.T has rows m(e_j)
-    return {
-        "left_absorb": A.max_operator_norm(A.multiply(xb[:, None], units) @ lw.T - A.multiply(xb[:, None], ll.T)),
-        "left_adjoint_absorb": A.max_operator_norm(A.multiply(xs[:, None], units) @ ll.T - A.multiply(xs[:, None], lw.T)),
-        "right_absorb": A.max_operator_norm(A.multiply(units, xb[:, None]) @ lw.T - A.multiply(lr.T, xb[:, None])),
-        "right_adjoint_absorb": A.max_operator_norm(A.multiply(units, xs[:, None]) @ lr.T - A.multiply(lw.T, xs[:, None])),
-    }
+def _tro_residuals(A: MultiMatrixAlgebra, commutators: dict) -> tuple[dict, dict]:
+    """The residuals of check_tro_expectation, read off the _commutators of a
+    Schur map with P = E_01, Q_r = E_00, Q_l = E_11 and E_10 = P♭: a ↦ P(a*)*,
+    each the largest operator norm of a block's values at the basis elements.
+    With x over X and c over ⟨XX*⟩ or ⟨X*X⟩, all but the middle one are blocks:
 
+        P(P(a)b) = P(a)Q_l(b): C^L (0,1), l=1   Q_l(P(a)*b) = P(a)*P(b): C^L (1,0), l=1
+        P(aP(b)) = Q_r(a)P(b): C^R (0,1), l=0   Q_r(aP(b)*) = P(a)P(b)*: C^R (1,0), l=0
+        P(c a) = c P(a):       C^L (0,0), l=1   P(a c) = P(a) c:         C^R (1,1), l=0
 
-def _expectation_residuals(A: MultiMatrixAlgebra, lw: np.ndarray, xb: np.ndarray,
-                           left: OperatorSubspace, right: OperatorSubspace) -> dict:
-    """The three TRO-expectation residuals of check_tro_expectation,
-
-        P(a x*y) = P(a) x*y,   P(x a* y) = x P(a)* y,   P(x y*a) = x y* P(a),
-
-    for P = lw, over basis elements a and the rows x, y of xb.  The outer
-    two are linear in c = x*y and c = xy*, so c runs over the bases of right
-    = ⟨X*X⟩ and left = ⟨XX*⟩; the middle one is stacked over (a, x, y) in
-    chunks of a."""
-    units, p = np.eye(A.dim), lw.T
-    c_r, c_l = right.matrix.T, left.matrix.T
-    middle = 0.0
-    for s in _chunks(A.dim, len(xb) ** 2, A.dim):
-        x_as = A.multiply(xb, A.adjoint(units[s, None]))     # [a, x] = x a*
-        x_pas = A.multiply(xb, A.adjoint(p[s, None]))
-        middle = max(middle, A.max_operator_norm(
-            A.multiply(x_as[:, :, None], xb) @ lw.T - A.multiply(x_pas[:, :, None], xb)))
-    # stacks indexed [a, c]
-    return {
-        "expect_right_pair": A.max_operator_norm(A.multiply(units[:, None], c_r) @ lw.T - A.multiply(p[:, None], c_r)),
-        "expect_middle": middle,
-        "expect_left_pair": A.max_operator_norm(A.multiply(c_l, units[:, None]) @ lw.T - A.multiply(c_l, p[:, None])),
-    }
+    The middle one, P(x a* y) = x P(a)* y, is P L_x R_y − L_x R_y P♭ at a*,
+    that is C^L_x R_y + L_x C^R_y, both at (0,1), l=1, in chunks of x."""
+    norm = A.max_operator_norm
+    lx, rx, left, right = commutators[0, 1]
+    left_star, right_star = commutators[1, 0][2:]
+    left_pair, right_pair = commutators[0, 0][2], commutators[1, 1][3]
+    # transposed: (C^L_x R_y + L_x C^R_y)ᵀ = R_yᵀ C^L_xᵀ + C^R_yᵀ L_xᵀ, indexed [x, y]
+    middle = max((norm(rx[None] @ left[1][s, None] + right[1][None] @ lx[s, None])
+                  for s in _chunks(len(lx), len(lx) * A.dim, A.dim)), default=0.0)
+    return ({"left_absorb": norm(left[1]), "left_adjoint_absorb": norm(left_star[1]),
+             "right_absorb": norm(right[0]), "right_adjoint_absorb": norm(right_star[0])},
+            {"expect_right_pair": norm(right_pair[0]), "expect_middle": middle, "expect_left_pair": norm(left_pair[1])})
 
 
 @dataclass(eq=False)
@@ -440,7 +429,8 @@ class Analysis:
     raises ValueError unless ω is a contractive idempotent at tol floored at
     STATE_TOL, its polar parts and decomposition, the image X = L_ω(A), its
     linking algebra, the Schur expectation of Ω = [[|ω|_r, ω], [ω̄, |ω|_l]],
-    their checks, the TRO-expectation report, the right-invariance defects
+    its bimodule commutators with the linking algebra, which both its
+    checks and the TRO-expectation report read, the right-invariance defects
     of X and of the linking corners, and the recovery of ω from X, which
     reads them, each at tol.  A plain class: a frozen dataclass slows the import."""
 
@@ -485,16 +475,21 @@ class Analysis:
         return linking_algebra(self.image, self.tol)
 
     @cached_property
+    def commutators(self) -> dict:
+        """The _commutators of the expectation on corners taken from X and its
+        product spans: the TRO gate of the linking stage would stop the TRO report."""
+        X = self.image
+        return _commutators(self.group.algebra, self.expectation.entries, LinkingAlgebra(X, *X.product_spans).corners())
+
+    @cached_property
     def checks(self) -> ExpectationCheck:
-        return expectation_checks(self.expectation, self.linking)
+        return _expectation_checks(self.expectation, self.linking, self.commutators)
 
     @cached_property
     def tro_report(self) -> TroExpectationReport:
-        """P = L_ω, Q_r = L_{|ω|_r} and Q_l = L_{|ω|_l} are entries of the expectation."""
-        (lr, lw), (_, ll) = self.expectation.entries
-        xb = self.image.matrix.T
-        return TroExpectationReport(_identity_residuals(self.group.algebra, lw, lr, ll, xb),
-                                    _expectation_residuals(self.group.algebra, lw, xb, *self.image.product_spans),
+        """The entries of the expectation: P = L_ω, Q_r = L_{|ω|_r}, Q_l = L_{|ω|_l}, and
+        P♭ = L_ω̄, as L_ω̄(a*) = L_ω(a)* for a *-homomorphism Δ."""
+        return TroExpectationReport(*_tro_residuals(self.group.algebra, self.commutators),
                                     self.image, is_tro(self.image, self.tol))
 
     @cached_property

@@ -201,7 +201,9 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     fourth entry of the linking functional) and the recovered functional.
     invariance_defect runs in tro only, once per subspace: on the image X
     and on the corners ⟨XX*⟩ and ⟨X*X⟩ of its linking algebra, whose stages
-    the recovery reads; X* has X's defect and is not measured."""
+    the recovery reads; X* has X's defect and is not measured.  The
+    bimodule commutators are multiplied out once, for the expectation rows
+    and, in decompose, the mixed-product and TRO rows."""
     import quidem.cli
     import quidem.idempotents
     import quidem.tro
@@ -240,8 +242,11 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     for module in (quidem.tro, quidem.cli):
         monkeypatch.setattr(module, "invariance_defect", lambda H, X: measured.append(X) or invariance_defect(H, X),
                             raising=False)
+    kernel, commutators = [], quidem.tro._commutators
+    monkeypatch.setattr(quidem.tro, "_commutators", lambda *args: kernel.append(args) or commutators(*args))
     code, _ = run(capsys, command, "--group", "builtin:cstar:dn:4", "--functional", "index:12", "--json")
     assert code == 0
+    assert len(kernel) == 1
     recovered = ["other"] if command == "tro" else []
     assert names("idempotency") == (["ω", "|ω|_r", "|ω|_l"] if command == "decompose" else ["ω", *recovered])
     assert names("contractive") == recovered
@@ -265,7 +270,7 @@ def test_reports_are_deterministic(capsys):
         code, out = run(
             capsys,
             "decompose", "--group", "builtin:cstar:dn:4",
-            "--functional", "index:7", "--seed", "0", "--json",
+            "--functional", "index:7", "--json",
         )
         doc = json.loads(out)
         doc.pop("elapsed_seconds")
@@ -335,7 +340,7 @@ def test_cp_row_agrees_with_expectation_check_at_the_floor(capsys, monkeypatch, 
     choi_min = -CP_FLOOR * scale
     check = ExpectationCheck(idempotent=0.0, fixes_subalgebra=0.0, bimodule=0.0,
                              choi_min_eigenvalue=choi_min)
-    monkeypatch.setattr(quidem.tro, "expectation_checks", lambda E, B: check)
+    monkeypatch.setattr(quidem.tro.Analysis, "checks", check)
     code, out = run(capsys, "tro", "--group", "builtin:czn:4", "--functional", "haar", "--json")
     row = _rows(json.loads(out))["expectation completely positive"]
     assert row["defect"] == -choi_min and row["tolerance"] == CP_FLOOR
@@ -359,6 +364,20 @@ def test_image_that_is_not_a_tro_is_an_input_error(capsys, monkeypatch, command)
     assert not rows[names.index("image is TRO")]["passed"]
     assert names[-1] == "inputs valid"
     assert rows[-1]["note"] == "linking_algebra requires a TRO"
+
+
+@pytest.mark.parametrize("command", ["verify", "tro"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_malformed_tolerance_is_named(capsys, command, tol):
+    """A --tol that is not a finite number at least 0 is an input error, not
+    a report whose every row fails (nan, -1) or passes (inf)."""
+    argv = ["--functional", "haar"] if command == "tro" else []
+    code = main([command, "--group", "builtin:czn:4", *argv, "--tol", tol, "--json"])
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["checks"]
+    assert code == 1 and captured.err == ""
+    assert [(row["name"], row["passed"]) for row in rows] == [("inputs valid", False)]
+    assert "--tol" in rows[0]["note"]
 
 
 def test_absolute_values_row_is_measured(capsys):
