@@ -51,7 +51,9 @@ def sharp(G: FiniteQuantumGroup, omega: Functional) -> Functional:
 @dataclass(eq=False)
 class CesaroResult:
     """Outcome of cesaro_limit.  When converged, limit is the averaged
-    convolution power (1/N)·Σ_{n≤N} μ^⋆n at the final checkpoint N."""
+    convolution power (1/N)·Σ_{n≤N} μ^⋆n at the final checkpoint N, or the
+    mean-ergodic projection of μ when ergodic_finish is set; N is then the
+    checkpoint at which the averaging gave way to it."""
 
     limit: Functional | None
     converged: bool
@@ -59,6 +61,7 @@ class CesaroResult:
     checkpoint: int               # the N of the returned average
     idempotency_defect: float
     increment: float
+    ergodic_finish: bool          # whether the mean-ergodic finish ran
 
     def __bool__(self):
         return self.converged
@@ -81,19 +84,26 @@ def cesaro_limit(
     The averages are evaluated at doubling checkpoints N = 2^k through the
     exact recursion  s_{2N} = s_N + μ^⋆N ⋆ s_N  until both the step between
     checkpoints and the idempotency defect fall below tol; max_iter bounds
-    the number of convolution products.  Tolerances out of reach of O(1/N)
-    averaging within the drift-safe checkpoint range are finished by the
-    mean-ergodic projection of μ onto the fixed space of its convolution
-    operator, which in finite dimension is the same limit; the stopping
-    conditions are then verified on it directly.  The returned ω also
-    satisfies μ⋆ω = ω⋆μ = ω within tol.
+    the number of convolution products.  In finite dimension μ = x + (T−1)y
+    with T = L_μ and T x = x, so ω_N = x + (T^N − 1)y/N: the error, and with
+    it the idempotency defect, falls like 1/N.  Once defect·N exceeds
+    tol·2^20, averaging cannot bring the defect under tol within the
+    drift-safe checkpoints, and the limit is taken as x, the mean-ergodic
+    projection of μ onto the fixed space of T, computed from μ alone; the
+    stopping conditions are then verified on it directly.  The returned ω
+    also satisfies μ⋆ω = ω⋆μ = ω within tol.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"cesaro_limit requires a finite tol at least 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"cesaro_limit requires max_iter at least 1, got {max_iter}")
     if mu.norm > 1 + STATE_TOL:
         raise ValueError(f"cesaro_limit requires a contractive seed, got norm {mu.norm:.6f}")
     conv, cov_mu = G.convolve_cov, mu.covector
     power = cov_mu.copy()          # μ^⋆N
     total = cov_mu.copy()          # Σ_{n≤N} μ^⋆n
-    checkpoint, ops, increment = 1, 0, 0.0
+    checkpoint, ops, increment, finish = 1, 0, 0.0, False
+    reach = tol * 2 ** _MAX_DOUBLINGS   # the largest defect·N that averaging can still bring under tol
 
     def norm(cov):
         return Functional.from_covector(G.algebra, cov).norm
@@ -106,7 +116,7 @@ def cesaro_limit(
         return CesaroResult(
             limit=None if limit_cov is None else Functional.from_covector(G.algebra, limit_cov),
             converged=limit_cov is not None, iterations=ops, checkpoint=checkpoint,
-            idempotency_defect=defect, increment=float(increment),
+            idempotency_defect=defect, increment=float(increment), ergodic_finish=finish,
         )
 
     prev_avg = total / checkpoint
@@ -116,8 +126,8 @@ def cesaro_limit(
         return result(prev_avg)
     increment = np.inf
     for _ in range(_MAX_DOUBLINGS):
-        if ops + 3 > max_iter:
-            return result()
+        if defect * checkpoint > reach or ops + 3 > max_iter:
+            break
         shifted = conv(power, total)
         power = conv(power, power)
         total = total + shifted
@@ -130,13 +140,16 @@ def cesaro_limit(
         prev_avg = avg
         if increment <= tol and defect <= tol:
             return result(avg)
+    if ops + 3 > max_iter:
+        return result()
     # mean-ergodic finish: decompose μ = x + (T−1)y with T x = x and return x
     import logging   # on first use: at start-up it slows every CLI run by 5-15 ms
 
     logging.getLogger(__name__).debug(
-        "cesaro_limit: mean-ergodic finish at checkpoint %d (increment %.3e, defect %.3e)",
-        checkpoint, increment, defect,
+        "cesaro_limit: mean-ergodic finish at checkpoint %d (defect %.3e, defect*N %.3e vs tol*2^20 %.3e, "
+        "increment %.3e)", checkpoint, defect, defect * checkpoint, reach, increment,
     )
+    finish = True
     t_mat = G.left_matrix(cov_mu).T
     a = t_mat - np.eye(G.dim)
     u, s, vh = np.linalg.svd(a)

@@ -127,6 +127,8 @@ def test_explore_point_seed(capsys):
     assert doc["passed"]
     assert doc["info"]["haar"] is True
     assert doc["info"]["subgroup_block_dims"] == [1] * 6
+    note = _rows(doc)["averaged convolution powers converged"]["note"]
+    assert note == "4 convolution ops, mean-ergodic finish at N=1"
 
 
 def test_explore_idempotent_seed_is_fixed(capsys):
@@ -134,7 +136,20 @@ def test_explore_idempotent_seed_is_fixed(capsys):
     assert code == 0
     doc = json.loads(out)
     note = [c for c in doc["checks"] if c["name"].startswith("averaged")][0]["note"]
-    assert "N=1" in note
+    assert note == "1 convolution ops, averaged to N=1"
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-5"])
+def test_explore_empty_budget_is_named(capsys, max_iter):
+    """A --max-iter below 1 is an input error, not an unconverged limit."""
+    code = main(["explore", "--group", "builtin:czn:6", "--functional", "point:1",
+                 "--max-iter", max_iter, "--json"])
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["checks"]
+    assert code == 1 and captured.err == ""
+    failed = [row for row in rows if not row["passed"]]
+    assert [row["name"] for row in failed] == ["inputs valid"]
+    assert "max_iter" in failed[0]["note"]
 
 
 def test_explore_rejects_non_contractive_seed(capsys):

@@ -204,7 +204,9 @@ def test_cesaro_doubling_matches_plain_average(cz6):
     """The doubling recursion evaluates the same averages as a direct loop."""
     delta = _delta(cz6, 1)
     result = cesaro_limit(cz6, delta, tol=1e-3, max_iter=100)
+    assert result.converged and not result.ergodic_finish
     n = result.checkpoint
+    assert n > 1
     acc = delta
     total = delta.covector.copy()
     for _ in range(n - 1):
@@ -243,18 +245,53 @@ def test_cesaro_limit_commutes_with_seed(kp):
 
 
 def test_mean_ergodic_finish_is_logged(cz6, cz4, mu0, caplog):
+    tol = 1e-8
     with caplog.at_level(logging.DEBUG, logger="quidem.convolution"):
-        result = cesaro_limit(cz6, _delta(cz6, 1), tol=1e-8, max_iter=10_000)
-    assert result.converged
+        result = cesaro_limit(cz6, _delta(cz6, 1), tol=tol, max_iter=10_000)
+    assert result.converged and result.ergodic_finish
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
+    checkpoint, defect, bound, reach, increment = record.args
     assert record.getMessage() == (
-        f"cesaro_limit: mean-ergodic finish at checkpoint {2 ** 20} "
-        f"(increment {record.args[1]:.3e}, defect {record.args[2]:.3e})"
+        f"cesaro_limit: mean-ergodic finish at checkpoint {checkpoint} (defect {defect:.3e}, "
+        f"defect*N {bound:.3e} vs tol*2^20 {reach:.3e}, increment {increment:.3e})"
     )
-    assert result.checkpoint == record.args[0] == 2 ** 20
-    assert record.args[1] > 1e-8 or record.args[2] > 1e-8   # why the doubling did not stop
+    assert checkpoint == result.checkpoint
+    assert bound == defect * checkpoint and reach == tol * 2 ** 20
+    assert defect * checkpoint > tol * 2 ** 20   # why the doubling stopped
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="quidem.convolution"):
-        cesaro_limit(cz4, mu0, tol=1e-8)   # converges at the first checkpoint
+        assert not cesaro_limit(cz4, mu0, tol=1e-8).ergodic_finish   # converges at the first checkpoint
+        assert not cesaro_limit(cz6, _delta(cz6, 1), tol=1e-3, max_iter=100).ergodic_finish
     assert not caplog.records
+
+
+def test_finish_skips_the_doubling_that_cannot_reach_tol(cz6):
+    """A generator of Z6 has idempotency defect 2 at N = 1, and 2 > 1e-8·2^20:
+    the finish runs at once, with one op for the checkpoint and three for
+    itself, and gives the same limit as averaging to a looser tolerance."""
+    delta = _delta(cz6, 1)
+    result = cesaro_limit(cz6, delta, tol=1e-8, max_iter=10_000)
+    assert result.converged and result.ergodic_finish
+    assert (result.checkpoint, result.iterations) == (1, 4)
+    averaged = cesaro_limit(cz6, delta, tol=1e-3, max_iter=100)
+    assert (result.limit - averaged.limit).norm < 1e-3
+
+
+def test_finish_stays_within_max_iter(cz6):
+    """The finish costs three products, so a budget of three cannot pay for it."""
+    result = cesaro_limit(cz6, _delta(cz6, 1), tol=1e-8, max_iter=3)
+    assert not result.converged and not result.ergodic_finish
+    assert result.iterations == 1 and result.limit is None
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_cesaro_rejects_malformed_tol(cz6, tol):
+    with pytest.raises(ValueError, match="finite tol at least 0"):
+        cesaro_limit(cz6, _delta(cz6, 1), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_cesaro_rejects_empty_budget(cz6, max_iter):
+    with pytest.raises(ValueError, match="max_iter at least 1"):
+        cesaro_limit(cz6, _delta(cz6, 1), max_iter=max_iter)

@@ -1198,3 +1198,41 @@ def test_adjoint_space_has_the_invariance_defect_of_its_space():
         assert star.dim == X.dim and all(star.contains(x.adjoint(), AGREE) for x in X.basis)
         assert abs(invariance_defect(G, star) - invariance_defect(G, X)) <= 1e-14
     assert min(invariance_defect(G, X) for G, X in randoms) > 0.05
+
+
+# ---------------------------------------------------------------------------
+# the Cesàro limit against an eigendecomposition
+
+
+def _eig_limit(G, mu):
+    """The mean-ergodic limit of μ from np.linalg.eig: the spectral projection
+    V[:, F]·V⁻¹[F, :] onto the eigenvalue-1 eigenspace of the convolution
+    operator on covectors, applied to μ."""
+    w, v = np.linalg.eig(G.left_matrix(mu.covector).T)
+    fixed = np.abs(w - 1) < 1e-8
+    return Functional.from_covector(G.algebra, v[:, fixed] @ np.linalg.inv(v)[fixed, :] @ mu.covector)
+
+
+def _seeds(G, rng):
+    """Random faithful states, random states on a random set of blocks, and
+    random functionals scaled to norm in [1/2, 1]."""
+    A = G.algebra
+    for _ in range(4):
+        yield A.random_state(rng)
+        keep = rng.random(len(A.block_dims)) < 0.5
+        keep[rng.integers(len(keep))] = True
+        blocks = [b * k for b, k in zip(A.random_state(rng).density.blocks, keep)]
+        total = sum(np.trace(b).real for b in blocks)
+        yield Functional(A, A.element(b / total for b in blocks))
+        mu = A.random_functional(rng)
+        yield Functional.from_covector(A, mu.covector * rng.uniform(0.5, 1) / mu.norm)
+
+
+@pytest.mark.parametrize("name", ["kp", "cstar:dn:4", "czn:6", "cfun:sn:3"])
+def test_cesaro_limit_is_the_spectral_projection(name):
+    G = builtin(name)
+    rng = np.random.default_rng(23)
+    for mu in _seeds(G, rng):
+        result = cesaro_limit(G, mu, tol=1e-9, max_iter=10_000)
+        assert result.converged
+        assert (result.limit - _eig_limit(G, mu)).norm <= 1e-10
