@@ -33,10 +33,12 @@ from .groups import GroupTable, cyclic, dihedral, symmetric
 from .idempotents import (
     ContractiveIdempotentReport,
     construct,
+    contractive_defect,
     decompose,
     enumerate_function_algebra,
     enumerate_group_algebra,
     extract_subgroup_character,
+    idempotency_defect,
     is_contractive_idempotent,
     is_haar_idempotent,
     is_idempotent,

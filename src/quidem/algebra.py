@@ -236,14 +236,8 @@ class MultiMatrixAlgebra:
     def basis(self) -> list["AlgebraElement"]:
         return [self.basis_element(i) for i in range(self.dim)]
 
-    def random_element(self, rng: np.random.Generator, hermitian: bool = False) -> "AlgebraElement":
-        blocks = []
-        for n in self.block_dims:
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            if hermitian:
-                m = (m + m.conj().T) / 2
-            blocks.append(m)
-        return self.element(blocks)
+    def random_element(self, rng: np.random.Generator) -> "AlgebraElement":
+        return self.element(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in self.block_dims)
 
     def random_functional(self, rng: np.random.Generator) -> "Functional":
         return Functional(self, self.random_element(rng))
@@ -339,6 +333,15 @@ class AlgebraElement:
 
     def is_positive(self, tol: float = STATE_TOL) -> bool:
         return self.is_hermitian(tol) and bool(self.algebra.min_eigenvalues(self.vec) >= -tol)
+
+    @cached_property
+    def centrality(self) -> tuple[float, np.ndarray]:
+        """The numbers is_central compares, for a projection p, from one
+        block_norms call: the projection defect max(‖p − p*‖, ‖p² − p‖) and
+        the block norms of p and p − 1 (rows 0, 1); taken once."""
+        alg, v = self.algebra, self.vec
+        norms = alg.block_norms([v - alg.adjoint(v), alg.multiply(v, v) - v, v, v - alg.identity().vec])
+        return float(norms[:2].max()), norms[2:]
 
     def __repr__(self):
         return f"AlgebraElement(blocks={self.algebra.block_dims}, norm={self.operator_norm:.4g})"
@@ -466,23 +469,12 @@ def support_projection(x: AlgebraElement) -> AlgebraElement:
 
 
 def is_central(p: AlgebraElement, tol: float = STATE_TOL) -> bool:
-    """True iff the projection p is a sum of full block identities."""
-    return _is_central(_centrality(p), tol)
-
-
-def _centrality(p: AlgebraElement) -> tuple[float, np.ndarray]:
-    """is_central's numbers from one block_norms call: the projection defect
-    max(‖p − p*‖, ‖p² − p‖) and the block norms of p and p − 1 (rows 0, 1)."""
-    alg, v = p.algebra, p.vec
-    norms = alg.block_norms([v - alg.adjoint(v), alg.multiply(v, v) - v, v, v - alg.identity().vec])
-    return float(norms[:2].max()), norms[2:]
-
-
-def _is_central(centrality: tuple[float, np.ndarray], tol: float) -> bool:
-    """is_central from the numbers of _centrality, compared at tol."""
-    if not centrality[0] <= tol:
+    """True iff the projection p is a sum of full block identities, read
+    off p.centrality."""
+    defect, norms = p.centrality
+    if not defect <= tol:
         raise ValueError("is_central expects a projection")
-    return bool((centrality[1] <= tol).any(axis=0).all())
+    return bool((norms <= tol).any(axis=0).all())
 
 
 @dataclass(eq=False)

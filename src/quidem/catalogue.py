@@ -49,12 +49,12 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
     )
 
 
-def group_algebra(table: GroupTable, seed: int = 11) -> FiniteQuantumGroup:
+def group_algebra(table: GroupTable) -> FiniteQuantumGroup:
     """Group algebra of a classical group as a multi-matrix algebra, realized
     by splitting the regular representation (the dual of C(G)); the images of
     the point masses are the group-like basis λ_g, recorded in lambda_basis."""
     fn = function_algebra(table)
-    gd, phi = dual_pair(fn, seed=seed)
+    gd, phi = dual_pair(fn)
     # abstract dual basis of C(G)* is δ_g, so column g of phi is vec(λ_g)
     return replace(gd, name=f"C*({_table_name(table)})", kind="group", table=table, lambda_basis=phi)
 
@@ -179,7 +179,11 @@ def to_document(G: FiniteQuantumGroup) -> dict:
     }
 
 
-def from_document(doc: dict, check_axioms: bool = True) -> FiniteQuantumGroup:
+def from_document(doc: dict) -> FiniteQuantumGroup:
+    """The quantum group of a qgspec-1 document, whose axioms are checked at
+    CHECK_TOL: a failing axiom warns, and data on which the check cannot run
+    (an SVD that does not converge, or products beyond double precision)
+    raise QGSpecError."""
     if not isinstance(doc, dict):
         raise QGSpecError("document root must be an object")
     if doc.get("schema") != "qgspec-1":
@@ -212,16 +216,16 @@ def from_document(doc: dict, check_axioms: bool = True) -> FiniteQuantumGroup:
         name=str(doc.get("name", "")),
         kind="file",
     )
-    if check_axioms:
-        try:
+    try:
+        with np.errstate(over="raise", invalid="raise"):
             report = verify_axioms(G, CHECK_TOL)
-        except np.linalg.LinAlgError as exc:
-            raise QGSpecError(f"the axiom check cannot run on these structure data ({exc})") from exc
-        if not report.passed:
-            warnings.warn(
-                f"loaded quantum group fails axioms: {report.failures()}",
-                stacklevel=2,
-            )
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise QGSpecError(f"the axiom check cannot run on these structure data ({exc})") from exc
+    if not report.passed:
+        warnings.warn(
+            f"loaded quantum group fails axioms: {report.failures()}",
+            stacklevel=2,
+        )
     return G
 
 
@@ -231,13 +235,13 @@ def save(G: FiniteQuantumGroup, path) -> None:
         fh.write("\n")
 
 
-def load(path, check_axioms: bool = True) -> FiniteQuantumGroup:
+def load(path) -> FiniteQuantumGroup:
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise QGSpecError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return from_document(doc, check_axioms=check_axioms)
+    return from_document(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -15,7 +16,8 @@ import numpy as np
 from . import catalogue
 from .algebra import CHECK_TOL, CP_FLOOR, STATE_TOL, Functional
 from .convolution import cesaro_limit
-from .idempotents import enumerate_function_algebra, enumerate_group_algebra
+from .idempotents import (contractive_defect, decompose, enumerate_function_algebra, enumerate_group_algebra,
+                          is_contractive_idempotent)
 from .qgroup import FiniteQuantumGroup, cocommutativity_defect, commutativity_defect, verify_axioms
 from .tro import Analysis, is_tro, weight_defect
 
@@ -94,6 +96,18 @@ def _element(G: FiniteQuantumGroup, text: str, spec: str) -> int:
 
 
 def _parse_functional(G: FiniteQuantumGroup, spec: str) -> Functional:
+    """The functional of a source, rejected unless its trace norm ‖ω‖ is
+    finite and ‖ω‖² is too, which bounds ‖ω⋆ω‖, so that ω⋆ω can be formed
+    in double precision."""
+    omega = _functional_source(G, spec)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflowing norm is inf, rejected below
+        norm = omega.norm
+    if not math.isfinite(norm * norm):
+        raise ValueError(f"functional {spec!r} is too large for ω⋆ω in double precision (trace norm {norm:.3e})")
+    return omega
+
+
+def _functional_source(G: FiniteQuantumGroup, spec: str) -> Functional:
     """Functional sources: counit | haar | point:g | index:k |
     subgroup-character:H:k | coset-indicator:H:g | density:[[re,im],...]
     where H is a comma-separated list of element indices (closure taken)."""
@@ -172,20 +186,20 @@ def cmd_enumerate(G: FiniteQuantumGroup, args, report: Report):
     report.info["count"] = len(items)
     tol = max(args.tol, STATE_TOL)
     for k, item in enumerate(items):
-        a = Analysis(G, item.functional, max(args.tol, CHECK_TOL))
-        report.add(f"item[{k}] contractive idempotent", a.is_contractive(tol), a.contractive_defect, tol,
-                   note=f"{item.label} haar={a.decomposition.haar}")
+        omega = item.functional
+        report.add(f"item[{k}] contractive idempotent", is_contractive_idempotent(G, omega, tol),
+                   contractive_defect(G, omega), tol,
+                   note=f"{item.label} haar={decompose(G, omega, max(args.tol, CHECK_TOL)).haar}")
 
 
 def _analysis(G, omega, args, report: Report) -> Analysis | None:
     """The Analysis of ω at --tol floored at CHECK_TOL, once its contractive
     idempotent row, at --tol floored at STATE_TOL, passes; else None."""
-    a = Analysis(G, omega, max(args.tol, CHECK_TOL))
     tol = max(args.tol, STATE_TOL)
-    ok = a.is_contractive(tol)
-    report.add("contractive idempotent", ok, a.contractive_defect, tol,
+    ok = is_contractive_idempotent(G, omega, tol)
+    report.add("contractive idempotent", ok, contractive_defect(G, omega), tol,
                note="" if ok else f"not a contractive idempotent (norm {omega.norm:.6f})")
-    return a if ok else None
+    return Analysis(G, omega, max(args.tol, CHECK_TOL)) if ok else None
 
 
 def _expectation(a: Analysis, report: Report):
@@ -253,9 +267,9 @@ def cmd_tro(G: FiniteQuantumGroup, args, report: Report):
     X, tol = a.image, a.tol
     report.info["image_dim"] = X.dim
     report.add("image is TRO", is_tro(X, tol), X.tro_defect, tol)
-    report.measured(tol, {"image nondegenerate": X.rank_deficit, "image right invariant": a.image_invariance})
+    report.measured(tol, {"image nondegenerate": X.rank_deficit, "image right invariant": X.right_invariance(G)})
     report.info["linking_dims"] = list(a.linking.corner_dims())
-    report.measured(tol, {"linking corners right invariant": max(a.linking_invariance)})
+    report.measured(tol, {"linking corners right invariant": max(c.right_invariance(G) for c in X.product_spans)})
     _expectation(a, report)
     recovery = a.recovery
     if recovery.ok:

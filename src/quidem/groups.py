@@ -12,6 +12,7 @@ import numpy as np
 
 _SPLIT_GAP = 1e-8   # least relative gap between the eigenvalues that split C[G]
 _SNAP_TOL = 1e-12   # largest multiplicativity defect of a snapped character
+_CHARACTER_SEED = 5   # seed of the random Hermitian combination that splits C[G]
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def _snap_root_of_unity(z: complex, order: int) -> complex:
     return complex(np.exp(2j * np.pi * k / order))
 
 
-def abelian_characters(table: GroupTable, seed: int = 5) -> list[np.ndarray]:
+def abelian_characters(table: GroupTable) -> list[np.ndarray]:
     """All characters of an abelian group, as value vectors over the elements.
 
     Simultaneously diagonalizes the regular representation with a random
@@ -222,7 +223,7 @@ def abelian_characters(table: GroupTable, seed: int = 5) -> list[np.ndarray]:
         for h in range(n):
             p[table.op(g, h), h] = 1.0
         perms.append(p)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CHARACTER_SEED)
     for _ in range(20):
         coeff = rng.standard_normal(n)
         skew = rng.standard_normal(n)

@@ -15,48 +15,55 @@ from .algebra import (
     AlgebraElement,
     Functional,
     PolarParts,
-    _centrality,
-    _is_central,
     act_left,
     act_right,
+    is_central,
     polar_decompose,
     support_projection,
 )
 from .convolution import convolve
 from .groups import characters
-from .qgroup import FiniteQuantumGroup, QuantumSubgroup, _group_like_residual, _quotient_by_support
+from .qgroup import FiniteQuantumGroup, QuantumSubgroup, _group_like_residual, quotient_by_support
 
-_FMT_ZERO = 1e-12   # imaginary parts below this print as real numbers
+_FMT_ZERO = 1e-12   # real or imaginary parts below this print as zero
 
 
 def is_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = STATE_TOL) -> bool:
     """Nonzero and ω⋆ω = ω within tol (in the dual norm)."""
     if omega.norm <= tol:
         return False
-    return _idempotency_defect(G, omega) <= tol
+    return idempotency_defect(G, omega) <= tol
+
+
+def idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
+    """‖ω⋆ω − ω‖ in the dual norm, measured once per (G, ω) and kept in G.idempotency."""
+    defect = G.idempotency.get(omega)
+    if defect is None:
+        defect = G.idempotency[omega] = _idempotency_defect(G, omega)
+    return defect
 
 
 def _idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
-    """‖ω⋆ω − ω‖ in the dual norm."""
+    """‖ω⋆ω − ω‖ in the dual norm, from one convolution."""
     return (convolve(G, omega, omega) - omega).norm
+
+
+def contractive_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
+    """max(‖ω⋆ω − ω‖, |‖ω‖ − 1|), which vanishes exactly on the contractive idempotents."""
+    return max(idempotency_defect(G, omega), abs(omega.norm - 1.0))
 
 
 def is_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = STATE_TOL) -> bool:
     """Idempotent with |‖ω‖ − 1| ≤ tol: a nonzero contractive idempotent has
     norm one, and at a loose tol an idempotent of smaller norm is rejected."""
-    return _is_contractive(omega, _idempotency_defect(G, omega), tol)
+    return omega.norm > tol and contractive_defect(G, omega) <= tol
 
 
-def _is_contractive(omega: Functional, idempotency: float, tol: float) -> bool:
-    """is_contractive_idempotent, given ω's idempotency defect."""
-    return omega.norm > tol and max(idempotency, abs(omega.norm - 1.0)) <= tol
-
-
-def _require_contractive(omega: Functional, idempotency: float, tol: float, what: str):
+def _require_contractive(G: FiniteQuantumGroup, omega: Functional, tol: float, what: str):
     """Raise ValueError(what), with ω's idempotency defect and norm, unless
     ω is a contractive idempotent at tol floored at STATE_TOL."""
-    if not _is_contractive(omega, idempotency, max(tol, STATE_TOL)):
-        raise ValueError(f"{what} (idempotency defect {idempotency:.3e}, norm {omega.norm:.6f})")
+    if not is_contractive_idempotent(G, omega, max(tol, STATE_TOL)):
+        raise ValueError(f"{what} (idempotency defect {idempotency_defect(G, omega):.3e}, norm {omega.norm:.6f})")
 
 
 def group_like_defect(G: FiniteQuantumGroup, sigma: Functional, u: AlgebraElement) -> float:
@@ -114,15 +121,15 @@ def is_haar_idempotent(G: FiniteQuantumGroup, sigma: Functional, tol: float = CH
     """An idempotent state comes from the Haar state of a quantum subgroup
     exactly when its null space is a two-sided ideal, i.e. when the support
     projection of its density is central."""
-    return _is_central(_haar_centrality(G, sigma, tol), tol)
+    return is_central(_haar_support(G, sigma, tol), tol)
 
 
-def _haar_centrality(G: FiniteQuantumGroup, sigma: Functional, tol: float) -> tuple:
-    """_centrality of supp σ, once σ passes is_haar_idempotent's entry check."""
+def _haar_support(G: FiniteQuantumGroup, sigma: Functional, tol: float) -> AlgebraElement:
+    """supp σ, once σ passes is_haar_idempotent's entry check."""
     state_tol = max(tol, STATE_TOL)
     if not (is_idempotent(G, sigma, state_tol) and sigma.is_state(state_tol)):
         raise ValueError("is_haar_idempotent expects an idempotent state")
-    return _centrality(support_projection(sigma.density))
+    return support_projection(sigma.density)
 
 
 @dataclass(eq=False)
@@ -152,20 +159,15 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     idempotent states, the partial isometry v reconstructs ω from either
     side, and Δ(v) − v⊗v vanishes in the induced seminorms.  When the
     absolute value is a Haar idempotent, the associated quantum subgroup and
-    group-like character are extracted; each centrality number of supp |ω|_r
-    is computed once, then compared at tol here and at STATE_TOL by the quotient."""
-    _require_contractive(omega, _idempotency_defect(G, omega), tol, "not a contractive idempotent")
-    return _decompose(G, omega, polar_decompose(omega), tol)
-
-
-def _decompose(G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, tol: float) -> ContractiveIdempotentReport:
-    """decompose from the polar parts of an ω known to be a contractive idempotent."""
+    group-like character are extracted; the support s of |ω|_r keeps its
+    centrality numbers (s.centrality), compared at tol here and at
+    STATE_TOL by the quotient."""
+    _require_contractive(G, omega, tol, "not a contractive idempotent")
     state_tol = max(tol, STATE_TOL)
+    parts = polar_decompose(omega)
     abs_r, abs_l = parts.abs_r, parts.abs_l
-    idempotency = []
     for sigma, side in ((abs_r, "right"), (abs_l, "left")):
-        idempotency.append(_idempotency_defect(G, sigma))
-        if sigma.norm <= state_tol or idempotency[-1] > state_tol:
+        if sigma.norm <= state_tol or idempotency_defect(G, sigma) > state_tol:
             raise RuntimeError(f"{side} absolute value is not idempotent")
         if not sigma.is_state(state_tol):
             raise RuntimeError(f"{side} absolute value is not a state")
@@ -183,13 +185,14 @@ def _decompose(G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, tol:
             f"round trips ({roundtrip_r:.3e}, {roundtrip_l:.3e})"
         )
     # is_haar_idempotent without its entry check, which the loop above made
-    centrality = _centrality(support_projection(abs_r.density))
-    haar = _is_central(centrality, tol)
+    support = support_projection(abs_r.density)
+    haar = is_central(support, tol)
     subgroup = character = gap = None
     if haar:
-        subgroup, character, gap = _subgroup_character(G, omega, parts, centrality, tol)
-    return ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar,
-                                       roundtrip_r, roundtrip_l, *idempotency, subgroup, character, gap)
+        subgroup, character, gap = _subgroup_character(G, omega, parts, support, tol)
+    return ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar, roundtrip_r, roundtrip_l,
+                                       idempotency_defect(G, abs_r), idempotency_defect(G, abs_l),
+                                       subgroup, character, gap)
 
 
 def extract_subgroup_character(
@@ -198,25 +201,24 @@ def extract_subgroup_character(
     """For a contractive idempotent whose right absolute value is a Haar
     idempotent: the quantum subgroup carried by its support together with the
     group-like unitary u = π(v), satisfying ω = h_H(π(·)u) and abs_r = abs_l."""
-    _require_contractive(omega, _idempotency_defect(G, omega), tol,
-                         "extract_subgroup_character expects a contractive idempotent")
+    _require_contractive(G, omega, tol, "extract_subgroup_character expects a contractive idempotent")
     parts = polar_decompose(omega)
-    centrality = _haar_centrality(G, parts.abs_r, tol)
-    if not _is_central(centrality, tol):
+    support = _haar_support(G, parts.abs_r, tol)
+    if not is_central(support, tol):
         raise ValueError("absolute value is not a Haar idempotent")
-    return _subgroup_character(G, omega, parts, centrality, tol)[:2]
+    return _subgroup_character(G, omega, parts, support, tol)[:2]
 
 
 def _subgroup_character(
-    G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, centrality: tuple, tol: float
+    G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, support: AlgebraElement, tol: float
 ) -> tuple[QuantumSubgroup, AlgebraElement, float]:
-    """extract_subgroup_character from the polar data of ω and the centrality
-    numbers of supp |ω|_r, once ω is known to be a Haar idempotent, with the
-    gap ‖|ω|_r − |ω|_l‖ that it checks."""
+    """extract_subgroup_character from the polar data of ω and the support
+    of |ω|_r, once ω is known to be a Haar idempotent, with the gap
+    ‖|ω|_r − |ω|_l‖ that it checks."""
     gap = (parts.abs_r - parts.abs_l).norm
     if gap > tol:
         raise RuntimeError("Haar case must have equal absolute values")
-    sub = _quotient_by_support(G, centrality, parts.abs_r, STATE_TOL)
+    sub = quotient_by_support(G, support, parts.abs_r, STATE_TOL)
     u = sub.apply(parts.u)
     if not u.is_unitary(tol):
         raise RuntimeError("extracted character is not unitary on the subgroup")
@@ -318,4 +320,6 @@ def _fmt_complex(z: complex) -> str:
     z = complex(z)
     if abs(z.imag) < _FMT_ZERO:
         return f"{z.real:+.3g}"
+    if abs(z.real) < _FMT_ZERO:
+        return f"{z.imag:+.3g}i"
     return f"{z.real:+.3g}{z.imag:+.3g}i"

@@ -8,6 +8,7 @@ unitaries."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,8 +21,7 @@ from .algebra import (
     AlgebraElement,
     Functional,
     MultiMatrixAlgebra,
-    _centrality,
-    _is_central,
+    is_central,
     tensor_algebra,
 )
 from .groups import GroupTable
@@ -29,6 +29,7 @@ from .groups import GroupTable
 _RANK_RTOL = 1e-8          # relative cutoff of the rank tests on structure equations
 _FAITHFUL_CUTOFF = 1e-12   # least relative eigenvalue of a faithful dual Haar trace
 _STAR_TOL = 1e-7           # largest ‖L(f♯) − L(f)†‖ of the dual regular representation
+_DUAL_SEED = 11            # seed of the Wedderburn split of the dual convolution algebra
 
 
 @dataclass(eq=False)
@@ -91,6 +92,12 @@ class FiniteQuantumGroup:
         """Corner quotients built and structure-verified so far, by kept-block
         tuple; filled by quotient_by_support."""
         return {}
+
+    @cached_property
+    def idempotency(self) -> weakref.WeakKeyDictionary:
+        """Idempotency defects ‖ω⋆ω − ω‖ measured so far, by functional;
+        filled by idempotents.idempotency_defect."""
+        return weakref.WeakKeyDictionary()
 
     @cached_property
     def sharp_matrix(self) -> np.ndarray:
@@ -343,7 +350,7 @@ def _solve_dual_haar(G: FiniteQuantumGroup) -> np.ndarray:
     return _solve_invariant(np.vstack([rows_r, rows_l]), ce, STATE_TOL, "dual Haar state")
 
 
-def _dual_regular_split(G: FiniteQuantumGroup, seed: int = 11):
+def _dual_regular_split(G: FiniteQuantumGroup):
     """Wedderburn data of the convolution *-algebra (A*, ⋆, ♯) acting on the
     GNS space of its Haar trace.  Returns (eta, lt, split) with lt the list
     of left multiplication matrices in orthonormal coordinates."""
@@ -364,8 +371,7 @@ def _dual_regular_split(G: FiniteQuantumGroup, seed: int = 11):
     star_res = _star_residual(msharp, lt)
     if star_res > _STAR_TOL:
         raise ValueError(f"dual regular representation is not a *-rep (residual {star_res:.2e})")
-    rng = np.random.default_rng(seed)
-    split = wedderburn.decompose(lt, rt, rng)
+    split = wedderburn.decompose(lt, rt, np.random.default_rng(_DUAL_SEED))
     return eta, lt, split
 
 
@@ -377,16 +383,14 @@ def _star_residual(msharp: np.ndarray, lt: list[np.ndarray]) -> float:
     return float(np.linalg.norm(sharp_images - np.conj(np.swapaxes(stack, 1, 2)), 2, axis=(1, 2)).max())
 
 
-def dual_pair(
-    G: FiniteQuantumGroup, seed: int = 11, tol: float = STATE_TOL
-) -> tuple[FiniteQuantumGroup, np.ndarray]:
+def dual_pair(G: FiniteQuantumGroup) -> tuple[FiniteQuantumGroup, np.ndarray]:
     """The dual quantum group plus the transform phi whose column b is the
     vec, in the dual algebra, of the image of the b-th dual basis functional."""
-    rep = verify_axioms(G, tol)
+    rep = verify_axioms(G, STATE_TOL)
     if not rep.passed:
         raise ValueError(f"dual() requires a verified quantum group; failures: {rep.failures()}")
     dim = G.dim
-    eta, lt, split = _dual_regular_split(G, seed)
+    eta, lt, split = _dual_regular_split(G)
     phi = split.map_matrix(lt)
     cond = np.linalg.cond(phi)
     if cond > 1e8:
@@ -414,26 +418,26 @@ def dual_pair(
     return dual_group, phi
 
 
-def dual(G: FiniteQuantumGroup, seed: int = 11, tol: float = STATE_TOL) -> FiniteQuantumGroup:
+def dual(G: FiniteQuantumGroup) -> FiniteQuantumGroup:
     """The dual quantum group on A*: product = convolution, coproduct dual to
     multiplication, counit = evaluation at 1, antipode = transpose of S.
 
     The abstract convolution algebra is realized as a multi-matrix algebra by
     numerically splitting its regular representation."""
-    return dual_pair(G, seed=seed, tol=tol)[0]
+    return dual_pair(G)[0]
 
 
-def group_like_unitaries(G: FiniteQuantumGroup, seed: int = 11, tol: float = CHECK_TOL) -> list[AlgebraElement]:
+def group_like_unitaries(G: FiniteQuantumGroup) -> list[AlgebraElement]:
     """All group-like unitaries of G, i.e. the *-characters of the dual
     convolution algebra (its one-dimensional blocks)."""
-    _, lt, split = _dual_regular_split(G, seed)
+    _, lt, split = _dual_regular_split(G)
     out = []
     for d, q in zip(split.block_dims, split.isometries):
         if d != 1:
             continue
         values = np.array([(q.conj().T @ m @ q).item() for m in lt])
         u = G.algebra.from_vec(values)
-        if is_group_like(G, u, tol):
+        if is_group_like(G, u):
             out.append(u)
         else:  # numerical character that fails verification signals a bug
             raise RuntimeError("extracted dual character is not a group-like unitary")
@@ -499,7 +503,6 @@ class _Corner:
     counit: Functional
     antipode: np.ndarray
     well_defined: float             # intertwining defect of the compression
-    surjective: bool
     structure: dict | None = None   # verify_axioms rows outside HAAR_ROWS, once run
 
 
@@ -517,7 +520,6 @@ def _corner(G: FiniteQuantumGroup, full: np.ndarray) -> _Corner:
         counit=Functional.from_covector(sub_alg, proj @ G.counit.covector),
         antipode=proj @ G.antipode @ proj.T,
         well_defined=_intertwining_defect(G, sub_alg, proj, comult),
-        surjective=_numerical_rank(proj) == sub_alg.dim,
     )
 
 
@@ -535,21 +537,15 @@ def quotient_by_support(
     fails exactly when s is not the support of a Haar idempotent.
 
     The corner's structure (comultiplication, counit, antipode, projection),
-    its intertwining defect, surjectivity and the non-Haar axiom rows depend
-    only on the kept blocks, so they are computed once per group and kept
-    set (``G.corners``).  Every call checks the centrality of s and the Haar
-    rows of its own Haar state, and compares all numbers at its own
-    tolerance.  Each centrality number of s (projection defect, block norms of
-    s and s − 1) is computed once, here or by decompose, and compared at each
-    caller's tolerance."""
-    return _quotient_by_support(G, _centrality(s), haar_state, tol)
-
-
-def _quotient_by_support(G: FiniteQuantumGroup, centrality: tuple, haar_state, tol: float) -> QuantumSubgroup:
-    """quotient_by_support from the numbers algebra._centrality gives for s."""
-    if not _is_central(centrality, tol):
+    its intertwining defect and the non-Haar axiom rows depend only on the
+    kept blocks, so they are computed once per group and kept set
+    (``G.corners``).  Every call checks the centrality of s, read off
+    s.centrality, and the Haar rows of its own Haar state, and compares all
+    numbers at its own tolerance.  π is a coordinate compression onto the
+    kept blocks, surjective by construction."""
+    if not is_central(s, tol):
         raise ValueError("support projection is not central")
-    full = centrality[1][1] <= tol
+    full = s.centrality[1][1] <= tol
     if not full.any():
         raise ValueError("support projection is zero")
     kept = tuple(np.flatnonzero(full).tolist())
@@ -584,6 +580,4 @@ def _quotient_by_support(G: FiniteQuantumGroup, centrality: tuple, haar_state, t
             f"corner structure fails quantum group axioms: {rep.failures()}; "
             "the projection is not the support of a Haar idempotent"
         )
-    if not corner.surjective:
-        raise ValueError("corner compression is not surjective")
     return QuantumSubgroup(parent=G, target=target, projection=corner.projection, kept_blocks=kept, axioms=rep)

@@ -7,7 +7,7 @@ functional."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -16,8 +16,7 @@ import numpy as np
 from .algebra import (CHECK_TOL, CP_FLOOR, RANK_CUTOFF, STATE_TOL, AlgebraElement, Functional, MultiMatrixAlgebra,
                       PolarParts, _as_complex, polar_decompose)
 from .convolution import ConvolutionOperator, commutes_with_right_convolutions
-from .idempotents import (ContractiveIdempotentReport, _decompose, _idempotency_defect, _is_contractive,
-                          _require_contractive, is_contractive_idempotent)
+from .idempotents import ContractiveIdempotentReport, _require_contractive, decompose, is_contractive_idempotent
 from .qgroup import FiniteQuantumGroup, _numerical_rank
 
 
@@ -88,6 +87,18 @@ class OperatorSubspace:
                 OperatorSubspace.from_spanning(A, A.multiply(stars[:, None, :], basis[None, :, :])))
 
     @cached_property
+    def invariance(self) -> weakref.WeakKeyDictionary:
+        """Right-invariance defects measured so far, by group; filled by right_invariance."""
+        return weakref.WeakKeyDictionary()
+
+    def right_invariance(self, G: FiniteQuantumGroup) -> float:
+        """invariance_defect(G, X), measured once per group and kept in X.invariance."""
+        defect = self.invariance.get(G)
+        if defect is None:
+            defect = self.invariance[G] = invariance_defect(G, self)
+        return defect
+
+    @cached_property
     def rank_deficit(self) -> int:
         """dim A minus the smaller rank of span(X·A) and span(A·X), at _RANK_RTOL."""
         A = self.algebra
@@ -132,8 +143,9 @@ def is_nondegenerate(X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
 
 
 def is_right_invariant(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
-    """R_ν(X) ⊆ X for ν over the dual basis, hence for every functional."""
-    return invariance_defect(G, X) <= tol
+    """R_ν(X) ⊆ X for ν over the dual basis, hence for every functional:
+    X.right_invariance(G) ≤ tol."""
+    return X.right_invariance(G) <= tol
 
 
 def invariance_defect(G: FiniteQuantumGroup, X: OperatorSubspace) -> float:
@@ -201,9 +213,8 @@ def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHE
     """The extension of L_ω to a conditional expectation of M₂(A) onto the
     linking algebra of its image: entrywise left convolutions by the linking
     functional Ω = [[|ω|_r, ω], [ω̄, |ω|_l]]."""
-    analysis = Analysis(G, omega, tol)
-    analysis.require("build_expectation requires a contractive idempotent")
-    return analysis.expectation
+    _require_contractive(G, omega, tol, "build_expectation requires a contractive idempotent")
+    return Analysis(G, omega, tol).expectation
 
 
 @dataclass(eq=False)
@@ -337,9 +348,8 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
     Each identity is linear or conjugate-linear in the factor that runs over
     a basis, so it holds on the whole span iff it holds on that basis; each
     is read off the expectation's bimodule commutators (_tro_residuals)."""
-    analysis = Analysis(G, omega, tol)
-    analysis.require("check_tro_expectation requires a contractive idempotent")
-    return analysis.tro_report
+    _require_contractive(G, omega, tol, "check_tro_expectation requires a contractive idempotent")
+    return Analysis(G, omega, tol).tro_report
 
 
 def _tro_residuals(A: MultiMatrixAlgebra, commutators: dict) -> tuple[dict, dict]:
@@ -388,23 +398,19 @@ def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
     by the sharp involution, which makes its left convolution GNS
     self-adjoint, so the candidate is exact whenever X arises from one.  If
     the projection fails to commute with the right convolutions the subspace
-    is reported as not recoverable."""
-    return _recover(G, X, tol, invariance_defect(G, X),
-                    lambda: tuple(invariance_defect(G, c) for c in X.product_spans))
+    is reported as not recoverable.
 
-
-def _recover(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float, invariance: float,
-             linking_invariance: Callable[[], tuple[float, float]]) -> RecoveryResult:
-    """recover_idempotent from the invariance defect of X and a callable that
-    gives those of ⟨XX*⟩ and ⟨X*X⟩, called once X is a nondegenerate
-    invariant TRO; X caches its TRO and rank defects.  X* is not measured:
-    its defect is X's, as R_ν(x)* = R_ν̄(x*) with ν̄(a) = conj(ν(a*)), which
-    permutes the dual basis, and a ↦ a* is a Hilbert-Schmidt isometry onto X*."""
+    X caches its TRO, rank and invariance defects, and the invariance
+    defects of its product spans ⟨XX*⟩ and ⟨X*X⟩ are read once X is a
+    nondegenerate invariant TRO.  X* is not measured: its defect is X's, as
+    R_ν(x)* = R_ν̄(x*) with ν̄(a) = conj(ν(a*)), which permutes the dual
+    basis, and a ↦ a* is a Hilbert-Schmidt isometry onto X*."""
     reasons = [reason for reason, defect in (("not a TRO", X.tro_defect), ("not nondegenerate", X.rank_deficit),
-                                              ("X is not right invariant", invariance)) if not defect <= tol]
+                                              ("X is not right invariant", X.right_invariance(G)))
+               if not defect <= tol]
     if not reasons:
         reasons = [f"{side} linking algebra is not right invariant"
-                   for side, defect in zip(("left", "right"), linking_invariance()) if not defect <= tol]
+                   for side, c in zip(("left", "right"), X.product_spans) if not c.right_invariance(G) <= tol]
     weights = G.haar_weight_vec
     if not reasons and weights.min() <= 0:
         reasons.append("Haar weights not positive")
@@ -425,41 +431,27 @@ def _recover(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float, invariance:
 
 class Analysis:
     """The paper's chain for one functional ω on G, each stage computed once,
-    on first use: ω's idempotency defect; past the contractive guard, which
-    raises ValueError unless ω is a contractive idempotent at tol floored at
-    STATE_TOL, its polar parts and decomposition, the image X = L_ω(A), its
-    linking algebra, the Schur expectation of Ω = [[|ω|_r, ω], [ω̄, |ω|_l]],
-    its bimodule commutators with the linking algebra, which both its
-    checks and the TRO-expectation report read, the right-invariance defects
-    of X and of the linking corners, and the recovery of ω from X, which
-    reads them, each at tol.  A plain class: a frozen dataclass slows the import."""
+    on first use, from the facts its objects keep: past the contractive
+    guard, which raises ValueError unless ω is a contractive idempotent at
+    tol floored at STATE_TOL, reading G.idempotency, its polar parts and
+    decomposition, the image X = L_ω(A), its linking algebra, the Schur
+    expectation of Ω = [[|ω|_r, ω], [ω̄, |ω|_l]], its bimodule commutators
+    with the linking algebra, which both its checks and the TRO-expectation
+    report read, and the recovery of ω from X, which reads the invariance
+    defects X and its product spans keep, each at tol.  A plain class: a
+    frozen dataclass slows the import."""
 
     def __init__(self, group: FiniteQuantumGroup, omega: Functional, tol: float):
         self.group, self.omega, self.tol = group, omega, tol
 
     @cached_property
-    def idempotency_defect(self) -> float:
-        return _idempotency_defect(self.group, self.omega)
-
-    @property
-    def contractive_defect(self) -> float:
-        """max(‖ω⋆ω − ω‖, |‖ω‖ − 1|)"""
-        return max(self.idempotency_defect, abs(self.omega.norm - 1.0))
-
-    def is_contractive(self, tol: float) -> bool:
-        return _is_contractive(self.omega, self.idempotency_defect, tol)
-
-    def require(self, what: str):
-        _require_contractive(self.omega, self.idempotency_defect, self.tol, what)
-
-    @cached_property
     def parts(self) -> PolarParts:
-        self.require("not a contractive idempotent")
+        _require_contractive(self.group, self.omega, self.tol, "not a contractive idempotent")
         return polar_decompose(self.omega)
 
     @cached_property
     def decomposition(self) -> ContractiveIdempotentReport:
-        return _decompose(self.group, self.omega, self.parts, self.tol)
+        return decompose(self.group, self.omega, self.tol)
 
     @cached_property
     def expectation(self) -> SchurExpectation:
@@ -493,14 +485,5 @@ class Analysis:
                                     self.image, is_tro(self.image, self.tol))
 
     @cached_property
-    def image_invariance(self) -> float:
-        return invariance_defect(self.group, self.image)
-
-    @cached_property
-    def linking_invariance(self) -> tuple[float, float]:
-        """The invariance defects of ⟨XX*⟩ and ⟨X*X⟩."""
-        return tuple(invariance_defect(self.group, c) for c in (self.linking.left, self.linking.right))
-
-    @cached_property
     def recovery(self) -> RecoveryResult:
-        return _recover(self.group, self.image, self.tol, self.image_invariance, lambda: self.linking_invariance)
+        return recover_idempotent(self.group, self.image, self.tol)

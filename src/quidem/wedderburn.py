@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import CHECK_TOL
 
 _CLUSTER_GAP = 1e-6   # least relative gap between distinct eigenvalues or characters
+_MAX_ATTEMPTS = 12    # random commutant elements drawn before giving up
 
 
 @dataclass(eq=False)
@@ -50,44 +51,39 @@ def _cluster(eigenvalues: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def decompose(
-    left_mults: list[np.ndarray],
-    right_mults: list[np.ndarray],
-    rng: np.random.Generator,
-    max_attempts: int = 12,
-    tol: float = CHECK_TOL,
-) -> BlockSplit:
+def decompose(left_mults: list[np.ndarray], right_mults: list[np.ndarray], rng: np.random.Generator) -> BlockSplit:
     """Split C^N into one irreducible left submodule per block.
 
     left_mults/right_mults: N×N matrices of left/right multiplication by each
     basis element, in coordinates where left multiplication is a
     *-representation (orthonormal GNS coordinates of a faithful trace).
+    An eigenspace counts as invariant within CHECK_TOL.
     """
     n = left_mults[0].shape[0]
     last_error = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _MAX_ATTEMPTS + 1):
         coeff = rng.standard_normal(len(right_mults)) + 1j * rng.standard_normal(len(right_mults))
         x = sum(c * r for c, r in zip(coeff, right_mults))
         h = x + x.conj().T
         w, v = np.linalg.eigh(h)
         clusters = _cluster(w)
         try:
-            return _extract(left_mults, v, clusters, n, tol)
+            return _extract(left_mults, v, clusters, n)
         except _SplitFailure as exc:  # unlucky sample; retry with fresh coefficients
             import logging   # on first use: at start-up it slows every CLI run by 5-15 ms
 
             logging.getLogger(__name__).debug(
-                "block decomposition attempt %d/%d failed: %s", attempt, max_attempts, exc
+                "block decomposition attempt %d/%d failed: %s", attempt, _MAX_ATTEMPTS, exc
             )
             last_error = exc
-    raise RuntimeError(f"block decomposition failed after {max_attempts} attempts: {last_error}")
+    raise RuntimeError(f"block decomposition failed after {_MAX_ATTEMPTS} attempts: {last_error}")
 
 
 class _SplitFailure(Exception):
     pass
 
 
-def _extract(left_mults, v, clusters, n, tol) -> BlockSplit:
+def _extract(left_mults, v, clusters, n) -> BlockSplit:
     reps = []
     for idx in clusters:
         q = v[:, idx]
@@ -95,7 +91,7 @@ def _extract(left_mults, v, clusters, n, tol) -> BlockSplit:
         residual = max(
             float(np.linalg.norm(lb @ q - q @ (q.conj().T @ lb @ q), 2)) for lb in left_mults
         )
-        if residual > tol:
+        if residual > CHECK_TOL:
             raise _SplitFailure(f"cluster is not an invariant subspace (residual {residual:.2e})")
         char = np.array([np.trace(q.conj().T @ lb @ q) for lb in left_mults])
         reps.append((q, char))

@@ -143,6 +143,18 @@ def test_malformed_document_errors(tmp_path, kp):
         from_document({**doc, "comult": [[[1e308, 1e308]] * len(row) for row in doc["comult"]]})
 
 
+@pytest.mark.parametrize("key, scale", [("comult", 1e200), ("antipode", 1e300)])
+def test_overflowing_axiom_check_is_a_spec_error(kp, key, scale):
+    """Finite structure data whose axiom-check products overflow raise
+    QGSpecError, with no RuntimeWarning on the way."""
+    doc = to_document(kp)
+    scaled = [[[re * scale, im * scale] for re, im in row] for row in doc[key]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QGSpecError, match="axiom check cannot run .*overflow"):
+            from_document({**doc, key: scaled})
+
+
 def test_axiom_failure_on_load_warns(tmp_path, cz4):
     doc = to_document(cz4)
     doc["antipode"][0][0] = [0.5, 0.0]

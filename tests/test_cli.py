@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -210,8 +211,9 @@ def test_tro_and_nondegeneracy_rows_are_measured(capsys):
 def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     """Every row of one command reads one Analysis.  decompose checks ω,
     |ω|_r and |ω|_l for idempotency once each, tro ω and the recovered
-    functional; the contractive verdict is read off ω's one defect, so
-    is_contractive_idempotent runs only on the recovered functional; and
+    functional; is_contractive_idempotent, the row's verdict and every
+    guard, reads those defects (G.idempotency) and is asked about nothing
+    else; and
     G.left_matrix runs once per covector of ω, |ω|_r and |ω|_l, plus ω̄ (the
     fourth entry of the linking functional) and the recovered functional.
     invariance_defect runs in tro only, once per subspace: on the image X
@@ -264,7 +266,7 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     assert len(kernel) == 1
     recovered = ["other"] if command == "tro" else []
     assert names("idempotency") == (["ω", "|ω|_r", "|ω|_l"] if command == "decompose" else ["ω", *recovered])
-    assert names("contractive") == recovered
+    assert set(names("contractive")) == {"ω", *recovered}
     assert sorted(names("left_matrix")) == sorted(["ω", "|ω|_r", "|ω|_l", "ω̄", *recovered])
     if command == "decompose":
         assert measured == []
@@ -393,6 +395,62 @@ def test_malformed_tolerance_is_named(capsys, command, tol):
     assert code == 1 and captured.err == ""
     assert [(row["name"], row["passed"]) for row in rows] == [("inputs valid", False)]
     assert "--tol" in rows[0]["note"]
+
+
+def _strict_json(text):
+    """json.loads refusing NaN and Infinity, which strict JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} in a JSON report")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _scaled_document(G, key, scale):
+    doc = to_document(G)
+    pairs = doc[key] if key in ("counit", "haar") else [pair for row in doc[key] for pair in row]
+    for pair in pairs:
+        pair[:] = [pair[0] * scale, pair[1] * scale]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["decompose", "tro", "explore"])
+@pytest.mark.parametrize("value", ["1e155", "1e308"])
+def test_overflowing_density_is_an_invalid_input(capsys, command, value):
+    """A finite density whose ω⋆ω is beyond double precision (‖ω‖² = inf) is
+    an input error: one failing "inputs valid" row, strict JSON, and no
+    RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--group", "builtin:czn:4", "--functional",
+                     f"density:[[{value},0],[0,0],[0,0],[0,0]]", "--json"])
+    captured = capsys.readouterr()
+    rows = _strict_json(captured.out)["checks"]
+    assert code == 1 and captured.err == ""
+    assert [(row["name"], row["passed"]) for row in rows] == [("inputs valid", False)]
+    assert "double precision" in rows[0]["note"]
+
+
+@pytest.mark.parametrize("key, scale, argv", [
+    ("comult", 1e200, ["verify"]),
+    ("antipode", 1e300, ["verify"]),
+    ("comult", 1e200, ["tro", "--functional", "counit"]),
+    ("haar", 1e200, ["tro", "--functional", "haar"]),
+])
+def test_overflowing_document_is_an_invalid_input(capsys, tmp_path, key, scale, argv):
+    """A file: document scaled so that its axiom check overflows, or with a
+    Haar functional too large for ω⋆ω, gives one failing "inputs valid" row
+    and strict JSON, with no RuntimeWarning.  The Haar document loads, and
+    warns that its Haar rows fail."""
+    path = tmp_path / "scaled.qgspec"
+    path.write_text(json.dumps(_scaled_document(builtin("czn:4"), key, scale)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], "--group", f"file:{path}", *argv[1:], "--json"])
+    captured = capsys.readouterr()
+    rows = _strict_json(captured.out)["checks"]
+    assert code == 1 and captured.err == ""
+    assert [(row["name"], row["passed"]) for row in rows] == [("inputs valid", False)]
+    assert [str(w.message).split(":")[0] for w in caught] == (["loaded quantum group fails axioms"]
+                                                               if key == "haar" else [])
 
 
 def test_absolute_values_row_is_measured(capsys):

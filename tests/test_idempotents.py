@@ -4,6 +4,7 @@ idempotents, including the classical oracles and abelian Fourier duality."""
 import numpy as np
 import pytest
 
+import quidem.idempotents
 from quidem import (
     Functional,
     GroupTable,
@@ -15,6 +16,7 @@ from quidem import (
     group_algebra,
     is_haar_idempotent,
     sharp,
+    symmetric,
 )
 
 from quidem.algebra import AlgebraElement, MultiMatrixAlgebra, polar_decompose, support_projection
@@ -380,3 +382,27 @@ def test_haar_decompose_computes_each_fact_once(cz6, monkeypatch):
     rep = decompose(cz6, omega)
     assert rep.haar and rep.subgroup.kept_blocks == (0, 3)
     assert counts == {"block_norms": 1, "is_unitary": 1}
+
+
+def test_character_labels_print_no_roundoff():
+    """Parts below 1e-12 print as zero, so ±i prints as "±1i", not with the
+    roundoff of cos(π/2) on C(Z4) and on the order-4 cyclic subgroups of C(S4)."""
+    labels = [item.label for item in enumerate_function_algebra(function_algebra(cyclic(4)))]
+    assert "H={0,1,2,3}, chi=[+1,-1i,-1,+1i]" in labels and "H={0,1,2,3}, chi=[+1,+1i,-1,-1i]" in labels
+    S4 = function_algebra(symmetric(4))
+    values = [item.label.split("chi=[")[1].rstrip("]").split(",") for item in enumerate_function_algebra(S4)
+              if len(item.subgroup) == 4 and max(map(S4.table.element_order, item.subgroup)) == 4]
+    assert len(values) == 12 and sum("+1i" in chi for chi in values) == 6
+    assert all(set(chi) <= {"+1", "-1", "+1i", "-1i"} for chi in values)
+
+
+def test_contractive_verdict_and_decompose_measure_omega_once(gd4, monkeypatch):
+    """is_contractive_idempotent, then decompose, on one ω: ω's idempotency
+    defect is computed once, kept in G.idempotency for decompose, and
+    |ω|_r and |ω|_l are measured once each."""
+    measured, kernel = [], quidem.idempotents._idempotency_defect
+    monkeypatch.setattr(quidem.idempotents, "_idempotency_defect", lambda G, f: measured.append(f) or kernel(G, f))
+    omega = enumerate_group_algebra(gd4)[12].functional
+    assert is_contractive_idempotent(gd4, omega)
+    rep = decompose(gd4, omega)
+    assert measured == [omega, rep.abs_r, rep.abs_l]

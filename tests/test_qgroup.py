@@ -21,7 +21,7 @@ from quidem import (
 )
 from quidem import wedderburn
 from quidem.algebra import is_central, polar_decompose, support_projection
-from quidem.idempotents import enumerate_function_algebra, enumerate_group_algebra
+from quidem.idempotents import decompose, enumerate_function_algebra, enumerate_group_algebra
 from quidem.qgroup import (
     AXIOM_ROWS,
     FiniteQuantumGroup,
@@ -270,6 +270,9 @@ def test_cached_corner_matches_fresh_build(name):
         assert repeat.axioms.defects == fresh.axioms.defects
     # one corner per distinct support, however many idempotents share it
     assert set(G.corners) == kept_sets
+    # π compresses onto coordinates, so it is onto: the oracle on every corner decompose builds
+    reports = [decompose(G, omega) for omega in idempotents(G)]
+    assert all(rep.subgroup.is_surjective() for rep in reports if rep.haar)
 
 
 def test_cached_corner_rechecks_the_haar_state():

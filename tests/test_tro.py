@@ -2,10 +2,14 @@
 algebras, the entrywise conditional expectation, and recovery of the
 idempotent from its TRO."""
 
+import sys
+import threading
 from functools import cached_property
 
 import numpy as np
 import pytest
+import quidem.idempotents
+import quidem.tro
 from quidem import (
     MultiMatrixAlgebra,
     cyclic,
@@ -330,6 +334,59 @@ def test_subspace_facts_are_computed_once(gd4, monkeypatch):
     assert recover_idempotent(gd4, X).ok
     assert sorted(calls) == ["product_spans", "rank_deficit", "tro_defect"]
     assert (link.left, link.right) == X.product_spans
+
+
+def test_tro_report_calls_compute_each_fact_once(gd4, monkeypatch):
+    """The public calls of one TRO report on C*(D4) index:12, in turn:
+    X = L_ω(A) and both linking corners are measured for right invariance
+    once each, and ω's idempotency defect once, which the guards of
+    check_tro_expectation and build_expectation share."""
+    measured, idempotency = [], []
+    invariance, kernel = quidem.tro.invariance_defect, quidem.idempotents._idempotency_defect
+    monkeypatch.setattr(quidem.tro, "invariance_defect", lambda G, X: measured.append(X) or invariance(G, X))
+    for module in (quidem.idempotents, quidem.tro):
+        monkeypatch.setattr(module, "_idempotency_defect", lambda G, f: idempotency.append(f) or kernel(G, f),
+                            raising=False)
+    omega, tol = enumerate_group_algebra(gd4)[12].functional, 1e-8
+    assert check_tro_expectation(gd4, omega, tol).passed(tol)
+    X = image_subspace(left_conv_operator(gd4, omega))
+    assert is_tro(X, tol) and is_nondegenerate(X, tol)
+    link = linking_algebra(X, tol)
+    assert all(is_right_invariant(gd4, Y, tol) for Y in (X, link.left, link.right))
+    E = build_expectation(gd4, omega, tol)
+    assert expectation_checks(E, link).passed(tol) and preserves_weight(E, tol)
+    recovery = recover_idempotent(gd4, X, tol)
+    assert recovery.ok
+    assert measured == [X, link.left, link.right]
+    assert [f for f in idempotency if f is omega] == [omega]
+
+
+def test_shared_caches_hold_under_threads(gd4):
+    """Threads that share one group and one subspace, switching every
+    microsecond, each read ω's idempotency defect and X's invariance defect:
+    every read and each cache's one entry equal the measurement taken alone."""
+    omega = enumerate_group_algebra(gd4)[12].functional
+    X = image_subspace(left_conv_operator(gd4, omega))
+    want = (quidem.idempotents._idempotency_defect(gd4, omega), quidem.tro.invariance_defect(gd4, X))
+    reads = []
+
+    def work():
+        for _ in range(20):
+            reads.append((quidem.idempotents.idempotency_defect(gd4, omega), X.right_invariance(gd4)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert reads == [want] * 160
+    assert gd4.idempotency[omega] == want[0] and dict(X.invariance) == {gd4: want[1]}
 
 
 def test_subspace_is_immutable(cz4):
