@@ -343,6 +343,17 @@ class AlgebraElement:
         norms = alg.block_norms([v - alg.adjoint(v), alg.multiply(v, v) - v, v, v - alg.identity().vec])
         return float(norms[:2].max()), norms[2:]
 
+    @cached_property
+    def support(self) -> "AlgebraElement":
+        """The projection support_projection returns; taken once."""
+        alg = self.algebra
+        factors = alg.eigh(self.vec)
+        threshold = RANK_CUTOFF * max(0.0, max(w.max() for _, w, _ in factors))
+        out = np.empty(alg.dim, dtype=np.complex128)
+        for idx, w, v in factors:
+            out[idx] = ((v * (w > threshold)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
+        return alg.from_vec(out)
+
     def __repr__(self):
         return f"AlgebraElement(blocks={self.algebra.block_dims}, norm={self.operator_norm:.4g})"
 
@@ -459,13 +470,9 @@ def polar_decompose(omega: Functional) -> PolarParts:
 
 def support_projection(x: AlgebraElement) -> AlgebraElement:
     """Support projection of a positive element (range projection per block),
-    keeping eigenvalues above RANK_CUTOFF times the largest positive one."""
-    factors = x.algebra.eigh(x.vec)
-    threshold = RANK_CUTOFF * max(0.0, max(w.max() for _, w, _ in factors))
-    out = np.empty(x.algebra.dim, dtype=np.complex128)
-    for idx, w, v in factors:
-        out[idx] = ((v * (w > threshold)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
-    return x.algebra.from_vec(out)
+    keeping eigenvalues above RANK_CUTOFF times the largest positive one:
+    x.support, taken once."""
+    return x.support
 
 
 def is_central(p: AlgebraElement, tol: float = STATE_TOL) -> bool:

@@ -5,14 +5,11 @@ one-dimensional characters."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-_SPLIT_GAP = 1e-8   # least relative gap between the eigenvalues that split C[G]
-_SNAP_TOL = 1e-12   # largest multiplicativity defect of a snapped character
-_CHARACTER_SEED = 5   # seed of the random Hermitian combination that splits C[G]
 
 
 @dataclass(frozen=True)
@@ -132,14 +129,6 @@ class GroupTable:
                 return False
         return True
 
-    def commutator_subgroup(self) -> frozenset:
-        comms = set()
-        for g in range(self.order):
-            for h in range(self.order):
-                c = self.op(self.op(g, h), self.op(self.inverse[g], self.inverse[h]))
-                comms.add(c)
-        return self.closure(comms)
-
     def subtable(self, subgroup: frozenset) -> tuple["GroupTable", list[int]]:
         """Group table of a subgroup; also returns the element list in table order."""
         elems = sorted(subgroup)
@@ -147,22 +136,6 @@ class GroupTable:
         mult = tuple(tuple(pos[self.op(a, b)] for b in elems) for a in elems)
         names = tuple(self.names[g] for g in elems)
         return GroupTable(mult, names), elems
-
-    def quotient(self, normal: frozenset) -> tuple["GroupTable", list[int]]:
-        """Quotient by a normal subgroup; returns the table and the map
-        element index -> coset index."""
-        if not self.is_normal(normal):
-            raise ValueError("quotient requires a normal subgroup")
-        cosets = self.left_cosets(normal)
-        lookup = {}
-        for ci, c in enumerate(cosets):
-            for g in c:
-                lookup[g] = ci
-        mult = tuple(
-            tuple(lookup[self.op(min(a), min(b))] for b in cosets) for a in cosets
-        )
-        table = GroupTable(mult)
-        return table, [lookup[g] for g in range(self.order)]
 
 
 def cyclic(n: int) -> GroupTable:
@@ -201,62 +174,50 @@ def symmetric(n: int) -> GroupTable:
     return GroupTable(mult, names)
 
 
-def _snap_root_of_unity(z: complex, order: int) -> complex:
-    """Round z to the nearest order-th root of unity."""
-    angle = np.angle(z)
-    k = round(angle / (2 * np.pi / order)) % order
-    return complex(np.exp(2j * np.pi * k / order))
+def characters(table: GroupTable) -> list[np.ndarray]:
+    """One-dimensional characters of a finite group, as value vectors over
+    the elements: the homomorphisms G → Q/Z, found in integers.
 
-
-def abelian_characters(table: GroupTable) -> list[np.ndarray]:
-    """All characters of an abelian group, as value vectors over the elements.
-
-    Simultaneously diagonalizes the regular representation with a random
-    Hermitian combination, then snaps eigenvalues to exact roots of unity.
-    """
-    n = table.order
-    if n == 1:
-        return [np.array([1.0 + 0.0j])]
-    perms = []
-    for g in range(n):
-        p = np.zeros((n, n))
-        for h in range(n):
-            p[table.op(g, h), h] = 1.0
-        perms.append(p)
-    rng = np.random.default_rng(_CHARACTER_SEED)
-    for _ in range(20):
-        coeff = rng.standard_normal(n)
-        skew = rng.standard_normal(n)
-        h = sum(c * (p + p.T) + 1j * s * (p - p.T) for c, s, p in zip(coeff, skew, perms))
-        w, v = np.linalg.eigh(h)
-        if np.min(np.diff(w)) > _SPLIT_GAP * max(1.0, abs(w).max()):
-            break
-    else:
-        raise RuntimeError("failed to split the regular representation of an abelian group")
-    chars = []
-    for j in range(n):
-        vec = v[:, j]
-        raw = np.array([np.vdot(vec, p @ vec) for p in perms])
-        snapped = np.array(
-            [_snap_root_of_unity(raw[g], table.element_order(g)) for g in range(n)]
-        )
-        chars.append(snapped)
-    # characters must be distinct, multiplicative and n in number
-    uniq = {tuple(np.round(c, 12)) for c in chars}
-    if len(uniq) != n:
-        raise RuntimeError("character extraction produced duplicates")
-    for c in chars:
-        for g in range(n):
-            for h in range(n):
-                if abs(c[table.op(g, h)] - c[g] * c[h]) > _SNAP_TOL:
-                    raise RuntimeError("snapped character is not multiplicative")
+    A character sends each generator s (taken greedily, largest order first)
+    to some exp(2πi k_s/ord(s)).  Each tuple (k_s) is spread from the
+    identity along right multiplication by the generators, and is a
+    character exactly when no element receives two phases.  χ(g) is written
+    exp(2πi k/m), m the order of g's image in G/[G,G]: the lcm over all
+    characters of the order of χ(g)."""
+    gens, span = [], {table.identity}
+    for g in sorted(range(table.order), key=table.element_order, reverse=True):
+        if g not in span:
+            gens.append(g)
+            span = table.closure(gens)
+    orders = [table.element_order(s) for s in gens]
+    lcm = math.lcm(*orders)
+    phases = []
+    for ks in itertools.product(*(range(o) for o in orders)):
+        phase = _spread(table, gens, [k * (lcm // o) for k, o in zip(ks, orders)], lcm)
+        if phase is not None:
+            phases.append(phase)
+    denominators = [math.lcm(*(lcm // math.gcd(p[g], lcm) for p in phases)) for g in range(table.order)]
+    chars = [
+        np.array([complex(np.exp(2j * np.pi * (p[g] * m // lcm) / m)) for g, m in enumerate(denominators)])
+        for p in phases
+    ]
     chars.sort(key=lambda c: tuple(zip(np.round(c.real, 9), np.round(c.imag, 9))))
     return chars
 
 
-def characters(table: GroupTable) -> list[np.ndarray]:
-    """One-dimensional characters of an arbitrary finite group, i.e. the
-    characters of its abelianization pulled back along the quotient map."""
-    comm = table.commutator_subgroup()
-    quot, proj = table.quotient(comm)
-    return [np.array([chi[proj[g]] for g in range(table.order)]) for chi in abelian_characters(quot)]
+def _spread(table: GroupTable, gens: list[int], steps: list[int], lcm: int) -> list[int] | None:
+    """Phases in Z_lcm from phase(e) = 0 and phase(g·s) = phase(g) + step(s),
+    breadth first over the generators; None at the first element reached
+    with two different phases."""
+    phase = [None] * table.order
+    phase[table.identity] = 0
+    queue = [table.identity]
+    for g in queue:   # the queue grows as the loop runs
+        for s, step in zip(gens, steps):
+            h, p = table.mult[g][s], (phase[g] + step) % lcm
+            if phase[h] is None:
+                phase[h] = p
+                queue.append(h)
+            elif phase[h] != p:
+                return None
+    return phase

@@ -19,7 +19,6 @@ from .algebra import (
     act_right,
     is_central,
     polar_decompose,
-    support_projection,
 )
 from .convolution import convolve
 from .groups import characters
@@ -121,15 +120,10 @@ def is_haar_idempotent(G: FiniteQuantumGroup, sigma: Functional, tol: float = CH
     """An idempotent state comes from the Haar state of a quantum subgroup
     exactly when its null space is a two-sided ideal, i.e. when the support
     projection of its density is central."""
-    return is_central(_haar_support(G, sigma, tol), tol)
-
-
-def _haar_support(G: FiniteQuantumGroup, sigma: Functional, tol: float) -> AlgebraElement:
-    """supp σ, once σ passes is_haar_idempotent's entry check."""
     state_tol = max(tol, STATE_TOL)
     if not (is_idempotent(G, sigma, state_tol) and sigma.is_state(state_tol)):
         raise ValueError("is_haar_idempotent expects an idempotent state")
-    return support_projection(sigma.density)
+    return is_central(sigma.density.support, tol)
 
 
 @dataclass(eq=False)
@@ -185,11 +179,10 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
             f"round trips ({roundtrip_r:.3e}, {roundtrip_l:.3e})"
         )
     # is_haar_idempotent without its entry check, which the loop above made
-    support = support_projection(abs_r.density)
-    haar = is_central(support, tol)
+    haar = is_central(abs_r.density.support, tol)
     subgroup = character = gap = None
     if haar:
-        subgroup, character, gap = _subgroup_character(G, omega, parts, support, tol)
+        subgroup, character, gap = _subgroup_character(G, omega, parts, tol)
     return ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar, roundtrip_r, roundtrip_l,
                                        idempotency_defect(G, abs_r), idempotency_defect(G, abs_l),
                                        subgroup, character, gap)
@@ -203,22 +196,20 @@ def extract_subgroup_character(
     group-like unitary u = π(v), satisfying ω = h_H(π(·)u) and abs_r = abs_l."""
     _require_contractive(G, omega, tol, "extract_subgroup_character expects a contractive idempotent")
     parts = polar_decompose(omega)
-    support = _haar_support(G, parts.abs_r, tol)
-    if not is_central(support, tol):
+    if not is_haar_idempotent(G, parts.abs_r, tol):
         raise ValueError("absolute value is not a Haar idempotent")
-    return _subgroup_character(G, omega, parts, support, tol)[:2]
+    return _subgroup_character(G, omega, parts, tol)[:2]
 
 
 def _subgroup_character(
-    G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, support: AlgebraElement, tol: float
+    G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, tol: float
 ) -> tuple[QuantumSubgroup, AlgebraElement, float]:
-    """extract_subgroup_character from the polar data of ω and the support
-    of |ω|_r, once ω is known to be a Haar idempotent, with the gap
-    ‖|ω|_r − |ω|_l‖ that it checks."""
+    """extract_subgroup_character from the polar data of ω, once ω is known
+    to be a Haar idempotent, with the gap ‖|ω|_r − |ω|_l‖ that it checks."""
     gap = (parts.abs_r - parts.abs_l).norm
     if gap > tol:
         raise RuntimeError("Haar case must have equal absolute values")
-    sub = quotient_by_support(G, support, parts.abs_r, STATE_TOL)
+    sub = quotient_by_support(G, parts.abs_r.density.support, parts.abs_r, STATE_TOL)
     u = sub.apply(parts.u)
     if not u.is_unitary(tol):
         raise RuntimeError("extracted character is not unitary on the subgroup")

@@ -1,9 +1,13 @@
 """Group tables: validation, subgroup lattices, cosets, characters."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from quidem.groups import GroupTable, abelian_characters, characters, cyclic, dihedral, symmetric
+from quidem.catalogue import builtin
+from quidem.groups import GroupTable, characters, cyclic, dihedral, symmetric
+from quidem.idempotents import enumerate_function_algebra
 
 
 def test_table_validation_rejects_junk():
@@ -83,14 +87,21 @@ def test_normality():
     assert not d4.is_normal(refl)
 
 
-def test_commutator_subgroup_s3():
-    s3 = symmetric(3)
-    comm = s3.commutator_subgroup()
-    assert len(comm) == 3  # alternating subgroup
+def _cyclic_product(*ns):
+    """Z_n1 × ... × Z_nr, its elements the tuples g in lexicographic order."""
+    elems = list(itertools.product(*map(range, ns)))
+    pos = {g: i for i, g in enumerate(elems)}
+    mult = tuple(tuple(pos[tuple((a + b) % n for a, b, n in zip(g, h, ns))] for h in elems) for g in elems)
+    return GroupTable(mult), elems
 
 
-def test_abelian_characters_z4():
-    chars = abelian_characters(cyclic(4))
+def _derived_subgroup(table):
+    return table.closure({table.op(table.op(g, h), table.op(table.inverse[g], table.inverse[h]))
+                          for g in range(table.order) for h in range(table.order)})
+
+
+def test_characters_z4():
+    chars = characters(cyclic(4))
     assert len(chars) == 4
     table = cyclic(4)
     for chi in chars:
@@ -102,19 +113,64 @@ def test_abelian_characters_z4():
     assert values == [(-1 + 0j), -1j, 1j, (1 + 0j)]
 
 
+@pytest.mark.parametrize("ns", [(1,), (2,), (5,), (12,), (16,), (2, 2), (2, 4), (3, 6), (2, 2, 2), (4, 4), (2, 3, 5)])
+def test_characters_of_cyclic_products_match_closed_form(ns):
+    """The characters of Z_n1 × ... × Z_nr are g ↦ Π_r exp(2πi j_r g_r/n_r),
+    one per tuple j."""
+    table, elems = _cyclic_product(*ns)
+    closed = [np.array([np.prod([np.exp(2j * np.pi * jr * gr / n) for jr, gr, n in zip(j, g, ns)]) for g in elems])
+              for j in itertools.product(*map(range, ns))]
+    chars = characters(table)
+    assert len(chars) == len(closed) == table.order
+    for chi in chars:
+        assert sum(np.abs(chi - c).max() < 1e-12 for c in closed) == 1
+
+
+@pytest.mark.parametrize("table", [symmetric(3), symmetric(4), dihedral(4), dihedral(5), dihedral(6)],
+                         ids=["S3", "S4", "D4", "D5", "D6"])
+def test_character_count_is_abelianization_order(table):
+    """A nonabelian group has [G:G′] characters, each trivial on G′ = ⟨ghg⁻¹h⁻¹⟩."""
+    derived = _derived_subgroup(table)
+    chars = characters(table)
+    assert len(chars) == table.order // len(derived)
+    assert all(chi[g] == 1 for chi in chars for g in derived)
+
+
+@pytest.mark.parametrize("table", [cyclic(16), symmetric(4), dihedral(6), _cyclic_product(3, 6)[0]],
+                         ids=["Z16", "S4", "D6", "Z3xZ6"])
+def test_characters_are_multiplicative_to_roundoff(table):
+    """χ(g) = exp(2πi k/m) is exact up to the roundoff of its angle, at most
+    3 eps relative on |2πk/m| < 2π, so about 19 eps absolute per value: three
+    angles, the product and the exponentials stay under 64 eps (1.4e-14).
+    It is 1.2e-15 on Z16, so 1e-15 is below roundoff."""
+    for chi in characters(table):
+        for g, h in itertools.product(range(table.order), repeat=2):
+            assert abs(chi[table.op(g, h)] - chi[g] * chi[h]) <= 64 * np.finfo(float).eps
+
+
+def test_trivial_group_has_one_character():
+    chars = characters(GroupTable(((0,),)))
+    assert len(chars) == 1 and chars[0].tolist() == [1.0]
+
+
+def test_characters_draw_no_random_numbers(monkeypatch):
+    """The characters are integer homomorphisms: no seeded draw, no retry."""
+    G = builtin("cfun:sn:4")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("characters drew a random number")
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert len(characters(symmetric(4))) == 2
+    # Σ_H [H:H′] over the 30 subgroups of S4
+    assert len(enumerate_function_algebra(G)) == 84
+
+
 def test_characters_of_nonabelian_factor_through_abelianization():
     s3 = symmetric(3)
     chars = characters(s3)
     assert len(chars) == 2  # trivial and sign
-    comm = s3.commutator_subgroup()
+    a3 = s3.closure([s3.names.index("120")])
+    assert len(a3) == 3
     for chi in chars:
-        for g in comm:
+        for g in a3:
             assert chi[g] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_quotient_group():
-    d4 = dihedral(4)
-    center = d4.closure([2])  # {e, r^2}
-    quotient, proj = d4.quotient(center)
-    assert quotient.order == 4
-    assert len(set(proj)) == 4

@@ -406,3 +406,22 @@ def test_contractive_verdict_and_decompose_measure_omega_once(gd4, monkeypatch):
     assert is_contractive_idempotent(gd4, omega)
     rep = decompose(gd4, omega)
     assert measured == [omega, rep.abs_r, rep.abs_l]
+
+
+def test_support_of_abs_r_is_taken_once(gd4, monkeypatch):
+    """decompose, extract_subgroup_character and is_haar_idempotent(G, |ω|_r)
+    on one Haar ω share one support of |ω|_r, kept on its density: one
+    eigendecomposition and one block_norms call for the three."""
+    counts = {"eigh": 0, "block_norms": 0}
+    for name in counts:
+        def spy(*args, _orig=getattr(MultiMatrixAlgebra, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(MultiMatrixAlgebra, name, spy)
+    omega = enumerate_group_algebra(gd4)[0].functional
+    rep = decompose(gd4, omega)
+    assert rep.haar
+    extract_subgroup_character(gd4, omega)
+    assert is_haar_idempotent(gd4, rep.abs_r)
+    assert counts == {"eigh": 1, "block_norms": 1}
+    assert support_projection(rep.abs_r.density) is rep.abs_r.density.support
