@@ -35,22 +35,16 @@ class GroupTable:
 
     def _validate(self):
         n = self.order
-        ident = None
-        for e in range(n):
-            if all(self.mult[e][g] == g and self.mult[g][e] == g for g in range(n)):
-                ident = e
-                break
-        if ident is None:
+        m = np.array(self.mult, dtype=np.intp).reshape(n, n)
+        units = np.flatnonzero((m == np.arange(n)).all(axis=1) & (m.T == np.arange(n)).all(axis=1))
+        if units.size == 0:
             raise ValueError("table has no identity element")
-        object.__setattr__(self, "_identity", ident)
-        for g in range(n):
-            if ident not in self.mult[g]:
-                raise ValueError(f"element {g} has no inverse")
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    if self.mult[self.mult[g][h]][k] != self.mult[g][self.mult[h][k]]:
-                        raise ValueError("table is not associative")
+        object.__setattr__(self, "_identity", int(units[0]))
+        lacking = np.flatnonzero(~(m == units[0]).any(axis=1))
+        if lacking.size:
+            raise ValueError(f"element {lacking[0]} has no inverse")
+        if not np.array_equal(m[m], m[:, m]):   # (gh)k against g(hk), all triples at once
+            raise ValueError("table is not associative")
 
     @property
     def order(self) -> int:

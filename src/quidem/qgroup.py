@@ -190,11 +190,11 @@ HAAR_ROWS = AXIOM_ROWS[10:14]
 def verify_axioms(G: FiniteQuantumGroup, tol: float = STATE_TOL) -> AxiomReport:
     """Compute defect norms for every quantum-group axiom.
 
-    Every defect is an operator norm (or a rank deficit, for the cancellation
-    laws) and should vanish for a genuine finite quantum group.  Each norm is
-    the largest over a stack of basis images, taken by the blockwise kernel
-    of the algebra the images live in.  The rows are the structure rows
-    together with the Haar rows, in the order of AXIOM_ROWS.
+    Every defect is an operator norm and vanishes for a genuine finite
+    quantum group; the cancellation rows take it of T T⁻¹ − id for the Galois
+    maps T.  Each norm is the largest over a stack of basis images, taken by
+    the blockwise kernel of the algebra the images live in.  The rows are the
+    structure rows together with the Haar rows, in the order of AXIOM_ROWS.
     """
     return _axiom_report(_structure_defects(G), G, tol)
 
@@ -223,36 +223,44 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
 
     # coassociativity, measured in the triple tensor algebra
     d3 = G.d3
-    diff = np.einsum("ijm,mkc->cijk", d3, d3, optimize=True) - np.einsum("jkm,imc->cijk", d3, d3, optimize=True)
+    first = np.einsum("ijm,mkc->cijk", d3, d3, optimize=True)    # (Δ⊗id)Δ(e_c)
+    second = np.einsum("jkm,imc->cijk", d3, d3, optimize=True)   # (id⊗Δ)Δ(e_c)
     t3 = tensor_algebra(AA, A)
     pos3 = t3.positions.reshape(AA.dim, dim)[G.pos_matrix, :]
     vec3 = np.zeros((dim, t3.algebra.dim), dtype=np.complex128)
-    vec3[:, pos3] = diff
+    vec3[:, pos3] = first - second
     defects["coassociativity"] = t3.algebra.max_operator_norm(vec3)
 
     ce = G.counit.covector
     defects["counit_left"] = A.max_operator_norm((G.left_matrix(ce) - ident).T)
     defects["counit_right"] = A.max_operator_norm((G.right_matrix(ce) - ident).T)
 
-    # antipode laws m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ
     ms = G.mult_tensor
     s_mat = G.antipode
-    rhs = np.einsum("c,o->co", ce, one)
-    defects["antipode_left"] = A.max_operator_norm(np.einsum("ijc,ki,okj->co", d3, s_mat, ms, optimize=True) - rhs)
-    defects["antipode_right"] = A.max_operator_norm(np.einsum("ijc,kj,oik->co", d3, s_mat, ms, optimize=True) - rhs)
+    defects["antipode_left"], defects["antipode_right"] = _antipode_defects(A, d3, ms, ce, s_mat)
     defects["antipode_involutive"] = A.max_operator_norm((s_mat @ s_mat - ident).T)
     # S(a*) = S(a)* checked on the matrix-unit basis
     star_mat = ident[:, star]
     defects["antipode_star"] = A.max_operator_norm((s_mat @ star_mat - star_mat @ np.conj(s_mat)).T)
 
-    # quantum cancellation laws: span Δ(A)(A⊗1) = A⊗A = span Δ(A)(1⊗A)
-    legs = ts.positions.reshape(dim, dim)
-    for name, side in (("cancellation_left", legs), ("cancellation_right", legs.T)):
-        factors = np.zeros((dim, AA.dim), dtype=np.complex128)
-        factors[:, side] = ident[:, :, None] * one   # e_j ⊗ 1, or 1 ⊗ e_j
-        rows = AA.multiply(images[:, None, :], factors[None, :, :]).reshape(dim * dim, AA.dim)
-        defects[name] = float(AA.dim - _numerical_rank(rows))
+    # cancellation laws: T₁(x⊗y) = Δ(x)(1⊗y) and T₂(x⊗y) = (x⊗1)Δ(y) are onto if T₁⁻¹(a⊗b) = a₍₁₎⊗S(a₍₂₎)b
+    # and T₂⁻¹(a⊗b) = aS(b₍₁₎)⊗b₍₂₎ are right inverses; T T⁻¹ − id is A-linear in the leg that carries 1
+    left = np.einsum("cijk,lk,ojl->cio", first, s_mat, ms, optimize=True)     # T₁T₁⁻¹(e_c⊗1)
+    right = np.einsum("cijk,li,olj->cko", second, s_mat, ms, optimize=True)   # T₂T₂⁻¹(1⊗e_c), legs flipped
+    for name, image, legs in (("cancellation_left", left, G.pos_matrix),
+                              ("cancellation_right", right, G.pos_matrix.T)):
+        vec = np.zeros((dim, AA.dim), dtype=np.complex128)
+        vec[:, legs] = image - ident[:, :, None] * one   # minus e_c⊗1 as [c, i, o] = δ_ci 1_o
+        defects[name] = AA.max_operator_norm(vec)
     return defects
+
+
+def _antipode_defects(algebra: MultiMatrixAlgebra, d3: np.ndarray, ms: np.ndarray, counit: np.ndarray,
+                      s_mat: np.ndarray) -> tuple[float, float]:
+    """The largest norms of m(S⊗id)Δ(e_c) − ε(e_c)1 and of m(id⊗S)Δ(e_c) − ε(e_c)1."""
+    rhs = np.einsum("c,o->co", counit, algebra.identity().vec)
+    return (algebra.max_operator_norm(np.einsum("ijc,ki,okj->co", d3, s_mat, ms, optimize=True) - rhs),
+            algebra.max_operator_norm(np.einsum("ijc,kj,oik->co", d3, s_mat, ms, optimize=True) - rhs))
 
 
 def _haar_defects(G: FiniteQuantumGroup) -> dict:
@@ -320,22 +328,20 @@ def solve_antipode(
     counit: Functional,
     tol: float = STATE_TOL,
 ) -> np.ndarray:
-    """The antipode as the convolution inverse of the identity map: the
-    unique S with m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ, solved as a linear system."""
+    """The antipode from strong invariance of the Haar state h on basis pairs,
+    S((id⊗h)(Δ(a)(1⊗b))) = (id⊗h)((1⊗a)Δ(b)), a dim × dim² least-squares
+    system; S is returned once it meets m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ within tol."""
     dim = algebra.dim
-    ts = tensor_algebra(algebra, algebra)
-    d3 = comult[ts.positions.reshape(dim, dim), :]
+    d3 = comult[tensor_algebra(algebra, algebra).positions.reshape(dim, dim), :]
     ms = _mult_tensor(algebra)
-    c1 = np.einsum("ijc,okj->coki", d3, ms).reshape(dim * dim, dim * dim)
-    c2 = np.einsum("ijc,oik->cokj", d3, ms).reshape(dim * dim, dim * dim)
-    rhs = np.einsum("c,o->co", counit.covector, algebra.identity().vec).reshape(dim * dim)
-    a = np.vstack([c1, c2])
-    b = np.concatenate([rhs, rhs])
-    flat, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.abs(a @ flat - b).max())
+    h = np.einsum("o,oab->ab", solve_haar_state(algebra, comult, tol).covector, ms)   # h(e_a e_b)
+    m1 = np.einsum("IJa,Jb->Iab", d3, h).reshape(dim, dim * dim)
+    m2 = np.einsum("IJb,aJ->Iab", d3, h).reshape(dim, dim * dim)
+    s_mat = np.linalg.lstsq(m1.T, m2.T, rcond=None)[0].T
+    residual = max(_antipode_defects(algebra, d3, ms, counit.covector, s_mat))
     if residual > tol:
         raise ValueError(f"antipode solve failed (residual {residual:.2e})")
-    return flat.reshape(dim, dim)
+    return s_mat
 
 
 def _solve_dual_haar(G: FiniteQuantumGroup) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quidem import (
+    FiniteQuantumGroup,
     Functional,
     cyclic,
     dihedral,
@@ -50,6 +51,22 @@ def gd4():
 @pytest.fixture(scope="session")
 def kp():
     return kac_paljutkin()
+
+
+@pytest.fixture(scope="session")
+def cm(cz2):
+    """C(M) of the monoid M = {1, 0} (element 1 at index 0, the absorbing 0 at
+    index 1): Δf(s, t) = f(st), ε = δ₁ and the invariant state δ₀.  M has no
+    inverses, so C(M) has no antipode; S = id stands in for one."""
+    comult = np.zeros((4, 2))
+    comult[cz2.ts.positions, [0, 1, 1, 1]] = 1.0
+    return FiniteQuantumGroup(
+        algebra=cz2.algebra,
+        comult=comult,
+        counit=Functional.from_covector(cz2.algebra, np.array([1.0, 0.0])),
+        antipode=np.eye(2),
+        haar=Functional.from_covector(cz2.algebra, np.array([0.0, 1.0])),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,14 @@ def test_table_validation_rejects_junk():
         GroupTable(((0, 1), (0, 1)))
 
 
+def test_table_validation_rejects_a_loop():
+    """An order-5 loop: a two-sided identity and an inverse in every row, and
+    still (1·1)·2 = 2 ≠ 4 = 1·(1·2)."""
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    with pytest.raises(ValueError, match="^table is not associative$"):
+        GroupTable(loop)
+
+
 def test_cyclic_basics():
     z6 = cyclic(6)
     assert z6.order == 6

@@ -6,7 +6,10 @@ that they call the per-block helpers defined here (`_norm`, `_residual`,
 `_ref_*`) in place of library code that now goes through the blockwise
 kernel, so an oracle shares no arithmetic with what it checks.  Every defect
 must agree within 1e-12 and every pass/fail verdict must be identical,
-also on deliberately broken inputs.
+also on deliberately broken inputs.  `_ref_solve_antipode` and
+`_ref_cancellation_rank_deficits` are the earlier library forms of the
+antipode solve (the 2·dim² × dim² system of the antipode laws) and of the
+cancellation rows (numerical ranks of the spans Δ(A)(A⊗1) and Δ(A)(1⊗A)).
 """
 
 import warnings
@@ -37,7 +40,15 @@ from quidem.idempotents import (
     enumerate_function_algebra,
     enumerate_group_algebra,
 )
-from quidem.qgroup import FiniteQuantumGroup, _dual_regular_split, _star_residual, _structure_defects, verify_axioms
+from quidem.qgroup import (
+    FiniteQuantumGroup,
+    _dual_regular_split,
+    _star_residual,
+    _structure_defects,
+    dual,
+    solve_antipode,
+    verify_axioms,
+)
 from quidem.tro import (
     LinkingAlgebra,
     OperatorSubspace,
@@ -272,16 +283,58 @@ def ref_verify_axioms(G):
         _norm(A.from_vec(right_h[:, c] - ch[c] * G.algebra.identity().vec)) for c in range(dim)
     )
 
+    # T₁(x⊗y) = Δ(x)(1⊗y) applied to T₁⁻¹(e_c⊗1) = Σ c₍₁₎⊗S(c₍₂₎), and
+    # T₂(x⊗y) = (x⊗1)Δ(y) applied to T₂⁻¹(1⊗e_c) = Σ S(c₍₁₎)⊗c₍₂₎
     one = A.identity()
-    rows_left = np.empty((dim * dim, AA.dim), dtype=np.complex128)
-    rows_right = np.empty((dim * dim, AA.dim), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(dim):
-            rows_left[i * dim + j] = (images[i] * ts.element(basis[j], one)).vec
-            rows_right[i * dim + j] = (images[i] * ts.element(one, basis[j])).vec
-    defects["cancellation_left"] = float(AA.dim - _ref_numerical_rank(rows_left))
-    defects["cancellation_right"] = float(AA.dim - _ref_numerical_rank(rows_right))
+    antipodes = [A.from_vec(s_mat[:, j]) for j in range(dim)]
+    left, right = 0.0, 0.0
+    for c in range(dim):
+        t1 = -ts.element(basis[c], one)
+        t2 = -ts.element(one, basis[c])
+        for i in range(dim):
+            for j in range(dim):
+                t1 = t1 + d3[i, j, c] * (images[i] * ts.element(one, antipodes[j]))
+                t2 = t2 + d3[i, j, c] * (ts.element(antipodes[i], one) * images[j])
+        left, right = max(left, _norm(t1)), max(right, _norm(t2))
+    defects["cancellation_left"] = left
+    defects["cancellation_right"] = right
     return defects
+
+
+def _ref_solve_antipode(algebra, comult, counit, tol=1e-9):
+    """The antipode as the solution of m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ, one
+    2·dim² × dim² least-squares system."""
+    dim = algebra.dim
+    ts = tensor_algebra(algebra, algebra)
+    d3 = comult[ts.positions.reshape(dim, dim), :]
+    ms = _ref_mult_tensor(algebra)
+    c1 = np.einsum("ijc,okj->coki", d3, ms).reshape(dim * dim, dim * dim)
+    c2 = np.einsum("ijc,oik->cokj", d3, ms).reshape(dim * dim, dim * dim)
+    rhs = np.einsum("c,o->co", counit.covector, algebra.identity().vec).reshape(dim * dim)
+    a = np.vstack([c1, c2])
+    b = np.concatenate([rhs, rhs])
+    flat, *_ = np.linalg.lstsq(a, b, rcond=None)
+    residual = float(np.abs(a @ flat - b).max())
+    if residual > tol:
+        raise ValueError(f"antipode solve failed (residual {residual:.2e})")
+    return flat.reshape(dim, dim)
+
+
+def _ref_cancellation_rank_deficits(G):
+    """dim(A⊗A) minus the numerical rank of the spans Δ(A)(A⊗1) and
+    Δ(A)(1⊗A), the earlier cancellation rows."""
+    A, AA, ts = G.algebra, G.ts.algebra, G.ts
+    dim = A.dim
+    images = G.comult.T
+    one = A.identity().vec
+    legs = ts.positions.reshape(dim, dim)
+    deficits = []
+    for side in (legs, legs.T):
+        factors = np.zeros((dim, AA.dim), dtype=np.complex128)
+        factors[:, side] = np.eye(dim)[:, :, None] * one   # e_j ⊗ 1, or 1 ⊗ e_j
+        rows = AA.multiply(images[:, None, :], factors[None, :, :]).reshape(dim * dim, AA.dim)
+        deficits.append(float(AA.dim - _ref_numerical_rank(rows)))
+    return deficits
 
 
 def ref_is_tro(X, tol):
@@ -637,12 +690,42 @@ def test_verify_axioms_matches_loop_form(case):
     assert not verify_axioms(_broken(G), 1e-9).passed
 
 
+BUILTINS_TO_DIM_24 = (
+    [f"czn:{n}" for n in range(1, 25)] + [f"cstar:zn:{n}" for n in range(1, 25)]
+    + [f"cstar:dn:{n}" for n in range(1, 13)] + [f"cfun:sn:{n}" for n in range(1, 5)]
+    + [f"cstar:sn:{n}" for n in range(1, 5)] + ["kp"]
+)
+
+
+@pytest.mark.parametrize("spec", BUILTINS_TO_DIM_24 + ["dual(kp)"])
+def test_antipode_and_cancellation_match_the_linear_system_and_ranks(spec):
+    """The antipode read off strong invariance is the solution of the
+    2·dim² × dim² system of the antipode laws, and the cancellation rows
+    pass exactly when the spans Δ(A)(A⊗1) and Δ(A)(1⊗A) have full rank."""
+    G = dual(builtin("kp")) if spec == "dual(kp)" else builtin(spec)
+    want = _ref_solve_antipode(G.algebra, G.comult, G.counit)
+    assert np.abs(solve_antipode(G.algebra, G.comult, G.counit) - want).max() <= 1e-12
+    defects = verify_axioms(G).defects
+    for deficit, row in zip(_ref_cancellation_rank_deficits(G), ("cancellation_left", "cancellation_right")):
+        assert (deficit == 0) == (defects[row] <= 1e-9)
+
+
+def test_cancellation_verdicts_on_the_monoid_algebra(cm):
+    """On C(M) both forms fail: the spans lose rank and the residuals read 1."""
+    defects = verify_axioms(cm).defects
+    for deficit, row in zip(_ref_cancellation_rank_deficits(cm), ("cancellation_left", "cancellation_right")):
+        assert deficit > 0 and defects[row] == 1.0
+    for solve in (solve_antipode, _ref_solve_antipode):
+        with pytest.raises(ValueError, match="^antipode solve failed"):
+            solve(cm.algebra, cm.comult, cm.counit)
+
+
 @pytest.mark.parametrize("spec", ["cstar:sn:4", "czn:8", "kp"])
 def test_optimized_einsums_match_unoptimized(spec, monkeypatch):
-    """The antipode and coassociativity rows of _structure_defects let einsum
-    choose a contraction order (optimize=True); the unoptimized einsum, one
-    summation in the written order, is their oracle, on the group and on a
-    broken copy."""
+    """The antipode, coassociativity and cancellation rows of
+    _structure_defects let einsum choose a contraction order (optimize=True);
+    the unoptimized einsum, one summation in the written order, is their
+    oracle, on the group and on a broken copy."""
     G = builtin(spec)
     einsum = np.einsum
     for H in (G, _broken(G)):
@@ -651,7 +734,8 @@ def test_optimized_einsums_match_unoptimized(spec, monkeypatch):
             patch.setattr(np, "einsum", lambda *operands, optimize=False: einsum(*operands))
             want = _structure_defects(H)
         _assert_agree(got, want, 1e-9)
-        rows = [got[row] for row in ("antipode_left", "antipode_right", "coassociativity")]
+        rows = [got[row] for row in ("antipode_left", "antipode_right", "coassociativity",
+                                     "cancellation_left", "cancellation_right")]
         assert (max(rows) > 1e-6) == (H is not G)
 
 

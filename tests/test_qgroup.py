@@ -81,6 +81,18 @@ def test_solvers_reproduce_structure(cz4):
     assert np.linalg.norm(s - cz4.antipode) < 1e-9
 
 
+def test_monoid_algebra_fails_cancellation_and_has_no_antipode(cm):
+    """Negative control: T₁T₁⁻¹ and T₂T₂⁻¹ miss the identity by 1 on C(M),
+    and solving for an antipode from the invariant state δ₀ fails its laws."""
+    report = verify_axioms(cm, 1e-9)
+    assert report.defects["cancellation_left"] == 1.0
+    assert report.defects["cancellation_right"] == 1.0
+    assert not report.passed
+    assert np.allclose(solve_haar_state(cm.algebra, cm.comult).covector, [0.0, 1.0], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="^antipode solve failed"):
+        solve_antipode(cm.algebra, cm.comult, cm.counit)
+
+
 def test_dual_of_function_algebra_is_group_algebra_shape(cz4):
     d = dual(cz4)
     assert d.algebra.block_dims == (1, 1, 1, 1)
