@@ -16,12 +16,12 @@ from .groups import GroupTable, cyclic, dihedral, symmetric
 from .qgroup import (
     FiniteQuantumGroup,
     dual_pair,
+    plancherel_state,
     solve_antipode,
-    solve_haar_state,
     verify_axioms,
 )
 
-_KP_SOLVE_TOL = 1e-10   # largest residual of the Kac-Paljutkin antipode and Haar solves
+_KP_SOLVE_TOL = 1e-10   # largest residual of the Kac-Paljutkin counit and antipode laws
 _KP_AXIOM_TOL = 1e-12   # largest Kac-Paljutkin axiom defect
 
 
@@ -36,13 +36,12 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
     counit = Functional.from_covector(alg, np.eye(n)[table.identity])
     antipode = np.zeros((n, n))
     antipode[table.inverse, np.arange(n)] = 1.0
-    haar = Functional.from_covector(alg, np.full(n, 1.0 / n))
     return FiniteQuantumGroup(
         algebra=alg,
         comult=comult,
         counit=counit,
         antipode=antipode,
-        haar=haar,
+        haar=plancherel_state(alg),
         name=f"C({_table_name(table)})",
         kind="function",
         table=table,
@@ -79,9 +78,10 @@ def kac_paljutkin() -> FiniteQuantumGroup:
     with Ω_g = (u_g⊗1)·(|00⟩+|11⟩)/√2 the Bell-type entangled vectors in
     the M₂⊗M₂ corner; the right tensor legs carry the transposed
     conjugations (which swap u_3 and u_4), and that asymmetry is exactly
-    what makes the structure noncocommutative.  The antipode and Haar state
-    are recovered from the axioms as linear systems, and the construction
-    is rejected unless every axiom holds to _KP_AXIOM_TOL."""
+    what makes the structure noncocommutative.  The Haar state is the
+    Plancherel state of the blocks, the antipode is read off it and the
+    counit in closed form (solve_antipode), and the construction is
+    rejected unless every axiom holds to _KP_AXIOM_TOL."""
     alg = MultiMatrixAlgebra((1, 1, 1, 1, 2))
     ts = tensor_algebra(alg, alg)
     eye = np.eye(alg.dim)   # eye[g] is the vec of d_g
@@ -112,14 +112,12 @@ def kac_paljutkin() -> FiniteQuantumGroup:
                 for g in range(4)
             )
     counit = Functional.from_covector(alg, np.eye(alg.dim)[0])
-    antipode = solve_antipode(alg, comult, counit, tol=_KP_SOLVE_TOL)
-    haar = solve_haar_state(alg, comult, tol=_KP_SOLVE_TOL)
     kp = FiniteQuantumGroup(
         algebra=alg,
         comult=comult,
         counit=counit,
-        antipode=antipode,
-        haar=haar,
+        antipode=solve_antipode(alg, comult, counit, tol=_KP_SOLVE_TOL),
+        haar=plancherel_state(alg),
         name="KacPaljutkin",
         kind="kp",
     )

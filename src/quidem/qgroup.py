@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .groups import GroupTable
 
-_RANK_RTOL = 1e-8          # relative cutoff of the rank tests on structure equations
+_RANK_RTOL = 1e-8          # relative cutoff of the rank tests of is_surjective and is_nondegenerate
 _FAITHFUL_CUTOFF = 1e-12   # least relative eigenvalue of a faithful dual Haar trace
 _STAR_TOL = 1e-7           # largest ‖L(f♯) − L(f)†‖ of the dual regular representation
 _DUAL_SEED = 11            # seed of the Wedderburn split of the dual convolution algebra
@@ -232,8 +232,7 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
     defects["coassociativity"] = t3.algebra.max_operator_norm(vec3)
 
     ce = G.counit.covector
-    defects["counit_left"] = A.max_operator_norm((G.left_matrix(ce) - ident).T)
-    defects["counit_right"] = A.max_operator_norm((G.right_matrix(ce) - ident).T)
+    defects["counit_left"], defects["counit_right"] = _counit_defects(A, d3, ce)
 
     ms = G.mult_tensor
     s_mat = G.antipode
@@ -253,6 +252,13 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
         vec[:, legs] = image - ident[:, :, None] * one   # minus e_c⊗1 as [c, i, o] = δ_ci 1_o
         defects[name] = AA.max_operator_norm(vec)
     return defects
+
+
+def _counit_defects(algebra: MultiMatrixAlgebra, d3: np.ndarray, counit: np.ndarray) -> tuple[float, float]:
+    """The largest norms of (ε⊗id)Δ(e_c) − e_c and of (id⊗ε)Δ(e_c) − e_c."""
+    ident = np.eye(algebra.dim)
+    return (algebra.max_operator_norm((np.einsum("i,ijc->jc", counit, d3) - ident).T),
+            algebra.max_operator_norm((np.einsum("j,ijc->ic", counit, d3) - ident).T))
 
 
 def _antipode_defects(algebra: MultiMatrixAlgebra, d3: np.ndarray, ms: np.ndarray, counit: np.ndarray,
@@ -289,37 +295,13 @@ def cocommutativity_defect(G: FiniteQuantumGroup) -> float:
     return G.ts.algebra.max_operator_norm((G.comult[G.ts.flip] - G.comult).T)
 
 
-def solve_haar_state(
-    algebra: MultiMatrixAlgebra, comult: np.ndarray, tol: float = STATE_TOL
-) -> Functional:
-    """The unique bi-invariant state, found by solving the invariance
-    equations (ω⊗id)Δ = ω(·)1 = (id⊗ω)Δ with ω(1) = 1 as a linear system."""
-    dim = algebra.dim
-    ts = tensor_algebra(algebra, algebra)
-    d3 = comult[ts.positions.reshape(dim, dim), :]
-    one = algebra.identity().vec
-    units = np.einsum("j,ci->jci", one, np.eye(dim))   # [j, c, i] = 1_j δ_ci, on both sides
-    rows_l = (np.transpose(d3, (1, 2, 0)) - units).reshape(dim * dim, dim)
-    rows_r = (np.transpose(d3, (0, 2, 1)) - units).reshape(dim * dim, dim)
-    cov = _solve_invariant(np.vstack([rows_l, rows_r]), one, tol, "Haar state")
-    return Functional.from_covector(algebra, cov)
-
-
-def _solve_invariant(homogeneous: np.ndarray, normal: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """The unique x with homogeneous @ x = 0 and normal @ x = 1: the
-    homogeneous system must have a one-dimensional kernel (SVD rank test),
-    then the normalized system is solved by least squares."""
-    svals = np.linalg.svd(homogeneous, compute_uv=False)
-    if np.sum(svals > _RANK_RTOL * max(1.0, svals[0])) != homogeneous.shape[1] - 1:
-        raise ValueError(f"{what} is not unique; not a quantum group structure")
-    a = np.vstack([homogeneous, normal[np.newaxis, :]])
-    b = np.zeros(a.shape[0], dtype=np.complex128)
-    b[-1] = 1.0
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.abs(a @ x - b).max())
-    if residual > tol:
-        raise ValueError(f"{what} solve failed (residual {residual:.2e})")
-    return x
+def plancherel_state(algebra: MultiMatrixAlgebra) -> Functional:
+    """The Haar state of every finite quantum group on this algebra, read off
+    its block sizes: h = Σ_k (n_k/dim A)·Tr_k, the normalized trace of the
+    left regular representation (Larson-Radford, J. Algebra 117 (1988);
+    Van Daele, Proc. AMS 125 (1997))."""
+    sizes = np.array(algebra.block_dims)[algebra.coordinates[0]]
+    return Functional.from_covector(algebra, sizes / algebra.dim * algebra.identity().vec)
 
 
 def solve_antipode(
@@ -328,44 +310,37 @@ def solve_antipode(
     counit: Functional,
     tol: float = STATE_TOL,
 ) -> np.ndarray:
-    """The antipode from strong invariance of the Haar state h on basis pairs,
-    S((id⊗h)(Δ(a)(1⊗b))) = (id⊗h)((1⊗a)Δ(b)), a dim × dim² least-squares
-    system; S is returned once it meets m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ within tol."""
+    """The antipode in closed form, S(x) = (h⊗id)((x⊗1)Δ(Λ))/h(Λ), with h the
+    Plancherel state and Λ the density of the counit, the integral with
+    aΛ = ε(a)Λ = Λa.  The counit laws are checked first, then
+    m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ; S is returned once both hold within tol."""
     dim = algebra.dim
     d3 = comult[tensor_algebra(algebra, algebra).positions.reshape(dim, dim), :]
+    ce = counit.covector
+    residual = max(_counit_defects(algebra, d3, ce))
+    if not residual <= tol:
+        raise ValueError(f"antipode solve failed (counit residual {residual:.2e})")
     ms = _mult_tensor(algebra)
-    h = np.einsum("o,oab->ab", solve_haar_state(algebra, comult, tol).covector, ms)   # h(e_a e_b)
-    m1 = np.einsum("IJa,Jb->Iab", d3, h).reshape(dim, dim * dim)
-    m2 = np.einsum("IJb,aJ->Iab", d3, h).reshape(dim, dim * dim)
-    s_mat = np.linalg.lstsq(m1.T, m2.T, rcond=None)[0].T
-    residual = max(_antipode_defects(algebra, d3, ms, counit.covector, s_mat))
-    if residual > tol:
+    h = plancherel_state(algebra).covector
+    integral = counit.density.vec
+    gram = np.einsum("o,oab->ab", h, ms)   # h(e_a e_b)
+    s_mat = (gram @ (d3 @ integral)).T / (h @ integral)
+    residual = max(_antipode_defects(algebra, d3, ms, ce, s_mat))
+    if not residual <= tol:
         raise ValueError(f"antipode solve failed (residual {residual:.2e})")
     return s_mat
 
 
-def _solve_dual_haar(G: FiniteQuantumGroup) -> np.ndarray:
-    """Vector eta with dual-Haar(f) = covector(f)·eta, from the invariance
-    equations of the dual comultiplication f ↦ f∘m."""
-    dim = G.dim
-    ms = G.mult_tensor
-    ce = G.counit.covector
-    counits = np.einsum("j,ik->ijk", ce, np.eye(dim)).reshape(dim * dim, dim)   # ε_j δ_ik, on both sides
-    rows_r = ms.reshape(dim * dim, dim) - counits
-    rows_l = np.transpose(ms, (0, 2, 1)).reshape(dim * dim, dim) - counits
-    return _solve_invariant(np.vstack([rows_r, rows_l]), ce, STATE_TOL, "dual Haar state")
-
-
 def _dual_regular_split(G: FiniteQuantumGroup):
     """Wedderburn data of the convolution *-algebra (A*, ⋆, ♯) acting on the
-    GNS space of its Haar trace.  Returns (eta, lt, split) with lt the list
-    of left multiplication matrices in orthonormal coordinates."""
+    GNS space of its Haar trace f ↦ f(Λ), Λ the density of the counit.
+    Returns (lt, split) with lt the list of left multiplication matrices in
+    orthonormal coordinates."""
     dim = G.dim
     d3 = G.d3
-    eta = _solve_dual_haar(G)
     msharp = G.sharp_matrix
     conv_after_sharp = np.einsum("ai,ajc->ijc", msharp, d3)
-    gram = np.einsum("ijc,c->ij", conv_after_sharp, eta)
+    gram = np.einsum("ijc,c->ij", conv_after_sharp, G.counit.density.vec)
     gram = (gram + gram.conj().T) / 2
     evals, evecs = np.linalg.eigh(gram)
     if evals.min() <= _FAITHFUL_CUTOFF * max(1.0, evals.max()):
@@ -378,7 +353,7 @@ def _dual_regular_split(G: FiniteQuantumGroup):
     if star_res > _STAR_TOL:
         raise ValueError(f"dual regular representation is not a *-rep (residual {star_res:.2e})")
     split = wedderburn.decompose(lt, rt, np.random.default_rng(_DUAL_SEED))
-    return eta, lt, split
+    return lt, split
 
 
 def _star_residual(msharp: np.ndarray, lt: list[np.ndarray]) -> float:
@@ -396,27 +371,26 @@ def dual_pair(G: FiniteQuantumGroup) -> tuple[FiniteQuantumGroup, np.ndarray]:
     if not rep.passed:
         raise ValueError(f"dual() requires a verified quantum group; failures: {rep.failures()}")
     dim = G.dim
-    eta, lt, split = _dual_regular_split(G)
+    lt, split = _dual_regular_split(G)
     phi = split.map_matrix(lt)
     cond = np.linalg.cond(phi)
     if cond > 1e8:
         raise ValueError(f"dual splitting is ill-conditioned (cond {cond:.2e})")
     dual_alg = MultiMatrixAlgebra(split.block_dims)
     tsd = tensor_algebra(dual_alg, dual_alg)
-    big = np.einsum("bjk,pj,qk->bpq", G.mult_tensor, phi, phi)
+    big = np.einsum("bjk,pj,qk->bpq", G.mult_tensor, phi, phi, optimize=True)
     comult_cols = np.empty((tsd.algebra.dim, dim), dtype=np.complex128)
     comult_cols[tsd.positions] = big.reshape(dim, -1).T
     phi_inv = np.linalg.inv(phi)
     comult_dual = comult_cols @ phi_inv
     counit_dual = Functional.from_covector(dual_alg, np.linalg.solve(phi.T, G.algebra.identity().vec))
     antipode_dual = phi @ G.antipode.T @ phi_inv
-    haar_dual = Functional.from_covector(dual_alg, np.linalg.solve(phi.T, eta))
     dual_group = FiniteQuantumGroup(
         algebra=dual_alg,
         comult=comult_dual,
         counit=counit_dual,
         antipode=antipode_dual,
-        haar=haar_dual,
+        haar=plancherel_state(dual_alg),
         name=f"dual({G.name})" if G.name else "dual",
         kind="dual",
         lambda_basis=None,
@@ -436,13 +410,13 @@ def dual(G: FiniteQuantumGroup) -> FiniteQuantumGroup:
 def group_like_unitaries(G: FiniteQuantumGroup) -> list[AlgebraElement]:
     """All group-like unitaries of G, i.e. the *-characters of the dual
     convolution algebra (its one-dimensional blocks)."""
-    _, lt, split = _dual_regular_split(G)
+    lt, split = _dual_regular_split(G)
+    phi = split.map_matrix(lt)
     out = []
-    for d, q in zip(split.block_dims, split.isometries):
+    for d, row in zip(split.block_dims, MultiMatrixAlgebra(split.block_dims).offsets):
         if d != 1:
             continue
-        values = np.array([(q.conj().T @ m @ q).item() for m in lt])
-        u = G.algebra.from_vec(values)
+        u = G.algebra.from_vec(phi[row])
         if is_group_like(G, u):
             out.append(u)
         else:  # numerical character that fails verification signals a bug
@@ -559,7 +533,7 @@ def quotient_by_support(
     if haar_state is not None:
         haar_sub = Functional.from_covector(corner.algebra, corner.projection @ haar_state.covector)
     else:
-        haar_sub = solve_haar_state(corner.algebra, corner.comult)
+        haar_sub = plancherel_state(corner.algebra)
     target = FiniteQuantumGroup(
         algebra=corner.algebra,
         comult=corner.comult,

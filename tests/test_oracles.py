@@ -6,13 +6,17 @@ that they call the per-block helpers defined here (`_norm`, `_residual`,
 `_ref_*`) in place of library code that now goes through the blockwise
 kernel, so an oracle shares no arithmetic with what it checks.  Every defect
 must agree within 1e-12 and every pass/fail verdict must be identical,
-also on deliberately broken inputs.  `_ref_solve_antipode` and
+also on deliberately broken inputs.  `_ref_solve_antipode`,
+`_ref_solve_haar_state`, `_ref_solve_dual_haar` and
 `_ref_cancellation_rank_deficits` are the earlier library forms of the
-antipode solve (the 2·dim² × dim² system of the antipode laws) and of the
-cancellation rows (numerical ranks of the spans Δ(A)(A⊗1) and Δ(A)(1⊗A)).
+antipode (the 2·dim² × dim² system of the antipode laws), of the Haar state
+and the dual Haar state (the invariance equations, with an SVD uniqueness
+test) and of the cancellation rows (numerical ranks of the spans Δ(A)(A⊗1)
+and Δ(A)(1⊗A)).
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from quidem import (
     left_conv_operator,
     symmetric,
 )
+from quidem import qgroup
 from quidem.algebra import PolarParts, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
 from quidem.convolution import commutes_with_right_convolutions
@@ -41,11 +46,14 @@ from quidem.idempotents import (
     enumerate_group_algebra,
 )
 from quidem.qgroup import (
+    HAAR_ROWS,
     FiniteQuantumGroup,
     _dual_regular_split,
     _star_residual,
     _structure_defects,
     dual,
+    dual_pair,
+    plancherel_state,
     solve_antipode,
     verify_axioms,
 )
@@ -318,6 +326,49 @@ def _ref_solve_antipode(algebra, comult, counit, tol=1e-9):
     if residual > tol:
         raise ValueError(f"antipode solve failed (residual {residual:.2e})")
     return flat.reshape(dim, dim)
+
+
+def _ref_solve_invariant(homogeneous, normal, tol, what):
+    """The unique x with homogeneous @ x = 0 and normal @ x = 1: the
+    homogeneous system must have a one-dimensional kernel (SVD rank test at
+    the relative cutoff 1e-8), then the normalized system is solved by least
+    squares."""
+    svals = np.linalg.svd(homogeneous, compute_uv=False)
+    if np.sum(svals > 1e-8 * max(1.0, svals[0])) != homogeneous.shape[1] - 1:
+        raise ValueError(f"{what} is not unique; not a quantum group structure")
+    a = np.vstack([homogeneous, normal[np.newaxis, :]])
+    b = np.zeros(a.shape[0], dtype=np.complex128)
+    b[-1] = 1.0
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    residual = float(np.abs(a @ x - b).max())
+    if residual > tol:
+        raise ValueError(f"{what} solve failed (residual {residual:.2e})")
+    return x
+
+
+def _ref_solve_haar_state(algebra, comult, tol=1e-9):
+    """The unique state with (ω⊗id)Δ = ω(·)1 = (id⊗ω)Δ, solved as a linear
+    system."""
+    dim = algebra.dim
+    d3 = comult[tensor_algebra(algebra, algebra).positions.reshape(dim, dim), :]
+    one = algebra.identity().vec
+    units = np.einsum("j,ci->jci", one, np.eye(dim))   # [j, c, i] = 1_j δ_ci, on both sides
+    rows_l = (np.transpose(d3, (1, 2, 0)) - units).reshape(dim * dim, dim)
+    rows_r = (np.transpose(d3, (0, 2, 1)) - units).reshape(dim * dim, dim)
+    cov = _ref_solve_invariant(np.vstack([rows_l, rows_r]), one, tol, "Haar state")
+    return Functional.from_covector(algebra, cov)
+
+
+def _ref_solve_dual_haar(G):
+    """Vector eta with dual-Haar(f) = covector(f)·eta, from the invariance
+    equations of the dual comultiplication f ↦ f∘m."""
+    dim = G.dim
+    ms = _ref_mult_tensor(G.algebra)
+    ce = G.counit.covector
+    counits = np.einsum("j,ik->ijk", ce, np.eye(dim)).reshape(dim * dim, dim)   # ε_j δ_ik, on both sides
+    rows_r = ms.reshape(dim * dim, dim) - counits
+    rows_l = np.transpose(ms, (0, 2, 1)).reshape(dim * dim, dim) - counits
+    return _ref_solve_invariant(np.vstack([rows_r, rows_l]), ce, 1e-9, "dual Haar state")
 
 
 def _ref_cancellation_rank_deficits(G):
@@ -720,23 +771,80 @@ def test_cancellation_verdicts_on_the_monoid_algebra(cm):
             solve(cm.algebra, cm.comult, cm.counit)
 
 
+@pytest.mark.parametrize("spec", BUILTINS_TO_DIM_24 + ["dual(kp)"])
+def test_haar_states_match_the_invariance_solves(spec):
+    """The Plancherel state of the blocks is the Haar state the invariance
+    equations determine, and the counit's density Λ is the dual Haar state
+    f ↦ f(Λ)."""
+    G = dual(builtin("kp")) if spec == "dual(kp)" else builtin(spec)
+    want = _ref_solve_haar_state(G.algebra, G.comult).covector
+    assert np.abs(plancherel_state(G.algebra).covector - want).max() <= 1e-12
+    assert np.abs(G.counit.density.vec - _ref_solve_dual_haar(G)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["cfun:sn:4", "cstar:dn:4"])
+def test_corner_haar_states_match_the_invariance_solve(spec):
+    """On every corner quotient that decomposing the enumerated idempotents
+    builds, the Plancherel state solves the corner's invariance equations."""
+    G = builtin(spec)
+    items = enumerate_function_algebra(G) if G.kind == "function" else enumerate_group_algebra(G)
+    for item in items:
+        decompose(G, item.functional)
+    assert G.corners
+    for corner in G.corners.values():
+        want = _ref_solve_haar_state(corner.algebra, corner.comult).covector
+        assert np.abs(plancherel_state(corner.algebra).covector - want).max() <= 1e-12
+
+
+def test_monoid_algebra_has_no_plancherel_haar_state(cm):
+    """C(M) has an invariant state, δ₀, but it is not the Plancherel state:
+    the Plancherel state fails C(M)'s Haar invariance rows."""
+    assert np.allclose(_ref_solve_haar_state(cm.algebra, cm.comult).covector, [0.0, 1.0], rtol=0, atol=1e-15)
+    assert verify_axioms(cm).failures().keys() & set(HAAR_ROWS) == set()
+    plancherel = replace(cm, haar=plancherel_state(cm.algebra))
+    defects = verify_axioms(plancherel).defects
+    assert min(defects["haar_left_invariant"], defects["haar_right_invariant"]) > 1e-2
+
+
+@pytest.mark.parametrize("density", ["zero", "twice", "block 1"])
+def test_antipode_solve_rejects_a_wrong_counit(kp, density):
+    """A counit that fails the counit laws (zero, 2ε, or δ on block 1 of KP)
+    raises the named error before any S is formed."""
+    vec = {"zero": np.zeros(kp.dim), "twice": 2 * kp.counit.density.vec, "block 1": np.eye(kp.dim)[1]}[density]
+    with pytest.raises(ValueError, match="^antipode solve failed"):
+        solve_antipode(kp.algebra, kp.comult, Functional(kp.algebra, kp.algebra.from_vec(vec)))
+
+
 @pytest.mark.parametrize("spec", ["cstar:sn:4", "czn:8", "kp"])
 def test_optimized_einsums_match_unoptimized(spec, monkeypatch):
     """The antipode, coassociativity and cancellation rows of
-    _structure_defects let einsum choose a contraction order (optimize=True);
-    the unoptimized einsum, one summation in the written order, is their
-    oracle, on the group and on a broken copy."""
+    _structure_defects and the dual comultiplication of dual_pair let einsum
+    choose a contraction order (optimize=True); the unoptimized einsum, one
+    summation in the written order, is their oracle, on the group and, for
+    the structure rows, on a broken copy."""
     G = builtin(spec)
     einsum = np.einsum
+
+    def unoptimized(*operands, optimize=False):
+        return einsum(*operands)
+
     for H in (G, _broken(G)):
         got = _structure_defects(H)
         with monkeypatch.context() as patch:
-            patch.setattr(np, "einsum", lambda *operands, optimize=False: einsum(*operands))
+            patch.setattr(np, "einsum", unoptimized)
             want = _structure_defects(H)
         _assert_agree(got, want, 1e-9)
         rows = [got[row] for row in ("antipode_left", "antipode_right", "coassociativity",
                                      "cancellation_left", "cancellation_right")]
         assert (max(rows) > 1e-6) == (H is not G)
+    report = verify_axioms(G)
+    got, phi = dual_pair(G)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", unoptimized)
+        patch.setattr(qgroup, "verify_axioms", lambda H, tol: report)   # its rows are compared above
+        want, want_phi = dual_pair(G)
+    assert np.array_equal(phi, want_phi)
+    assert np.abs(got.comult - want.comult).max() <= AGREE
 
 
 def _kernel_residuals(alg, lw, lr, ll, xb, spans):
@@ -1024,7 +1132,7 @@ def test_right_convolution_screen_keeps_the_verdict(cz4):
 
 def test_star_residual_matches_loop_form(case):
     G, _ = case
-    _, lt, _ = _dual_regular_split(G)
+    lt, _ = _dual_regular_split(G)
     broken = list(lt)
     broken[1] = (1 + 0.01j) * broken[1]
     for stack in (lt, broken):

@@ -28,8 +28,8 @@ from quidem.qgroup import (
     cocommutativity_defect,
     commutativity_defect,
     group_like_unitaries,
+    plancherel_state,
     solve_antipode,
-    solve_haar_state,
 )
 
 
@@ -75,7 +75,7 @@ def test_haar_density_is_central(kp):
 
 
 def test_solvers_reproduce_structure(cz4):
-    h = solve_haar_state(cz4.algebra, cz4.comult)
+    h = plancherel_state(cz4.algebra)
     assert (h - cz4.haar).norm < 1e-10
     s = solve_antipode(cz4.algebra, cz4.comult, cz4.counit)
     assert np.linalg.norm(s - cz4.antipode) < 1e-9
@@ -83,12 +83,11 @@ def test_solvers_reproduce_structure(cz4):
 
 def test_monoid_algebra_fails_cancellation_and_has_no_antipode(cm):
     """Negative control: T₁T₁⁻¹ and T₂T₂⁻¹ miss the identity by 1 on C(M),
-    and solving for an antipode from the invariant state δ₀ fails its laws."""
+    and the closed-form antipode fails its laws."""
     report = verify_axioms(cm, 1e-9)
     assert report.defects["cancellation_left"] == 1.0
     assert report.defects["cancellation_right"] == 1.0
     assert not report.passed
-    assert np.allclose(solve_haar_state(cm.algebra, cm.comult).covector, [0.0, 1.0], rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="^antipode solve failed"):
         solve_antipode(cm.algebra, cm.comult, cm.counit)
 
