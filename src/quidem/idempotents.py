@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .convolution import convolve
 from .groups import characters
-from .qgroup import FiniteQuantumGroup, QuantumSubgroup, _group_like_residual, quotient_by_support
+from .qgroup import FiniteQuantumGroup, QuantumSubgroup, is_group_like, quotient_by_support
 
 _FMT_ZERO = 1e-12   # real or imaginary parts below this print as zero
 
@@ -205,16 +205,20 @@ def _subgroup_character(
     G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, tol: float
 ) -> tuple[QuantumSubgroup, AlgebraElement, float]:
     """extract_subgroup_character from the polar data of ω, once ω is known
-    to be a Haar idempotent, with the gap ‖|ω|_r − |ω|_l‖ that it checks."""
+    to be a Haar idempotent, with the gap ‖|ω|_r − |ω|_l‖ that it checks.
+    |ω|_r must push forward to the Haar state h_H of the subgroup: its trace
+    norm distance ‖π_*|ω|_r − h_H‖ is compared at CHECK_TOL."""
     gap = (parts.abs_r - parts.abs_l).norm
     if gap > tol:
         raise RuntimeError("Haar case must have equal absolute values")
-    sub = quotient_by_support(G, parts.abs_r.density.support, parts.abs_r, STATE_TOL)
+    sub = quotient_by_support(G, parts.abs_r.density.support, STATE_TOL)
+    H = sub.target
+    haar_defect = (Functional.from_covector(H.algebra, sub.projection @ parts.abs_r.covector) - H.haar).norm
+    if not haar_defect <= CHECK_TOL:
+        raise ValueError(f"absolute value is not the Haar state of its subgroup (defect {haar_defect:.3e})")
     u = sub.apply(parts.u)
-    if not u.is_unitary(tol):
-        raise RuntimeError("extracted character is not unitary on the subgroup")
-    if not _group_like_residual(sub.target, u) <= tol:
-        raise RuntimeError("extracted character is not group-like on the subgroup")
+    if not is_group_like(H, u, tol):
+        raise RuntimeError("extracted character is not a group-like unitary on the subgroup")
     worst = _character_defect(omega, sub, u)
     if worst > tol:
         raise RuntimeError(f"ω != h_H(π(·)u) (defect {worst:.3e})")

@@ -9,7 +9,7 @@ unitaries."""
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -174,9 +174,7 @@ def _mult_tensor(algebra: MultiMatrixAlgebra) -> np.ndarray:
     return algebra.multiply(eye[:, None, :], eye[None, :, :]).transpose(2, 0, 1)
 
 
-# Row order of verify_axioms.  The Haar rows depend on the Haar functional;
-# every other row depends only on the algebra, comultiplication, counit and
-# antipode, which is what lets quotient_by_support verify a corner once.
+# Row order of verify_axioms.
 AXIOM_ROWS = (
     "comult_unital", "comult_homomorphism", "comult_star", "coassociativity",
     "counit_left", "counit_right",
@@ -184,7 +182,6 @@ AXIOM_ROWS = (
     "haar_positive", "haar_trace_one", "haar_left_invariant", "haar_right_invariant",
     "cancellation_left", "cancellation_right",
 )
-HAAR_ROWS = AXIOM_ROWS[10:14]
 
 
 def verify_axioms(G: FiniteQuantumGroup, tol: float = STATE_TOL) -> AxiomReport:
@@ -196,17 +193,12 @@ def verify_axioms(G: FiniteQuantumGroup, tol: float = STATE_TOL) -> AxiomReport:
     the blockwise kernel of the algebra the images live in.  The rows are the
     structure rows together with the Haar rows, in the order of AXIOM_ROWS.
     """
-    return _axiom_report(_structure_defects(G), G, tol)
-
-
-def _axiom_report(structure: dict, G: FiniteQuantumGroup, tol: float) -> AxiomReport:
-    """The report of verify_axioms from its structure rows and G's Haar rows."""
-    defects = {**structure, **_haar_defects(G)}
+    defects = {**_structure_defects(G), **_haar_defects(G)}
     return AxiomReport(defects={name: defects[name] for name in AXIOM_ROWS}, tol=tol)
 
 
 def _structure_defects(G: FiniteQuantumGroup) -> dict:
-    """The rows of verify_axioms outside HAAR_ROWS."""
+    """The rows of verify_axioms that do not read the Haar state."""
     A, AA, ts = G.algebra, G.ts.algebra, G.ts
     dim = A.dim
     images = G.comult.T                     # images[i] = vec Δ(e_i)
@@ -270,7 +262,7 @@ def _antipode_defects(algebra: MultiMatrixAlgebra, d3: np.ndarray, ms: np.ndarra
 
 
 def _haar_defects(G: FiniteQuantumGroup) -> dict:
-    """The HAAR_ROWS of verify_axioms: the Haar functional is a state,
+    """The four Haar rows of verify_axioms: the Haar functional is a state,
     invariant on both sides."""
     A, one = G.algebra, G.algebra.identity().vec
     d_h = G.haar.density
@@ -426,138 +418,92 @@ def group_like_unitaries(G: FiniteQuantumGroup) -> list[AlgebraElement]:
 
 def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = CHECK_TOL) -> bool:
     """True iff u is unitary and Δ(u) = u ⊗ u within tol."""
-    return u.is_unitary(tol) and _group_like_residual(G, u) <= tol
-
-
-def _group_like_residual(G: FiniteQuantumGroup, u: AlgebraElement) -> float:
-    """‖Δ(u) − u⊗u‖, which is_group_like compares once u is unitary."""
-    return G.ts.algebra.max_operator_norm(G.comult @ u.vec - G.ts.scatter(u.vec, u.vec))
+    return u.is_unitary(tol) and G.ts.algebra.max_operator_norm(G.comult @ u.vec - G.ts.scatter(u.vec, u.vec)) <= tol
 
 
 @dataclass(eq=False)
 class QuantumSubgroup:
     """A compact quantum subgroup (H, π): a surjective *-homomorphism
-    π: A → C(H) intertwining comultiplications.  axioms is the report of
-    the axiom check quotient_by_support ran on H."""
+    π: A → C(H) intertwining comultiplications.  intertwining_defect is the
+    max coefficient norm of (π⊗π)Δ_G − Δ_H π over basis columns and axioms
+    the report of the axiom check of H; quotient_by_support measures both
+    once per kept-block set and reports them at the tolerance of each call."""
 
     parent: FiniteQuantumGroup
     target: FiniteQuantumGroup
     projection: np.ndarray          # (dim_H, dim_G) over vec bases
     kept_blocks: tuple[int, ...]
+    intertwining_defect: float
     axioms: AxiomReport | None = None
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         return self.target.algebra.from_vec(self.projection @ x.vec)
 
-    def intertwining_defect(self) -> float:
-        """Max coefficient norm of ((π⊗π)Δ_G − Δ_H π) over basis columns."""
-        return _intertwining_defect(self.parent, self.target.algebra, self.projection, self.target.comult)
-
     def is_surjective(self) -> bool:
         return _numerical_rank(self.projection) == self.target.algebra.dim
 
 
-def _intertwining_defect(g: FiniteQuantumGroup, sub_alg: MultiMatrixAlgebra, proj: np.ndarray,
-                         sub_comult: np.ndarray) -> float:
-    lhs = _project_tensor(g, sub_alg, proj, g.comult)
-    return float(np.linalg.norm(lhs - sub_comult @ proj, ord=np.inf))
-
-
-def _project_tensor(g: FiniteQuantumGroup, sub_alg: MultiMatrixAlgebra, proj: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Apply π⊗π to each column of a (dim_G², n) matrix of A⊗A vecs, giving
-    vecs of the tensor square of sub_alg."""
-    pos_h = tensor_algebra(sub_alg, sub_alg).positions.reshape(sub_alg.dim, sub_alg.dim)
-    out = np.empty((sub_alg.dim ** 2, cols.shape[1]), dtype=np.complex128)
-    out[pos_h] = np.einsum("ai,ijc,bj->abc", proj, cols[g.pos_matrix], proj)
-    return out
-
-
-@dataclass(eq=False)
-class _Corner:
-    """The part of a corner quotient that depends only on its kept blocks:
-    the structure data and the numbers its checks compare."""
-
-    algebra: MultiMatrixAlgebra
-    projection: np.ndarray
-    comult: np.ndarray
-    counit: Functional
-    antipode: np.ndarray
-    well_defined: float             # intertwining defect of the compression
-    structure: dict | None = None   # verify_axioms rows outside HAAR_ROWS, once run
-
-
-def _corner(G: FiniteQuantumGroup, full: np.ndarray) -> _Corner:
-    """The corner that keeps the blocks where full is true."""
+def _corner(G: FiniteQuantumGroup, kept: tuple[int, ...]) -> QuantumSubgroup:
+    """The corner quotient that keeps the blocks kept, with the
+    Plancherel state of the corner as its Haar state and its intertwining
+    defect measured; its axioms are left to quotient_by_support."""
     alg = G.algebra
-    sub_alg = MultiMatrixAlgebra(tuple(n for n, keep in zip(alg.block_dims, full) if keep))
-    proj = np.eye(alg.dim)[full[alg.coordinates[0]]]
-    # coordinate sections: π∘ι = id on the corner, so Δ_H = (π⊗π)Δι
-    comult = _project_tensor(G, sub_alg, proj, G.comult @ proj.T)
-    return _Corner(
+    sub_alg = MultiMatrixAlgebra(tuple(alg.block_dims[k] for k in kept))
+    keep = np.flatnonzero(np.isin(alg.coordinates[0], kept))
+    proj = np.eye(alg.dim)[keep]
+    proj.flags.writeable = False   # shared by every quotient served from G.corners
+    # π keeps coordinates, so π⊗π is a gather, and π∘ι = id gives Δ_H = (π⊗π)Δι
+    pos_h = tensor_algebra(sub_alg, sub_alg).positions.reshape(sub_alg.dim, sub_alg.dim)
+    image = np.empty((sub_alg.dim ** 2, alg.dim), dtype=np.complex128)
+    image[pos_h] = G.comult[G.pos_matrix[np.ix_(keep, keep)]]   # (π⊗π)Δ(e_c)
+    comult = image[:, keep]
+    target = FiniteQuantumGroup(
         algebra=sub_alg,
-        projection=proj,
         comult=comult,
-        counit=Functional.from_covector(sub_alg, proj @ G.counit.covector),
-        antipode=proj @ G.antipode @ proj.T,
-        well_defined=_intertwining_defect(G, sub_alg, proj, comult),
+        counit=Functional.from_covector(sub_alg, G.counit.covector[keep]),
+        antipode=G.antipode[np.ix_(keep, keep)],
+        haar=plancherel_state(sub_alg),
+        name=f"{G.name}/corner" if G.name else "corner",
+        kind="corner",
     )
+    return QuantumSubgroup(parent=G, target=target, projection=proj, kept_blocks=kept,
+                           intertwining_defect=float(np.linalg.norm(image - comult @ proj, ord=np.inf)))
 
 
-def quotient_by_support(
-    G: FiniteQuantumGroup,
-    s: AlgebraElement,
-    haar_state: Functional | None = None,
-    tol: float = STATE_TOL,
-) -> QuantumSubgroup:
+def quotient_by_support(G: FiniteQuantumGroup, s: AlgebraElement, tol: float = STATE_TOL) -> QuantumSubgroup:
     """Compact quantum subgroup carried by the corner sA of a central
     projection s (the support of a Haar idempotent state).
 
     π is the corner compression; the induced comultiplication is checked to
-    be well defined and the resulting structure must pass all axioms, which
-    fails exactly when s is not the support of a Haar idempotent.
+    be well defined and the resulting structure, with the Plancherel state
+    of the corner as its Haar state, must pass all axioms, which fails
+    exactly when s is not the support of a Haar idempotent.
 
-    The corner's structure (comultiplication, counit, antipode, projection),
-    its intertwining defect and the non-Haar axiom rows depend only on the
-    kept blocks, so they are computed once per group and kept set
-    (``G.corners``).  Every call checks the centrality of s, read off
-    s.centrality, and the Haar rows of its own Haar state, and compares all
-    numbers at its own tolerance.  π is a coordinate compression onto the
-    kept blocks, surjective by construction."""
+    The corner depends only on its kept blocks, so it is built, its
+    intertwining defect measured and its 16 axiom rows run once per group
+    and kept set (``G.corners``).  Every call checks the centrality of s,
+    read off s.centrality, and compares the stored numbers at its own
+    tolerance.  π is a coordinate compression onto the kept blocks,
+    surjective by construction."""
     if not is_central(s, tol):
         raise ValueError("support projection is not central")
-    full = s.centrality[1][1] <= tol
-    if not full.any():
+    kept = tuple(np.flatnonzero(s.centrality[1][1] <= tol).tolist())
+    if not kept:
         raise ValueError("support projection is zero")
-    kept = tuple(np.flatnonzero(full).tolist())
-    corner = G.corners.get(kept) or _corner(G, full)
-    if haar_state is not None:
-        haar_sub = Functional.from_covector(corner.algebra, corner.projection @ haar_state.covector)
-    else:
-        haar_sub = plancherel_state(corner.algebra)
-    target = FiniteQuantumGroup(
-        algebra=corner.algebra,
-        comult=corner.comult,
-        counit=corner.counit,
-        antipode=corner.antipode,
-        haar=haar_sub,
-        name=f"{G.name}/corner" if G.name else "corner",
-        kind="corner",
-    )
+    corner = G.corners.get(kept) or _corner(G, kept)
     check_tol = max(tol, CHECK_TOL)
-    if corner.well_defined > check_tol:
+    if corner.intertwining_defect > check_tol:
         raise ValueError(
-            f"induced comultiplication is not well defined (defect {corner.well_defined:.2e}); "
+            f"induced comultiplication is not well defined (defect {corner.intertwining_defect:.2e}); "
             "the projection is not the support of a Haar idempotent"
         )
-    if corner.structure is None:
-        rep = verify_axioms(target, check_tol)
-        corner.structure = {k: v for k, v in rep.defects.items() if k not in HAAR_ROWS}
+    if corner.axioms is None:
+        corner.axioms = verify_axioms(corner.target, check_tol)
         G.corners[kept] = corner
-    else:
-        rep = _axiom_report(corner.structure, target, check_tol)
+    rep = AxiomReport(dict(corner.axioms.defects), check_tol)
     if not rep.passed:
         raise ValueError(
             f"corner structure fails quantum group axioms: {rep.failures()}; "
             "the projection is not the support of a Haar idempotent"
         )
-    return QuantumSubgroup(parent=G, target=target, projection=corner.projection, kept_blocks=kept, axioms=rep)
+    return replace(corner, axioms=rep)

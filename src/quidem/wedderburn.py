@@ -84,17 +84,16 @@ class _SplitFailure(Exception):
 
 
 def _extract(left_mults, v, clusters, n) -> BlockSplit:
+    stack = np.stack(left_mults)
     reps = []
     for idx in clusters:
         q = v[:, idx]
+        compressed = q.conj().T @ stack @ q   # Q† L_b Q for every basis element b
         # eigenspaces of a commutant element must be invariant under the algebra
-        residual = max(
-            float(np.linalg.norm(lb @ q - q @ (q.conj().T @ lb @ q), 2)) for lb in left_mults
-        )
+        residual = float(np.linalg.norm(stack @ q - q @ compressed, 2, axis=(1, 2)).max())
         if residual > CHECK_TOL:
             raise _SplitFailure(f"cluster is not an invariant subspace (residual {residual:.2e})")
-        char = np.array([np.trace(q.conj().T @ lb @ q) for lb in left_mults])
-        reps.append((q, char))
+        reps.append((q, np.trace(compressed, axis1=1, axis2=2)))
     # group clusters carrying the same character (equivalent submodules)
     classes: list[list] = []
     for q, char in reps:

@@ -12,7 +12,8 @@ also on deliberately broken inputs.  `_ref_solve_antipode`,
 antipode (the 2·dim² × dim² system of the antipode laws), of the Haar state
 and the dual Haar state (the invariance equations, with an SVD uniqueness
 test) and of the cancellation rows (numerical ranks of the spans Δ(A)(A⊗1)
-and Δ(A)(1⊗A)).
+and Δ(A)(1⊗A)); `_ref_extract` is the per-basis-matrix form of the
+Wedderburn eigenspace check.
 """
 
 import warnings
@@ -33,7 +34,7 @@ from quidem import (
     left_conv_operator,
     symmetric,
 )
-from quidem import qgroup
+from quidem import qgroup, wedderburn
 from quidem.algebra import PolarParts, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
 from quidem.convolution import commutes_with_right_convolutions
@@ -46,7 +47,6 @@ from quidem.idempotents import (
     enumerate_group_algebra,
 )
 from quidem.qgroup import (
-    HAAR_ROWS,
     FiniteQuantumGroup,
     _dual_regular_split,
     _star_residual,
@@ -671,6 +671,47 @@ def ref_star_residual(msharp, lt):
     )
 
 
+def _ref_extract(left_mults, v, clusters, n):
+    """wedderburn._extract with one 2-norm and one trace per basis matrix."""
+    reps = []
+    for idx in clusters:
+        q = v[:, idx]
+        residual = max(
+            float(np.linalg.norm(lb @ q - q @ (q.conj().T @ lb @ q), 2)) for lb in left_mults
+        )
+        if residual > TOL:
+            raise wedderburn._SplitFailure(f"cluster is not an invariant subspace (residual {residual:.2e})")
+        char = np.array([np.trace(q.conj().T @ lb @ q) for lb in left_mults])
+        reps.append((q, char))
+    classes: list[list] = []
+    for q, char in reps:
+        for cls in classes:
+            if np.linalg.norm(cls[0][1] - char) <= wedderburn._CLUSTER_GAP * max(1.0, np.linalg.norm(char)):
+                cls.append((q, char))
+                break
+        else:
+            classes.append([(q, char)])
+    dims = [cls[0][0].shape[1] for cls in classes]
+    for cls, d in zip(classes, dims):
+        if any(q.shape[1] != d for q, _ in cls):
+            raise wedderburn._SplitFailure("inconsistent dimensions inside a character class")
+        if len(cls) != d:
+            raise wedderburn._SplitFailure("multiplicity does not match dimension (accidental degeneracy)")
+    if sum(d * d for d in dims) != n:
+        raise wedderburn._SplitFailure(f"block dimensions {dims} do not fill dimension {n}")
+    order = sorted(
+        range(len(classes)),
+        key=lambda i: (
+            dims[i],
+            tuple(zip(np.round(classes[i][0][1].real, 8), np.round(classes[i][0][1].imag, 8))),
+        ),
+    )
+    return wedderburn.BlockSplit(
+        block_dims=tuple(dims[i] for i in order),
+        isometries=[classes[i][0][0] for i in order],
+    )
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -792,15 +833,16 @@ def test_corner_haar_states_match_the_invariance_solve(spec):
         decompose(G, item.functional)
     assert G.corners
     for corner in G.corners.values():
-        want = _ref_solve_haar_state(corner.algebra, corner.comult).covector
-        assert np.abs(plancherel_state(corner.algebra).covector - want).max() <= 1e-12
+        want = _ref_solve_haar_state(corner.target.algebra, corner.target.comult).covector
+        assert np.abs(plancherel_state(corner.target.algebra).covector - want).max() <= 1e-12
 
 
 def test_monoid_algebra_has_no_plancherel_haar_state(cm):
     """C(M) has an invariant state, δ₀, but it is not the Plancherel state:
     the Plancherel state fails C(M)'s Haar invariance rows."""
     assert np.allclose(_ref_solve_haar_state(cm.algebra, cm.comult).covector, [0.0, 1.0], rtol=0, atol=1e-15)
-    assert verify_axioms(cm).failures().keys() & set(HAAR_ROWS) == set()
+    haar_rows = {"haar_positive", "haar_trace_one", "haar_left_invariant", "haar_right_invariant"}
+    assert verify_axioms(cm).failures().keys() & haar_rows == set()
     plancherel = replace(cm, haar=plancherel_state(cm.algebra))
     defects = verify_axioms(plancherel).defects
     assert min(defects["haar_left_invariant"], defects["haar_right_invariant"]) > 1e-2
@@ -1066,6 +1108,44 @@ def test_flipped_character_fails_the_batched_check():
     assert _character_defect(omega, sub, sign) == ref_character_defect(G, omega, sub, sign) == 1.0
 
 
+def _haar_rows_and_defect(sub, sigma):
+    """The four Haar rows of verify_axioms on a copy of H whose Haar state is
+    π_*σ, and the trace norm ‖π_*σ − h_H‖ that _subgroup_character compares."""
+    H = sub.target
+    pushed = Functional.from_covector(H.algebra, sub.projection @ sigma.covector)
+    return qgroup._haar_defects(replace(H, haar=pushed)), (pushed - H.haar).norm
+
+
+@pytest.mark.parametrize("spec", ["czn:16", "cfun:sn:3", "cfun:sn:4", "cstar:dn:4", "cstar:dn:5", "cstar:sn:4", "kp"])
+def test_haar_state_defect_matches_the_haar_rows(spec):
+    """On every Haar idempotent of the group, |ω|_r pushed to the subgroup
+    passes the four Haar rows of verify_axioms and its trace norm distance
+    to h_H passes at CHECK_TOL, both within 1e-12."""
+    G = builtin(spec)
+    if spec == "kp":
+        functionals = _kp_block_limits(G)
+    else:
+        enumerate_items = enumerate_group_algebra if G.kind == "group" else enumerate_function_algebra
+        functionals = [item.functional for item in enumerate_items(G)]
+    reports = [rep for rep in (decompose(G, omega, TOL) for omega in functionals) if rep.haar]
+    assert len(reports) >= 5
+    for rep in reports:
+        rows, defect = _haar_rows_and_defect(rep.subgroup, rep.abs_r)
+        assert (max(rows.values()) <= TOL) == (defect <= TOL)
+        assert max(*rows.values(), defect) <= AGREE, (rows, defect)
+
+
+def test_haar_state_defect_fails_with_the_haar_rows():
+    """σ = 0.7δ₀ + 0.3δ₂ on C(Z4) is a state on the corner of the subgroup
+    {0, 2} but not its Haar state: the Haar rows and the trace norm
+    distance 0.4 both fail."""
+    G = function_algebra(cyclic(4))
+    sigma = Functional.from_covector(G.algebra, np.array([0.7, 0.0, 0.3, 0.0]))
+    sub = qgroup.quotient_by_support(G, sigma.density.support)
+    rows, defect = _haar_rows_and_defect(sub, sigma)
+    assert max(rows.values()) > TOL and abs(defect - 0.4) <= AGREE
+
+
 @pytest.mark.parametrize("spec", ["czn:6", "cstar:dn:4", "kp", "cstar:sn:4"])
 def test_seminorm_matches_tensor_functional(spec):
     """_seminorm_sq reads (σ⊗σ)(x) as c·X·c from σ's covector; the reference
@@ -1128,6 +1208,18 @@ def test_right_convolution_screen_keeps_the_verdict(cz4):
                                  (perturbed, (spectral + frobenius) / 2, True),
                                  (perturbed, 0.99 * spectral, False)):
         assert commutes_with_right_convolutions(G, matrix, tol) == _unscreened_commutes(G, matrix, tol) == verdict
+
+
+@pytest.mark.parametrize("spec", ["cstar:sn:4", "cstar:dn:5", "dual(kp)"])
+def test_dual_split_matches_loop_form(spec, monkeypatch):
+    """The batched eigenspace norms and characters of wedderburn._extract
+    give dual_pair the phi and block dims of the per-basis-matrix loop."""
+    G = dual(builtin("kp")) if spec == "dual(kp)" else builtin(spec)
+    got, got_phi = dual_pair(G)
+    monkeypatch.setattr(wedderburn, "_extract", _ref_extract)
+    want, want_phi = dual_pair(G)
+    assert got.algebra.block_dims == want.algebra.block_dims
+    assert np.array_equal(got_phi, want_phi)
 
 
 def test_star_residual_matches_loop_form(case):

@@ -19,9 +19,9 @@ from quidem import (
     symmetric,
     verify_axioms,
 )
-from quidem import wedderburn
+from quidem import qgroup, wedderburn
 from quidem.algebra import is_central, polar_decompose, support_projection
-from quidem.idempotents import decompose, enumerate_function_algebra, enumerate_group_algebra
+from quidem.idempotents import _subgroup_character, decompose, enumerate_function_algebra, enumerate_group_algebra
 from quidem.qgroup import (
     AXIOM_ROWS,
     FiniteQuantumGroup,
@@ -148,7 +148,7 @@ def test_group_likes_of_kp(kp):
 
 
 def test_quotient_full_support(cz4):
-    sub = quotient_by_support(cz4, cz4.algebra.identity(), haar_state=cz4.haar)
+    sub = quotient_by_support(cz4, cz4.algebra.identity())
     assert sub.target.algebra.block_dims == cz4.algebra.block_dims
     assert sub.is_surjective()
 
@@ -162,15 +162,14 @@ def test_quotient_by_counit_support(cz4):
 
 def test_quotient_z4_to_z2(cz4):
     s = cz4.algebra.from_vec(np.array([1.0, 0.0, 1.0, 0.0]))
-    sigma = Functional.from_covector(cz4.algebra, np.array([0.5, 0, 0.5, 0]))
-    sub = quotient_by_support(cz4, s, haar_state=sigma)
+    sub = quotient_by_support(cz4, s)
     H = sub.target
     assert H.algebra.block_dims == (1, 1)
     assert verify_axioms(H, 1e-9).passed
     # the projection restricts functions to the subgroup {0, 2}
     f = cz4.algebra.from_vec(np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.allclose(sub.apply(f).vec, [1.0, 3.0])
-    assert sub.intertwining_defect() < 1e-12
+    assert sub.intertwining_defect < 1e-12
 
 
 def test_quotient_rejects_noncentral(gd4):
@@ -241,14 +240,13 @@ BUILDS = {
 
 
 def _haar_supports(G, functionals):
-    """(support, right absolute value) of every Haar idempotent among the
-    functionals, as decompose hands them to quotient_by_support."""
+    """The support of the right absolute value of every Haar idempotent among
+    the functionals, as decompose hands it to quotient_by_support."""
     out = []
     for omega in functionals:
-        parts = polar_decompose(omega)
-        s = support_projection(parts.abs_r.density)
+        s = support_projection(polar_decompose(omega).abs_r.density)
         if is_central(s, 1e-8):
-            out.append((s, parts.abs_r))
+            out.append(s)
     return out
 
 
@@ -261,12 +259,12 @@ def test_cached_corner_matches_fresh_build(name):
     supports = _haar_supports(G, idempotents(G))
     assert len(supports) >= 5
     kept_sets = set()
-    for s, sigma in supports:
-        quotient_by_support(G, s, haar_state=sigma)
-        repeat = quotient_by_support(G, s, haar_state=sigma)
+    for s in supports:
+        quotient_by_support(G, s)
+        repeat = quotient_by_support(G, s)
         fresh_group = build()
         assert not fresh_group.corners
-        fresh = quotient_by_support(fresh_group, s, haar_state=sigma)
+        fresh = quotient_by_support(fresh_group, s)
         kept_sets.add(repeat.kept_blocks)
         assert repeat.kept_blocks == fresh.kept_blocks
         assert np.array_equal(repeat.projection, fresh.projection)
@@ -286,35 +284,41 @@ def test_cached_corner_matches_fresh_build(name):
     assert all(rep.subgroup.is_surjective() for rep in reports if rep.haar)
 
 
-def test_cached_corner_rechecks_the_haar_state():
+def test_subgroup_character_rejects_a_state_that_is_not_the_subgroup_haar_state():
+    """σ = 0.7δ₀ + 0.3δ₂ on C(Z4) has the central support {0, 2}, whose
+    corner is the verified subgroup Z2, but σ is not its Haar state: the
+    trace norm ‖π_*σ − h_H‖ = 0.4 is a named input error."""
     G = function_algebra(cyclic(4))
-    s = G.algebra.from_vec(np.array([1.0, 0.0, 1.0, 0.0]))
-    sigma = Functional.from_covector(G.algebra, np.array([0.5, 0, 0.5, 0]))
-    delta = Functional.from_covector(G.algebra, np.array([1.0, 0, 0, 0]))   # not invariant on {0, 2}
-    quotient_by_support(G, s, haar_state=sigma)
-    assert (0, 2) in G.corners
-    with pytest.raises(ValueError, match="haar_left_invariant") as cached:
-        quotient_by_support(G, s, haar_state=delta)
-    with pytest.raises(ValueError) as first:
-        quotient_by_support(function_algebra(cyclic(4)), s, haar_state=delta)
-    assert str(cached.value) == str(first.value)
-    # the cached corner still serves its invariant state, given or solved
-    assert quotient_by_support(G, s, haar_state=sigma).axioms.passed
-    assert quotient_by_support(G, s).axioms.passed
+    sigma = Functional.from_covector(G.algebra, np.array([0.7, 0, 0.3, 0]))
+    assert quotient_by_support(G, sigma.density.support).axioms.passed
+    message = r"^absolute value is not the Haar state of its subgroup \(defect 4\.000e-01\)$"
+    with pytest.raises(ValueError, match=message):
+        _subgroup_character(G, sigma, sigma.polar, 1e-8)
 
 
 def test_failed_kept_set_keeps_failing():
     G = function_algebra(cyclic(4))
     s = G.algebra.from_vec(np.array([1.0, 1.0, 0.0, 0.0]))
-    sigma = Functional.from_covector(G.algebra, np.array([0.5, 0.5, 0, 0]))
-    for haar_state in (None, sigma):
-        messages = []
-        for _ in range(2):
-            with pytest.raises(ValueError) as err:
-                quotient_by_support(G, s, haar_state=haar_state)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            quotient_by_support(G, s)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
     assert not G.corners
+
+
+def test_each_corner_runs_the_haar_rows_once(monkeypatch):
+    """Decomposing the 84 contractive idempotents of C(S4), all Haar, runs
+    the Haar rows of verify_axioms once per corner, 30 kept-block sets, and
+    not once per idempotent."""
+    G = function_algebra(symmetric(4))
+    calls = []
+    haar_defects = qgroup._haar_defects
+    monkeypatch.setattr(qgroup, "_haar_defects", lambda H: calls.append(H) or haar_defects(H))
+    reports = [decompose(G, item.functional) for item in enumerate_function_algebra(G)]
+    assert len(reports) == 84 and all(rep.haar for rep in reports)
+    assert len(calls) == len(G.corners) == 30
 
 
 class _ZeroFirstDraw:
