@@ -27,8 +27,8 @@ import numpy as np
 # tolerance and every cutoff shared between modules is one of these four.
 CHECK_TOL = 1e-8    # identities checked through products and norms of images
 STATE_TOL = 1e-9    # states, dual-norm idempotency, positivity, the axioms
-# Relative singular-value cutoff used for supports, ranks and partial
-# isometries.  All catalogue examples have spectral gaps far above this.
+# Relative cutoff of every rank, support and partial isometry, applied by
+# above_cutoff.  All catalogue examples have spectral gaps far above this.
 RANK_CUTOFF = 1e-10
 CP_FLOOR = 1e-9     # a CP map's least Choi eigenvalue is at least -CP_FLOOR
 _SCREEN_MARGIN = 1e-6    # max_operator_norm's slack, far above rounding of ‖b‖_F or an SVD
@@ -39,6 +39,11 @@ def _as_complex(m) -> np.ndarray:
     out = np.array(m, dtype=np.complex128)
     out.flags.writeable = False
     return out
+
+
+def above_cutoff(values, top):
+    """The rank rule: a rank or support keeps the values above RANK_CUTOFF·top, top the largest or a floor."""
+    return np.asarray(values) > RANK_CUTOFF * top
 
 
 @dataclass(frozen=True)
@@ -348,10 +353,10 @@ class AlgebraElement:
         """The projection support_projection returns; taken once."""
         alg = self.algebra
         factors = alg.eigh(self.vec)
-        threshold = RANK_CUTOFF * max(0.0, max(w.max() for _, w, _ in factors))
+        top = max(0.0, max(w.max() for _, w, _ in factors))
         out = np.empty(alg.dim, dtype=np.complex128)
         for idx, w, v in factors:
-            out[idx] = ((v * (w > threshold)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
+            out[idx] = ((v * above_cutoff(w, top)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
         return alg.from_vec(out)
 
     def __repr__(self):
@@ -405,8 +410,9 @@ class Functional:
             raise ValueError("polar decomposition of the zero functional")
         u, p, q = (np.empty(alg.dim, dtype=np.complex128) for _ in range(3))
         for idx, w, s, vh in factors:
-            r = (s > RANK_CUTOFF * smax).sum(axis=-1).max()   # the largest rank in the size class
-            w, vh, kept = w[..., :r], vh[..., :r, :], np.where(s > RANK_CUTOFF * smax, s, 0.0)[..., None, :r]
+            keep = above_cutoff(s, smax)
+            r = keep.sum(axis=-1).max()   # the largest rank in the size class
+            w, vh, kept = w[..., :r], vh[..., :r, :], np.where(keep, s, 0.0)[..., None, :r]
             u[idx] = ((w * (kept > 0)) @ vh).reshape(idx.shape)
             p[idx] = ((_adjoints(vh) * kept) @ vh).reshape(idx.shape)    # (d* d)^{1/2}
             q[idx] = ((w * kept) @ _adjoints(w)).reshape(idx.shape)      # (d d*)^{1/2}

@@ -145,6 +145,8 @@ def _matrix_pairs(mat: np.ndarray) -> list:
 
 def _from_pairs(data, where: str) -> np.ndarray:
     try:
+        if any(isinstance(v, bool) for pair in data for v in pair):   # JSON true is not the number 1
+            raise TypeError("boolean entry")
         arr = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
         raise QGSpecError(f"{where}: expected a list of [re, im] pairs ({exc})") from exc
@@ -191,7 +193,7 @@ def from_document(doc: dict) -> FiniteQuantumGroup:
             raise QGSpecError(f"missing field {key!r}")
     dims = doc["block_dims"]
     if not isinstance(dims, list) or not all(
-        isinstance(n, int) or (isinstance(n, float) and n.is_integer()) for n in dims
+        (isinstance(n, int) and not isinstance(n, bool)) or (isinstance(n, float) and n.is_integer()) for n in dims
     ):
         raise QGSpecError(f"block_dims: expected a list of integers, got {dims!r}")
     try:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _SCREEN_MARGIN, CHECK_TOL, RANK_CUTOFF, STATE_TOL, Functional
+from .algebra import _SCREEN_MARGIN, CHECK_TOL, STATE_TOL, Functional, above_cutoff
 from .qgroup import FiniteQuantumGroup
 
 
@@ -153,7 +153,7 @@ def cesaro_limit(
     t_mat = G.left_matrix(cov_mu).T
     a = t_mat - np.eye(G.dim)
     u, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > RANK_CUTOFF * max(1.0, s[0])))
+    rank = int(np.sum(above_cutoff(s, max(1.0, s[0]))))
     kernel = vh[rank:].conj().T
     column_space = u[:, :rank]
     basis = np.hstack([kernel, column_space])

@@ -21,13 +21,12 @@ from .algebra import (
     AlgebraElement,
     Functional,
     MultiMatrixAlgebra,
+    above_cutoff,
     is_central,
     tensor_algebra,
 )
 from .groups import GroupTable
 
-_RANK_RTOL = 1e-8          # relative cutoff of the rank tests of is_surjective and is_nondegenerate
-_FAITHFUL_CUTOFF = 1e-12   # least relative eigenvalue of a faithful dual Haar trace
 _STAR_TOL = 1e-7           # largest ‖L(f♯) − L(f)†‖ of the dual regular representation
 _DUAL_SEED = 11            # seed of the Wedderburn split of the dual convolution algebra
 
@@ -159,13 +158,6 @@ class AxiomReport:
     def __repr__(self):
         status = "pass" if self.passed else f"FAIL {self.failures()}"
         return f"AxiomReport(max={self.max_defect:.3e}, tol={self.tol:g}, {status})"
-
-
-def _numerical_rank(mat: np.ndarray) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > _RANK_RTOL * s[0]))
 
 
 def _mult_tensor(algebra: MultiMatrixAlgebra) -> np.ndarray:
@@ -335,7 +327,7 @@ def _dual_regular_split(G: FiniteQuantumGroup):
     gram = np.einsum("ijc,c->ij", conv_after_sharp, G.counit.density.vec)
     gram = (gram + gram.conj().T) / 2
     evals, evecs = np.linalg.eigh(gram)
-    if evals.min() <= _FAITHFUL_CUTOFF * max(1.0, evals.max()):
+    if not above_cutoff(evals, max(1.0, evals.max())).all():
         raise ValueError("dual Haar trace is not faithful; cannot split the dual")
     w_half = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
     w_half_inv = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T
@@ -438,9 +430,6 @@ class QuantumSubgroup:
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         return self.target.algebra.from_vec(self.projection @ x.vec)
-
-    def is_surjective(self) -> bool:
-        return _numerical_rank(self.projection) == self.target.algebra.dim
 
 
 def _corner(G: FiniteQuantumGroup, kept: tuple[int, ...]) -> QuantumSubgroup:

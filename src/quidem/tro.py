@@ -13,11 +13,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import (CHECK_TOL, CP_FLOOR, RANK_CUTOFF, STATE_TOL, AlgebraElement, Functional, MultiMatrixAlgebra,
-                      PolarParts, _as_complex, polar_decompose)
+from .algebra import (CHECK_TOL, CP_FLOOR, STATE_TOL, AlgebraElement, Functional, MultiMatrixAlgebra, PolarParts,
+                      _as_complex, above_cutoff, polar_decompose)
 from .convolution import ConvolutionOperator, commutes_with_right_convolutions
 from .idempotents import ContractiveIdempotentReport, _require_contractive, decompose, is_contractive_idempotent
-from .qgroup import FiniteQuantumGroup, _numerical_rank
+from .qgroup import FiniteQuantumGroup
 
 
 @dataclass(eq=False)
@@ -38,10 +38,7 @@ class OperatorSubspace:
         largest."""
         stack = np.asarray(vectors, dtype=np.complex128).reshape(-1, algebra.dim).T
         u, s, _ = np.linalg.svd(stack, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return cls(algebra, np.zeros((algebra.dim, 0), dtype=np.complex128))
-        keep = int(np.sum(s > RANK_CUTOFF * s[0]))
-        return cls(algebra, u[:, :keep])
+        return cls(algebra, u[:, :int(above_cutoff(s, s.max(initial=0.0)).sum())])
 
     @property
     def dim(self) -> int:
@@ -100,11 +97,15 @@ class OperatorSubspace:
 
     @cached_property
     def rank_deficit(self) -> int:
-        """dim A minus the smaller rank of span(X·A) and span(A·X), at _RANK_RTOL."""
-        A = self.algebra
-        basis, units = self.matrix.T[:, None, :], np.eye(A.dim)[None, :, :]
-        return A.dim - min(_numerical_rank(A.multiply(basis, units).reshape(-1, A.dim)),
-                           _numerical_rank(A.multiply(units, basis).reshape(-1, A.dim)))
+        """dim A minus the smaller of dim span(X·A) = dim qA and dim span(A·X) =
+        dim Aq′, q and q′ the supports of Σ xx* and Σ x*x over the basis, so
+        each is Σ_b n_b·rank(q_b), cut by the rank rule as support cuts."""
+        A, basis = self.algebra, self.matrix.T
+        stars = A.adjoint(basis)
+        svals = A.singular_values(A.multiply([basis, stars], [stars, basis]).sum(axis=1))
+        top = np.max([s.max(axis=(-2, -1)) for s in svals], axis=0)[:, None, None]
+        ranks = sum(s.shape[-1] * above_cutoff(s, top).sum(axis=(-2, -1)) for s in svals)
+        return A.dim - int(ranks.min())
 
 
 def _worst_residual(X: OperatorSubspace, stack: np.ndarray) -> float:

@@ -143,6 +143,23 @@ def test_malformed_document_errors(tmp_path, kp):
         from_document({**doc, "comult": [[[1e308, 1e308]] * len(row) for row in doc["comult"]]})
 
 
+def test_boolean_entries_are_a_spec_error():
+    """JSON true is not the number 1, although Python counts a bool as an
+    int: a document of C(Z2) whose block sizes or [re, im] pairs hold
+    booleans fails, naming the field."""
+    doc = to_document(builtin("czn:2"))
+    assert doc["block_dims"] == [1, 1]
+    for dims in ([True, True], [1, True], [False]):
+        with pytest.raises(QGSpecError, match="block_dims"):
+            from_document({**doc, "block_dims": dims})
+    for key, value in [("counit", [[True, False], [False, False]]), ("haar", [[0.5, 0], [0.5, False]]),
+                       ("comult", [[[bool(re), bool(im)] for re, im in row] for row in doc["comult"]]),
+                       ("antipode", [[[re, im] for re, im in row[:-1]] + [[row[-1][0], False]]
+                                     for row in doc["antipode"]])]:
+        with pytest.raises(QGSpecError, match=key):
+            from_document({**doc, key: value})
+
+
 @pytest.mark.parametrize("key, scale", [("comult", 1e200), ("antipode", 1e300)])
 def test_overflowing_axiom_check_is_a_spec_error(kp, key, scale):
     """Finite structure data whose axiom-check products overflow raise

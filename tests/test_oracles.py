@@ -8,11 +8,12 @@ kernel, so an oracle shares no arithmetic with what it checks.  Every defect
 must agree within 1e-12 and every pass/fail verdict must be identical,
 also on deliberately broken inputs.  `_ref_solve_antipode`,
 `_ref_solve_haar_state`, `_ref_solve_dual_haar` and
-`_ref_cancellation_rank_deficits` are the earlier library forms of the
-antipode (the 2·dim² × dim² system of the antipode laws), of the Haar state
+`_ref_cancellation_rank_deficits` and `_ref_rank_deficit` are the earlier
+library forms of the antipode (the 2·dim² × dim² system of the antipode laws), of the Haar state
 and the dual Haar state (the invariance equations, with an SVD uniqueness
 test) and of the cancellation rows (numerical ranks of the spans Δ(A)(A⊗1)
-and Δ(A)(1⊗A)); `_ref_extract` is the per-basis-matrix form of the
+and Δ(A)(1⊗A)) and of nondegeneracy (numerical ranks of the stacked
+products X·A and A·X); `_ref_extract` is the per-basis-matrix form of the
 Wedderburn eigenspace check.
 """
 
@@ -124,6 +125,16 @@ def _ref_numerical_rank(mat, rtol=1e-8):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
+
+
+def _ref_rank_deficit(X):
+    """dim A minus the smaller numerical rank of the stacked products x·e_a
+    and e_a·x over the basis of X and the matrix units of A."""
+    alg = X.algebra
+    ms = _ref_mult_tensor(alg)
+    right = np.einsum("oab,ia->ibo", ms, X.matrix.T).reshape(-1, alg.dim)
+    left = np.einsum("oab,ib->iao", ms, X.matrix.T).reshape(-1, alg.dim)
+    return alg.dim - min(_ref_numerical_rank(right), _ref_numerical_rank(left))
 
 
 def _ref_transpose_perm(alg):
@@ -716,10 +727,12 @@ def _ref_extract(left_mults, v, clusters, n):
 # inputs
 
 
-def _kp_non_haar_state(kp):
+def _kp_non_haar_state(kp, corner=(1.0, 0.0)):
+    """The Cesàro limit of the state that splits the counit with one corner
+    of the 2×2 block."""
     blocks = [np.zeros((n, n)) for n in kp.algebra.block_dims]
     blocks[0] = np.eye(1) / 2
-    blocks[4] = np.diag([1.0, 0.0]) / 2
+    blocks[4] = np.diag(corner) / 2
     seed = Functional(kp.algebra, kp.algebra.element(blocks))
     return cesaro_limit(kp, seed, tol=1e-9, max_iter=10_000).limit
 
@@ -1518,3 +1531,55 @@ def test_cesaro_limit_is_the_spectral_projection(name):
         result = cesaro_limit(G, mu, tol=1e-9, max_iter=10_000)
         assert result.converged
         assert (result.limit - _eig_limit(G, mu)).norm <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# nondegeneracy: the supports of Σ xx* and Σ x*x against the stacked products
+
+NONDEGENERACY_GROUPS = ["czn:8", "czn:16", "cfun:sn:3", "cfun:sn:4", "cstar:dn:4", "cstar:dn:5", "cstar:sn:4",
+                        "cstar:zn:6"]
+
+
+def _random_subspaces(alg, rng, count):
+    """count random subspaces of each kind, of dimension 1 to 4: generic, with
+    one block zeroed in every basis element, and rank one on every block with
+    one column space shared by the basis, so that span(X·A) misses the rest of
+    each block."""
+    out = []
+    for kind in ("generic", "zeroed", "rank one"):
+        for _ in range(count):
+            k, zero = int(rng.integers(1, 5)), int(rng.integers(len(alg.block_dims)))
+            columns = [_gaussian(rng, n, 1) for n in alg.block_dims]
+            vecs = []
+            for _ in range(k):
+                blocks = [_gaussian(rng, n, n) for n in alg.block_dims]
+                if kind == "zeroed":
+                    blocks[zero] = np.zeros_like(blocks[zero])
+                elif kind == "rank one":
+                    blocks = [u @ _gaussian(rng, 1, n) for u, n in zip(columns, alg.block_dims)]
+                vecs.append(alg.element(blocks).vec)
+            out.append(OperatorSubspace.from_spanning(alg, vecs))
+    return out
+
+
+def test_rank_deficit_matches_the_stacked_rank():
+    """On the images of every enumerated contractive idempotent of eight
+    builtins, the seven KP Cesàro limits and 180 random subspaces, the rank
+    deficit read off the supports of Σ xx* and Σ x*x equals the numerical
+    rank of the stacked products at their own cutoff."""
+    subspaces = []
+    for spec in NONDEGENERACY_GROUPS:
+        G = builtin(spec)
+        enumerate_items = enumerate_group_algebra if G.kind == "group" else enumerate_function_algebra
+        subspaces += [image_subspace(left_conv_operator(G, item.functional)) for item in enumerate_items(G)]
+    kp = builtin("kp")
+    limits = _kp_block_limits(kp) + [_kp_non_haar_state(kp, c) for c in ((1.0, 0.0), (0.0, 1.0))]
+    subspaces += [image_subspace(left_conv_operator(kp, omega)) for omega in limits]
+    assert len(subspaces) == 468
+    rng = np.random.default_rng(25)
+    for spec in ("kp", "cstar:dn:5", "cstar:sn:4"):
+        subspaces += _random_subspaces(builtin(spec).algebra, rng, 20)
+    got = [X.rank_deficit for X in subspaces]
+    assert got == [_ref_rank_deficit(X) for X in subspaces]
+    assert len(got) == 648 and not any(got[:468])
+    assert sum(d > 0 for d in got) == 120 and set(got) == {0, 1, 2, 4, 9, 14}

@@ -87,6 +87,33 @@ def test_nondegenerate_examples(cz4, mu0):
     assert not is_nondegenerate(corner)
 
 
+def test_rank_deficit_negative_controls(kp, gs3):
+    """The zero subspace, spanned by zeros or by nothing, misses all of A,
+    and a random subspace with one block zeroed misses that block's n_b²
+    coordinates.  On KP, span{1 + e⁽⁴⁾₀₁} is nondegenerate but not a TRO,
+    and 1 ∉ ⟨XX*⟩ there: the unit of the linking algebra shows
+    nondegeneracy only on TROs."""
+    alg = kp.algebra
+    for vecs in (np.zeros((2, alg.dim)), []):
+        zero = OperatorSubspace.from_spanning(alg, vecs)
+        assert zero.matrix.shape == (alg.dim, 0) and zero.rank_deficit == alg.dim and not is_nondegenerate(zero)
+    rng = np.random.default_rng(3)
+    for G in (kp, gs3):
+        for block, n in enumerate(G.algebra.block_dims):
+            vecs = []
+            for _ in range(3):
+                blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in G.algebra.block_dims]
+                blocks[block] = np.zeros((n, n))
+                vecs.append(G.algebra.element(blocks).vec)
+            assert OperatorSubspace.from_spanning(G.algebra, vecs).rank_deficit == n * n
+    x = alg.identity().vec.copy()
+    x[alg.index(4, 0, 1)] = 1.0
+    X = OperatorSubspace.from_spanning(alg, [x])
+    assert X.rank_deficit == 0 and is_nondegenerate(X)
+    assert abs(X.tro_defect - 0.117) <= 1e-3 and not is_tro(X)
+    assert X.product_spans[0].residual(alg.identity()) > 1.2
+
+
 def test_right_invariance_examples(cz4, mu0):
     X = image_subspace(left_conv_operator(cz4, mu0))
     assert is_right_invariant(cz4, X)
