@@ -46,7 +46,7 @@ def main():
 
     found = []
     for mu in seeds:
-        result = cesaro_limit(kp, mu, tol=args.tol, max_iter=10_000)
+        result = cesaro_limit(kp, mu, tol=args.tol)
         if not result.converged or result.limit.norm < 1e-8:
             continue
         if all((result.limit - old).norm > 1e-6 for old in found):

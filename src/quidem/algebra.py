@@ -546,12 +546,3 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> TensorSplit:
     pos.flags.writeable = False
     return TensorSplit(left=a, right=b, algebra=prod, positions=pos)
 
-
-def norm_attainer(omega: Functional) -> AlgebraElement:
-    """Unit-norm element x with ω(x) = ‖ω‖: x = V W* per block, from the
-    singular value decomposition d = W Σ V* of the density."""
-    alg = omega.algebra
-    out = np.empty(alg.dim, dtype=np.complex128)
-    for idx, w, _, vh in alg.svd(omega.density.vec):
-        out[idx] = _adjoints(w @ vh).reshape(idx.shape)
-    return alg.from_vec(out)

@@ -250,8 +250,7 @@ def cmd_explore(G: FiniteQuantumGroup, args, report: Report):
     tol = max(args.tol, CHECK_TOL)
     result = cesaro_limit(G, seed_fn, tol=tol, max_iter=args.max_iter)
     report.add("averaged convolution powers converged", result.converged, result.idempotency_defect, tol,
-               note=f"{result.iterations} convolution ops, "
-                    f"{'mean-ergodic finish at' if result.ergodic_finish else 'averaged to'} N={result.checkpoint}")
+               note=f"{result.iterations} convolution ops" + (", mean-ergodic projection" if result.ergodic_finish else ""))
     if not result.converged:
         return
     if result.limit.norm <= CHECK_TOL:

@@ -50,27 +50,19 @@ def sharp(G: FiniteQuantumGroup, omega: Functional) -> Functional:
 
 @dataclass(eq=False)
 class CesaroResult:
-    """Outcome of cesaro_limit.  When converged, limit is the averaged
-    convolution power (1/N)·Σ_{n≤N} μ^⋆n at the final checkpoint N, or the
-    mean-ergodic projection of μ when ergodic_finish is set; N is then the
-    checkpoint at which the averaging gave way to it."""
+    """Outcome of cesaro_limit.  When converged, limit is the limit of the
+    averages (1/N)·Σ_{n≤N} μ^⋆n: μ itself when μ is idempotent, else the
+    mean-ergodic projection of μ, and then ergodic_finish is set."""
 
     limit: Functional | None
     converged: bool
     iterations: int               # number of convolution products performed
-    checkpoint: int               # the N of the returned average
     idempotency_defect: float
-    increment: float
-    ergodic_finish: bool          # whether the mean-ergodic finish ran
+    ergodic_finish: bool          # whether the mean-ergodic projection was taken
+    checkpoint = 1                # the only average formed: ω_1 = μ
 
     def __bool__(self):
         return self.converged
-
-
-# Doubling checkpoints stay below N = 2^20: past that, the O(1/N) averaging
-# error competes with the floating-point drift that repeated squaring of
-# μ^⋆N amplifies by a factor of N.
-_MAX_DOUBLINGS = 20
 
 
 def cesaro_limit(
@@ -81,90 +73,47 @@ def cesaro_limit(
 ) -> CesaroResult:
     """Limit of the averages ω_N = (1/N) Σ_{n=1..N} μ^⋆n for ‖μ‖ ≤ 1.
 
-    The averages are evaluated at doubling checkpoints N = 2^k through the
-    exact recursion  s_{2N} = s_N + μ^⋆N ⋆ s_N  until both the step between
-    checkpoints and the idempotency defect fall below tol; max_iter bounds
-    the number of convolution products.  In finite dimension μ = x + (T−1)y
-    with T = L_μ and T x = x, so ω_N = x + (T^N − 1)y/N: the error, and with
-    it the idempotency defect, falls like 1/N.  Once defect·N exceeds
-    tol·2^20, averaging cannot bring the defect under tol within the
-    drift-safe checkpoints, and the limit is taken as x, the mean-ergodic
-    projection of μ onto the fixed space of T, computed from μ alone; the
-    stopping conditions are then verified on it directly.  The returned ω
-    also satisfies μ⋆ω = ω⋆μ = ω within tol.
+    In finite dimension T = L_μ is a contraction, so A* = ker(T−1) ⊕ ran(T−1):
+    μ = x + (T−1)y with T x = x, and ω_N = x + (T^N − 1)y/N tends to x, the
+    mean-ergodic projection of μ onto the fixed space of T (compare
+    Franz–Skalski, Colloq. Math. 113 (2008)).  A seed with μ⋆μ = μ within tol
+    is its own limit and is returned after one convolution product.
+    Otherwise x is taken from one SVD of T − 1 and returned once x⋆x = x and
+    μ⋆x = x⋆μ = x hold within tol, which costs three more products; max_iter
+    bounds the number of products, so a budget below four returns such a
+    seed unconverged.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"cesaro_limit requires a finite tol at least 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"cesaro_limit requires max_iter at least 1, got {max_iter}")
+    if mu.algebra != G.algebra:
+        raise ValueError("functionals do not live on this quantum group")
     if mu.norm > 1 + STATE_TOL:
         raise ValueError(f"cesaro_limit requires a contractive seed, got norm {mu.norm:.6f}")
     conv, cov_mu = G.convolve_cov, mu.covector
-    power = cov_mu.copy()          # μ^⋆N
-    total = cov_mu.copy()          # Σ_{n≤N} μ^⋆n
-    checkpoint, ops, increment, finish = 1, 0, 0.0, False
-    reach = tol * 2 ** _MAX_DOUBLINGS   # the largest defect·N that averaging can still bring under tol
 
     def norm(cov):
         return Functional.from_covector(G.algebra, cov).norm
 
-    def status(cov_avg):
-        return norm(conv(cov_avg, cov_avg) - cov_avg)
+    def result(ops, limit=None, finish=True):
+        return CesaroResult(limit=limit, converged=limit is not None, iterations=ops,
+                            idempotency_defect=defect, ergodic_finish=finish)
 
-    def result(limit_cov=None):
-        """The outcome so far; converged exactly when a limit is given."""
-        return CesaroResult(
-            limit=None if limit_cov is None else Functional.from_covector(G.algebra, limit_cov),
-            converged=limit_cov is not None, iterations=ops, checkpoint=checkpoint,
-            idempotency_defect=defect, increment=float(increment), ergodic_finish=finish,
-        )
-
-    prev_avg = total / checkpoint
-    defect = status(prev_avg)
-    ops += 1
+    defect = norm(conv(cov_mu, cov_mu) - cov_mu)
     if defect <= tol:
-        return result(prev_avg)
-    increment = np.inf
-    for _ in range(_MAX_DOUBLINGS):
-        if defect * checkpoint > reach or ops + 3 > max_iter:
-            break
-        shifted = conv(power, total)
-        power = conv(power, power)
-        total = total + shifted
-        checkpoint *= 2
-        ops += 2
-        avg = total / checkpoint
-        increment = norm(avg - prev_avg)
-        defect = status(avg)
-        ops += 1
-        prev_avg = avg
-        if increment <= tol and defect <= tol:
-            return result(avg)
-    if ops + 3 > max_iter:
-        return result()
-    # mean-ergodic finish: decompose μ = x + (T−1)y with T x = x and return x
-    import logging   # on first use: at start-up it slows every CLI run by 5-15 ms
-
-    logging.getLogger(__name__).debug(
-        "cesaro_limit: mean-ergodic finish at checkpoint %d (defect %.3e, defect*N %.3e vs tol*2^20 %.3e, "
-        "increment %.3e)", checkpoint, defect, defect * checkpoint, reach, increment,
-    )
-    finish = True
-    t_mat = G.left_matrix(cov_mu).T
-    a = t_mat - np.eye(G.dim)
-    u, s, vh = np.linalg.svd(a)
+        return result(1, mu, finish=False)
+    if max_iter < 4:
+        return result(1, finish=False)
+    # decompose μ = x + (T−1)y with T x = x and take x
+    u, s, vh = np.linalg.svd(G.left_matrix(cov_mu).T - np.eye(G.dim))
     rank = int(np.sum(above_cutoff(s, max(1.0, s[0]))))
     kernel = vh[rank:].conj().T
-    column_space = u[:, :rank]
-    basis = np.hstack([kernel, column_space])
     try:
-        coeff = np.linalg.solve(basis, cov_mu)
+        coeff = np.linalg.solve(np.hstack([kernel, u[:, :rank]]), cov_mu)
     except np.linalg.LinAlgError:
-        return result()
+        return result(1)
     limit_cov = kernel @ coeff[: kernel.shape[1]]
-    ops += 3
-    defect = status(limit_cov)
-    absorb_left = norm(conv(cov_mu, limit_cov) - limit_cov)
-    absorb_right = norm(conv(limit_cov, cov_mu) - limit_cov)
-    increment = norm(prev_avg - limit_cov)
-    return result() if max(defect, absorb_left, absorb_right) > tol else result(limit_cov)
+    defect = norm(conv(limit_cov, limit_cov) - limit_cov)
+    absorb = max(norm(conv(cov_mu, limit_cov) - limit_cov), norm(conv(limit_cov, cov_mu) - limit_cov))
+    return result(4) if max(defect, absorb) > tol else result(4, Functional.from_covector(G.algebra, limit_cov))

@@ -129,7 +129,7 @@ def test_explore_point_seed(capsys):
     assert doc["info"]["haar"] is True
     assert doc["info"]["subgroup_block_dims"] == [1] * 6
     note = _rows(doc)["averaged convolution powers converged"]["note"]
-    assert note == "4 convolution ops, mean-ergodic finish at N=1"
+    assert note == "4 convolution ops, mean-ergodic projection"
 
 
 def test_explore_idempotent_seed_is_fixed(capsys):
@@ -137,7 +137,7 @@ def test_explore_idempotent_seed_is_fixed(capsys):
     assert code == 0
     doc = json.loads(out)
     note = [c for c in doc["checks"] if c["name"].startswith("averaged")][0]["note"]
-    assert note == "1 convolution ops, averaged to N=1"
+    assert note == "1 convolution ops"
 
 
 @pytest.mark.parametrize("max_iter", ["0", "-5"])

@@ -1,8 +1,6 @@
 """Convolution products, operator matrices, the sharp involution, and
 averaged convolution powers."""
 
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,22 +198,6 @@ def test_cesaro_order_three_element(cz6):
     assert (result.limit - brute).norm <= 1e-8
 
 
-def test_cesaro_doubling_matches_plain_average(cz6):
-    """The doubling recursion evaluates the same averages as a direct loop."""
-    delta = _delta(cz6, 1)
-    result = cesaro_limit(cz6, delta, tol=1e-3, max_iter=100)
-    assert result.converged and not result.ergodic_finish
-    n = result.checkpoint
-    assert n > 1
-    acc = delta
-    total = delta.covector.copy()
-    for _ in range(n - 1):
-        acc = convolve(cz6, acc, delta)
-        total = total + acc.covector
-    plain = Functional.from_covector(cz6.algebra, total / n)
-    assert (result.limit - plain).norm < 1e-12
-
-
 def test_convolve_rejects_group_mismatch(cz4, cz6):
     with pytest.raises(ValueError):
         convolve(cz4, cz4.counit, cz6.counit)
@@ -244,38 +226,35 @@ def test_cesaro_limit_commutes_with_seed(kp):
     assert (convolve(kp, limit, seed) - limit).norm < 1e-8
 
 
-def test_mean_ergodic_finish_is_logged(cz6, cz4, mu0, caplog):
-    tol = 1e-8
-    with caplog.at_level(logging.DEBUG, logger="quidem.convolution"):
-        result = cesaro_limit(cz6, _delta(cz6, 1), tol=tol, max_iter=10_000)
-    assert result.converged and result.ergodic_finish
-    [record] = caplog.records
-    assert record.levelno == logging.DEBUG
-    checkpoint, defect, bound, reach, increment = record.args
-    assert record.getMessage() == (
-        f"cesaro_limit: mean-ergodic finish at checkpoint {checkpoint} (defect {defect:.3e}, "
-        f"defect*N {bound:.3e} vs tol*2^20 {reach:.3e}, increment {increment:.3e})"
-    )
-    assert checkpoint == result.checkpoint
-    assert bound == defect * checkpoint and reach == tol * 2 ** 20
-    assert defect * checkpoint > tol * 2 ** 20   # why the doubling stopped
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="quidem.convolution"):
-        assert not cesaro_limit(cz4, mu0, tol=1e-8).ergodic_finish   # converges at the first checkpoint
-        assert not cesaro_limit(cz6, _delta(cz6, 1), tol=1e-3, max_iter=100).ergodic_finish
-    assert not caplog.records
-
-
 def test_finish_skips_the_doubling_that_cannot_reach_tol(cz6):
-    """A generator of Z6 has idempotency defect 2 at N = 1, and 2 > 1e-8·2^20:
-    the finish runs at once, with one op for the checkpoint and three for
-    itself, and gives the same limit as averaging to a looser tolerance."""
+    """A generator of Z6 has idempotency defect 2: the mean-ergodic
+    projection is taken at once, with one op for the idempotency test and
+    three for its checks, and at a looser tolerance gives a limit as close."""
     delta = _delta(cz6, 1)
     result = cesaro_limit(cz6, delta, tol=1e-8, max_iter=10_000)
     assert result.converged and result.ergodic_finish
     assert (result.checkpoint, result.iterations) == (1, 4)
-    averaged = cesaro_limit(cz6, delta, tol=1e-3, max_iter=100)
-    assert (result.limit - averaged.limit).norm < 1e-3
+    loose = cesaro_limit(cz6, delta, tol=1e-3, max_iter=100)
+    assert (loose.checkpoint, loose.iterations) == (1, 4)
+    assert (result.limit - loose.limit).norm < 1e-3
+
+
+def test_cesaro_budget_of_four_pays_for_the_projection(cz6, kp):
+    """One product tests the seed, three check its projection: a budget of
+    three returns a seed that is not idempotent unconverged, and a budget of
+    four returns the limit of the default budget, bit for bit."""
+    rng = np.random.default_rng(4)
+    for G, mu in ((cz6, _delta(cz6, 1)), (cz6, _delta(cz6, 2)), (kp, kp.algebra.random_state(rng))):
+        short = cesaro_limit(G, mu, tol=1e-9, max_iter=3)
+        assert not short.converged and short.limit is None and short.iterations == 1
+        exact = cesaro_limit(G, mu, tol=1e-9, max_iter=4)
+        assert exact.converged and exact.ergodic_finish and exact.iterations == 4
+        assert np.array_equal(exact.limit.covector, cesaro_limit(G, mu, tol=1e-9).limit.covector)
+
+
+def test_cesaro_rejects_seed_of_another_group(cz4, cz6):
+    with pytest.raises(ValueError, match="functionals do not live on this quantum group"):
+        cesaro_limit(cz4, cz6.counit)
 
 
 def test_finish_stays_within_max_iter(cz6):

@@ -14,11 +14,13 @@ and the dual Haar state (the invariance equations, with an SVD uniqueness
 test) and of the cancellation rows (numerical ranks of the spans Δ(A)(A⊗1)
 and Δ(A)(1⊗A)) and of nondegeneracy (numerical ranks of the stacked
 products X·A and A·X); `_ref_extract` is the per-basis-matrix form of the
-Wedderburn eigenspace check.
+Wedderburn eigenspace check; `_ref_cesaro_limit` is the doubling-checkpoint
+average that cesaro_limit took before its mean-ergodic projection.
 """
 
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,9 +38,9 @@ from quidem import (
     symmetric,
 )
 from quidem import qgroup, wedderburn
-from quidem.algebra import PolarParts, polar_decompose, tensor_algebra
+from quidem.algebra import PolarParts, above_cutoff, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
-from quidem.convolution import commutes_with_right_convolutions
+from quidem.convolution import commutes_with_right_convolutions, convolve
 from quidem.idempotents import (
     _character_defect,
     _seminorm_sq,
@@ -727,14 +729,27 @@ def _ref_extract(left_mults, v, clusters, n):
 # inputs
 
 
-def _kp_non_haar_state(kp, corner=(1.0, 0.0)):
-    """The Cesàro limit of the state that splits the counit with one corner
-    of the 2×2 block."""
+def _kp_corner_seed(kp, corner):
+    """The state that splits the counit with one corner of the 2×2 block."""
     blocks = [np.zeros((n, n)) for n in kp.algebra.block_dims]
     blocks[0] = np.eye(1) / 2
     blocks[4] = np.diag(corner) / 2
-    seed = Functional(kp.algebra, kp.algebra.element(blocks))
-    return cesaro_limit(kp, seed, tol=1e-9, max_iter=10_000).limit
+    return Functional(kp.algebra, kp.algebra.element(blocks))
+
+
+def _kp_block_seeds(kp):
+    """The states spread evenly over one block each."""
+    out = []
+    for block, n in enumerate(kp.algebra.block_dims):
+        blocks = [np.zeros((m, m)) for m in kp.algebra.block_dims]
+        blocks[block] = np.eye(n) / n
+        out.append(Functional(kp.algebra, kp.algebra.element(blocks)))
+    return out
+
+
+def _kp_non_haar_state(kp, corner=(1.0, 0.0)):
+    """The Cesàro limit of a corner seed."""
+    return cesaro_limit(kp, _kp_corner_seed(kp, corner), tol=1e-9, max_iter=10_000).limit
 
 
 def _cases(name):
@@ -1053,15 +1068,9 @@ def test_linking_functional_verdicts_match_dense_forms(spec):
 
 
 def _kp_block_limits(kp):
-    """Cesàro limits of the states spread evenly over one block each: the
-    counit, the three order-two subgroups and the Haar state."""
-    out = []
-    for block, n in enumerate(kp.algebra.block_dims):
-        blocks = [np.zeros((m, m)) for m in kp.algebra.block_dims]
-        blocks[block] = np.eye(n) / n
-        seed = Functional(kp.algebra, kp.algebra.element(blocks))
-        out.append(cesaro_limit(kp, seed, tol=1e-9, max_iter=10_000).limit)
-    return out
+    """Cesàro limits of the block seeds: the counit, the three order-two
+    subgroups and the Haar state."""
+    return [cesaro_limit(kp, seed, tol=1e-9, max_iter=10_000).limit for seed in _kp_block_seeds(kp)]
 
 
 @pytest.fixture(scope="module", params=GROUPS)
@@ -1523,7 +1532,10 @@ def _seeds(G, rng):
         yield Functional.from_covector(A, mu.covector * rng.uniform(0.5, 1) / mu.norm)
 
 
-@pytest.mark.parametrize("name", ["kp", "cstar:dn:4", "czn:6", "cfun:sn:3"])
+CESARO_GROUPS = ["kp", "cstar:dn:4", "czn:6", "cfun:sn:3"]
+
+
+@pytest.mark.parametrize("name", CESARO_GROUPS)
 def test_cesaro_limit_is_the_spectral_projection(name):
     G = builtin(name)
     rng = np.random.default_rng(23)
@@ -1531,6 +1543,125 @@ def test_cesaro_limit_is_the_spectral_projection(name):
         result = cesaro_limit(G, mu, tol=1e-9, max_iter=10_000)
         assert result.converged
         assert (result.limit - _eig_limit(G, mu)).norm <= 1e-10
+
+
+_REF_MAX_DOUBLINGS = 20
+
+
+def _ref_cesaro_limit(G, mu, tol, max_iter):
+    """The doubling-checkpoint form of cesaro_limit: the averages at N = 2^k
+    through s_{2N} = s_N + μ^⋆N ⋆ s_N until the step between checkpoints and
+    the idempotency defect fall below tol; once defect·N exceeds tol·2^20,
+    where the drift of repeated squaring competes with the O(1/N) error, the
+    mean-ergodic projection of μ, checked as cesaro_limit checks it."""
+    conv, cov_mu = G.convolve_cov, mu.covector
+    power = cov_mu.copy()          # μ^⋆N
+    total = cov_mu.copy()          # Σ_{n≤N} μ^⋆n
+    checkpoint, ops, increment, finish = 1, 0, 0.0, False
+    reach = tol * 2 ** _REF_MAX_DOUBLINGS
+
+    def norm(cov):
+        return Functional.from_covector(G.algebra, cov).norm
+
+    def status(cov_avg):
+        return norm(conv(cov_avg, cov_avg) - cov_avg)
+
+    def result(limit_cov=None):
+        return SimpleNamespace(
+            limit=None if limit_cov is None else Functional.from_covector(G.algebra, limit_cov),
+            converged=limit_cov is not None, iterations=ops, checkpoint=checkpoint,
+            idempotency_defect=defect, increment=float(increment), ergodic_finish=finish,
+        )
+
+    prev_avg = total / checkpoint
+    defect = status(prev_avg)
+    ops += 1
+    if defect <= tol:
+        return result(prev_avg)
+    increment = np.inf
+    for _ in range(_REF_MAX_DOUBLINGS):
+        if defect * checkpoint > reach or ops + 3 > max_iter:
+            break
+        shifted = conv(power, total)
+        power = conv(power, power)
+        total = total + shifted
+        checkpoint *= 2
+        ops += 2
+        avg = total / checkpoint
+        increment = norm(avg - prev_avg)
+        defect = status(avg)
+        ops += 1
+        prev_avg = avg
+        if increment <= tol and defect <= tol:
+            return result(avg)
+    if ops + 3 > max_iter:
+        return result()
+    finish = True
+    t_mat = G.left_matrix(cov_mu).T
+    a = t_mat - np.eye(G.dim)
+    u, s, vh = np.linalg.svd(a)
+    rank = int(np.sum(above_cutoff(s, max(1.0, s[0]))))
+    kernel = vh[rank:].conj().T
+    column_space = u[:, :rank]
+    basis = np.hstack([kernel, column_space])
+    try:
+        coeff = np.linalg.solve(basis, cov_mu)
+    except np.linalg.LinAlgError:
+        return result()
+    limit_cov = kernel @ coeff[: kernel.shape[1]]
+    ops += 3
+    defect = status(limit_cov)
+    absorb_left = norm(conv(cov_mu, limit_cov) - limit_cov)
+    absorb_right = norm(conv(limit_cov, cov_mu) - limit_cov)
+    increment = norm(prev_avg - limit_cov)
+    return result() if max(defect, absorb_left, absorb_right) > tol else result(limit_cov)
+
+
+def _cesaro_cases():
+    """The seeds of the spectral-projection test and the KP block and corner
+    seeds."""
+    for name in CESARO_GROUPS:
+        G = builtin(name)
+        yield from ((G, mu) for mu in _seeds(G, np.random.default_rng(23)))
+    kp = builtin("kp")
+    for mu in _kp_block_seeds(kp) + [_kp_corner_seed(kp, c) for c in ((1.0, 0.0), (0.0, 1.0))]:
+        yield kp, mu
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-8])
+def test_cesaro_limit_matches_the_doubling_reference(tol):
+    """At these tolerances the doubling never runs: every seed is idempotent
+    at N = 1 or goes straight to the mean-ergodic projection, so both routes
+    spend the same products on the same arithmetic and agree bit for bit."""
+    routes = set()
+    for G, mu in _cesaro_cases():
+        new, ref = cesaro_limit(G, mu, tol=tol, max_iter=10_000), _ref_cesaro_limit(G, mu, tol, 10_000)
+        assert new.converged
+        assert (new.converged, new.iterations, new.checkpoint, new.ergodic_finish) == (
+            ref.converged, ref.iterations, ref.checkpoint, ref.ergodic_finish)
+        assert new.idempotency_defect == ref.idempotency_defect
+        assert np.array_equal(new.limit.covector, ref.limit.covector)
+        routes.add(new.iterations)
+    assert routes == {1, 4}
+
+
+def test_cesaro_limit_within_tol_of_the_doubling_average(cz6):
+    """At tol 1e-3 the reference averages a generator of Z6 to a checkpoint
+    N > 1, and that average is the plain one over N powers; the projection is
+    the spectral one and within tol of it."""
+    delta = Functional.from_covector(cz6.algebra, np.eye(6)[1])
+    tol = 1e-3
+    ref = _ref_cesaro_limit(cz6, delta, tol, 100)
+    assert ref.converged and not ref.ergodic_finish and ref.checkpoint > 1
+    power, total = delta, delta.covector.copy()
+    for _ in range(ref.checkpoint - 1):
+        power = convolve(cz6, power, delta)
+        total = total + power.covector
+    assert (ref.limit - Functional.from_covector(cz6.algebra, total / ref.checkpoint)).norm < 1e-12
+    new = cesaro_limit(cz6, delta, tol=tol, max_iter=100)
+    assert new.converged and new.ergodic_finish
+    assert (new.limit - _eig_limit(cz6, delta)).norm <= 1e-10
+    assert (new.limit - ref.limit).norm <= tol
 
 
 # ---------------------------------------------------------------------------
