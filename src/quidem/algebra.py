@@ -136,6 +136,14 @@ class MultiMatrixAlgebra:
             out[..., o] += x[..., l] * y[..., r]
         return out
 
+    @cached_property
+    def mult_tensor(self) -> np.ndarray:
+        """mult_tensor[o, a, b] = vec(e_a · e_b)[o] over the matrix-unit basis; built once."""
+        eye = np.eye(self.dim)
+        out = self.multiply(eye[:, None, :], eye[None, :, :]).transpose(2, 0, 1)
+        out.flags.writeable = False
+        return out
+
     def singular_values(self, x) -> list:
         """Singular values of every block of each vec in a stack, descending,
         as one (..., m, n) array per size class: abs on 1×1 blocks and one

@@ -80,11 +80,10 @@ class FiniteQuantumGroup:
         return out
 
     @cached_property
-    def mult_tensor(self) -> np.ndarray:
-        """mult_tensor[o, a, b] = vec(e_a · e_b)[o]."""
-        ms = _mult_tensor(self.algebra)
-        ms.flags.writeable = False
-        return ms
+    def axiom_defects(self) -> dict:
+        """The 16 defect norms of verify_axioms, in AXIOM_ROWS order; measured once."""
+        defects = {**_structure_defects(self), **_haar_defects(self)}
+        return {name: defects[name] for name in AXIOM_ROWS}
 
     @cached_property
     def corners(self) -> dict:
@@ -160,12 +159,6 @@ class AxiomReport:
         return f"AxiomReport(max={self.max_defect:.3e}, tol={self.tol:g}, {status})"
 
 
-def _mult_tensor(algebra: MultiMatrixAlgebra) -> np.ndarray:
-    """ms[o, a, b] = vec(e_a · e_b)[o] over the matrix-unit basis."""
-    eye = np.eye(algebra.dim)
-    return algebra.multiply(eye[:, None, :], eye[None, :, :]).transpose(2, 0, 1)
-
-
 # Row order of verify_axioms.
 AXIOM_ROWS = (
     "comult_unital", "comult_homomorphism", "comult_star", "coassociativity",
@@ -183,10 +176,10 @@ def verify_axioms(G: FiniteQuantumGroup, tol: float = STATE_TOL) -> AxiomReport:
     quantum group; the cancellation rows take it of T T⁻¹ − id for the Galois
     maps T.  Each norm is the largest over a stack of basis images, taken by
     the blockwise kernel of the algebra the images live in.  The rows are the
-    structure rows together with the Haar rows, in the order of AXIOM_ROWS.
+    structure rows together with the Haar rows, in the order of AXIOM_ROWS,
+    measured once per group (G.axiom_defects) and compared at each call's tol.
     """
-    defects = {**_structure_defects(G), **_haar_defects(G)}
-    return AxiomReport(defects={name: defects[name] for name in AXIOM_ROWS}, tol=tol)
+    return AxiomReport(dict(G.axiom_defects), tol)
 
 
 def _structure_defects(G: FiniteQuantumGroup) -> dict:
@@ -201,7 +194,7 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
     one = A.identity().vec
     defects["comult_unital"] = AA.max_operator_norm(G.comult @ one - ts.scatter(one, one))
     # Δ(e_i e_j) − Δ(e_i)Δ(e_j) over all basis pairs
-    lhs = (G.comult @ G.mult_tensor.reshape(dim, dim * dim)).T.reshape(dim, dim, AA.dim)
+    lhs = (G.comult @ A.mult_tensor.reshape(dim, dim * dim)).T.reshape(dim, dim, AA.dim)
     defects["comult_homomorphism"] = AA.max_operator_norm(lhs - AA.multiply(images[:, None, :], images[None, :, :]))
     defects["comult_star"] = AA.max_operator_norm(images[star] - AA.adjoint(images))
 
@@ -218,7 +211,7 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
     ce = G.counit.covector
     defects["counit_left"], defects["counit_right"] = _counit_defects(A, d3, ce)
 
-    ms = G.mult_tensor
+    ms = A.mult_tensor
     s_mat = G.antipode
     defects["antipode_left"], defects["antipode_right"] = _antipode_defects(A, d3, ms, ce, s_mat)
     defects["antipode_involutive"] = A.max_operator_norm((s_mat @ s_mat - ident).T)
@@ -270,7 +263,7 @@ def _haar_defects(G: FiniteQuantumGroup) -> dict:
 
 def commutativity_defect(G: FiniteQuantumGroup) -> float:
     """Max operator norm of [e_i, e_j]; zero iff all blocks are 1×1."""
-    ms = G.mult_tensor
+    ms = G.algebra.mult_tensor
     return G.algebra.max_operator_norm((ms - ms.transpose(0, 2, 1)).T)
 
 
@@ -304,7 +297,7 @@ def solve_antipode(
     residual = max(_counit_defects(algebra, d3, ce))
     if not residual <= tol:
         raise ValueError(f"antipode solve failed (counit residual {residual:.2e})")
-    ms = _mult_tensor(algebra)
+    ms = algebra.mult_tensor
     h = plancherel_state(algebra).covector
     integral = counit.density.vec
     gram = np.einsum("o,oab->ab", h, ms)   # h(e_a e_b)
@@ -318,9 +311,8 @@ def solve_antipode(
 def _dual_regular_split(G: FiniteQuantumGroup):
     """Wedderburn data of the convolution *-algebra (A*, ⋆, ♯) acting on the
     GNS space of its Haar trace f ↦ f(Λ), Λ the density of the counit.
-    Returns (lt, split) with lt the list of left multiplication matrices in
-    orthonormal coordinates."""
-    dim = G.dim
+    Returns (lt, split) with lt[b] the matrix of left multiplication by the
+    b-th dual basis functional in orthonormal coordinates."""
     d3 = G.d3
     msharp = G.sharp_matrix
     conv_after_sharp = np.einsum("ai,ajc->ijc", msharp, d3)
@@ -331,8 +323,8 @@ def _dual_regular_split(G: FiniteQuantumGroup):
         raise ValueError("dual Haar trace is not faithful; cannot split the dual")
     w_half = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
     w_half_inv = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T
-    lt = [w_half @ d3[b].T @ w_half_inv for b in range(dim)]
-    rt = [w_half @ d3[:, b, :].T @ w_half_inv for b in range(dim)]
+    lt = w_half @ d3.transpose(0, 2, 1) @ w_half_inv
+    rt = w_half @ d3.transpose(1, 2, 0) @ w_half_inv
     star_res = _star_residual(msharp, lt)
     if star_res > _STAR_TOL:
         raise ValueError(f"dual regular representation is not a *-rep (residual {star_res:.2e})")
@@ -340,12 +332,11 @@ def _dual_regular_split(G: FiniteQuantumGroup):
     return lt, split
 
 
-def _star_residual(msharp: np.ndarray, lt: list[np.ndarray]) -> float:
+def _star_residual(msharp: np.ndarray, lt: np.ndarray) -> float:
     """max_b ‖L(e_b♯) − L(e_b)†‖: left multiplication must be a
     *-representation, L(f♯) = L(f)†, checked on the dual basis in one batch."""
-    stack = np.stack(lt)
-    sharp_images = np.einsum("ab,aij->bij", msharp, stack)
-    return float(np.linalg.norm(sharp_images - np.conj(np.swapaxes(stack, 1, 2)), 2, axis=(1, 2)).max())
+    sharp_images = np.einsum("ab,aij->bij", msharp, lt)
+    return float(np.linalg.norm(sharp_images - np.conj(np.swapaxes(lt, 1, 2)), 2, axis=(1, 2)).max())
 
 
 def dual_pair(G: FiniteQuantumGroup) -> tuple[FiniteQuantumGroup, np.ndarray]:
@@ -362,7 +353,7 @@ def dual_pair(G: FiniteQuantumGroup) -> tuple[FiniteQuantumGroup, np.ndarray]:
         raise ValueError(f"dual splitting is ill-conditioned (cond {cond:.2e})")
     dual_alg = MultiMatrixAlgebra(split.block_dims)
     tsd = tensor_algebra(dual_alg, dual_alg)
-    big = np.einsum("bjk,pj,qk->bpq", G.mult_tensor, phi, phi, optimize=True)
+    big = np.einsum("bjk,pj,qk->bpq", G.algebra.mult_tensor, phi, phi, optimize=True)
     comult_cols = np.empty((tsd.algebra.dim, dim), dtype=np.complex128)
     comult_cols[tsd.positions] = big.reshape(dim, -1).T
     phi_inv = np.linalg.inv(phi)
@@ -419,7 +410,8 @@ class QuantumSubgroup:
     π: A → C(H) intertwining comultiplications.  intertwining_defect is the
     max coefficient norm of (π⊗π)Δ_G − Δ_H π over basis columns and axioms
     the report of the axiom check of H; quotient_by_support measures both
-    once per kept-block set and reports them at the tolerance of each call."""
+    once per kept-block set, the rows as H.axiom_defects, and reports them
+    at the tolerance of each call."""
 
     parent: FiniteQuantumGroup
     target: FiniteQuantumGroup
@@ -468,9 +460,10 @@ def quotient_by_support(G: FiniteQuantumGroup, s: AlgebraElement, tol: float = S
     of the corner as its Haar state, must pass all axioms, which fails
     exactly when s is not the support of a Haar idempotent.
 
-    The corner depends only on its kept blocks, so it is built, its
-    intertwining defect measured and its 16 axiom rows run once per group
-    and kept set (``G.corners``).  Every call checks the centrality of s,
+    The corner depends only on its kept blocks, so it is built and its
+    intertwining defect measured once per group and kept set
+    (``G.corners``); its 16 axiom rows are those its target measures once,
+    H.axiom_defects.  Every call checks the centrality of s,
     read off s.centrality, and compares the stored numbers at its own
     tolerance.  π is a coordinate compression onto the kept blocks,
     surjective by construction."""
@@ -486,10 +479,8 @@ def quotient_by_support(G: FiniteQuantumGroup, s: AlgebraElement, tol: float = S
             f"induced comultiplication is not well defined (defect {corner.intertwining_defect:.2e}); "
             "the projection is not the support of a Haar idempotent"
         )
-    if corner.axioms is None:
-        corner.axioms = verify_axioms(corner.target, check_tol)
-        G.corners[kept] = corner
-    rep = AxiomReport(dict(corner.axioms.defects), check_tol)
+    G.corners[kept] = corner
+    rep = verify_axioms(corner.target, check_tol)
     if not rep.passed:
         raise ValueError(
             f"corner structure fails quantum group axioms: {rep.failures()}; "

@@ -29,16 +29,13 @@ class BlockSplit:
     block_dims: tuple[int, ...]
     isometries: list[np.ndarray]   # one N×d isometry per block, class order
 
-    def map_matrix(self, left_mults: list[np.ndarray]) -> np.ndarray:
+    def map_matrix(self, left_mults: np.ndarray) -> np.ndarray:
         """Matrix of the *-isomorphism b ↦ ⊕_k Q_k† L_b Q_k over the input
-        basis, with columns in the vec coordinates of ⊕ M_{n_k}."""
+        basis, from the (dim, N, N) stack of the L_b, with columns in the vec
+        coordinates of ⊕ M_{n_k}."""
         dim = len(left_mults)
-        total = sum(d * d for d in self.block_dims)
-        phi = np.empty((total, dim), dtype=np.complex128)
-        for b, lb in enumerate(left_mults):
-            chunks = [ (q.conj().T @ lb @ q).ravel() for q in self.isometries ]
-            phi[:, b] = np.concatenate(chunks)
-        return phi
+        return np.concatenate([(q.conj().T @ left_mults @ q).reshape(dim, -1) for q in self.isometries],
+                              axis=1).T
 
 
 def _cluster(eigenvalues: np.ndarray) -> list[np.ndarray]:
@@ -51,15 +48,16 @@ def _cluster(eigenvalues: np.ndarray) -> list[np.ndarray]:
     return clusters
 
 
-def decompose(left_mults: list[np.ndarray], right_mults: list[np.ndarray], rng: np.random.Generator) -> BlockSplit:
+def decompose(left_mults: np.ndarray, right_mults: np.ndarray, rng: np.random.Generator) -> BlockSplit:
     """Split C^N into one irreducible left submodule per block.
 
-    left_mults/right_mults: N×N matrices of left/right multiplication by each
-    basis element, in coordinates where left multiplication is a
-    *-representation (orthonormal GNS coordinates of a faithful trace).
+    left_mults/right_mults: (dim, N, N) stacks of the matrices of
+    left/right multiplication by each basis element, in coordinates where
+    left multiplication is a *-representation (orthonormal GNS coordinates
+    of a faithful trace).
     An eigenspace counts as invariant within CHECK_TOL.
     """
-    n = left_mults[0].shape[0]
+    n = left_mults.shape[1]
     last_error = None
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         coeff = rng.standard_normal(len(right_mults)) + 1j * rng.standard_normal(len(right_mults))
@@ -84,13 +82,12 @@ class _SplitFailure(Exception):
 
 
 def _extract(left_mults, v, clusters, n) -> BlockSplit:
-    stack = np.stack(left_mults)
     reps = []
     for idx in clusters:
         q = v[:, idx]
-        compressed = q.conj().T @ stack @ q   # Q† L_b Q for every basis element b
+        compressed = q.conj().T @ left_mults @ q   # Q† L_b Q for every basis element b
         # eigenspaces of a commutant element must be invariant under the algebra
-        residual = float(np.linalg.norm(stack @ q - q @ compressed, 2, axis=(1, 2)).max())
+        residual = float(np.linalg.norm(left_mults @ q - q @ compressed, 2, axis=(1, 2)).max())
         if residual > CHECK_TOL:
             raise _SplitFailure(f"cluster is not an invariant subspace (residual {residual:.2e})")
         reps.append((q, np.trace(compressed, axis1=1, axis2=2)))

@@ -1,6 +1,7 @@
 """Axiom verification, duality, quotients, group-like elements."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,15 @@ from quidem import (
 )
 from quidem import qgroup, wedderburn
 from quidem.algebra import is_central, polar_decompose, support_projection
+from quidem.catalogue import builtin, save
+from quidem.cli import main
 from quidem.idempotents import _subgroup_character, decompose, enumerate_function_algebra, enumerate_group_algebra
 from quidem.qgroup import (
     AXIOM_ROWS,
     FiniteQuantumGroup,
     cocommutativity_defect,
     commutativity_defect,
+    dual_pair,
     group_like_unitaries,
     plancherel_state,
     solve_antipode,
@@ -324,6 +328,43 @@ def test_each_corner_runs_the_haar_rows_once(monkeypatch):
     assert len(calls) == len(G.corners) == 30
 
 
+def test_each_group_measures_its_axiom_rows_once(monkeypatch, tmp_path, capsys):
+    """The 16 rows are measured once per group, in G.axiom_defects, and every
+    guard reads them: KP's build check and quidem verify, a file: load and
+    quidem verify, dual_pair after verify_axioms.  cstar:dn:4 measures C(D4)
+    inside dual_pair and C*(D4).  A copy is a new group and measures its own
+    rows, and a returned report is the caller's own copy."""
+    calls = []
+    structure_defects = qgroup._structure_defects
+    monkeypatch.setattr(qgroup, "_structure_defects", lambda H: calls.append(H) or structure_defects(H))
+
+    def measured_by_verify(spec):
+        calls.clear()
+        assert main(["verify", "--group", spec, "--json"]) == 0
+        capsys.readouterr()
+        return len(calls)
+
+    save(builtin("kp"), tmp_path / "kp.qgspec")
+    assert measured_by_verify("builtin:kp") == 1
+    assert measured_by_verify(f"file:{tmp_path / 'kp.qgspec'}") == 1
+    assert measured_by_verify("builtin:cstar:dn:4") == 2
+
+    G = function_algebra(cyclic(4))
+    calls.clear()
+    report = verify_axioms(G)
+    dual_pair(G)
+    assert calls == [G]
+    report.defects["coassociativity"] = 1.0
+    assert verify_axioms(G).defects["coassociativity"] == 0.0
+
+    comult = G.comult.copy()
+    comult[:, 1] = 1.01 * comult[:, 1] + 1e-3 * comult[:, 0]
+    broken = replace(G, comult=comult)
+    assert not verify_axioms(broken).passed
+    assert calls == [G, broken]
+    assert verify_axioms(G).passed
+
+
 class _ZeroFirstDraw:
     """A generator whose first commutant sample is zero: a scalar commutant
     element has one eigenspace, so the first split attempt must fail."""
@@ -341,8 +382,8 @@ def test_wedderburn_retry_is_logged(caplog):
     # the left regular representation of S3 and its commutant, the right one
     table = symmetric(3)
     eye = np.eye(table.order)
-    lt = [eye[:, [table.op(g, h) for h in range(table.order)]] for g in range(table.order)]
-    rt = [eye[:, [table.op(h, g) for h in range(table.order)]] for g in range(table.order)]
+    lt = np.array([eye[:, [table.op(g, h) for h in range(table.order)]] for g in range(table.order)])
+    rt = np.array([eye[:, [table.op(h, g) for h in range(table.order)]] for g in range(table.order)])
     with caplog.at_level(logging.DEBUG, logger="quidem.wedderburn"):
         split = wedderburn.decompose(lt, rt, _ZeroFirstDraw(0))
     assert sorted(split.block_dims) == [1, 1, 2]
