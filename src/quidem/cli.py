@@ -236,7 +236,7 @@ def _decomposition(a: Analysis | None, report: Report):
     tro = a.tro_report
     report.measured(tol, {f"mixed product {name}": value for name, value in tro.identity_residuals.items()})
     report.measured(tol, {f"tro {name}": value for name, value in tro.expectation_residuals.items()})
-    report.add("image is TRO", tro.image_is_tro, a.image.tro_defect, tol)
+    report.add("image is TRO", is_tro(a.image, tol), a.image.tro_defect, tol)
     _expectation(a, report)
 
 

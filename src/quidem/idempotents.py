@@ -20,7 +20,7 @@ from .algebra import (
     is_central,
     polar_decompose,
 )
-from .convolution import convolve
+from .convolution import idempotency_defect
 from .groups import characters
 from .qgroup import FiniteQuantumGroup, QuantumSubgroup, is_group_like, quotient_by_support
 
@@ -32,19 +32,6 @@ def is_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: float = STATE_T
     if omega.norm <= tol:
         return False
     return idempotency_defect(G, omega) <= tol
-
-
-def idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
-    """‖ω⋆ω − ω‖ in the dual norm, measured once per (G, ω) and kept in G.idempotency."""
-    defect = G.idempotency.get(omega)
-    if defect is None:
-        defect = G.idempotency[omega] = _idempotency_defect(G, omega)
-    return defect
-
-
-def _idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
-    """‖ω⋆ω − ω‖ in the dual norm, from one convolution."""
-    return (convolve(G, omega, omega) - omega).norm
 
 
 def contractive_defect(G: FiniteQuantumGroup, omega: Functional) -> float:

@@ -9,7 +9,7 @@ unitaries."""
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -94,7 +94,7 @@ class FiniteQuantumGroup:
     @cached_property
     def idempotency(self) -> weakref.WeakKeyDictionary:
         """Idempotency defects ‖ω⋆ω − ω‖ measured so far, by functional;
-        filled by idempotents.idempotency_defect."""
+        filled by convolution.idempotency_defect."""
         return weakref.WeakKeyDictionary()
 
     @cached_property
@@ -408,17 +408,16 @@ def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = CHECK_T
 class QuantumSubgroup:
     """A compact quantum subgroup (H, π): a surjective *-homomorphism
     π: A → C(H) intertwining comultiplications.  intertwining_defect is the
-    max coefficient norm of (π⊗π)Δ_G − Δ_H π over basis columns and axioms
-    the report of the axiom check of H; quotient_by_support measures both
-    once per kept-block set, the rows as H.axiom_defects, and reports them
-    at the tolerance of each call."""
+    max coefficient norm of (π⊗π)Δ_G − Δ_H π over basis columns;
+    quotient_by_support measures it once per kept-block set, and H measures
+    its axiom rows once as H.axiom_defects, which verify_axioms(H, tol)
+    reports at any tolerance."""
 
     parent: FiniteQuantumGroup
     target: FiniteQuantumGroup
     projection: np.ndarray          # (dim_H, dim_G) over vec bases
     kept_blocks: tuple[int, ...]
     intertwining_defect: float
-    axioms: AxiomReport | None = None
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         return self.target.algebra.from_vec(self.projection @ x.vec)
@@ -464,9 +463,11 @@ def quotient_by_support(G: FiniteQuantumGroup, s: AlgebraElement, tol: float = S
     intertwining defect measured once per group and kept set
     (``G.corners``); its 16 axiom rows are those its target measures once,
     H.axiom_defects.  Every call checks the centrality of s,
-    read off s.centrality, and compares the stored numbers at its own
-    tolerance.  π is a coordinate compression onto the kept blocks,
-    surjective by construction."""
+    read off s.centrality, compares the stored numbers at its own
+    tolerance and returns the stored corner.  π is a coordinate
+    compression onto the kept blocks, surjective by construction."""
+    if s.algebra != G.algebra:
+        raise ValueError("support projection lives in a different algebra")
     if not is_central(s, tol):
         raise ValueError("support projection is not central")
     kept = tuple(np.flatnonzero(s.centrality[1][1] <= tol).tolist())
@@ -486,4 +487,4 @@ def quotient_by_support(G: FiniteQuantumGroup, s: AlgebraElement, tol: float = S
             f"corner structure fails quantum group axioms: {rep.failures()}; "
             "the projection is not the support of a Haar idempotent"
         )
-    return replace(corner, axioms=rep)
+    return corner

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import (CHECK_TOL, CP_FLOOR, STATE_TOL, AlgebraElement, Functional, MultiMatrixAlgebra, PolarParts,
                       _as_complex, above_cutoff, polar_decompose)
-from .convolution import ConvolutionOperator, commutes_with_right_convolutions
+from .convolution import ConvolutionOperator, commutes_with_right_convolutions, idempotency_defect
 from .idempotents import ContractiveIdempotentReport, _require_contractive, decompose, is_contractive_idempotent
 from .qgroup import FiniteQuantumGroup
 
@@ -237,7 +237,7 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
     and complete positivity, the first and last read off the linking
     functional Ω.  As L_φL_ψ = L_{ψ⋆φ} and L is injective (ε∘L_φ = φ),
     E∘E = E iff each Ω_ij⋆Ω_ij = Ω_ij: idempotent is the largest dual norm of
-    Ω_ij⋆Ω_ij − Ω_ij.  E is CP iff Ω ≥ 0 on M₂(A) (_linking_positivity):
+    Ω_ij⋆Ω_ij − Ω_ij, read from idempotency_defect.  E is CP iff Ω ≥ 0 on M₂(A) (_linking_positivity):
     (id⊗ε)∘E, with id⊗ε a *-homomorphism, is the Schur map X ↦ [Ω_ij(x_ij)],
     CP iff Ω ≥ 0, and E is that map, W*(id⊗ρ)(·)W in the GNS form of Ω,
     composed with id⊗Δ.  Each corner basis element lies in one entry, so its
@@ -252,20 +252,17 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
 def _expectation_checks(E: SchurExpectation, B: LinkingAlgebra, commutators: dict) -> ExpectationCheck:
     """expectation_checks with the bimodule commutators of E and B given."""
     A, corners = B.tro.algebra, B.corners()
-    cov = np.array([[f.covector for f in row] for row in E.linking])        # (2, 2, dim)
-    pairs = (cov[..., :, None] * cov[..., None, :]).reshape(2, 2, -1)
-    dens = (pairs @ E.group.d3.reshape(A.dim * A.dim, A.dim) - cov)[..., A.transpose_perm]
-    idem = sum(s.sum(axis=(-2, -1)) for s in A.singular_values(dens)).max()
+    idem = max(idempotency_defect(E.group, f) for row in E.linking for f in row)
     fixes = max(float(np.linalg.norm(b @ E.entries[i][j].T - b, axis=-1).max(initial=0.0))
                 for (i, j), b in corners.items())
     # the Frobenius norm of a commutator on M₂(A) is the root sum of squares of its two blocks
     bimodule = max(np.hypot(*(np.linalg.norm(c, axis=(-2, -1)) for c in blocks)).max(initial=0.0)
                    for _, _, *sides in commutators.values() for blocks in sides)
     return ExpectationCheck(
-        idempotent=float(idem),
+        idempotent=idem,
         fixes_subalgebra=fixes,
         bimodule=float(bimodule),
-        choi_min_eigenvalue=_linking_positivity(A, cov[..., A.transpose_perm]),
+        choi_min_eigenvalue=_linking_positivity(A, np.array([[f.density.vec for f in row] for row in E.linking])),
     )
 
 
@@ -324,17 +321,16 @@ def weight_defect(E: SchurExpectation) -> float:
 @dataclass(eq=False)
 class TroExpectationReport:
     """Residuals of the mixed-product identities tying L_ω to the left
-    convolutions by its absolute values, of the TRO-expectation axioms, and
-    the TRO property of the image."""
+    convolutions by its absolute values and of the TRO-expectation axioms,
+    with the image, whose TRO property passed reads at its own tol."""
 
     identity_residuals: dict
     expectation_residuals: dict
     image: OperatorSubspace
-    image_is_tro: bool
 
     def passed(self, tol: float = CHECK_TOL) -> bool:
         residuals = [*self.identity_residuals.values(), *self.expectation_residuals.values()]
-        return self.image_is_tro and all(v <= tol for v in residuals)
+        return is_tro(self.image, tol) and all(v <= tol for v in residuals)
 
 
 def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> TroExpectationReport:
@@ -482,8 +478,7 @@ class Analysis:
     def tro_report(self) -> TroExpectationReport:
         """The entries of the expectation: P = L_ω, Q_r = L_{|ω|_r}, Q_l = L_{|ω|_l}, and
         P♭ = L_ω̄, as L_ω̄(a*) = L_ω(a)* for a *-homomorphism Δ."""
-        return TroExpectationReport(*_tro_residuals(self.group.algebra, self.commutators),
-                                    self.image, is_tro(self.image, self.tol))
+        return TroExpectationReport(*_tro_residuals(self.group.algebra, self.commutators), self.image)
 
     @cached_property
     def recovery(self) -> RecoveryResult:

@@ -209,9 +209,11 @@ def test_tro_and_nondegeneracy_rows_are_measured(capsys):
 
 @pytest.mark.parametrize("command", ["decompose", "tro"])
 def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
-    """Every row of one command reads one Analysis.  decompose checks ω,
-    |ω|_r and |ω|_l for idempotency once each, tro ω and the recovered
-    functional; is_contractive_idempotent, the row's verdict and every
+    """Every row of one command reads one Analysis.  Both commands check ω,
+    |ω|_r, |ω|_l and ω̄ for idempotency once each: the guard checks ω, and
+    the expectation row reads the four entries of the linking functional,
+    of which decompose has checked |ω|_r and |ω|_l before; tro also checks
+    the recovered functional.  is_contractive_idempotent, the row's verdict and every
     guard, reads those defects (G.idempotency) and is asked about nothing
     else; and
     G.left_matrix runs once per covector of ω, |ω|_r and |ω|_l, plus ω̄ (the
@@ -222,6 +224,7 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     bimodule commutators are multiplied out once, for the expectation rows
     and, in decompose, the mixed-product and TRO rows."""
     import quidem.cli
+    import quidem.convolution
     import quidem.idempotents
     import quidem.tro
     from quidem.cli import _enumerate
@@ -250,10 +253,10 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     monkeypatch.setattr(quidem.cli, "_load_group", lambda spec: G)
     monkeypatch.setattr(FiniteQuantumGroup, "left_matrix",
                         spy("left_matrix", FiniteQuantumGroup.left_matrix, lambda cov: cov))
-    idempotency = spy("idempotency", quidem.idempotents._idempotency_defect, lambda f: f.covector)
+    monkeypatch.setattr(quidem.convolution, "_idempotency_defect",
+                        spy("idempotency", quidem.convolution._idempotency_defect, lambda f: f.covector))
     contractive = spy("contractive", quidem.idempotents.is_contractive_idempotent, lambda f: f.covector)
     for module in (quidem.idempotents, quidem.tro, quidem.cli):
-        monkeypatch.setattr(module, "_idempotency_defect", idempotency, raising=False)
         monkeypatch.setattr(module, "is_contractive_idempotent", contractive, raising=False)
     measured, invariance_defect = [], quidem.tro.invariance_defect
     for module in (quidem.tro, quidem.cli):
@@ -265,7 +268,8 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     assert code == 0
     assert len(kernel) == 1
     recovered = ["other"] if command == "tro" else []
-    assert names("idempotency") == (["ω", "|ω|_r", "|ω|_l"] if command == "decompose" else ["ω", *recovered])
+    assert names("idempotency") == (["ω", "|ω|_r", "|ω|_l", "ω̄"] if command == "decompose"
+                                    else ["ω", "|ω|_r", "ω̄", "|ω|_l", *recovered])
     assert set(names("contractive")) == {"ω", *recovered}
     assert sorted(names("left_matrix")) == sorted(["ω", "|ω|_r", "|ω|_l", "ω̄", *recovered])
     if command == "decompose":

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quidem.convolution
 from quidem import (
     Functional,
     cesaro_limit,
     commutes_with_right_convolutions,
     convolve,
+    decompose,
+    idempotency_defect,
     left_conv_operator,
     sharp,
 )
@@ -250,6 +253,62 @@ def test_cesaro_budget_of_four_pays_for_the_projection(cz6, kp):
         exact = cesaro_limit(G, mu, tol=1e-9, max_iter=4)
         assert exact.converged and exact.ergodic_finish and exact.iterations == 4
         assert np.array_equal(exact.limit.covector, cesaro_limit(G, mu, tol=1e-9).limit.covector)
+
+
+@pytest.mark.parametrize("eta, tol, converged", [(1e-9, 1e-10, True), (1e-11, 1e-13, False)])
+def test_cesaro_kernel_cut_is_floored_at_one(cz6, eta, tol, converged):
+    """μ = (1 − η)δ₀ + ηδ₁ on C(Z6) has the uniform state as its limit, but
+    T − 1 has singular values of order η and one of order 1e-17.  The kernel
+    cut is RANK_CUTOFF·max(1, s[0]): at η = 1e-9 the values of order η count
+    as rank and the projection is the uniform state, where a cut relative to
+    s[0] alone would count the rounding value as rank too, leave an empty
+    kernel and "converge" to the zero functional.  At η = 1e-11 the floor
+    files the values of order η as kernel, and x⋆x = x reports the seed
+    unconverged, never a wrong limit."""
+    mu = Functional.from_covector(cz6.algebra, (1 - eta) * np.eye(6)[0] + eta * np.eye(6)[1])
+    result = cesaro_limit(cz6, mu, tol=tol)
+    assert result.iterations == 4 and result.ergodic_finish
+    assert result.converged is converged
+    if converged:
+        uniform = Functional.from_covector(cz6.algebra, np.full(6, 1 / 6))
+        assert (result.limit - uniform).norm <= tol and abs(result.limit.norm - 1) <= tol
+    else:
+        assert result.limit is None and result.idempotency_defect > tol
+
+
+def _spy_idempotency(monkeypatch):
+    """The functionals for which ‖ω⋆ω − ω‖ is computed, in call order."""
+    measured, kernel = [], quidem.convolution._idempotency_defect
+    monkeypatch.setattr(quidem.convolution, "_idempotency_defect", lambda G, f: measured.append(f) or kernel(G, f))
+    return measured
+
+
+def test_cesaro_idempotent_seed_is_recorded_under_itself(cz6, monkeypatch):
+    """An idempotent seed is its own limit, and the defect the seed test
+    measured is G.idempotency's entry for it, which a second call reads."""
+    mu = Functional.from_covector(cz6.algebra, np.array([1, 0, 1, 0, 1, 0]) / 3)
+    measured = _spy_idempotency(monkeypatch)
+    result = cesaro_limit(cz6, mu, tol=1e-9)
+    assert result.converged and result.limit is mu and result.iterations == 1
+    assert cz6.idempotency[mu] == result.idempotency_defect == idempotency_defect(cz6, mu)
+    assert cesaro_limit(cz6, mu, tol=1e-9).idempotency_defect == result.idempotency_defect
+    assert measured == [mu]
+
+
+def test_cesaro_limit_is_recorded_for_decompose(cz6, kp, monkeypatch):
+    """A limit taken through the mean-ergodic projection carries the
+    idempotency defect its check measured in G.idempotency, so decompose of
+    the limit measures only its absolute values."""
+    measured = _spy_idempotency(monkeypatch)
+    for G, mu in ((cz6, _delta(cz6, 1)), (kp, kp.algebra.random_state(np.random.default_rng(9)))):
+        measured.clear()
+        result = cesaro_limit(G, mu, tol=1e-9)
+        assert result.converged and result.ergodic_finish
+        limit = result.limit
+        assert G.idempotency[limit] == result.idempotency_defect
+        assert measured == [mu, limit]
+        rep = decompose(G, limit)
+        assert measured[2:] == [rep.abs_r, rep.abs_l]
 
 
 def test_cesaro_rejects_seed_of_another_group(cz4, cz6):

@@ -4,7 +4,7 @@ idempotents, including the classical oracles and abelian Fourier duality."""
 import numpy as np
 import pytest
 
-import quidem.idempotents
+import quidem.convolution
 from quidem import (
     Functional,
     GroupTable,
@@ -400,8 +400,8 @@ def test_contractive_verdict_and_decompose_measure_omega_once(gd4, monkeypatch):
     """is_contractive_idempotent, then decompose, on one ω: ω's idempotency
     defect is computed once, kept in G.idempotency for decompose, and
     |ω|_r and |ω|_l are measured once each."""
-    measured, kernel = [], quidem.idempotents._idempotency_defect
-    monkeypatch.setattr(quidem.idempotents, "_idempotency_defect", lambda G, f: measured.append(f) or kernel(G, f))
+    measured, kernel = [], quidem.convolution._idempotency_defect
+    monkeypatch.setattr(quidem.convolution, "_idempotency_defect", lambda G, f: measured.append(f) or kernel(G, f))
     omega = enumerate_group_algebra(gd4)[12].functional
     assert is_contractive_idempotent(gd4, omega)
     rep = decompose(gd4, omega)

@@ -42,7 +42,7 @@ from quidem import (
 from quidem import qgroup, wedderburn
 from quidem.algebra import PolarParts, above_cutoff, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
-from quidem.convolution import commutes_with_right_convolutions, convolve
+from quidem.convolution import _idempotency_defect, commutes_with_right_convolutions, convolve, idempotency_defect
 from quidem.idempotents import (
     _character_defect,
     _seminorm_sq,
@@ -68,6 +68,7 @@ from quidem.tro import (
     SchurExpectation,
     _chunks,
     _commutators,
+    _linking_positivity,
     _tro_residuals,
     build_expectation,
     check_tro_expectation,
@@ -966,7 +967,7 @@ def test_tro_checks_match_loop_form(case):
         res, exp_res, image_is_tro = ref_check_tro_expectation(G, omega, TOL)
         _assert_agree(report.identity_residuals, res, TOL)
         _assert_agree(report.expectation_residuals, exp_res, TOL)
-        assert report.image_is_tro == image_is_tro
+        assert is_tro(report.image, TOL) == image_is_tro
         _assert_agree(_image_row_residuals(G.algebra, G.left_matrix(omega.covector)),
                       ref_triple_product_identities(G, omega), TOL)
 
@@ -1028,6 +1029,38 @@ def test_module_defect_matches_loop_form(case):
             ref = ref_fixes_subalgebra(E, link)
             assert abs(checks.fixes_subalgebra - ref) <= AGREE
             assert (ref <= TOL) == small
+
+
+def ref_linking_idempotent(E):
+    """The largest ‖Ω_ij⋆Ω_ij − Ω_ij‖ over the four entries of E's linking
+    functional, from one stacked product of their covector pairs against Δ."""
+    A = E.group.algebra
+    cov = np.array([[f.covector for f in row] for row in E.linking])
+    pairs = (cov[..., :, None] * cov[..., None, :]).reshape(2, 2, -1)
+    dens = (pairs @ E.group.d3.reshape(A.dim * A.dim, A.dim) - cov)[..., A.transpose_perm]
+    return float(sum(s.sum(axis=(-2, -1)) for s in A.singular_values(dens)).max())
+
+
+def test_expectation_idempotent_is_the_largest_idempotency_defect(case):
+    """The idempotent row of expectation_checks is the largest
+    idempotency_defect of the four Ω_ij, equal to each one measured afresh
+    and to the stacked form within rounding, on the expectation, its rescaled
+    Schur maps and a Schur map of four random functionals; the Choi row
+    reads the densities of the Ω_ij, the covectors permuted."""
+    G, idempotents = case
+    rng = np.random.default_rng(12)
+    A = G.algebra
+    for omega in idempotents:
+        link = linking_algebra(image_subspace(left_conv_operator(G, omega)), TOL)
+        E = build_expectation(G, omega, TOL)
+        for F in (E, *(_rescaled(E, s01, s10) for s01, s10 in OMEGA_SCALINGS),
+                  SchurExpectation(G, _random_linking(rng, G))):
+            checks = expectation_checks(F, link)
+            assert checks.idempotent == max(idempotency_defect(G, f) for row in F.linking for f in row)
+            assert checks.idempotent == max(_idempotency_defect(G, f) for row in F.linking for f in row)
+            assert abs(checks.idempotent - ref_linking_idempotent(F)) <= AGREE * max(1.0, checks.idempotent)
+            cov = np.array([[f.covector for f in row] for row in F.linking])
+            assert checks.choi_min_eigenvalue == _linking_positivity(A, cov[..., A.transpose_perm])
 
 
 def _linking_of_density(alg, blocks):

@@ -205,6 +205,12 @@ def test_centrality_verdicts_on_a_perturbed_central_projection(kp, entries):
         quotient_by_support(kp, s)
 
 
+def test_quotient_rejects_a_projection_of_another_algebra(cz4):
+    """The identity of C(Z8) is no projection of C(Z4): a named error, not an IndexError."""
+    with pytest.raises(ValueError, match="^support projection lives in a different algebra$"):
+        quotient_by_support(cz4, function_algebra(cyclic(8)).algebra.identity())
+
+
 def test_quotient_rejects_non_subgroup_support(cz4):
     # {0, 1} is not a subgroup of Z4: the corner coproduct cannot close
     s = cz4.algebra.from_vec(np.array([1.0, 1.0, 0.0, 0.0]))
@@ -256,16 +262,18 @@ def _haar_supports(G, functionals):
 
 @pytest.mark.parametrize("name", list(BUILDS))
 def test_cached_corner_matches_fresh_build(name):
-    """A quotient served from the per-group corner cache has the structure,
-    projection and axiom rows of a first call on a freshly built group."""
+    """A quotient served from the per-group corner cache is the stored
+    corner, with the structure, projection and axiom rows of a first call on
+    a freshly built group."""
     build, idempotents = BUILDS[name]
     G = build()
     supports = _haar_supports(G, idempotents(G))
     assert len(supports) >= 5
     kept_sets = set()
     for s in supports:
-        quotient_by_support(G, s)
+        first = quotient_by_support(G, s)
         repeat = quotient_by_support(G, s)
+        assert repeat is first is G.corners[repeat.kept_blocks]
         fresh_group = build()
         assert not fresh_group.corners
         fresh = quotient_by_support(fresh_group, s)
@@ -278,9 +286,8 @@ def test_cached_corner_matches_fresh_build(name):
         assert np.array_equal(H.counit.covector, F.counit.covector)
         assert np.array_equal(H.antipode, F.antipode)
         assert np.array_equal(H.haar.covector, F.haar.covector)
-        assert repeat.axioms.tol == 1e-8
-        assert repeat.axioms.defects == verify_axioms(H, 1e-8).defects
-        assert repeat.axioms.defects == fresh.axioms.defects
+        assert verify_axioms(H, 1e-8).passed
+        assert verify_axioms(H, 1e-8).defects == verify_axioms(F, 1e-8).defects
     # one corner per distinct support, however many idempotents share it
     assert set(G.corners) == kept_sets
     # π keeps the coordinates of the kept blocks, so it is onto, on every corner decompose builds
@@ -297,7 +304,7 @@ def test_subgroup_character_rejects_a_state_that_is_not_the_subgroup_haar_state(
     trace norm ‖π_*σ − h_H‖ = 0.4 is a named input error."""
     G = function_algebra(cyclic(4))
     sigma = Functional.from_covector(G.algebra, np.array([0.7, 0, 0.3, 0]))
-    assert quotient_by_support(G, sigma.density.support).axioms.passed
+    assert verify_axioms(quotient_by_support(G, sigma.density.support).target, 1e-8).passed
     message = r"^absolute value is not the Haar state of its subgroup \(defect 4\.000e-01\)$"
     with pytest.raises(ValueError, match=message):
         _subgroup_character(G, sigma, sigma.polar, 1e-8)

@@ -8,6 +8,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+import quidem.convolution
 import quidem.idempotents
 import quidem.tro
 from quidem import (
@@ -366,14 +367,13 @@ def test_subspace_facts_are_computed_once(gd4, monkeypatch):
 def test_tro_report_calls_compute_each_fact_once(gd4, monkeypatch):
     """The public calls of one TRO report on C*(D4) index:12, in turn:
     X = L_ω(A) and both linking corners are measured for right invariance
-    once each, and ω's idempotency defect once, which the guards of
-    check_tro_expectation and build_expectation share."""
+    once each, and ω's idempotency defect once over the whole report: the
+    guards of check_tro_expectation and build_expectation and the
+    expectation's idempotency row share it."""
     measured, idempotency = [], []
-    invariance, kernel = quidem.tro.invariance_defect, quidem.idempotents._idempotency_defect
+    invariance, kernel = quidem.tro.invariance_defect, quidem.convolution._idempotency_defect
     monkeypatch.setattr(quidem.tro, "invariance_defect", lambda G, X: measured.append(X) or invariance(G, X))
-    for module in (quidem.idempotents, quidem.tro):
-        monkeypatch.setattr(module, "_idempotency_defect", lambda G, f: idempotency.append(f) or kernel(G, f),
-                            raising=False)
+    monkeypatch.setattr(quidem.convolution, "_idempotency_defect", lambda G, f: idempotency.append(f) or kernel(G, f))
     omega, tol = enumerate_group_algebra(gd4)[12].functional, 1e-8
     assert check_tro_expectation(gd4, omega, tol).passed(tol)
     X = image_subspace(left_conv_operator(gd4, omega))
@@ -394,7 +394,7 @@ def test_shared_caches_hold_under_threads(gd4):
     every read and each cache's one entry equal the measurement taken alone."""
     omega = enumerate_group_algebra(gd4)[12].functional
     X = image_subspace(left_conv_operator(gd4, omega))
-    want = (quidem.idempotents._idempotency_defect(gd4, omega), quidem.tro.invariance_defect(gd4, X))
+    want = (quidem.convolution._idempotency_defect(gd4, omega), quidem.tro.invariance_defect(gd4, X))
     reads = []
 
     def work():
