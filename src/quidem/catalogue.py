@@ -7,15 +7,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
-from .algebra import CHECK_TOL, Functional, MultiMatrixAlgebra, tensor_algebra
+from .algebra import CHECK_TOL, STATE_TOL, Functional, MultiMatrixAlgebra, tensor_algebra
 from .groups import GroupTable, cyclic, dihedral, symmetric
 from .qgroup import (
     FiniteQuantumGroup,
-    dual_pair,
     plancherel_state,
     solve_antipode,
     verify_axioms,
@@ -23,6 +21,7 @@ from .qgroup import (
 
 _KP_SOLVE_TOL = 1e-10   # largest residual of the Kac-Paljutkin counit and antipode laws
 _KP_AXIOM_TOL = 1e-12   # largest Kac-Paljutkin axiom defect
+_LAMBDA_COND = 1e8      # largest condition number of a group algebra's Λ, the bound of dual_pair's split
 
 
 def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
@@ -49,13 +48,53 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
 
 
 def group_algebra(table: GroupTable) -> FiniteQuantumGroup:
-    """Group algebra of a classical group as a multi-matrix algebra, realized
-    by splitting the regular representation (the dual of C(G)); the images of
-    the point masses are the group-like basis λ_g, recorded in lambda_basis."""
-    fn = function_algebra(table)
-    gd, phi = dual_pair(fn)
-    # abstract dual basis of C(G)* is δ_g, so column g of phi is vec(λ_g)
-    return replace(gd, name=f"C*({_table_name(table)})", kind="group", table=table, lambda_basis=phi)
+    """C*(G) = ⊕_ρ M_{n_ρ} from the unitary irreps ρ of table.irreps, which
+    cyclic, dihedral and symmetric fill.  λ_g = ⊕_ρ ρ(g) is the group-like
+    basis, and lambda_basis is Λ, the matrix whose column g is vec λ_g; then
+    Δ = [vec(λ_g⊗λ_g)]·Λ⁻¹, S = Λ·P_inv·Λ⁻¹ (S(λ_g) = λ_{g⁻¹}), ε = 1ᵀΛ⁻¹
+    and the Haar state is the Plancherel state.
+
+    Guard: λ_gλ_h = λ_{gh} for every pair and λ_{g⁻¹} = λ_g* within
+    STATE_TOL, and cond Λ ≤ _LAMBDA_COND.  An invertible Λ means the λ_g span
+    ⊕_ρ M_{n_ρ}, so by Burnside's theorem the ρ are irreducible and pairwise
+    inequivalent.  A table without irreps (a subtable, or one built by hand)
+    is refused; dual(function_algebra(table)) splits its regular
+    representation instead."""
+    if not table.irreps:
+        raise ValueError("group_algebra requires a table with explicit irreps (cyclic, dihedral or symmetric); "
+                         "use dual(function_algebra(table)) for any other group table")
+    n = table.order
+    alg = MultiMatrixAlgebra(tuple(rho.shape[1] for rho in table.irreps))
+    if alg.dim != n:
+        raise ValueError(f"irreps do not fill C*(G): their squared degrees sum to {alg.dim}, not the order {n}")
+    rows = np.concatenate([rho.reshape(n, -1) for rho in table.irreps], axis=1)   # row g is vec λ_g
+    hom = float(np.abs(alg.multiply(rows[:, None, :], rows[None, :, :]) - rows[np.array(table.mult)]).max())
+    if not hom <= STATE_TOL:
+        raise ValueError(f"irreps are not multiplicative: |λ_gλ_h − λ_gh| reaches {hom:.2e}")
+    inverse = list(table.inverse)
+    star = float(np.abs(alg.adjoint(rows) - rows[inverse]).max())
+    if not star <= STATE_TOL:
+        raise ValueError(f"irreps are not unitary: |λ_g* − λ_g⁻¹| reaches {star:.2e}")
+    lam = rows.T
+    cond = float(np.linalg.cond(lam))
+    if not cond <= _LAMBDA_COND:
+        raise ValueError(f"irreps are not irreducible and pairwise inequivalent: Λ is singular (cond {cond:.2e})")
+    lam_inv = np.linalg.inv(lam)
+    tensors = np.empty((n * n, n), dtype=lam.dtype)   # column g is vec λ_g⊗λ_g
+    tensors[tensor_algebra(alg, alg).positions] = (lam[:, None, :] * lam[None, :, :]).reshape(n * n, n)
+    lambda_basis = lam.astype(np.complex128)
+    lambda_basis.flags.writeable = False
+    return FiniteQuantumGroup(
+        algebra=alg,
+        comult=tensors @ lam_inv,
+        counit=Functional.from_covector(alg, lam_inv.sum(axis=0)),
+        antipode=lam[:, inverse] @ lam_inv,
+        haar=plancherel_state(alg),
+        name=f"C*({_table_name(table)})",
+        kind="group",
+        table=table,
+        lambda_basis=lambda_basis,
+    )
 
 
 def _table_name(table: GroupTable) -> str:

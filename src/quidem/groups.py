@@ -1,12 +1,14 @@
 """Finite classical groups as multiplication tables, with the combinatorics
 needed by the enumeration oracles: subgroups, cosets, normality, and
-one-dimensional characters."""
+one-dimensional characters.  The builtin families (cyclic, dihedral,
+symmetric) also carry their unitary irreducible representations, from which
+catalogue.group_algebra builds C*(G)."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +20,9 @@ class GroupTable:
 
     mult: tuple  # tuple of tuples, mult[g][h] = index of g·h
     names: tuple = ()
+    # one read-only (order, n, n) array ρ(g) per unitary irrep, pairwise
+    # inequivalent, blocks in ascending size; empty where the table has none
+    irreps: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         table = tuple(tuple(int(x) for x in row) for row in self.mult)
@@ -31,6 +36,12 @@ class GroupTable:
         if len(names) != n:
             raise ValueError("names must match the group order")
         object.__setattr__(self, "names", names)
+        irreps = tuple(np.array(rho) for rho in self.irreps)
+        if any(rho.ndim != 3 or rho.shape[0] != n or rho.shape[1] != rho.shape[2] for rho in irreps):
+            raise ValueError("each irrep must be an (order, n, n) array")
+        for rho in irreps:
+            rho.flags.writeable = False
+        object.__setattr__(self, "irreps", irreps)
         self._validate()
 
     def _validate(self):
@@ -133,13 +144,19 @@ class GroupTable:
 
 
 def cyclic(n: int) -> GroupTable:
+    """Z_n with its n characters χ_k(m) = exp(2πi km/n), k = 0..n−1."""
+    if n < 1:
+        raise ValueError("cyclic requires n >= 1")
     mult = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return GroupTable(mult, tuple(str(i) for i in range(n)))
+    phase = np.exp(2j * np.pi * (np.multiply.outer(np.arange(n), np.arange(n)) % n) / n)
+    return GroupTable(mult, tuple(str(i) for i in range(n)), irreps=tuple(phase[:, :, None, None]))
 
 
 def dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n: indices 0..n-1 are rotations r^i, indices
-    n..2n-1 are reflections r^i·s."""
+    n..2n-1 are reflections r^i·s.  Its irreps are the 2 (n odd) or 4 (n
+    even) characters r ↦ ±1, s ↦ ±1, then for j = 1..⌊(n−1)/2⌋ the rotation
+    r ↦ R(2πj/n) with s ↦ diag(1, −1)."""
     if n < 1:
         raise ValueError("dihedral requires n >= 1")
 
@@ -153,10 +170,22 @@ def dihedral(n: int) -> GroupTable:
 
     mult = tuple(tuple(op(a, b) for b in range(2 * n)) for a in range(2 * n))
     names = tuple(f"r{i}" for i in range(n)) + tuple(f"r{i}s" for i in range(n))
-    return GroupTable(mult, names)
+    i, f = np.tile(np.arange(n), 2), np.repeat([0, 1], n)   # element r^i s^f
+    irreps = [(a ** i * b ** f)[:, None, None] for a in ((1.0, -1.0) if n % 2 == 0 else (1.0,)) for b in (1.0, -1.0)]
+    angle = 2 * np.pi * (np.arange(1, (n - 1) // 2 + 1)[:, None] * i % n) / n   # j·i, one row per j
+    c, s, flip = np.cos(angle), np.sin(angle), 1.0 - 2.0 * f
+    # R(θ)^i diag(1, (−1)^f) = [[c, −s·flip], [s, c·flip]]
+    irreps += list(np.stack([c, -s * flip, s, c * flip], axis=-1).reshape(len(angle), 2 * n, 2, 2))
+    return GroupTable(mult, names, irreps=tuple(irreps))
 
 
 def symmetric(n: int) -> GroupTable:
+    """S_n on the permutation tuples in lexicographic order, (pq)(x) =
+    p(q(x)), with Young's orthogonal form of every partition of n, blocks in
+    ascending size (James and Kerber, The Representation Theory of the
+    Symmetric Group, 1981)."""
+    if n < 1:
+        raise ValueError("symmetric requires n >= 1")
     perms = sorted(itertools.permutations(range(n)))
     pos = {p: i for i, p in enumerate(perms)}
 
@@ -165,7 +194,83 @@ def symmetric(n: int) -> GroupTable:
 
     mult = tuple(tuple(pos[compose(p, q)] for q in perms) for p in perms)
     names = tuple("".join(map(str, p)) for p in perms)
-    return GroupTable(mult, names)
+    # the adjacent transpositions s_k = (k, k+1) generate S_n
+    gens = [pos[tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n))] for k in range(n - 1)]
+    # one basis of standard tableaux per partition; the stable sort keeps partition order among equal sizes
+    bases = sorted((_standard_tableaux(shape) for shape in _partitions(n)), key=len)
+    # every irrep at once, as the blocks of their direct sum
+    cuts = list(itertools.accumulate(map(len, bases), initial=0))
+    images = np.zeros((n - 1, cuts[-1], cuts[-1]))
+    for basis, lo, hi in zip(bases, cuts, cuts[1:]):
+        for k in range(n - 1):
+            images[k, lo:hi, lo:hi] = _young_matrix(basis, k)
+    rho = _spread_matrices(mult, pos[tuple(range(n))], gens, images)
+    return GroupTable(mult, names, irreps=tuple(rho[:, lo:hi, lo:hi] for lo, hi in zip(cuts, cuts[1:])))
+
+
+def _partitions(n: int) -> list[tuple[int, ...]]:
+    """The partitions of n, in decreasing lexicographic order."""
+    def parts(rest, largest):
+        if rest == 0:
+            yield ()
+        for k in range(min(rest, largest), 0, -1):
+            for tail in parts(rest - k, k):
+                yield (k, *tail)
+    return list(parts(n, n))
+
+
+def _standard_tableaux(shape: tuple[int, ...]) -> list[tuple]:
+    """The standard Young tableaux of a shape, each the (row, column) of the
+    numbers 0..n−1 in turn."""
+    out, rows = [], [0] * len(shape)
+
+    def place(cells):
+        if len(cells) == sum(shape):
+            out.append(tuple(cells))
+        for r, length in enumerate(rows):
+            if length < shape[r] and (r == 0 or rows[r - 1] > length):
+                rows[r] += 1
+                place(cells + [(r, length)])
+                rows[r] -= 1
+
+    place([])
+    return out
+
+
+def _young_matrix(tableaux: list[tuple], k: int) -> np.ndarray:
+    """Young's orthogonal form of s_k = (k, k+1): with r the axial distance
+    c(k+1) − c(k), c = column − row, T ↦ T/r + √(1 − 1/r²)·s_kT."""
+    index = {t: a for a, t in enumerate(tableaux)}
+    out = np.zeros((len(tableaux), len(tableaux)))
+    for a, t in enumerate(tableaux):
+        (r0, c0), (r1, c1) = t[k], t[k + 1]
+        dist = (c1 - r1) - (c0 - r0)
+        out[a, a] = 1.0 / dist
+        if abs(dist) > 1:   # s_kT is standard
+            out[index[t[:k] + (t[k + 1], t[k]) + t[k + 2:]], a] = math.sqrt(1.0 - 1.0 / dist ** 2)
+    return out
+
+
+def _spread_matrices(mult: tuple, identity: int, gens: list[int], images: np.ndarray) -> np.ndarray:
+    """ρ on every element from ρ(e) = 1 and ρ(g·s) = ρ(g)ρ(s), images[k] =
+    ρ(gens[k]), breadth first along right multiplication by the generators
+    as _spread walks it: one batched product per level of the search."""
+    out = np.empty((len(mult), *images.shape[1:]))
+    out[identity] = np.eye(images.shape[-1])
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        step = []
+        for g in frontier:
+            for k, s in enumerate(gens):
+                h = mult[g][s]
+                if h not in seen:
+                    seen.add(h)
+                    step.append((h, g, k))
+        frontier = [h for h, _, _ in step]
+        if step:
+            _, parents, ks = zip(*step)
+            out[frontier] = out[list(parents)] @ images[list(ks)]
+    return out
 
 
 def characters(table: GroupTable) -> list[np.ndarray]:

@@ -45,7 +45,7 @@ class FiniteQuantumGroup:
     name: str = ""
     kind: str = "custom"
     table: GroupTable | None = None
-    lambda_basis: np.ndarray | None = None  # group algebras: column g = vec(λ_g)
+    lambda_basis: np.ndarray | None = None  # group algebras: Λ, column g = vec(λ_g), λ_g = ⊕_ρ ρ(g)
 
     def __post_init__(self):
         dim = self.algebra.dim

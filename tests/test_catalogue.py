@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quidem import cyclic, dihedral, function_algebra, group_algebra, kac_paljutkin, symmetric
+from quidem import qgroup
 from quidem.catalogue import QGSpecError, builtin, from_document, load, save, to_document
 from quidem.qgroup import (
     cocommutativity_defect,
@@ -68,8 +69,8 @@ def test_group_algebra_lambda_basis_properties(gs3):
 
 
 def test_order_twelve_dihedral_group_algebra():
-    """Two distinct 2-dimensional blocks stress the character grouping of the
-    regular-representation splitting."""
+    """Two distinct 2-dimensional blocks, the rotations by π/3 and 2π/3, each
+    with its own matrix units."""
     from quidem.idempotents import decompose, enumerate_group_algebra, is_contractive_idempotent
 
     g = group_algebra(dihedral(6))
@@ -99,6 +100,40 @@ def test_builtins():
     assert builtin("kp").name == "KacPaljutkin"
     with pytest.raises(ValueError):
         builtin("nonsense:3")
+
+
+CSTAR_BUILTINS = ([f"cstar:zn:{n}" for n in range(1, 25)] + [f"cstar:dn:{n}" for n in range(1, 13)]
+                  + [f"cstar:sn:{n}" for n in range(1, 5)])
+
+
+def _structure_data(G):
+    return G.algebra.block_dims, G.comult, G.antipode, G.counit.covector, G.haar.covector, G.lambda_basis
+
+
+def _bit_identical(G, H):
+    return all(np.array_equal(a, b) for a, b in zip(_structure_data(G), _structure_data(H)))
+
+
+@pytest.mark.parametrize("spec", CSTAR_BUILTINS)
+def test_group_algebra_builds_are_bit_identical(spec):
+    assert _bit_identical(builtin(spec), builtin(spec))
+
+
+def test_group_algebra_does_not_read_the_dual_seed(monkeypatch):
+    """The build from irreps draws no random commutant element: another seed
+    for the Wedderburn split leaves C*(S4), blocks (1,1,2,3,3), unchanged."""
+    G = builtin("cstar:sn:4")
+    assert G.algebra.block_dims == (1, 1, 2, 3, 3)
+    monkeypatch.setattr(qgroup, "_DUAL_SEED", 12345)
+    assert _bit_identical(builtin("cstar:sn:4"), G)
+
+
+def test_symmetric_group_algebra_at_order_120():
+    """C*(S5), dimension 120, builds and passes the build guard.  Its axiom
+    rows are not measured here: their dim⁴ stacks need ~3.3 GB."""
+    G = builtin("cstar:sn:5")
+    assert G.algebra.block_dims == (1, 1, 4, 4, 5, 5, 6)
+    assert G.name == "C*(S5)" and G.lambda_basis.shape == (120, 120)
 
 
 def test_document_roundtrip_cz4(tmp_path, cz4):

@@ -286,6 +286,23 @@ def test_bad_group_spec(capsys):
     assert "inputs valid" in out
 
 
+@pytest.mark.parametrize("group, message", [
+    ("czn:0", "cyclic requires n >= 1"),
+    ("cstar:zn:0", "cyclic requires n >= 1"),
+    ("cfun:sn:-1", "symmetric requires n >= 1"),
+    ("cstar:sn:0", "symmetric requires n >= 1"),
+])
+def test_empty_group_family_is_an_invalid_input(capsys, group, message):
+    """A family index below 1 fails only "inputs valid", with the family's
+    message, exit code 1 and nothing on stderr."""
+    code = main(["verify", "--group", f"builtin:{group}", "--json"])
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["checks"]
+    assert code == 1 and captured.err == ""
+    assert [(row["name"], row["passed"]) for row in rows] == [("inputs valid", False)]
+    assert rows[0]["note"] == f"invalid builtin spec {group!r}: {message}"
+
+
 def test_reports_are_deterministic(capsys):
     def snapshot():
         code, out = run(

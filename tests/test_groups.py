@@ -27,6 +27,18 @@ def test_table_validation_rejects_a_loop():
         GroupTable(loop)
 
 
+def test_irreps_are_read_only_stacks_over_the_elements():
+    """A table keeps its irreps as read-only copies, one (order, n, n) array
+    each, and refuses another shape by name; equality and hashing ignore them."""
+    rho = np.ones((2, 1, 1))
+    table = GroupTable(cyclic(2).mult, irreps=(rho,))
+    assert not table.irreps[0].flags.writeable and rho.flags.writeable
+    assert table == cyclic(2) and hash(table) == hash(cyclic(2))
+    for bad in (np.ones((3, 1, 1)), np.ones((2, 1, 2)), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="^each irrep must be an \\(order, n, n\\) array$"):
+            GroupTable(cyclic(2).mult, irreps=(bad,))
+
+
 def test_cyclic_basics():
     z6 = cyclic(6)
     assert z6.order == 6

@@ -17,7 +17,9 @@ products X·A and A·X); `_ref_mult_tensor` is the multiplication table as a
 loop over matrix units; `_ref_extract` and `_ref_map_matrix` are the
 per-basis-matrix forms of the Wedderburn eigenspace check and of the split's
 transform; `_ref_cesaro_limit` is the doubling-checkpoint
-average that cesaro_limit took before its mean-ergodic projection.
+average that cesaro_limit took before its mean-ergodic projection;
+`_ref_group_algebra` is C*(G) as group_algebra built it before it read
+explicit irreps, by splitting the dual of C(G).
 """
 
 import warnings
@@ -43,6 +45,7 @@ from quidem import qgroup, wedderburn
 from quidem.algebra import PolarParts, above_cutoff, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
 from quidem.convolution import _idempotency_defect, commutes_with_right_convolutions, convolve, idempotency_defect
+from quidem.groups import GroupTable
 from quidem.idempotents import (
     _character_defect,
     _seminorm_sq,
@@ -50,6 +53,7 @@ from quidem.idempotents import (
     decompose,
     enumerate_function_algebra,
     enumerate_group_algebra,
+    is_haar_idempotent,
 )
 from quidem.qgroup import (
     FiniteQuantumGroup,
@@ -829,6 +833,109 @@ BUILTINS_TO_DIM_24 = (
     + [f"cstar:dn:{n}" for n in range(1, 13)] + [f"cfun:sn:{n}" for n in range(1, 5)]
     + [f"cstar:sn:{n}" for n in range(1, 5)] + ["kp"]
 )
+
+
+def _ref_group_algebra(table):
+    """C*(G) the way group_algebra built it before it read explicit irreps:
+    verify C(G), split its dual's regular representation, and record the
+    transform as lambda_basis."""
+    gd, phi = dual_pair(function_algebra(table))
+    return replace(gd, kind="group", table=table, lambda_basis=phi)
+
+
+_TABLES = {"zn": cyclic, "dn": dihedral, "sn": symmetric}
+
+
+def _table(spec):
+    family, n = spec.split(":")[1:]
+    return _TABLES[family](int(n))
+
+
+def _block_characters(G):
+    """(block size, trace of that block of λ_g over g) for every block."""
+    alg, lam = G.algebra, G.lambda_basis
+    return [(n, sum(lam[alg.index(k, i, i)] for i in range(n))) for k, n in enumerate(alg.block_dims)]
+
+
+def _haar_split(G):
+    """(items, Haar items) of the enumeration: an item is Haar when the
+    support of |ω|_r is central, the rule of decompose."""
+    items = enumerate_group_algebra(G)
+    return len(items), sum(is_haar_idempotent(G, item.functional.polar.abs_r) for item in items)
+
+
+@pytest.mark.parametrize("spec", [spec for spec in BUILTINS_TO_DIM_24 if spec.startswith("cstar:")])
+def test_group_algebra_from_irreps_matches_the_dual_split(spec):
+    """The group algebra built from explicit irreps and the one split from
+    the dual of C(G) have the same block sizes, the same character table up
+    to a permutation of equal-size blocks, the same enumeration with the
+    same Haar items, and the new build passes every axiom row within 1e-12."""
+    table = _table(spec)
+    G, ref = builtin(spec), _ref_group_algebra(table)
+    assert G.algebra.block_dims == tuple(sorted(ref.algebra.block_dims))
+    unmatched = _block_characters(ref)
+    for n, chi in _block_characters(G):
+        match = next(k for k, (m, psi) in enumerate(unmatched) if m == n and np.abs(chi - psi).max() <= 1e-12)
+        unmatched.pop(match)
+    assert not unmatched
+    assert _haar_split(G) == _haar_split(ref)
+    assert verify_axioms(G).max_defect <= 1e-12
+
+
+def _rotated(table, delta):
+    """The irreps of a dihedral table with each rotation angle 2πj/n moved by
+    delta: r^n no longer maps to 1."""
+    n = table.order // 2
+    out = list(table.irreps[:len(table.irreps) - (n - 1) // 2])
+    i, flip = np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n)
+    for j in range(1, (n - 1) // 2 + 1):
+        angle = 2 * np.pi * (j * i % n) / n + delta * i
+        c, s = np.cos(angle), np.sin(angle)
+        out.append(np.stack([np.stack([c, -s * flip], axis=-1), np.stack([s, c * flip], axis=-1)], axis=-2))
+    return tuple(out)
+
+
+def test_group_algebra_guard_rejects_a_perturbed_rotation():
+    """Rotations by 2πj/5 + 1e-6 on D5 are unitary but not multiplicative,
+    and the guard names the failure; at delta 0 they rebuild C*(D5)."""
+    table = dihedral(5)
+    assert np.array_equal(group_algebra(replace(table, irreps=_rotated(table, 0.0))).comult,
+                          group_algebra(table).comult)
+    with pytest.raises(ValueError, match="^irreps are not multiplicative"):
+        group_algebra(replace(table, irreps=_rotated(table, 1e-6)))
+
+
+def test_group_algebra_guard_rejects_a_non_unitary_irrep():
+    """The rotations of D5 conjugated by a shear stay multiplicative and
+    irreducible, but are not unitary, which the guard names."""
+    table = dihedral(5)
+    shear = np.array([[1.0, 0.5], [0.0, 1.0]])
+    irreps = tuple(shear @ rho @ np.linalg.inv(shear) if rho.shape[1] == 2 else rho for rho in table.irreps)
+    with pytest.raises(ValueError, match="^irreps are not unitary"):
+        group_algebra(replace(table, irreps=irreps))
+
+
+def test_group_algebra_guard_rejects_a_duplicated_irrep():
+    """S3 with its sign character replaced by a second trivial one: each
+    irrep is a unitary representation, the degrees still fill |G|, and Λ is
+    singular, which the guard names."""
+    table = symmetric(3)
+    trivial, sign, standard = table.irreps
+    with pytest.raises(ValueError, match="^irreps are not irreducible and pairwise inequivalent"):
+        group_algebra(replace(table, irreps=(trivial, trivial, standard)))
+    with pytest.raises(ValueError, match="^irreps do not fill C\\*\\(G\\)"):
+        group_algebra(replace(table, irreps=(trivial, trivial, sign, standard)))
+
+
+def test_group_algebra_requires_explicit_irreps():
+    """A table without irreps, a subtable or one written out by hand, is
+    refused by name, pointing at the dual of C(G)."""
+    subtable, _ = symmetric(3).subtable(frozenset({0, 3, 4}))
+    for table in (subtable, GroupTable(cyclic(4).mult)):
+        assert table.irreps == ()
+        with pytest.raises(ValueError, match="^group_algebra requires a table with explicit irreps.*"
+                                             "dual\\(function_algebra\\(table\\)\\)"):
+            group_algebra(table)
 
 
 @pytest.mark.parametrize("block_dims", [(1,) * 6, (1, 1, 2), (1, 1, 2, 2), (1, 1, 1, 1, 2),

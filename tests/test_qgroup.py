@@ -338,9 +338,9 @@ def test_each_corner_runs_the_haar_rows_once(monkeypatch):
 def test_each_group_measures_its_axiom_rows_once(monkeypatch, tmp_path, capsys):
     """The 16 rows are measured once per group, in G.axiom_defects, and every
     guard reads them: KP's build check and quidem verify, a file: load and
-    quidem verify, dual_pair after verify_axioms.  cstar:dn:4 measures C(D4)
-    inside dual_pair and C*(D4).  A copy is a new group and measures its own
-    rows, and a returned report is the caller's own copy."""
+    quidem verify, dual_pair after verify_axioms.  cstar:dn:4 is built from
+    its irreps and measures only C*(D4).  A copy is a new group and measures
+    its own rows, and a returned report is the caller's own copy."""
     calls = []
     structure_defects = qgroup._structure_defects
     monkeypatch.setattr(qgroup, "_structure_defects", lambda H: calls.append(H) or structure_defects(H))
@@ -354,7 +354,7 @@ def test_each_group_measures_its_axiom_rows_once(monkeypatch, tmp_path, capsys):
     save(builtin("kp"), tmp_path / "kp.qgspec")
     assert measured_by_verify("builtin:kp") == 1
     assert measured_by_verify(f"file:{tmp_path / 'kp.qgspec'}") == 1
-    assert measured_by_verify("builtin:cstar:dn:4") == 2
+    assert measured_by_verify("builtin:cstar:dn:4") == 1
 
     G = function_algebra(cyclic(4))
     calls.clear()
