@@ -114,15 +114,23 @@ def cesaro_limit(
         return result(1, mu, finish=False)
     if max_iter < 4:
         return result(1, finish=False)
-    # decompose μ = x + (T−1)y with T x = x and take x
+    limit = _mean_ergodic_projection(G, mu)
+    if limit is None:
+        return result(1)
+    defect = idempotency_defect(G, limit)
+    absorb = max((convolve(G, mu, limit) - limit).norm, (convolve(G, limit, mu) - limit).norm)
+    return result(4) if max(defect, absorb) > tol else result(4, limit)
+
+
+def _mean_ergodic_projection(G: FiniteQuantumGroup, mu: Functional) -> Functional | None:
+    """x in μ = x + (T−1)y with T x = x, T = L_μ, from one SVD of T − 1 cut
+    at RANK_CUTOFF·max(1, s[0]); None when the kernel and range it cuts do
+    not span A*."""
     u, s, vh = np.linalg.svd(G.left_matrix(mu.covector).T - np.eye(G.dim))
     rank = int(np.sum(above_cutoff(s, max(1.0, s[0]))))
     kernel = vh[rank:].conj().T
     try:
         coeff = np.linalg.solve(np.hstack([kernel, u[:, :rank]]), mu.covector)
     except np.linalg.LinAlgError:
-        return result(1)
-    limit = Functional.from_covector(G.algebra, kernel @ coeff[: kernel.shape[1]])
-    defect = idempotency_defect(G, limit)
-    absorb = max((convolve(G, mu, limit) - limit).norm, (convolve(G, limit, mu) - limit).norm)
-    return result(4) if max(defect, absorb) > tol else result(4, limit)
+        return None
+    return Functional.from_covector(G.algebra, kernel @ coeff[: kernel.shape[1]])

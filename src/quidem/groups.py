@@ -1,8 +1,8 @@
 """Finite classical groups as multiplication tables, with the combinatorics
 needed by the enumeration oracles: subgroups, cosets, normality, and
-one-dimensional characters.  The builtin families (cyclic, dihedral,
-symmetric) also carry their unitary irreducible representations, from which
-catalogue.group_algebra builds C*(G)."""
+one-dimensional characters, each search read off one breadth-first walk.
+The builtin families (cyclic, dihedral, symmetric) also carry their unitary
+irreducible representations, from which catalogue.group_algebra builds C*(G)."""
 
 from __future__ import annotations
 
@@ -76,25 +76,13 @@ class GroupTable:
         return self.mult[g][h]
 
     def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = self.op(x, g)
-            k += 1
-        return k
+        return len(_walk(self.mult, self.identity, [g]))
 
     def closure(self, gens) -> frozenset:
-        elems = {self.identity, *gens}
-        frontier = list(elems)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(elems):
-                    for c in (self.op(a, b), self.op(b, a)):
-                        if c not in elems:
-                            elems.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return frozenset(elems)
+        """The subgroup generated by an iterable of element indices: the
+        elements the walk from the identity along right multiplication by
+        them reaches."""
+        return frozenset(h for h, _, _, _ in _walk(self.mult, self.identity, tuple(gens)))
 
     @cached_property
     def subgroups(self) -> list[frozenset]:
@@ -102,16 +90,26 @@ class GroupTable:
 
         Cyclic-extension lattice: every subgroup is generated by finitely
         many elements, so it is reached from the trivial subgroup by joining
-        one cyclic subgroup at a time.  Each newly found subgroup is joined
-        with every cyclic subgroup until no join is new; the result is exact
-        for every finite group."""
-        cyclics = {self.closure([g]) for g in range(self.order)}
-        found = {frozenset({self.identity})} | cyclics
-        frontier = list(cyclics)
+        one cyclic subgroup at a time.  Each subgroup found keeps the
+        generators it was reached by, and is extended by one generator g of
+        each cyclic subgroup outside it, its join the walk from gens + (g,),
+        until no join is new; the result is exact for every finite group."""
+        found = {frozenset({self.identity}): ()}   # subgroup -> the generators it was reached by
+        for g in range(self.order):
+            found.setdefault(self.closure([g]), (g,))
+        cyclic_gens = [gens[0] for gens in found.values() if gens]
+        frontier = list(found.items())[1:]
         while frontier:
-            joins = {self.closure(h | c) for h in frontier for c in cyclics if not c <= h}
-            frontier = list(joins - found)
-            found |= joins
+            joins = []
+            for h, gens in frontier:
+                for g in cyclic_gens:
+                    if g not in h:
+                        ext = gens + (g,)
+                        join = self.closure(ext)
+                        if join not in found:
+                            found[join] = ext
+                            joins.append((join, ext))
+            frontier = joins
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def left_cosets(self, subgroup: frozenset) -> list[frozenset]:
@@ -124,8 +122,9 @@ class GroupTable:
         return sorted(out, key=lambda s: sorted(s))
 
     def is_subgroup(self, subset) -> bool:
-        s = set(subset)
-        return self.identity in s and all(self.op(a, b) in s for a in s for b in s)
+        """Whether subset is its own closure, which always holds the identity."""
+        s = frozenset(subset)
+        return self.closure(s) == s
 
     def is_normal(self, subgroup: frozenset) -> bool:
         for g in range(self.order):
@@ -251,25 +250,33 @@ def _young_matrix(tableaux: list[tuple], k: int) -> np.ndarray:
     return out
 
 
+def _walk(mult: tuple, identity: int, gens) -> list[tuple[int, int, int, int]]:
+    """Breadth-first walk from the identity along right multiplication by
+    gens: one (h, g, k, depth) per element reached, in the order reached,
+    where h = g·gens[k] and g is h's parent one level up; the identity is
+    (e, e, −1, 0).  In a finite group the elements reached are exactly the
+    subgroup gens generates."""
+    walk, seen = [(identity, identity, -1, 0)], {identity}
+    for g, _, _, depth in walk:   # the walk grows as the loop runs
+        row = mult[g]
+        for k, s in enumerate(gens):
+            h = row[s]
+            if h not in seen:
+                seen.add(h)
+                walk.append((h, g, k, depth + 1))
+    return walk
+
+
 def _spread_matrices(mult: tuple, identity: int, gens: list[int], images: np.ndarray) -> np.ndarray:
     """ρ on every element from ρ(e) = 1 and ρ(g·s) = ρ(g)ρ(s), images[k] =
-    ρ(gens[k]), breadth first along right multiplication by the generators
-    as _spread walks it: one batched product per level of the search."""
+    ρ(gens[k]), along the tree of _walk: one batched product per depth
+    level, each level a contiguous run of the walk."""
     out = np.empty((len(mult), *images.shape[1:]))
     out[identity] = np.eye(images.shape[-1])
-    seen, frontier = {identity}, [identity]
-    while frontier:
-        step = []
-        for g in frontier:
-            for k, s in enumerate(gens):
-                h = mult[g][s]
-                if h not in seen:
-                    seen.add(h)
-                    step.append((h, g, k))
-        frontier = [h for h, _, _ in step]
-        if step:
-            _, parents, ks = zip(*step)
-            out[frontier] = out[list(parents)] @ images[list(ks)]
+    elems, parents, ks, depths = zip(*_walk(mult, identity, gens))
+    cuts = [i for i in range(1, len(depths)) if depths[i] != depths[i - 1]] + [len(depths)]   # level starts, then the end
+    for lo, hi in zip(cuts, cuts[1:]):
+        out[list(elems[lo:hi])] = out[list(parents[lo:hi])] @ images[list(ks[lo:hi])]
     return out
 
 
@@ -279,10 +286,10 @@ def characters(table: GroupTable) -> list[np.ndarray]:
 
     A character sends each generator s (taken greedily, largest order first)
     to some exp(2πi k_s/ord(s)).  Each tuple (k_s) is spread from the
-    identity along right multiplication by the generators, and is a
-    character exactly when no element receives two phases.  χ(g) is written
-    exp(2πi k/m), m the order of g's image in G/[G,G]: the lcm over all
-    characters of the order of χ(g)."""
+    identity along the tree of the walk over the generators, and is a
+    character exactly when every edge g → g·s agrees with it.  χ(g) is
+    written exp(2πi k/m), m the order of g's image in G/[G,G]: the lcm over
+    all characters of the order of χ(g)."""
     gens, span = [], {table.identity}
     for g in sorted(range(table.order), key=table.element_order, reverse=True):
         if g not in span:
@@ -290,10 +297,15 @@ def characters(table: GroupTable) -> list[np.ndarray]:
             span = table.closure(gens)
     orders = [table.element_order(s) for s in gens]
     lcm = math.lcm(*orders)
+    tree = _walk(table.mult, table.identity, gens)[1:]
     phases = []
     for ks in itertools.product(*(range(o) for o in orders)):
-        phase = _spread(table, gens, [k * (lcm // o) for k, o in zip(ks, orders)], lcm)
-        if phase is not None:
+        steps = [k * (lcm // o) for k, o in zip(ks, orders)]
+        phase = [0] * table.order
+        for h, g, k, _ in tree:
+            phase[h] = (phase[g] + steps[k]) % lcm
+        if all(phase[row[s]] == (p + step) % lcm
+               for row, p in zip(table.mult, phase) for s, step in zip(gens, steps)):
             phases.append(phase)
     denominators = [math.lcm(*(lcm // math.gcd(p[g], lcm) for p in phases)) for g in range(table.order)]
     chars = [
@@ -302,21 +314,3 @@ def characters(table: GroupTable) -> list[np.ndarray]:
     ]
     chars.sort(key=lambda c: tuple(zip(np.round(c.real, 9), np.round(c.imag, 9))))
     return chars
-
-
-def _spread(table: GroupTable, gens: list[int], steps: list[int], lcm: int) -> list[int] | None:
-    """Phases in Z_lcm from phase(e) = 0 and phase(g·s) = phase(g) + step(s),
-    breadth first over the generators; None at the first element reached
-    with two different phases."""
-    phase = [None] * table.order
-    phase[table.identity] = 0
-    queue = [table.identity]
-    for g in queue:   # the queue grows as the loop runs
-        for s, step in zip(gens, steps):
-            h, p = table.mult[g][s], (phase[g] + step) % lcm
-            if phase[h] is None:
-                phase[h] = p
-                queue.append(h)
-            elif phase[h] != p:
-                return None
-    return phase

@@ -279,23 +279,20 @@ def enumerate_group_algebra(G: FiniteQuantumGroup) -> list[CosetItem]:
     if G.kind != "group" or G.table is None or G.lambda_basis is None:
         raise ValueError("enumeration requires a group algebra built from a group table")
     table = G.table
-    items = []
-    for subgroup in table.subgroups:
-        for coset in table.left_cosets(subgroup):
-            values = np.zeros(table.order)
-            for g in coset:
-                values[g] = 1.0
-            cov = np.linalg.solve(G.lambda_basis.T, values)
-            label = "C={%s}" % ",".join(table.names[g] for g in sorted(coset))
-            items.append(
-                CosetItem(
-                    functional=Functional.from_covector(G.algebra, cov),
-                    coset=coset,
-                    subgroup=subgroup,
-                    label=label,
-                )
-            )
-    return items
+    pairs = [(coset, subgroup) for subgroup in table.subgroups for coset in table.left_cosets(subgroup)]
+    indicators = np.zeros((table.order, len(pairs)))
+    for col, (coset, _) in enumerate(pairs):
+        indicators[list(coset), col] = 1.0
+    covs = np.linalg.solve(G.lambda_basis.T, indicators)   # one solve for every coset's covector
+    return [
+        CosetItem(
+            functional=Functional.from_covector(G.algebra, cov),
+            coset=coset,
+            subgroup=subgroup,
+            label="C={%s}" % ",".join(table.names[g] for g in sorted(coset)),
+        )
+        for cov, (coset, subgroup) in zip(covs.T, pairs)
+    ]
 
 
 def _fmt_complex(z: complex) -> str:

@@ -276,6 +276,18 @@ def test_cesaro_kernel_cut_is_floored_at_one(cz6, eta, tol, converged):
         assert result.limit is None and result.idempotency_defect > tol
 
 
+def test_cesaro_limit_requires_the_projection_to_absorb_the_seed(cz6, monkeypatch):
+    """The counit ε is idempotent, but δ₁⋆ε = δ₁ ≠ ε on C(Z6), whose limit
+    from δ₁ is the Haar state: a projection step that returned ε passes
+    x⋆x = x, and the absorption check μ⋆x = x⋆μ = x must still leave the
+    seed unconverged."""
+    monkeypatch.setattr(quidem.convolution, "_mean_ergodic_projection", lambda G, mu: G.counit)
+    result = cesaro_limit(cz6, _delta(cz6, 1), tol=1e-9)
+    assert result.idempotency_defect <= 1e-12
+    assert not result.converged and result.limit is None
+    assert result.iterations == 4 and result.ergodic_finish
+
+
 def _spy_idempotency(monkeypatch):
     """The functionals for which ‖ω⋆ω − ω‖ is computed, in call order."""
     measured, kernel = [], quidem.convolution._idempotency_defect

@@ -80,6 +80,7 @@ def test_subgroup_lattice_counts():
     assert len(symmetric(3).subgroups) == 6
     assert len(dihedral(4).subgroups) == 10
     assert len(symmetric(4).subgroups) == 30
+    assert len(symmetric(5).subgroups) == 156
 
 
 def test_subgroups_sorted_and_closed():

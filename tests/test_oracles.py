@@ -19,9 +19,15 @@ per-basis-matrix forms of the Wedderburn eigenspace check and of the split's
 transform; `_ref_cesaro_limit` is the doubling-checkpoint
 average that cesaro_limit took before its mean-ergodic projection;
 `_ref_group_algebra` is C*(G) as group_algebra built it before it read
-explicit irreps, by splitting the dual of C(G).
+explicit irreps, by splitting the dual of C(G); `_ref_subgroups`,
+`_ref_characters` and `_ref_spread_matrices` are the group-table searches
+from before they read one breadth-first walk: the closure that multiplies
+all pairs until nothing is new and the lattice built on it, the character
+phases spread by their own search, and the irreps by another.
 """
 
+import itertools
+import math
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -41,11 +47,11 @@ from quidem import (
     left_conv_operator,
     symmetric,
 )
-from quidem import qgroup, wedderburn
+from quidem import groups, qgroup, wedderburn
 from quidem.algebra import PolarParts, above_cutoff, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
 from quidem.convolution import _idempotency_defect, commutes_with_right_convolutions, convolve, idempotency_defect
-from quidem.groups import GroupTable
+from quidem.groups import GroupTable, characters
 from quidem.idempotents import (
     _character_defect,
     _seminorm_sq,
@@ -936,6 +942,165 @@ def test_group_algebra_requires_explicit_irreps():
         with pytest.raises(ValueError, match="^group_algebra requires a table with explicit irreps.*"
                                              "dual\\(function_algebra\\(table\\)\\)"):
             group_algebra(table)
+
+
+def _ref_closure(table, gens):
+    elems = {table.identity, *gens}
+    frontier = list(elems)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(elems):
+                for c in (table.op(a, b), table.op(b, a)):
+                    if c not in elems:
+                        elems.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def _ref_element_order(table, g):
+    k, x = 1, g
+    while x != table.identity:
+        x = table.op(x, g)
+        k += 1
+    return k
+
+
+def _ref_is_subgroup(table, subset):
+    s = set(subset)
+    return table.identity in s and all(table.op(a, b) in s for a in s for b in s)
+
+
+def _ref_subgroups(table):
+    cyclics = {_ref_closure(table, [g]) for g in range(table.order)}
+    found = {frozenset({table.identity})} | cyclics
+    frontier = list(cyclics)
+    while frontier:
+        joins = {_ref_closure(table, h | c) for h in frontier for c in cyclics if not c <= h}
+        frontier = list(joins - found)
+        found |= joins
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def _ref_spread(table, gens, steps, lcm):
+    phase = [None] * table.order
+    phase[table.identity] = 0
+    queue = [table.identity]
+    for g in queue:
+        for s, step in zip(gens, steps):
+            h, p = table.mult[g][s], (phase[g] + step) % lcm
+            if phase[h] is None:
+                phase[h] = p
+                queue.append(h)
+            elif phase[h] != p:
+                return None
+    return phase
+
+
+def _ref_characters(table):
+    gens, span = [], {table.identity}
+    for g in sorted(range(table.order), key=lambda g: _ref_element_order(table, g), reverse=True):
+        if g not in span:
+            gens.append(g)
+            span = _ref_closure(table, gens)
+    orders = [_ref_element_order(table, s) for s in gens]
+    lcm = math.lcm(*orders)
+    phases = []
+    for ks in itertools.product(*(range(o) for o in orders)):
+        phase = _ref_spread(table, gens, [k * (lcm // o) for k, o in zip(ks, orders)], lcm)
+        if phase is not None:
+            phases.append(phase)
+    denominators = [math.lcm(*(lcm // math.gcd(p[g], lcm) for p in phases)) for g in range(table.order)]
+    chars = [
+        np.array([complex(np.exp(2j * np.pi * (p[g] * m // lcm) / m)) for g, m in enumerate(denominators)])
+        for p in phases
+    ]
+    chars.sort(key=lambda c: tuple(zip(np.round(c.real, 9), np.round(c.imag, 9))))
+    return chars
+
+
+def _ref_spread_matrices(mult, identity, gens, images):
+    out = np.empty((len(mult), *images.shape[1:]))
+    out[identity] = np.eye(images.shape[-1])
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        step = []
+        for g in frontier:
+            for k, s in enumerate(gens):
+                h = mult[g][s]
+                if h not in seen:
+                    seen.add(h)
+                    step.append((h, g, k))
+        frontier = [h for h, _, _ in step]
+        if step:
+            _, parents, ks = zip(*step)
+            out[frontier] = out[list(parents)] @ images[list(ks)]
+    return out
+
+
+def _search_table(spec):
+    """A builtin family's table, "zn:4", or for a tuple of ns Z_n1 × ... × Z_nr
+    on the tuples in lexicographic order."""
+    if isinstance(spec, str):
+        family, n = spec.split(":")
+        return _TABLES[family](int(n))
+    elems = list(itertools.product(*map(range, spec)))
+    pos = {g: i for i, g in enumerate(elems)}
+    return GroupTable(tuple(tuple(pos[tuple((a + b) % n for a, b, n in zip(g, h, spec))] for h in elems) for g in elems))
+
+
+# every table behind BUILTINS_TO_DIM_24, then Z2³, Z2⁴ and the other products of test_groups
+_SEARCH_TABLES = (
+    [f"zn:{n}" for n in range(1, 25)] + [f"dn:{n}" for n in range(1, 13)] + [f"sn:{n}" for n in range(1, 5)]
+    + [(2,) * 3, (2,) * 4, (2, 2), (2, 4), (3, 6), (4, 4), (2, 3, 5)]
+)
+
+
+@pytest.mark.parametrize("spec", _SEARCH_TABLES, ids=str)
+def test_group_searches_match_the_all_pairs_references(spec):
+    """Subgroup lists in their order, closures of every pair, element orders,
+    is_subgroup on the subgroups and on subsets one element off them, and
+    the characters of every subgroup bit for bit: the one walk against the
+    all-pairs closure, its lattice and the separate phase search."""
+    table = _search_table(spec)
+    subs = table.subgroups
+    assert subs == _ref_subgroups(table)
+    n = table.order
+    assert [table.element_order(g) for g in range(n)] == [_ref_element_order(table, g) for g in range(n)]
+    for g, h in itertools.combinations_with_replacement(range(n), 2):
+        assert table.closure(iter([g, h])) == _ref_closure(table, [g, h])
+    near = [s ^ {g} for s in subs for g in (min(set(range(n)) - s, default=table.identity), max(s))]
+    for subset in subs + near:
+        assert table.is_subgroup(subset) == _ref_is_subgroup(table, subset)
+    for sub in subs:
+        sub_table, _ = table.subtable(sub)
+        got, want = characters(sub_table), _ref_characters(sub_table)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_irreps_spread_along_the_walk_match_the_reference(n, monkeypatch):
+    """Young's orthogonal form spread along the walk is bit for bit the
+    spread by the level-by-level search it replaced."""
+    want = groups.symmetric(n).irreps
+    monkeypatch.setattr(groups, "_spread_matrices", _ref_spread_matrices)
+    assert [rho.tobytes() for rho in want] == [rho.tobytes() for rho in groups.symmetric(n).irreps]
+
+
+@pytest.mark.parametrize("spec", [f"zn:{n}" for n in range(1, 25)] + [f"dn:{n}" for n in range(1, 13)])
+def test_cyclic_and_dihedral_irreps_spread_along_the_walk_match_the_reference(spec):
+    """Each irrep ρ of Z_n (generator 1) and D_n (generators r, s), made real
+    as [[Re ρ, −Im ρ], [Im ρ, Re ρ]], spreads from its generators to the same
+    stack along the walk as along the reference search, bit for bit, and
+    that stack is ρ's within roundoff."""
+    table = _search_table(spec)
+    gens = [1 % table.order] if spec.startswith("zn") else [1 % (table.order // 2), table.order // 2]
+    for rho in table.irreps:
+        real = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])
+        got = groups._spread_matrices(table.mult, table.identity, gens, real[gens])
+        assert got.tobytes() == _ref_spread_matrices(table.mult, table.identity, gens, real[gens]).tobytes()
+        assert np.abs(got - real).max() <= 1e-12
 
 
 @pytest.mark.parametrize("block_dims", [(1,) * 6, (1, 1, 2), (1, 1, 2, 2), (1, 1, 1, 1, 2),
