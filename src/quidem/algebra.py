@@ -24,13 +24,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 # The tolerance policy: every default tolerance, every floor under a caller's
-# tolerance and every cutoff shared between modules is one of these four.
+# tolerance and every cutoff shared between modules is one of these five.
 CHECK_TOL = 1e-8    # identities checked through products and norms of images
 STATE_TOL = 1e-9    # states, dual-norm idempotency, positivity, the axioms
 # Relative cutoff of every rank, support and partial isometry, applied by
 # above_cutoff.  All catalogue examples have spectral gaps far above this.
 RANK_CUTOFF = 1e-10
 CP_FLOOR = 1e-9     # a CP map's least Choi eigenvalue is at least -CP_FLOOR
+COND_LIMIT = 1e8    # largest condition number of a basis change a build inverts: Λ of C*(G), phi of the dual
 _SCREEN_MARGIN = 1e-6    # max_operator_norm's slack, far above rounding of ‖b‖_F or an SVD
 _SCREEN_FLOOR = 1e-150   # below it, squares of block entries may underflow
 

@@ -10,18 +10,12 @@ import warnings
 
 import numpy as np
 
-from .algebra import CHECK_TOL, STATE_TOL, Functional, MultiMatrixAlgebra, tensor_algebra
+from .algebra import CHECK_TOL, COND_LIMIT, STATE_TOL, Functional, MultiMatrixAlgebra, tensor_algebra
 from .groups import GroupTable, cyclic, dihedral, symmetric
-from .qgroup import (
-    FiniteQuantumGroup,
-    plancherel_state,
-    solve_antipode,
-    verify_axioms,
-)
+from .qgroup import FiniteQuantumGroup, solve_antipode, verify_axioms
 
 _KP_SOLVE_TOL = 1e-10   # largest residual of the Kac-Paljutkin counit and antipode laws
 _KP_AXIOM_TOL = 1e-12   # largest Kac-Paljutkin axiom defect
-_LAMBDA_COND = 1e8      # largest condition number of a group algebra's Λ, the bound of dual_pair's split
 
 
 def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
@@ -40,7 +34,6 @@ def function_algebra(table: GroupTable) -> FiniteQuantumGroup:
         comult=comult,
         counit=counit,
         antipode=antipode,
-        haar=plancherel_state(alg),
         name=f"C({_table_name(table)})",
         kind="function",
         table=table,
@@ -55,7 +48,7 @@ def group_algebra(table: GroupTable) -> FiniteQuantumGroup:
     and the Haar state is the Plancherel state.
 
     Guard: λ_gλ_h = λ_{gh} for every pair and λ_{g⁻¹} = λ_g* within
-    STATE_TOL, and cond Λ ≤ _LAMBDA_COND.  An invertible Λ means the λ_g span
+    STATE_TOL, and cond Λ ≤ COND_LIMIT.  An invertible Λ means the λ_g span
     ⊕_ρ M_{n_ρ}, so by Burnside's theorem the ρ are irreducible and pairwise
     inequivalent.  A table without irreps (a subtable, or one built by hand)
     is refused; dual(function_algebra(table)) splits its regular
@@ -77,7 +70,7 @@ def group_algebra(table: GroupTable) -> FiniteQuantumGroup:
         raise ValueError(f"irreps are not unitary: |λ_g* − λ_g⁻¹| reaches {star:.2e}")
     lam = rows.T
     cond = float(np.linalg.cond(lam))
-    if not cond <= _LAMBDA_COND:
+    if not cond <= COND_LIMIT:
         raise ValueError(f"irreps are not irreducible and pairwise inequivalent: Λ is singular (cond {cond:.2e})")
     lam_inv = np.linalg.inv(lam)
     tensors = np.empty((n * n, n), dtype=lam.dtype)   # column g is vec λ_g⊗λ_g
@@ -89,7 +82,6 @@ def group_algebra(table: GroupTable) -> FiniteQuantumGroup:
         comult=tensors @ lam_inv,
         counit=Functional.from_covector(alg, lam_inv.sum(axis=0)),
         antipode=lam[:, inverse] @ lam_inv,
-        haar=plancherel_state(alg),
         name=f"C*({_table_name(table)})",
         kind="group",
         table=table,
@@ -156,7 +148,6 @@ def kac_paljutkin() -> FiniteQuantumGroup:
         comult=comult,
         counit=counit,
         antipode=solve_antipode(alg, comult, counit, tol=_KP_SOLVE_TOL),
-        haar=plancherel_state(alg),
         name="KacPaljutkin",
         kind="kp",
     )
@@ -275,11 +266,13 @@ def save(G: FiniteQuantumGroup, path) -> None:
 
 
 def load(path) -> FiniteQuantumGroup:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise QGSpecError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise QGSpecError(f"{path}: cannot read ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise QGSpecError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return from_document(doc)
 
 
@@ -287,35 +280,29 @@ def load(path) -> FiniteQuantumGroup:
 # named builtins for the command line and tests
 
 
+_FAMILIES = {   # spec prefix -> (builder, table constructor, display name at N)
+    "czn": (function_algebra, cyclic, "C(Z{})"),
+    "cstar:zn": (group_algebra, cyclic, "C*(Z{})"),
+    "cstar:dn": (group_algebra, dihedral, "C*(D{})"),
+    "cfun:sn": (function_algebra, symmetric, "C(S{})"),
+    "cstar:sn": (group_algebra, symmetric, "C*(S{})"),
+}
+BUILTINS = tuple(f"{prefix}:N" for prefix in _FAMILIES) + ("kp",)
+
+
 def builtin(spec: str) -> FiniteQuantumGroup:
-    """Resolve builtin group names: czn:N, cstar:zn:N, cstar:dn:N, cfun:sn:N,
-    cstar:sn:N, kp."""
-    parts = spec.split(":")
+    """The group of a builtin name: one of BUILTINS, a _FAMILIES prefix
+    followed by an integer N, or kp."""
+    prefix, _, index = spec.rpartition(":")
     try:
-        if parts[0] == "kp" and len(parts) == 1:
+        if spec == "kp":
             return kac_paljutkin()
-        if parts[0] == "czn" and len(parts) == 2:
-            g = function_algebra(cyclic(int(parts[1])))
-            return _rename(g, f"C(Z{parts[1]})")
-        if parts[0] == "cfun" and len(parts) == 3 and parts[1] == "sn":
-            g = function_algebra(symmetric(int(parts[2])))
-            return _rename(g, f"C(S{parts[2]})")
-        if parts[0] == "cstar" and len(parts) == 3:
-            kind, n = parts[1], int(parts[2])
-            if kind == "zn":
-                return _rename(group_algebra(cyclic(n)), f"C*(Z{n})")
-            if kind == "dn":
-                return _rename(group_algebra(dihedral(n)), f"C*(D{n})")
-            if kind == "sn":
-                return _rename(group_algebra(symmetric(n)), f"C*(S{n})")
+        if prefix in _FAMILIES:
+            build, table, name = _FAMILIES[prefix]
+            n = int(index)
+            G = build(table(n))
+            G.name = name.format(n)
+            return G
     except ValueError as exc:
         raise ValueError(f"invalid builtin spec {spec!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown builtin {spec!r}; expected czn:N, cstar:zn:N, cstar:dn:N, "
-        "cfun:sn:N, cstar:sn:N, or kp"
-    )
-
-
-def _rename(G: FiniteQuantumGroup, name: str) -> FiniteQuantumGroup:
-    G.name = name
-    return G
+    raise ValueError(f"unknown builtin {spec!r}; expected {', '.join(BUILTINS[:-1])}, or {BUILTINS[-1]}")

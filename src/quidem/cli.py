@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("tro", "TRO/linking-algebra/expectation report for a contractive idempotent"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--group", required=True, help="builtin:NAME or file:PATH; builtins: "
-                       "czn:N, cstar:zn:N, cstar:dn:N, cfun:sn:N, cstar:sn:N, kp")
+        p.add_argument("--group", required=True,
+                       help="builtin:NAME or file:PATH; builtins: " + ", ".join(catalogue.BUILTINS))
         p.add_argument("--tol", type=float, default=STATE_TOL)
         p.add_argument("--json", action="store_true", dest="as_json")
         if name == "explore":

@@ -17,6 +17,7 @@ import numpy as np
 from . import wedderburn
 from .algebra import (
     CHECK_TOL,
+    COND_LIMIT,
     STATE_TOL,
     AlgebraElement,
     Functional,
@@ -35,13 +36,14 @@ _DUAL_SEED = 11            # seed of the Wedderburn split of the dual convolutio
 class FiniteQuantumGroup:
     """Quantum group structure data.  comult has shape (dim², dim) and maps
     vec coordinates of A to vec coordinates of A⊗A; antipode is (dim, dim).
-    Treat instances as immutable."""
+    haar defaults to the Plancherel state of the algebra, the Haar state of
+    every finite quantum group on it.  Treat instances as immutable."""
 
     algebra: MultiMatrixAlgebra
     comult: np.ndarray
     counit: Functional
     antipode: np.ndarray
-    haar: Functional
+    haar: Functional | None = None
     name: str = ""
     kind: str = "custom"
     table: GroupTable | None = None
@@ -59,6 +61,8 @@ class FiniteQuantumGroup:
         antipode.flags.writeable = False
         object.__setattr__(self, "comult", comult)
         object.__setattr__(self, "antipode", antipode)
+        if self.haar is None:
+            object.__setattr__(self, "haar", plancherel_state(self.algebra))
 
     @property
     def dim(self) -> int:
@@ -339,36 +343,38 @@ def _star_residual(msharp: np.ndarray, lt: np.ndarray) -> float:
     return float(np.linalg.norm(sharp_images - np.conj(np.swapaxes(lt, 1, 2)), 2, axis=(1, 2)).max())
 
 
-def dual_pair(G: FiniteQuantumGroup) -> tuple[FiniteQuantumGroup, np.ndarray]:
-    """The dual quantum group plus the transform phi whose column b is the
-    vec, in the dual algebra, of the image of the b-th dual basis functional."""
+def _fourier(G: FiniteQuantumGroup) -> tuple[MultiMatrixAlgebra, np.ndarray]:
+    """The dual algebra of a verified G and the transform phi whose column b
+    is the vec, in the dual algebra, of the image of the b-th dual basis
+    functional.  G must pass its axioms at STATE_TOL and phi must have
+    condition number at most COND_LIMIT."""
     rep = verify_axioms(G, STATE_TOL)
     if not rep.passed:
         raise ValueError(f"dual() requires a verified quantum group; failures: {rep.failures()}")
-    dim = G.dim
     lt, split = _dual_regular_split(G)
     phi = split.map_matrix(lt)
     cond = np.linalg.cond(phi)
-    if cond > 1e8:
+    if cond > COND_LIMIT:
         raise ValueError(f"dual splitting is ill-conditioned (cond {cond:.2e})")
-    dual_alg = MultiMatrixAlgebra(split.block_dims)
+    return MultiMatrixAlgebra(split.block_dims), phi
+
+
+def dual_pair(G: FiniteQuantumGroup) -> tuple[FiniteQuantumGroup, np.ndarray]:
+    """The dual quantum group plus the transform phi of _fourier."""
+    dim = G.dim
+    dual_alg, phi = _fourier(G)
     tsd = tensor_algebra(dual_alg, dual_alg)
     big = np.einsum("bjk,pj,qk->bpq", G.algebra.mult_tensor, phi, phi, optimize=True)
     comult_cols = np.empty((tsd.algebra.dim, dim), dtype=np.complex128)
     comult_cols[tsd.positions] = big.reshape(dim, -1).T
     phi_inv = np.linalg.inv(phi)
-    comult_dual = comult_cols @ phi_inv
-    counit_dual = Functional.from_covector(dual_alg, np.linalg.solve(phi.T, G.algebra.identity().vec))
-    antipode_dual = phi @ G.antipode.T @ phi_inv
     dual_group = FiniteQuantumGroup(
         algebra=dual_alg,
-        comult=comult_dual,
-        counit=counit_dual,
-        antipode=antipode_dual,
-        haar=plancherel_state(dual_alg),
+        comult=comult_cols @ phi_inv,
+        counit=Functional.from_covector(dual_alg, np.linalg.solve(phi.T, G.algebra.identity().vec)),
+        antipode=phi @ G.antipode.T @ phi_inv,
         name=f"dual({G.name})" if G.name else "dual",
         kind="dual",
-        lambda_basis=None,
     )
     return dual_group, phi
 
@@ -384,11 +390,11 @@ def dual(G: FiniteQuantumGroup) -> FiniteQuantumGroup:
 
 def group_like_unitaries(G: FiniteQuantumGroup) -> list[AlgebraElement]:
     """All group-like unitaries of G, i.e. the *-characters of the dual
-    convolution algebra (its one-dimensional blocks)."""
-    lt, split = _dual_regular_split(G)
-    phi = split.map_matrix(lt)
+    convolution algebra (its one-dimensional blocks), read off the transform
+    of _fourier, which refuses a G that fails its axioms."""
+    dual_alg, phi = _fourier(G)
     out = []
-    for d, row in zip(split.block_dims, MultiMatrixAlgebra(split.block_dims).offsets):
+    for d, row in zip(dual_alg.block_dims, dual_alg.offsets):
         if d != 1:
             continue
         u = G.algebra.from_vec(phi[row])
@@ -425,8 +431,8 @@ class QuantumSubgroup:
 
 def _corner(G: FiniteQuantumGroup, kept: tuple[int, ...]) -> QuantumSubgroup:
     """The corner quotient that keeps the blocks kept, with the
-    Plancherel state of the corner as its Haar state and its intertwining
-    defect measured; its axioms are left to quotient_by_support."""
+    Plancherel state of the corner as its Haar state (the default) and its
+    intertwining defect measured; its axioms are left to quotient_by_support."""
     alg = G.algebra
     sub_alg = MultiMatrixAlgebra(tuple(alg.block_dims[k] for k in kept))
     keep = np.flatnonzero(np.isin(alg.coordinates[0], kept))
@@ -442,7 +448,6 @@ def _corner(G: FiniteQuantumGroup, kept: tuple[int, ...]) -> QuantumSubgroup:
         comult=comult,
         counit=Functional.from_covector(sub_alg, G.counit.covector[keep]),
         antipode=G.antipode[np.ix_(keep, keep)],
-        haar=plancherel_state(sub_alg),
         name=f"{G.name}/corner" if G.name else "corner",
         kind="corner",
     )

@@ -523,9 +523,10 @@ _CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def test_small_float_literals_are_named_module_constants():
-    """Every tolerance or cutoff of the library (a positive float literal of
-    at most 1e-6) is written once, as the value of a module-level UPPER_CASE
-    assignment, so that each decision has one name."""
+    """Every tolerance, cutoff or bound of the library (a positive float
+    literal of at most 1e-6, or a float literal of at least 1e6, such as a
+    condition-number limit) is written once, as the value of a module-level
+    UPPER_CASE assignment, so that each decision has one name."""
     src = pathlib.Path(quidem.__file__).parent
     stray = []
     for path in sorted(src.glob("*.py")):
@@ -538,6 +539,6 @@ def test_small_float_literals_are_named_module_constants():
         stray += [
             f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, float)
-            and 0.0 < node.value <= 1e-6 and id(node) not in named
+            and (0.0 < node.value <= 1e-6 or node.value >= 1e6) and id(node) not in named
         ]
     assert not stray, stray

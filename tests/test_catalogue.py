@@ -1,7 +1,9 @@
 """Builders, the Kac-Paljutkin quantum group, builtins, and the qgspec-1
 document format."""
 
+import argparse
 import json
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from quidem import cyclic, dihedral, function_algebra, group_algebra, kac_paljutkin, symmetric
 from quidem import qgroup
-from quidem.catalogue import QGSpecError, builtin, from_document, load, save, to_document
+from quidem.catalogue import BUILTINS, QGSpecError, builtin, from_document, load, save, to_document
+from quidem.cli import build_parser
 from quidem.qgroup import (
     cocommutativity_defect,
     commutativity_defect,
@@ -100,6 +103,52 @@ def test_builtins():
     assert builtin("kp").name == "KacPaljutkin"
     with pytest.raises(ValueError):
         builtin("nonsense:3")
+
+
+# display name, kind and order of each builtin family at N, written out by hand
+FAMILIES = {"czn": ("C(Z{})", "function", lambda n: n), "cstar:zn": ("C*(Z{})", "group", lambda n: n),
+            "cstar:dn": ("C*(D{})", "group", lambda n: 2 * n), "cfun:sn": ("C(S{})", "function", math.factorial),
+            "cstar:sn": ("C*(S{})", "group", math.factorial)}
+
+
+def test_builtin_families_are_listed_in_order():
+    assert BUILTINS == ("czn:N", "cstar:zn:N", "cstar:dn:N", "cfun:sn:N", "cstar:sn:N", "kp")
+
+
+@pytest.mark.parametrize("family", [spec.removesuffix(":N") for spec in BUILTINS if spec.endswith(":N")])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_builtin_family_builds_with_its_display_name(family, n):
+    name, kind, order = FAMILIES[family]
+    G = builtin(f"{family}:{n}")
+    assert (G.name, G.kind) == (name.format(n), kind)
+    assert G.dim == G.table.order == order(n)
+    assert verify_axioms(G, 1e-12).passed
+
+
+def _listed(text):
+    """The names of a comma-separated list whose last item may read "or NAME"."""
+    return tuple(item.removeprefix("or ") for item in text.split(", "))
+
+
+def test_group_help_and_unknown_builtin_message_list_the_builtins():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command in commands.values():
+        group = next(a for a in command._actions if a.dest == "group")
+        assert _listed(group.help.split("builtins: ")[1]) == BUILTINS
+    with pytest.raises(ValueError, match="^unknown builtin 'nonsense:3'; expected ") as caught:
+        builtin("nonsense:3")
+    assert _listed(str(caught.value).split("expected ")[1]) == BUILTINS
+
+
+def test_display_names_read_the_integer_and_unknown_families_are_named():
+    assert builtin("czn:06").name == "C(Z6)"
+    assert builtin("cstar:zn:06").name == "C*(Z6)"
+    for spec in ("cstar:xx:abc", "cstar:xx:3", "kp:1", "czn:4:5", "cstar:zn"):
+        with pytest.raises(ValueError, match=f"^unknown builtin {spec!r}"):
+            builtin(spec)
+    with pytest.raises(ValueError, match="^invalid builtin spec 'czn:abc': invalid literal"):
+        builtin("czn:abc")
 
 
 CSTAR_BUILTINS = ([f"cstar:zn:{n}" for n in range(1, 25)] + [f"cstar:dn:{n}" for n in range(1, 13)]

@@ -303,6 +303,19 @@ def test_empty_group_family_is_an_invalid_input(capsys, group, message):
     assert rows[0]["note"] == f"invalid builtin spec {group!r}: {message}"
 
 
+@pytest.mark.parametrize("name, reason", [("missing.qgspec", "No such file or directory"), ("", "Is a directory")])
+def test_unreadable_document_is_an_invalid_input(capsys, tmp_path, name, reason):
+    """A file: path that cannot be opened (missing, or a directory) fails only
+    "inputs valid", naming the path and the reason, with nothing on stderr."""
+    path = tmp_path / name
+    code = main(["verify", "--group", f"file:{path}", "--json"])
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["checks"]
+    assert code == 1 and captured.err == ""
+    assert [(row["name"], row["passed"]) for row in rows] == [("inputs valid", False)]
+    assert rows[0]["note"] == f"{path}: cannot read ({reason})"
+
+
 def test_reports_are_deterministic(capsys):
     def snapshot():
         code, out = run(

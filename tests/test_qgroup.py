@@ -85,6 +85,15 @@ def test_solvers_reproduce_structure(cz4):
     assert np.linalg.norm(s - cz4.antipode) < 1e-9
 
 
+def test_haar_defaults_to_the_plancherel_state(kp, cm):
+    """A group built without a Haar state carries the Plancherel state of its
+    algebra, bit for bit; one given explicitly (C(M)'s δ₀) is kept."""
+    G = FiniteQuantumGroup(algebra=kp.algebra, comult=kp.comult, counit=kp.counit, antipode=kp.antipode)
+    assert np.array_equal(G.haar.covector, plancherel_state(kp.algebra).covector)
+    assert np.array_equal(kp.haar.covector, G.haar.covector)
+    assert np.array_equal(cm.haar.covector, [0.0, 1.0])
+
+
 def test_monoid_algebra_fails_cancellation_and_has_no_antipode(cm):
     """Negative control: T₁T₁⁻¹ and T₂T₂⁻¹ miss the identity by 1 on C(M),
     and the closed-form antipode fails its laws."""
@@ -149,6 +158,23 @@ def test_group_likes_of_kp(kp):
     assert len(units) == 4
     for u in units:
         assert is_group_like(kp, u, 1e-10)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 3e-9])
+def test_group_likes_of_a_failing_structure_are_refused_like_the_dual(kp, eps):
+    """Every third comultiplication entry of KP moved by eps: the axioms fail
+    (comult_unital reaches 8.1e-9 at 1e-9), and group_like_unitaries raises
+    the ValueError of dual_pair naming the failing rows, rather than four
+    characters (at 1e-9) or a failed block decomposition (at 3e-9)."""
+    comult = kp.comult.copy()
+    comult.ravel()[::3] += eps
+    failures = verify_axioms(replace(kp, comult=comult)).failures()
+    assert failures["comult_unital"] > 8e-9
+    for transform in (dual_pair, group_like_unitaries):
+        message = f"dual() requires a verified quantum group; failures: {failures}"
+        with pytest.raises(ValueError) as caught:
+            transform(replace(kp, comult=comult))
+        assert str(caught.value) == message
 
 
 def test_quotient_full_support(cz4):
