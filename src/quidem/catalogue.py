@@ -173,7 +173,8 @@ def _matrix_pairs(mat: np.ndarray) -> list:
     return [_pairs(row) for row in np.asarray(mat, dtype=np.complex128)]
 
 
-def _from_pairs(data, where: str) -> np.ndarray:
+def parse_pairs(data, where: str) -> np.ndarray:
+    """The vector of a list of finite [re, im] number pairs, else QGSpecError(where: …); booleans are refused."""
     try:
         if any(isinstance(v, bool) for pair in data for v in pair):   # JSON true is not the number 1
             raise TypeError("boolean entry")
@@ -188,7 +189,7 @@ def _from_pairs(data, where: str) -> np.ndarray:
 def _from_rows(data, where: str, shape: tuple) -> np.ndarray:
     if not isinstance(data, list):
         raise QGSpecError(f"{where}: expected a list of rows of [re, im] pairs")
-    rows = [_from_pairs(row, f"{where} row {i}") for i, row in enumerate(data)]
+    rows = [parse_pairs(row, f"{where} row {i}") for i, row in enumerate(data)]
     if len({row.shape for row in rows}) > 1:
         raise QGSpecError(f"{where}: rows of unequal length")
     out = np.array(rows)
@@ -233,8 +234,8 @@ def from_document(doc: dict) -> FiniteQuantumGroup:
     dim = alg.dim
     comult = _from_rows(doc["comult"], "comult", (dim * dim, dim))
     antipode = _from_rows(doc["antipode"], "antipode", (dim, dim))
-    counit_vec = _from_pairs(doc["counit"], "counit")
-    haar_vec = _from_pairs(doc["haar"], "haar")
+    counit_vec = parse_pairs(doc["counit"], "counit")
+    haar_vec = parse_pairs(doc["haar"], "haar")
     if counit_vec.shape != (dim,) or haar_vec.shape != (dim,):
         raise QGSpecError(f"counit/haar: expected density vectors of length {dim}")
     G = FiniteQuantumGroup(
@@ -271,6 +272,8 @@ def load(path) -> FiniteQuantumGroup:
             doc = json.load(fh)
     except OSError as exc:
         raise QGSpecError(f"{path}: cannot read ({exc.strerror})") from exc
+    except (RecursionError, UnicodeDecodeError) as exc:   # nesting too deep for json, or not UTF-8 text
+        raise QGSpecError(f"{path}: cannot decode ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise QGSpecError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return from_document(doc)

@@ -147,13 +147,12 @@ def _functional_source(G: FiniteQuantumGroup, spec: str) -> Functional:
         return next(item.functional for item in enumerate_group_algebra(G) if item.coset == coset)
     if parts[0] == "density":
         try:
-            vec = np.array([complex(re, im) for re, im in json.loads(spec[len("density:"):])])
-        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            data = json.loads(spec[len("density:"):])
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"density literal must be a list of [re, im] pairs in {spec!r} ({exc})") from exc
+        vec = catalogue.parse_pairs(data, f"density literal {spec!r}")
         if vec.shape != (G.dim,):
             raise ValueError(f"density literal must have {G.dim} entries")
-        if not np.isfinite(vec).all():
-            raise ValueError(f"density literal has a non-finite entry in {spec!r}")
         return Functional(G.algebra, G.algebra.from_vec(vec))
     raise ValueError(f"cannot parse functional source {spec!r}")
 
@@ -231,6 +230,7 @@ def _decomposition(a: Analysis | None, report: Report):
     report.info["haar"] = rep.haar
     if rep.haar:
         report.measured(tol, {"haar: |w|_r = |w|_l": rep.haar_gap})
+    if rep.subgroup is not None:
         report.info["subgroup_block_dims"] = list(rep.subgroup.target.algebra.block_dims)
         report.info["character"] = [[round(float(z.real), 12), round(float(z.imag), 12)] for z in rep.character.vec]
     tro = a.tro_report

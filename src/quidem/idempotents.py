@@ -115,9 +115,10 @@ def is_haar_idempotent(G: FiniteQuantumGroup, sigma: Functional, tol: float = CH
 
 @dataclass(eq=False)
 class ContractiveIdempotentReport:
-    """Full decomposition record of a contractive idempotent, with the
-    idempotency defects ‖σ⋆σ − σ‖ of its absolute values and, in the Haar
-    case, the trace norm haar_gap = ‖|ω|_r − |ω|_l‖."""
+    """Measured defects of the polar decomposition of a contractive
+    idempotent, for the caller to judge: with the idempotency defects ‖σ⋆σ − σ‖
+    of its absolute values, in the Haar case the trace norm haar_gap =
+    ‖|ω|_r − |ω|_l‖, and the subgroup and character once every defect passed."""
 
     omega: Functional
     abs_r: Functional
@@ -136,22 +137,21 @@ class ContractiveIdempotentReport:
 
 
 def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> ContractiveIdempotentReport:
-    """Polar-decompose a contractive idempotent: both absolute values are
-    idempotent states, the partial isometry v reconstructs ω from either
-    side, and Δ(v) − v⊗v vanishes in the induced seminorms.  When the
-    absolute value is a Haar idempotent, the associated quantum subgroup and
-    group-like character are extracted; the support s of |ω|_r keeps its
-    centrality numbers (s.centrality), compared at tol here and at
-    STATE_TOL by the quotient."""
+    """Polar-decompose a contractive idempotent and measure, not judge, the
+    theorem's defects: idempotency of both absolute values, both
+    reconstructions of ω by the partial isometry v, and Δ(v) − v⊗v in the
+    induced seminorms; haar is the centrality of supp |ω|_r (s.centrality)
+    at tol, and then haar_gap = ‖|ω|_r − |ω|_l‖.  Raises ValueError unless ω
+    is a contractive idempotent with states as absolute values; the subgroup
+    and character are extracted (raising as extract_subgroup_character does)
+    once every defect is within tol, the idempotency ones floored at STATE_TOL."""
     _require_contractive(G, omega, tol, "not a contractive idempotent")
     state_tol = max(tol, STATE_TOL)
     parts = polar_decompose(omega)
     abs_r, abs_l = parts.abs_r, parts.abs_l
     for sigma, side in ((abs_r, "right"), (abs_l, "left")):
-        if sigma.norm <= state_tol or idempotency_defect(G, sigma) > state_tol:
-            raise RuntimeError(f"{side} absolute value is not idempotent")
         if not sigma.is_state(state_tol):
-            raise RuntimeError(f"{side} absolute value is not a state")
+            raise ValueError(f"{side} absolute value is not a state")
     v = parts.u
     # group_like_defect's seminorm on both sides, from one d = Δv − v⊗v: the
     # right row takes d*d, the left row d d*
@@ -160,19 +160,16 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     defect_l = float(np.sqrt(_seminorm_sq(G, abs_l, d * d.adjoint())))
     roundtrip_r = (act_left(v, abs_r) - omega).norm
     roundtrip_l = (act_right(abs_l, v) - omega).norm
-    if max(defect_r, defect_l, roundtrip_r, roundtrip_l) > tol:
-        raise RuntimeError(
-            f"decomposition defects exceed tolerance: seminorms ({defect_r:.3e}, {defect_l:.3e}), "
-            f"round trips ({roundtrip_r:.3e}, {roundtrip_l:.3e})"
-        )
-    # is_haar_idempotent without its entry check, which the loop above made
+    idempotency_r, idempotency_l = idempotency_defect(G, abs_r), idempotency_defect(G, abs_l)
+    # is_haar_idempotent past its entry check: states guarded above, idempotency measured
     haar = is_central(abs_r.density.support, tol)
-    subgroup = character = gap = None
-    if haar:
-        subgroup, character, gap = _subgroup_character(G, omega, parts, tol)
+    subgroup = character = None
+    gap = (abs_r - abs_l).norm if haar else None
+    if haar and max(idempotency_r, idempotency_l) <= state_tol and max(defect_r, defect_l, roundtrip_r,
+                                                                       roundtrip_l, gap) <= tol:
+        subgroup, character = _subgroup_character(G, omega, parts, tol)
     return ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar, roundtrip_r, roundtrip_l,
-                                       idempotency_defect(G, abs_r), idempotency_defect(G, abs_l),
-                                       subgroup, character, gap)
+                                       idempotency_r, idempotency_l, subgroup, character, gap)
 
 
 def extract_subgroup_character(
@@ -185,19 +182,18 @@ def extract_subgroup_character(
     parts = polar_decompose(omega)
     if not is_haar_idempotent(G, parts.abs_r, tol):
         raise ValueError("absolute value is not a Haar idempotent")
-    return _subgroup_character(G, omega, parts, tol)[:2]
+    if (parts.abs_r - parts.abs_l).norm > tol:
+        raise RuntimeError("Haar case must have equal absolute values")
+    return _subgroup_character(G, omega, parts, tol)
 
 
 def _subgroup_character(
     G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, tol: float
-) -> tuple[QuantumSubgroup, AlgebraElement, float]:
+) -> tuple[QuantumSubgroup, AlgebraElement]:
     """extract_subgroup_character from the polar data of ω, once ω is known
-    to be a Haar idempotent, with the gap ‖|ω|_r − |ω|_l‖ that it checks.
-    |ω|_r must push forward to the Haar state h_H of the subgroup: its trace
-    norm distance ‖π_*|ω|_r − h_H‖ is compared at CHECK_TOL."""
-    gap = (parts.abs_r - parts.abs_l).norm
-    if gap > tol:
-        raise RuntimeError("Haar case must have equal absolute values")
+    to be a Haar idempotent with equal absolute values.  |ω|_r must push
+    forward to the Haar state h_H of the subgroup: its trace norm distance
+    ‖π_*|ω|_r − h_H‖ is compared at CHECK_TOL."""
     sub = quotient_by_support(G, parts.abs_r.density.support, STATE_TOL)
     H = sub.target
     haar_defect = (Functional.from_covector(H.algebra, sub.projection @ parts.abs_r.covector) - H.haar).norm
@@ -209,7 +205,7 @@ def _subgroup_character(
     worst = _character_defect(omega, sub, u)
     if worst > tol:
         raise RuntimeError(f"ω != h_H(π(·)u) (defect {worst:.3e})")
-    return sub, u, gap
+    return sub, u
 
 
 def _character_defect(omega: Functional, sub: QuantumSubgroup, u: AlgebraElement) -> float:

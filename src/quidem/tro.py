@@ -435,8 +435,9 @@ class Analysis:
     expectation of Ω = [[|ω|_r, ω], [ω̄, |ω|_l]], its bimodule commutators
     with the linking algebra, which both its checks and the TRO-expectation
     report read, and the recovery of ω from X, which reads the invariance
-    defects X and its product spans keep, each at tol.  A plain class: a
-    frozen dataclass slows the import."""
+    defects X and its product spans keep, each at tol.  The linking algebra
+    has no TRO gate (linking_algebra keeps one): the caller judges
+    X.tro_defect.  A plain class: a frozen dataclass slows the import."""
 
     def __init__(self, group: FiniteQuantumGroup, omega: Functional, tol: float):
         self.group, self.omega, self.tol = group, omega, tol
@@ -461,14 +462,11 @@ class Analysis:
 
     @cached_property
     def linking(self) -> LinkingAlgebra:
-        return linking_algebra(self.image, self.tol)
+        return LinkingAlgebra(self.image, *self.image.product_spans)
 
     @cached_property
     def commutators(self) -> dict:
-        """The _commutators of the expectation on corners taken from X and its
-        product spans: the TRO gate of the linking stage would stop the TRO report."""
-        X = self.image
-        return _commutators(self.group.algebra, self.expectation.entries, LinkingAlgebra(X, *X.product_spans).corners())
+        return _commutators(self.group.algebra, self.expectation.entries, self.linking.corners())
 
     @cached_property
     def checks(self) -> ExpectationCheck:

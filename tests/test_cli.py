@@ -1,6 +1,7 @@
 """End-to-end command line behaviour: exit codes, JSON output, error paths."""
 
 import contextlib
+import functools
 import io
 import json
 import warnings
@@ -316,6 +317,23 @@ def test_unreadable_document_is_an_invalid_input(capsys, tmp_path, name, reason)
     assert rows[0]["note"] == f"{path}: cannot read ({reason})"
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    (b"\xff\xfe{}", "can't decode byte 0xff in position 0"),
+], ids=["deep-nesting", "not-utf-8"])
+def test_undecodable_document_is_an_invalid_input(capsys, tmp_path, content, reason):
+    """A file: document nested too deeply for the JSON decoder, or not UTF-8
+    text, fails only "inputs valid", naming the path, with nothing on stderr."""
+    path = tmp_path / "undecodable.qgspec"
+    path.write_bytes(content)
+    code = main(["verify", "--group", f"file:{path}", "--json"])
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["checks"]
+    assert code == 1 and captured.err == ""
+    assert [(row["name"], row["passed"]) for row in rows] == [("inputs valid", False)]
+    assert rows[0]["note"].startswith(f"{path}: cannot decode (") and reason in rows[0]["note"]
+
+
 def test_reports_are_deterministic(capsys):
     def snapshot():
         code, out = run(
@@ -400,21 +418,23 @@ def test_cp_row_agrees_with_expectation_check_at_the_floor(capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("command", ["tro", "decompose"])
-def test_image_that_is_not_a_tro_is_an_input_error(capsys, monkeypatch, command):
-    """When the image fails the TRO check, the report shows the failed row and
-    then names the linking algebra's precondition."""
+def test_image_that_is_not_a_tro_fails_its_row_and_the_rest_is_measured(capsys, monkeypatch, command):
+    """When the image fails the TRO check, the "image is TRO" row is the one
+    verdict on it: the run fails on that row, no "inputs valid" row stops the
+    report, and the expectation rows on the linking algebra are measured."""
     import quidem.cli
     import quidem.tro
 
     monkeypatch.setattr(quidem.cli, "is_tro", lambda X, tol=1e-8: False)
     monkeypatch.setattr(quidem.tro, "is_tro", lambda X, tol=1e-8: False)
     code, out = run(capsys, command, "--group", "builtin:czn:4", "--functional", "haar", "--json")
-    rows = json.loads(out)["checks"]
-    names = [row["name"] for row in rows]
+    rows = _rows(json.loads(out))
     assert code == 1
-    assert not rows[names.index("image is TRO")]["passed"]
-    assert names[-1] == "inputs valid"
-    assert rows[-1]["note"] == "linking_algebra requires a TRO"
+    assert [name for name, row in rows.items() if not row["passed"]] == ["image is TRO"]
+    assert "inputs valid" not in rows
+    for name in ("expectation idempotent", "expectation fixes linking algebra", "expectation bimodule",
+                 "expectation completely positive", "expectation preserves haar weight"):
+        assert rows[name]["defect"] is not None and rows[name]["passed"], name
 
 
 @pytest.mark.parametrize("command", ["verify", "tro"])
@@ -530,6 +550,7 @@ def _input_error(group, spec):
     ("cstar:zn:4", "coset-indicator:-1:0"),
     ("czn:4", "density:[1,2,3,4]"),
     ("czn:4", "density:[[1,0],[0,0],[0,0],[NaN,0]]"),
+    ("czn:4", "density:[[true,false],[false,false],[false,false],[false,false]]"),
     ("czn:4", "-:"),
     ("czn:4", "-point:0"),
 ])
@@ -555,3 +576,51 @@ _MALFORMED = st.one_of(
 @given(st.sampled_from(["czn:4", "cstar:zn:4"]), _MALFORMED)
 def test_malformed_functional_never_raises(group, spec):
     _input_error(group, spec)
+
+
+@pytest.mark.parametrize("group, density, tol, row, defect", [
+    ("czn:4", "[[0.5,0],[0.001,0],[-0.5,0],[0,0]]", "1e-2", "group-like defect (right)", 3.169e-2),
+    ("cstar:dn:3", "[[0.333333,0],[0,0],[-0.333333,0],[0.57735,0],[0.001,0],[0,0]]", "3e-2",
+     "haar: |w|_r = |w|_l", 1.153),
+], ids=["group-like", "haar-gap"])
+def test_near_idempotent_fails_its_measured_row(capsys, group, density, tol, row, defect):
+    """A near-idempotent that passes the contractive row at a loose --tol is
+    judged by the decomposition rows: the named row fails with its measured
+    defect, the run exits 1, and no "inputs valid" row or traceback stops it."""
+    code = main(["decompose", "--group", f"builtin:{group}", "--functional", f"density:{density}",
+                 "--tol", tol, "--json"])
+    captured = capsys.readouterr()
+    rows = _rows(json.loads(captured.out))
+    assert code == 1 and captured.err == ""
+    assert "inputs valid" not in rows
+    assert rows["contractive idempotent"]["passed"]
+    assert not rows[row]["passed"] and rows[row]["defect"] == pytest.approx(defect, rel=1e-3)
+
+
+_PERTURBED_GROUPS = ["czn:6", "cfun:sn:3", "cstar:dn:3", "cstar:dn:4"]
+
+
+@functools.lru_cache(maxsize=None)
+def _item_densities(group):
+    from quidem.cli import _enumerate
+
+    return tuple(item.functional.density.vec for item in _enumerate(builtin(group)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PERTURBED_GROUPS), st.integers(0, 100), st.sampled_from([1e-7, 1e-5, 1e-3, 1e-2]),
+       st.sampled_from([3, 30, 1000]), st.sampled_from(["decompose", "explore", "tro"]), st.integers(0, 2**32 - 1))
+def test_perturbed_idempotent_never_raises(group, index, eps, factor, command, seed):
+    """An enumerated contractive idempotent plus ε times a random complex
+    vector, at --tol factor·ε: main returns a report, never raises, and
+    exits 1 exactly when some row fails."""
+    densities = _item_densities(group)
+    base, rng = densities[index % len(densities)], np.random.default_rng(seed)
+    vec = base + eps * (rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape))
+    literal = json.dumps([[float(z.real), float(z.imag)] for z in vec])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--group", f"builtin:{group}", "--functional", f"density:{literal}",
+                     "--tol", repr(factor * eps), "--json"])
+    rows = json.loads(out.getvalue())["checks"]
+    assert rows and code == (0 if all(row["passed"] for row in rows) else 1)

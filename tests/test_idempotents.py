@@ -214,6 +214,26 @@ def test_extract_requires_haar(gd4):
         extract_subgroup_character(gd4, omega)
 
 
+def test_decompose_measures_and_does_not_judge():
+    """Near-idempotents that pass the contractive guard at a loose tol come
+    back with their defects measured, not raised: on C(Z4) the group-like
+    seminorms exceed tol, on C*(D3) the Haar gap does, and neither gets a
+    subgroup.  extract_subgroup_character keeps its RuntimeError on the
+    unequal absolute values."""
+    G = function_algebra(cyclic(4))
+    rep = decompose(G, Functional(G.algebra, G.algebra.from_vec(np.array([0.5, 0.001, -0.5, 0]))), 1e-2)
+    assert rep.haar and rep.subgroup is None and rep.character is None
+    assert min(rep.defect_r, rep.defect_l) > 1e-2 >= max(rep.roundtrip_r, rep.roundtrip_l, rep.haar_gap)
+    H = group_algebra(dihedral(3))
+    omega = Functional(H.algebra, H.algebra.from_vec(np.array([0.333333, 0, -0.333333, 0.57735, 0.001, 0])))
+    rep = decompose(H, omega, 3e-2)
+    assert rep.haar and rep.subgroup is None and rep.haar_gap == pytest.approx(1.153, rel=1e-3)
+    assert max(rep.idempotency_r, rep.idempotency_l, rep.defect_r, rep.defect_l, rep.roundtrip_r,
+               rep.roundtrip_l) <= 3e-2
+    with pytest.raises(RuntimeError, match="Haar case must have equal absolute values"):
+        extract_subgroup_character(H, omega, 3e-2)
+
+
 def test_sharp_fixes_contractive_idempotents(cz4, gd4, mu0):
     assert (sharp(cz4, mu0) - mu0).norm < 1e-12
     for item in enumerate_group_algebra(gd4)[:10]:

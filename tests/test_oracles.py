@@ -1446,7 +1446,7 @@ def test_flipped_character_fails_the_batched_check():
     G = function_algebra(cyclic(4))
     omega = Functional.from_covector(G.algebra, np.array([0.5, 0.0, 0.5, 0.0]))
     parts = polar_decompose(omega)
-    sub, u, _ = _subgroup_character(G, omega, parts, TOL)
+    sub, u = _subgroup_character(G, omega, parts, TOL)
     flipped = PolarParts(
         u=G.algebra.from_vec(parts.u.vec * np.array([1, 1, -1, 1])), abs_r=parts.abs_r, abs_l=parts.abs_l
     )
