@@ -341,10 +341,6 @@ class AlgebraElement:
     def is_hermitian(self, tol: float = STATE_TOL) -> bool:
         return (self - self.adjoint()).operator_norm <= tol
 
-    def is_unitary(self, tol: float = STATE_TOL) -> bool:
-        alg, star = self.algebra, self.algebra.adjoint(self.vec)
-        return alg.max_operator_norm(alg.multiply([self.vec, star], [star, self.vec]) - alg.identity().vec) <= tol
-
     def is_positive(self, tol: float = STATE_TOL) -> bool:
         return self.is_hermitian(tol) and bool(self.algebra.min_eigenvalues(self.vec) >= -tol)
 

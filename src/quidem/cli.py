@@ -16,8 +16,8 @@ import numpy as np
 from . import catalogue
 from .algebra import CHECK_TOL, CP_FLOOR, STATE_TOL, Functional
 from .convolution import cesaro_limit
-from .idempotents import (contractive_defect, decompose, enumerate_function_algebra, enumerate_group_algebra,
-                          is_contractive_idempotent)
+from .idempotents import (contractive_defect, enumerate_function_algebra, enumerate_group_algebra,
+                          is_contractive_idempotent, is_haar_idempotent)
 from .qgroup import FiniteQuantumGroup, cocommutativity_defect, commutativity_defect, verify_axioms
 from .tro import Analysis, is_tro, weight_defect
 
@@ -188,7 +188,7 @@ def cmd_enumerate(G: FiniteQuantumGroup, args, report: Report):
         omega = item.functional
         report.add(f"item[{k}] contractive idempotent", is_contractive_idempotent(G, omega, tol),
                    contractive_defect(G, omega), tol,
-                   note=f"{item.label} haar={decompose(G, omega, max(args.tol, CHECK_TOL)).haar}")
+                   note=f"{item.label} haar={is_haar_idempotent(G, omega.polar.abs_r, max(args.tol, CHECK_TOL))}")
 
 
 def _analysis(G, omega, args, report: Report) -> Analysis | None:
@@ -233,6 +233,9 @@ def _decomposition(a: Analysis | None, report: Report):
     if rep.subgroup is not None:
         report.info["subgroup_block_dims"] = list(rep.subgroup.target.algebra.block_dims)
         report.info["character"] = [[round(float(z.real), 12), round(float(z.imag), 12)] for z in rep.character.vec]
+        report.measured(tol, {"haar: pi_*|w|_r = h_H": rep.subgroup_haar,
+                              "haar: u = pi(v) group-like": rep.character_group_like,
+                              "haar: w = h_H(pi(.)u)": rep.character_defect})
     tro = a.tro_report
     report.measured(tol, {f"mixed product {name}": value for name, value in tro.identity_residuals.items()})
     report.measured(tol, {f"tro {name}": value for name, value in tro.expectation_residuals.items()})
@@ -314,12 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _bind_functional(argv: list[str]) -> list[str]:
-    """Write ``--functional SPEC`` as ``--functional=SPEC``: argparse takes a
+    """Write ``--functional SPEC`` as ``--functional=SPEC``, left to right (a
+    trailing --functional is left for argparse to refuse): argparse takes a
     SPEC that starts with "-" for an option and exits instead of reporting it."""
-    out = list(argv)
-    for i in reversed(range(len(out) - 1)):
-        if out[i] == "--functional":
-            out[i:i + 2] = [f"--functional={out[i + 1]}"]
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        spec = next(tokens, None) if token == "--functional" else None
+        out.append(token if spec is None else f"--functional={spec}")
     return out
 
 

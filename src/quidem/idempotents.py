@@ -14,7 +14,6 @@ from .algebra import (
     STATE_TOL,
     AlgebraElement,
     Functional,
-    PolarParts,
     act_left,
     act_right,
     is_central,
@@ -22,7 +21,7 @@ from .algebra import (
 )
 from .convolution import idempotency_defect
 from .groups import characters
-from .qgroup import FiniteQuantumGroup, QuantumSubgroup, is_group_like, quotient_by_support
+from .qgroup import FiniteQuantumGroup, QuantumSubgroup, group_like_residual, quotient_by_support
 
 _FMT_ZERO = 1e-12   # real or imaginary parts below this print as zero
 
@@ -45,11 +44,11 @@ def is_contractive_idempotent(G: FiniteQuantumGroup, omega: Functional, tol: flo
     return omega.norm > tol and contractive_defect(G, omega) <= tol
 
 
-def _require_contractive(G: FiniteQuantumGroup, omega: Functional, tol: float, what: str):
-    """Raise ValueError(what), with ω's idempotency defect and norm, unless
-    ω is a contractive idempotent at tol floored at STATE_TOL."""
+def _require_contractive(G: FiniteQuantumGroup, omega: Functional, tol: float):
+    """Raise ValueError unless ω is a contractive idempotent at tol floored at STATE_TOL."""
     if not is_contractive_idempotent(G, omega, max(tol, STATE_TOL)):
-        raise ValueError(f"{what} (idempotency defect {idempotency_defect(G, omega):.3e}, norm {omega.norm:.6f})")
+        raise ValueError("not a contractive idempotent "
+                         f"(idempotency defect {idempotency_defect(G, omega):.3e}, norm {omega.norm:.6f})")
 
 
 def group_like_defect(G: FiniteQuantumGroup, sigma: Functional, u: AlgebraElement) -> float:
@@ -118,7 +117,8 @@ class ContractiveIdempotentReport:
     """Measured defects of the polar decomposition of a contractive
     idempotent, for the caller to judge: with the idempotency defects ‖σ⋆σ − σ‖
     of its absolute values, in the Haar case the trace norm haar_gap =
-    ‖|ω|_r − |ω|_l‖, and the subgroup and character once every defect passed."""
+    ‖|ω|_r − |ω|_l‖, and the subgroup, character and Haar-case defects
+    once every defect before them passed."""
 
     omega: Functional
     abs_r: Functional
@@ -134,6 +134,9 @@ class ContractiveIdempotentReport:
     subgroup: QuantumSubgroup | None = None
     character: AlgebraElement | None = None
     haar_gap: float | None = None
+    subgroup_haar: float | None = None
+    character_group_like: float | None = None
+    character_defect: float | None = None
 
 
 def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> ContractiveIdempotentReport:
@@ -141,11 +144,14 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     theorem's defects: idempotency of both absolute values, both
     reconstructions of ω by the partial isometry v, and Δ(v) − v⊗v in the
     induced seminorms; haar is the centrality of supp |ω|_r (s.centrality)
-    at tol, and then haar_gap = ‖|ω|_r − |ω|_l‖.  Raises ValueError unless ω
-    is a contractive idempotent with states as absolute values; the subgroup
-    and character are extracted (raising as extract_subgroup_character does)
-    once every defect is within tol, the idempotency ones floored at STATE_TOL."""
-    _require_contractive(G, omega, tol, "not a contractive idempotent")
+    at tol, and then haar_gap = ‖|ω|_r − |ω|_l‖.  Once every defect is
+    within tol, the idempotency ones floored at STATE_TOL, H =
+    quotient_by_support(G, s, STATE_TOL) and u = π(v) are extracted, and the
+    Haar case measured: subgroup_haar = ‖π_*|ω|_r − h_H‖, character_group_like
+    = group_like_residual(H, u) and character_defect = max_i |ω(e_i) −
+    h_H(π(e_i)u)|.  Raises ValueError unless ω is a contractive idempotent
+    with states as absolute values, and as quotient_by_support does."""
+    _require_contractive(G, omega, tol)
     state_tol = max(tol, STATE_TOL)
     parts = polar_decompose(omega)
     abs_r, abs_l = parts.abs_r, parts.abs_l
@@ -163,49 +169,41 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     idempotency_r, idempotency_l = idempotency_defect(G, abs_r), idempotency_defect(G, abs_l)
     # is_haar_idempotent past its entry check: states guarded above, idempotency measured
     haar = is_central(abs_r.density.support, tol)
-    subgroup = character = None
     gap = (abs_r - abs_l).norm if haar else None
+    rep = ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar, roundtrip_r, roundtrip_l,
+                                      idempotency_r, idempotency_l, haar_gap=gap)
     if haar and max(idempotency_r, idempotency_l) <= state_tol and max(defect_r, defect_l, roundtrip_r,
                                                                        roundtrip_l, gap) <= tol:
-        subgroup, character = _subgroup_character(G, omega, parts, tol)
-    return ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar, roundtrip_r, roundtrip_l,
-                                       idempotency_r, idempotency_l, subgroup, character, gap)
+        sub = quotient_by_support(G, abs_r.density.support, STATE_TOL)
+        H, u = sub.target, sub.apply(v)
+        rep.subgroup, rep.character = sub, u
+        rep.subgroup_haar = (Functional.from_covector(H.algebra, sub.projection @ abs_r.covector) - H.haar).norm
+        rep.character_group_like = group_like_residual(H, u)
+        rep.character_defect = _character_defect(omega, sub, u)
+    return rep
 
 
-def extract_subgroup_character(
-    G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL
-) -> tuple[QuantumSubgroup, AlgebraElement]:
+def extract_subgroup_character(G: FiniteQuantumGroup, omega: Functional,
+                               tol: float = CHECK_TOL) -> tuple[QuantumSubgroup, AlgebraElement]:
     """For a contractive idempotent whose right absolute value is a Haar
     idempotent: the quantum subgroup carried by its support together with the
-    group-like unitary u = π(v), satisfying ω = h_H(π(·)u) and abs_r = abs_l."""
-    _require_contractive(G, omega, tol, "extract_subgroup_character expects a contractive idempotent")
-    parts = polar_decompose(omega)
-    if not is_haar_idempotent(G, parts.abs_r, tol):
+    group-like unitary u = π(v), satisfying ω = h_H(π(·)u) and abs_r = abs_l.
+    Judges decompose(G, ω, tol) at tol: ValueError unless |ω|_r is a Haar
+    idempotent and the Haar state of H, RuntimeError on any other defect."""
+    rep = decompose(G, omega, tol)
+    if not rep.haar:
         raise ValueError("absolute value is not a Haar idempotent")
-    if (parts.abs_r - parts.abs_l).norm > tol:
+    if not rep.haar_gap <= tol:
         raise RuntimeError("Haar case must have equal absolute values")
-    return _subgroup_character(G, omega, parts, tol)
-
-
-def _subgroup_character(
-    G: FiniteQuantumGroup, omega: Functional, parts: PolarParts, tol: float
-) -> tuple[QuantumSubgroup, AlgebraElement]:
-    """extract_subgroup_character from the polar data of ω, once ω is known
-    to be a Haar idempotent with equal absolute values.  |ω|_r must push
-    forward to the Haar state h_H of the subgroup: its trace norm distance
-    ‖π_*|ω|_r − h_H‖ is compared at CHECK_TOL."""
-    sub = quotient_by_support(G, parts.abs_r.density.support, STATE_TOL)
-    H = sub.target
-    haar_defect = (Functional.from_covector(H.algebra, sub.projection @ parts.abs_r.covector) - H.haar).norm
-    if not haar_defect <= CHECK_TOL:
-        raise ValueError(f"absolute value is not the Haar state of its subgroup (defect {haar_defect:.3e})")
-    u = sub.apply(parts.u)
-    if not is_group_like(H, u, tol):
+    if rep.subgroup is None:
+        raise RuntimeError("decomposition defects exceed tolerance")
+    if not rep.subgroup_haar <= tol:
+        raise ValueError(f"absolute value is not the Haar state of its subgroup (defect {rep.subgroup_haar:.3e})")
+    if not rep.character_group_like <= tol:
         raise RuntimeError("extracted character is not a group-like unitary on the subgroup")
-    worst = _character_defect(omega, sub, u)
-    if worst > tol:
-        raise RuntimeError(f"ω != h_H(π(·)u) (defect {worst:.3e})")
-    return sub, u
+    if not rep.character_defect <= tol:
+        raise RuntimeError(f"ω != h_H(π(·)u) (defect {rep.character_defect:.3e})")
+    return rep.subgroup, rep.character
 
 
 def _character_defect(omega: Functional, sub: QuantumSubgroup, u: AlgebraElement) -> float:

@@ -393,21 +393,23 @@ def group_like_unitaries(G: FiniteQuantumGroup) -> list[AlgebraElement]:
     convolution algebra (its one-dimensional blocks), read off the transform
     of _fourier, which refuses a G that fails its axioms."""
     dual_alg, phi = _fourier(G)
-    out = []
-    for d, row in zip(dual_alg.block_dims, dual_alg.offsets):
-        if d != 1:
-            continue
-        u = G.algebra.from_vec(phi[row])
-        if is_group_like(G, u):
-            out.append(u)
-        else:  # numerical character that fails verification signals a bug
-            raise RuntimeError("extracted dual character is not a group-like unitary")
+    out = [G.algebra.from_vec(phi[row]) for d, row in zip(dual_alg.block_dims, dual_alg.offsets) if d == 1]
+    if not all(is_group_like(G, u) for u in out):   # a numerical character that fails verification signals a bug
+        raise RuntimeError("extracted dual character is not a group-like unitary")
     return out
+
+
+def group_like_residual(G: FiniteQuantumGroup, u: AlgebraElement) -> float:
+    """max(‖u*u − 1‖, ‖uu* − 1‖, ‖Δu − u⊗u‖), zero exactly on the group-like
+    unitaries; NaN if either part is (np.max keeps a NaN the builtin drops)."""
+    alg, star = G.algebra, G.algebra.adjoint(u.vec)
+    return float(np.max([alg.max_operator_norm(alg.multiply([u.vec, star], [star, u.vec]) - alg.identity().vec),
+                         G.ts.algebra.max_operator_norm(G.comult @ u.vec - G.ts.scatter(u.vec, u.vec))]))
 
 
 def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = CHECK_TOL) -> bool:
     """True iff u is unitary and Δ(u) = u ⊗ u within tol."""
-    return u.is_unitary(tol) and G.ts.algebra.max_operator_norm(G.comult @ u.vec - G.ts.scatter(u.vec, u.vec)) <= tol
+    return group_like_residual(G, u) <= tol
 
 
 @dataclass(eq=False)

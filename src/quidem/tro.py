@@ -213,8 +213,7 @@ class SchurExpectation:
 def build_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) -> SchurExpectation:
     """The extension of L_ω to a conditional expectation of M₂(A) onto the
     linking algebra of its image: entrywise left convolutions by the linking
-    functional Ω = [[|ω|_r, ω], [ω̄, |ω|_l]]."""
-    _require_contractive(G, omega, tol, "build_expectation requires a contractive idempotent")
+    functional Ω = [[|ω|_r, ω], [ω̄, |ω|_l]], behind the guard of Analysis."""
     return Analysis(G, omega, tol).expectation
 
 
@@ -344,8 +343,8 @@ def check_tro_expectation(G: FiniteQuantumGroup, omega: Functional, tol: float =
     TRO-expectation axioms on the image, and the TRO property of the image.
     Each identity is linear or conjugate-linear in the factor that runs over
     a basis, so it holds on the whole span iff it holds on that basis; each
-    is read off the expectation's bimodule commutators (_tro_residuals)."""
-    _require_contractive(G, omega, tol, "check_tro_expectation requires a contractive idempotent")
+    is read off the expectation's bimodule commutators (_tro_residuals),
+    behind the guard of Analysis."""
     return Analysis(G, omega, tol).tro_report
 
 
@@ -444,7 +443,7 @@ class Analysis:
 
     @cached_property
     def parts(self) -> PolarParts:
-        _require_contractive(self.group, self.omega, self.tol, "not a contractive idempotent")
+        _require_contractive(self.group, self.omega, self.tol)
         return polar_decompose(self.omega)
 
     @cached_property

@@ -553,6 +553,7 @@ def _input_error(group, spec):
     ("czn:4", "density:[[true,false],[false,false],[false,false],[false,false]]"),
     ("czn:4", "-:"),
     ("czn:4", "-point:0"),
+    ("czn:4", "--functional"),
 ])
 def test_malformed_functional_is_named(group, spec):
     assert repr(spec) in _input_error(group, spec)
@@ -597,6 +598,26 @@ def test_near_idempotent_fails_its_measured_row(capsys, group, density, tol, row
     assert not rows[row]["passed"] and rows[row]["defect"] == pytest.approx(defect, rel=1e-3)
 
 
+@pytest.mark.parametrize("density, passed, defect", [
+    ("[[0.49,0],[0,0],[0.51,0],[0,0]]", True, 2e-2),
+    ("[[0.24,0],[0.24,0],[0.24,0],[0.26,0]]", False, 4e-2),
+], ids=["within-tol", "beyond-tol"])
+def test_haar_state_of_the_subgroup_is_a_measured_row(capsys, density, passed, defect):
+    """Near the Haar state of a subgroup of C(Z4), at --tol 3e-2: the trace
+    norm ‖π_*|ω|_r − h_H‖ is a row judged at --tol like the others, so the
+    run reaches the rows that fail (the mixed products), exits 1 and has no
+    "inputs valid" row."""
+    code = main(["decompose", "--group", "builtin:czn:4", "--functional", f"density:{density}",
+                 "--tol", "3e-2", "--json"])
+    captured = capsys.readouterr()
+    rows = _rows(json.loads(captured.out))
+    assert code == 1 and captured.err == ""
+    assert "inputs valid" not in rows and not rows["mixed product left_absorb"]["passed"]
+    row = rows["haar: pi_*|w|_r = h_H"]
+    assert row["passed"] == passed and row["tolerance"] == 3e-2 and row["defect"] == pytest.approx(defect, rel=1e-9)
+    assert rows["haar: u = pi(v) group-like"]["passed"] and rows["haar: w = h_H(pi(.)u)"]["passed"]
+
+
 _PERTURBED_GROUPS = ["czn:6", "cfun:sn:3", "cstar:dn:3", "cstar:dn:4"]
 
 
@@ -612,8 +633,9 @@ def _item_densities(group):
        st.sampled_from([3, 30, 1000]), st.sampled_from(["decompose", "explore", "tro"]), st.integers(0, 2**32 - 1))
 def test_perturbed_idempotent_never_raises(group, index, eps, factor, command, seed):
     """An enumerated contractive idempotent plus ε times a random complex
-    vector, at --tol factor·ε: main returns a report, never raises, and
-    exits 1 exactly when some row fails."""
+    vector, at --tol factor·ε: main returns a report of measured rows,
+    with no "inputs valid" row, never raises, and exits 1 exactly when
+    some row fails."""
     densities = _item_densities(group)
     base, rng = densities[index % len(densities)], np.random.default_rng(seed)
     vec = base + eps * (rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape))
@@ -624,3 +646,4 @@ def test_perturbed_idempotent_never_raises(group, index, eps, factor, command, s
                      "--tol", repr(factor * eps), "--json"])
     rows = json.loads(out.getvalue())["checks"]
     assert rows and code == (0 if all(row["passed"] for row in rows) else 1)
+    assert "inputs valid" not in [row["name"] for row in rows]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import quidem.convolution
+import quidem.idempotents
 from quidem import (
     Functional,
     GroupTable,
@@ -19,7 +20,7 @@ from quidem import (
     symmetric,
 )
 
-from quidem.algebra import AlgebraElement, MultiMatrixAlgebra, polar_decompose, support_projection
+from quidem.algebra import MultiMatrixAlgebra, polar_decompose, support_projection
 from quidem.idempotents import (
     construct,
     decompose,
@@ -218,12 +219,15 @@ def test_decompose_measures_and_does_not_judge():
     """Near-idempotents that pass the contractive guard at a loose tol come
     back with their defects measured, not raised: on C(Z4) the group-like
     seminorms exceed tol, on C*(D3) the Haar gap does, and neither gets a
-    subgroup.  extract_subgroup_character keeps its RuntimeError on the
-    unequal absolute values."""
+    subgroup.  extract_subgroup_character, which judges the report, raises
+    a RuntimeError on each."""
     G = function_algebra(cyclic(4))
-    rep = decompose(G, Functional(G.algebra, G.algebra.from_vec(np.array([0.5, 0.001, -0.5, 0]))), 1e-2)
-    assert rep.haar and rep.subgroup is None and rep.character is None
+    near = Functional(G.algebra, G.algebra.from_vec(np.array([0.5, 0.001, -0.5, 0])))
+    rep = decompose(G, near, 1e-2)
+    assert rep.haar and rep.subgroup is None and rep.character is None and rep.subgroup_haar is None
     assert min(rep.defect_r, rep.defect_l) > 1e-2 >= max(rep.roundtrip_r, rep.roundtrip_l, rep.haar_gap)
+    with pytest.raises(RuntimeError, match="^decomposition defects exceed tolerance$"):
+        extract_subgroup_character(G, near, 1e-2)
     H = group_algebra(dihedral(3))
     omega = Functional(H.algebra, H.algebra.from_vec(np.array([0.333333, 0, -0.333333, 0.57735, 0.001, 0])))
     rep = decompose(H, omega, 3e-2)
@@ -389,10 +393,11 @@ def test_decompose_of_cesaro_limits_on_kp(kp):
 
 def test_haar_decompose_computes_each_fact_once(cz6, monkeypatch):
     """One Haar decompose takes the block norms of the support of |ω|_r once,
-    for its Haar flag and its corner quotient alike, and checks the
-    unitarity of the character once, for unitarity and group-likeness."""
-    counts = {"block_norms": 0, "is_unitary": 0}
-    for owner, name in ((MultiMatrixAlgebra, "block_norms"), (AlgebraElement, "is_unitary")):
+    for its Haar flag and its corner quotient alike, and measures the
+    group-like residual of the character once, unitarity and Δ_H(u) = u⊗u
+    in one number."""
+    counts = {"block_norms": 0, "group_like_residual": 0}
+    for owner, name in ((MultiMatrixAlgebra, "block_norms"), (quidem.idempotents, "group_like_residual")):
         def spy(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             return _orig(*args, **kwargs)
@@ -400,8 +405,8 @@ def test_haar_decompose_computes_each_fact_once(cz6, monkeypatch):
     # the sign character of H = {0, 3}
     omega = Functional.from_covector(cz6.algebra, np.array([0.5, 0.0, 0.0, -0.5, 0.0, 0.0]))
     rep = decompose(cz6, omega)
-    assert rep.haar and rep.subgroup.kept_blocks == (0, 3)
-    assert counts == {"block_norms": 1, "is_unitary": 1}
+    assert rep.haar and rep.subgroup.kept_blocks == (0, 3) and rep.character_group_like <= 1e-12
+    assert counts == {"block_norms": 1, "group_like_residual": 1}
 
 
 def test_character_labels_print_no_roundoff():

@@ -48,14 +48,13 @@ from quidem import (
     symmetric,
 )
 from quidem import groups, qgroup, wedderburn
-from quidem.algebra import PolarParts, above_cutoff, polar_decompose, tensor_algebra
+from quidem.algebra import above_cutoff, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
 from quidem.convolution import _idempotency_defect, commutes_with_right_convolutions, convolve, idempotency_defect
 from quidem.groups import GroupTable, characters
 from quidem.idempotents import (
     _character_defect,
     _seminorm_sq,
-    _subgroup_character,
     decompose,
     enumerate_function_algebra,
     enumerate_group_algebra,
@@ -1420,7 +1419,8 @@ def test_character_check_matches_loop_form(haar_reports):
     G, reports = haar_reports
     assert len(reports) >= 5
     for rep in reports:
-        got = _character_defect(rep.omega, rep.subgroup, rep.character)
+        got = rep.character_defect
+        assert got == _character_defect(rep.omega, rep.subgroup, rep.character)
         want = ref_character_defect(G, rep.omega, rep.subgroup, rep.character)
         assert abs(got - want) <= AGREE
         assert want <= TOL
@@ -1428,15 +1428,15 @@ def test_character_check_matches_loop_form(haar_reports):
 
 def test_flipped_character_phase_is_rejected(haar_reports):
     """Negating the polar isometry on one kept block changes u = π(v) on H,
-    so ω = h_H(π(·)u) fails (faithful h_H) unless a check before it does."""
+    so ω = h_H(π(·)u) fails (faithful h_H) unless u fails to be group-like:
+    the largest of the two measured defects exceeds tol."""
     G, reports = haar_reports
     for rep in reports:
-        parts = polar_decompose(rep.omega)
         block = rep.subgroup.kept_blocks[-1]
         sign = np.where(G.algebra.coordinates[0] == block, -1.0, 1.0)
-        flipped = PolarParts(u=G.algebra.from_vec(sign * parts.u.vec), abs_r=parts.abs_r, abs_l=parts.abs_l)
-        with pytest.raises(RuntimeError):
-            _subgroup_character(G, rep.omega, flipped, TOL)
+        u = rep.subgroup.apply(G.algebra.from_vec(sign * rep.v.vec))
+        assert max(qgroup.group_like_residual(rep.subgroup.target, u),
+                   _character_defect(rep.omega, rep.subgroup, u)) > TOL
 
 
 def test_flipped_character_fails_the_batched_check():
@@ -1445,21 +1445,18 @@ def test_flipped_character_fails_the_batched_check():
     h_H(π(e_2)u) = −1/2, in the batched and the loop form alike."""
     G = function_algebra(cyclic(4))
     omega = Functional.from_covector(G.algebra, np.array([0.5, 0.0, 0.5, 0.0]))
-    parts = polar_decompose(omega)
-    sub, u = _subgroup_character(G, omega, parts, TOL)
-    flipped = PolarParts(
-        u=G.algebra.from_vec(parts.u.vec * np.array([1, 1, -1, 1])), abs_r=parts.abs_r, abs_l=parts.abs_l
-    )
-    with pytest.raises(RuntimeError, match=r"h_H\(π\(·\)u\) \(defect 1.000e\+00\)"):
-        _subgroup_character(G, omega, flipped, TOL)
-    sign = sub.apply(flipped.u)
+    rep = decompose(G, omega, TOL)
+    sub = rep.subgroup
+    assert rep.character_defect <= TOL
+    sign = sub.apply(G.algebra.from_vec(rep.v.vec * np.array([1, 1, -1, 1])))
     assert np.allclose(sign.vec, [1.0, -1.0])
+    assert qgroup.group_like_residual(sub.target, sign) <= TOL
     assert _character_defect(omega, sub, sign) == ref_character_defect(G, omega, sub, sign) == 1.0
 
 
 def _haar_rows_and_defect(sub, sigma):
     """The four Haar rows of verify_axioms on a copy of H whose Haar state is
-    π_*σ, and the trace norm ‖π_*σ − h_H‖ that _subgroup_character compares."""
+    π_*σ, and the trace norm ‖π_*σ − h_H‖ that decompose measures as subgroup_haar."""
     H = sub.target
     pushed = Functional.from_covector(H.algebra, sub.projection @ sigma.covector)
     return qgroup._haar_defects(replace(H, haar=pushed)), (pushed - H.haar).norm
@@ -1480,6 +1477,7 @@ def test_haar_state_defect_matches_the_haar_rows(spec):
     assert len(reports) >= 5
     for rep in reports:
         rows, defect = _haar_rows_and_defect(rep.subgroup, rep.abs_r)
+        assert defect == rep.subgroup_haar
         assert (max(rows.values()) <= TOL) == (defect <= TOL)
         assert max(*rows.values(), defect) <= AGREE, (rows, defect)
 

@@ -1,6 +1,7 @@
 """Axiom verification, duality, quotients, group-like elements."""
 
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +22,11 @@ from quidem import (
     verify_axioms,
 )
 from quidem import qgroup, wedderburn
-from quidem.algebra import is_central, polar_decompose, support_projection
+from quidem.algebra import MultiMatrixAlgebra, is_central, polar_decompose, support_projection
 from quidem.catalogue import builtin, save
 from quidem.cli import main
-from quidem.idempotents import _subgroup_character, decompose, enumerate_function_algebra, enumerate_group_algebra
+from quidem.idempotents import (decompose, enumerate_function_algebra, enumerate_group_algebra,
+                                extract_subgroup_character)
 from quidem.qgroup import (
     AXIOM_ROWS,
     FiniteQuantumGroup,
@@ -145,6 +147,17 @@ def test_character_function_is_group_like(cz4):
     assert is_group_like(cz4, u, 1e-12)
     not_u = cz4.algebra.from_vec(np.array([1, 1, -1, -1j]))
     assert not is_group_like(cz4, not_u, 1e-8)
+
+
+@pytest.mark.parametrize("norms", [(math.nan, 0.0), (0.0, math.nan)], ids=["unitarity", "comultiplication"])
+def test_group_like_residual_keeps_a_nan_in_either_part(cz4, monkeypatch, norms):
+    """group_like_residual is the larger of the unitarity and the
+    comultiplication norms, and NaN when either is (the builtin max(0.0,
+    nan) would give 0.0), so is_group_like refuses it."""
+    calls = iter(norms * 2)
+    monkeypatch.setattr(MultiMatrixAlgebra, "max_operator_norm", lambda self, x: next(calls))
+    assert math.isnan(qgroup.group_like_residual(cz4, cz4.algebra.identity()))
+    assert not is_group_like(cz4, cz4.algebra.identity(), 1.0)
 
 
 def test_lambda_basis_is_group_like(gd4):
@@ -326,14 +339,18 @@ def test_cached_corner_matches_fresh_build(name):
 
 def test_subgroup_character_rejects_a_state_that_is_not_the_subgroup_haar_state():
     """σ = 0.7δ₀ + 0.3δ₂ on C(Z4) has the central support {0, 2}, whose
-    corner is the verified subgroup Z2, but σ is not its Haar state: the
-    trace norm ‖π_*σ − h_H‖ = 0.4 is a named input error."""
+    corner is the verified subgroup Z2, but σ is not its Haar state: at a
+    tol loose enough for its idempotency defect 0.24, decompose measures
+    the trace norm ‖π_*σ − h_H‖ = 0.4, and extract_subgroup_character
+    names it as an input error."""
     G = function_algebra(cyclic(4))
     sigma = Functional.from_covector(G.algebra, np.array([0.7, 0, 0.3, 0]))
     assert verify_axioms(quotient_by_support(G, sigma.density.support).target, 1e-8).passed
+    rep = decompose(G, sigma, 0.3)
+    assert rep.subgroup.kept_blocks == (0, 2) and rep.subgroup_haar == pytest.approx(0.4, abs=1e-15)
     message = r"^absolute value is not the Haar state of its subgroup \(defect 4\.000e-01\)$"
     with pytest.raises(ValueError, match=message):
-        _subgroup_character(G, sigma, sigma.polar, 1e-8)
+        extract_subgroup_character(G, sigma, 0.3)
 
 
 def test_failed_kept_set_keeps_failing():

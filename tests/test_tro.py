@@ -12,6 +12,7 @@ import quidem.convolution
 import quidem.idempotents
 import quidem.tro
 from quidem import (
+    Functional,
     MultiMatrixAlgebra,
     cyclic,
     function_algebra,
@@ -386,6 +387,19 @@ def test_tro_report_calls_compute_each_fact_once(gd4, monkeypatch):
     assert recovery.ok
     assert measured == [X, link.left, link.right]
     assert [f for f in idempotency if f is omega] == [omega]
+
+
+@pytest.mark.parametrize("call", [build_expectation, check_tro_expectation], ids=["expectation", "tro-report"])
+def test_one_contractive_guard_per_call(cz4, monkeypatch, call):
+    """build_expectation and check_tro_expectation run the one guard of
+    their Analysis, once: it passes a contractive idempotent and names any
+    other functional in a ValueError."""
+    guarded, guard = [], quidem.tro._require_contractive
+    monkeypatch.setattr(quidem.tro, "_require_contractive", lambda *args: guarded.append(args[1]) or guard(*args))
+    call(cz4, cz4.counit)
+    assert len(guarded) == 1 and guarded[0] is cz4.counit
+    with pytest.raises(ValueError, match="^not a contractive idempotent"):
+        call(cz4, Functional.from_covector(cz4.algebra, np.eye(4)[1]))
 
 
 def test_shared_caches_hold_under_threads(gd4):
