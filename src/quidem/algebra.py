@@ -152,11 +152,16 @@ class MultiMatrixAlgebra:
         return [np.abs(b[..., 0]) if n == 1 else np.linalg.svd(b, compute_uv=False)
                 for n, _, b in self.blocks_by_size(x)]
 
+    @cached_property
+    def block_order(self) -> np.ndarray:
+        """Position of each block in size_classes, which list the blocks by size, then in block order."""
+        order = np.argsort(np.argsort(self.block_dims, kind="stable"))
+        order.flags.writeable = False
+        return order
+
     def block_norms(self, x) -> np.ndarray:
         """Operator norm of every block of each vec in a stack, in block order."""
-        norms = np.concatenate([s[..., 0] for s in self.singular_values(x)], axis=-1)
-        # size_classes lists the blocks by size, then in block order
-        return norms[..., np.argsort(np.argsort(self.block_dims, kind="stable"))]
+        return np.concatenate([s[..., 0] for s in self.singular_values(x)], axis=-1)[..., self.block_order]
 
     def max_operator_norm(self, x) -> float:
         """Largest operator norm over a stack of vecs (0.0 if empty), as a full
@@ -338,11 +343,10 @@ class AlgebraElement:
     def trace_norm(self) -> float:
         return float(sum(s.sum() for s in self.algebra.singular_values(self.vec)))
 
-    def is_hermitian(self, tol: float = STATE_TOL) -> bool:
-        return (self - self.adjoint()).operator_norm <= tol
-
-    def is_positive(self, tol: float = STATE_TOL) -> bool:
-        return self.is_hermitian(tol) and bool(self.algebra.min_eigenvalues(self.vec) >= -tol)
+    @cached_property
+    def spectrum(self) -> list:
+        """MultiMatrixAlgebra.eigh of the vec, read by support and Functional.state_defects; taken once."""
+        return self.algebra.eigh(self.vec)
 
     @cached_property
     def centrality(self) -> tuple[float, np.ndarray]:
@@ -357,10 +361,9 @@ class AlgebraElement:
     def support(self) -> "AlgebraElement":
         """The projection support_projection returns; taken once."""
         alg = self.algebra
-        factors = alg.eigh(self.vec)
-        top = max(0.0, max(w.max() for _, w, _ in factors))
+        top = max(0.0, max(w.max() for _, w, _ in self.spectrum))
         out = np.empty(alg.dim, dtype=np.complex128)
-        for idx, w, v in factors:
+        for idx, w, v in self.spectrum:
             out[idx] = ((v * above_cutoff(w, top)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
         return alg.from_vec(out)
 
@@ -438,11 +441,17 @@ class Functional:
 
     __rmul__ = __mul__
 
-    def is_positive(self, tol: float = STATE_TOL) -> bool:
-        return self.density.is_positive(tol)
+    @cached_property
+    def state_defects(self) -> tuple[float, float]:
+        """(max(‖d − d*‖, max(0, −λ_min)), |Tr d − 1|) for the density d, λ_min
+        read off d.spectrum: both vanish exactly on the states; taken once."""
+        d = self.density
+        herm = self.algebra.max_operator_norm(d.vec - self.algebra.adjoint(d.vec))
+        low = min(w.min() for _, w, _ in d.spectrum)
+        return max(herm, max(0.0, -float(low))), abs(d.trace - 1.0)
 
     def is_state(self, tol: float = STATE_TOL) -> bool:
-        return self.is_positive(tol) and abs(self.density.trace - 1.0) <= tol
+        return all(defect <= tol for defect in self.state_defects)
 
     def conjugate(self) -> "Functional":
         """The functional a ↦ conj(ω(a*)); its density is density*."""

@@ -12,9 +12,8 @@ import numpy as np
 
 from .algebra import CHECK_TOL, COND_LIMIT, STATE_TOL, Functional, MultiMatrixAlgebra, tensor_algebra
 from .groups import GroupTable, cyclic, dihedral, symmetric
-from .qgroup import FiniteQuantumGroup, solve_antipode, verify_axioms
+from .qgroup import FiniteQuantumGroup, closed_form_antipode, verify_axioms
 
-_KP_SOLVE_TOL = 1e-10   # largest residual of the Kac-Paljutkin counit and antipode laws
 _KP_AXIOM_TOL = 1e-12   # largest Kac-Paljutkin axiom defect
 
 
@@ -111,7 +110,7 @@ def kac_paljutkin() -> FiniteQuantumGroup:
     conjugations (which swap u_3 and u_4), and that asymmetry is exactly
     what makes the structure noncocommutative.  The Haar state is the
     Plancherel state of the blocks, the antipode is read off it and the
-    counit in closed form (solve_antipode), and the construction is
+    counit in closed form (closed_form_antipode), and the construction is
     rejected unless every axiom holds to _KP_AXIOM_TOL."""
     alg = MultiMatrixAlgebra((1, 1, 1, 1, 2))
     ts = tensor_algebra(alg, alg)
@@ -147,7 +146,7 @@ def kac_paljutkin() -> FiniteQuantumGroup:
         algebra=alg,
         comult=comult,
         counit=counit,
-        antipode=solve_antipode(alg, comult, counit, tol=_KP_SOLVE_TOL),
+        antipode=closed_form_antipode(alg, comult, counit),
         name="KacPaljutkin",
         kind="kp",
     )

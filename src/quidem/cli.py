@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -343,10 +344,10 @@ def main(argv=None) -> int:
     except (ValueError, catalogue.QGSpecError) as exc:
         report.add("inputs valid", False, None, None, note=str(exc))
     report.elapsed = time.perf_counter() - start
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=1))
-    else:
-        print(report.render())
+    try:
+        print(json.dumps(report.to_json(), indent=1) if args.as_json else report.render(), flush=True)
+    except BrokenPipeError:   # the reader closed stdout: point it at devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 1
 
 

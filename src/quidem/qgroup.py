@@ -79,7 +79,7 @@ class FiniteQuantumGroup:
     @cached_property
     def d3(self) -> np.ndarray:
         """d3[I, J, c] = coefficient of e_I ⊗ e_J in Δ(e_c)."""
-        out = self.comult[self.pos_matrix, :]
+        out = _d3(self.algebra, self.comult)
         out.flags.writeable = False
         return out
 
@@ -254,12 +254,11 @@ def _haar_defects(G: FiniteQuantumGroup) -> dict:
     """The four Haar rows of verify_axioms: the Haar functional is a state,
     invariant on both sides."""
     A, one = G.algebra, G.algebra.identity().vec
-    d_h = G.haar.density
-    herm = (d_h - d_h.adjoint()).operator_norm
+    positive, trace_one = G.haar.state_defects
     ch = G.haar.covector
     return {
-        "haar_positive": max(herm, max(0.0, -float(A.min_eigenvalues(d_h.vec)))),
-        "haar_trace_one": abs(d_h.trace - 1.0),
+        "haar_positive": positive,
+        "haar_trace_one": trace_one,
         "haar_left_invariant": A.max_operator_norm((G.left_matrix(ch) - np.outer(one, ch)).T),
         "haar_right_invariant": A.max_operator_norm((G.right_matrix(ch) - np.outer(one, ch)).T),
     }
@@ -285,28 +284,36 @@ def plancherel_state(algebra: MultiMatrixAlgebra) -> Functional:
     return Functional.from_covector(algebra, sizes / algebra.dim * algebra.identity().vec)
 
 
+def _d3(algebra: MultiMatrixAlgebra, comult: np.ndarray) -> np.ndarray:
+    """d3[I, J, c] = coefficient of e_I ⊗ e_J in Δ(e_c)."""
+    return comult[tensor_algebra(algebra, algebra).positions.reshape(algebra.dim, algebra.dim), :]
+
+
+def closed_form_antipode(algebra: MultiMatrixAlgebra, comult: np.ndarray, counit: Functional) -> np.ndarray:
+    """The antipode, unchecked: S(x) = (h⊗id)((x⊗1)Δ(Λ))/h(Λ), with h the
+    Plancherel state and Λ the density of the counit, the integral with
+    aΛ = ε(a)Λ = Λa."""
+    h = plancherel_state(algebra).covector
+    integral = counit.density.vec
+    gram = np.einsum("o,oab->ab", h, algebra.mult_tensor)   # h(e_a e_b)
+    return (gram @ (_d3(algebra, comult) @ integral)).T / (h @ integral)
+
+
 def solve_antipode(
     algebra: MultiMatrixAlgebra,
     comult: np.ndarray,
     counit: Functional,
     tol: float = STATE_TOL,
 ) -> np.ndarray:
-    """The antipode in closed form, S(x) = (h⊗id)((x⊗1)Δ(Λ))/h(Λ), with h the
-    Plancherel state and Λ the density of the counit, the integral with
-    aΛ = ε(a)Λ = Λa.  The counit laws are checked first, then
-    m(S⊗id)Δ = ε(·)1 = m(id⊗S)Δ; S is returned once both hold within tol."""
-    dim = algebra.dim
-    d3 = comult[tensor_algebra(algebra, algebra).positions.reshape(dim, dim), :]
+    """closed_form_antipode, checked: the counit laws first, then m(S⊗id)Δ =
+    ε(·)1 = m(id⊗S)Δ; S is returned once both hold within tol."""
+    d3 = _d3(algebra, comult)
     ce = counit.covector
     residual = max(_counit_defects(algebra, d3, ce))
     if not residual <= tol:
         raise ValueError(f"antipode solve failed (counit residual {residual:.2e})")
-    ms = algebra.mult_tensor
-    h = plancherel_state(algebra).covector
-    integral = counit.density.vec
-    gram = np.einsum("o,oab->ab", h, ms)   # h(e_a e_b)
-    s_mat = (gram @ (d3 @ integral)).T / (h @ integral)
-    residual = max(_antipode_defects(algebra, d3, ms, ce, s_mat))
+    s_mat = closed_form_antipode(algebra, comult, counit)
+    residual = max(_antipode_defects(algebra, d3, algebra.mult_tensor, ce, s_mat))
     if not residual <= tol:
         raise ValueError(f"antipode solve failed (residual {residual:.2e})")
     return s_mat

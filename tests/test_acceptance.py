@@ -107,7 +107,7 @@ def kp_discovered(groups):
     from quidem.idempotents import is_haar_idempotent
 
     assert any(
-        omega.is_positive(1e-9) and not is_haar_idempotent(kp, omega) for omega, _ in found
+        omega.state_defects[0] <= 1e-9 and not is_haar_idempotent(kp, omega) for omega, _ in found
     ), "expected at least one non-Haar idempotent state among the discoveries"
     return found
 
@@ -375,7 +375,7 @@ def _dichotomy_pairs(groups, rng, kp_states):
 
 def test_criterion_9_dichotomy(groups, kp_discovered):
     rng = np.random.default_rng(2024)
-    kp_states = [omega for omega, _ in kp_discovered if omega.is_positive(1e-9)]
+    kp_states = [omega for omega, _ in kp_discovered if omega.state_defects[0] <= 1e-9]
     pairs = _dichotomy_pairs(groups, rng, kp_states)
     assert len(pairs) == 200
     zero_branch = unit_branch = 0

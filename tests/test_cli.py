@@ -4,12 +4,17 @@ import contextlib
 import functools
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quidem
 from quidem import builtin, convolve, polar_decompose
 from quidem.algebra import CP_FLOOR
 from quidem.catalogue import to_document
@@ -21,6 +26,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["enumerate", "--group", "builtin:cstar:dn:4", "--json"], 0),
+    (["decompose", "--group", "builtin:czn:4", "--functional", "point:1"], 1),
+])
+def test_closed_stdout_ends_quietly(argv, code):
+    """A reader that closes stdout before the report is printed (as `| head`
+    does) gets no traceback: stderr stays empty and the exit code is the
+    report's."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(quidem.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "quidem", *argv], stdout=write, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert done.stderr == b"" and done.returncode == code
 
 
 def test_verify_kp(capsys):

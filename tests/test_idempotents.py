@@ -20,7 +20,7 @@ from quidem import (
     symmetric,
 )
 
-from quidem.algebra import MultiMatrixAlgebra, polar_decompose, support_projection
+from quidem.algebra import MultiMatrixAlgebra, act_left, act_right, polar_decompose, support_projection
 from quidem.idempotents import (
     construct,
     decompose,
@@ -436,7 +436,10 @@ def test_contractive_verdict_and_decompose_measure_omega_once(gd4, monkeypatch):
 def test_support_of_abs_r_is_taken_once(gd4, monkeypatch):
     """decompose, extract_subgroup_character and is_haar_idempotent(G, |ω|_r)
     on one Haar ω share one support of |ω|_r, kept on its density: one
-    eigendecomposition and one block_norms call for the three."""
+    block_norms call for the three, and one eigendecomposition per absolute
+    value, |ω|_r's read by its state check and its support alike.  The
+    corner quotient, built and verified once per group, is built first."""
+    decompose(gd4, enumerate_group_algebra(gd4)[0].functional)
     counts = {"eigh": 0, "block_norms": 0}
     for name in counts:
         def spy(*args, _orig=getattr(MultiMatrixAlgebra, name), _name=name, **kwargs):
@@ -448,5 +451,33 @@ def test_support_of_abs_r_is_taken_once(gd4, monkeypatch):
     assert rep.haar
     extract_subgroup_character(gd4, omega)
     assert is_haar_idempotent(gd4, rep.abs_r)
-    assert counts == {"eigh": 1, "block_norms": 1}
+    assert counts == {"eigh": 2, "block_norms": 1}
     assert support_projection(rep.abs_r.density) is rep.abs_r.density.support
+
+
+@pytest.mark.parametrize("index", [0, 12])
+def test_decompose_takes_one_spectral_pass(gd4, monkeypatch, index):
+    """One decompose, Haar (item 0) or not (item 12), takes one eigh per
+    absolute value and no min_eigenvalues, and its round-trip and gap rows
+    come from one stacked singular_values call, bit for bit the trace norms
+    of the functionals they measure.  The corner quotient, built and
+    verified once per group, is built first."""
+    decompose(gd4, enumerate_group_algebra(gd4)[index].functional)
+    counts, stacks = {"eigh": 0, "min_eigenvalues": 0}, []
+    for name in counts:
+        def spy(*args, _orig=getattr(MultiMatrixAlgebra, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(MultiMatrixAlgebra, name, spy)
+    singular_values = MultiMatrixAlgebra.singular_values
+    monkeypatch.setattr(MultiMatrixAlgebra, "singular_values",
+                        lambda self, x: stacks.append(np.shape(x)) or singular_values(self, x))
+    omega = enumerate_group_algebra(gd4)[index].functional
+    rep = decompose(gd4, omega)
+    assert rep.haar == (index == 0)
+    assert counts == {"eigh": 2, "min_eigenvalues": 0}
+    # the one pass and the centrality of supp |ω|_r (four rows) are the only stacks
+    assert [shape for shape in stacks if len(shape) > 1] == [(3, gd4.dim), (4, gd4.dim)]
+    assert rep.roundtrip_r == (act_left(rep.v, rep.abs_r) - omega).norm
+    assert rep.roundtrip_l == (act_right(rep.abs_l, rep.v) - omega).norm
+    assert rep.haar_gap == ((rep.abs_r - rep.abs_l).norm if rep.haar else None)

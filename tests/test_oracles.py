@@ -23,7 +23,9 @@ explicit irreps, by splitting the dual of C(G); `_ref_subgroups`,
 `_ref_characters` and `_ref_spread_matrices` are the group-table searches
 from before they read one breadth-first walk: the closure that multiplies
 all pairs until nothing is new and the lattice built on it, the character
-phases spread by their own search, and the irreps by another.
+phases spread by their own search, and the irreps by another;
+`_ref_is_state` is the chain of Hermitian, positive and trace predicates
+that Functional.is_state ran before it compared its state_defects.
 """
 
 import itertools
@@ -1491,6 +1493,52 @@ def test_haar_state_defect_fails_with_the_haar_rows():
     sub = qgroup.quotient_by_support(G, sigma.density.support)
     rows, defect = _haar_rows_and_defect(sub, sigma)
     assert max(rows.values()) > TOL and abs(defect - 0.4) <= AGREE
+
+
+def _ref_is_state(f, tol):
+    """The state predicate as Functional.is_state took it before
+    state_defects: Hermitian within tol in operator norm, least eigenvalue
+    of the Hermitian part (eigvalsh) at least −tol, and trace one within tol."""
+    d = f.density
+    hermitian = (d - d.adjoint()).operator_norm <= tol
+    positive = hermitian and bool(f.algebra.min_eigenvalues(d.vec) >= -tol)
+    return positive and abs(d.trace - 1.0) <= tol
+
+
+def _state_cases(alg, rng, tol):
+    """(label, density, verdict) on alg: a random state, which is PSD; one
+    whose least eigenvalue is −k·tol, Hermitian and of trace one; one with
+    ‖d − d*‖ = k·tol, its Hermitian part that state; and that state scaled
+    to trace 1 + k·tol; for k = 1/2, which passes, and k = 2, which fails."""
+    state = alg.random_state(rng).density
+    skew = np.zeros(alg.dim, dtype=np.complex128)   # i·(e_0 − e_1) on two 1×1 blocks: traceless, norm 1
+    skew[[alg.index(0, 0, 0), alg.index(1, 0, 0)]] = 1j, -1j
+    out = [("psd", state, True)]
+    for k in (0.5, 2.0):
+        blocks = []
+        for n in alg.block_dims:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            blocks.append((q, rng.uniform(0.1, 1.0, n)))
+        blocks[0][1][0] = 0.0
+        scale = (1.0 + k * tol) / sum(w.sum() for _, w in blocks)
+        blocks[0][1][0] = -k * tol / scale
+        indefinite = alg.element((q * w) @ q.conj().T * scale for q, w in blocks)
+        out += [(f"indefinite {k}", indefinite, k < 1),
+                (f"not hermitian {k}", state + alg.from_vec(k * tol / 2 * skew), k < 1),
+                (f"trace {k}", (1.0 + k * tol) * state, k < 1)]
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-8, 1e-3])
+@pytest.mark.parametrize("spec", ["kp", "cstar:dn:4", "czn:6"])
+def test_is_state_matches_the_predicate_chain(spec, tol):
+    """is_state(tol) compares the two state_defects; the reference chain
+    gives the same verdict, on states and on densities that are indefinite,
+    not Hermitian or off trace one by tol/2 and by 2·tol."""
+    alg = builtin(spec).algebra
+    for label, density, verdict in _state_cases(alg, np.random.default_rng(5), tol):
+        f = Functional(alg, density)
+        assert f.is_state(tol) == _ref_is_state(f, tol) == verdict, (label, f.state_defects)
 
 
 @pytest.mark.parametrize("spec", ["czn:6", "cstar:dn:4", "kp", "cstar:sn:4"])
