@@ -255,12 +255,6 @@ class MultiMatrixAlgebra:
     def basis(self) -> list["AlgebraElement"]:
         return [self.basis_element(i) for i in range(self.dim)]
 
-    def random_element(self, rng: np.random.Generator) -> "AlgebraElement":
-        return self.element(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in self.block_dims)
-
-    def random_functional(self, rng: np.random.Generator) -> "Functional":
-        return Functional(self, self.random_element(rng))
-
     def random_state(self, rng: np.random.Generator) -> "Functional":
         """Random faithful-ish state: normalized sum of random rank-n Gram blocks."""
         blocks = []

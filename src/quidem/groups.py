@@ -121,11 +121,6 @@ class GroupTable:
                 out.append(coset)
         return sorted(out, key=lambda s: sorted(s))
 
-    def is_subgroup(self, subset) -> bool:
-        """Whether subset is its own closure, which always holds the identity."""
-        s = frozenset(subset)
-        return self.closure(s) == s
-
     def is_normal(self, subgroup: frozenset) -> bool:
         for g in range(self.order):
             gi = self.inverse[g]

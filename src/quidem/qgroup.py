@@ -213,11 +213,15 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
     defects["coassociativity"] = t3.algebra.max_operator_norm(vec3)
 
     ce = G.counit.covector
-    defects["counit_left"], defects["counit_right"] = _counit_defects(A, d3, ce)
+    defects["counit_left"] = A.max_operator_norm((np.einsum("i,ijc->jc", ce, d3) - ident).T)
+    defects["counit_right"] = A.max_operator_norm((np.einsum("j,ijc->ic", ce, d3) - ident).T)
 
+    # m(S⊗id)Δ(e_c) − ε(e_c)1 and m(id⊗S)Δ(e_c) − ε(e_c)1
     ms = A.mult_tensor
     s_mat = G.antipode
-    defects["antipode_left"], defects["antipode_right"] = _antipode_defects(A, d3, ms, ce, s_mat)
+    rhs = np.einsum("c,o->co", ce, one)
+    defects["antipode_left"] = A.max_operator_norm(np.einsum("ijc,ki,okj->co", d3, s_mat, ms, optimize=True) - rhs)
+    defects["antipode_right"] = A.max_operator_norm(np.einsum("ijc,kj,oik->co", d3, s_mat, ms, optimize=True) - rhs)
     defects["antipode_involutive"] = A.max_operator_norm((s_mat @ s_mat - ident).T)
     # S(a*) = S(a)* checked on the matrix-unit basis
     star_mat = ident[:, star]
@@ -233,21 +237,6 @@ def _structure_defects(G: FiniteQuantumGroup) -> dict:
         vec[:, legs] = image - ident[:, :, None] * one   # minus e_c⊗1 as [c, i, o] = δ_ci 1_o
         defects[name] = AA.max_operator_norm(vec)
     return defects
-
-
-def _counit_defects(algebra: MultiMatrixAlgebra, d3: np.ndarray, counit: np.ndarray) -> tuple[float, float]:
-    """The largest norms of (ε⊗id)Δ(e_c) − e_c and of (id⊗ε)Δ(e_c) − e_c."""
-    ident = np.eye(algebra.dim)
-    return (algebra.max_operator_norm((np.einsum("i,ijc->jc", counit, d3) - ident).T),
-            algebra.max_operator_norm((np.einsum("j,ijc->ic", counit, d3) - ident).T))
-
-
-def _antipode_defects(algebra: MultiMatrixAlgebra, d3: np.ndarray, ms: np.ndarray, counit: np.ndarray,
-                      s_mat: np.ndarray) -> tuple[float, float]:
-    """The largest norms of m(S⊗id)Δ(e_c) − ε(e_c)1 and of m(id⊗S)Δ(e_c) − ε(e_c)1."""
-    rhs = np.einsum("c,o->co", counit, algebra.identity().vec)
-    return (algebra.max_operator_norm(np.einsum("ijc,ki,okj->co", d3, s_mat, ms, optimize=True) - rhs),
-            algebra.max_operator_norm(np.einsum("ijc,kj,oik->co", d3, s_mat, ms, optimize=True) - rhs))
 
 
 def _haar_defects(G: FiniteQuantumGroup) -> dict:
@@ -297,26 +286,6 @@ def closed_form_antipode(algebra: MultiMatrixAlgebra, comult: np.ndarray, counit
     integral = counit.density.vec
     gram = np.einsum("o,oab->ab", h, algebra.mult_tensor)   # h(e_a e_b)
     return (gram @ (_d3(algebra, comult) @ integral)).T / (h @ integral)
-
-
-def solve_antipode(
-    algebra: MultiMatrixAlgebra,
-    comult: np.ndarray,
-    counit: Functional,
-    tol: float = STATE_TOL,
-) -> np.ndarray:
-    """closed_form_antipode, checked: the counit laws first, then m(S⊗id)Δ =
-    ε(·)1 = m(id⊗S)Δ; S is returned once both hold within tol."""
-    d3 = _d3(algebra, comult)
-    ce = counit.covector
-    residual = max(_counit_defects(algebra, d3, ce))
-    if not residual <= tol:
-        raise ValueError(f"antipode solve failed (counit residual {residual:.2e})")
-    s_mat = closed_form_antipode(algebra, comult, counit)
-    residual = max(_antipode_defects(algebra, d3, algebra.mult_tensor, ce, s_mat))
-    if not residual <= tol:
-        raise ValueError(f"antipode solve failed (residual {residual:.2e})")
-    return s_mat
 
 
 def _dual_regular_split(G: FiniteQuantumGroup):

@@ -48,23 +48,11 @@ class OperatorSubspace:
     def basis(self) -> list[AlgebraElement]:
         return [self.algebra.from_vec(self.matrix[:, j]) for j in range(self.dim)]
 
-    def residual(self, x: AlgebraElement) -> float:
-        """Hilbert-Schmidt distance from x to its trace-orthogonal projection."""
-        return _worst_residual(self, x.vec)
-
-    def contains(self, x: AlgebraElement, tol: float = CHECK_TOL) -> bool:
-        return self.residual(x) <= tol
-
     def projector(self) -> np.ndarray:
         return self.matrix @ self.matrix.conj().T
 
     def equals(self, other: "OperatorSubspace", tol: float = CHECK_TOL) -> bool:
         return float(np.linalg.norm(self.projector() - other.projector(), 2)) <= tol
-
-    def adjoint_space(self) -> "OperatorSubspace":
-        """X*, on the adjoints of the basis: a ↦ a* keeps the trace inner
-        product up to conjugation, so they are orthonormal; no SVD is taken."""
-        return OperatorSubspace(self.algebra, self.algebra.adjoint(self.matrix.T).T)
 
     @cached_property
     def tro_defect(self) -> float:
@@ -172,21 +160,6 @@ class LinkingAlgebra:
 
     def corner_dims(self) -> tuple[int, int, int]:
         return self.left.dim, self.tro.dim, self.right.dim
-
-    def multiplicative_defect(self) -> float:
-        """Largest residual of a product (or adjoint) of basis elements of
-        the 2×2 array against its span, corner by corner: in M₂(A)
-        (e_ij⊗x)(e_kl⊗y) is e_il⊗xy for j = k and exactly 0 otherwise, and
-        (e_ij⊗x)* = e_ji⊗x*, so corner(i,j)·corner(j,l) is checked against
-        the span of corner(i,l) and the adjoints of corner(i,j) against that
-        of corner(j,i).  The corner bases are orthonormal."""
-        A, corners = self.tro.algebra, self.corners()
-        spans = {c: OperatorSubspace(A, rows.T) for c, rows in corners.items()}
-        worst = max(_worst_residual(spans[j, i], A.adjoint(rows)) for (i, j), rows in corners.items())
-        for (i, j), rows in corners.items():
-            for l in (0, 1):
-                worst = max(worst, _worst_residual(spans[i, l], A.multiply(rows[:, None], corners[j, l])))
-        return worst
 
 
 def linking_algebra(X: OperatorSubspace, tol: float = CHECK_TOL) -> LinkingAlgebra:

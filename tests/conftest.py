@@ -13,6 +13,17 @@ from quidem import (
 )
 
 
+def random_element(algebra, rng):
+    """An element whose blocks have standard normal real and imaginary parts,
+    drawn block by block, real part first."""
+    return algebra.element(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in algebra.block_dims)
+
+
+def random_functional(algebra, rng):
+    """The functional whose density is random_element(algebra, rng)."""
+    return Functional(algebra, random_element(algebra, rng))
+
+
 @pytest.fixture(scope="session")
 def cz2():
     return function_algebra(cyclic(2))

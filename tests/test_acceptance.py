@@ -48,6 +48,8 @@ from quidem.tro import (
     recover_idempotent,
 )
 
+from conftest import random_element
+
 TOL_AXIOM = 1e-9
 TOL = 1e-8
 CP_FLOOR = -1e-9
@@ -349,7 +351,7 @@ def _dichotomy_pairs(groups, rng, kp_states):
             return kp, sigma, phase * u
         # counit with a generic contraction shifted so that epsilon(u) = 0
         sigma = kp.counit
-        x = kp.algebra.random_element(rng)
+        x = random_element(kp.algebra, rng)
         x = (0.9 / x.operator_norm) * x
         u = x - kp.counit(x) * kp.algebra.identity()
         u = (0.9 / max(1.0, u.operator_norm)) * u

@@ -23,6 +23,8 @@ from quidem.algebra import (
 )
 from quidem.catalogue import builtin
 
+from conftest import random_element, random_functional
+
 ALGEBRAS = [
     MultiMatrixAlgebra((1, 1)),
     MultiMatrixAlgebra((2,)),
@@ -47,7 +49,7 @@ def test_block_dims_validation():
 def test_identity_multiplication():
     alg = MultiMatrixAlgebra((1, 2))
     rng = np.random.default_rng(0)
-    a = alg.random_element(rng)
+    a = random_element(alg, rng)
     assert (alg.identity() * a - a).operator_norm == 0.0
 
 
@@ -74,7 +76,7 @@ def test_matrix_units_multiply():
 def test_adjoint_antihomomorphism(seed, which):
     alg = ALGEBRAS[which]
     rng = np.random.default_rng(seed)
-    a, b = alg.random_element(rng), alg.random_element(rng)
+    a, b = random_element(alg, rng), random_element(alg, rng)
     assert ((a * b).adjoint() - b.adjoint() * a.adjoint()).operator_norm < 1e-12
 
 
@@ -132,11 +134,11 @@ def test_dual_norm_consistency(seed, which):
     sampled elements never exceed it and an explicit attainer reaches it."""
     alg = ALGEBRAS[which]
     rng = np.random.default_rng(seed)
-    omega = alg.random_functional(rng)
+    omega = random_functional(alg, rng)
     norm = omega.norm
     best = abs(omega(_norm_attainer(omega)))
     for _ in range(20):
-        x = alg.random_element(rng)
+        x = random_element(alg, rng)
         x = (1.0 / x.operator_norm) * x
         value = abs(omega(x))
         assert value <= norm + 1e-9
@@ -149,7 +151,7 @@ def test_dual_norm_consistency(seed, which):
 def test_polar_roundtrip(seed, which):
     alg = ALGEBRAS[which]
     rng = np.random.default_rng(seed)
-    omega = alg.random_functional(rng)
+    omega = random_functional(alg, rng)
     parts = polar_decompose(omega)
     u = parts.u
     assert (u * u.adjoint() * u - u).operator_norm < 1e-9
@@ -199,7 +201,7 @@ def test_polar_of_zero_raises():
 
 def test_polar_parts_are_taken_once_per_functional(monkeypatch):
     alg = _m2()
-    omega = alg.random_functional(np.random.default_rng(3))
+    omega = random_functional(alg, np.random.default_rng(3))
     calls = []
     svd = MultiMatrixAlgebra.svd
     monkeypatch.setattr(MultiMatrixAlgebra, "svd", lambda self, x: calls.append(1) or svd(self, x))
@@ -214,7 +216,7 @@ def test_cauchy_schwarz_for_states(seed, which):
     alg = ALGEBRAS[which]
     rng = np.random.default_rng(seed)
     sigma = alg.random_state(rng)
-    a, b = alg.random_element(rng), alg.random_element(rng)
+    a, b = random_element(alg, rng), random_element(alg, rng)
     lhs = abs(sigma(a.adjoint() * b)) ** 2
     rhs = sigma(a.adjoint() * a).real * sigma(b.adjoint() * b).real
     assert lhs <= rhs + 1e-9 * max(1.0, rhs)
@@ -254,8 +256,8 @@ def test_null_space_is_left_ideal(seed, which):
     if total <= 0:
         return
     sigma = Functional(alg, alg.element(b / total for b in blocks))
-    null = alg.random_element(rng) * (alg.identity() - support_projection(sigma.density))
-    for y in (null, alg.random_element(rng) * null):
+    null = random_element(alg, rng) * (alg.identity() - support_projection(sigma.density))
+    for y in (null, random_element(alg, rng) * null):
         assert abs(sigma(y.adjoint() * y)) < 1e-9
 
 
@@ -283,8 +285,8 @@ def test_tensor_functional_values():
     a = MultiMatrixAlgebra((1, 2))
     ts = tensor_algebra(a, a)
     rng = np.random.default_rng(7)
-    f, g = a.random_functional(rng), a.random_functional(rng)
-    x, y = a.random_element(rng), a.random_element(rng)
+    f, g = random_functional(a, rng), random_functional(a, rng)
+    x, y = random_element(a, rng), random_element(a, rng)
     fg = ts.functional(f, g)
     assert fg(ts.element(x, y)) == pytest.approx(f(x) * g(y), abs=1e-10)
 
@@ -293,7 +295,7 @@ def test_tensor_element_multiplication_is_legwise():
     a = MultiMatrixAlgebra((1, 2))
     ts = tensor_algebra(a, a)
     rng = np.random.default_rng(11)
-    x, y, z, w = (a.random_element(rng) for _ in range(4))
+    x, y, z, w = (random_element(a, rng) for _ in range(4))
     lhs = ts.element(x, y) * ts.element(z, w)
     rhs = ts.element(x * z, y * w)
     assert (lhs - rhs).operator_norm < 1e-12
@@ -335,8 +337,8 @@ def test_tensor_of_counits_on_unit(cz2):
 def test_actions_match_definitions():
     alg = MultiMatrixAlgebra((1, 2))
     rng = np.random.default_rng(13)
-    omega = alg.random_functional(rng)
-    x, y = alg.random_element(rng), alg.random_element(rng)
+    omega = random_functional(alg, rng)
+    x, y = random_element(alg, rng), random_element(alg, rng)
     assert act_left(x, omega)(y) == pytest.approx(omega(y * x), abs=1e-10)
     assert act_right(omega, x)(y) == pytest.approx(omega(x * y), abs=1e-10)
 

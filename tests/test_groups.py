@@ -88,7 +88,7 @@ def test_subgroups_sorted_and_closed():
     subs = table.subgroups
     assert subs == sorted(subs, key=lambda s: (len(s), sorted(s)))
     assert subs[0] == frozenset({table.identity}) and subs[-1] == frozenset(range(16))
-    assert all(table.is_subgroup(h) for h in subs)
+    assert all(table.closure(h) == h for h in subs)
 
 
 def test_coset_partition():

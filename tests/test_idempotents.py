@@ -33,6 +33,8 @@ from quidem.idempotents import (
 )
 from quidem.qgroup import group_like_unitaries
 
+from conftest import random_element
+
 
 def _delta(G, g):
     return Functional.from_covector(G.algebra, np.eye(G.dim)[g])
@@ -151,6 +153,18 @@ def test_decompose_rejects_non_idempotent(cz4):
     bad = Functional.from_covector(cz4.algebra, np.array([0.5, 0.5, 0, 0]))
     with pytest.raises(ValueError):
         decompose(cz4, bad)
+
+
+def test_decompose_names_the_trace_defect_of_an_absolute_value_that_is_not_a_state(cz4):
+    """ω = c·δ_0 + ε(δ_1 + δ_2 + δ_3) on C(Z4) at tol 1e-2, with c = 1 − tol − ε
+    and ε = 5e-11 below the rank cut RANK_CUTOFF·c, passes the contractive
+    check: |‖ω‖ − 1| = tol − 2ε and ‖ω⋆ω − ω‖ ≈ c(1 − c) < tol.  The cut
+    drops the mass 3ε from |ω|_r, whose trace c then misses 1 by tol + ε."""
+    tol, eps = 1e-2, 5e-11
+    omega = Functional.from_covector(cz4.algebra, np.array([1 - tol - eps, eps, eps, eps]))
+    with pytest.raises(ValueError, match=r"^right absolute value is not a state \(positivity defect .+, "
+                                         r"trace defect 1\.000e-02\)$"):
+        decompose(cz4, omega, tol)
 
 
 def test_decompose_nonnormal_coset_indicator(gd4):
@@ -370,7 +384,7 @@ def test_kp_has_non_haar_idempotent_states(kp):
     # its null space A(1 − s), s the support, is a left ideal that is not a two-sided ideal
     null = kp.algebra.identity() - support_projection(sigma.density)
     rng = np.random.default_rng(3)
-    x, a = kp.algebra.random_element(rng), kp.algebra.random_element(rng)
+    x, a = random_element(kp.algebra, rng), random_element(kp.algebra, rng)
 
     def sigma_sq(y):
         return abs(sigma(y.adjoint() * y))
