@@ -3,7 +3,8 @@
 An element is stored as one read-only vector of matrix-unit coordinates,
 its ``vec``; the per-block matrices are views into it.  Every per-block
 spectral step (norms, SVDs, eigenvalues) runs once per block size, over the
-stack of all blocks of that size.  Linear functionals are stored through
+stack of all blocks of that size, and elementwise when every block is 1×1
+(the algebra is ℂⁿ, as every C(G) is).  Linear functionals are stored through
 the unnormalized trace pairing against a density element, so that the dual
 norm is the plain trace norm and states are exactly the trace-one positive
 densities.  All scalars are double precision; every value is immutable
@@ -88,6 +89,14 @@ class MultiMatrixAlgebra:
         return perm
 
     @cached_property
+    def commutative(self) -> bool:
+        """Every block is 1×1: the algebra is ℂⁿ.  multiply, adjoint,
+        block_norms, max_operator_norm, trace_norms and the element's trace,
+        support and polar parts then take their elementwise forms first, bit
+        for bit what the per-class route gives."""
+        return max(self.block_dims) == 1
+
+    @cached_property
     def size_classes(self) -> tuple[tuple[int, np.ndarray, slice | np.ndarray], ...]:
         """One (n, idx, take) per distinct block size n: idx[m] lists the vec
         indices of the m-th n×n block, row-major, and take is idx or, when the
@@ -129,7 +138,7 @@ class MultiMatrixAlgebra:
         """Blockwise products of stacks of vecs, broadcast over leading axes:
         one gather-multiply per inner index k, with no matrix product."""
         x, y = np.asarray(x), np.asarray(y)
-        if len(self.product_tables) == 1:   # every block is 1×1
+        if self.commutative:
             return x * y
         (_, l, r), *rest = self.product_tables
         out = x[..., l] * y[..., r]
@@ -152,6 +161,14 @@ class MultiMatrixAlgebra:
         return [np.abs(b[..., 0]) if n == 1 else np.linalg.svd(b, compute_uv=False)
                 for n, _, b in self.blocks_by_size(x)]
 
+    def trace_norms(self, x) -> list[float]:
+        """Trace norm of each vec in a nonempty (k, dim) stack: the sum of its
+        singular values, class by class, from one singular_values call; each
+        class is summed as one flat row per vec."""
+        if self.commutative:   # ℂⁿ: the singular values are the moduli
+            return np.abs(np.asarray(x)).sum(axis=-1).tolist()
+        return sum(s.reshape(len(x), -1).sum(axis=-1) for s in self.singular_values(x)).tolist()
+
     @cached_property
     def block_order(self) -> np.ndarray:
         """Position of each block in size_classes, which list the blocks by size, then in block order."""
@@ -161,6 +178,8 @@ class MultiMatrixAlgebra:
 
     def block_norms(self, x) -> np.ndarray:
         """Operator norm of every block of each vec in a stack, in block order."""
+        if self.commutative:
+            return np.abs(np.asarray(x))
         return np.concatenate([s[..., 0] for s in self.singular_values(x)], axis=-1)[..., self.block_order]
 
     def max_operator_norm(self, x) -> float:
@@ -168,6 +187,10 @@ class MultiMatrixAlgebra:
         blockwise SVD gives it.  As ‖b‖_F/√n ≤ ‖b‖ ≤ ‖b‖_F, a size class of several
         n×n blocks sends to the SVD only those with ‖b‖_F ≥ L = max ‖b‖_F/√n; all
         nonzero blocks go if a bound is not finite or L < _SCREEN_FLOOR."""
+        if self.commutative:
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = np.abs(np.asarray(x)).max(initial=0.0)
+            return math.nan if math.isnan(top) else float(top)
         classes = self.blocks_by_size(x)
         with np.errstate(over="ignore", invalid="ignore"):   # overflow or inf: no screen
             fro = [np.abs(b[..., 0, 0]) if n == 1 else np.linalg.norm(b, axis=(-2, -1)) if b.size > n * n else None
@@ -214,6 +237,8 @@ class MultiMatrixAlgebra:
 
     def adjoint(self, x) -> np.ndarray:
         """Blockwise adjoints of a stack of vecs."""
+        if self.commutative:
+            return np.conj(np.asarray(x))
         return np.conj(np.asarray(x)[..., self.transpose_perm])
 
     def split(self, vec: np.ndarray) -> list[np.ndarray]:
@@ -326,6 +351,8 @@ class AlgebraElement:
 
     @property
     def trace(self) -> complex:
+        if self.algebra.commutative:   # ℂⁿ: each 1×1 trace is its entry
+            return complex(self.vec.sum())
         return complex(sum(np.trace(b, axis1=-2, axis2=-1).sum()
                            for _, _, b in self.algebra.blocks_by_size(self.vec)))
 
@@ -335,11 +362,12 @@ class AlgebraElement:
 
     @property
     def trace_norm(self) -> float:
-        return float(sum(s.sum() for s in self.algebra.singular_values(self.vec)))
+        return self.algebra.trace_norms(self.vec[None])[0]
 
     @cached_property
     def spectrum(self) -> list:
-        """MultiMatrixAlgebra.eigh of the vec, read by support and Functional.state_defects; taken once."""
+        """MultiMatrixAlgebra.eigh of the vec, read by support and Functional.state_defects;
+        taken once, alone or in the stack of state_defects."""
         return self.algebra.eigh(self.vec)
 
     @cached_property
@@ -356,10 +384,13 @@ class AlgebraElement:
         """The projection support_projection returns; taken once."""
         alg = self.algebra
         top = max(0.0, max(w.max() for _, w, _ in self.spectrum))
+        if alg.commutative:   # ℂⁿ: each 1×1 product v·[kept]·v* with v = 1 is the flag, imaginary part +0
+            (_, w, _), = self.spectrum
+            return AlgebraElement._built(alg, above_cutoff(w, top).astype(np.complex128).ravel())
         out = np.empty(alg.dim, dtype=np.complex128)
         for idx, w, v in self.spectrum:
             out[idx] = ((v * above_cutoff(w, top)[..., None, :]) @ _adjoints(v)).reshape(idx.shape)
-        return alg.from_vec(out)
+        return AlgebraElement._built(alg, out)
 
     def __repr__(self):
         return f"AlgebraElement(blocks={self.algebra.block_dims}, norm={self.operator_norm:.4g})"
@@ -381,7 +412,7 @@ class Functional:
     def from_covector(cls, algebra: MultiMatrixAlgebra, cov: np.ndarray) -> "Functional":
         """Functional with values cov[i] on the matrix-unit basis."""
         cov = np.asarray(cov, dtype=np.complex128)
-        return cls(algebra, algebra.from_vec(cov[algebra.transpose_perm]))
+        return cls(algebra, AlgebraElement._built(algebra, cov[algebra.transpose_perm]))
 
     @classmethod
     def zero(cls, algebra: MultiMatrixAlgebra) -> "Functional":
@@ -410,6 +441,12 @@ class Functional:
         smax = max(s.max() for _, _, s, _ in factors)
         if smax == 0.0:
             raise ValueError("polar decomposition of the zero functional")
+        if alg.commutative:   # ℂⁿ: the loop below with vh = 1, its products by 1 and 0 taken elementwise
+            (_, w, s, _), = factors
+            kept = np.where(above_cutoff(s, smax), s, 0.0)[..., None]
+            w = np.where(kept > 0, w, 0)
+            # + 0.0 and + 0j give zeros the sign +0, as the 1×1 products do
+            return _polar_parts(alg, (w + 0.0).ravel(), (kept + 0j).ravel(), (w * kept @ _adjoints(w)).ravel())
         u, p, q = (np.empty(alg.dim, dtype=np.complex128) for _ in range(3))
         for idx, w, s, vh in factors:
             keep = above_cutoff(s, smax)
@@ -418,8 +455,7 @@ class Functional:
             u[idx] = ((w * (kept > 0)) @ vh).reshape(idx.shape)
             p[idx] = ((_adjoints(vh) * kept) @ vh).reshape(idx.shape)    # (d* d)^{1/2}
             q[idx] = ((w * kept) @ _adjoints(w)).reshape(idx.shape)      # (d d*)^{1/2}
-        return PolarParts(u=alg.from_vec(u), abs_r=Functional(alg, alg.from_vec(p)),
-                          abs_l=Functional(alg, alg.from_vec(q)))
+        return _polar_parts(alg, u, p, q)
 
     def __add__(self, other: "Functional") -> "Functional":
         return Functional(self.algebra, self.density + other.density)
@@ -453,6 +489,24 @@ class Functional:
 
     def __repr__(self):
         return f"Functional(blocks={self.algebra.block_dims}, norm={self.norm:.4g})"
+
+
+def state_defects(functionals) -> list[tuple[float, float]]:
+    """Functional.state_defects of each functional on one algebra; the
+    spectra of the densities not yet taken come from one stacked eigh, each
+    kept on its density, bit for bit the spectrum taken alone."""
+    dens = [f.density for f in functionals if "spectrum" not in f.density.__dict__]
+    if dens:
+        spectra = dens[0].algebra.eigh(np.array([d.vec for d in dens]))
+        for k, d in enumerate(dens):
+            d.spectrum = [(idx, w[k], v[k]) for idx, w, v in spectra]
+    return [f.state_defects for f in functionals]
+
+
+def _polar_parts(alg: MultiMatrixAlgebra, u, p, q) -> "PolarParts":
+    """PolarParts around the vecs of u, |d| and |d*| just built."""
+    return PolarParts(u=AlgebraElement._built(alg, u), abs_r=Functional(alg, AlgebraElement._built(alg, p)),
+                      abs_l=Functional(alg, AlgebraElement._built(alg, q)))
 
 
 def act_left(a: AlgebraElement, omega: Functional) -> Functional:

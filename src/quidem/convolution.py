@@ -21,15 +21,27 @@ def convolve(G: FiniteQuantumGroup, omega: Functional, mu: Functional) -> Functi
 
 def idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
     """‖ω⋆ω − ω‖ in the dual norm, measured once per (G, ω) and kept in G.idempotency."""
-    defect = G.idempotency.get(omega)
-    if defect is None:
-        defect = G.idempotency[omega] = _idempotency_defect(G, omega)
-    return defect
+    return idempotency_defects(G, [omega])[0]
 
 
-def _idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
-    """‖ω⋆ω − ω‖ in the dual norm, from one convolution."""
-    return (convolve(G, omega, omega) - omega).norm
+def idempotency_defects(G: FiniteQuantumGroup, functionals) -> list[float]:
+    """idempotency_defect of each functional; those not yet in G.idempotency
+    are measured together and kept there."""
+    todo = [f for f in functionals if f not in G.idempotency]
+    if todo:
+        for f, defect in zip(todo, _idempotency_defects(G, todo)):
+            G.idempotency[f] = defect
+    return [G.idempotency[f] for f in functionals]
+
+
+def _idempotency_defects(G: FiniteQuantumGroup, functionals) -> list[float]:
+    """‖ω⋆ω − ω‖ in the dual norm of each ω, from one convolution each and
+    one stacked trace norm."""
+    A = G.algebra
+    if any(f.algebra != A for f in functionals):
+        raise ValueError("functionals do not live on this quantum group")
+    return A.trace_norms(np.array([G.convolve_cov(f.covector, f.covector)[A.transpose_perm] - f.density.vec
+                                   for f in functionals]))
 
 
 @dataclass(eq=False)

@@ -129,12 +129,19 @@ class GroupTable:
         return True
 
     def subtable(self, subgroup: frozenset) -> tuple["GroupTable", list[int]]:
-        """Group table of a subgroup; also returns the element list in table order."""
+        """Group table of a subgroup; also returns the element list in table order.
+        A nonempty subset closed under the product (else KeyError) is a
+        subgroup, so its table is a group's and is not validated again."""
+        if not subgroup:
+            raise ValueError("the empty set is not a subgroup")
         elems = sorted(subgroup)
         pos = {g: i for i, g in enumerate(elems)}
         mult = tuple(tuple(pos[self.op(a, b)] for b in elems) for a in elems)
-        names = tuple(self.names[g] for g in elems)
-        return GroupTable(mult, names), elems
+        sub = object.__new__(GroupTable)
+        for name, value in (("mult", mult), ("names", tuple(self.names[g] for g in elems)), ("irreps", ()),
+                            ("_identity", pos[self.identity])):
+            object.__setattr__(sub, name, value)
+        return sub, elems
 
 
 def cyclic(n: int) -> GroupTable:
@@ -303,9 +310,6 @@ def characters(table: GroupTable) -> list[np.ndarray]:
                for row, p in zip(table.mult, phase) for s, step in zip(gens, steps)):
             phases.append(phase)
     denominators = [math.lcm(*(lcm // math.gcd(p[g], lcm) for p in phases)) for g in range(table.order)]
-    chars = [
-        np.array([complex(np.exp(2j * np.pi * (p[g] * m // lcm) / m)) for g, m in enumerate(denominators)])
-        for p in phases
-    ]
-    chars.sort(key=lambda c: tuple(zip(np.round(c.real, 9), np.round(c.imag, 9))))
-    return chars
+    values = np.exp([[2j * np.pi * (p[g] * m // lcm) / m for g, m in enumerate(denominators)] for p in phases])
+    re, im = np.round(values.real, 9).tolist(), np.round(values.imag, 9).tolist()
+    return [values[k] for k in sorted(range(len(phases)), key=lambda k: tuple(zip(re[k], im[k])))]

@@ -18,8 +18,9 @@ from .algebra import (
     act_right,
     is_central,
     polar_decompose,
+    state_defects,
 )
-from .convolution import idempotency_defect
+from .convolution import idempotency_defect, idempotency_defects
 from .groups import characters
 from .qgroup import FiniteQuantumGroup, QuantumSubgroup, group_like_residual, quotient_by_support
 
@@ -155,6 +156,7 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     state_tol = max(tol, STATE_TOL)
     parts = polar_decompose(omega)
     abs_r, abs_l = parts.abs_r, parts.abs_l
+    state_defects([abs_r, abs_l])   # both spectra from one eigh, kept for is_state and the support
     for sigma, side in ((abs_r, "right"), (abs_l, "left")):
         if not sigma.is_state(state_tol):
             raise ValueError("{} absolute value is not a state (positivity defect {:.3e}, trace defect {:.3e})"
@@ -167,9 +169,9 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     defect_l = float(np.sqrt(_seminorm_sq(G, abs_l, d * d.adjoint())))
     # the trace norms of v.|ω|_r − ω, |ω|_l.v − ω and |ω|_r − |ω|_l in one pass
     A, dr, dl, dw = G.algebra, abs_r.density.vec, abs_l.density.vec, omega.density.vec
-    svals = A.singular_values(np.stack([A.multiply(v.vec, dr) - dw, A.multiply(dl, v.vec) - dw, dr - dl]))
-    roundtrip_r, roundtrip_l, gap = (float(sum(s[k].sum() for s in svals)) for k in range(3))
-    idempotency_r, idempotency_l = idempotency_defect(G, abs_r), idempotency_defect(G, abs_l)
+    roundtrip_r, roundtrip_l, gap = A.trace_norms(np.stack([A.multiply(v.vec, dr) - dw, A.multiply(dl, v.vec) - dw,
+                                                            dr - dl]))
+    idempotency_r, idempotency_l = idempotency_defects(G, [abs_r, abs_l])
     # is_haar_idempotent past its entry check: states guarded above, idempotency measured
     haar = is_central(abs_r.density.support, tol)
     rep = ContractiveIdempotentReport(omega, abs_r, abs_l, v, defect_r, defect_l, haar, roundtrip_r, roundtrip_l,
@@ -251,18 +253,13 @@ def enumerate_function_algebra(G: FiniteQuantumGroup) -> list[SubgroupCharacterI
         sub_table, elems = table.subtable(subgroup)
         for chi in characters(sub_table):
             cov = np.zeros(table.order, dtype=np.complex128)
-            for pos, g in enumerate(elems):
-                cov[g] = chi[pos] / len(elems)
-            values = {g: chi[pos] for pos, g in enumerate(elems)}
-            label = "H={%s}, chi=[%s]" % (
-                ",".join(table.names[g] for g in elems),
-                ",".join(_fmt_complex(chi[pos]) for pos in range(len(elems))),
-            )
+            cov[elems] = chi / len(elems)
+            label = "H={%s}, chi=[%s]" % (",".join(table.names[g] for g in elems), ",".join(map(_fmt_complex, chi)))
             items.append(
                 SubgroupCharacterItem(
                     functional=Functional.from_covector(G.algebra, cov),
                     subgroup=subgroup,
-                    character=values,
+                    character=dict(zip(elems, chi)),
                     label=label,
                 )
             )

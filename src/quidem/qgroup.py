@@ -281,11 +281,15 @@ def _d3(algebra: MultiMatrixAlgebra, comult: np.ndarray) -> np.ndarray:
 def closed_form_antipode(algebra: MultiMatrixAlgebra, comult: np.ndarray, counit: Functional) -> np.ndarray:
     """The antipode, unchecked: S(x) = (h⊗id)((x⊗1)Δ(Λ))/h(Λ), with h the
     Plancherel state and Λ the density of the counit, the integral with
-    aΛ = ε(a)Λ = Λa."""
+    aΛ = ε(a)Λ = Λa.  Raises ValueError unless h(Λ) is finite and nonzero."""
     h = plancherel_state(algebra).covector
     integral = counit.density.vec
+    scale = h @ integral
+    if not (scale != 0 and np.isfinite(scale)):
+        raise ValueError(f"closed-form antipode needs h(Λ) finite and nonzero for the counit density Λ, "
+                         f"got h(Λ) = {scale:.3g}")
     gram = np.einsum("o,oab->ab", h, algebra.mult_tensor)   # h(e_a e_b)
-    return (gram @ (_d3(algebra, comult) @ integral)).T / (h @ integral)
+    return (gram @ (_d3(algebra, comult) @ integral)).T / scale
 
 
 def _dual_regular_split(G: FiniteQuantumGroup):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import (CHECK_TOL, CP_FLOOR, STATE_TOL, AlgebraElement, Functional, MultiMatrixAlgebra, PolarParts,
                       _as_complex, above_cutoff, polar_decompose)
-from .convolution import ConvolutionOperator, commutes_with_right_convolutions, idempotency_defect
+from .convolution import ConvolutionOperator, commutes_with_right_convolutions, idempotency_defects
 from .idempotents import ContractiveIdempotentReport, _require_contractive, decompose, is_contractive_idempotent
 from .qgroup import FiniteQuantumGroup
 
@@ -209,7 +209,7 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
     and complete positivity, the first and last read off the linking
     functional Ω.  As L_φL_ψ = L_{ψ⋆φ} and L is injective (ε∘L_φ = φ),
     E∘E = E iff each Ω_ij⋆Ω_ij = Ω_ij: idempotent is the largest dual norm of
-    Ω_ij⋆Ω_ij − Ω_ij, read from idempotency_defect.  E is CP iff Ω ≥ 0 on M₂(A) (_linking_positivity):
+    Ω_ij⋆Ω_ij − Ω_ij, read from idempotency_defects.  E is CP iff Ω ≥ 0 on M₂(A) (_linking_positivity):
     (id⊗ε)∘E, with id⊗ε a *-homomorphism, is the Schur map X ↦ [Ω_ij(x_ij)],
     CP iff Ω ≥ 0, and E is that map, W*(id⊗ρ)(·)W in the GNS form of Ω,
     composed with id⊗Δ.  Each corner basis element lies in one entry, so its
@@ -224,7 +224,7 @@ def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationChe
 def _expectation_checks(E: SchurExpectation, B: LinkingAlgebra, commutators: dict) -> ExpectationCheck:
     """expectation_checks with the bimodule commutators of E and B given."""
     A, corners = B.tro.algebra, B.corners()
-    idem = max(idempotency_defect(E.group, f) for row in E.linking for f in row)
+    idem = max(idempotency_defects(E.group, [f for row in E.linking for f in row]))
     fixes = max(float(np.linalg.norm(b @ E.entries[i][j].T - b, axis=-1).max(initial=0.0))
                 for (i, j), b in corners.items())
     # the Frobenius norm of a commutator on M₂(A) is the root sum of squares of its two blocks

@@ -2,8 +2,10 @@
 projections and null spaces, centrality, tensor products."""
 
 import ast
+import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -472,6 +474,106 @@ def test_kernel_matches_per_block_loops():
         support = support_projection(positive)
         assert np.abs(support.vec - _support_per_block(positive.blocks, RANK_CUTOFF)).max() <= 1e-12
         assert [round(np.trace(b).real) for b in support.blocks] == ranks
+
+
+def _per_class_twin(alg):
+    """The same algebra with its kernel held to the per-class route, even
+    when every block is 1×1."""
+    twin = MultiMatrixAlgebra(alg.block_dims)
+    twin.__dict__["commutative"] = False
+    return twin
+
+
+def _bits(value):
+    """The bytes, dtype and shape of every array in a (nested) kernel result."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    a = np.asarray(value)
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _recorded(fn, *args):
+    """fn(*args) with the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+_SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, complex(np.inf, 1.0), complex(-1.0, -np.inf),
+                     complex(np.nan, 2.0), complex(0.0, -0.0), 3.0 - 4.0j, 1e-300j, -2.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 24])
+def test_kernel_matches_per_block_loops_on_all_1x1_algebras(n):
+    """On ℂⁿ multiply, adjoint, block_norms, max_operator_norm, trace_norms,
+    the trace, the polar parts and the support take their elementwise forms,
+    and the other steps the 1×1 branch of the per-class route: bit for bit,
+    and with the same warnings, what that route gives, on stacked leading
+    axes, empty stacks, real stacks, zero entries of either sign (svd's
+    phase is 1 there), NaN and ±inf; and bit for bit a loop over the 1×1
+    blocks."""
+    rng = np.random.default_rng(n)
+    alg = MultiMatrixAlgebra((1,) * n)
+    twin = _per_class_twin(alg)
+    assert alg.commutative and not twin.commutative
+    x = _random_stack(alg, rng, (4, 3))
+    x[0, 0] = np.resize(_SPECIAL, n)
+    x[1, 2] = np.resize(_SPECIAL[::-1], n)
+    x[2, 0] = 0.0
+    x[3, 1, ::2] = 0.0
+    stacks = [x, x[0, 0], x[1, 1], x[2, 0], x[:0], x[:, :0], x.real, np.zeros(n)]
+    steps = ("blocks_by_size", "multiply", "singular_values", "block_norms", "max_operator_norm",
+             "min_eigenvalues", "svd", "eigh", "adjoint")
+    for v in stacks:
+        for step in steps:
+            args = (v, x[2, 2]) if step == "multiply" else (v,)
+            got, got_warnings = _recorded(getattr(alg, step), *args)
+            want, want_warnings = _recorded(getattr(twin, step), *args)
+            assert _bits(got) == _bits(want), (step, v)
+            assert got_warnings == want_warnings, (step, v)
+    for v in (x[0], x[1], x[2], x[:, 1], x.real[3], x[0, :1]):
+        got, got_warnings = _recorded(alg.trace_norms, v)
+        want, want_warnings = _recorded(twin.trace_norms, v)
+        assert _bits(got) == _bits(want) and got_warnings == want_warnings, v
+    # the element properties read the same kernel
+    for v in (x[0, 0], x[1, 1], x[2, 0], x[1, 2], x[3, 1], np.full(n, complex(-0.0, -0.0))):
+        for prop in ("trace", "trace_norm", "operator_norm"):
+            got, got_warnings = _recorded(getattr, alg.from_vec(v), prop)
+            want, want_warnings = _recorded(getattr, twin.from_vec(v), prop)
+            assert _bits(got) == _bits(want) and got_warnings == want_warnings, prop
+    # polar parts and supports: finite densities, one with zero entries of
+    # either sign and one below the rank cutoff, and densities with NaN or inf
+    signed = np.resize([-0.0, complex(-0.0, 2.0), complex(-3.0, -0.0), complex(0.0, -0.0), 1e-12, -1.0j], n)
+    for density in (x[1, 1], np.where(np.arange(n) % 2, 0.0, x[0, 2]), signed, x[0, 0], x[1, 2]):
+        if not density.any():   # the zero functional has no polar parts
+            continue
+        got, got_warnings = _recorded(polar_decompose, Functional(alg, alg.from_vec(density)))
+        want, want_warnings = _recorded(polar_decompose, Functional(twin, twin.from_vec(density)))
+        assert _bits(got.u.vec) == _bits(want.u.vec) and got_warnings == want_warnings
+        for part in ("abs_r", "abs_l"):
+            a, b = getattr(got, part).density, getattr(want, part).density
+            assert _bits(a.vec) == _bits(b.vec) and _bits(a.support.vec) == _bits(b.support.vec), part
+        got, got_warnings = _recorded(getattr, alg.from_vec(density), "support")
+        want, want_warnings = _recorded(getattr, twin.from_vec(density), "support")
+        assert _bits(got.vec) == _bits(want.vec) and got_warnings == want_warnings
+    # a loop over single blocks, each a one-entry array
+    for v in (x[0, 0], x[1, 2], x[1, 1], x[2, 0], x.real[3, 1]):
+        with np.errstate(all="ignore"):
+            assert _bits(alg.block_norms(v)) == _bits(np.array([np.abs(v[i:i + 1])[0] for i in range(n)]))
+            top = max((np.abs(v[i:i + 1])[0] for i in range(n)), key=lambda t: (np.isnan(t), t))
+            norm = alg.max_operator_norm(v)
+            assert math.isnan(norm) if np.isnan(top) else _bits(norm) == _bits(float(top))
+            assert _bits(alg.adjoint(v)) == _bits(np.array([np.conj(v[i:i + 1])[0] for i in range(n)]))
+            (idx, phase, svals, vh), = alg.svd(v)
+            (_, w, vecs), = alg.eigh(v)
+            for i in range(n):
+                s = np.abs(v[i:i + 1])
+                assert _bits(svals[i]) == _bits(s) and _bits(vh[i]) == _bits(np.ones((1, 1), v.dtype))
+                want_phase = np.divide(v[i:i + 1], s) if s[0] > 0 else np.ones(1, v.dtype)
+                assert _bits(phase[i]) == _bits(want_phase.reshape(1, 1))
+                assert _bits(w[i]) == _bits(v[i:i + 1].real) and _bits(vecs[i]) == _bits(np.ones((1, 1), v.dtype))
+                assert idx[i].tolist() == [i]
 
 
 @pytest.mark.parametrize("block_dims", [(1, 1, 2, 3, 3), (1,) * 6])

@@ -278,8 +278,9 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     monkeypatch.setattr(quidem.cli, "_load_group", lambda spec: G)
     monkeypatch.setattr(FiniteQuantumGroup, "left_matrix",
                         spy("left_matrix", FiniteQuantumGroup.left_matrix, lambda cov: cov))
-    monkeypatch.setattr(quidem.convolution, "_idempotency_defect",
-                        spy("idempotency", quidem.convolution._idempotency_defect, lambda f: f.covector))
+    kernel_idempotency = quidem.convolution._idempotency_defects
+    monkeypatch.setattr(quidem.convolution, "_idempotency_defects",
+                        lambda G, fs: calls["idempotency"].extend(f.covector for f in fs) or kernel_idempotency(G, fs))
     contractive = spy("contractive", quidem.idempotents.is_contractive_idempotent, lambda f: f.covector)
     for module in (quidem.idempotents, quidem.tro, quidem.cli):
         monkeypatch.setattr(module, "is_contractive_idempotent", contractive, raising=False)

@@ -292,8 +292,8 @@ def test_cesaro_limit_requires_the_projection_to_absorb_the_seed(cz6, monkeypatc
 
 def _spy_idempotency(monkeypatch):
     """The functionals for which ‖ω⋆ω − ω‖ is computed, in call order."""
-    measured, kernel = [], quidem.convolution._idempotency_defect
-    monkeypatch.setattr(quidem.convolution, "_idempotency_defect", lambda G, f: measured.append(f) or kernel(G, f))
+    measured, kernel = [], quidem.convolution._idempotency_defects
+    monkeypatch.setattr(quidem.convolution, "_idempotency_defects", lambda G, fs: measured.extend(fs) or kernel(G, fs))
     return measured
 
 

@@ -25,9 +25,16 @@ from before they read one breadth-first walk: the closure that multiplies
 all pairs until nothing is new and the lattice built on it, the character
 phases spread by their own search, and the irreps by another;
 `_ref_is_state` is the chain of Hermitian, positive and trace predicates
-that Functional.is_state ran before it compared its state_defects.
+that Functional.is_state ran before it compared its state_defects;
+`_ref_idempotency_defect` is the dual norm of ω⋆ω − ω through one
+convolution, as the idempotency kernel took it before it stacked its trace
+norms; `_ref_decompose` is decompose's body with each state check,
+idempotency defect and spectrum taken for one functional at a time, and
+`_ref_enumerate_function_algebra` the enumeration that validated each
+subtable and wrote each covector entry by entry.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -50,12 +57,13 @@ from quidem import (
     symmetric,
 )
 from quidem import groups, qgroup, wedderburn
-from quidem.algebra import above_cutoff, polar_decompose, tensor_algebra
+from quidem.algebra import STATE_TOL, above_cutoff, is_central, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
-from quidem.convolution import _idempotency_defect, commutes_with_right_convolutions, convolve, idempotency_defect
+from quidem.convolution import commutes_with_right_convolutions, convolve, idempotency_defect
 from quidem.groups import GroupTable, characters
 from quidem.idempotents import (
     _character_defect,
+    _fmt_complex,
     _seminorm_sq,
     decompose,
     enumerate_function_algebra,
@@ -1087,6 +1095,66 @@ def test_group_searches_match_the_all_pairs_references(spec):
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
+def _ref_enumerate_function_algebra(G):
+    """enumerate_function_algebra's items as (label, covector, character,
+    subgroup), by the route it took before it divided each character as one
+    array: a validated table per subgroup and a loop over its elements."""
+    table, out = G.table, []
+    for subgroup in table.subgroups:
+        elems = sorted(subgroup)
+        pos = {g: i for i, g in enumerate(elems)}
+        sub_table = GroupTable(tuple(tuple(pos[table.op(a, b)] for b in elems) for a in elems),
+                               tuple(table.names[g] for g in elems))
+        for chi in characters(sub_table):
+            cov = np.zeros(table.order, dtype=np.complex128)
+            for i, g in enumerate(elems):
+                cov[g] = chi[i] / len(elems)
+            label = "H={%s}, chi=[%s]" % (",".join(table.names[g] for g in elems),
+                                          ",".join(_fmt_complex(chi[i]) for i in range(len(elems))))
+            out.append((label, cov, {g: chi[i] for i, g in enumerate(elems)}, subgroup))
+    return out
+
+
+@pytest.mark.parametrize("spec", [f"czn:{n}" for n in range(1, 25)] + [f"cfun:sn:{n}" for n in range(1, 5)])
+def test_function_enumeration_matches_the_per_element_reference(spec):
+    """Each subtable, built without _validate, equals the validated table
+    with the same identity, and the enumeration gives the per-element
+    route's items: labels, subgroups, covectors and character values, bit
+    for bit."""
+    G = builtin(spec)
+    table = G.table
+    for h in table.subgroups:
+        sub, elems = table.subtable(h)
+        want = GroupTable(sub.mult, sub.names)
+        assert sub == want and hash(sub) == hash(want) and sub.identity == want.identity == elems.index(table.identity)
+        assert sub.irreps == () and sub.subgroups == want.subgroups
+    got, want = enumerate_function_algebra(G), _ref_enumerate_function_algebra(G)
+    assert len(got) == len(want)
+    for item, (label, cov, values, subgroup) in zip(got, want):
+        assert item.label == label and item.subgroup == subgroup
+        assert item.functional.covector.tobytes() == cov.tobytes()
+        assert list(item.character) == list(values)
+        assert np.array(list(item.character.values())).tobytes() == np.array(list(values.values())).tobytes()
+
+
+def test_subtable_refuses_sets_that_are_not_subgroups():
+    """Only a nonempty set closed under the product has a subtable: the
+    empty set is refused by name, a set that is not closed at the first
+    product that leaves it."""
+    table = symmetric(3)
+    # Z4 relabelled so that its identity is element 2: each subtable finds
+    # the identity at its own position
+    z4 = GroupTable(tuple(tuple((a + b + 2) % 4 for b in range(4)) for a in range(4)))
+    assert z4.identity == 2
+    for h in z4.subgroups:
+        sub, elems = z4.subtable(h)
+        assert sub.identity == GroupTable(sub.mult).identity == elems.index(2)
+    with pytest.raises(ValueError, match="^the empty set is not a subgroup$"):
+        table.subtable(frozenset())
+    with pytest.raises(KeyError):
+        table.subtable(frozenset({table.identity, next(g for g in range(6) if table.element_order(g) == 3)}))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_symmetric_irreps_spread_along_the_walk_match_the_reference(n, monkeypatch):
     """Young's orthogonal form spread along the walk is bit for bit the
@@ -1189,15 +1257,17 @@ def test_antipode_solve_rejects_a_wrong_counit(kp, density):
     """The antipode is solved in closed form and then checked by the axiom
     rows: a counit that fails the counit laws (zero, 2ε, or δ on block 1 of
     KP) fails both counit rows of the group built from it and its closed-form
-    antipode.  The zero counit has h(Λ) = 0, so its closed form is 0/0 and
-    KP's antipode stands in."""
+    antipode.  The zero counit has h(Λ) = 0, so the closed form refuses it
+    with a ValueError naming h(Λ), and KP's antipode stands in."""
     vec = {"zero": np.zeros(kp.dim), "twice": 2 * kp.counit.density.vec, "block 1": np.eye(kp.dim)[1]}[density]
     counit = Functional(kp.algebra, kp.algebra.from_vec(vec))
-    with np.errstate(invalid="ignore"):
-        antipode = closed_form_antipode(kp.algebra, kp.comult, counit)
     if density == "zero":
-        assert np.isnan(antipode).all()
+        with pytest.raises(ValueError, match=r"^closed-form antipode needs h\(Λ\) finite and nonzero .* "
+                                             r"got h\(Λ\) = 0\+0j$"):
+            closed_form_antipode(kp.algebra, kp.comult, counit)
         antipode = kp.antipode
+    else:
+        antipode = closed_form_antipode(kp.algebra, kp.comult, counit)
     failures = verify_axioms(replace(kp, counit=counit, antipode=antipode), 1e-12).failures()
     assert {"counit_left", "counit_right"} <= failures.keys()
 
@@ -1346,7 +1416,7 @@ def test_expectation_idempotent_is_the_largest_idempotency_defect(case):
                   SchurExpectation(G, _random_linking(rng, G))):
             checks = expectation_checks(F, link)
             assert checks.idempotent == max(idempotency_defect(G, f) for row in F.linking for f in row)
-            assert checks.idempotent == max(_idempotency_defect(G, f) for row in F.linking for f in row)
+            assert checks.idempotent == max(_ref_idempotency_defect(G, f) for row in F.linking for f in row)
             assert abs(checks.idempotent - ref_linking_idempotent(F)) <= AGREE * max(1.0, checks.idempotent)
             cov = np.array([[f.covector for f in row] for row in F.linking])
             assert checks.choi_min_eigenvalue == _linking_positivity(A, cov[..., A.transpose_perm])
@@ -1455,6 +1525,93 @@ def test_flipped_character_phase_is_rejected(haar_reports):
         u = rep.subgroup.apply(G.algebra.from_vec(sign * rep.v.vec))
         assert max(qgroup.group_like_residual(rep.subgroup.target, u),
                    _character_defect(rep.omega, rep.subgroup, u)) > TOL
+
+
+def _ref_idempotency_defect(G, omega):
+    """‖ω⋆ω − ω‖ in the dual norm, from one convolution."""
+    return (convolve(G, omega, omega) - omega).norm
+
+
+def _ref_decompose(G, omega, tol):
+    """decompose's body with each state check, idempotency defect and
+    spectrum taken for one functional at a time, on fresh copies of ω and
+    its absolute values, so that no number is read from a cache decompose
+    filled."""
+    omega = Functional(G.algebra, omega.density)
+    state_tol = max(tol, STATE_TOL)
+    parts = polar_decompose(omega)
+    abs_r, abs_l = parts.abs_r, parts.abs_l
+    for sigma in (abs_r, abs_l):
+        assert sigma.is_state(state_tol)
+    v = parts.u
+    d = G.apply_comult(v) - G.ts.element(v, v)
+    defect_r = float(np.sqrt(_seminorm_sq(G, abs_r, d.adjoint() * d)))
+    defect_l = float(np.sqrt(_seminorm_sq(G, abs_l, d * d.adjoint())))
+    A, dr, dl, dw = G.algebra, abs_r.density.vec, abs_l.density.vec, omega.density.vec
+    svals = A.singular_values(np.stack([A.multiply(v.vec, dr) - dw, A.multiply(dl, v.vec) - dw, dr - dl]))
+    roundtrip_r, roundtrip_l, gap = (float(sum(s[k].sum() for s in svals)) for k in range(3))
+    idempotency_r, idempotency_l = _ref_idempotency_defect(G, abs_r), _ref_idempotency_defect(G, abs_l)
+    haar = is_central(abs_r.density.support, tol)
+    rep = SimpleNamespace(omega=omega, abs_r=abs_r, abs_l=abs_l, v=v, defect_r=defect_r, defect_l=defect_l,
+                          haar=haar, roundtrip_r=roundtrip_r, roundtrip_l=roundtrip_l,
+                          idempotency_r=idempotency_r, idempotency_l=idempotency_l, subgroup=None,
+                          character=None, haar_gap=gap if haar else None, subgroup_haar=None,
+                          character_group_like=None, character_defect=None)
+    if haar and max(idempotency_r, idempotency_l) <= state_tol and max(defect_r, defect_l, roundtrip_r,
+                                                                       roundtrip_l, gap) <= tol:
+        sub = qgroup.quotient_by_support(G, abs_r.density.support, STATE_TOL)
+        H, u = sub.target, sub.apply(v)
+        rep.subgroup, rep.character = sub, u
+        rep.subgroup_haar = (Functional.from_covector(H.algebra, sub.projection @ abs_r.covector) - H.haar).norm
+        rep.character_group_like = qgroup.group_like_residual(H, u)
+        rep.character_defect = _character_defect(omega, sub, u)
+    return rep
+
+
+def _decompose_cases(name):
+    """Every enumerated contractive idempotent of a classical group, or the
+    Cesàro limits of KP's block and corner seeds."""
+    if name == "KP":
+        G = kac_paljutkin()
+        return G, _kp_block_limits(G) + [_kp_non_haar_state(G, corner) for corner in ((1.0, 0.0), (0.0, 1.0))]
+    G = builtin(name)
+    enumerate_items = enumerate_group_algebra if G.kind == "group" else enumerate_function_algebra
+    return G, [item.functional for item in enumerate_items(G)]
+
+
+def _vec(value):
+    """The coordinates a report field is compared by: vec or density vec."""
+    if isinstance(value, Functional):
+        return value.density.vec
+    return getattr(value, "vec", None)
+
+
+@pytest.mark.parametrize("name", ["czn:4", "czn:6", "cfun:sn:3", "cfun:sn:4", "cstar:sn:3", "cstar:dn:4", "KP"])
+def test_decompose_matches_the_per_step_reference(name):
+    """Every report field of decompose is bit for bit that of the per-step
+    body, and the numbers its stacked pass keeps for |ω|_r and |ω|_l (their
+    idempotency defects in G.idempotency, their state_defects and the
+    spectra of their densities) are those each owner takes alone."""
+    G, functionals = _decompose_cases(name)
+    haar = 0
+    for omega in functionals:
+        rep, ref = decompose(G, omega, TOL), _ref_decompose(G, omega, TOL)
+        haar += rep.haar
+        for field in dataclasses.fields(rep):
+            got, want = getattr(rep, field.name), getattr(ref, field.name)
+            if _vec(got) is not None:
+                assert np.array_equal(_vec(got), _vec(want)), field.name
+            elif isinstance(got, qgroup.QuantumSubgroup):
+                assert got is want, field.name
+            else:
+                assert type(got) is type(want) and got == want, field.name
+        for sigma, alone in ((rep.abs_r, ref.abs_r), (rep.abs_l, ref.abs_l)):
+            assert G.idempotency[sigma] == _ref_idempotency_defect(G, alone)
+            assert sigma.state_defects == alone.state_defects
+            for (idx, w, v), (ref_idx, ref_w, ref_v) in zip(sigma.density.spectrum, alone.density.spectrum,
+                                                             strict=True):
+                assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+    assert len(functionals) >= 5 and haar >= 2
 
 
 def test_flipped_character_fails_the_batched_check():

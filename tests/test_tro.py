@@ -374,9 +374,10 @@ def test_tro_report_calls_compute_each_fact_once(gd4, monkeypatch):
     guards of check_tro_expectation and build_expectation and the
     expectation's idempotency row share it."""
     measured, idempotency = [], []
-    invariance, kernel = quidem.tro.invariance_defect, quidem.convolution._idempotency_defect
+    invariance, kernel = quidem.tro.invariance_defect, quidem.convolution._idempotency_defects
     monkeypatch.setattr(quidem.tro, "invariance_defect", lambda G, X: measured.append(X) or invariance(G, X))
-    monkeypatch.setattr(quidem.convolution, "_idempotency_defect", lambda G, f: idempotency.append(f) or kernel(G, f))
+    monkeypatch.setattr(quidem.convolution, "_idempotency_defects",
+                        lambda G, fs: idempotency.extend(fs) or kernel(G, fs))
     omega, tol = enumerate_group_algebra(gd4)[12].functional, 1e-8
     assert check_tro_expectation(gd4, omega, tol).passed(tol)
     X = image_subspace(left_conv_operator(gd4, omega))
@@ -410,7 +411,7 @@ def test_shared_caches_hold_under_threads(gd4):
     every read and each cache's one entry equal the measurement taken alone."""
     omega = enumerate_group_algebra(gd4)[12].functional
     X = image_subspace(left_conv_operator(gd4, omega))
-    want = (quidem.convolution._idempotency_defect(gd4, omega), quidem.tro.invariance_defect(gd4, X))
+    want = (quidem.convolution._idempotency_defects(gd4, [omega])[0], quidem.tro.invariance_defect(gd4, X))
     reads = []
 
     def work():
