@@ -68,10 +68,6 @@ class MultiMatrixAlgebra:
     def offsets(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate((n * n for n in self.block_dims[:-1]), initial=0))
 
-    def index(self, block: int, row: int, col: int) -> int:
-        """Vec index of the matrix unit e^(block)_{row,col}."""
-        return self.offsets[block] + row * self.block_dims[block] + col
-
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(block, row, col) of the matrix unit at every vec index."""
@@ -412,6 +408,8 @@ class Functional:
     def from_covector(cls, algebra: MultiMatrixAlgebra, cov: np.ndarray) -> "Functional":
         """Functional with values cov[i] on the matrix-unit basis."""
         cov = np.asarray(cov, dtype=np.complex128)
+        if cov.shape != (algebra.dim,):
+            raise ValueError(f"expected vector of length {algebra.dim}, got {cov.shape}")
         return cls(algebra, AlgebraElement._built(algebra, cov[algebra.transpose_perm]))
 
     @classmethod
@@ -575,11 +573,6 @@ class TensorSplit:
 
     def element(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         return self.algebra.from_vec(self.scatter(a.vec, b.vec))
-
-    def functional(self, f: Functional, g: Functional) -> Functional:
-        """(f⊗g)(x⊗y) = f(x) g(y); density is the blockwise Kronecker product."""
-        density_vec = self.scatter(f.density.vec, g.density.vec)
-        return Functional(self.algebra, self.algebra.from_vec(density_vec))
 
     @cached_property
     def flip(self) -> np.ndarray:

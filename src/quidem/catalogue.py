@@ -49,9 +49,9 @@ def group_algebra(table: GroupTable) -> FiniteQuantumGroup:
     Guard: λ_gλ_h = λ_{gh} for every pair and λ_{g⁻¹} = λ_g* within
     STATE_TOL, and cond Λ ≤ COND_LIMIT.  An invertible Λ means the λ_g span
     ⊕_ρ M_{n_ρ}, so by Burnside's theorem the ρ are irreducible and pairwise
-    inequivalent.  A table without irreps (a subtable, or one built by hand)
-    is refused; dual(function_algebra(table)) splits its regular
-    representation instead."""
+    inequivalent.  A table without irreps (one built by hand) is refused;
+    dual(function_algebra(table)) splits its regular representation
+    instead."""
     if not table.irreps:
         raise ValueError("group_algebra requires a table with explicit irreps (cyclic, dihedral or symmetric); "
                          "use dual(function_algebra(table)) for any other group table")

@@ -128,21 +128,6 @@ class GroupTable:
                 return False
         return True
 
-    def subtable(self, subgroup: frozenset) -> tuple["GroupTable", list[int]]:
-        """Group table of a subgroup; also returns the element list in table order.
-        A nonempty subset closed under the product (else KeyError) is a
-        subgroup, so its table is a group's and is not validated again."""
-        if not subgroup:
-            raise ValueError("the empty set is not a subgroup")
-        elems = sorted(subgroup)
-        pos = {g: i for i, g in enumerate(elems)}
-        mult = tuple(tuple(pos[self.op(a, b)] for b in elems) for a in elems)
-        sub = object.__new__(GroupTable)
-        for name, value in (("mult", mult), ("names", tuple(self.names[g] for g in elems)), ("irreps", ()),
-                            ("_identity", pos[self.identity])):
-            object.__setattr__(sub, name, value)
-        return sub, elems
-
 
 def cyclic(n: int) -> GroupTable:
     """Z_n with its n characters χ_k(m) = exp(2πi km/n), k = 0..n−1."""
@@ -282,34 +267,41 @@ def _spread_matrices(mult: tuple, identity: int, gens: list[int], images: np.nda
     return out
 
 
-def characters(table: GroupTable) -> list[np.ndarray]:
-    """One-dimensional characters of a finite group, as value vectors over
-    the elements: the homomorphisms G → Q/Z, found in integers.
+def characters(table: GroupTable, subgroup) -> list[np.ndarray]:
+    """One-dimensional characters of a subgroup H of a finite group, as value
+    vectors over sorted(H): the homomorphisms H → Q/Z, found in integers in
+    the table's own indices (H = range(table.order) for the whole group).
 
-    A character sends each generator s (taken greedily, largest order first)
-    to some exp(2πi k_s/ord(s)).  Each tuple (k_s) is spread from the
-    identity along the tree of the walk over the generators, and is a
-    character exactly when every edge g → g·s agrees with it.  χ(g) is
-    written exp(2πi k/m), m the order of g's image in G/[G,G]: the lcm over
-    all characters of the order of χ(g)."""
+    A character sends each generator s (drawn greedily from sorted(H),
+    largest order first) to some exp(2πi k_s/ord(s)).  Each tuple (k_s) is
+    spread from the identity along the tree of the walk over the
+    generators, and is a character exactly when every edge h → h·s from H
+    agrees with it.  χ(h) is written exp(2πi k/m), m the order of h's image
+    in H/[H,H]: the lcm over all characters of the order of χ(h).  A set
+    whose generators' closure differs from it, the empty set among them, is
+    refused."""
+    elems = sorted(subgroup)
     gens, span = [], {table.identity}
-    for g in sorted(range(table.order), key=table.element_order, reverse=True):
+    for g in sorted(elems, key=table.element_order, reverse=True):
         if g not in span:
             gens.append(g)
             span = table.closure(gens)
+    if span != set(elems):
+        raise ValueError("characters requires a subgroup of the table")
     orders = [table.element_order(s) for s in gens]
     lcm = math.lcm(*orders)
     tree = _walk(table.mult, table.identity, gens)[1:]
+    rows = [table.mult[h] for h in elems]
     phases = []
     for ks in itertools.product(*(range(o) for o in orders)):
         steps = [k * (lcm // o) for k, o in zip(ks, orders)]
         phase = [0] * table.order
         for h, g, k, _ in tree:
             phase[h] = (phase[g] + steps[k]) % lcm
-        if all(phase[row[s]] == (p + step) % lcm
-               for row, p in zip(table.mult, phase) for s, step in zip(gens, steps)):
+        if all(phase[row[s]] == (phase[h] + step) % lcm
+               for h, row in zip(elems, rows) for s, step in zip(gens, steps)):
             phases.append(phase)
-    denominators = [math.lcm(*(lcm // math.gcd(p[g], lcm) for p in phases)) for g in range(table.order)]
-    values = np.exp([[2j * np.pi * (p[g] * m // lcm) / m for g, m in enumerate(denominators)] for p in phases])
+    denominators = [math.lcm(*(lcm // math.gcd(p[h], lcm) for p in phases)) for h in elems]
+    values = np.exp([[2j * np.pi * (p[h] * m // lcm) / m for h, m in zip(elems, denominators)] for p in phases])
     re, im = np.round(values.real, 9).tolist(), np.round(values.imag, 9).tolist()
     return [values[k] for k in sorted(range(len(phases)), key=lambda k: tuple(zip(re[k], im[k])))]

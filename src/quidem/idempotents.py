@@ -250,8 +250,8 @@ def enumerate_function_algebra(G: FiniteQuantumGroup) -> list[SubgroupCharacterI
     table = G.table
     items = []
     for subgroup in table.subgroups:
-        sub_table, elems = table.subtable(subgroup)
-        for chi in characters(sub_table):
+        elems = sorted(subgroup)
+        for chi in characters(table, subgroup):
             cov = np.zeros(table.order, dtype=np.complex128)
             cov[elems] = chi / len(elems)
             label = "H={%s}, chi=[%s]" % (",".join(table.names[g] for g in elems), ",".join(map(_fmt_complex, chi)))

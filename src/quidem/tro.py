@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import (CHECK_TOL, CP_FLOOR, STATE_TOL, AlgebraElement, Functional, MultiMatrixAlgebra, PolarParts,
+from .algebra import (CHECK_TOL, STATE_TOL, AlgebraElement, Functional, MultiMatrixAlgebra, PolarParts,
                       _as_complex, above_cutoff, polar_decompose)
 from .convolution import ConvolutionOperator, commutes_with_right_convolutions, idempotency_defects
 from .idempotents import ContractiveIdempotentReport, _require_contractive, decompose, is_contractive_idempotent
@@ -198,10 +198,6 @@ class ExpectationCheck:
     fixes_subalgebra: float
     bimodule: float
     choi_min_eigenvalue: float
-
-    def passed(self, tol: float = CHECK_TOL) -> bool:
-        worst = max(self.idempotent, self.fixes_subalgebra, self.bimodule)
-        return worst <= tol and self.choi_min_eigenvalue >= -CP_FLOOR
 
 
 def expectation_checks(E: SchurExpectation, B: LinkingAlgebra) -> ExpectationCheck:

@@ -295,8 +295,8 @@ def _dichotomy_pairs(groups, rng, kp_states):
         table = G.table
         subgroups = table.subgroups
         h = subgroups[rng.integers(0, len(subgroups))]
-        sub_table, elems = table.subtable(h)
-        chars = characters(sub_table)
+        elems = sorted(h)
+        chars = characters(table, h)
         chi = chars[rng.integers(0, len(chars))]
         sigma_cov = np.zeros(table.order, dtype=np.complex128)
         for pos, g in enumerate(elems):

