@@ -120,10 +120,10 @@ def _functional_source(G: FiniteQuantumGroup, spec: str) -> Functional:
     if parts[0] == "point" and len(parts) == 2:
         if G.kind not in ("function", "group"):
             raise ValueError("point:g requires a function or group algebra")
-        values = np.eye(G.table.order)[_element(G, parts[1], spec)]
+        g = _element(G, parts[1], spec)
         if G.kind == "group":
-            values = np.linalg.solve(G.lambda_basis.T, values)
-        return Functional.from_covector(G.algebra, values)
+            return _coset_indicator(G, frozenset({G.table.identity}), g)
+        return Functional.from_covector(G.algebra, np.eye(G.table.order)[g])
     if parts[0] == "index" and len(parts) == 2:
         k = int(parts[1])
         items = _enumerate(G)
@@ -134,7 +134,7 @@ def _functional_source(G: FiniteQuantumGroup, spec: str) -> Functional:
         if G.kind != "function":
             raise ValueError("subgroup-character requires a function algebra")
         subgroup = G.table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
-        items = [item for item in enumerate_function_algebra(G) if item.subgroup == subgroup]
+        items = enumerate_function_algebra(G, [subgroup])
         k = int(parts[2])
         if not 0 <= k < len(items):
             raise ValueError(f"character index {k} out of range ({len(items)} characters)")
@@ -143,9 +143,7 @@ def _functional_source(G: FiniteQuantumGroup, spec: str) -> Functional:
         if G.kind != "group":
             raise ValueError("coset-indicator requires a group algebra")
         subgroup = G.table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
-        g = _element(G, parts[2], spec)
-        coset = frozenset(G.table.op(g, h) for h in subgroup)
-        return next(item.functional for item in enumerate_group_algebra(G) if item.coset == coset)
+        return _coset_indicator(G, subgroup, _element(G, parts[2], spec))
     if parts[0] == "density":
         try:
             data = json.loads(spec[len("density:"):])
@@ -156,6 +154,11 @@ def _functional_source(G: FiniteQuantumGroup, spec: str) -> Functional:
             raise ValueError(f"density literal must have {G.dim} entries")
         return Functional(G.algebra, G.algebra.from_vec(vec))
     raise ValueError(f"cannot parse functional source {spec!r}")
+
+
+def _coset_indicator(G: FiniteQuantumGroup, subgroup: frozenset, g: int) -> Functional:
+    """The indicator functional of the left coset of subgroup that holds g."""
+    return next(item.functional for item in enumerate_group_algebra(G, [subgroup]) if g in item.coset)
 
 
 def _enumerate(G: FiniteQuantumGroup):
@@ -175,14 +178,13 @@ def cmd_verify(G: FiniteQuantumGroup, args, report: Report):
 
 
 def cmd_enumerate(G: FiniteQuantumGroup, args, report: Report):
-    try:
-        items = _enumerate(G)
-    except ValueError:
+    if G.kind not in ("function", "group"):
         report.info["enumeration"] = (
             "Unsupported: exact enumeration exists only for classical function/group "
             "algebras; use the explore command with seed functionals instead"
         )
         return
+    items = _enumerate(G)
     report.info["count"] = len(items)
     tol = max(args.tol, STATE_TOL)
     for k, item in enumerate(items):

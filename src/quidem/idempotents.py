@@ -242,14 +242,15 @@ class CosetItem:
     label: str
 
 
-def enumerate_function_algebra(G: FiniteQuantumGroup) -> list[SubgroupCharacterItem]:
+def enumerate_function_algebra(G: FiniteQuantumGroup, subgroups=None) -> list[SubgroupCharacterItem]:
     """All contractive idempotents on C(G) for classical G: one per pair of a
-    subgroup H and a character χ of H (subgroup-lattice brute force)."""
+    subgroup H and a character χ of H, over the given subgroups of the table,
+    by default every one (subgroup-lattice brute force)."""
     if G.kind != "function" or G.table is None:
         raise ValueError("enumeration requires a function algebra built from a group table")
     table = G.table
     items = []
-    for subgroup in table.subgroups:
+    for subgroup in table.subgroups if subgroups is None else subgroups:
         elems = sorted(subgroup)
         for chi in characters(table, subgroup):
             cov = np.zeros(table.order, dtype=np.complex128)
@@ -266,13 +267,14 @@ def enumerate_function_algebra(G: FiniteQuantumGroup) -> list[SubgroupCharacterI
     return items
 
 
-def enumerate_group_algebra(G: FiniteQuantumGroup) -> list[CosetItem]:
-    """All contractive idempotents on a classical group algebra: the
-    indicator functionals of left cosets of subgroups."""
+def enumerate_group_algebra(G: FiniteQuantumGroup, subgroups=None) -> list[CosetItem]:
+    """All contractive idempotents on a classical group algebra: the indicator
+    functionals of left cosets of the given subgroups, by default of every one."""
     if G.kind != "group" or G.table is None or G.lambda_basis is None:
         raise ValueError("enumeration requires a group algebra built from a group table")
     table = G.table
-    pairs = [(coset, subgroup) for subgroup in table.subgroups for coset in table.left_cosets(subgroup)]
+    pairs = [(coset, subgroup) for subgroup in (table.subgroups if subgroups is None else subgroups)
+             for coset in table.left_cosets(subgroup)]
     indicators = np.zeros((table.order, len(pairs)))
     for col, (coset, _) in enumerate(pairs):
         indicators[list(coset), col] = 1.0

@@ -110,15 +110,9 @@ def _chunks(count: int, per: int, dim: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def image_subspace(T: ConvolutionOperator | np.ndarray, algebra: MultiMatrixAlgebra | None = None) -> OperatorSubspace:
-    """Orthonormal basis of the range of a linear map on the algebra."""
-    if isinstance(T, ConvolutionOperator):
-        matrix, algebra = T.matrix, T.group.algebra
-    else:
-        matrix = np.asarray(T, dtype=np.complex128)
-        if algebra is None:
-            raise ValueError("algebra must be given for a bare matrix")
-    return OperatorSubspace.from_spanning(algebra, matrix.T)
+def image_subspace(T: ConvolutionOperator) -> OperatorSubspace:
+    """Orthonormal basis of the range of a convolution operator."""
+    return OperatorSubspace.from_spanning(T.group.algebra, T.matrix.T)
 
 
 def is_tro(X: OperatorSubspace, tol: float = CHECK_TOL) -> bool:
@@ -389,7 +383,7 @@ def recover_idempotent(G: FiniteQuantumGroup, X: OperatorSubspace, tol: float = 
         reasons.append("orthogonal projection does not commute with right convolutions")
     elif not is_contractive_idempotent(G, omega, max(tol, STATE_TOL)):
         reasons.append("recovered functional is not a contractive idempotent")
-    elif not image_subspace(G.left_matrix(omega.covector), G.algebra).equals(X, tol):
+    elif not OperatorSubspace.from_spanning(G.algebra, G.left_matrix(omega.covector).T).equals(X, tol):
         reasons.append("image of the recovered idempotent differs from X")
     return RecoveryResult(functional=None if reasons else omega, ok=not reasons, reasons=reasons)
 
@@ -426,7 +420,7 @@ class Analysis:
 
     @cached_property
     def image(self) -> OperatorSubspace:
-        return image_subspace(self.expectation.entries[0][1], self.group.algebra)
+        return OperatorSubspace.from_spanning(self.group.algebra, self.expectation.entries[0][1].T)
 
     @cached_property
     def linking(self) -> LinkingAlgebra:

@@ -98,6 +98,18 @@ def test_enumerate_kp_unsupported(capsys):
     assert "Unsupported" in out
 
 
+def test_enumeration_error_on_a_supported_group_fails_its_report(capsys, monkeypatch):
+    """An error raised inside the enumeration of a classical group is a
+    failing inputs valid row with exit code 1, not an Unsupported note."""
+    def broken(G):
+        raise ValueError("broken enumeration")
+    monkeypatch.setattr(quidem.cli, "enumerate_group_algebra", broken)
+    code, out = run(capsys, "enumerate", "--group", "builtin:cstar:dn:4", "--json")
+    doc = json.loads(out)
+    assert code == 1 and "enumeration" not in doc["info"]
+    assert [(c["name"], c["passed"], c["note"]) for c in doc["checks"]] == [("inputs valid", False, "broken enumeration")]
+
+
 def test_decompose_counit(capsys):
     code, out = run(capsys, "decompose", "--group", "builtin:czn:4", "--functional", "counit")
     assert code == 0
@@ -134,6 +146,56 @@ def test_decompose_point_source_on_a_group_algebra(capsys, monkeypatch):
     G = builtin("cstar:dn:4")
     item = next(item for item in enumerate_group_algebra(G) if item.coset == frozenset({G.table.identity}))
     assert np.abs(parsed[0].covector - item.functional.covector).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["czn:6", "cfun:sn:3", "cfun:sn:4", "cstar:dn:4", "cstar:sn:4"])
+def test_subgroup_sources_read_the_enumeration_items(name):
+    """subgroup-character:H:k is the k-th item of H, coset-indicator:H:g the
+    item of H whose coset holds g, and point:g on C*(G) the item whose coset
+    is {g}, also given as coset-indicator::g: each covector equals the full
+    enumeration's, byte for byte, for every subgroup, index and element."""
+    source = quidem.cli._functional_source
+    G = builtin(name)
+    items = quidem.cli._enumerate(G)
+
+    def same(spec, item):
+        return source(G, spec).covector.tobytes() == item.functional.covector.tobytes()
+    for subgroup in G.table.subgroups:
+        own = [item for item in items if item.subgroup == subgroup]
+        H = ",".join(map(str, sorted(subgroup)))   # all of H's elements, which close to H
+        if G.kind == "function":
+            assert own and all(same(f"subgroup-character:{H}:{k}", item) for k, item in enumerate(own))
+            with pytest.raises(ValueError, match=f"character index {len(own)} out of range"):
+                source(G, f"subgroup-character:{H}:{len(own)}")
+        else:
+            assert all(same(f"coset-indicator:{H}:{g}", item) for item in own for g in item.coset)
+    if G.kind == "group":
+        for g in range(G.table.order):
+            item = next(item for item in items if item.coset == frozenset({g}))
+            assert same(f"point:{g}", item) and same(f"coset-indicator::{g}", item)
+
+
+@pytest.mark.parametrize("name, spec, subgroup", [
+    ("cfun:sn:4", "subgroup-character:1,2:1", {0, 1, 2, 3, 4, 5}),
+    ("cstar:sn:4", "coset-indicator:1:5", {0, 1}),
+    ("cstar:sn:4", "point:5", {0}),
+])
+def test_subgroup_sources_build_only_their_own_items(monkeypatch, name, spec, subgroup):
+    """A source builds the items of the one subgroup it names (for point:g
+    the trivial one): the characters it takes and the cosets it splits are
+    of that subgroup alone."""
+    G = builtin(name)
+    seen = []
+
+    def spy(fn):
+        def wrapper(table, sub):
+            seen.append(sub)
+            return fn(table, sub)
+        return wrapper
+    monkeypatch.setattr(quidem.idempotents, "characters", spy(quidem.idempotents.characters))
+    monkeypatch.setattr(type(G.table), "left_cosets", spy(type(G.table).left_cosets))
+    quidem.cli._functional_source(G, spec)
+    assert seen == [frozenset(subgroup)]
 
 
 def test_decompose_rejects_non_idempotent(capsys):
@@ -273,11 +335,11 @@ def test_one_analysis_computes_each_fact_once(capsys, monkeypatch, command):
     import quidem.tro
     from quidem.cli import _enumerate
     from quidem.qgroup import FiniteQuantumGroup
-    from quidem.tro import image_subspace
+    from quidem.tro import OperatorSubspace
 
     G = builtin("cstar:dn:4")   # built before the spies: its verification takes left matrices too
     omega = _enumerate(G)[12].functional
-    image = image_subspace(G.left_matrix(omega.covector), G.algebra)
+    image = OperatorSubspace.from_spanning(G.algebra, G.left_matrix(omega.covector).T)
     parts = polar_decompose(omega)
     named = {"ω": omega, "|ω|_r": parts.abs_r, "|ω|_l": parts.abs_l, "ω̄": omega.conjugate()}
     calls = {"idempotency": [], "contractive": [], "left_matrix": []}

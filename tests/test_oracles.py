@@ -31,7 +31,9 @@ convolution, as the idempotency kernel took it before it stacked its trace
 norms; `_ref_decompose` is decompose's body with each state check,
 idempotency defect and spectrum taken for one functional at a time, and
 `_ref_enumerate_function_algebra` the enumeration that validated each
-subgroup's own table and wrote each covector entry by entry;
+subgroup's own table and wrote each covector entry by entry, and
+`_ref_enumerate_group_algebra` the one all-pairs solve over every subgroup's
+cosets;
 `_ref_tensor_functional` is f⊗g with its Kronecker density, as
 TensorSplit.functional built it.
 """
@@ -184,7 +186,7 @@ def _ref_transpose_perm(alg):
 def _ref_image_subspace(matrix, algebra):
     u, s, _ = np.linalg.svd(matrix)
     keep = int(np.sum(s > 1e-10 * s[0]))
-    return type(image_subspace(matrix, algebra))(algebra, u[:, :keep])
+    return OperatorSubspace(algebra, u[:, :keep])
 
 
 def _ref_left_mult_matrix(a):
@@ -1140,13 +1142,45 @@ def test_function_enumeration_matches_the_per_element_reference(spec):
     """The enumeration gives the per-element route's items: labels,
     subgroups, covectors and character values, bit for bit."""
     G = builtin(spec)
-    got, want = enumerate_function_algebra(G), _ref_enumerate_function_algebra(G)
-    assert len(got) == len(want)
-    for item, (label, cov, values, subgroup) in zip(got, want):
-        assert item.label == label and item.subgroup == subgroup
-        assert item.functional.covector.tobytes() == cov.tobytes()
-        assert list(item.character) == list(values)
-        assert np.array(list(item.character.values())).tobytes() == np.array(list(values.values())).tobytes()
+    want = _ref_enumerate_function_algebra(G)
+    for got in (enumerate_function_algebra(G),
+                [item for H in G.table.subgroups for item in enumerate_function_algebra(G, [H])]):
+        assert len(got) == len(want)
+        for item, (label, cov, values, subgroup) in zip(got, want):
+            assert item.label == label and item.subgroup == subgroup
+            assert item.functional.covector.tobytes() == cov.tobytes()
+            assert list(item.character) == list(values)
+            assert np.array(list(item.character.values())).tobytes() == np.array(list(values.values())).tobytes()
+
+
+def _ref_enumerate_group_algebra(G):
+    """enumerate_group_algebra's items as (label, covector, coset, subgroup),
+    by the all-pairs route it took before it was given subgroups: one
+    solve of Λᵀ for the indicators of every coset of every subgroup."""
+    table = G.table
+    pairs = [(coset, subgroup) for subgroup in table.subgroups for coset in table.left_cosets(subgroup)]
+    indicators = np.zeros((table.order, len(pairs)))
+    for col, (coset, _) in enumerate(pairs):
+        indicators[list(coset), col] = 1.0
+    covs = np.linalg.solve(G.lambda_basis.T, indicators)
+    return [("C={%s}" % ",".join(table.names[g] for g in sorted(coset)), cov.astype(np.complex128), coset, subgroup)
+            for cov, (coset, subgroup) in zip(covs.T, pairs)]
+
+
+@pytest.mark.parametrize("spec", [f"cstar:zn:{n}" for n in range(1, 17)] + [f"cstar:dn:{n}" for n in range(1, 13)]
+                         + [f"cstar:sn:{n}" for n in range(1, 5)])
+def test_group_enumeration_matches_the_all_pairs_reference(spec):
+    """The enumeration, in full and one subgroup at a time, gives the
+    all-pairs route's items: labels, cosets, subgroups and covectors, bit
+    for bit."""
+    G = builtin(spec)
+    want = _ref_enumerate_group_algebra(G)
+    for got in (enumerate_group_algebra(G),
+                [item for H in G.table.subgroups for item in enumerate_group_algebra(G, [H])]):
+        assert len(got) == len(want)
+        for item, (label, cov, coset, subgroup) in zip(got, want):
+            assert item.label == label and item.coset == coset and item.subgroup == subgroup
+            assert item.functional.covector.tobytes() == cov.tobytes()
 
 
 def test_characters_refuse_sets_that_are_not_subgroups():
@@ -1333,7 +1367,7 @@ def _image_row_residuals(alg, lw):
     """The TRO-expectation residuals with x and y over the image rows P(e_i)
     of P = lw, keyed by the triple-product forms they check: P(x y*c) first,
     P(x b* y) second and P(a x*y) third."""
-    res = _kernel_residuals(alg, lw, lw, lw, lw.T, image_subspace(lw, alg).product_spans)[1]
+    res = _kernel_residuals(alg, lw, lw, lw, lw.T, OperatorSubspace.from_spanning(alg, lw.T).product_spans)[1]
     return {"first": res["expect_left_pair"], "second": res["expect_middle"], "third": res["expect_right_pair"]}
 
 
@@ -1863,7 +1897,7 @@ def test_tro_residuals_match_loop_form_off_idempotents(block_dims, k):
         want = ref_identity_residuals(alg, lw, lr, ll, xb)
         assert min(want.values()) > 0.05
         _assert_agree(identity, want, TOL)
-    _, rows = _spans(alg, image_subspace(lw, alg).matrix.T)
+    _, rows = _spans(alg, OperatorSubspace.from_spanning(alg, lw.T).matrix.T)
     want = ref_triple_residuals(alg, lw, *rows)
     assert min(want.values()) > 0.05
     _assert_agree(_image_row_residuals(alg, lw), want, TOL)
@@ -1908,10 +1942,10 @@ def test_tro_basis_residuals_see_a_perturbed_map():
     parts = polar_decompose(omega)
     lw = G.left_matrix(omega.covector)
     lr, ll = (G.left_matrix(f.covector) for f in (parts.abs_r, parts.abs_l))
-    image = image_subspace(lw, G.algebra)
+    image = OperatorSubspace.from_spanning(G.algebra, lw.T)
     assert image.dim == 4
     perturbed = image.projector() @ (lw + 0.3 * _gaussian(np.random.default_rng(3), G.dim, G.dim))
-    xb = image_subspace(perturbed, G.algebra).matrix.T
+    xb = OperatorSubspace.from_spanning(G.algebra, perturbed.T).matrix.T
     assert len(xb) == 4
     kernel = _kernel_residuals(G.algebra, perturbed, lr, ll, xb, _spans(G.algebra, xb)[0])
     loops = ref_identity_residuals(G.algebra, perturbed, lr, ll), ref_expectation_residuals(G.algebra, perturbed, xb)
@@ -2043,7 +2077,7 @@ def test_adjoint_space_has_the_invariance_defect_of_its_space():
     images = [(G, item.functional) for G, items in ((gd4, enumerate_group_algebra(gd4)),
                                                    (cs3, enumerate_function_algebra(cs3))) for item in items]
     images += [(kp, kp.haar), (kp, kp.counit)]
-    cases = [(G, image_subspace(G.left_matrix(omega.covector), G.algebra)) for G, omega in images]
+    cases = [(G, OperatorSubspace.from_spanning(G.algebra, G.left_matrix(omega.covector).T)) for G, omega in images]
     rng = np.random.default_rng(17)
     randoms = [(G, OperatorSubspace.from_spanning(G.algebra, _gaussian(rng, k, G.dim)))
                for G in (gd4, cs3, kp) for k in (1, 2, 3, 5)]

@@ -311,7 +311,7 @@ def test_tro_stacks_hold_at_most_dim_squared_vecs(stack_cases, monkeypatch):
     monkeypatch.setattr(MultiMatrixAlgebra, "max_operator_norm", recording_norm)
     for G, omega in stack_cases:
         lw = G.left_matrix(omega.covector)
-        X = image_subspace(lw, G.algebra)
+        X = OperatorSubspace.from_spanning(G.algebra, lw.T)
         entries = build_expectation(G, omega).entries
         for check in (
             lambda: _tro_residuals(G.algebra, _commutators(G.algebra, entries,
