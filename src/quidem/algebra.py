@@ -7,7 +7,10 @@ stack of all blocks of that size, and elementwise when every block is 1×1
 (the algebra is ℂⁿ, as every C(G) is).  Linear functionals are stored through
 the unnormalized trace pairing against a density element, so that the dual
 norm is the plain trace norm and states are exactly the trace-one positive
-densities.  All scalars are double precision; every value is immutable
+densities.  Functionals made together (the items of one enumeration, the
+absolute values of one polar pass) form a cohort, whose facts are taken in
+one stacked pass on first use, bit for bit those of each functional alone.
+All scalars are double precision; every value is immutable
 after construction and may be shared freely between threads.
 
 Basis convention: matrix units ordered block by block, row-major inside
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -87,7 +91,7 @@ class MultiMatrixAlgebra:
     @cached_property
     def commutative(self) -> bool:
         """Every block is 1×1: the algebra is ℂⁿ.  multiply, adjoint,
-        block_norms, max_operator_norm, trace_norms and the element's trace,
+        block_norms, max_operator_norm, trace_norms, traces and the element's
         support and polar parts then take their elementwise forms first, bit
         for bit what the per-class route gives."""
         return max(self.block_dims) == 1
@@ -160,10 +164,21 @@ class MultiMatrixAlgebra:
     def trace_norms(self, x) -> list[float]:
         """Trace norm of each vec in a nonempty (k, dim) stack: the sum of its
         singular values, class by class, from one singular_values call; each
-        class is summed as one flat row per vec."""
+        class is summed as one flat row per vec, in row order whatever the
+        memory layout of x, so that each row's sum is that of the vec alone."""
+        x = np.ascontiguousarray(x)
         if self.commutative:   # ℂⁿ: the singular values are the moduli
-            return np.abs(np.asarray(x)).sum(axis=-1).tolist()
+            return np.abs(x).sum(axis=-1).tolist()
         return sum(s.reshape(len(x), -1).sum(axis=-1) for s in self.singular_values(x)).tolist()
+
+    def traces(self, x) -> np.ndarray:
+        """Trace of each vec in a (k, dim) stack: each size class's block
+        traces summed per vec, the class sums added in class order; in row
+        order whatever the memory layout of x, as in trace_norms."""
+        x = np.ascontiguousarray(x)
+        if self.commutative:   # ℂⁿ: each 1×1 trace is its entry
+            return x.sum(axis=-1)
+        return sum(np.trace(b, axis1=-2, axis2=-1).sum(axis=-1) for _, _, b in self.blocks_by_size(x))
 
     @cached_property
     def block_order(self) -> np.ndarray:
@@ -347,23 +362,16 @@ class AlgebraElement:
 
     @property
     def trace(self) -> complex:
-        if self.algebra.commutative:   # ℂⁿ: each 1×1 trace is its entry
-            return complex(self.vec.sum())
-        return complex(sum(np.trace(b, axis1=-2, axis2=-1).sum()
-                           for _, _, b in self.algebra.blocks_by_size(self.vec)))
+        return complex(self.algebra.traces(self.vec[None])[0])
 
     @property
     def operator_norm(self) -> float:
         return self.algebra.max_operator_norm(self.vec)
 
-    @property
-    def trace_norm(self) -> float:
-        return self.algebra.trace_norms(self.vec[None])[0]
-
     @cached_property
     def spectrum(self) -> list:
         """MultiMatrixAlgebra.eigh of the vec, read by support and Functional.state_defects;
-        taken once, alone or in the stack of state_defects."""
+        taken once, alone or in the stack of _keep_state_defects."""
         return self.algebra.eigh(self.vec)
 
     @cached_property
@@ -399,6 +407,7 @@ class Functional:
 
     algebra: MultiMatrixAlgebra
     density: AlgebraElement
+    _cohort = None   # the _Cohort this functional was made in, if any: not a field
 
     def __post_init__(self):
         if self.density.algebra != self.algebra:
@@ -428,32 +437,17 @@ class Functional:
 
     @cached_property
     def norm(self) -> float:
-        """The dual norm ‖ω‖, the trace norm of the density; taken once."""
-        return self.density.trace_norm
+        """The dual norm ‖ω‖, the trace norm of the density; taken once, by _keep_norms."""
+        _take(_keep_norms, [self], "norm")
+        return self.__dict__["norm"]
 
     @cached_property
     def polar(self) -> "PolarParts":
-        """The polar parts of polar_decompose; taken once."""
-        alg = self.algebra
-        factors = alg.svd(self.density.vec)
-        smax = max(s.max() for _, _, s, _ in factors)
-        if smax == 0.0:
+        """The polar parts of polar_decompose; taken once, by _keep_polars."""
+        _take(_keep_polars, [self], "polar")
+        if "polar" not in self.__dict__:
             raise ValueError("polar decomposition of the zero functional")
-        if alg.commutative:   # ℂⁿ: the loop below with vh = 1, its products by 1 and 0 taken elementwise
-            (_, w, s, _), = factors
-            kept = np.where(above_cutoff(s, smax), s, 0.0)[..., None]
-            w = np.where(kept > 0, w, 0)
-            # + 0.0 and + 0j give zeros the sign +0, as the 1×1 products do
-            return _polar_parts(alg, (w + 0.0).ravel(), (kept + 0j).ravel(), (w * kept @ _adjoints(w)).ravel())
-        u, p, q = (np.empty(alg.dim, dtype=np.complex128) for _ in range(3))
-        for idx, w, s, vh in factors:
-            keep = above_cutoff(s, smax)
-            r = keep.sum(axis=-1).max()   # the largest rank in the size class
-            w, vh, kept = w[..., :r], vh[..., :r, :], np.where(keep, s, 0.0)[..., None, :r]
-            u[idx] = ((w * (kept > 0)) @ vh).reshape(idx.shape)
-            p[idx] = ((_adjoints(vh) * kept) @ vh).reshape(idx.shape)    # (d* d)^{1/2}
-            q[idx] = ((w * kept) @ _adjoints(w)).reshape(idx.shape)      # (d d*)^{1/2}
-        return _polar_parts(alg, u, p, q)
+        return self.__dict__["polar"]
 
     def __add__(self, other: "Functional") -> "Functional":
         return Functional(self.algebra, self.density + other.density)
@@ -472,11 +466,10 @@ class Functional:
     @cached_property
     def state_defects(self) -> tuple[float, float]:
         """(max(‖d − d*‖, max(0, −λ_min)), |Tr d − 1|) for the density d, λ_min
-        read off d.spectrum: both vanish exactly on the states; taken once."""
-        d = self.density
-        herm = self.algebra.max_operator_norm(d.vec - self.algebra.adjoint(d.vec))
-        low = min(w.min() for _, w, _ in d.spectrum)
-        return max(herm, max(0.0, -float(low))), abs(d.trace - 1.0)
+        read off d.spectrum: both vanish exactly on the states; taken once, by
+        _keep_state_defects."""
+        _take(_keep_state_defects, [self], "state_defects")
+        return self.__dict__["state_defects"]
 
     def is_state(self, tol: float = STATE_TOL) -> bool:
         return all(defect <= tol for defect in self.state_defects)
@@ -489,16 +482,118 @@ class Functional:
         return f"Functional(blocks={self.algebra.block_dims}, norm={self.norm:.4g})"
 
 
-def state_defects(functionals) -> list[tuple[float, float]]:
-    """Functional.state_defects of each functional on one algebra; the
-    spectra of the densities not yet taken come from one stacked eigh, each
-    kept on its density, bit for bit the spectrum taken alone."""
+class _Cohort:
+    """Functionals made together, each held by weak reference, so that a
+    member its caller dropped is freed and skipped.  The first request for a
+    fact of any member takes that fact, in one stacked pass, for every live
+    member that lacks it (_take); each value is bit for bit the one the
+    member's stack of one gives.  Formed by the enumerators and by
+    _keep_polars for the absolute values it makes."""
+
+    __slots__ = ("members", "asked")
+
+    def __init__(self, functionals):
+        self.members = [weakref.ref(f) for f in functionals]
+        self.asked = set()
+        for f in functionals:
+            f._cohort = self
+
+    def first(self, fact) -> list:
+        """The live members on the cohort's first request for fact, [] after,
+        so that a cohort is walked once per fact.  Threads that race here
+        can only measure a fact twice, with the same bits."""
+        if fact in self.asked:
+            return []
+        self.asked.add(fact)
+        return [f for ref in self.members if (f := ref()) is not None]
+
+
+def _take(keep, functionals, fact, lacking=None):
+    """keep, which measures a fact of every functional of a stack and keeps
+    it, over the functionals and, on each cohort's first request for fact,
+    their siblings that lack it: lacking(sibling), by default that the
+    cached property named fact is not yet taken.  If that stack raises, keep
+    runs over the functionals alone: a sibling's error is raised only when
+    that sibling is asked."""
+    if all(f._cohort is None for f in functionals):
+        keep(functionals)
+        return
+    lacking = lacking or (lambda f: fact not in f.__dict__)
+    stack = dict.fromkeys(functionals)
+    for f in functionals:
+        if f._cohort is not None:
+            stack.update(dict.fromkeys(s for s in f._cohort.first(fact) if s not in stack and lacking(s)))
+    if len(stack) > len(functionals):
+        try:
+            keep(list(stack))
+            return
+        except Exception:   # a sibling's error or warning-as-error: the askers alone raise theirs
+            pass
+    keep(functionals)
+
+
+def _rows(vecs) -> np.ndarray:
+    """The vecs of a stack as the rows of one array, a read-only view for a stack of one."""
+    return vecs[0][None] if len(vecs) == 1 else np.array(vecs)
+
+
+def _keep_norms(functionals):
+    """Functional.norm of each functional on one algebra, from one stacked trace norm."""
+    for f, norm in zip(functionals, functionals[0].algebra.trace_norms(_rows([f.density.vec for f in functionals]))):
+        f.norm = norm
+
+
+def _keep_polars(functionals):
+    """Functional.polar of each nonzero functional on one algebra, from one
+    stacked blockwise SVD keeping, per functional, the singular values above
+    RANK_CUTOFF times its largest; the absolute values made form a cohort.
+    A zero functional keeps none."""
+    alg, k = functionals[0].algebra, len(functionals)
+    factors = alg.svd(_rows([f.density.vec for f in functionals]))
+    if alg.commutative:   # ℂⁿ: the loop below with vh = 1, its products by 1 and 0 taken elementwise
+        (_, w, s, _), = factors
+        smax = s.reshape(k, -1).max(axis=-1)
+        kept = np.where(above_cutoff(s, smax[:, None, None]), s, 0.0)[..., None]
+        w = np.where(kept > 0, w, 0)
+        # + 0.0 and + 0j give zeros the sign +0, as the 1×1 products do
+        u, p, q = ((w + 0.0).reshape(k, -1), (kept + 0j).reshape(k, -1), (w * kept @ _adjoints(w)).reshape(k, -1))
+    else:
+        u, p, q = (np.empty((k, alg.dim), dtype=np.complex128) for _ in range(3))
+        smax = []
+        for m, (um, pm, qm) in enumerate(zip(u, p, q)):   # per functional, each cut at its own rank
+            factors_m = [(idx, w[m], s[m], vh[m]) for idx, w, s, vh in factors]
+            smax.append(top := max(s.max() for _, _, s, _ in factors_m))
+            for idx, w, s, vh in factors_m:
+                keep = above_cutoff(s, top)
+                r = keep.sum(axis=-1).max()   # the largest rank in the size class
+                w, vh, kept = w[..., :r], vh[..., :r, :], np.where(keep, s, 0.0)[..., None, :r]
+                um[idx] = ((w * (kept > 0)) @ vh).reshape(idx.shape)
+                pm[idx] = ((_adjoints(vh) * kept) @ vh).reshape(idx.shape)    # (d* d)^{1/2}
+                qm[idx] = ((w * kept) @ _adjoints(w)).reshape(idx.shape)      # (d d*)^{1/2}
+    made = []
+    for f, top, um, pm, qm in zip(functionals, smax, u, p, q):
+        if top != 0.0:
+            f.polar = parts = _polar_parts(alg, um, pm, qm)
+            made += [parts.abs_r, parts.abs_l]
+    _Cohort(made)
+
+
+def _keep_state_defects(functionals):
+    """Functional.state_defects of each functional on one algebra, from one
+    stacked eigh of the densities whose spectrum is not yet taken (each kept
+    on its density), one stacked block_norms of d − d* and one stacked trace."""
+    alg, x = functionals[0].algebra, _rows([f.density.vec for f in functionals])
+    skew = x - alg.adjoint(x)
+    with np.errstate(over="ignore", invalid="ignore"):   # as in max_operator_norm: an overflow or inf is no warning
+        herm = alg.block_norms(skew).max(axis=-1, initial=0.0)
     dens = [f.density for f in functionals if "spectrum" not in f.density.__dict__]
     if dens:
-        spectra = dens[0].algebra.eigh(np.array([d.vec for d in dens]))
-        for k, d in enumerate(dens):
-            d.spectrum = [(idx, w[k], v[k]) for idx, w, v in spectra]
-    return [f.state_defects for f in functionals]
+        spectra = alg.eigh(_rows([d.vec for d in dens]))
+        for m, d in enumerate(dens):
+            d.spectrum = [(idx, w[m], v[m]) for idx, w, v in spectra]
+    for f, h, t in zip(functionals, herm.tolist(), alg.traces(x).tolist()):
+        low = min(w.min() for _, w, _ in f.density.spectrum)
+        f.state_defects = max(h, max(0.0, -float(low))), abs(t - 1.0)
 
 
 def _polar_parts(alg: MultiMatrixAlgebra, u, p, q) -> "PolarParts":

@@ -4,11 +4,12 @@ involution, and limits of averaged convolution powers."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _SCREEN_MARGIN, CHECK_TOL, STATE_TOL, Functional, above_cutoff
+from .algebra import _SCREEN_MARGIN, CHECK_TOL, STATE_TOL, Functional, _rows, _take, above_cutoff
 from .qgroup import FiniteQuantumGroup
 
 
@@ -26,22 +27,28 @@ def idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
 
 def idempotency_defects(G: FiniteQuantumGroup, functionals) -> list[float]:
     """idempotency_defect of each functional; those not yet in G.idempotency
-    are measured together and kept there."""
+    are measured in one stack, with their cohort siblings that lack theirs
+    on each cohort's first request for G's (algebra._take), and kept there."""
     todo = [f for f in functionals if f not in G.idempotency]
     if todo:
-        for f, defect in zip(todo, _idempotency_defects(G, todo)):
-            G.idempotency[f] = defect
+        def keep(fs):
+            for f, defect in zip(fs, _idempotency_defects(G, fs)):
+                G.idempotency[f] = defect
+
+        # G enters the cohorts' requests by weak reference, so that they do not keep it alive
+        _take(keep, todo, weakref.ref(G), lambda f: f not in G.idempotency)
     return [G.idempotency[f] for f in functionals]
 
 
 def _idempotency_defects(G: FiniteQuantumGroup, functionals) -> list[float]:
-    """‖ω⋆ω − ω‖ in the dual norm of each ω, from one convolution each and
-    one stacked trace norm."""
+    """‖ω⋆ω − ω‖ in the dual norm of each ω, from one stacked convolution,
+    bit for bit G.convolve_cov of each, and one stacked trace norm."""
     A = G.algebra
     if any(f.algebra != A for f in functionals):
         raise ValueError("functionals do not live on this quantum group")
-    return A.trace_norms(np.array([G.convolve_cov(f.covector, f.covector)[A.transpose_perm] - f.density.vec
-                                   for f in functionals]))
+    c = _rows([f.covector for f in functionals])
+    # the density of a covector c is c[transpose_perm], so this is (ω⋆ω)'s density minus ω's
+    return A.trace_norms((np.einsum("ki,kj,ijc->kc", c, c, G.d3) - c)[:, A.transpose_perm])
 
 
 @dataclass(eq=False)

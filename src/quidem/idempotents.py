@@ -14,14 +14,14 @@ from .algebra import (
     STATE_TOL,
     AlgebraElement,
     Functional,
+    _Cohort,
     act_left,
     act_right,
     is_central,
     polar_decompose,
-    state_defects,
 )
 from .convolution import idempotency_defect, idempotency_defects
-from .groups import characters
+from .groups import GroupTable, characters
 from .qgroup import FiniteQuantumGroup, QuantumSubgroup, group_like_residual, quotient_by_support
 
 _FMT_ZERO = 1e-12   # real or imaginary parts below this print as zero
@@ -156,7 +156,6 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     state_tol = max(tol, STATE_TOL)
     parts = polar_decompose(omega)
     abs_r, abs_l = parts.abs_r, parts.abs_l
-    state_defects([abs_r, abs_l])   # both spectra from one eigh, kept for is_state and the support
     for sigma, side in ((abs_r, "right"), (abs_l, "left")):
         if not sigma.is_state(state_tol):
             raise ValueError("{} absolute value is not a state (positivity defect {:.3e}, trace defect {:.3e})"
@@ -242,15 +241,29 @@ class CosetItem:
     label: str
 
 
+def _subgroups(table: GroupTable, subgroups) -> list[frozenset]:
+    """The subgroups an enumeration lists: every one of the table by default;
+    ValueError on a given entry that is not a subgroup of the table (empty,
+    out of range or not closed under the product)."""
+    if subgroups is None:
+        return table.subgroups
+    subgroups = list(subgroups)
+    for h in subgroups:
+        if not (h and all(0 <= g < table.order for g in h) and all(table.mult[a][b] in h for a in h for b in h)):
+            raise ValueError(f"enumeration requires a subgroup of the table, got {sorted(h)}")
+    return subgroups
+
+
 def enumerate_function_algebra(G: FiniteQuantumGroup, subgroups=None) -> list[SubgroupCharacterItem]:
     """All contractive idempotents on C(G) for classical G: one per pair of a
     subgroup H and a character χ of H, over the given subgroups of the table,
-    by default every one (subgroup-lattice brute force)."""
+    by default every one (subgroup-lattice brute force).  The functionals
+    form one cohort: each fact of one is taken for all live ones at once."""
     if G.kind != "function" or G.table is None:
         raise ValueError("enumeration requires a function algebra built from a group table")
     table = G.table
     items = []
-    for subgroup in table.subgroups if subgroups is None else subgroups:
+    for subgroup in _subgroups(table, subgroups):
         elems = sorted(subgroup)
         for chi in characters(table, subgroup):
             cov = np.zeros(table.order, dtype=np.complex128)
@@ -264,22 +277,23 @@ def enumerate_function_algebra(G: FiniteQuantumGroup, subgroups=None) -> list[Su
                     label=label,
                 )
             )
+    _Cohort([item.functional for item in items])
     return items
 
 
 def enumerate_group_algebra(G: FiniteQuantumGroup, subgroups=None) -> list[CosetItem]:
     """All contractive idempotents on a classical group algebra: the indicator
-    functionals of left cosets of the given subgroups, by default of every one."""
+    functionals of left cosets of the given subgroups, by default of every
+    one.  The functionals form one cohort, as in enumerate_function_algebra."""
     if G.kind != "group" or G.table is None or G.lambda_basis is None:
         raise ValueError("enumeration requires a group algebra built from a group table")
     table = G.table
-    pairs = [(coset, subgroup) for subgroup in (table.subgroups if subgroups is None else subgroups)
-             for coset in table.left_cosets(subgroup)]
+    pairs = [(coset, subgroup) for subgroup in _subgroups(table, subgroups) for coset in table.left_cosets(subgroup)]
     indicators = np.zeros((table.order, len(pairs)))
     for col, (coset, _) in enumerate(pairs):
         indicators[list(coset), col] = 1.0
     covs = np.linalg.solve(G.lambda_basis.T, indicators)   # one solve for every coset's covector
-    return [
+    items = [
         CosetItem(
             functional=Functional.from_covector(G.algebra, cov),
             coset=coset,
@@ -288,6 +302,8 @@ def enumerate_group_algebra(G: FiniteQuantumGroup, subgroups=None) -> list[Coset
         )
         for cov, (coset, subgroup) in zip(covs.T, pairs)
     ]
+    _Cohort([item.functional for item in items])
+    return items
 
 
 def _fmt_complex(z: complex) -> str:

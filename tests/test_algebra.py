@@ -448,8 +448,10 @@ def test_kernel_matches_per_block_loops():
         assert np.array_equal(adjoints[idx], want_adj)
         e = alg.from_vec(x[idx])
         want_trace_norm = sum(np.linalg.svd(b, compute_uv=False).sum() for b in blocks_x)
-        assert abs(e.trace_norm - want_trace_norm) <= 1e-12 * want_trace_norm
+        assert abs(alg.trace_norms(x[idx][None])[0] - want_trace_norm) <= 1e-12 * want_trace_norm
         assert abs(e.trace - sum(np.trace(b) for b in blocks_x)) <= 1e-12 * want_trace_norm
+        want_trace_defect = abs(sum(np.trace(b) for b in blocks_x) - 1.0)   # the trace row of state_defects
+        assert abs(Functional(alg, e).state_defects[1] - want_trace_defect) <= 1e-12 * (want_trace_norm + 1.0)
     # broadcasting: one element against a stack
     one_by_many = alg.multiply(x[0, 0], y[:, 0])
     assert one_by_many.shape == (5, alg.dim)
@@ -518,8 +520,9 @@ _SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, complex(np.inf, 1.0), c
 @pytest.mark.parametrize("n", [1, 2, 6, 12, 24])
 def test_kernel_matches_per_block_loops_on_all_1x1_algebras(n):
     """On ℂⁿ multiply, adjoint, block_norms, max_operator_norm, trace_norms,
-    the trace, the polar parts and the support take their elementwise forms,
-    and the other steps the 1×1 branch of the per-class route: bit for bit,
+    traces, the state defects, the polar parts and the support take their
+    elementwise forms, and the other steps the 1×1 branch of the per-class
+    route: bit for bit,
     and with the same warnings, what that route gives, on stacked leading
     axes, empty stacks, real stacks, zero entries of either sign (svd's
     phase is 1 there), NaN and ±inf; and bit for bit a loop over the 1×1
@@ -543,15 +546,20 @@ def test_kernel_matches_per_block_loops_on_all_1x1_algebras(n):
             want, want_warnings = _recorded(getattr(twin, step), *args)
             assert _bits(got) == _bits(want), (step, v)
             assert got_warnings == want_warnings, (step, v)
-    for v in (x[0], x[1], x[2], x[:, 1], x.real[3], x[0, :1]):
-        got, got_warnings = _recorded(alg.trace_norms, v)
-        want, want_warnings = _recorded(twin.trace_norms, v)
-        assert _bits(got) == _bits(want) and got_warnings == want_warnings, v
-    # the element properties read the same kernel
+    for v in (x[0], x[1], x[2], x[:, 1], x.real[3], x[0, :1], np.asfortranarray(x[1])):
+        for step in ("trace_norms", "traces"):
+            got, got_warnings = _recorded(getattr(alg, step), v)
+            want, want_warnings = _recorded(getattr(twin, step), v)
+            assert _bits(got) == _bits(want) and got_warnings == want_warnings, (step, v)
+    # the element's and the functional's properties read the same kernel
     for v in (x[0, 0], x[1, 1], x[2, 0], x[1, 2], x[3, 1], np.full(n, complex(-0.0, -0.0))):
-        for prop in ("trace", "trace_norm", "operator_norm"):
+        for prop in ("trace", "operator_norm"):
             got, got_warnings = _recorded(getattr, alg.from_vec(v), prop)
             want, want_warnings = _recorded(getattr, twin.from_vec(v), prop)
+            assert _bits(got) == _bits(want) and got_warnings == want_warnings, prop
+        for prop in ("norm", "state_defects"):   # the trace norm; ‖d − d*‖, λ_min and the trace
+            got, got_warnings = _recorded(getattr, Functional(alg, alg.from_vec(v)), prop)
+            want, want_warnings = _recorded(getattr, Functional(twin, twin.from_vec(v)), prop)
             assert _bits(got) == _bits(want) and got_warnings == want_warnings, prop
     # polar parts and supports: finite densities, one with zero entries of
     # either sign and one below the rank cutoff, and densities with NaN or inf
@@ -620,7 +628,7 @@ def test_kernel_matches_per_block_loops_on_contiguous_classes(block_dims):
                 assert np.abs(ew[m] - np.linalg.eigvalsh(herm)).max() <= 1e-12 * max(want)
                 assert np.abs((ev[m] * ew[m]) @ ev[m].conj().T - herm).max() <= 1e-12 * max(want)
         want_trace_norm = sum(np.linalg.svd(b, compute_uv=False).sum() for b in blocks)
-        assert abs(alg.from_vec(x[idx]).trace_norm - want_trace_norm) <= 1e-12 * want_trace_norm
+        assert abs(alg.trace_norms(x[idx][None])[0] - want_trace_norm) <= 1e-12 * want_trace_norm
     assert np.array_equal(x, before)
 
 

@@ -1,9 +1,16 @@
 """Recognition, construction, decomposition and enumeration of contractive
 idempotents, including the classical oracles and abelian Fourier duality."""
 
+import gc
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
+import quidem.algebra
+import quidem.cli
 import quidem.convolution
 import quidem.idempotents
 from quidem import (
@@ -20,7 +27,8 @@ from quidem import (
     symmetric,
 )
 
-from quidem.algebra import MultiMatrixAlgebra, act_left, act_right, polar_decompose, support_projection
+from quidem.algebra import MultiMatrixAlgebra, _Cohort, act_left, act_right, polar_decompose, support_projection
+from quidem.catalogue import builtin
 from quidem.idempotents import (
     construct,
     decompose,
@@ -405,22 +413,49 @@ def test_decompose_of_cesaro_limits_on_kp(kp):
         assert rep.roundtrip_r < 1e-8 and rep.roundtrip_l < 1e-8
 
 
+def _spy_kernels(monkeypatch, names):
+    """Every call of the named MultiMatrixAlgebra kernels as (name, shape of
+    the stack, whether the state-defect owner _keep_state_defects made it),
+    and the stacks of functionals that owner is given."""
+    calls, stacks, owning = [], [], []
+    for name in names:
+        def spy(self, x, *args, _orig=getattr(MultiMatrixAlgebra, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(x), bool(owning)))
+            return _orig(self, x, *args, **kwargs)
+        monkeypatch.setattr(MultiMatrixAlgebra, name, spy)
+
+    def keep(functionals, _owner=quidem.algebra._keep_state_defects):
+        stacks.append(list(functionals))
+        owning.append(True)
+        try:
+            return _owner(functionals)
+        finally:
+            owning.pop()
+    monkeypatch.setattr(quidem.algebra, "_keep_state_defects", keep)
+    return calls, stacks
+
+
 def test_haar_decompose_computes_each_fact_once(cz6, monkeypatch):
     """One Haar decompose takes the block norms of the support of |ω|_r once,
     for its Haar flag and its corner quotient alike, and measures the
     group-like residual of the character once, unitarity and Δ_H(u) = u⊗u
-    in one number."""
-    counts = {"block_norms": 0, "group_like_residual": 0}
-    for owner, name in ((MultiMatrixAlgebra, "block_norms"), (quidem.idempotents, "group_like_residual")):
-        def spy(*args, _orig=getattr(owner, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _orig(*args, **kwargs)
-        monkeypatch.setattr(owner, name, spy)
+    in one number.  The state-defect owner takes its own block norms, one
+    call per stack: the pair of absolute values, then the corner quotient's
+    Haar state."""
+    calls, stacks = _spy_kernels(monkeypatch, ["block_norms"])
+    counts = {"group_like_residual": 0}
+
+    def spy(*args, _orig=quidem.idempotents.group_like_residual, **kwargs):
+        counts["group_like_residual"] += 1
+        return _orig(*args, **kwargs)
+    monkeypatch.setattr(quidem.idempotents, "group_like_residual", spy)
     # the sign character of H = {0, 3}
     omega = Functional.from_covector(cz6.algebra, np.array([0.5, 0.0, 0.0, -0.5, 0.0, 0.0]))
     rep = decompose(cz6, omega)
     assert rep.haar and rep.subgroup.kept_blocks == (0, 3) and rep.character_group_like <= 1e-12
-    assert counts == {"block_norms": 1, "group_like_residual": 1}
+    assert [by_owner for _, _, by_owner in calls].count(False) == 1 and counts == {"group_like_residual": 1}
+    assert len(stacks) == 2 and stacks[0] == [rep.abs_r, rep.abs_l] and stacks[1] == [rep.subgroup.target.haar]
+    assert [(name, shape[0]) for name, shape, by_owner in calls if by_owner] == [("block_norms", 2), ("block_norms", 1)]
 
 
 def test_character_labels_print_no_roundoff():
@@ -452,21 +487,18 @@ def test_support_of_abs_r_is_taken_once(gd4, monkeypatch):
     on one Haar ω share one support of |ω|_r, kept on its density: one
     block_norms call for the three, and one stacked eigendecomposition of
     both absolute values, |ω|_r's read by its state check and its support
-    alike.  The
+    alike, made with the one block_norms call of their state defects.  The
     corner quotient, built and verified once per group, is built first."""
     decompose(gd4, enumerate_group_algebra(gd4)[0].functional)
-    counts = {"eigh": 0, "block_norms": 0}
-    for name in counts:
-        def spy(*args, _orig=getattr(MultiMatrixAlgebra, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _orig(*args, **kwargs)
-        monkeypatch.setattr(MultiMatrixAlgebra, name, spy)
+    calls, stacks = _spy_kernels(monkeypatch, ["eigh", "block_norms"])
     omega = enumerate_group_algebra(gd4)[0].functional
     rep = decompose(gd4, omega)
     assert rep.haar
     extract_subgroup_character(gd4, omega)
     assert is_haar_idempotent(gd4, rep.abs_r)
-    assert counts == {"eigh": 1, "block_norms": 1}
+    assert [name for name, _, by_owner in calls if not by_owner] == ["block_norms"]
+    assert stacks == [[rep.abs_r, rep.abs_l]]
+    assert [name for name, _, by_owner in calls if by_owner] == ["block_norms", "eigh"]
     assert support_projection(rep.abs_r.density) is rep.abs_r.density.support
 
 
@@ -476,26 +508,186 @@ def test_decompose_takes_one_spectral_pass(gd4, monkeypatch, index):
     of both absolute values and no min_eigenvalues; its round-trip and gap
     rows come from one stacked singular_values call, bit for bit the trace
     norms of the functionals they measure, and the idempotency defects of
-    both absolute values from another.  The corner quotient, built and
-    verified once per group, is built first."""
+    both absolute values from another.  The state defects of both absolute
+    values are one stack, whose block norms are one more singular_values
+    call.  The corner quotient, built and verified once per group, is built
+    first."""
     decompose(gd4, enumerate_group_algebra(gd4)[index].functional)
-    counts, stacks = {"eigh": 0, "min_eigenvalues": 0}, []
-    for name in counts:
-        def spy(*args, _orig=getattr(MultiMatrixAlgebra, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _orig(*args, **kwargs)
-        monkeypatch.setattr(MultiMatrixAlgebra, name, spy)
-    singular_values = MultiMatrixAlgebra.singular_values
-    monkeypatch.setattr(MultiMatrixAlgebra, "singular_values",
-                        lambda self, x: stacks.append(np.shape(x)) or singular_values(self, x))
+    calls, stacks = _spy_kernels(monkeypatch, ["eigh", "min_eigenvalues", "singular_values"])
     omega = enumerate_group_algebra(gd4)[index].functional
     rep = decompose(gd4, omega)
     assert rep.haar == (index == 0)
-    assert counts == {"eigh": 1, "min_eigenvalues": 0}
+    assert [name for name, _, _ in calls].count("eigh") == 1 and "min_eigenvalues" not in [name for name, _, _ in calls]
+    assert stacks == [[rep.abs_r, rep.abs_l]]
+    assert [(name, shape) for name, shape, by_owner in calls if by_owner] == [("singular_values", (2, gd4.dim)),
+                                                                            ("eigh", (2, gd4.dim))]
     # the one pass, the idempotency defects and the centrality of supp |ω|_r
-    # (four rows) are the only stacks of several vecs
-    assert [shape for shape in stacks if len(shape) > 1 and shape[0] > 1] == [(3, gd4.dim), (2, gd4.dim),
-                                                                            (4, gd4.dim)]
+    # (four rows) are the only other stacks of several vecs
+    assert [shape for name, shape, by_owner in calls
+            if name == "singular_values" and not by_owner and len(shape) > 1 and shape[0] > 1] == [
+        (3, gd4.dim), (2, gd4.dim), (4, gd4.dim)]
     assert rep.roundtrip_r == (act_left(rep.v, rep.abs_r) - omega).norm
     assert rep.roundtrip_l == (act_right(rep.abs_l, rep.v) - omega).norm
     assert rep.haar_gap == ((rep.abs_r - rep.abs_l).norm if rep.haar else None)
+
+
+@pytest.mark.parametrize("kind", ["function", "group"])
+@pytest.mark.parametrize("subset", [{0, 1, 2}, set(), {0, 7}, {0, -1}], ids=["unclosed", "empty", "out-of-range",
+                                                                          "negative"])
+def test_enumerations_refuse_a_non_subgroup(cs3, gs3, kind, subset):
+    """Given subgroups are checked before anything is listed: on S3 the set
+    {0, 1, 2} is not closed, the empty set holds no identity, and 7 and −1
+    are no element indices (−1 would wrap round the table).  Each is refused
+    with the ValueError that names the requirement, by both enumerators; a
+    subgroup given lists the default's items of that subgroup."""
+    G, enumerate_items = (cs3, enumerate_function_algebra) if kind == "function" else (gs3, enumerate_group_algebra)
+    with pytest.raises(ValueError, match="requires a subgroup of the table"):
+        enumerate_items(G, [G.table.closure([1]), frozenset(subset)])
+    subgroup = G.table.closure([3])
+    picked = enumerate_items(G, [subgroup])
+    assert [item.label for item in picked] == [item.label for item in enumerate_items(G) if item.subgroup == subgroup]
+
+
+def _spy_owners(monkeypatch):
+    """The stacks each owner of a functional's facts is given, by fact."""
+    stacks = {"norm": [], "polar": [], "state_defects": [], "idempotency": []}
+    for fact, module, name in (("norm", quidem.algebra, "_keep_norms"), ("polar", quidem.algebra, "_keep_polars"),
+                               ("state_defects", quidem.algebra, "_keep_state_defects"),
+                               ("idempotency", quidem.convolution, "_idempotency_defects")):
+        def spy(*args, _owner=getattr(module, name), _fact=fact):
+            stacks[_fact].append(list(args[-1]))
+            return _owner(*args)
+        monkeypatch.setattr(module, name, spy)
+    return stacks
+
+
+@pytest.mark.parametrize("group, spec", [("cstar:sn:4", "index:233"), ("cfun:sn:4", "index:40"),
+                                         ("cfun:sn:4", "subgroup-character:1,2:1"),
+                                         ("cstar:sn:4", "coset-indicator:1:0"), ("cstar:sn:4", "point:3")])
+def test_single_pick_sources_measure_one_functional(monkeypatch, group, spec):
+    """A CLI source that picks one item of an enumeration drops the others,
+    which are freed at once: through the contractive check and decompose,
+    the owners measure ω alone and its absolute values as the pair that ω's
+    polar parts make.  The control: an enumeration that is kept alive is
+    measured whole on its first request."""
+    G = builtin(group)
+    stacks = _spy_owners(monkeypatch)
+    omega = quidem.cli._parse_functional(G, spec)
+    assert is_contractive_idempotent(G, omega)
+    rep = decompose(G, omega)
+    pair = [rep.abs_r, rep.abs_l]
+    assert stacks["norm"][0] == [omega] and stacks["polar"][0] == [omega] and stacks["idempotency"][0] == [omega]
+    assert stacks["state_defects"][0] == pair and stacks["idempotency"][1] == pair
+    assert all(len(stack) == 1 for stack in stacks["norm"] + stacks["polar"])
+    items = quidem.cli._enumerate(G)
+    assert abs(items[7].functional.norm - 1.0) <= 1e-12
+    assert stacks["norm"][-1] == [items[7].functional] + [item.functional for k, item in enumerate(items) if k != 7]
+
+
+def test_cohort_skips_dropped_members(gd4, monkeypatch):
+    """The items a caller dropped are freed and skipped: the first request
+    for a fact measures the live members only, with the asking one first,
+    and a later request of any member measures nothing more."""
+    stacks = _spy_owners(monkeypatch)
+    functionals = [item.functional for item in enumerate_group_algebra(gd4)]
+    kept = functionals[::3]
+    del functionals
+    gc.collect()
+    cohort = kept[0]._cohort
+    assert sum(ref() is None for ref in cohort.members) == len(cohort.members) - len(kept) > 0
+    assert abs(kept[1].norm - 1.0) <= 1e-12
+    assert stacks["norm"] == [[kept[1], kept[0], *kept[2:]]]
+    assert max(abs(f.norm - 1.0) for f in kept) <= 1e-12 and len(stacks["norm"]) == 1
+    idempotency_defect = quidem.idempotents.idempotency_defect
+    assert idempotency_defect(gd4, kept[2]) == gd4.idempotency[kept[2]] <= 1e-12
+    assert stacks["idempotency"] == [[kept[2], kept[0], kept[1], *kept[3:]]]
+    assert max(map(idempotency_defect, [gd4] * len(kept), kept)) <= 1e-12 and len(stacks["idempotency"]) == 1
+
+
+def _cohort_reads(G, omega):
+    """The facts a classification reads of ω: its norm, its idempotency
+    defect and the state defects of both absolute values."""
+    parts = omega.polar
+    return omega.norm, quidem.idempotents.idempotency_defect(G, omega), parts.abs_r.state_defects, \
+        parts.abs_l.state_defects
+
+
+def test_cohort_shared_by_threads():
+    """Eight threads, switching every microsecond, read the facts of one
+    fresh enumeration of C*(D4), each starting at its own item: whichever
+    thread's request takes a stack, every read equals the lone value."""
+    G = builtin("cstar:dn:4")
+    functionals = [item.functional for item in enumerate_group_algebra(G)]
+    want = [_cohort_reads(G, _lone(f)) for f in functionals]
+    reads = []
+
+    def work(start):
+        for k in range(start, start + len(functionals)):
+            k %= len(functionals)
+            reads.append((k, _cohort_reads(G, functionals[k])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reads) == 8 * len(functionals) and all(got == want[k] for k, got in reads)
+
+
+def _lone(f):
+    """A functional with a copy of f's density and no cohort: a stack of one."""
+    return Functional(f.algebra, f.algebra.from_vec(f.density.vec))
+
+
+@pytest.mark.parametrize("kind", ["function", "group"])
+def test_zero_member_raises_only_its_own_error(cz4, gd4, kind):
+    """A zero functional in a cohort has no polar parts: it raises when it
+    is asked, and only then, while its siblings take theirs in the stack,
+    byte for byte their lone values, with the state defects of their
+    absolute values.  On C*(D4) a density with NaN in its 2×2 block raises
+    LinAlgError on its norm, as it does alone, and its siblings' norms are
+    their lone ones; so does an overflow warning turned into an error."""
+    G, enumerate_items = (cz4, enumerate_function_algebra) if kind == "function" else (gd4, enumerate_group_algebra)
+    first, second = (_lone(item.functional) for item in enumerate_items(G)[-2:])
+    zero = Functional.zero(G.algebra)
+    _Cohort([first, zero, second])
+    assert first.polar is not None and "polar" in second.__dict__ and "polar" not in zero.__dict__
+    with pytest.raises(ValueError, match="zero functional"):
+        zero.polar
+    for f in (first, second):
+        parts, alone = f.polar, _lone(f).polar
+        for got, want in ((parts.u, alone.u), (parts.abs_r.density, alone.abs_r.density),
+                          (parts.abs_l.density, alone.abs_l.density)):
+            assert got.vec.tobytes() == want.vec.tobytes()
+        assert parts.abs_l.state_defects == alone.abs_l.state_defects
+        assert parts.abs_r.state_defects == alone.abs_r.state_defects
+    assert zero.norm == 0.0
+    if kind == "group":
+        vec = np.zeros(G.dim, dtype=np.complex128)
+        vec[-1] = np.nan
+        first, second = (_lone(item.functional) for item in enumerate_items(G)[:2])
+        bad = Functional(G.algebra, G.algebra.from_vec(vec))
+        _Cohort([first, bad, second])
+        assert first.norm == _lone(first).norm and second.norm == _lone(second).norm
+        for f in (bad, _lone(bad)):
+            with pytest.raises(np.linalg.LinAlgError):
+                f.norm
+    # with warnings as errors, a sibling whose norm overflows raises its
+    # warning when it is asked, as alone, and never when a sibling is
+    vec = np.zeros(G.dim, dtype=np.complex128)
+    vec[:2] = 1e308   # two 1×1 blocks: their sum overflows
+    first, second = (_lone(item.functional) for item in enumerate_items(G)[:2])
+    huge = Functional(G.algebra, G.algebra.from_vec(vec))
+    _Cohort([first, huge, second])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert first.norm == _lone(first).norm and second.norm == _lone(second).norm
+        for f in (huge, _lone(huge)):
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                f.norm

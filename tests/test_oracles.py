@@ -63,7 +63,7 @@ from quidem import (
 from quidem import groups, qgroup, wedderburn
 from quidem.algebra import STATE_TOL, above_cutoff, is_central, polar_decompose, tensor_algebra
 from quidem.catalogue import builtin
-from quidem.convolution import commutes_with_right_convolutions, convolve, idempotency_defect
+from quidem.convolution import _idempotency_defects, commutes_with_right_convolutions, convolve, idempotency_defect
 from quidem.groups import GroupTable, characters
 from quidem.idempotents import (
     _character_defect,
@@ -72,6 +72,7 @@ from quidem.idempotents import (
     decompose,
     enumerate_function_algebra,
     enumerate_group_algebra,
+    is_contractive_idempotent,
     is_haar_idempotent,
 )
 from quidem.qgroup import (
@@ -871,6 +872,29 @@ BUILTINS_TO_DIM_24 = (
 )
 
 
+@pytest.mark.parametrize("spec", BUILTINS_TO_DIM_24)
+def test_stacked_convolution_is_convolve_cov(spec):
+    """The one einsum of _idempotency_defects over a stack of covectors c
+    is, byte for byte, G.convolve_cov(c, c) of each, and the defects the
+    kernel returns are those of the per-functional route: the enumerated
+    items (on KP the counit and the Haar state) and two random functionals."""
+    G = builtin(spec)
+    A, rng = G.algebra, np.random.default_rng(G.dim)
+    if G.kind == "kp":
+        functionals = [G.counit, G.haar]
+    else:
+        functionals = [item.functional for item in (enumerate_group_algebra if G.kind == "group"
+                                                     else enumerate_function_algebra)(G)]
+    functionals += [Functional.from_covector(A, rng.standard_normal(G.dim) + 1j * rng.standard_normal(G.dim))
+                    for _ in range(2)]
+    c = np.array([f.covector for f in functionals])
+    stacked = np.einsum("ki,kj,ijc->kc", c, c, G.d3)
+    assert stacked.tobytes() == np.array([G.convolve_cov(cov, cov) for cov in c]).tobytes()
+    assert _idempotency_defects(G, functionals) == [
+        A.trace_norms((G.convolve_cov(f.covector, f.covector)[A.transpose_perm] - f.density.vec)[None])[0]
+        for f in functionals]
+
+
 def _ref_group_algebra(table):
     """C*(G) the way group_algebra built it before it read explicit irreps:
     verify C(G), split its dual's regular representation, and record the
@@ -1661,6 +1685,44 @@ def test_decompose_matches_the_per_step_reference(name):
                                                              strict=True):
                 assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
     assert len(functionals) >= 5 and haar >= 2
+
+
+COHORT_GROUPS = ["czn:4", "czn:6", "czn:16", "cfun:sn:3", "cfun:sn:4", "cstar:zn:4", "cstar:dn:4", "cstar:dn:5",
+                 "cstar:sn:3", "cstar:sn:4"]
+
+
+@pytest.mark.parametrize("name", COHORT_GROUPS)
+def test_cohort_facts_are_those_of_a_lone_functional(name):
+    """The items of an enumeration form a cohort, whose facts are taken in
+    stacks on first use.  Checked item by item as quidem enumerate does it,
+    each equals byte for byte the fact of a lone functional, a stack of one
+    built from a copy of the same density: the norm, the polar parts u,
+    |ω|_r and |ω|_l, the state_defects of both absolute values, the
+    G.idempotency entries of ω and of both, the contractive verdict and
+    every field of decompose."""
+    G, functionals = _decompose_cases(name)
+    assert abs(functionals[0].norm - 1.0) <= 1e-12 and all("norm" in f.__dict__ for f in functionals)   # one stack
+    runs = [(is_contractive_idempotent(G, omega), decompose(G, omega, TOL)) for omega in functionals]
+    for omega, (verdict, rep) in zip(functionals, runs):
+        lone = Functional(G.algebra, G.algebra.from_vec(omega.density.vec))
+        assert lone._cohort is None
+        assert is_contractive_idempotent(G, lone) == verdict
+        ref = decompose(G, lone, TOL)
+        assert type(omega.norm) is type(lone.norm) is float and omega.norm == lone.norm
+        assert G.idempotency[omega] == G.idempotency[lone]
+        assert omega.polar.u.vec.tobytes() == lone.polar.u.vec.tobytes()
+        for sigma, alone in ((rep.abs_r, ref.abs_r), (rep.abs_l, ref.abs_l)):
+            assert sigma.density.vec.tobytes() == alone.density.vec.tobytes()
+            assert sigma.state_defects == alone.state_defects
+            assert G.idempotency[sigma] == G.idempotency[alone]
+        for field in dataclasses.fields(rep):
+            got, want = getattr(rep, field.name), getattr(ref, field.name)
+            if _vec(got) is not None:
+                assert _vec(got).tobytes() == _vec(want).tobytes(), field.name
+            elif isinstance(got, qgroup.QuantumSubgroup):
+                assert got is want, field.name
+            else:
+                assert type(got) is type(want) and got == want, field.name
 
 
 def test_flipped_character_fails_the_batched_check():

@@ -62,7 +62,7 @@ def test_image_of_counit_is_everything(cz4):
 def test_image_of_haar_is_scalars(kp):
     X = image_subspace(left_conv_operator(kp, kp.haar))
     assert X.dim == 1
-    assert _residual(X, kp.algebra.identity() * (1 / np.sqrt(kp.algebra.identity().trace_norm))) <= 1e-8
+    assert _residual(X, kp.algebra.identity() * (1 / np.sqrt(kp.algebra.trace_norms(kp.algebra.identity().vec[None])[0]))) <= 1e-8
 
 
 def test_image_of_mu0_is_antiperiodic(cz4, mu0):
