@@ -37,7 +37,6 @@ from .idempotents import (
     decompose,
     enumerate_function_algebra,
     enumerate_group_algebra,
-    extract_subgroup_character,
     idempotency_defect,
     is_contractive_idempotent,
     is_haar_idempotent,

@@ -89,8 +89,16 @@ def _load_group(spec: str) -> FiniteQuantumGroup:
     raise ValueError(f"group source must be builtin:NAME or file:PATH, got {spec!r}")
 
 
+def _integer(text: str, spec: str) -> int:
+    """An integer of functional source spec; ValueError naming spec otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer in functional source {spec!r}") from None
+
+
 def _element(G: FiniteQuantumGroup, text: str, spec: str) -> int:
-    g = int(text)
+    g = _integer(text, spec)
     if not 0 <= g < G.table.order:
         raise ValueError(f"element {g} out of range 0..{G.table.order - 1} in functional source {spec!r}")
     return g
@@ -125,19 +133,19 @@ def _functional_source(G: FiniteQuantumGroup, spec: str) -> Functional:
             return _coset_indicator(G, frozenset({G.table.identity}), g)
         return Functional.from_covector(G.algebra, np.eye(G.table.order)[g])
     if parts[0] == "index" and len(parts) == 2:
-        k = int(parts[1])
+        k = _integer(parts[1], spec)
         items = _enumerate(G)
         if not 0 <= k < len(items):
-            raise ValueError(f"index {k} out of range; enumeration has {len(items)} items")
+            raise ValueError(f"index {k} out of range; enumeration has {len(items)} items in functional source {spec!r}")
         return items[k].functional
     if parts[0] == "subgroup-character" and len(parts) == 3:
         if G.kind != "function":
             raise ValueError("subgroup-character requires a function algebra")
         subgroup = G.table.closure([_element(G, x, spec) for x in parts[1].split(",") if x != ""])
         items = enumerate_function_algebra(G, [subgroup])
-        k = int(parts[2])
+        k = _integer(parts[2], spec)
         if not 0 <= k < len(items):
-            raise ValueError(f"character index {k} out of range ({len(items)} characters)")
+            raise ValueError(f"character index {k} out of range ({len(items)} characters) in functional source {spec!r}")
         return items[k].functional
     if parts[0] == "coset-indicator" and len(parts) == 3:
         if G.kind != "group":

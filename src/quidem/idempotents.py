@@ -75,17 +75,20 @@ def construct(
     """From an idempotent state σ and a contraction u whose group-like defect
     vanishes in the σ⊗σ seminorm, produce (u.σ, σ.u*, u.σ.u*).
 
-    σ(u*u) is forced to be 0 or 1; the zero branch returns zero functionals,
-    the unit branch returns two contractive idempotents and an idempotent
-    state."""
+    The seminorm, the square root of group_like_defect, is compared with tol
+    (its square with tol², which needs no square root).  σ(u*u) is then
+    forced to be 0 or 1; the zero branch returns zero functionals, the unit
+    branch returns two contractive idempotents and an idempotent state."""
+    if u.algebra != G.algebra:
+        raise ValueError("construct requires u in the algebra of G")
     state_tol = max(tol, STATE_TOL)
     if not is_idempotent(G, sigma, state_tol) or not sigma.is_state(state_tol):
         raise ValueError("construct requires an idempotent state")
     if u.operator_norm > 1 + tol:
         raise ValueError(f"construct requires a contraction, got norm {u.operator_norm:.6f}")
-    defect = group_like_defect(G, sigma, u)
-    if defect > tol:
-        raise ValueError(f"group-like defect {defect:.3e} exceeds tolerance {tol:g}")
+    square = group_like_defect(G, sigma, u)
+    if square > tol * tol:
+        raise ValueError(f"group-like defect {np.sqrt(square):.3e} exceeds tolerance {tol:g}")
     value = sigma(u.adjoint() * u).real
     if abs(value) > tol and abs(value - 1.0) > tol:
         raise RuntimeError(f"dichotomy violated: σ(u*u) = {value:.6f} is neither 0 nor 1")
@@ -184,29 +187,6 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
         rep.character_group_like = group_like_residual(H, u)
         rep.character_defect = _character_defect(omega, sub, u)
     return rep
-
-
-def extract_subgroup_character(G: FiniteQuantumGroup, omega: Functional,
-                               tol: float = CHECK_TOL) -> tuple[QuantumSubgroup, AlgebraElement]:
-    """For a contractive idempotent whose right absolute value is a Haar
-    idempotent: the quantum subgroup carried by its support together with the
-    group-like unitary u = π(v), satisfying ω = h_H(π(·)u) and abs_r = abs_l.
-    Judges decompose(G, ω, tol) at tol: ValueError unless |ω|_r is a Haar
-    idempotent and the Haar state of H, RuntimeError on any other defect."""
-    rep = decompose(G, omega, tol)
-    if not rep.haar:
-        raise ValueError("absolute value is not a Haar idempotent")
-    if not rep.haar_gap <= tol:
-        raise RuntimeError("Haar case must have equal absolute values")
-    if rep.subgroup is None:
-        raise RuntimeError("decomposition defects exceed tolerance")
-    if not rep.subgroup_haar <= tol:
-        raise ValueError(f"absolute value is not the Haar state of its subgroup (defect {rep.subgroup_haar:.3e})")
-    if not rep.character_group_like <= tol:
-        raise RuntimeError("extracted character is not a group-like unitary on the subgroup")
-    if not rep.character_defect <= tol:
-        raise RuntimeError(f"ω != h_H(π(·)u) (defect {rep.character_defect:.3e})")
-    return rep.subgroup, rep.character
 
 
 def _character_defect(omega: Functional, sub: QuantumSubgroup, u: AlgebraElement) -> float:

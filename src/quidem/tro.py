@@ -77,9 +77,12 @@ class OperatorSubspace:
         return weakref.WeakKeyDictionary()
 
     def right_invariance(self, G: FiniteQuantumGroup) -> float:
-        """invariance_defect(G, X), measured once per group and kept in X.invariance."""
+        """invariance_defect(G, X), measured once per group and kept in
+        X.invariance; ValueError if X lies in another algebra than G's."""
         defect = self.invariance.get(G)
         if defect is None:
+            if self.algebra != G.algebra:
+                raise ValueError("subspace lives in a different algebra")
             defect = self.invariance[G] = invariance_defect(G, self)
         return defect
 

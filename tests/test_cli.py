@@ -660,6 +660,13 @@ def _input_error(group, spec):
     ("czn:4", "-:"),
     ("czn:4", "-point:0"),
     ("czn:4", "--functional"),
+    ("czn:4", "index:x"),
+    ("czn:4", "index:-1"),
+    ("czn:4", "point:1.5"),
+    ("czn:4", "point:"),
+    ("czn:4", "subgroup-character:0:x"),
+    ("czn:4", "subgroup-character:0:5"),
+    ("cstar:dn:3", "coset-indicator:0:x"),
 ])
 def test_malformed_functional_is_named(group, spec):
     assert repr(spec) in _input_error(group, spec)

@@ -34,7 +34,6 @@ from quidem.idempotents import (
     decompose,
     enumerate_function_algebra,
     enumerate_group_algebra,
-    extract_subgroup_character,
     group_like_defect,
     is_contractive_idempotent,
     is_idempotent,
@@ -120,6 +119,24 @@ def test_construct_dichotomy_rejects_bad_u(cz4):
     u = cz4.algebra.from_vec(np.array([1.0, 0, 0, 0]))  # σ(u*u) = 1/2, defect > 0
     with pytest.raises(ValueError):
         construct(cz4, sigma, u)
+
+
+@pytest.mark.parametrize("eps, seminorm", [(1e-5, 1.06e-5), (1e-7, 1.06e-7)])
+def test_construct_gates_the_group_like_seminorm_not_its_square(cz4, eps, seminorm):
+    """u = diag(1, 1+ε, 1, 1)/(1+ε) on C(Z4) is a contraction whose
+    group-like seminorm under the Haar state, about 1.06ε, exceeds tol =
+    1e-8 while its square does not: construct refuses u as an input and
+    names the seminorm, before the dichotomy σ(u*u) ∈ {0, 1} fails."""
+    u = cz4.algebra.from_vec(np.array([1, 1 + eps, 1, 1]) / (1 + eps))
+    square = group_like_defect(cz4, cz4.haar, u)
+    assert square <= 1e-8 < np.sqrt(square) == pytest.approx(seminorm, rel=1e-2)
+    with pytest.raises(ValueError, match=rf"^group-like defect {np.sqrt(square):.3e} exceeds tolerance 1e-08$"):
+        construct(cz4, cz4.haar, u)
+
+
+def test_construct_refuses_u_from_another_algebra(cz4):
+    with pytest.raises(ValueError, match="^construct requires u in the algebra of G$"):
+        construct(cz4, cz4.haar, function_algebra(cyclic(6)).algebra.identity())
 
 
 def test_decompose_counit(cz4):
@@ -233,31 +250,27 @@ def test_extract_requires_haar(gd4):
     for x in coset:
         values[x] = 1.0
     omega = Functional.from_covector(gd4.algebra, np.linalg.solve(gd4.lambda_basis.T, values))
-    with pytest.raises(ValueError):
-        extract_subgroup_character(gd4, omega)
+    rep = decompose(gd4, omega)
+    assert rep.haar is False and rep.haar_gap is None
+    assert rep.subgroup is None and rep.character is None
 
 
 def test_decompose_measures_and_does_not_judge():
     """Near-idempotents that pass the contractive guard at a loose tol come
     back with their defects measured, not raised: on C(Z4) the group-like
     seminorms exceed tol, on C*(D3) the Haar gap does, and neither gets a
-    subgroup.  extract_subgroup_character, which judges the report, raises
-    a RuntimeError on each."""
+    subgroup: the caller judges the defects the report holds."""
     G = function_algebra(cyclic(4))
     near = Functional(G.algebra, G.algebra.from_vec(np.array([0.5, 0.001, -0.5, 0])))
     rep = decompose(G, near, 1e-2)
     assert rep.haar and rep.subgroup is None and rep.character is None and rep.subgroup_haar is None
     assert min(rep.defect_r, rep.defect_l) > 1e-2 >= max(rep.roundtrip_r, rep.roundtrip_l, rep.haar_gap)
-    with pytest.raises(RuntimeError, match="^decomposition defects exceed tolerance$"):
-        extract_subgroup_character(G, near, 1e-2)
     H = group_algebra(dihedral(3))
     omega = Functional(H.algebra, H.algebra.from_vec(np.array([0.333333, 0, -0.333333, 0.57735, 0.001, 0])))
     rep = decompose(H, omega, 3e-2)
     assert rep.haar and rep.subgroup is None and rep.haar_gap == pytest.approx(1.153, rel=1e-3)
-    assert max(rep.idempotency_r, rep.idempotency_l, rep.defect_r, rep.defect_l, rep.roundtrip_r,
-               rep.roundtrip_l) <= 3e-2
-    with pytest.raises(RuntimeError, match="Haar case must have equal absolute values"):
-        extract_subgroup_character(H, omega, 3e-2)
+    assert rep.haar_gap > 3e-2 >= max(rep.idempotency_r, rep.idempotency_l, rep.defect_r, rep.defect_l,
+                                      rep.roundtrip_r, rep.roundtrip_l)
 
 
 def test_sharp_fixes_contractive_idempotents(cz4, gd4, mu0):
@@ -483,8 +496,8 @@ def test_contractive_verdict_and_decompose_measure_omega_once(gd4, monkeypatch):
 
 
 def test_support_of_abs_r_is_taken_once(gd4, monkeypatch):
-    """decompose, extract_subgroup_character and is_haar_idempotent(G, |ω|_r)
-    on one Haar ω share one support of |ω|_r, kept on its density: one
+    """Two decomposes and is_haar_idempotent(G, |ω|_r) on one Haar ω share
+    one support of |ω|_r, kept on its density, and one corner: one
     block_norms call for the three, and one stacked eigendecomposition of
     both absolute values, |ω|_r's read by its state check and its support
     alike, made with the one block_norms call of their state defects.  The
@@ -493,8 +506,7 @@ def test_support_of_abs_r_is_taken_once(gd4, monkeypatch):
     calls, stacks = _spy_kernels(monkeypatch, ["eigh", "block_norms"])
     omega = enumerate_group_algebra(gd4)[0].functional
     rep = decompose(gd4, omega)
-    assert rep.haar
-    extract_subgroup_character(gd4, omega)
+    assert rep.haar and decompose(gd4, omega).subgroup is rep.subgroup
     assert is_haar_idempotent(gd4, rep.abs_r)
     assert [name for name, _, by_owner in calls if not by_owner] == ["block_norms"]
     assert stacks == [[rep.abs_r, rep.abs_l]]

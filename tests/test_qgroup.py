@@ -25,8 +25,7 @@ from quidem import qgroup, wedderburn
 from quidem.algebra import MultiMatrixAlgebra, is_central, polar_decompose, support_projection
 from quidem.catalogue import builtin, save
 from quidem.cli import main
-from quidem.idempotents import (decompose, enumerate_function_algebra, enumerate_group_algebra,
-                                extract_subgroup_character)
+from quidem.idempotents import decompose, enumerate_function_algebra, enumerate_group_algebra
 from quidem.qgroup import (
     AXIOM_ROWS,
     FiniteQuantumGroup,
@@ -339,20 +338,18 @@ def test_cached_corner_matches_fresh_build(name):
         for sub in subgroups)
 
 
-def test_subgroup_character_rejects_a_state_that_is_not_the_subgroup_haar_state():
+def test_decompose_measures_a_state_that_is_not_the_subgroup_haar_state():
     """σ = 0.7δ₀ + 0.3δ₂ on C(Z4) has the central support {0, 2}, whose
     corner is the verified subgroup Z2, but σ is not its Haar state: at a
     tol loose enough for its idempotency defect 0.24, decompose measures
-    the trace norm ‖π_*σ − h_H‖ = 0.4, and extract_subgroup_character
-    names it as an input error."""
+    the trace norm ‖π_*σ − h_H‖ = 0.4, above that tol, for its caller to
+    judge."""
     G = function_algebra(cyclic(4))
     sigma = Functional.from_covector(G.algebra, np.array([0.7, 0, 0.3, 0]))
     assert verify_axioms(quotient_by_support(G, sigma.density.support).target, 1e-8).passed
     rep = decompose(G, sigma, 0.3)
     assert rep.subgroup.kept_blocks == (0, 2) and rep.subgroup_haar == pytest.approx(0.4, abs=1e-15)
-    message = r"^absolute value is not the Haar state of its subgroup \(defect 4\.000e-01\)$"
-    with pytest.raises(ValueError, match=message):
-        extract_subgroup_character(G, sigma, 0.3)
+    assert rep.subgroup_haar > 0.3
 
 
 def test_failed_kept_set_keeps_failing():

@@ -2,10 +2,11 @@
 
 The check is by name over the syntax trees, in src/ (outside the name's own
 definition), scripts/ and perfbench/.  A public method or property counts as
-read when some attribute access takes its name, and a module-level function
-that quidem/__init__.py does not export also when its name is loaded or
-imported.  A name that unrelated code also mentions therefore passes; a name
-that no code mentions is always caught.
+read when some attribute access takes its name, and a public module-level
+function, exported or not, also when its name is loaded or imported.  The
+re-exports of quidem/__init__.py are not reads: through them every exported
+name would pass.  A name that unrelated code also mentions therefore passes;
+a name that no code mentions is always caught.
 
 That is the blind spot of a check by spelling.  Three test-only names once
 passed it: TensorSplit.functional, read as far as the check could tell by
@@ -20,14 +21,18 @@ import functools
 from collections import Counter
 from pathlib import Path
 
-import quidem
-
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quidem"
+EXPORTS = PACKAGE / "__init__.py"
 READERS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 
 # Public names that may have no reader yet, each with its reason.
 ALLOWED = {
+    "catalogue.save",                  # read by the CI step "Installed console script"; workflows are not parsed
+    "convolution.sharp",               # the paper's ♯ involution, kept as library API
+    "idempotents.construct",           # builds the items of the non-classical catalogue (ROADMAP item 2)
+    "qgroup.dual",                     # the paper's dual quantum group, kept as library API
+    "qgroup.group_like_unitaries",     # builds the items of the non-classical catalogue (ROADMAP item 2)
     "GroupTable.is_normal",            # the classical oracle of the normality row (ROADMAP item 17)
     "MultiMatrixAlgebra.basis",        # the public coordinates: the basis elements e_i
     "OperatorSubspace.basis",          # the public coordinates: the orthonormal basis of X
@@ -41,15 +46,14 @@ def _trees() -> dict[Path, ast.Module]:
 
 
 def _definitions(trees: dict) -> dict[str, tuple[ast.FunctionDef, bool]]:
-    """Public module-level functions not exported by the package, and public
-    methods and properties, by qualified name, each with whether it is a
-    method."""
+    """Public module-level functions, and public methods and properties, by
+    qualified name, each with whether it is a method."""
     found = {}
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name not in quidem.__all__:
+            if isinstance(node, ast.FunctionDef):
                 found[f"{path.stem}.{node.name}"] = node, False
             elif isinstance(node, ast.ClassDef):
                 found.update((f"{node.name}.{item.name}", (item, True)) for item in node.body
@@ -75,7 +79,7 @@ def _mentions(tree: ast.AST) -> Counter:
 def unread_names() -> frozenset[str]:
     """The qualified names of the definitions that no reader mentions."""
     trees = _trees()
-    everywhere = sum(map(_mentions, trees.values()), Counter())
+    everywhere = sum((_mentions(tree) for path, tree in trees.items() if path != EXPORTS), Counter())
     unread = set()
     for qualified, (node, method) in _definitions(trees).items():
         elsewhere = everywhere - _mentions(node)

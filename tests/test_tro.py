@@ -136,6 +136,17 @@ def test_right_invariance_examples(cz4, mu0):
     assert is_right_invariant(cz4, whole)
 
 
+@pytest.mark.parametrize("entry", [is_right_invariant, recover_idempotent])
+def test_subspace_of_another_algebra_is_refused(cz4, entry):
+    """X, the image of the counit of C(Z6), lies in C^6: both public entries
+    that measure its right invariance under C(Z4) refuse it by name."""
+    cz6 = function_algebra(cyclic(6))
+    X = image_subspace(left_conv_operator(cz6, cz6.counit))
+    with pytest.raises(ValueError, match="^subspace lives in a different algebra$"):
+        entry(cz4, X)
+    assert not X.invariance
+
+
 def test_check_tro_expectation_counit_and_haar(cz4, kp):
     for G, omega in ((cz4, cz4.counit), (kp, kp.haar), (kp, kp.counit)):
         report = check_tro_expectation(G, omega)
