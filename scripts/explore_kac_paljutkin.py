@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from quidem import Functional, cesaro_limit, kac_paljutkin
-from quidem.algebra import CHECK_TOL, is_central, support_projection
+from quidem.algebra import CHECK_TOL, is_central
 from quidem.tro import Analysis
 
 
@@ -55,7 +55,7 @@ def main():
     print(f"distinct idempotent states discovered: {len(found)}\n")
     for k, omega in enumerate(found):
         a = Analysis(kp, omega, CHECK_TOL)
-        support = support_projection(omega.density)
+        support = omega.density.support
         ranks = tuple(int(round(np.trace(b).real)) for b in support.blocks)
         roundtrip = (a.recovery.functional - omega).norm if a.recovery.ok else float("nan")
         print(f"[{k}] haar={a.decomposition.haar}  support ranks per block={ranks} "

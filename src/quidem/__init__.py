@@ -9,7 +9,6 @@ from .algebra import (
     act_right,
     is_central,
     polar_decompose,
-    support_projection,
     tensor_algebra,
 )
 from .catalogue import (

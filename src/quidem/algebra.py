@@ -91,9 +91,9 @@ class MultiMatrixAlgebra:
     @cached_property
     def commutative(self) -> bool:
         """Every block is 1×1: the algebra is ℂⁿ.  multiply, adjoint,
-        block_norms, max_operator_norm, trace_norms, traces and the element's
-        support and polar parts then take their elementwise forms first, bit
-        for bit what the per-class route gives."""
+        block_norms, max_operator_norm, trace_norms and the element's support
+        and polar parts then take their elementwise forms first, bit for bit
+        what the per-class route gives."""
         return max(self.block_dims) == 1
 
     @cached_property
@@ -176,8 +176,6 @@ class MultiMatrixAlgebra:
         traces summed per vec, the class sums added in class order; in row
         order whatever the memory layout of x, as in trace_norms."""
         x = np.ascontiguousarray(x)
-        if self.commutative:   # ℂⁿ: each 1×1 trace is its entry
-            return x.sum(axis=-1)
         return sum(np.trace(b, axis1=-2, axis2=-1).sum(axis=-1) for _, _, b in self.blocks_by_size(x))
 
     @cached_property
@@ -385,7 +383,8 @@ class AlgebraElement:
 
     @cached_property
     def support(self) -> "AlgebraElement":
-        """The projection support_projection returns; taken once."""
+        """Support projection of a positive element, per block, keeping the
+        eigenvalues above RANK_CUTOFF times the largest positive one; taken once."""
         alg = self.algebra
         top = max(0.0, max(w.max() for _, w, _ in self.spectrum))
         if alg.commutative:   # ℂⁿ: each 1×1 product v·[kept]·v* with v = 1 is the flag, imaginary part +0
@@ -629,13 +628,6 @@ def polar_decompose(omega: Functional) -> PolarParts:
     return omega.polar
 
 
-def support_projection(x: AlgebraElement) -> AlgebraElement:
-    """Support projection of a positive element (range projection per block),
-    keeping eigenvalues above RANK_CUTOFF times the largest positive one:
-    x.support, taken once."""
-    return x.support
-
-
 def is_central(p: AlgebraElement, tol: float = STATE_TOL) -> bool:
     """True iff the projection p is a sum of full block identities, read
     off p.centrality."""
@@ -665,9 +657,6 @@ class TensorSplit:
         out[self.positions] = np.outer(np.asarray(u, dtype=np.complex128),
                                        np.asarray(v, dtype=np.complex128)).ravel()
         return out
-
-    def element(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        return self.algebra.from_vec(self.scatter(a.vec, b.vec))
 
     @cached_property
     def flip(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from .convolution import cesaro_limit
 from .idempotents import (contractive_defect, enumerate_function_algebra, enumerate_group_algebra,
                           is_contractive_idempotent, is_haar_idempotent)
 from .qgroup import FiniteQuantumGroup, cocommutativity_defect, commutativity_defect, verify_axioms
-from .tro import Analysis, is_tro, weight_defect
+from .tro import Analysis, weight_defect
 
 
 @dataclass
@@ -250,7 +250,7 @@ def _decomposition(a: Analysis | None, report: Report):
     tro = a.tro_report
     report.measured(tol, {f"mixed product {name}": value for name, value in tro.identity_residuals.items()})
     report.measured(tol, {f"tro {name}": value for name, value in tro.expectation_residuals.items()})
-    report.add("image is TRO", is_tro(a.image, tol), a.image.tro_defect, tol)
+    report.measured(tol, {"image is TRO": a.image.tro_defect})
     _expectation(a, report)
 
 
@@ -279,8 +279,8 @@ def cmd_tro(G: FiniteQuantumGroup, args, report: Report):
         return
     X, tol = a.image, a.tol
     report.info["image_dim"] = X.dim
-    report.add("image is TRO", is_tro(X, tol), X.tro_defect, tol)
-    report.measured(tol, {"image nondegenerate": X.rank_deficit, "image right invariant": X.right_invariance(G)})
+    report.measured(tol, {"image is TRO": X.tro_defect, "image nondegenerate": X.rank_deficit,
+                          "image right invariant": X.right_invariance(G)})
     report.info["linking_dims"] = list(a.linking.corner_dims())
     report.measured(tol, {"linking corners right invariant": max(c.right_invariance(G) for c in X.product_spans)})
     _expectation(a, report)

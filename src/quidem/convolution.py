@@ -13,11 +13,16 @@ from .algebra import _SCREEN_MARGIN, CHECK_TOL, STATE_TOL, Functional, _rows, _t
 from .qgroup import FiniteQuantumGroup
 
 
+def _require_on(G: FiniteQuantumGroup, *functionals: Functional):
+    """Raise ValueError unless every functional lives on the algebra of G."""
+    if any(f.algebra != G.algebra for f in functionals):
+        raise ValueError("functionals do not live on this quantum group")
+
+
 def convolve(G: FiniteQuantumGroup, omega: Functional, mu: Functional) -> Functional:
     """ω ⋆ μ = (ω ⊗ μ) ∘ Δ, computed through the adjoint of Δ on covectors."""
-    if omega.algebra != G.algebra or mu.algebra != G.algebra:
-        raise ValueError("functionals do not live on this quantum group")
-    return Functional.from_covector(G.algebra, G.convolve_cov(omega.covector, mu.covector))
+    _require_on(G, omega, mu)
+    return Functional.from_covector(G.algebra, np.einsum("i,j,ijc->c", omega.covector, mu.covector, G.d3))
 
 
 def idempotency_defect(G: FiniteQuantumGroup, omega: Functional) -> float:
@@ -42,10 +47,9 @@ def idempotency_defects(G: FiniteQuantumGroup, functionals) -> list[float]:
 
 def _idempotency_defects(G: FiniteQuantumGroup, functionals) -> list[float]:
     """‖ω⋆ω − ω‖ in the dual norm of each ω, from one stacked convolution,
-    bit for bit G.convolve_cov of each, and one stacked trace norm."""
+    bit for bit convolve of each, and one stacked trace norm."""
+    _require_on(G, *functionals)
     A = G.algebra
-    if any(f.algebra != A for f in functionals):
-        raise ValueError("functionals do not live on this quantum group")
     c = _rows([f.covector for f in functionals])
     # the density of a covector c is c[transpose_perm], so this is (ω⋆ω)'s density minus ω's
     return A.trace_norms((np.einsum("ki,kj,ijc->kc", c, c, G.d3) - c)[:, A.transpose_perm])
@@ -63,12 +67,16 @@ class ConvolutionOperator:
 
 
 def left_conv_operator(G: FiniteQuantumGroup, omega: Functional) -> ConvolutionOperator:
+    _require_on(G, omega)
     return ConvolutionOperator(G, G.left_matrix(omega.covector))
 
 
 def commutes_with_right_convolutions(G: FiniteQuantumGroup, matrix: np.ndarray, tol: float = STATE_TOL) -> bool:
     """Check T R_ν = R_ν T for ν running over the dual basis (hence all ν); as
-    ‖c‖₂ ≤ ‖c‖_F, a commutator c takes an SVD only if ‖c‖_F ≥ tol(1 − _SCREEN_MARGIN)."""
+    ‖c‖₂ ≤ ‖c‖_F, a commutator c takes an SVD only if ‖c‖_F ≥ tol(1 − _SCREEN_MARGIN).
+    ValueError unless T is a (dim, dim) matrix on the algebra of G."""
+    if np.shape(matrix) != (G.dim, G.dim):
+        raise ValueError(f"operator of shape {np.shape(matrix)} does not act on this quantum group (dim {G.dim})")
     r = np.swapaxes(G.d3, 0, 1)            # r[j] = R_{e_j*} = d3[:, j, :]
     comm = matrix @ r - r @ matrix
     comm = comm[~(np.linalg.norm(comm, axis=(-2, -1)) <= tol * (1 - _SCREEN_MARGIN))]
@@ -77,7 +85,8 @@ def commutes_with_right_convolutions(G: FiniteQuantumGroup, matrix: np.ndarray, 
 
 def sharp(G: FiniteQuantumGroup, omega: Functional) -> Functional:
     """ω♯(a) = conj(ω(S(a)*)); an involution and a ⋆-anti-automorphism."""
-    return Functional.from_covector(G.algebra, G.sharp_cov(omega.covector))
+    _require_on(G, omega)
+    return Functional.from_covector(G.algebra, G.sharp_matrix @ np.conj(omega.covector))
 
 
 @dataclass(eq=False)

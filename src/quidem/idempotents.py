@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .convolution import idempotency_defect, idempotency_defects
 from .groups import GroupTable, characters
-from .qgroup import FiniteQuantumGroup, QuantumSubgroup, group_like_residual, quotient_by_support
+from .qgroup import FiniteQuantumGroup, QuantumSubgroup, _coproduct_defect, group_like_residual, quotient_by_support
 
 _FMT_ZERO = 1e-12   # real or imaginary parts below this print as zero
 
@@ -55,7 +55,7 @@ def _require_contractive(G: FiniteQuantumGroup, omega: Functional, tol: float):
 def group_like_defect(G: FiniteQuantumGroup, sigma: Functional, u: AlgebraElement) -> float:
     """(σ⊗σ)((Δu − u⊗u)*(Δu − u⊗u)), the seminorm-squared defect of u being
     group-like relative to σ."""
-    d = G.apply_comult(u) - G.ts.element(u, u)
+    d = G.ts.algebra.from_vec(_coproduct_defect(G, u))
     return _seminorm_sq(G, sigma, d.adjoint() * d)
 
 
@@ -166,7 +166,7 @@ def decompose(G: FiniteQuantumGroup, omega: Functional, tol: float = CHECK_TOL) 
     v = parts.u
     # group_like_defect's seminorm on both sides, from one d = Δv − v⊗v: the
     # right row takes d*d, the left row d d*
-    d = G.apply_comult(v) - G.ts.element(v, v)
+    d = G.ts.algebra.from_vec(_coproduct_defect(G, v))
     defect_r = float(np.sqrt(_seminorm_sq(G, abs_r, d.adjoint() * d)))
     defect_l = float(np.sqrt(_seminorm_sq(G, abs_l, d * d.adjoint())))
     # the trace norms of v.|ω|_r − ω, |ω|_l.v − ω and |ω|_r − |ω|_l in one pass

@@ -108,12 +108,6 @@ class FiniteQuantumGroup:
         out.flags.writeable = False
         return out
 
-    def apply_comult(self, x: AlgebraElement) -> AlgebraElement:
-        return self.ts.algebra.from_vec(self.comult @ x.vec)
-
-    def convolve_cov(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijc->c", c1, c2, self.d3)
-
     def left_matrix(self, cov: np.ndarray) -> np.ndarray:
         """Matrix of a ↦ (ω⊗id)Δ(a) for the functional with the given covector."""
         return np.einsum("i,ijc->jc", cov, self.d3)
@@ -121,9 +115,6 @@ class FiniteQuantumGroup:
     def right_matrix(self, cov: np.ndarray) -> np.ndarray:
         """Matrix of a ↦ (id⊗ω)Δ(a)."""
         return np.einsum("j,ijc->ic", cov, self.d3)
-
-    def sharp_cov(self, cov: np.ndarray) -> np.ndarray:
-        return self.sharp_matrix @ np.conj(cov)
 
     @cached_property
     def haar_weight_vec(self) -> np.ndarray:
@@ -382,9 +373,16 @@ def group_like_unitaries(G: FiniteQuantumGroup) -> list[AlgebraElement]:
 def group_like_residual(G: FiniteQuantumGroup, u: AlgebraElement) -> float:
     """max(‖u*u − 1‖, ‖uu* − 1‖, ‖Δu − u⊗u‖), zero exactly on the group-like
     unitaries; NaN if either part is (np.max keeps a NaN the builtin drops)."""
-    alg, star = G.algebra, G.algebra.adjoint(u.vec)
+    coproduct, alg, star = _coproduct_defect(G, u), G.algebra, G.algebra.adjoint(u.vec)
     return float(np.max([alg.max_operator_norm(alg.multiply([u.vec, star], [star, u.vec]) - alg.identity().vec),
-                         G.ts.algebra.max_operator_norm(G.comult @ u.vec - G.ts.scatter(u.vec, u.vec))]))
+                         G.ts.algebra.max_operator_norm(coproduct)]))
+
+
+def _coproduct_defect(G: FiniteQuantumGroup, u: AlgebraElement) -> np.ndarray:
+    """The vec of Δu − u⊗u in A⊗A; ValueError if u lies in another algebra than G's."""
+    if u.algebra != G.algebra:
+        raise ValueError("element lives in a different algebra than the quantum group")
+    return G.comult @ u.vec - G.ts.scatter(u.vec, u.vec)
 
 
 def is_group_like(G: FiniteQuantumGroup, u: AlgebraElement, tol: float = CHECK_TOL) -> bool:

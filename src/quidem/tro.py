@@ -48,11 +48,12 @@ class OperatorSubspace:
     def basis(self) -> list[AlgebraElement]:
         return [self.algebra.from_vec(self.matrix[:, j]) for j in range(self.dim)]
 
-    def projector(self) -> np.ndarray:
-        return self.matrix @ self.matrix.conj().T
-
     def equals(self, other: "OperatorSubspace", tol: float = CHECK_TOL) -> bool:
-        return float(np.linalg.norm(self.projector() - other.projector(), 2)) <= tol
+        """Equal orthogonal projections, within tol in operator norm; ValueError across algebras."""
+        if self.algebra != other.algebra:
+            raise ValueError("subspaces live in different algebras")
+        a, b = self.matrix, other.matrix
+        return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2)) <= tol
 
     @cached_property
     def tro_defect(self) -> float:

@@ -20,13 +20,12 @@ from quidem.algebra import (
     act_right,
     is_central,
     polar_decompose,
-    support_projection,
     tensor_algebra,
 )
 from quidem.catalogue import builtin
 
 from conftest import random_element, random_functional
-from test_oracles import _ref_tensor_functional, _ref_transpose_perm
+from test_oracles import _ref_tensor_element, _ref_tensor_functional, _ref_transpose_perm
 
 ALGEBRAS = [
     MultiMatrixAlgebra((1, 1)),
@@ -158,8 +157,8 @@ def test_polar_roundtrip(seed, which):
     parts = polar_decompose(omega)
     u = parts.u
     assert (u * u.adjoint() * u - u).operator_norm < 1e-9
-    s_r = support_projection(parts.abs_r.density)
-    s_l = support_projection(parts.abs_l.density)
+    s_r = parts.abs_r.density.support
+    s_l = parts.abs_l.density.support
     assert (u.adjoint() * u - s_r).operator_norm < 1e-9
     assert (u * u.adjoint() - s_l).operator_norm < 1e-9
     assert (act_left(u, parts.abs_r) - omega).norm < 1e-9
@@ -173,7 +172,7 @@ def test_polar_of_positive_functional_is_trivial():
     parts = polar_decompose(omega)
     assert (parts.abs_r - omega).norm < 1e-12
     assert (parts.abs_l - omega).norm < 1e-12
-    assert (parts.u - support_projection(omega.density)).operator_norm < 1e-10
+    assert (parts.u - omega.density.support).operator_norm < 1e-10
 
 
 def test_polar_of_sign_functional():
@@ -230,19 +229,19 @@ def test_null_space_of_faithful_state_is_zero():
     faithful state has s = 1."""
     alg = MultiMatrixAlgebra((1, 2))
     rng = np.random.default_rng(5)
-    assert np.allclose(support_projection(alg.random_state(rng).density).vec, alg.identity().vec)
+    assert np.allclose(alg.random_state(rng).density.support.vec, alg.identity().vec)
 
 
 def test_null_space_point_mass():
     alg = MultiMatrixAlgebra((1, 1))
     delta0 = Functional.from_covector(alg, np.array([1.0, 0.0]))
-    assert np.allclose((alg.identity() - support_projection(delta0.density)).vec, [0, 1])
+    assert np.allclose((alg.identity() - delta0.density.support).vec, [0, 1])
 
 
 def test_null_space_half_support():
     alg = MultiMatrixAlgebra((1, 1, 1, 1))
     sigma = Functional.from_covector(alg, np.array([0.5, 0, 0.5, 0]))
-    assert np.allclose((alg.identity() - support_projection(sigma.density)).vec, [0, 1, 0, 1])
+    assert np.allclose((alg.identity() - sigma.density.support).vec, [0, 1, 0, 1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -259,7 +258,7 @@ def test_null_space_is_left_ideal(seed, which):
     if total <= 0:
         return
     sigma = Functional(alg, alg.element(b / total for b in blocks))
-    null = random_element(alg, rng) * (alg.identity() - support_projection(sigma.density))
+    null = random_element(alg, rng) * (alg.identity() - sigma.density.support)
     for y in (null, random_element(alg, rng) * null):
         assert abs(sigma(y.adjoint() * y)) < 1e-9
 
@@ -291,7 +290,7 @@ def test_tensor_functional_values():
     f, g = random_functional(a, rng), random_functional(a, rng)
     x, y = random_element(a, rng), random_element(a, rng)
     fg = _ref_tensor_functional(ts, f, g)
-    assert fg(ts.element(x, y)) == pytest.approx(f(x) * g(y), abs=1e-10)
+    assert fg(_ref_tensor_element(ts, x, y)) == pytest.approx(f(x) * g(y), abs=1e-10)
 
 
 def test_covector_of_the_wrong_shape_is_refused_before_the_gather():
@@ -309,8 +308,8 @@ def test_tensor_element_multiplication_is_legwise():
     ts = tensor_algebra(a, a)
     rng = np.random.default_rng(11)
     x, y, z, w = (random_element(a, rng) for _ in range(4))
-    lhs = ts.element(x, y) * ts.element(z, w)
-    rhs = ts.element(x * z, y * w)
+    lhs = _ref_tensor_element(ts, x, y) * _ref_tensor_element(ts, z, w)
+    rhs = _ref_tensor_element(ts, x * z, y * w)
     assert (lhs - rhs).operator_norm < 1e-12
 
 
@@ -343,7 +342,7 @@ def test_counit_of_catalogue_group_has_norm_one(cz4, kp):
 def test_tensor_of_counits_on_unit(cz2):
     ts = tensor_algebra(cz2.algebra, cz2.algebra)
     pair = _ref_tensor_functional(ts, cz2.counit, cz2.counit)
-    unit = ts.element(cz2.algebra.identity(), cz2.algebra.identity())
+    unit = _ref_tensor_element(ts, cz2.algebra.identity(), cz2.algebra.identity())
     assert pair(unit) == pytest.approx(1.0)
 
 
@@ -484,7 +483,7 @@ def test_kernel_matches_per_block_loops():
         assert np.abs(got.vec - want).max() <= 1e-12
     assert [round(np.trace(b).real) for b in (parts.u.adjoint() * parts.u).blocks] == ranks
     for positive in (parts.abs_r.density, parts.abs_l.density):
-        support = support_projection(positive)
+        support = positive.support
         assert np.abs(support.vec - _support_per_block(positive.blocks, RANK_CUTOFF)).max() <= 1e-12
         assert [round(np.trace(b).real) for b in support.blocks] == ranks
 
@@ -517,25 +516,31 @@ _SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, complex(np.inf, 1.0), c
                      complex(np.nan, 2.0), complex(0.0, -0.0), 3.0 - 4.0j, 1e-300j, -2.0])
 
 
+def _special_stack(alg, n):
+    """A (4, 3, n) stack of vecs of ℂⁿ: random entries, with rows of special
+    values (zeros of either sign, NaN, ±inf), a zero row and a half-zero row."""
+    x = _random_stack(alg, np.random.default_rng(n), (4, 3))
+    x[0, 0] = np.resize(_SPECIAL, n)
+    x[1, 2] = np.resize(_SPECIAL[::-1], n)
+    x[2, 0] = 0.0
+    x[3, 1, ::2] = 0.0
+    return x
+
+
 @pytest.mark.parametrize("n", [1, 2, 6, 12, 24])
 def test_kernel_matches_per_block_loops_on_all_1x1_algebras(n):
     """On ℂⁿ multiply, adjoint, block_norms, max_operator_norm, trace_norms,
-    traces, the state defects, the polar parts and the support take their
+    the state defects, the polar parts and the support take their
     elementwise forms, and the other steps the 1×1 branch of the per-class
     route: bit for bit,
     and with the same warnings, what that route gives, on stacked leading
     axes, empty stacks, real stacks, zero entries of either sign (svd's
     phase is 1 there), NaN and ±inf; and bit for bit a loop over the 1×1
     blocks."""
-    rng = np.random.default_rng(n)
     alg = MultiMatrixAlgebra((1,) * n)
     twin = _per_class_twin(alg)
     assert alg.commutative and not twin.commutative
-    x = _random_stack(alg, rng, (4, 3))
-    x[0, 0] = np.resize(_SPECIAL, n)
-    x[1, 2] = np.resize(_SPECIAL[::-1], n)
-    x[2, 0] = 0.0
-    x[3, 1, ::2] = 0.0
+    x = _special_stack(alg, n)
     stacks = [x, x[0, 0], x[1, 1], x[2, 0], x[:0], x[:, :0], x.real, np.zeros(n)]
     steps = ("blocks_by_size", "multiply", "singular_values", "block_norms", "max_operator_norm",
              "min_eigenvalues", "svd", "eigh", "adjoint")
@@ -547,16 +552,14 @@ def test_kernel_matches_per_block_loops_on_all_1x1_algebras(n):
             assert _bits(got) == _bits(want), (step, v)
             assert got_warnings == want_warnings, (step, v)
     for v in (x[0], x[1], x[2], x[:, 1], x.real[3], x[0, :1], np.asfortranarray(x[1])):
-        for step in ("trace_norms", "traces"):
-            got, got_warnings = _recorded(getattr(alg, step), v)
-            want, want_warnings = _recorded(getattr(twin, step), v)
-            assert _bits(got) == _bits(want) and got_warnings == want_warnings, (step, v)
+        got, got_warnings = _recorded(alg.trace_norms, v)
+        want, want_warnings = _recorded(twin.trace_norms, v)
+        assert _bits(got) == _bits(want) and got_warnings == want_warnings, v
     # the element's and the functional's properties read the same kernel
     for v in (x[0, 0], x[1, 1], x[2, 0], x[1, 2], x[3, 1], np.full(n, complex(-0.0, -0.0))):
-        for prop in ("trace", "operator_norm"):
-            got, got_warnings = _recorded(getattr, alg.from_vec(v), prop)
-            want, want_warnings = _recorded(getattr, twin.from_vec(v), prop)
-            assert _bits(got) == _bits(want) and got_warnings == want_warnings, prop
+        got, got_warnings = _recorded(getattr, alg.from_vec(v), "operator_norm")
+        want, want_warnings = _recorded(getattr, twin.from_vec(v), "operator_norm")
+        assert _bits(got) == _bits(want) and got_warnings == want_warnings
         for prop in ("norm", "state_defects"):   # the trace norm; ‖d − d*‖, λ_min and the trace
             got, got_warnings = _recorded(getattr, Functional(alg, alg.from_vec(v)), prop)
             want, want_warnings = _recorded(getattr, Functional(twin, twin.from_vec(v)), prop)
@@ -593,6 +596,29 @@ def test_kernel_matches_per_block_loops_on_all_1x1_algebras(n):
                 assert _bits(phase[i]) == _bits(want_phase.reshape(1, 1))
                 assert _bits(w[i]) == _bits(v[i:i + 1].real) and _bits(vecs[i]) == _bits(np.ones((1, 1), v.dtype))
                 assert idx[i].tolist() == [i]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 24])
+def test_traces_on_all_1x1_algebras_are_the_elementwise_sums(n):
+    """On ℂⁿ traces, which has no elementwise form of its own, gives bit for
+    bit, and with the same warnings, the row sums of the contiguous stack
+    that such a form took, and AlgebraElement.trace the sum of its vec, on
+    the stacks of the kernel test: zeros of either sign, NaN, ±inf, real and
+    Fortran-ordered stacks."""
+    alg = MultiMatrixAlgebra((1,) * n)
+    x = _special_stack(alg, n)
+
+    def sums(v):
+        return np.ascontiguousarray(v).sum(axis=-1)
+
+    for v in (x[0], x[1], x[2], x[:, 1], x.real[3], x[0, :1], np.asfortranarray(x[1])):
+        got, got_warnings = _recorded(alg.traces, v)
+        want, want_warnings = _recorded(sums, v)
+        assert _bits(got) == _bits(want) and got_warnings == want_warnings, v
+    for v in (x[0, 0], x[1, 1], x[2, 0], x[1, 2], x[3, 1], np.full(n, complex(-0.0, -0.0))):
+        got, got_warnings = _recorded(getattr, alg.from_vec(v), "trace")
+        want, want_warnings = _recorded(lambda v: complex(sums(v[None])[0]), v)
+        assert _bits(got) == _bits(want) and got_warnings == want_warnings, v
 
 
 @pytest.mark.parametrize("block_dims", [(1, 1, 2, 3, 3), (1,) * 6])

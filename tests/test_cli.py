@@ -525,18 +525,24 @@ def test_cp_row_agrees_with_expectation_check_at_the_floor(capsys, monkeypatch, 
 
 @pytest.mark.parametrize("command", ["tro", "decompose"])
 def test_image_that_is_not_a_tro_fails_its_row_and_the_rest_is_measured(capsys, monkeypatch, command):
-    """When the image fails the TRO check, the "image is TRO" row is the one
-    verdict on it: the run fails on that row, no "inputs valid" row stops the
-    report, and the expectation rows on the linking algebra are measured."""
-    import quidem.cli
+    """When the image fails the TRO check, the "image is TRO" row, measured
+    from X.tro_defect, is the one verdict on it in the report's rows: the run
+    fails on that row and, in tro, on the recovery that reads the same defect;
+    no "inputs valid" row stops the report, and the expectation rows on the
+    linking algebra are measured."""
     import quidem.tro
 
-    monkeypatch.setattr(quidem.cli, "is_tro", lambda X, tol=1e-8: False)
-    monkeypatch.setattr(quidem.tro, "is_tro", lambda X, tol=1e-8: False)
+    monkeypatch.setattr(quidem.tro.OperatorSubspace, "tro_defect", 0.5)
     code, out = run(capsys, command, "--group", "builtin:czn:4", "--functional", "haar", "--json")
     rows = _rows(json.loads(out))
     assert code == 1
-    assert [name for name, row in rows.items() if not row["passed"]] == ["image is TRO"]
+    assert rows["image is TRO"]["defect"] == 0.5 and rows["image is TRO"]["tolerance"] == 1e-8
+    failed = [name for name, row in rows.items() if not row["passed"]]
+    if command == "tro":
+        assert failed == ["image is TRO", "recovered idempotent matches"]
+        assert rows["recovered idempotent matches"]["note"] == "not a TRO"
+    else:
+        assert failed == ["image is TRO"]
     assert "inputs valid" not in rows
     for name in ("expectation idempotent", "expectation fixes linking algebra", "expectation bimodule",
                  "expectation completely positive", "expectation preserves haar weight"):

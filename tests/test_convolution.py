@@ -330,6 +330,20 @@ def test_cesaro_rejects_seed_of_another_group(cz4, cz6):
         cesaro_limit(cz4, cz6.counit)
 
 
+@pytest.mark.parametrize("entry, refusal", [
+    (lambda G, H: left_conv_operator(G, H.counit), "^functionals do not live on this quantum group$"),
+    (lambda G, H: sharp(G, H.counit), "^functionals do not live on this quantum group$"),
+    (lambda G, H: convolve(G, G.counit, H.counit), "^functionals do not live on this quantum group$"),
+    (lambda G, H: commutes_with_right_convolutions(G, np.eye(H.dim)),
+     r"^operator of shape \(6, 6\) does not act on this quantum group \(dim 4\)$"),
+], ids=["left_conv_operator", "sharp", "convolve", "commutes_with_right_convolutions"])
+def test_input_of_another_algebra_is_refused(cz4, cz6, entry, refusal):
+    """A functional or an operator of C(Z6) given to C(Z4) is refused by
+    name, not by numpy's broadcast or matmul error."""
+    with pytest.raises(ValueError, match=refusal):
+        entry(cz4, cz6)
+
+
 def test_finish_stays_within_max_iter(cz6):
     """The finish costs three products, so a budget of three cannot pay for it."""
     result = cesaro_limit(cz6, _delta(cz6, 1), tol=1e-8, max_iter=3)

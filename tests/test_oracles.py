@@ -216,6 +216,11 @@ def _ref_tensor_functional(ts, f, g):
     return Functional(ts.algebra, ts.algebra.from_vec(ts.scatter(f.density.vec, g.density.vec)))
 
 
+def _ref_tensor_element(ts, a, b):
+    """a⊗b in the product algebra of the TensorSplit ts, from the Kronecker coordinates."""
+    return ts.algebra.from_vec(ts.scatter(a.vec, b.vec))
+
+
 def _ref_m2(alg):
     """M₂(A) = M₂⊗A: positions[(2i + j)·dim + a] is the vec index of e_ij⊗e_a."""
     return tensor_algebra(MultiMatrixAlgebra((2,)), alg)
@@ -265,8 +270,8 @@ def ref_verify_axioms(G):
     star = _ref_transpose_perm(A)
     defects = {}
 
-    one_tensor_one = ts.element(A.identity(), A.identity())
-    defects["comult_unital"] = _norm(G.apply_comult(A.identity()) - one_tensor_one)
+    one_tensor_one = _ref_tensor_element(ts, A.identity(), A.identity())
+    defects["comult_unital"] = _norm(AA.from_vec(G.comult @ A.identity().vec) - one_tensor_one)
 
     hom = 0.0
     for i in range(dim):
@@ -352,12 +357,12 @@ def ref_verify_axioms(G):
     antipodes = [A.from_vec(s_mat[:, j]) for j in range(dim)]
     left, right = 0.0, 0.0
     for c in range(dim):
-        t1 = -ts.element(basis[c], one)
-        t2 = -ts.element(one, basis[c])
+        t1 = -_ref_tensor_element(ts, basis[c], one)
+        t2 = -_ref_tensor_element(ts, one, basis[c])
         for i in range(dim):
             for j in range(dim):
-                t1 = t1 + d3[i, j, c] * (images[i] * ts.element(one, antipodes[j]))
-                t2 = t2 + d3[i, j, c] * (ts.element(antipodes[i], one) * images[j])
+                t1 = t1 + d3[i, j, c] * (images[i] * _ref_tensor_element(ts, one, antipodes[j]))
+                t2 = t2 + d3[i, j, c] * (_ref_tensor_element(ts, antipodes[i], one) * images[j])
         left, right = max(left, _norm(t1)), max(right, _norm(t2))
     defects["cancellation_left"] = left
     defects["cancellation_right"] = right
@@ -875,9 +880,10 @@ BUILTINS_TO_DIM_24 = (
 @pytest.mark.parametrize("spec", BUILTINS_TO_DIM_24)
 def test_stacked_convolution_is_convolve_cov(spec):
     """The one einsum of _idempotency_defects over a stack of covectors c
-    is, byte for byte, G.convolve_cov(c, c) of each, and the defects the
-    kernel returns are those of the per-functional route: the enumerated
-    items (on KP the counit and the Haar state) and two random functionals."""
+    is, byte for byte, the covector of convolve(G, ω, ω) of each, and the
+    defects the kernel returns are those of the per-functional route: the
+    enumerated items (on KP the counit and the Haar state) and two random
+    functionals."""
     G = builtin(spec)
     A, rng = G.algebra, np.random.default_rng(G.dim)
     if G.kind == "kp":
@@ -889,10 +895,9 @@ def test_stacked_convolution_is_convolve_cov(spec):
                     for _ in range(2)]
     c = np.array([f.covector for f in functionals])
     stacked = np.einsum("ki,kj,ijc->kc", c, c, G.d3)
-    assert stacked.tobytes() == np.array([G.convolve_cov(cov, cov) for cov in c]).tobytes()
+    assert stacked.tobytes() == np.array([convolve(G, f, f).covector for f in functionals]).tobytes()
     assert _idempotency_defects(G, functionals) == [
-        A.trace_norms((G.convolve_cov(f.covector, f.covector)[A.transpose_perm] - f.density.vec)[None])[0]
-        for f in functionals]
+        A.trace_norms((convolve(G, f, f).density.vec - f.density.vec)[None])[0] for f in functionals]
 
 
 def _ref_group_algebra(table):
@@ -1617,7 +1622,7 @@ def _ref_decompose(G, omega, tol):
     for sigma in (abs_r, abs_l):
         assert sigma.is_state(state_tol)
     v = parts.u
-    d = G.apply_comult(v) - G.ts.element(v, v)
+    d = G.ts.algebra.from_vec(G.comult @ v.vec) - _ref_tensor_element(G.ts, v, v)
     defect_r = float(np.sqrt(_seminorm_sq(G, abs_r, d.adjoint() * d)))
     defect_l = float(np.sqrt(_seminorm_sq(G, abs_l, d * d.adjoint())))
     A, dr, dl, dw = G.algebra, abs_r.density.vec, abs_l.density.vec, omega.density.vec
@@ -1842,7 +1847,7 @@ def test_seminorm_matches_tensor_functional(spec):
     for omega in functionals:
         parts = polar_decompose(omega)
         v = parts.u
-        d = G.apply_comult(v) - G.ts.element(v, v)
+        d = AA.from_vec(G.comult @ v.vec) - _ref_tensor_element(G.ts, v, v)
         y = random_element(AA, rng) * (1 / np.sqrt(AA.dim))
         for sigma in (parts.abs_r, parts.abs_l):
             for x in (d.adjoint() * d, d * d.adjoint(), y.adjoint() * y, y * y.adjoint()):
@@ -1923,11 +1928,16 @@ def test_star_residual_matches_loop_form(case):
 RANDOM_TRO_CASES = [((1, 1, 1, 1, 2), k) for k in (2, 3, 4, 5, 8)] + [((1, 2), k) for k in (1, 2, 5)]
 
 
+def _projector(X):
+    """The orthogonal projection onto the subspace X, as a (dim, dim) matrix."""
+    return X.matrix @ X.matrix.conj().T
+
+
 def _ref_product_spans(alg, xb):
     """Projectors onto the spans of the products x y* and x*y, x, y over the
     rows of xb, from loops over elements."""
     xs = [alg.from_vec(v) for v in xb]
-    return [_ref_image_subspace(np.column_stack([prod(x, y).vec for x in xs for y in xs]), alg).projector()
+    return [_projector(_ref_image_subspace(np.column_stack([prod(x, y).vec for x in xs for y in xs]), alg))
             for prod in (lambda x, y: x * y.adjoint(), lambda x, y: x.adjoint() * y)]
 
 
@@ -1951,7 +1961,7 @@ def test_tro_residuals_match_loop_form_off_idempotents(block_dims, k):
         xb = np.linalg.qr(_gaussian(rng, alg.dim, k))[0].T
         spans, rows = _spans(alg, xb)
         for span, want in zip(spans, _ref_product_spans(alg, xb)):
-            assert np.abs(span.projector() - want).max() <= AGREE
+            assert np.abs(_projector(span) - want).max() <= AGREE
         identity, expectation = _kernel_residuals(alg, lw, lr, ll, xb, spans)
         want = ref_expectation_residuals(alg, lw, xb, *rows)
         assert min(want.values()) > 0.05
@@ -2006,7 +2016,7 @@ def test_tro_basis_residuals_see_a_perturbed_map():
     lr, ll = (G.left_matrix(f.covector) for f in (parts.abs_r, parts.abs_l))
     image = OperatorSubspace.from_spanning(G.algebra, lw.T)
     assert image.dim == 4
-    perturbed = image.projector() @ (lw + 0.3 * _gaussian(np.random.default_rng(3), G.dim, G.dim))
+    perturbed = _projector(image) @ (lw + 0.3 * _gaussian(np.random.default_rng(3), G.dim, G.dim))
     xb = OperatorSubspace.from_spanning(G.algebra, perturbed.T).matrix.T
     assert len(xb) == 4
     kernel = _kernel_residuals(G.algebra, perturbed, lr, ll, xb, _spans(G.algebra, xb)[0])
@@ -2200,11 +2210,14 @@ def _ref_cesaro_limit(G, mu, tol, max_iter):
     the idempotency defect fall below tol; once defect·N exceeds tol·2^20,
     where the drift of repeated squaring competes with the O(1/N) error, the
     mean-ergodic projection of μ, checked as cesaro_limit checks it."""
-    conv, cov_mu = G.convolve_cov, mu.covector
+    cov_mu = mu.covector
     power = cov_mu.copy()          # μ^⋆N
     total = cov_mu.copy()          # Σ_{n≤N} μ^⋆n
     checkpoint, ops, increment, finish = 1, 0, 0.0, False
     reach = tol * 2 ** _REF_MAX_DOUBLINGS
+
+    def conv(c1, c2):
+        return np.einsum("i,j,ijc->c", c1, c2, G.d3)
 
     def norm(cov):
         return Functional.from_covector(G.algebra, cov).norm

@@ -22,7 +22,7 @@ from quidem import (
     verify_axioms,
 )
 from quidem import qgroup, wedderburn
-from quidem.algebra import MultiMatrixAlgebra, is_central, polar_decompose, support_projection
+from quidem.algebra import MultiMatrixAlgebra, is_central, polar_decompose
 from quidem.catalogue import builtin, save
 from quidem.cli import main
 from quidem.idempotents import decompose, enumerate_function_algebra, enumerate_group_algebra
@@ -161,6 +161,15 @@ def test_group_like_residual_keeps_a_nan_in_either_part(cz4, monkeypatch, norms)
     assert not is_group_like(cz4, cz4.algebra.identity(), 1.0)
 
 
+@pytest.mark.parametrize("entry", [qgroup.group_like_residual, is_group_like])
+@pytest.mark.parametrize("spec", ["czn:6", "kp"])
+def test_group_like_refuses_an_element_of_another_algebra(cz4, entry, spec):
+    """The identity of C(Z6) or of KP is no element of C(Z4): a named error,
+    not numpy's broadcast error."""
+    with pytest.raises(ValueError, match="^element lives in a different algebra than the quantum group$"):
+        entry(cz4, builtin(spec).algebra.identity())
+
+
 def test_lambda_basis_is_group_like(gd4):
     for g in (1, 4, 5):
         u = gd4.algebra.from_vec(gd4.lambda_basis[:, g])
@@ -198,7 +207,7 @@ def test_quotient_full_support(cz4):
 
 
 def test_quotient_by_counit_support(cz4):
-    s = support_projection(cz4.counit.density)
+    s = cz4.counit.density.support
     sub = quotient_by_support(cz4, s)
     assert sub.target.algebra.block_dims == (1,)
     assert verify_axioms(sub.target, 1e-9).passed
@@ -294,7 +303,7 @@ def _haar_supports(G, functionals):
     the functionals, as decompose hands it to quotient_by_support."""
     out = []
     for omega in functionals:
-        s = support_projection(polar_decompose(omega).abs_r.density)
+        s = polar_decompose(omega).abs_r.density.support
         if is_central(s, 1e-8):
             out.append(s)
     return out

@@ -147,6 +147,18 @@ def test_subspace_of_another_algebra_is_refused(cz4, entry):
     assert not X.invariance
 
 
+@pytest.mark.parametrize("order", ["C(Z4) vs C(Z6)", "C(Z6) vs C(Z4)"])
+def test_subspaces_of_two_algebras_are_not_compared(cz4, order):
+    """equals between the counit images of C(Z4) and C(Z6), either way
+    round, refuses by name instead of broadcasting (4, 4) against (6, 6)."""
+    cz6 = function_algebra(cyclic(6))
+    X, Y = (image_subspace(left_conv_operator(G, G.counit)) for G in (cz4, cz6))
+    if order.startswith("C(Z6)"):
+        X, Y = Y, X
+    with pytest.raises(ValueError, match="^subspaces live in different algebras$"):
+        X.equals(Y)
+
+
 def test_check_tro_expectation_counit_and_haar(cz4, kp):
     for G, omega in ((cz4, cz4.counit), (kp, kp.haar), (kp, kp.counit)):
         report = check_tro_expectation(G, omega)
